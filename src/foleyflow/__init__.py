@@ -11,7 +11,7 @@ from .errors import (
 )
 from .flow import SamplerConfig, cfm_loss, guided_velocity, make_flow_sample, sample, sway_schedule
 from .model import ConditionBundle, ModelConfig, TwoTowerModel, cross_modal_mix
-from .rng import SeededRng, derive_seed, seeded_rng, string_seed
+from .rng import SeededRng, derive_seed, string_seed
 from .tensor import ComputationTape, Tensor, backward
 from .training import (
     OptimizerConfig,
@@ -53,7 +53,6 @@ __all__ = [
     "run_curriculum",
     "run_stage",
     "sample",
-    "seeded_rng",
     "stage_preset",
     "string_seed",
     "sway_schedule",

@@ -207,17 +207,15 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _sampler_config(args) -> flow.SamplerConfig:
+    return flow.SamplerConfig(nfe=args.nfe, sway_coef=args.sway, guidance_scale=args.guidance, seed=args.seed)
+
+
 def cmd_sample(args) -> int:
     _require_file(args.checkpoint, "checkpoint")
     model = TwoTowerModel.load(args.checkpoint)
     cond = _build_condition(args, model.config)
-    sampler_cfg = flow.SamplerConfig(
-        nfe=args.nfe,
-        sway_coef=args.sway,
-        guidance_scale=args.guidance,
-        seed=args.seed,
-    )
-    latent = flow.sample(model, cond, sampler_cfg)
+    latent = flow.sample(model, cond, _sampler_config(args))
     container.write_latents(args.out, {metrics.LATENT_RECORD: latent})
     env = metrics.energy_envelope(latent)
     _write_envelope_csv(args.out + ".env.csv", {"audio_energy": env}, args.frame_rate)
@@ -273,14 +271,8 @@ def cmd_refine(args) -> int:
         raise ContractError(f"{args.coarse}: no {metrics.LATENT_RECORD!r} record")
     coarse = records[metrics.LATENT_RECORD]
     cond = _build_condition(args, model.config)
-    sampler_cfg = flow.SamplerConfig(
-        nfe=args.nfe,
-        sway_coef=args.sway,
-        guidance_scale=args.guidance,
-        seed=args.seed,
-    )
     config = metrics.EvalConfig(frame_rate=args.frame_rate)
-    result = refiner.refine(model, cond, coarse, args.k, sampler_cfg, config=config)
+    result = refiner.refine(model, cond, coarse, args.k, _sampler_config(args), config=config)
     container.write_latents(args.out, {metrics.LATENT_RECORD: result.best})
     trace_text = refiner.render_trace(result)
     Path(args.out + ".trace.csv").write_text(trace_text + "\n", encoding="utf-8")
@@ -302,6 +294,15 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0, help="master seed; all randomness derives from it")
         p.add_argument("--config", type=str, default=None, help="key=value file applied before explicit flags")
 
+    def sampling(p, frame_rate_help):
+        """The condition and sampler flags that sample and refine share."""
+        p.add_argument("--text", type=str, default=None, help="text prompt (synthetic embedding provider)")
+        p.add_argument("--video", type=str, default=None, help="video id, or path to a container with a video_feat record")
+        p.add_argument("--nfe", type=_positive_int, default=64, help="number of integrator steps")
+        p.add_argument("--sway", type=float, default=-1.0, help="sway coefficient of the time grid")
+        p.add_argument("--guidance", type=float, default=2.0, help="classifier-free guidance scale")
+        p.add_argument("--frame-rate", type=float, default=16.0, help=frame_rate_help)
+
     p = sub.add_parser("train", formatter_class=fmt, help="run curriculum stages on the synthetic toy data")
     p.add_argument("--preset", choices=("toy", "stage1", "stage2", "stage3"), default="toy",
                    help="toy runs stages 1-3; stageN runs that stage alone")
@@ -319,12 +320,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sample", formatter_class=fmt, help="generate one latent sequence from a checkpoint")
     p.add_argument("--checkpoint", type=str, required=True, help="model checkpoint")
     p.add_argument("--out", type=str, required=True, help="output latent file")
-    p.add_argument("--text", type=str, default=None, help="text prompt (synthetic embedding provider)")
-    p.add_argument("--video", type=str, default=None, help="video id, or path to a container with a video_feat record")
-    p.add_argument("--nfe", type=_positive_int, default=64, help="number of integrator steps")
-    p.add_argument("--sway", type=float, default=-1.0, help="sway coefficient of the time grid")
-    p.add_argument("--guidance", type=float, default=2.0, help="classifier-free guidance scale")
-    p.add_argument("--frame-rate", type=float, default=16.0, help="frames per second for the envelope sidecar")
+    sampling(p, "frames per second for the envelope sidecar")
     common(p)
     p.set_defaults(func=cmd_sample)
 
@@ -354,12 +350,7 @@ def build_parser() -> _Parser:
     p.add_argument("--coarse", type=str, required=True, help="coarse latent file to refine")
     p.add_argument("--out", type=str, required=True, help="output latent file")
     p.add_argument("--k", type=_positive_int, default=4, help="number of candidates to sample")
-    p.add_argument("--text", type=str, default=None, help="text prompt (synthetic embedding provider)")
-    p.add_argument("--video", type=str, default=None, help="video id, or path to a container with a video_feat record")
-    p.add_argument("--nfe", type=_positive_int, default=64, help="number of integrator steps")
-    p.add_argument("--sway", type=float, default=-1.0, help="sway coefficient of the time grid")
-    p.add_argument("--guidance", type=float, default=2.0, help="classifier-free guidance scale")
-    p.add_argument("--frame-rate", type=float, default=16.0, help="frames per second for reward envelopes")
+    sampling(p, "frames per second for reward envelopes")
     common(p)
     p.set_defaults(func=cmd_refine)
 

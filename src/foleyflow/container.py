@@ -5,17 +5,21 @@ Layout (all integers little-endian):
   checkpoint:  magic "YSND" | u32 version | config block | u32 count | records
   latent file: magic "YSND" | u32 version | u32 count | records
 
-  config block: seven i32 fields in CONFIG_INT_FIELDS order, then one f64
-                (guidance_scale).
+  config block: seven i32 fields in CONFIG_INT_FIELDS order. Version 1
+                followed them with one f64 (an unread guidance scale),
+                which the reader skips.
   record:       u32 name length | name bytes (utf-8) | u32 ndim |
                 u32 per dim | float64 payload, row-major.
 
-Float payloads round-trip bit-exactly; both readers reject unknown magic
-or version and truncated files.
+Writers emit version 2; readers accept versions 1 and 2, whose latent
+files share one layout. Float payloads round-trip bit-exactly. Both
+readers raise FormatError on unknown magic or version, truncation,
+trailing bytes, and undecodable or duplicate record names.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -23,7 +27,8 @@ import numpy as np
 from .errors import FormatError
 
 MAGIC = b"YSND"
-VERSION = 1
+VERSION = 2
+_READABLE_VERSIONS = (1, 2)
 
 CONFIG_INT_FIELDS = (
     "d_model",
@@ -34,7 +39,6 @@ CONFIG_INT_FIELDS = (
     "d_text",
     "t_audio",
 )
-CONFIG_FLOAT_FIELDS = ("guidance_scale",)
 
 _MAX_NAME = 4096
 _MAX_NDIM = 8
@@ -69,16 +73,14 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
 
-
-def _check_header(r: _Reader) -> None:
+def _check_header(r: _Reader) -> int:
     if r.take(4) != MAGIC:
         raise FormatError(f"{r.path}: bad magic, not a container file")
     version = r.u32()
-    if version != VERSION:
+    if version not in _READABLE_VERSIONS:
         raise FormatError(f"{r.path}: unsupported container version {version}")
+    return version
 
 
 def _unpack_records(r: _Reader) -> dict:
@@ -88,14 +90,22 @@ def _unpack_records(r: _Reader) -> dict:
         name_len = r.u32()
         if name_len > _MAX_NAME:
             raise FormatError(f"{r.path}: implausible record name length {name_len}")
-        name = r.take(name_len).decode("utf-8")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{r.path}: record name is not valid utf-8 ({exc.reason})") from None
+        if name in arrays:
+            raise FormatError(f"{r.path}: duplicate record name {name!r}")
         ndim = r.u32()
         if ndim > _MAX_NDIM:
             raise FormatError(f"{r.path}: implausible record rank {ndim}")
         shape = tuple(r.u32() for _ in range(ndim))
-        n_items = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        payload = r.take(8 * n_items)
-        arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+        # a Python-int product cannot overflow; take() checks it against the bytes left
+        payload = r.take(8 * math.prod(shape))
+        try:
+            arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+        except ValueError as exc:  # an empty record whose other dims numpy cannot address
+            raise FormatError(f"{r.path}: record {name!r} has unusable shape {shape}: {exc}") from None
     if r.pos != len(r.blob):
         raise FormatError(f"{r.path}: {len(r.blob) - r.pos} trailing bytes after last record")
     return arrays
@@ -105,7 +115,6 @@ def write_checkpoint(path: str, config_values: dict, arrays: dict) -> None:
     """Write model parameters plus the config fields that rebuild them."""
     header = [MAGIC, struct.pack("<I", VERSION)]
     header.append(struct.pack("<7i", *(int(config_values[f]) for f in CONFIG_INT_FIELDS)))
-    header.append(struct.pack("<d", *(float(config_values[f]) for f in CONFIG_FLOAT_FIELDS)))
     with open(path, "wb") as fh:
         fh.write(b"".join(header))
         fh.write(_pack_records(arrays))
@@ -115,10 +124,10 @@ def read_checkpoint(path: str) -> tuple[dict, dict]:
     """Return (config field dict, name -> float64 array)."""
     with open(path, "rb") as fh:
         r = _Reader(fh.read(), path)
-    _check_header(r)
+    version = _check_header(r)
     fields = {name: struct.unpack("<i", r.take(4))[0] for name in CONFIG_INT_FIELDS}
-    for name in CONFIG_FLOAT_FIELDS:
-        fields[name] = r.f64()
+    if version == 1:
+        r.take(8)  # version 1 stored an unread f64 guidance scale here
     return fields, _unpack_records(r)
 
 

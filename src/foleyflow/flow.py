@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DivergenceError, ShapeError
 from .model import ConditionBundle
-from .rng import SeededRng, seeded_rng
+from .rng import SeededRng
 from .tensor import Tensor, reduce_mean
 
 # upper end of the admissible sway range; below it the warped grid is
@@ -28,8 +28,6 @@ SWAY_MIN = -1.0
 class FlowSample:
     """One supervised point on the straight path from noise to data."""
 
-    x0: np.ndarray
-    x1: np.ndarray
     t: float
     x_t: np.ndarray
     target_v: np.ndarray
@@ -43,7 +41,7 @@ def make_flow_sample(x0: np.ndarray, x1: np.ndarray, t: float) -> FlowSample:
     if not (0.0 <= t <= 1.0):
         raise ContractError(f"interpolation time {t} outside [0, 1]")
     x_t = (1.0 - t) * x0 + t * x1
-    return FlowSample(x0=x0, x1=x1, t=float(t), x_t=x_t, target_v=x1 - x0)
+    return FlowSample(t=float(t), x_t=x_t, target_v=x1 - x0)
 
 
 @dataclass(frozen=True)
@@ -112,17 +110,19 @@ def _is_unconditional(cond: ConditionBundle) -> bool:
 def guided_velocity(model, x_t, t: float, cond: ConditionBundle, guidance_scale: float) -> np.ndarray:
     """Classifier-free-guided velocity v_u + w (v_c - v_u) as a plain array.
 
-    w = 0 returns the unconditional branch alone and w = 1 the conditional
-    branch alone, each with a single model call; other weights cost two.
+    The unconditional branch v_u sees ConditionBundle(): no text, no video
+    and no extra tokens. w = 0 returns the unconditional branch alone and
+    w = 1 the conditional branch alone, each with a single model call;
+    other weights cost two.
     """
     if guidance_scale < 0:
         raise ContractError(f"guidance_scale must be >= 0, got {guidance_scale}")
     x = x_t.data if isinstance(x_t, Tensor) else np.asarray(x_t, dtype=np.float64)
     if _is_unconditional(cond) or guidance_scale == 0.0:
-        return model(Tensor(x), t, cond.drop_all()).data
+        return model(Tensor(x), t, ConditionBundle()).data
     if guidance_scale == 1.0:
         return model(Tensor(x), t, cond).data
-    v_uncond = model(Tensor(x), t, cond.drop_all()).data
+    v_uncond = model(Tensor(x), t, ConditionBundle()).data
     v_cond = model(Tensor(x), t, cond).data
     return v_uncond + guidance_scale * (v_cond - v_uncond)
 
@@ -135,7 +135,7 @@ def sample(model, cond: ConditionBundle, sampler_cfg: SamplerConfig) -> np.ndarr
     """
     cfg = model.config
     grid = sway_schedule(sampler_cfg.nfe, sampler_cfg.sway_coef)
-    rng = seeded_rng(sampler_cfg.seed)
+    rng = SeededRng(sampler_cfg.seed)
     x = rng.normal((cfg.t_audio, cfg.d_audio_latent))
     for k in range(sampler_cfg.nfe):
         v = guided_velocity(model, x, float(grid[k]), cond, sampler_cfg.guidance_scale)

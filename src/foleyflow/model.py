@@ -45,7 +45,6 @@ class ModelConfig:
     d_video_feat: int = 16
     d_text: int = 16
     t_audio: int = 32
-    guidance_scale: float = 2.0
 
     def __post_init__(self):
         for name in ("d_model", "n_layers", "n_heads", "d_audio_latent", "d_video_feat", "d_text", "t_audio"):
@@ -54,8 +53,6 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if self.guidance_scale < 0:
-            raise ConfigError(f"guidance_scale must be >= 0, got {self.guidance_scale}")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -83,14 +80,6 @@ class ConditionBundle:
             raise ContractError("text_kept=True requires text_emb")
         if self.video_kept and self.video_feat is None:
             raise ContractError("video_kept=True requires video_feat")
-
-    @classmethod
-    def unconditional(cls) -> "ConditionBundle":
-        return cls()
-
-    def drop_all(self) -> "ConditionBundle":
-        """The classifier-free branch: no text, no video, no extra tokens."""
-        return ConditionBundle()
 
     def with_extra_tokens(self, tokens) -> "ConditionBundle":
         return replace(self, extra_tokens=tokens)
@@ -183,90 +172,54 @@ def _attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     return out
 
 
-def _modulate(x: Tensor, shift: Tensor, scale: Tensor) -> Tensor:
-    return x * (scale + 1.0) + shift
+class Block:
+    """adaLN-zero block: pre-norm self-attention, optional cross-attention
+    over context tokens, then an MLP; every sublayer gated and residual."""
 
-
-class _Block:
-    """Shared machinery for tower blocks: adaLN-zero around gated sublayers."""
-
-    def __init__(self, cfg: ModelConfig, rng: SeededRng, n_sublayers: int):
+    def __init__(self, cfg: ModelConfig, rng: SeededRng, cross_attention: bool):
         d = cfg.d_model
         self.n_heads = cfg.n_heads
+        self.cross_attention = cross_attention
+        n_sublayers = 3 if cross_attention else 2
         self.adaln = Linear(d, n_sublayers * 3 * d, None, zero_init=True)
         # norms carry no affine parameters; adaLN supplies shift and scale
         self._ones = Tensor(np.ones(d))
         self._zeros = Tensor(np.zeros(d))
+        self.wq = Linear(d, d, rng)
+        self.wk = Linear(d, d, rng)
+        self.wv = Linear(d, d, rng)
+        self.wo = Linear(d, d, rng)
+        if cross_attention:
+            self.cq = Linear(d, d, rng)
+            self.ck = Linear(d, d, rng)
+            self.cv = Linear(d, d, rng)
+            self.co = Linear(d, d, rng)
+        self.fc1 = Linear(d, 4 * d, rng)
+        self.fc2 = Linear(4 * d, d, rng)
 
-    def _norm(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self._ones, self._zeros)
+    def _sublayer_input(self, x: Tensor, shift: Tensor, scale: Tensor) -> Tensor:
+        return layer_norm(x, self._ones, self._zeros) * (scale + 1.0) + shift
 
-    def _chunks(self, t_emb: Tensor, d: int) -> list:
+    def __call__(self, x: Tensor, t_emb: Tensor, context: Tensor | None = None) -> Tensor:
+        """context: the tokens a cross-attention block attends to; unused otherwise."""
+        d = x.shape[-1]
         mod = self.adaln(gelu(t_emb))  # (1, n_sublayers * 3d)
-        n = mod.shape[-1] // d
-        return [narrow(mod, i * d, (i + 1) * d) for i in range(n)]
-
-
-class AudioBlock(_Block):
-    """Pre-norm self-attention, text cross-attention, MLP; all residual."""
-
-    def __init__(self, cfg: ModelConfig, rng: SeededRng):
-        super().__init__(cfg, rng, n_sublayers=3)
-        d = cfg.d_model
-        self.wq = Linear(d, d, rng)
-        self.wk = Linear(d, d, rng)
-        self.wv = Linear(d, d, rng)
-        self.wo = Linear(d, d, rng)
-        self.cq = Linear(d, d, rng)
-        self.ck = Linear(d, d, rng)
-        self.cv = Linear(d, d, rng)
-        self.co = Linear(d, d, rng)
-        self.fc1 = Linear(d, 4 * d, rng)
-        self.fc2 = Linear(4 * d, d, rng)
-
-    def __call__(self, x: Tensor, text_h: Tensor, t_emb: Tensor) -> Tensor:
-        d = x.shape[-1]
-        sh1, sc1, g1, sh2, sc2, g2, sh3, sc3, g3 = self._chunks(t_emb, d)
-        y = _modulate(self._norm(x), sh1, sc1)
-        x = x + g1 * self.wo(_attention(self.wq(y), self.wk(y), self.wv(y), self.n_heads))
-        y = _modulate(self._norm(x), sh2, sc2)
-        x = x + g2 * self.co(_attention(self.cq(y), self.ck(text_h), self.cv(text_h), self.n_heads))
-        y = _modulate(self._norm(x), sh3, sc3)
-        x = x + g3 * self.fc2(gelu(self.fc1(y)))
-        return x
+        chunks = [narrow(mod, i * d, (i + 1) * d) for i in range(mod.shape[-1] // d)]
+        sh, sc, g = chunks[:3]
+        y = self._sublayer_input(x, sh, sc)
+        x = x + g * self.wo(_attention(self.wq(y), self.wk(y), self.wv(y), self.n_heads))
+        if self.cross_attention:
+            sh, sc, g = chunks[3:6]
+            y = self._sublayer_input(x, sh, sc)
+            x = x + g * self.co(_attention(self.cq(y), self.ck(context), self.cv(context), self.n_heads))
+        sh, sc, g = chunks[-3:]
+        y = self._sublayer_input(x, sh, sc)
+        return x + g * self.fc2(gelu(self.fc1(y)))
 
     def named(self, prefix: str) -> list:
+        cross = ("cq", "ck", "cv", "co") if self.cross_attention else ()
         out = self.adaln.named(prefix + ".adaln")
-        for tag in ("wq", "wk", "wv", "wo", "cq", "ck", "cv", "co", "fc1", "fc2"):
-            out += getattr(self, tag).named(f"{prefix}.{tag}")
-        return out
-
-
-class VideoBlock(_Block):
-    """Pre-norm self-attention and MLP; no cross-attention."""
-
-    def __init__(self, cfg: ModelConfig, rng: SeededRng):
-        super().__init__(cfg, rng, n_sublayers=2)
-        d = cfg.d_model
-        self.wq = Linear(d, d, rng)
-        self.wk = Linear(d, d, rng)
-        self.wv = Linear(d, d, rng)
-        self.wo = Linear(d, d, rng)
-        self.fc1 = Linear(d, 4 * d, rng)
-        self.fc2 = Linear(4 * d, d, rng)
-
-    def __call__(self, x: Tensor, t_emb: Tensor) -> Tensor:
-        d = x.shape[-1]
-        sh1, sc1, g1, sh2, sc2, g2 = self._chunks(t_emb, d)
-        y = _modulate(self._norm(x), sh1, sc1)
-        x = x + g1 * self.wo(_attention(self.wq(y), self.wk(y), self.wv(y), self.n_heads))
-        y = _modulate(self._norm(x), sh2, sc2)
-        x = x + g2 * self.fc2(gelu(self.fc1(y)))
-        return x
-
-    def named(self, prefix: str) -> list:
-        out = self.adaln.named(prefix + ".adaln")
-        for tag in ("wq", "wk", "wv", "wo", "fc1", "fc2"):
+        for tag in ("wq", "wk", "wv", "wo") + cross + ("fc1", "fc2"):
             out += getattr(self, tag).named(f"{prefix}.{tag}")
         return out
 
@@ -293,8 +246,9 @@ class TwoTowerModel:
         self.video_pos = Tensor(np.zeros((cfg.t_audio, d)), requires_grad=True)
         self.null_text = Tensor(rng.normal((1, cfg.d_text)) * 0.02, requires_grad=True)
 
-        self.audio_blocks = [AudioBlock(cfg, rng) for _ in range(cfg.n_layers)]
-        self.video_blocks = [VideoBlock(cfg, rng) for _ in range(cfg.n_layers)]
+        # the audio tower attends to text tokens; the video tower does not
+        self.audio_blocks = [Block(cfg, rng, cross_attention=True) for _ in range(cfg.n_layers)]
+        self.video_blocks = [Block(cfg, rng, cross_attention=False) for _ in range(cfg.n_layers)]
         # mixers start at zero: video information fades in as they train
         self.mix_a = [Linear(2 * d, d, None, zero_init=True) for _ in range(cfg.n_layers)]
         self.mix_v = [Linear(2 * d, d, None, zero_init=True) for _ in range(cfg.n_layers)]
@@ -393,7 +347,7 @@ class TwoTowerModel:
             h_v = self.video_in(vf) + self.video_pos
 
         for i in range(cfg.n_layers):
-            h_a = self.audio_blocks[i](h_a, text_h, t_emb)
+            h_a = self.audio_blocks[i](h_a, t_emb, text_h)
             if h_v is not None:
                 h_v = self.video_blocks[i](h_v, t_emb)
                 h_a, h_v = cross_modal_mix(h_a, h_v, self.mix_a[i], self.mix_v[i])

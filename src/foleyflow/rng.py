@@ -13,7 +13,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["SeededRng", "seeded_rng", "derive_seed", "string_seed"]
+__all__ = ["SeededRng", "derive_seed", "string_seed"]
 
 
 def string_seed(text: str) -> int:
@@ -66,8 +66,3 @@ class SeededRng:
         if shape is None:
             return int(self._gen.integers(0, n))
         return self._gen.integers(0, n, size=shape)
-
-
-def seeded_rng(seed: int) -> SeededRng:
-    """Construct the package-standard generator for a 64-bit seed."""
-    return SeededRng(seed)

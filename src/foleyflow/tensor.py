@@ -70,9 +70,6 @@ class Tensor:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def backward(self) -> None:
         backward(self)
 

@@ -209,16 +209,22 @@ class AdamState:
 
 
 def adam_step(params: dict, grads: dict, opt_cfg: OptimizerConfig, state: AdamState) -> None:
-    """One bias-corrected Adam update, in place on the parameter tensors."""
-    state.step += 1
-    t = state.step
+    """One bias-corrected Adam update, in place on the parameter tensors.
+
+    All or nothing: every gradient is checked before any parameter, moment
+    or the step count changes, so a DivergenceError leaves them as they were.
+    """
+    t = state.step + 1
+    for name in params:
+        g = grads.get(name)
+        if g is not None and not np.all(np.isfinite(g)):
+            raise DivergenceError(f"non-finite gradient for {name} at optimizer step {t}", step=t)
+    state.step = t
     b1, b2 = opt_cfg.betas
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
             continue
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(f"non-finite gradient for {name} at optimizer step {t}", step=t)
         m = state.m.get(name)
         if m is None:
             m = np.zeros(p.shape, dtype=np.float64)
@@ -247,14 +253,14 @@ def run_stage(
 ) -> list:
     """Run one curriculum stage and return its TrainEvents.
 
-    sink, when given, receives each event as it is produced. On loss or
-    gradient divergence the parameters from the previous step are restored
-    (and written to checkpoint_path, when given) before raising.
+    sink, when given, receives each event as it is produced. A loss or
+    gradient divergence raises before any parameter changes, so the model
+    keeps the previous step's parameters; they are written to
+    checkpoint_path, when given, before raising.
     """
     events: list = []
     state = adam_state if adam_state is not None else AdamState()
     params = model.parameters()
-    last_good = model.state_arrays()
 
     for i in range(stage.steps):
         step = start_step + i + 1
@@ -262,22 +268,17 @@ def run_stage(
         model.zero_grad()
         loss = cfm_loss(model, [(s.x1, s.cond) for s in batch], rng)
         loss_value = loss.item()
-        if not np.isfinite(loss_value):
-            model.load_state(last_good)
-            if checkpoint_path is not None:
-                model.save(checkpoint_path)
-            raise DivergenceError(f"training loss diverged at step {step}", step=step)
-        backward(loss)
-        grads = {name: p.grad for name, p in params.items() if p.grad is not None}
-        grads, pre_norm = clip_grad_norm(grads, opt_cfg.grad_clip_norm)
         try:
+            if not np.isfinite(loss_value):
+                raise DivergenceError(f"training loss diverged at step {step}", step=step)
+            backward(loss)
+            grads = {name: p.grad for name, p in params.items() if p.grad is not None}
+            grads, pre_norm = clip_grad_norm(grads, opt_cfg.grad_clip_norm)
             adam_step(params, grads, opt_cfg, state)
         except DivergenceError:
-            model.load_state(last_good)
             if checkpoint_path is not None:
                 model.save(checkpoint_path)
             raise
-        last_good = model.state_arrays()
 
         first = batch[0]
         event = TrainEvent(

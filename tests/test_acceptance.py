@@ -23,7 +23,7 @@ from foleyflow.model import (
     cross_modal_mix,
 )
 from foleyflow.refiner import refine
-from foleyflow.rng import SeededRng, derive_seed, seeded_rng
+from foleyflow.rng import SeededRng, derive_seed
 from foleyflow.tensor import (
     Tensor,
     add,
@@ -95,7 +95,7 @@ def toy_run():
 @criterion(1, "gradient suite (ops + 1-layer two-tower pass), < 60 s")
 def test_criterion_1_gradients():
     start = time.monotonic()
-    rng = seeded_rng(42)
+    rng = SeededRng(42)
 
     def leaf(shape):
         return Tensor(rng.normal(shape), requires_grad=True)
@@ -108,7 +108,7 @@ def test_criterion_1_gradients():
             out = out_builder()
             key = out.shape
             if key not in probe:
-                probe[key] = Tensor(seeded_rng(7).normal(out.shape))
+                probe[key] = Tensor(SeededRng(7).normal(out.shape))
             return reduce_sum(mul(out, probe[key]))
 
         return check_gradients(build, tensors)
@@ -138,7 +138,7 @@ def test_criterion_1_gradients():
 
     # full 1-layer two-tower pass, jittered off the zero-init plateau
     model = TwoTowerModel(SMALL, seed=0)
-    jit = seeded_rng(5)
+    jit = SeededRng(5)
     for tensor in model.parameters().values():
         tensor.data = tensor.data + jit.normal(tensor.shape) * 0.05
     cond = ConditionBundle(
@@ -168,7 +168,7 @@ def test_criterion_1_gradients():
 
 @criterion(2, "mixer equations to 1e-12; zero-init ignores video to 1e-12")
 def test_criterion_2_mixer():
-    rng = seeded_rng(1)
+    rng = SeededRng(1)
     d = 6
     mix_a = Linear(2 * d, d, rng)
     mix_v = Linear(2 * d, d, rng)
@@ -304,7 +304,7 @@ def test_criterion_5_toy_overfit(toy_run):
         video_peaks = metrics.detect_peaks(
             metrics.energy_envelope(clip.video_feat), video_rate, econf.peak_threshold, econf.min_separation
         )
-        for bundle, bucket in ((cond, cond_scores), (ConditionBundle.unconditional(), uncond_scores)):
+        for bundle, bucket in ((cond, cond_scores), (ConditionBundle(), uncond_scores)):
             latent = flow.sample(model, bundle, scfg)
             peaks = metrics.detect_peaks(
                 metrics.energy_envelope(latent), frame_rate, econf.peak_threshold, econf.min_separation
@@ -335,11 +335,11 @@ def test_criterion_6_sampler_convergence():
             return Tensor(-x)
 
     seed = 3
-    x0 = seeded_rng(seed).normal((cfg.t_audio, cfg.d_audio_latent))
+    x0 = SeededRng(seed).normal((cfg.t_audio, cfg.d_audio_latent))
     exact = x0 * np.exp(-1.0)
     errors = {}
     for nfe in (16, 64, 256):
-        out = flow.sample(Decay(), ConditionBundle.unconditional(), flow.SamplerConfig(nfe=nfe, seed=seed))
+        out = flow.sample(Decay(), ConditionBundle(), flow.SamplerConfig(nfe=nfe, seed=seed))
         errors[nfe] = float(np.max(np.abs(out - exact)))
     assert errors[256] < errors[64] < errors[16], f"errors {errors}"
 
@@ -354,7 +354,7 @@ def test_criterion_6_sampler_convergence():
 
 @criterion(7, "metric fixtures: FAD self 0, Gaussian oracle 5%, IS = c, AV = 0.25, self-eval")
 def test_criterion_7_metric_fixtures(tmp_path):
-    rng = seeded_rng(21)
+    rng = SeededRng(21)
 
     same = metrics.EmbeddingSet(rng.normal((64, 6)))
     assert metrics.frechet_distance(same, metrics.EmbeddingSet(same.vectors.copy())) <= 1e-8
@@ -379,7 +379,7 @@ def test_criterion_7_metric_fixtures(tmp_path):
     gen_dir = tmp_path / "latents"
     gen_dir.mkdir()
     for i in range(2):
-        latent = seeded_rng(100 + i).normal((16, 8)) * 2.0
+        latent = SeededRng(100 + i).normal((16, 8)) * 2.0
         container.write_latents(str(gen_dir / f"clip{i}{metrics.LATENT_EXTENSION}"), {metrics.LATENT_RECORD: latent})
     econf = metrics.EvalConfig()
     report = metrics.evaluate_set(str(gen_dir), str(gen_dir), metrics.default_eval_providers(econf), econf)

@@ -1,6 +1,7 @@
 """Command-line surface: flows, exit codes, JSON errors, config precedence."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -343,8 +344,10 @@ def test_config_malformed_line(workdir, capsys):
 
 
 def test_console_script_help():
+    # the child imports foleyflow from wherever this process does
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run(
-        [sys.executable, "-m", "foleyflow.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "foleyflow.cli", "--help"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     for command in ("train", "sample", "eval", "pipeline", "refine"):

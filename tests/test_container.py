@@ -28,7 +28,6 @@ def _config():
         "d_video_feat": 16,
         "d_text": 16,
         "t_audio": 32,
-        "guidance_scale": 2.0,
     }
 
 
@@ -135,3 +134,63 @@ def test_checkpoint_header_not_readable_as_latents(tmp_path):
     container.write_checkpoint(path, _config(), {})
     with pytest.raises(FormatError):
         container.read_latents(path)
+
+
+def _one_record_file(path, name_bytes, shape, payload=b"", extra_records=0):
+    with open(path, "wb") as fh:
+        fh.write(container.MAGIC + struct.pack("<I", container.VERSION))
+        fh.write(struct.pack("<I", 1 + extra_records))
+        for _ in range(1 + extra_records):
+            fh.write(struct.pack("<I", len(name_bytes)) + name_bytes)
+            fh.write(struct.pack("<I", len(shape)) + struct.pack(f"<{len(shape)}I", *shape))
+            fh.write(payload)
+
+
+def test_overflowing_shape_rejected(tmp_path):
+    # 2**64 elements: an int64 element count wraps to zero
+    path = str(tmp_path / "bad")
+    _one_record_file(path, b"w", (2**16,) * 4)
+    with pytest.raises(FormatError, match="truncated"):
+        container.read_latents(path)
+
+
+def test_empty_record_with_unaddressable_shape_rejected(tmp_path):
+    path = str(tmp_path / "bad")
+    _one_record_file(path, b"w", (0,) + (2**32 - 1,) * 3)
+    with pytest.raises(FormatError, match="shape"):
+        container.read_latents(path)
+
+
+def test_non_utf8_record_name_rejected(tmp_path):
+    path = str(tmp_path / "bad")
+    _one_record_file(path, b"\xff\xfe", (1,), payload=b"\x00" * 8)
+    with pytest.raises(FormatError, match="utf-8"):
+        container.read_latents(path)
+
+
+def test_duplicate_record_name_rejected(tmp_path):
+    path = str(tmp_path / "bad")
+    _one_record_file(path, b"w", (1,), payload=b"\x00" * 8, extra_records=1)
+    with pytest.raises(FormatError, match="duplicate"):
+        container.read_latents(path)
+
+
+def test_version_1_files_still_read(tmp_path):
+    # version 1 latent files share the version 2 layout; version 1
+    # checkpoints carry one more f64 after the config block, skipped on read
+    arrays = _arrays()
+    path = str(tmp_path / "x.ysnd")
+    container.write_latents(path, arrays)
+    blob = open(path, "rb").read()
+    with open(path, "wb") as fh:
+        fh.write(blob[:4] + struct.pack("<I", 1) + blob[8:])
+    assert all(v.tobytes() == arrays[k].tobytes() for k, v in container.read_latents(path).items())
+
+    ckpt = str(tmp_path / "m.ckpt")
+    container.write_checkpoint(ckpt, _config(), arrays)
+    blob = open(ckpt, "rb").read()
+    with open(ckpt, "wb") as fh:
+        fh.write(blob[:4] + struct.pack("<I", 1) + blob[8:36] + struct.pack("<d", 2.0) + blob[36:])
+    fields, loaded = container.read_checkpoint(ckpt)
+    assert fields == _config()
+    assert all(v.tobytes() == arrays[k].tobytes() for k, v in loaded.items())

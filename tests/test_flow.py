@@ -15,7 +15,7 @@ from foleyflow.flow import (
     sway_schedule,
 )
 from foleyflow.model import ConditionBundle, ModelConfig
-from foleyflow.rng import seeded_rng
+from foleyflow.rng import SeededRng
 from foleyflow.tensor import Tensor
 
 STUB_CFG = ModelConfig(d_model=8, n_layers=1, n_heads=2, d_audio_latent=3, d_text=4, d_video_feat=4, t_audio=6)
@@ -40,7 +40,7 @@ class StubModel:
 
 
 def test_flow_sample_interpolation_exact():
-    rng = seeded_rng(0)
+    rng = SeededRng(0)
     x0, x1 = rng.normal((4, 3)), rng.normal((4, 3))
     s = make_flow_sample(x0, x1, 0.25)
     assert np.array_equal(s.x_t, 0.75 * x0 + 0.25 * x1)
@@ -123,12 +123,12 @@ def test_cfm_loss_zero_model_oracle():
     # a model that always answers zero makes the loss the mean squared
     # target velocity, which we can replay with a twin rng stream
     model = StubModel(lambda x, t, cond: np.zeros_like(x))
-    rng = seeded_rng(42)
-    data = [seeded_rng(100 + i).normal((5, 3)) for i in range(4)]
+    rng = SeededRng(42)
+    data = [SeededRng(100 + i).normal((5, 3)) for i in range(4)]
     batch = [(x1, ConditionBundle()) for x1 in data]
     loss = cfm_loss(model, batch, rng).item()
 
-    twin = seeded_rng(42)
+    twin = SeededRng(42)
     expected = 0.0
     for x1 in data:
         x0 = twin.normal(x1.shape)
@@ -140,11 +140,11 @@ def test_cfm_loss_zero_model_oracle():
 
 def test_cfm_loss_perfect_model_is_zero():
     # a model that answers x1 - x0 exactly: replay the stream to know both
-    data = seeded_rng(7).normal((4, 3))
-    twin = seeded_rng(1)
+    data = SeededRng(7).normal((4, 3))
+    twin = SeededRng(1)
     x0 = twin.normal(data.shape)
     model = StubModel(lambda x, t, cond: data - x0)
-    loss = cfm_loss(model, [(data, ConditionBundle())], seeded_rng(1)).item()
+    loss = cfm_loss(model, [(data, ConditionBundle())], SeededRng(1)).item()
     assert loss <= 1e-24
 
 
@@ -153,23 +153,23 @@ def test_cfm_loss_rng_order_x0_then_t():
     # disagree with this replay
     model = StubModel(lambda x, t, cond: np.zeros_like(x))
     x1 = np.ones((2, 2))
-    loss = cfm_loss(model, [(x1, ConditionBundle())], seeded_rng(3)).item()
-    twin = seeded_rng(3)
+    loss = cfm_loss(model, [(x1, ConditionBundle())], SeededRng(3)).item()
+    twin = SeededRng(3)
     x0 = twin.normal((2, 2))
     assert abs(loss - np.mean((x1 - x0) ** 2)) <= 1e-12
 
 
 def test_cfm_loss_accepts_tensor_targets():
     model = StubModel(lambda x, t, cond: np.zeros_like(x))
-    a = cfm_loss(model, [(Tensor(np.ones((2, 2))), ConditionBundle())], seeded_rng(5)).item()
-    b = cfm_loss(model, [(np.ones((2, 2)), ConditionBundle())], seeded_rng(5)).item()
+    a = cfm_loss(model, [(Tensor(np.ones((2, 2))), ConditionBundle())], SeededRng(5)).item()
+    b = cfm_loss(model, [(np.ones((2, 2)), ConditionBundle())], SeededRng(5)).item()
     assert a == b
 
 
 def test_cfm_loss_empty_batch_raises():
     model = StubModel(lambda x, t, cond: np.zeros_like(x))
     with pytest.raises(ContractError):
-        cfm_loss(model, [], seeded_rng(0))
+        cfm_loss(model, [], SeededRng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +190,7 @@ def _textual_cond():
 
 def test_guided_velocity_blend_algebra():
     model = _branching_stub()
-    x = seeded_rng(8).normal((STUB_CFG.t_audio, STUB_CFG.d_audio_latent))
+    x = SeededRng(8).normal((STUB_CFG.t_audio, STUB_CFG.d_audio_latent))
     cond = _textual_cond()
     v_u, v_c = x - 1.0, x + 1.0
     for w in (0.5, 2.0, 3.5):
@@ -225,9 +225,34 @@ def test_guided_velocity_single_call_at_trivial_weights():
 
 def test_guided_velocity_unconditional_bundle_ignores_weight():
     model = _branching_stub()
-    x = seeded_rng(9).normal((STUB_CFG.t_audio, STUB_CFG.d_audio_latent))
+    x = SeededRng(9).normal((STUB_CFG.t_audio, STUB_CFG.d_audio_latent))
     out = guided_velocity(model, x, 0.5, ConditionBundle(), 5.0)
     assert np.array_equal(out, x - 1.0)
+
+
+def test_guided_velocity_unconditional_branch_drops_every_condition():
+    seen = []
+
+    def fn(x, t, cond):
+        seen.append(cond)
+        return x
+
+    x = np.zeros((STUB_CFG.t_audio, STUB_CFG.d_audio_latent))
+    extra = Tensor(np.ones((1, STUB_CFG.d_text)))
+    full = ConditionBundle(
+        text_emb=Tensor(np.zeros((1, STUB_CFG.d_text))),
+        video_feat=Tensor(np.ones((STUB_CFG.t_audio, STUB_CFG.d_video_feat))),
+        text_kept=True,
+        video_kept=True,
+        extra_tokens=extra,
+    )
+    for cond, w in ((full, 2.0), (full, 0.0), (ConditionBundle(extra_tokens=extra), 2.0)):
+        seen.clear()
+        guided_velocity(StubModel(fn), x, 0.5, cond, w)
+        bare = [c for c in seen if c is not cond]
+        assert len(bare) == 1, (cond, w)
+        assert not bare[0].text_kept and not bare[0].video_kept
+        assert bare[0].text_emb is None and bare[0].video_feat is None and bare[0].extra_tokens is None
 
 
 def test_guided_velocity_rejects_negative_weight():
@@ -247,7 +272,7 @@ def test_sample_constant_field_telescopes():
     for s in (SWAY_MIN, 0.0, SWAY_MAX):
         cfg = SamplerConfig(nfe=17, sway_coef=s, guidance_scale=1.0, seed=12)
         out = sample(model, ConditionBundle(), cfg)
-        x0 = seeded_rng(12).normal((STUB_CFG.t_audio, STUB_CFG.d_audio_latent))
+        x0 = SeededRng(12).normal((STUB_CFG.t_audio, STUB_CFG.d_audio_latent))
         assert np.abs(out - (x0 + c)).max() <= 1e-12
 
 

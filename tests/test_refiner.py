@@ -55,7 +55,7 @@ def test_extract_signal_shape_and_determinism():
 def test_extract_signal_zero_inputs_give_zero_signal():
     # the projection has no bias, so all-zero pools map to the origin
     coarse = np.zeros((5, SMALL.d_audio_latent))
-    sig = extract_signal(ConditionBundle.unconditional(), coarse, d_signal=8)
+    sig = extract_signal(ConditionBundle(), coarse, d_signal=8)
     assert np.array_equal(sig, np.zeros(8))
 
 
@@ -80,9 +80,9 @@ def test_extract_signal_handles_other_feature_widths():
 
 def test_extract_signal_contracts():
     with pytest.raises(ContractError):
-        extract_signal(ConditionBundle.unconditional(), np.zeros((5, 4)), d_signal=0)
+        extract_signal(ConditionBundle(), np.zeros((5, 4)), d_signal=0)
     with pytest.raises(ContractError):
-        extract_signal(ConditionBundle.unconditional(), np.zeros(5))
+        extract_signal(ConditionBundle(), np.zeros(5))
 
 
 def test_signal_token_shape_and_linearity():
@@ -117,7 +117,7 @@ def test_reward_components_present(eval_setup):
     assert set(with_video.components) == {"temporal", "semantic", "smoothness"}
     text_only = reward(cand, _cond(rng, video=False), providers, config)
     assert set(text_only.components) == {"semantic", "smoothness"}
-    bare = reward(cand, ConditionBundle.unconditional(), providers, config)
+    bare = reward(cand, ConditionBundle(), providers, config)
     assert set(bare.components) == {"smoothness"}
 
 
@@ -127,7 +127,7 @@ def test_reward_weights_renormalize(eval_setup):
     cand = rng.normal((32, SMALL.d_audio_latent))
     report = reward(cand, _cond(rng, video=False), providers, config)
     assert report.weights == pytest.approx({"semantic": 0.8, "smoothness": 0.2})
-    bare = reward(cand, ConditionBundle.unconditional(), providers, config)
+    bare = reward(cand, ConditionBundle(), providers, config)
     assert bare.weights == {"smoothness": 1.0}
     assert bare.aggregate == bare.components["smoothness"]
 
@@ -135,11 +135,11 @@ def test_reward_weights_renormalize(eval_setup):
 def test_reward_smoothness_values(eval_setup):
     config, providers = eval_setup
     flat = np.ones((10, 4))
-    report = reward(flat, ConditionBundle.unconditional(), providers, config)
+    report = reward(flat, ConditionBundle(), providers, config)
     assert report.components["smoothness"] == 1.0
     jagged = np.zeros((10, 4))
     jagged[1::2] = 2.0  # msd 16 floors the component at zero
-    report = reward(jagged, ConditionBundle.unconditional(), providers, config)
+    report = reward(jagged, ConditionBundle(), providers, config)
     assert report.components["smoothness"] == 0.0
 
 
@@ -154,7 +154,7 @@ def test_reward_zero_norm_semantic_is_zero(eval_setup):
 def test_reward_rejects_bad_candidate(eval_setup):
     config, providers = eval_setup
     with pytest.raises(ContractError):
-        reward(np.zeros(8), ConditionBundle.unconditional(), providers, config)
+        reward(np.zeros(8), ConditionBundle(), providers, config)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +219,7 @@ def test_refine_passes_signal_token_to_sampler(small_model):
 
 def test_refine_better_candidate_wins(small_model):
     rng = SeededRng(4)
-    cond = ConditionBundle.unconditional()
+    cond = ConditionBundle()
     coarse = np.zeros((10, 4))
     coarse[1::2] = 2.0  # smoothness 0, so any flat candidate beats it
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from foleyflow.rng import SeededRng, derive_seed, seeded_rng, string_seed
+from foleyflow.rng import SeededRng, derive_seed, string_seed
 
 # frozen oracle values: Philox and SeedSequence are documented as
 # platform-stable, so these exact outputs must never change
@@ -11,25 +11,25 @@ FROZEN_DERIVED = 10064481071208559160
 
 
 def test_same_seed_same_stream():
-    a = seeded_rng(123)
-    b = seeded_rng(123)
+    a = SeededRng(123)
+    b = SeededRng(123)
     assert a.normal((4,)).tolist() == b.normal((4,)).tolist()
     assert a.uniform() == b.uniform()
     assert a.integers(1000) == b.integers(1000)
 
 
 def test_different_seeds_differ():
-    assert seeded_rng(1).normal((8,)).tolist() != seeded_rng(2).normal((8,)).tolist()
+    assert SeededRng(1).normal((8,)).tolist() != SeededRng(2).normal((8,)).tolist()
 
 
 def test_frozen_first_draw():
     # pins the generator identity: a silent swap of the bit generator
     # or draw order would move this value
-    assert seeded_rng(0).normal() == FROZEN_NORMAL_SEED0
+    assert SeededRng(0).normal() == FROZEN_NORMAL_SEED0
 
 
 def test_scalar_draws_are_python_types():
-    rng = seeded_rng(5)
+    rng = SeededRng(5)
     assert isinstance(rng.normal(), float)
     assert isinstance(rng.uniform(), float)
     assert isinstance(rng.bernoulli(0.5), bool)
@@ -37,7 +37,7 @@ def test_scalar_draws_are_python_types():
 
 
 def test_shaped_draws():
-    rng = seeded_rng(5)
+    rng = SeededRng(5)
     assert rng.normal((2, 3)).shape == (2, 3)
     assert rng.uniform((4,)).shape == (4,)
     assert rng.bernoulli(0.5, (6,)).dtype == np.bool_
@@ -45,17 +45,17 @@ def test_shaped_draws():
 
 
 def test_uniform_bounds():
-    draws = seeded_rng(9).uniform((1000,))
+    draws = SeededRng(9).uniform((1000,))
     assert np.all((draws >= 0.0) & (draws < 1.0))
 
 
 def test_integers_bounds():
-    draws = seeded_rng(9).integers(7, (1000,))
+    draws = SeededRng(9).integers(7, (1000,))
     assert draws.min() >= 0 and draws.max() <= 6
 
 
 def test_bernoulli_extremes():
-    rng = seeded_rng(11)
+    rng = SeededRng(11)
     assert not any(rng.bernoulli(0.0) for _ in range(50))
     assert all(rng.bernoulli(1.0) for _ in range(50))
 

@@ -6,7 +6,7 @@ import pytest
 from foleyflow.errors import ConfigError, ContractError, DivergenceError
 from foleyflow.model import ModelConfig, TwoTowerModel
 from foleyflow.providers import ToyClip, make_toy_clips
-from foleyflow.rng import SeededRng, derive_seed, seeded_rng
+from foleyflow.rng import SeededRng, derive_seed
 from foleyflow.tensor import Tensor
 from foleyflow.training import (
     PRODUCTION_STAGE_STEPS,
@@ -124,8 +124,8 @@ def test_event_line_roundtrip_exact():
 def test_draw_batch_deterministic():
     stage = stage_preset(3)
     datasets = _datasets()
-    a = draw_batch(stage, datasets, seeded_rng(5), batch_size=16)
-    b = draw_batch(stage, datasets, seeded_rng(5), batch_size=16)
+    a = draw_batch(stage, datasets, SeededRng(5), batch_size=16)
+    b = draw_batch(stage, datasets, SeededRng(5), batch_size=16)
     for sa, sb in zip(a, b):
         assert sa.tag == sb.tag
         assert sa.cond.text_kept == sb.cond.text_kept
@@ -136,7 +136,7 @@ def test_draw_batch_deterministic():
 def test_draw_batch_forced_modality_rules():
     stage = stage_preset(3)
     datasets = _datasets()
-    rng = seeded_rng(6)
+    rng = SeededRng(6)
     for s in draw_batch(stage, datasets, rng, batch_size=400):
         if s.tag == TAG_T2A:
             assert not s.cond.video_kept
@@ -147,7 +147,7 @@ def test_draw_batch_forced_modality_rules():
 def test_stage1_draws_text_only():
     stage = stage_preset(1)
     datasets = _datasets()
-    for s in draw_batch(stage, datasets, seeded_rng(7), batch_size=100):
+    for s in draw_batch(stage, datasets, SeededRng(7), batch_size=100):
         assert s.tag == TAG_T2A
         assert s.cond.text_kept
         assert not s.cond.video_kept
@@ -158,21 +158,21 @@ def test_draw_batch_missing_dataset_raises():
     datasets = _datasets()
     del datasets[TAG_V2A]
     with pytest.raises(ConfigError, match="V2A"):
-        draw_batch(stage, datasets, seeded_rng(0))
+        draw_batch(stage, datasets, SeededRng(0))
     datasets = _datasets()
     datasets[TAG_TV2A] = []
     with pytest.raises(ConfigError, match="TV2A"):
-        draw_batch(stage, datasets, seeded_rng(0))
+        draw_batch(stage, datasets, SeededRng(0))
 
 
 def test_draw_batch_size_contract():
     with pytest.raises(ContractError):
-        draw_batch(stage_preset(1), _datasets(), seeded_rng(0), batch_size=0)
+        draw_batch(stage_preset(1), _datasets(), SeededRng(0), batch_size=0)
 
 
 def test_stage3_mix_prefers_v2a():
     stage = stage_preset(3)
-    tags = [s.tag for s in draw_batch(stage, _datasets(), seeded_rng(8), batch_size=2000)]
+    tags = [s.tag for s in draw_batch(stage, _datasets(), SeededRng(8), batch_size=2000)]
     # weights 1:1:2 over T2A, TV2A, V2A
     assert abs(tags.count(TAG_V2A) / len(tags) - 0.5) < 0.05
     assert abs(tags.count(TAG_T2A) / len(tags) - 0.25) < 0.05
@@ -203,7 +203,7 @@ def test_clip_grad_norm_scales_to_ceiling():
 def test_adam_first_step_closed_form():
     # with m = g and v = g^2 after bias correction, the first update is
     # exactly -lr * g / (|g| + eps)
-    rng = seeded_rng(9)
+    rng = SeededRng(9)
     params = {"w": Tensor(rng.normal((3, 4)), requires_grad=True)}
     before = params["w"].data.copy()
     g = rng.normal((3, 4))
@@ -246,6 +246,25 @@ def test_adam_rejects_nonfinite_grads():
         adam_step({"p": p}, {"p": np.array([np.nan])}, OptimizerConfig(), AdamState())
 
 
+def test_adam_nonfinite_grad_changes_nothing():
+    # the finite gradient comes first, so a step that updated as it checked
+    # would already have moved "a" and its moments when "b" raises
+    params = {"a": Tensor(np.array([1.0, 2.0]), requires_grad=True), "b": Tensor(np.array([3.0]), requires_grad=True)}
+    state = AdamState()
+    adam_step(params, {"a": np.array([0.5, -0.5]), "b": np.array([0.25])}, OptimizerConfig(lr=0.1), state)
+    before = {name: p.data.copy() for name, p in params.items()}
+    m_before = {name: m.copy() for name, m in state.m.items()}
+    v_before = {name: v.copy() for name, v in state.v.items()}
+    with pytest.raises(DivergenceError) as err:
+        adam_step(params, {"a": np.array([1.0, 1.0]), "b": np.array([np.nan])}, OptimizerConfig(lr=0.1), state)
+    assert err.value.step == 2
+    assert state.step == 1
+    for name, p in params.items():
+        assert np.array_equal(p.data, before[name])
+        assert np.array_equal(state.m[name], m_before[name])
+        assert np.array_equal(state.v[name], v_before[name])
+
+
 # ---------------------------------------------------------------------------
 # stage loop
 
@@ -257,7 +276,7 @@ def test_run_stage_updates_and_logs(tmp_path):
     opt = OptimizerConfig(lr=1e-3, batch_size=2)
     seen = []
     ckpt = str(tmp_path / "s1.ckpt")
-    events = run_stage(model, stage, opt, _datasets(), seeded_rng(1), sink=seen.append, checkpoint_path=ckpt)
+    events = run_stage(model, stage, opt, _datasets(), SeededRng(1), sink=seen.append, checkpoint_path=ckpt)
     assert [e.step for e in events] == [1, 2, 3]
     assert seen == events
     assert all(e.stage_id == 1 for e in events)
@@ -271,7 +290,7 @@ def test_run_stage_updates_and_logs(tmp_path):
 def test_run_stage_start_step_offsets_numbering():
     model = TwoTowerModel(SMALL, seed=0)
     events = run_stage(
-        model, stage_preset(1, steps=2), OptimizerConfig(lr=1e-3, batch_size=1), _datasets(), seeded_rng(2), start_step=10
+        model, stage_preset(1, steps=2), OptimizerConfig(lr=1e-3, batch_size=1), _datasets(), SeededRng(2), start_step=10
     )
     assert [e.step for e in events] == [11, 12]
 
@@ -295,7 +314,7 @@ def test_run_stage_divergence_restores_and_checkpoints(tmp_path):
             stage_preset(1, steps=5),
             OptimizerConfig(lr=1e-3, batch_size=1),
             datasets,
-            seeded_rng(3),
+            SeededRng(3),
             checkpoint_path=ckpt,
         )
     assert err.value.step == 1
