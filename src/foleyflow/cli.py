@@ -49,8 +49,12 @@ def _read_config_tokens(path: str) -> list:
     value becomes the flag's argument. Unknown keys surface as unknown
     flags when parsed.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config file is not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
     tokens: list = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -82,25 +82,27 @@ def cfm_loss(model, batch, rng: SeededRng) -> Tensor:
     """Mean squared velocity error over a batch of (x1, condition) pairs.
 
     For each item, draws x0 ~ N(0, I) then t ~ U(0, 1) from rng (in that
-    order), builds x_t, and regresses the model output onto x1 - x0. The
-    returned scalar stays on the tape for backward().
+    order) and builds x_t; one model call then predicts every item, and
+    the loss regresses the predictions onto x1 - x0. The returned scalar
+    stays on the tape for backward().
     """
     items = list(batch)
     if not items:
         raise ContractError("cfm_loss needs a non-empty batch")
-    total = None
-    for x1, cond in items:
+    points = []
+    for x1, _ in items:
         if isinstance(x1, Tensor):
             x1 = x1.data
         x1 = np.asarray(x1, dtype=np.float64)
         x0 = rng.normal(x1.shape)
         t = rng.uniform()
-        sample_pt = make_flow_sample(x0, x1, t)
-        pred = model(Tensor(sample_pt.x_t), sample_pt.t, cond)
-        diff = pred - Tensor(sample_pt.target_v)
-        item_loss = reduce_mean(diff * diff)
-        total = item_loss if total is None else total + item_loss
-    return total * (1.0 / len(items))
+        points.append(make_flow_sample(x0, x1, t))
+    shapes = {p.x_t.shape for p in points}
+    if len(shapes) != 1:
+        raise ShapeError(f"cfm_loss batch items differ in shape: {sorted(shapes)}")
+    pred = model(Tensor(np.stack([p.x_t for p in points])), [p.t for p in points], [cond for _, cond in items])
+    diff = pred - Tensor(np.stack([p.target_v for p in points]))
+    return reduce_mean(diff * diff)
 
 
 def _is_unconditional(cond: ConditionBundle) -> bool:
@@ -112,26 +114,29 @@ def guided_velocity(model, x_t, t: float, cond: ConditionBundle, guidance_scale:
 
     The unconditional branch v_u sees ConditionBundle(): no text, no video
     and no extra tokens. w = 0 returns the unconditional branch alone and
-    w = 1 the conditional branch alone, each with a single model call;
-    other weights cost two.
+    w = 1 the conditional branch alone, each from a batch-1 model call;
+    other weights run both branches as one batch-2 call.
     """
     if guidance_scale < 0:
         raise ContractError(f"guidance_scale must be >= 0, got {guidance_scale}")
     x = x_t.data if isinstance(x_t, Tensor) else np.asarray(x_t, dtype=np.float64)
     if _is_unconditional(cond) or guidance_scale == 0.0:
-        return model(Tensor(x), t, ConditionBundle()).data
-    if guidance_scale == 1.0:
-        return model(Tensor(x), t, cond).data
-    v_uncond = model(Tensor(x), t, ConditionBundle()).data
-    v_cond = model(Tensor(x), t, cond).data
-    return v_uncond + guidance_scale * (v_cond - v_uncond)
+        branches = [ConditionBundle()]
+    elif guidance_scale == 1.0:
+        branches = [cond]
+    else:
+        branches = [ConditionBundle(), cond]
+    v = model(Tensor(np.stack([x] * len(branches))), [t] * len(branches), branches).data
+    if len(branches) == 1:
+        return v[0]
+    return v[0] + guidance_scale * (v[1] - v[0])
 
 
 def sample(model, cond: ConditionBundle, sampler_cfg: SamplerConfig) -> np.ndarray:
     """Integrate the velocity field from seeded noise at t=0 to audio at t=1.
 
-    model must expose .config (for the latent shape) and be callable as
-    model(x_t, t, cond). Deterministic given sampler_cfg.seed.
+    model must expose .config (for the latent shape) and be callable on a
+    batch as model(x_t, times, conds). Deterministic given sampler_cfg.seed.
     """
     cfg = model.config
     grid = sway_schedule(sampler_cfg.nfe, sampler_cfg.sway_coef)

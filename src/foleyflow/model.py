@@ -5,8 +5,9 @@ featured video tower (self-attention, MLP) run side by side; after every
 layer pair a residual cross-modal mixer exchanges information between the
 towers. Timestep conditioning enters every block through adaLN-zero
 modulation, so a freshly initialized model is an identity between its input
-and output projections. The video tower and mixer are skipped entirely when
-the condition bundle carries no video.
+and output projections. One forward runs a batch of items, each with its own
+time and condition bundle; the video tower and mixers run on the items that
+carry video, and are skipped entirely when none does.
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ from .errors import ConfigError, ContractError, FormatError, ShapeError
 from .rng import SeededRng, derive_seed
 from .tensor import (
     Tensor,
+    attention,
     concat,
-    concat_rows,
+    gather_rows,
     gelu,
     layer_norm,
     matmul,
     narrow,
-    softmax,
-    transpose,
+    scatter_rows,
 )
 
 # timesteps live in [0, 1]; the sinusoid sees them scaled so neighbouring
@@ -85,13 +86,14 @@ class ConditionBundle:
         return replace(self, extra_tokens=tokens)
 
 
-def _as_constant(value, name: str) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    arr = np.asarray(value, dtype=np.float64)
+def _feature_rows(value, name: str, width: int, width_name: str) -> np.ndarray:
+    """A condition's (rows, width) feature array, checked against the config."""
+    arr = value.data if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"{name} must be 2-D (frames x dims), got shape {arr.shape}")
-    return Tensor(arr)
+    if arr.shape[-1] != width:
+        raise ShapeError(f"{name} last dim {arr.shape[-1]} != {width_name} {width}")
+    return arr
 
 
 def timestep_features(t: float, dim: int) -> np.ndarray:
@@ -158,20 +160,6 @@ def cross_modal_mix(y_a: Tensor, y_v: Tensor, mix_a: Linear, mix_v: Linear) -> t
     return y_a + mix_a(joint), y_v + mix_v(joint)
 
 
-def _attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
-    d = q.shape[-1]
-    dh = d // n_heads
-    scale = 1.0 / math.sqrt(dh)
-    out = None
-    for h in range(n_heads):
-        lo, hi = h * dh, (h + 1) * dh
-        qh, kh, vh = narrow(q, lo, hi), narrow(k, lo, hi), narrow(v, lo, hi)
-        scores = matmul(qh, transpose(kh)) * scale
-        oh = matmul(softmax(scores), vh)
-        out = oh if out is None else concat(out, oh)
-    return out
-
-
 class Block:
     """adaLN-zero block: pre-norm self-attention, optional cross-attention
     over context tokens, then an MLP; every sublayer gated and residual."""
@@ -200,18 +188,21 @@ class Block:
     def _sublayer_input(self, x: Tensor, shift: Tensor, scale: Tensor) -> Tensor:
         return layer_norm(x, self._ones, self._zeros) * (scale + 1.0) + shift
 
-    def __call__(self, x: Tensor, t_emb: Tensor, context: Tensor | None = None) -> Tensor:
-        """context: the tokens a cross-attention block attends to; unused otherwise."""
+    def __call__(self, x: Tensor, t_emb: Tensor, context: Tensor | None = None, context_mask=None) -> Tensor:
+        """x: (B, T, d) stream; t_emb: (B, 1, d). context: the (B, L, d)
+        tokens a cross-attention block attends to, context_mask their (B, L)
+        validity; both unused otherwise."""
         d = x.shape[-1]
-        mod = self.adaln(gelu(t_emb))  # (1, n_sublayers * 3d)
+        mod = self.adaln(gelu(t_emb))  # (B, 1, n_sublayers * 3d)
         chunks = [narrow(mod, i * d, (i + 1) * d) for i in range(mod.shape[-1] // d)]
         sh, sc, g = chunks[:3]
         y = self._sublayer_input(x, sh, sc)
-        x = x + g * self.wo(_attention(self.wq(y), self.wk(y), self.wv(y), self.n_heads))
+        x = x + g * self.wo(attention(self.wq(y), self.wk(y), self.wv(y), self.n_heads))
         if self.cross_attention:
             sh, sc, g = chunks[3:6]
             y = self._sublayer_input(x, sh, sc)
-            x = x + g * self.co(_attention(self.cq(y), self.ck(context), self.cv(context), self.n_heads))
+            attended = attention(self.cq(y), self.ck(context), self.cv(context), self.n_heads, context_mask)
+            x = x + g * self.co(attended)
         sh, sc, g = chunks[-3:]
         y = self._sublayer_input(x, sh, sc)
         return x + g * self.fc2(gelu(self.fc1(y)))
@@ -310,47 +301,75 @@ class TwoTowerModel:
 
     # -- forward ------------------------------------------------------------
 
-    def embed_timestep(self, t: float) -> Tensor:
-        feats = Tensor(timestep_features(t, self.config.d_model))
-        return self.time_mlp2(gelu(self.time_mlp1(feats)))
+    def embed_timestep(self, times) -> Tensor:
+        """(B, 1, d) embedding of B times in [0, 1]."""
+        feats = np.stack([timestep_features(float(t), self.config.d_model) for t in times])
+        return self.time_mlp2(gelu(self.time_mlp1(Tensor(feats))))
 
-    def _text_tokens(self, cond: ConditionBundle) -> Tensor:
-        if cond.text_kept:
-            tokens = _as_constant(cond.text_emb, "text_emb")
-            if tokens.shape[-1] != self.config.d_text:
-                raise ShapeError(f"text_emb last dim {tokens.shape[-1]} != d_text {self.config.d_text}")
-        else:
-            tokens = self.null_text
-        if cond.extra_tokens is not None:
-            extra = _as_constant(cond.extra_tokens, "extra_tokens")
-            if extra.shape[-1] != self.config.d_text:
-                raise ShapeError(f"extra_tokens last dim {extra.shape[-1]} != d_text {self.config.d_text}")
-            tokens = concat_rows(tokens, extra)
-        return self.text_proj(tokens)
+    def _text_tokens(self, conds: list) -> tuple:
+        """(B, L, d) projected cross-attention tokens and their (B, L) mask.
 
-    def forward(self, x_t, t: float, cond: ConditionBundle) -> Tensor:
+        Item b's tokens are its text rows, or the learned null token when
+        its text is dropped, then any extra tokens; shorter items are
+        zero-padded to the longest and their padding masked out.
+        """
+        cfg = self.config
+        items = []
+        for cond in conds:
+            lead = _feature_rows(cond.text_emb, "text_emb", cfg.d_text, "d_text") if cond.text_kept else None
+            rows = [np.zeros((1, cfg.d_text)) if lead is None else lead]
+            if cond.extra_tokens is not None:
+                rows.append(_feature_rows(cond.extra_tokens, "extra_tokens", cfg.d_text, "d_text"))
+            items.append((np.concatenate(rows), lead is None))
+        width = max(tokens.shape[0] for tokens, _ in items)
+        const = np.zeros((len(items), width, cfg.d_text))
+        null = np.zeros((len(items), width, 1))
+        mask = np.zeros((len(items), width), dtype=bool)
+        for b, (tokens, uses_null) in enumerate(items):
+            const[b, : tokens.shape[0]] = tokens
+            mask[b, : tokens.shape[0]] = True
+            null[b, 0, 0] = float(uses_null)
+        # the null token enters through the tape so its gradient flows
+        return self.text_proj(Tensor(const) + Tensor(null) * self.null_text), mask
+
+    def forward(self, x_t, t, conds) -> Tensor:
+        """Velocities (B, t_audio, d_audio_latent) for B items at once.
+
+        x_t is (B, t_audio, d_audio_latent), t holds the B times and conds
+        the B ConditionBundles. Items do not interact: each item's output
+        is its batch-1 output up to round-off.
+        """
         cfg = self.config
         x = x_t if isinstance(x_t, Tensor) else Tensor(np.asarray(x_t, dtype=np.float64))
-        if x.shape != (cfg.t_audio, cfg.d_audio_latent):
-            raise ShapeError(f"input shape {x.shape} != (t_audio, d_audio_latent) = ({cfg.t_audio}, {cfg.d_audio_latent})")
-        t_emb = self.embed_timestep(t)
-        text_h = self._text_tokens(cond)
+        conds = list(conds)
+        times = np.asarray(t, dtype=np.float64)
+        n = len(conds)
+        if n < 1 or x.shape != (n, cfg.t_audio, cfg.d_audio_latent) or times.shape != (n,):
+            raise ShapeError(
+                f"forward needs x (B, t_audio, d_audio_latent) = (B, {cfg.t_audio}, {cfg.d_audio_latent}) "
+                f"and B times and bundles for B >= 1; got x {x.shape}, t {times.shape}, {n} bundles"
+            )
+        t_emb = self.embed_timestep(times)
+        text_h, text_mask = self._text_tokens(conds)
+        video = [b for b, cond in enumerate(conds) if cond.video_kept]
+        feats = [_feature_rows(conds[b].video_feat, "video_feat", cfg.d_video_feat, "d_video_feat") for b in video]
 
         h_a = self.audio_in(x) + self.audio_pos
         h_v = None
-        if cond.video_kept:
+        if video:
+            frames = np.stack([resample_video(f, cfg.t_audio) for f in feats])
+            h_v = self.video_in(Tensor(frames)) + self.video_pos
+            t_emb_v = gather_rows(t_emb, video)
+            # items without video keep their audio stream through the mixers
+            no_video = Tensor(np.array([0.0 if cond.video_kept else 1.0 for cond in conds]).reshape(n, 1, 1))
             self.video_tower_invocations += 1
-            vf = _as_constant(cond.video_feat, "video_feat")
-            if vf.shape[-1] != cfg.d_video_feat:
-                raise ShapeError(f"video_feat last dim {vf.shape[-1]} != d_video_feat {cfg.d_video_feat}")
-            vf = resample_video(vf, cfg.t_audio)
-            h_v = self.video_in(vf) + self.video_pos
 
         for i in range(cfg.n_layers):
-            h_a = self.audio_blocks[i](h_a, t_emb, text_h)
+            h_a = self.audio_blocks[i](h_a, t_emb, text_h, text_mask)
             if h_v is not None:
-                h_v = self.video_blocks[i](h_v, t_emb)
-                h_a, h_v = cross_modal_mix(h_a, h_v, self.mix_a[i], self.mix_v[i])
+                h_v = self.video_blocks[i](h_v, t_emb_v)
+                mixed_a, h_v = cross_modal_mix(gather_rows(h_a, video), h_v, self.mix_a[i], self.mix_v[i])
+                h_a = h_a * no_video + scatter_rows(mixed_a, video, n)
         # the final video stream is dropped; only the audio stream is decoded
         return self.out_proj(h_a)
 

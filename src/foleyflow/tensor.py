@@ -3,6 +3,9 @@
 The engine is deliberately small: exactly the ops a two-tower transformer
 needs, all in float64 so numerical tolerances stay tight. Graphs are
 dynamic and single-use; an op never mutates its operands' buffers.
+Activations carry a leading batch axis, (B, T, d): matmul folds the
+leading axes into rows, attention is one fused multi-head op, and
+gather_rows / scatter_rows select items along the batch axis.
 Broadcasting covers leading-dimension expansion plus trailing parameter
 vectors (a strict subset of general numpy broadcasting is relied upon by
 callers, though the gradient rules handle the general case).
@@ -25,12 +28,14 @@ __all__ = [
     "sub",
     "mul",
     "concat",
-    "concat_rows",
     "narrow",
     "transpose",
     "layer_norm",
     "softmax",
     "gelu",
+    "attention",
+    "gather_rows",
+    "scatter_rows",
     "reduce_sum",
     "reduce_mean",
     "backward",
@@ -143,16 +148,19 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """(..., m, k) @ (k, n): the leading axes of a fold into rows of one product."""
+    if a.ndim < 2 or b.ndim != 2:
+        raise ShapeError(f"matmul expects (..., m, k) @ (k, n), got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    a_data, b_data = a.data, b.data
+    a_shape, n = a.shape, b.shape[1]
+    a2d, b_data = a.data.reshape(-1, a_shape[-1]), b.data
 
     def bw(g):
-        return g @ b_data.T, a_data.T @ g
+        g2d = g.reshape(-1, n)
+        return (g2d @ b_data.T).reshape(a_shape), a2d.T @ g2d
 
-    return _from_op(a_data @ b_data, (a, b), bw)
+    return _from_op((a2d @ b_data).reshape(a_shape[:-1] + (n,)), (a, b), bw)
 
 
 def _broadcast_check(a: Tensor, b: Tensor, op: str) -> None:
@@ -209,18 +217,6 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
         return g[..., :split].copy(), g[..., split:].copy()
 
     return _from_op(np.concatenate([a.data, b.data], axis=-1), (a, b), bw)
-
-
-def concat_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate along the first axis; trailing dims must match exactly."""
-    if a.ndim != b.ndim or a.shape[1:] != b.shape[1:]:
-        raise ShapeError(f"concat_rows needs matching trailing dims: {a.shape} vs {b.shape}")
-    split = a.shape[0]
-
-    def bw(g):
-        return g[:split].copy(), g[split:].copy()
-
-    return _from_op(np.concatenate([a.data, b.data], axis=0), (a, b), bw)
 
 
 def narrow(x: Tensor, start: int, stop: int) -> Tensor:
@@ -292,7 +288,7 @@ def softmax(x: Tensor) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     """GELU via the tanh approximation."""
     v = x.data
-    inner = _GELU_C * (v + 0.044715 * v**3)
+    inner = _GELU_C * (v + 0.044715 * (v * v * v))
     t = np.tanh(inner)
 
     def bw(g):
@@ -301,6 +297,92 @@ def gelu(x: Tensor) -> Tensor:
         return (g * local,)
 
     return _from_op(0.5 * v * (1.0 + t), (x,), bw)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, key_mask=None) -> Tensor:
+    """Multi-head scaled dot-product attention over (B, T, d) operands.
+
+    q is (B, Tq, d); k and v are (B, Tk, d). Head h reads the columns
+    [h d/n_heads, (h+1) d/n_heads) of each operand and writes the same
+    columns of the (B, Tq, d) output. key_mask, when given, is a (B, Tk)
+    boolean array, True where a key may be attended; masked keys get
+    exactly zero probability, so padding an item's keys changes its
+    output only by round-off. The softmax probabilities are kept for
+    the backward pass.
+    """
+    if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
+        raise ShapeError(f"attention expects (B, T, d) operands, got {q.shape}, {k.shape}, {v.shape}")
+    batch, t_q, d = q.shape
+    t_k = k.shape[1]
+    if k.shape != (batch, t_k, d) or v.shape != k.shape:
+        raise ShapeError(f"attention operands do not match: q {q.shape}, k {k.shape}, v {v.shape}")
+    if n_heads < 1 or d % n_heads != 0:
+        raise ContractError(f"attention width {d} not divisible into {n_heads} heads")
+    dh = d // n_heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def heads(x: np.ndarray) -> np.ndarray:  # (B, T, d) -> (B, H, T, dh) view
+        return x.reshape(batch, x.shape[1], n_heads, dh).transpose(0, 2, 1, 3)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale  # (B, H, Tq, Tk)
+    if key_mask is not None:
+        keep = np.asarray(key_mask, dtype=bool)
+        if keep.shape != (batch, t_k):
+            raise ShapeError(f"key_mask shape {keep.shape} != (B, Tk) = ({batch}, {t_k})")
+        if not keep.any(axis=1).all():
+            raise ContractError("key_mask hides every key of some item")
+        scores = np.where(keep[:, None, None, :], scores, -np.inf)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+
+    def merge(xh: np.ndarray) -> np.ndarray:  # (B, H, T, dh) -> (B, T, d)
+        return xh.transpose(0, 2, 1, 3).reshape(batch, xh.shape[2], d)
+
+    def bw(g):
+        gh = heads(g)
+        dv = probs.transpose(0, 1, 3, 2) @ gh
+        dp = gh @ vh.transpose(0, 1, 3, 2)
+        ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True)) * scale
+        return merge(ds @ kh), merge(ds.transpose(0, 1, 3, 2) @ qh), merge(dv)
+
+    return _from_op(merge(probs @ vh), (q, k, v), bw)
+
+
+def _batch_rows(rows, n: int) -> np.ndarray:
+    idx = np.asarray(rows, dtype=np.intp)
+    if idx.ndim != 1 or idx.size == 0 or idx.min() < 0 or idx.max() >= n or np.unique(idx).size != idx.size:
+        raise ContractError(f"rows must be distinct indices in [0, {n}), got {rows!r}")
+    return idx
+
+
+def _placed(values: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    out = np.zeros((n,) + values.shape[1:], dtype=np.float64)
+    out[idx] = values
+    return out
+
+
+def gather_rows(x: Tensor, rows) -> Tensor:
+    """The items rows of x along the batch (first) axis; scatter_rows is its backward."""
+    n = x.shape[0]
+    idx = _batch_rows(rows, n)
+
+    def bw(g):
+        return (_placed(g, idx, n),)
+
+    return _from_op(x.data[idx], (x,), bw)
+
+
+def scatter_rows(x: Tensor, rows, n: int) -> Tensor:
+    """A batch of n items, zero except item rows[i] = x[i]; gather_rows is its backward."""
+    idx = _batch_rows(rows, n)
+    if idx.size != x.shape[0]:
+        raise ShapeError(f"scatter_rows got {idx.size} rows for {x.shape[0]} items")
+
+    def bw(g):
+        return (g[idx],)
+
+    return _from_op(_placed(x.data, idx, n), (x,), bw)
 
 
 def reduce_sum(x: Tensor) -> Tensor:

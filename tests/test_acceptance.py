@@ -27,8 +27,9 @@ from foleyflow.rng import SeededRng, derive_seed
 from foleyflow.tensor import (
     Tensor,
     add,
+    attention,
     concat,
-    concat_rows,
+    gather_rows,
     gelu,
     layer_norm,
     matmul,
@@ -36,6 +37,7 @@ from foleyflow.tensor import (
     narrow,
     reduce_mean,
     reduce_sum,
+    scatter_rows,
     softmax,
     sub,
     transpose,
@@ -116,14 +118,21 @@ def test_criterion_1_gradients():
     checked = 0
     a, b = leaf((3, 4)), leaf((4, 2))
     checked += weighted(lambda: matmul(a, b), {"a": a, "b": b})
+    a3 = leaf((2, 3, 4))
+    checked += weighted(lambda: matmul(a3, b), {"a3": a3, "b": b})
     x, y = leaf((3, 4)), leaf((4,))
     checked += weighted(lambda: add(x, y), {"x": x, "y": y})
     checked += weighted(lambda: sub(x, y), {"x": x, "y": y})
     checked += weighted(lambda: mul(x, y), {"x": x, "y": y})
     p, q = leaf((3, 2)), leaf((3, 3))
     checked += weighted(lambda: concat(p, q), {"p": p, "q": q})
-    r, s = leaf((2, 4)), leaf((3, 4))
-    checked += weighted(lambda: concat_rows(r, s), {"r": r, "s": s})
+    # attention: B > 1, Tq != Tk, a mask hiding at least one key per item
+    aq, ak, av = leaf((2, 3, 4)), leaf((2, 4, 4)), leaf((2, 4, 4))
+    keep = np.array([[True, True, False, True], [False, True, True, False]])
+    checked += weighted(lambda: attention(aq, ak, av, 2, keep), {"aq": aq, "ak": ak, "av": av})
+    rows = leaf((3, 2, 2))
+    checked += weighted(lambda: gather_rows(rows, [2, 0]), {"rows": rows})
+    checked += weighted(lambda: scatter_rows(rows, [3, 0, 1], 4), {"rows": rows})
     w = leaf((3, 6))
     checked += weighted(lambda: narrow(w, 1, 4), {"w": w})
     checked += weighted(lambda: transpose(w), {"w": w})
@@ -147,12 +156,12 @@ def test_criterion_1_gradients():
         text_kept=True,
         video_kept=True,
     )
-    x_t = jit.normal((SMALL.t_audio, SMALL.d_audio_latent))
-    target = Tensor(jit.normal((SMALL.t_audio, SMALL.d_audio_latent)))
+    x_t = jit.normal((1, SMALL.t_audio, SMALL.d_audio_latent))
+    target = Tensor(jit.normal((1, SMALL.t_audio, SMALL.d_audio_latent)))
 
     def model_loss():
         model.zero_grad()
-        diff = sub(model(Tensor(x_t), 0.37, cond), target)
+        diff = sub(model(Tensor(x_t), [0.37], [cond]), target)
         return reduce_mean(mul(diff, diff))
 
     checked += check_gradients(model_loss, model.parameters(), entries_per_tensor=2)
@@ -191,11 +200,11 @@ def test_criterion_2_mixer():
     # end to end: a fresh model's output does not depend on the video input
     cfg = ModelConfig(d_model=16, n_layers=2, n_heads=4, d_audio_latent=6, d_video_feat=8, d_text=5, t_audio=9)
     model = TwoTowerModel(cfg, seed=0)
-    x_t = rng.normal((cfg.t_audio, cfg.d_audio_latent))
+    x_t = rng.normal((1, cfg.t_audio, cfg.d_audio_latent))
     outs = []
     for video in (rng.normal((cfg.t_audio, cfg.d_video_feat)), rng.normal((4, cfg.d_video_feat)) * 10.0, None):
         cond = ConditionBundle(video_feat=Tensor(video) if video is not None else None, video_kept=video is not None)
-        outs.append(model(Tensor(x_t.copy()), 0.4, cond).data)
+        outs.append(model(Tensor(x_t.copy()), [0.4], [cond]).data)
     assert np.max(np.abs(outs[0] - outs[1])) <= 1e-12
     assert np.max(np.abs(outs[0] - outs[2])) <= 1e-12
 
@@ -330,9 +339,9 @@ def test_criterion_6_sampler_convergence():
     class Decay:
         config = cfg
 
-        def __call__(self, x_t, t, cond):
+        def __call__(self, x_t, times, conds):
             x = x_t.data if isinstance(x_t, Tensor) else np.asarray(x_t)
-            return Tensor(-x)
+            return Tensor(-x)  # (B, T, a): every item decays
 
     seed = 3
     x0 = SeededRng(seed).normal((cfg.t_audio, cfg.d_audio_latent))

@@ -343,6 +343,16 @@ def test_config_malformed_line(workdir, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"]["kind"] == "ConfigError"
 
 
+def test_config_not_utf8(workdir, capsys):
+    cfg = workdir / "latin1.cfg"
+    cfg.write_bytes(b"nfe=\xff\n")
+    code = main(["sample", "--checkpoint", "x", "--out", "y", "--config", str(cfg)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["kind"] == "ConfigError"
+    assert str(cfg) in err["error"]["message"]
+
+
 def test_console_script_help():
     # the child imports foleyflow from wherever this process does
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

@@ -22,17 +22,18 @@ STUB_CFG = ModelConfig(d_model=8, n_layers=1, n_heads=2, d_audio_latent=3, d_tex
 
 
 class StubModel:
-    """Callable velocity field with a call counter, no learnable state."""
+    """Batched velocity field fn(x, t, cond), applied item by item, with a
+    record of each call's batch size and no learnable state."""
 
     def __init__(self, fn, config=STUB_CFG):
         self.fn = fn
         self.config = config
-        self.calls = 0
+        self.batch_sizes = []
 
-    def __call__(self, x_t, t, cond):
-        self.calls += 1
+    def __call__(self, x_t, t, conds):
+        self.batch_sizes.append(len(conds))
         x = x_t.data if isinstance(x_t, Tensor) else np.asarray(x_t)
-        return Tensor(self.fn(x, t, cond))
+        return Tensor(np.stack([self.fn(x[b], t[b], cond) for b, cond in enumerate(conds)]))
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +128,7 @@ def test_cfm_loss_zero_model_oracle():
     data = [SeededRng(100 + i).normal((5, 3)) for i in range(4)]
     batch = [(x1, ConditionBundle()) for x1 in data]
     loss = cfm_loss(model, batch, rng).item()
+    assert model.batch_sizes == [4]  # one call for the whole batch
 
     twin = SeededRng(42)
     expected = 0.0
@@ -164,6 +166,12 @@ def test_cfm_loss_accepts_tensor_targets():
     a = cfm_loss(model, [(Tensor(np.ones((2, 2))), ConditionBundle())], SeededRng(5)).item()
     b = cfm_loss(model, [(np.ones((2, 2)), ConditionBundle())], SeededRng(5)).item()
     assert a == b
+
+
+def test_cfm_loss_rejects_items_of_different_shapes():
+    model = StubModel(lambda x, t, cond: np.zeros_like(x))
+    with pytest.raises(ShapeError):
+        cfm_loss(model, [(np.ones((2, 2)), ConditionBundle()), (np.ones((3, 2)), ConditionBundle())], SeededRng(0))
 
 
 def test_cfm_loss_empty_batch_raises():
@@ -208,19 +216,20 @@ def test_guided_velocity_single_call_at_trivial_weights():
 
     model = _branching_stub()
     guided_velocity(model, x, 0.5, cond, 0.0)
-    assert model.calls == 1
+    assert model.batch_sizes == [1]
 
     model = _branching_stub()
     guided_velocity(model, x, 0.5, cond, 1.0)
-    assert model.calls == 1
+    assert model.batch_sizes == [1]
 
+    # both branches run as one batch
     model = _branching_stub()
     guided_velocity(model, x, 0.5, cond, 2.0)
-    assert model.calls == 2
+    assert model.batch_sizes == [2]
 
     model = _branching_stub()
     guided_velocity(model, x, 0.5, ConditionBundle(), 2.0)
-    assert model.calls == 1
+    assert model.batch_sizes == [1]
 
 
 def test_guided_velocity_unconditional_bundle_ignores_weight():

@@ -19,7 +19,7 @@ from foleyflow.model import (
     timestep_features,
 )
 from foleyflow.rng import SeededRng
-from foleyflow.tensor import Tensor, backward, reduce_mean
+from foleyflow.tensor import ComputationTape, Tensor, backward, reduce_mean
 
 SMALL = ModelConfig(d_model=8, n_layers=1, n_heads=2, d_audio_latent=4, d_video_feat=6, d_text=5, t_audio=7)
 
@@ -144,7 +144,7 @@ def test_mixer_mixes_once_trained():
 def test_fresh_model_is_projection_composition():
     model = TwoTowerModel(SMALL, seed=0)
     rng = SeededRng(3)
-    x = rng.normal((SMALL.t_audio, SMALL.d_audio_latent))
+    x = rng.normal((1, SMALL.t_audio, SMALL.d_audio_latent))
     expected = (x @ model.audio_in.w.data + model.audio_in.b.data) @ model.out_proj.w.data + model.out_proj.b.data
     for cond in (
         ConditionBundle(),
@@ -152,7 +152,7 @@ def test_fresh_model_is_projection_composition():
         _cond(SMALL, rng, text=False),
         _cond(SMALL, rng, video=False),
     ):
-        out = model(Tensor(x), 0.37, cond)
+        out = model(Tensor(x), [0.37], [cond])
         assert np.abs(out.data - expected).max() <= 1e-12
 
 
@@ -180,10 +180,10 @@ def test_video_tower_bypassed_without_video():
     model = TwoTowerModel(SMALL, seed=0)
     _perturb(model)
     rng = SeededRng(6)
-    x = Tensor(rng.normal((SMALL.t_audio, SMALL.d_audio_latent)))
+    x = Tensor(rng.normal((1, SMALL.t_audio, SMALL.d_audio_latent)))
     cond = _cond(SMALL, rng, video=False)
     assert model.video_tower_invocations == 0
-    out1 = model(x, 0.5, cond)
+    out1 = model(x, [0.5], [cond])
     assert model.video_tower_invocations == 0
     # stale video buffers on a dropped bundle are never read
     stale = ConditionBundle(
@@ -192,7 +192,7 @@ def test_video_tower_bypassed_without_video():
         text_kept=True,
         video_kept=False,
     )
-    out2 = model(x, 0.5, stale)
+    out2 = model(x, [0.5], [stale])
     assert np.array_equal(out1.data, out2.data)
 
 
@@ -200,7 +200,7 @@ def test_video_changes_output_when_kept():
     model = TwoTowerModel(SMALL, seed=0)
     _perturb(model)
     rng = SeededRng(7)
-    x = Tensor(rng.normal((SMALL.t_audio, SMALL.d_audio_latent)))
+    x = Tensor(rng.normal((1, SMALL.t_audio, SMALL.d_audio_latent)))
     cond_a = _cond(SMALL, rng)
     cond_b = ConditionBundle(
         text_emb=cond_a.text_emb,
@@ -209,8 +209,8 @@ def test_video_changes_output_when_kept():
         video_kept=True,
     )
     before = model.video_tower_invocations
-    out_a = model(x, 0.5, cond_a)
-    out_b = model(x, 0.5, cond_b)
+    out_a = model(x, [0.5], [cond_a])
+    out_b = model(x, [0.5], [cond_b])
     assert model.video_tower_invocations == before + 2
     assert not np.allclose(out_a.data, out_b.data)
 
@@ -219,20 +219,20 @@ def test_video_time_axis_is_resampled():
     model = TwoTowerModel(SMALL, seed=0)
     _perturb(model)
     rng = SeededRng(8)
-    x = Tensor(rng.normal((SMALL.t_audio, SMALL.d_audio_latent)))
-    out = model(x, 0.5, _cond(SMALL, rng, t_video=13))
-    assert out.shape == (SMALL.t_audio, SMALL.d_audio_latent)
+    x = Tensor(rng.normal((1, SMALL.t_audio, SMALL.d_audio_latent)))
+    out = model(x, [0.5], [_cond(SMALL, rng, t_video=13)])
+    assert out.shape == (1, SMALL.t_audio, SMALL.d_audio_latent)
 
 
 def test_null_token_backs_dropped_text():
     model = TwoTowerModel(SMALL, seed=0)
     _perturb(model)
     rng = SeededRng(9)
-    x = Tensor(rng.normal((SMALL.t_audio, SMALL.d_audio_latent)))
-    out_a = model(x, 0.5, _cond(SMALL, rng, text=False, video=False))
+    x = Tensor(rng.normal((1, SMALL.t_audio, SMALL.d_audio_latent)))
+    out_a = model(x, [0.5], [_cond(SMALL, rng, text=False, video=False)])
     # moving the null token moves the unconditional output
     model.null_text.data = model.null_text.data + 1.0
-    out_b = model(x, 0.5, _cond(SMALL, rng, text=False, video=False))
+    out_b = model(x, [0.5], [_cond(SMALL, rng, text=False, video=False)])
     assert not np.allclose(out_a.data, out_b.data)
 
 
@@ -240,9 +240,9 @@ def test_text_content_matters_after_perturbation():
     model = TwoTowerModel(SMALL, seed=0)
     _perturb(model)
     rng = SeededRng(10)
-    x = Tensor(rng.normal((SMALL.t_audio, SMALL.d_audio_latent)))
-    out_a = model(x, 0.5, _cond(SMALL, rng, video=False))
-    out_b = model(x, 0.5, _cond(SMALL, rng, video=False))
+    x = Tensor(rng.normal((1, SMALL.t_audio, SMALL.d_audio_latent)))
+    out_a = model(x, [0.5], [_cond(SMALL, rng, video=False)])
+    out_b = model(x, [0.5], [_cond(SMALL, rng, video=False)])
     assert not np.allclose(out_a.data, out_b.data)
 
 
@@ -250,10 +250,10 @@ def test_extra_tokens_enter_cross_attention():
     model = TwoTowerModel(SMALL, seed=0)
     _perturb(model)
     rng = SeededRng(11)
-    x = Tensor(rng.normal((SMALL.t_audio, SMALL.d_audio_latent)))
+    x = Tensor(rng.normal((1, SMALL.t_audio, SMALL.d_audio_latent)))
     cond = _cond(SMALL, rng, video=False)
-    out_plain = model(x, 0.5, cond)
-    out_extra = model(x, 0.5, cond.with_extra_tokens(Tensor(rng.normal((1, SMALL.d_text)))))
+    out_plain = model(x, [0.5], [cond])
+    out_extra = model(x, [0.5], [cond.with_extra_tokens(Tensor(rng.normal((1, SMALL.d_text))))])
     assert not np.allclose(out_plain.data, out_extra.data)
 
 
@@ -261,28 +261,34 @@ def test_timestep_matters_after_perturbation():
     model = TwoTowerModel(SMALL, seed=0)
     _perturb(model)
     rng = SeededRng(12)
-    x = Tensor(rng.normal((SMALL.t_audio, SMALL.d_audio_latent)))
+    x = Tensor(rng.normal((1, SMALL.t_audio, SMALL.d_audio_latent)))
     cond = _cond(SMALL, rng)
-    out_a = model(x, 0.1, cond)
-    out_b = model(x, 0.9, cond)
+    out_a = model(x, [0.1], [cond])
+    out_b = model(x, [0.9], [cond])
     assert not np.allclose(out_a.data, out_b.data)
 
 
 def test_forward_shape_errors():
     model = TwoTowerModel(SMALL, seed=0)
     rng = SeededRng(13)
-    good_x = Tensor(rng.normal((SMALL.t_audio, SMALL.d_audio_latent)))
+    good_x = Tensor(rng.normal((1, SMALL.t_audio, SMALL.d_audio_latent)))
     with pytest.raises(ShapeError):
-        model(Tensor(rng.normal((SMALL.t_audio + 1, SMALL.d_audio_latent))), 0.5, ConditionBundle())
+        model(Tensor(rng.normal((1, SMALL.t_audio + 1, SMALL.d_audio_latent))), [0.5], [ConditionBundle()])
+    with pytest.raises(ShapeError):
+        model(Tensor(rng.normal((SMALL.t_audio, SMALL.d_audio_latent))), [0.5], [ConditionBundle()])
+    with pytest.raises(ShapeError):
+        model(good_x, [0.5, 0.5], [ConditionBundle()])
+    with pytest.raises(ShapeError):
+        model(good_x, [0.5], [ConditionBundle(), ConditionBundle()])
     bad_text = ConditionBundle(text_emb=Tensor(rng.normal((2, SMALL.d_text + 1))), text_kept=True)
     with pytest.raises(ShapeError):
-        model(good_x, 0.5, bad_text)
+        model(good_x, [0.5], [bad_text])
     bad_video = ConditionBundle(video_feat=Tensor(rng.normal((4, SMALL.d_video_feat + 2))), video_kept=True)
     with pytest.raises(ShapeError):
-        model(good_x, 0.5, bad_video)
+        model(good_x, [0.5], [bad_video])
     bad_extra = ConditionBundle().with_extra_tokens(Tensor(rng.normal((1, SMALL.d_text + 3))))
     with pytest.raises(ShapeError):
-        model(good_x, 0.5, bad_extra)
+        model(good_x, [0.5], [bad_extra])
 
 
 def test_gradients_reach_both_towers():
@@ -291,8 +297,8 @@ def test_gradients_reach_both_towers():
     model = TwoTowerModel(SMALL, seed=0)
     _perturb(model)
     rng = SeededRng(14)
-    x = Tensor(rng.normal((SMALL.t_audio, SMALL.d_audio_latent)))
-    out = model(x, 0.5, _cond(SMALL, rng))
+    x = Tensor(rng.normal((1, SMALL.t_audio, SMALL.d_audio_latent)))
+    out = model(x, [0.5], [_cond(SMALL, rng)])
     backward(reduce_mean(out * out))
     params = model.parameters()
     for name in ("audio_in.w", "out_proj.w", "layers.0.audio.adaln.w", "layers.0.video.adaln.w", "layers.0.mix_a.w"):
@@ -300,11 +306,66 @@ def test_gradients_reach_both_towers():
         assert np.any(params[name].grad != 0.0), name
 
 
+def _mixed_conds(rng, n):
+    """n bundles cycling through text+video, unconditional, video-only and
+    text + an extra token, with token and frame counts that differ."""
+    kinds = [
+        lambda: _cond(SMALL, rng, t_video=9),
+        lambda: ConditionBundle(),
+        lambda: _cond(SMALL, rng, text=False, t_video=4),
+        lambda: ConditionBundle(
+            text_emb=Tensor(rng.normal((3, SMALL.d_text))),
+            text_kept=True,
+            extra_tokens=Tensor(rng.normal((1, SMALL.d_text))),
+        ),
+    ]
+    return [kinds[b % len(kinds)]() for b in range(n)]
+
+
+def test_batch_matches_batch_1_forwards_and_gradients():
+    model = TwoTowerModel(SMALL, seed=0)
+    _perturb(model)
+    rng = SeededRng(17)
+    conds = _mixed_conds(rng, 4)
+    times = [0.1, 0.4, 0.7, 0.95]
+    x = rng.normal((4, SMALL.t_audio, SMALL.d_audio_latent))
+
+    out = model(Tensor(x), times, conds)
+    backward(reduce_mean(out * out))
+    # the last layer's video mixer feeds nothing and gets no gradient
+    batch_grads = {name: p.grad.copy() for name, p in model.parameters().items() if p.grad is not None}
+
+    # mean(y^2) over the batch is the mean of the per-item means
+    item_grads = {name: np.zeros(p.shape) for name, p in model.parameters().items()}
+    for b in range(4):
+        model.zero_grad()
+        alone = model(Tensor(x[b : b + 1]), [times[b]], [conds[b]])
+        assert np.abs(alone.data[0] - out.data[b]).max() <= 1e-12, b
+        backward(reduce_mean(alone * alone))
+        for name, p in model.parameters().items():
+            if p.grad is not None:
+                item_grads[name] += p.grad / 4
+    assert len(batch_grads) == len(item_grads) - 2
+    for name, grad in batch_grads.items():
+        assert np.abs(grad - item_grads[name]).max() <= 1e-12, name
+
+
+def test_tape_size_does_not_grow_with_batch():
+    model = TwoTowerModel(SMALL, seed=0)
+    rng = SeededRng(18)
+    sizes = []
+    for n, conds in ((1, [_cond(SMALL, rng)]), (8, _mixed_conds(rng, 8))):
+        x = Tensor(rng.normal((n, SMALL.t_audio, SMALL.d_audio_latent)))
+        out = model(x, [0.5] * n, conds)
+        sizes.append(len(ComputationTape.trace(reduce_mean(out * out)).nodes))
+    assert sizes[0] == sizes[1]
+
+
 def test_zero_grad_clears():
     model = TwoTowerModel(SMALL, seed=0)
     rng = SeededRng(15)
-    x = Tensor(rng.normal((SMALL.t_audio, SMALL.d_audio_latent)))
-    backward(reduce_mean(model(x, 0.5, ConditionBundle()) * 1.0))
+    x = Tensor(rng.normal((1, SMALL.t_audio, SMALL.d_audio_latent)))
+    backward(reduce_mean(model(x, [0.5], [ConditionBundle()]) * 1.0))
     model.zero_grad()
     assert all(p.grad is None for p in model.parameters().values())
 
@@ -321,10 +382,10 @@ def test_save_load_roundtrip_forward_identical(tmp_path):
     loaded = TwoTowerModel.load(path)
     assert loaded.config == SMALL
     rng = SeededRng(16)
-    x = Tensor(rng.normal((SMALL.t_audio, SMALL.d_audio_latent)))
+    x = Tensor(rng.normal((1, SMALL.t_audio, SMALL.d_audio_latent)))
     cond = _cond(SMALL, rng)
-    a = model(x, 0.25, cond)
-    b = loaded(x, 0.25, cond)
+    a = model(x, [0.25], [cond])
+    b = loaded(x, [0.25], [cond])
     assert np.array_equal(a.data, b.data)
 
 

@@ -7,16 +7,18 @@ from foleyflow.errors import ContractError, ShapeError
 from foleyflow.tensor import (
     ComputationTape,
     Tensor,
+    attention,
     backward,
     concat,
-    concat_rows,
     elementwise,
+    gather_rows,
     gelu,
     layer_norm,
     matmul,
     narrow,
     reduce_mean,
     reduce_sum,
+    scatter_rows,
     softmax,
     transpose,
 )
@@ -51,6 +53,74 @@ def test_matmul_value_and_shape_errors():
         matmul(a, Tensor([[1.0, 2.0]]))
     with pytest.raises(ShapeError):
         matmul(Tensor([1.0, 2.0]), b)
+
+
+def test_matmul_folds_leading_axes():
+    a = Tensor(_rand((2, 3, 4), 20))
+    b = Tensor(_rand((4, 5), 21))
+    out = matmul(a, b)
+    assert out.shape == (2, 3, 5)
+    for i in range(2):
+        assert np.abs(out.data[i] - a.data[i] @ b.data).max() <= 1e-12
+    with pytest.raises(ShapeError):
+        matmul(a, Tensor(_rand((2, 4, 5), 22)))
+
+
+def _reference_attention(q, k, v, n_heads, keep):
+    """Per-item, per-head softmax(q k^T / sqrt(dh)) v over the kept keys."""
+    batch, t_q, d = q.shape
+    dh = d // n_heads
+    out = np.zeros((batch, t_q, d))
+    for b in range(batch):
+        kb, vb = k[b][keep[b]], v[b][keep[b]]
+        for h in range(n_heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            scores = q[b][:, cols] @ kb[:, cols].T / np.sqrt(dh)
+            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            out[b][:, cols] = (e / e.sum(axis=-1, keepdims=True)) @ vb[:, cols]
+    return out
+
+
+def test_attention_matches_per_head_reference():
+    q, k, v = _rand((2, 3, 4), 23), _rand((2, 5, 4), 24), _rand((2, 5, 4), 25)
+    keep = np.array([[True, True, False, True, False], [True, False, False, False, False]])
+    out = attention(Tensor(q), Tensor(k), Tensor(v), 2, keep).data
+    assert np.abs(out - _reference_attention(q, k, v, 2, keep)).max() <= 1e-12
+    # masked keys get exactly zero probability: their values never leak in
+    k2, v2 = k.copy(), v.copy()
+    k2[~keep], v2[~keep] = 1e6, -1e6
+    assert np.array_equal(attention(Tensor(q), Tensor(k2), Tensor(v2), 2, keep).data, out)
+    # an item padded with masked keys matches its unpadded self
+    alone = attention(Tensor(q[1:]), Tensor(k[1:, :1]), Tensor(v[1:, :1]), 2).data
+    assert np.abs(alone[0] - out[1]).max() <= 1e-12
+
+
+def test_attention_contracts():
+    x = Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(ShapeError):
+        attention(x, Tensor(np.zeros((2, 3, 6))), x, 2)
+    with pytest.raises(ShapeError):
+        attention(Tensor(np.zeros((3, 4))), x, x, 2)
+    with pytest.raises(ContractError):
+        attention(x, x, x, 3)
+    with pytest.raises(ShapeError):
+        attention(x, x, x, 2, np.ones((2, 4), dtype=bool))
+    with pytest.raises(ContractError):
+        attention(x, x, x, 2, np.array([[True, False, False], [False, False, False]]))
+
+
+def test_gather_and_scatter_rows_values():
+    x = Tensor(_rand((4, 2, 3), 26))
+    picked = gather_rows(x, [3, 1])
+    assert np.array_equal(picked.data, x.data[[3, 1]])
+    placed = scatter_rows(picked, [3, 1], 4)
+    assert np.array_equal(placed.data[[3, 1]], x.data[[3, 1]])
+    assert not placed.data[[0, 2]].any()
+    for rows in ([], [1, 1], [4], [-1]):
+        with pytest.raises(ContractError):
+            gather_rows(x, rows)
+    with pytest.raises(ShapeError):
+        scatter_rows(picked, [0, 1, 2], 4)
 
 
 def test_add_broadcasts_row_vector():
@@ -95,16 +165,6 @@ def test_concat_and_narrow_roundtrip():
         concat(a, Tensor(np.zeros((3, 2))))
     with pytest.raises(ContractError):
         narrow(joined, 3, 3)
-
-
-def test_concat_rows_value():
-    a = Tensor(np.ones((1, 3)))
-    b = Tensor(np.zeros((2, 3)))
-    out = concat_rows(a, b)
-    assert out.shape == (3, 3)
-    assert np.array_equal(out.data[0], np.ones(3))
-    with pytest.raises(ShapeError):
-        concat_rows(a, Tensor(np.zeros((2, 2))))
 
 
 def test_transpose_value():
@@ -184,9 +244,25 @@ def test_concat_narrow_transpose_gradients():
     check_gradients(loss, {"a": a, "b": b})
 
 
-def test_concat_rows_gradients():
-    a, b = _leaf((2, 3), 17), _leaf((3, 3), 18)
-    check_gradients(lambda: reduce_sum(concat_rows(a, b) * concat_rows(a, b)), {"a": a, "b": b})
+def test_matmul_3d_gradients():
+    a, b = _leaf((2, 3, 4), 17), _leaf((4, 2), 18)
+    check_gradients(lambda: reduce_sum(matmul(a, b) * matmul(a, b)), {"a": a, "b": b})
+
+
+def test_attention_gradients():
+    # B > 1, Tq != Tk, and a mask that hides at least one key per item
+    q, k, v = _leaf((2, 3, 4), 27), _leaf((2, 5, 4), 28), _leaf((2, 5, 4), 29)
+    w = Tensor(_rand((2, 3, 4), 30))
+    keep = np.array([[True, False, True, True, False], [False, True, True, False, True]])
+    check_gradients(lambda: reduce_sum(attention(q, k, v, 2, keep) * w), {"q": q, "k": k, "v": v})
+
+
+def test_gather_and_scatter_rows_gradients():
+    x, y = _leaf((4, 2, 3), 31), _leaf((2, 2, 3), 32)
+    w = Tensor(_rand((4, 2, 3), 33))
+    check_gradients(
+        lambda: reduce_sum((scatter_rows(gather_rows(x, [2, 0]) * y, [1, 3], 4) + x) * w), {"x": x, "y": y}
+    )
 
 
 def test_softmax_gradients():
