@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container, datapipe, flow, metrics, providers, refiner, training
-from .errors import ConfigError, ContractError, FoleyflowError
+from .errors import ConfigError, ContractError
 from .model import ConditionBundle, ModelConfig, TwoTowerModel
 from .rng import derive_seed
 from .tensor import Tensor
@@ -367,10 +367,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_inject_config(argv))
         return args.func(args)
-    except FoleyflowError as exc:
-        print(_error_line(exc), file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except Exception as exc:  # every error, foleyflow's or not, leaves as one JSON line
         print(_error_line(exc), file=sys.stderr)
         return 1
 

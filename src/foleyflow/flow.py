@@ -112,39 +112,77 @@ def _is_unconditional(cond: ConditionBundle) -> bool:
 def guided_velocity(model, x_t, t: float, cond: ConditionBundle, guidance_scale: float) -> np.ndarray:
     """Classifier-free-guided velocity v_u + w (v_c - v_u) as a plain array.
 
-    The unconditional branch v_u sees ConditionBundle(): no text, no video
-    and no extra tokens. w = 0 returns the unconditional branch alone and
-    w = 1 the conditional branch alone, each from a batch-1 model call;
-    other weights run both branches as one batch-2 call.
+    x_t is one state (t_audio, d_audio_latent) or a stack of n states
+    (n, t_audio, d_audio_latent) that share cond; the result has x_t's
+    shape. The unconditional branch v_u sees ConditionBundle(): no text,
+    no video and no extra tokens. w = 0 returns the unconditional branch
+    alone and w = 1 the conditional branch alone, each from one model
+    call of batch n; other weights run both branches as one call of batch
+    2n, the n unconditional items first.
     """
     if guidance_scale < 0:
         raise ContractError(f"guidance_scale must be >= 0, got {guidance_scale}")
     x = x_t.data if isinstance(x_t, Tensor) else np.asarray(x_t, dtype=np.float64)
+    xs = x[None] if x.ndim == 2 else x
     if _is_unconditional(cond) or guidance_scale == 0.0:
         branches = [ConditionBundle()]
     elif guidance_scale == 1.0:
         branches = [cond]
     else:
         branches = [ConditionBundle(), cond]
-    v = model(Tensor(np.stack([x] * len(branches))), [t] * len(branches), branches).data
-    if len(branches) == 1:
-        return v[0]
-    return v[0] + guidance_scale * (v[1] - v[0])
+    conds = [c for c in branches for _ in xs]
+    v = model(Tensor(np.concatenate([xs] * len(branches))), [t] * len(conds), conds).data
+    v = v.reshape((len(branches),) + xs.shape)
+    out = v[0] if len(branches) == 1 else v[0] + guidance_scale * (v[1] - v[0])
+    return out.reshape(x.shape)
+
+
+def sample_many(model, cond: ConditionBundle, sampler_cfg: SamplerConfig, seeds) -> list:
+    """Integrate one trajectory per seed, all of them in one Euler loop.
+
+    The live states form one (n, t_audio, d_audio_latent) stack, so each
+    step costs one guided_velocity call for every seed together; the seed
+    in sampler_cfg is not used. Returns one entry per seed, in order: the
+    latent at t=1, or the DivergenceError of a trajectory that went
+    non-finite. A diverged trajectory leaves the stack after the step that
+    broke it; batch items do not interact, so the others run on as they
+    would alone, up to the round-off of a larger batch.
+
+    model must expose .config (for the latent shape) and be callable on a
+    batch as model(x_t, times, conds).
+    """
+    seeds = list(seeds)
+    if not seeds:
+        raise ContractError("sample_many needs at least one seed")
+    cfg = model.config
+    grid = sway_schedule(sampler_cfg.nfe, sampler_cfg.sway_coef)
+    x = np.stack([SeededRng(seed).normal((cfg.t_audio, cfg.d_audio_latent)) for seed in seeds])
+    live = list(range(len(seeds)))  # seed index of each row of x
+    results: list = [None] * len(seeds)
+    for k in range(sampler_cfg.nfe):
+        v = guided_velocity(model, x, float(grid[k]), cond, sampler_cfg.guidance_scale)
+        x = x + (grid[k + 1] - grid[k]) * v
+        finite = np.isfinite(x).all(axis=(1, 2))
+        if not finite.all():
+            for row in np.flatnonzero(~finite):
+                results[live[row]] = DivergenceError(f"sampler produced non-finite values at step {k}", step=k)
+            live = [i for i, ok in zip(live, finite) if ok]
+            x = x[finite]
+            if not live:
+                break
+    for i, latent in zip(live, x):
+        results[i] = latent
+    return results
 
 
 def sample(model, cond: ConditionBundle, sampler_cfg: SamplerConfig) -> np.ndarray:
     """Integrate the velocity field from seeded noise at t=0 to audio at t=1.
 
-    model must expose .config (for the latent shape) and be callable on a
-    batch as model(x_t, times, conds). Deterministic given sampler_cfg.seed.
+    The one-seed case of sample_many, with sampler_cfg.seed; raises
+    DivergenceError if the trajectory goes non-finite. Deterministic given
+    sampler_cfg.seed.
     """
-    cfg = model.config
-    grid = sway_schedule(sampler_cfg.nfe, sampler_cfg.sway_coef)
-    rng = SeededRng(sampler_cfg.seed)
-    x = rng.normal((cfg.t_audio, cfg.d_audio_latent))
-    for k in range(sampler_cfg.nfe):
-        v = guided_velocity(model, x, float(grid[k]), cond, sampler_cfg.guidance_scale)
-        x = x + (grid[k + 1] - grid[k]) * v
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(f"sampler produced non-finite values at step {k}", step=k)
-    return x
+    (latent,) = sample_many(model, cond, sampler_cfg, [sampler_cfg.seed])
+    if isinstance(latent, DivergenceError):
+        raise latent
+    return latent

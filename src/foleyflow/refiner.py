@@ -9,7 +9,7 @@ competes, the selected output never scores below it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -184,16 +184,19 @@ def refine(
     """Sample k signal-conditioned candidates and keep the best by reward.
 
     Candidate i runs with a seed derived from (sampler_cfg.seed, i), so
-    the whole call is deterministic. A candidate whose sampling diverges
-    is skipped but still recorded in the trace. The coarse input always
-    competes, so the result's aggregate is never below the coarse one;
-    ties keep the coarse output, then the lower candidate index.
+    the whole call is deterministic. The k candidates share one batched
+    trajectory: sample_fn(model, cond, sampler_cfg, seeds) returns one
+    latent or DivergenceError per seed (flow.sample_many by default). A
+    candidate whose sampling diverges is skipped but still recorded in the
+    trace. The coarse input always competes, so the result's aggregate is
+    never below the coarse one; ties keep the coarse output, then the
+    lower candidate index.
     """
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
     config = config if config is not None else EvalConfig()
     providers = providers if providers is not None else default_eval_providers(config)
-    sample_fn = sample_fn if sample_fn is not None else flow.sample
+    sample_fn = sample_fn if sample_fn is not None else flow.sample_many
 
     coarse_arr = _feature_array(coarse)
     signal = extract_signal(cond, coarse_arr, d_signal=d_signal)
@@ -203,14 +206,12 @@ def refine(
     coarse_report = reward(coarse_arr, cond, providers, config, weights)
     best_arr, best_report, picked = coarse_arr, coarse_report, "coarse"
 
+    seeds = [derive_seed(sampler_cfg.seed, "candidate", i) for i in range(k)]
+    candidates = sample_fn(model, cond_aug, sampler_cfg, seeds)
     trace: list = []
-    for i in range(k):
-        seed_i = derive_seed(sampler_cfg.seed, "candidate", i)
-        cfg_i = replace(sampler_cfg, seed=seed_i)
-        try:
-            candidate = sample_fn(model, cond_aug, cfg_i)
-        except DivergenceError as exc:
-            trace.append(TraceEntry(index=i, seed=seed_i, error=str(exc)))
+    for i, (seed_i, candidate) in enumerate(zip(seeds, candidates, strict=True)):
+        if isinstance(candidate, DivergenceError):
+            trace.append(TraceEntry(index=i, seed=seed_i, error=str(candidate)))
             continue
         cand_report = reward(candidate, cond, providers, config, weights)
         trace.append(TraceEntry(index=i, seed=seed_i, report=cand_report))

@@ -163,39 +163,45 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _from_op((a2d @ b_data).reshape(a_shape[:-1] + (n,)), (a, b), bw)
 
 
-def _broadcast_check(a: Tensor, b: Tensor, op: str) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{op} operands do not broadcast: {a.shape} vs {b.shape}") from None
+def _broadcast_error(a: Tensor, b: Tensor, op: str) -> ShapeError:
+    return ShapeError(f"{op} operands do not broadcast: {a.shape} vs {b.shape}")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_check(a, b, "add")
+    try:
+        out = a.data + b.data
+    except ValueError:
+        raise _broadcast_error(a, b, "add") from None
 
     def bw(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return _from_op(a.data + b.data, (a, b), bw)
+    return _from_op(out, (a, b), bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_check(a, b, "sub")
+    try:
+        out = a.data - b.data
+    except ValueError:
+        raise _broadcast_error(a, b, "sub") from None
 
     def bw(g):
         return _unbroadcast(g, a.shape), -_unbroadcast(g, b.shape)
 
-    return _from_op(a.data - b.data, (a, b), bw)
+    return _from_op(out, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_check(a, b, "mul")
     a_data, b_data = a.data, b.data
+    try:
+        out = a_data * b_data
+    except ValueError:
+        raise _broadcast_error(a, b, "mul") from None
 
     def bw(g):
         return _unbroadcast(g * b_data, a.shape), _unbroadcast(g * a_data, b.shape)
 
-    return _from_op(a_data * b_data, (a, b), bw)
+    return _from_op(out, (a, b), bw)
 
 
 def elementwise(op: str, a: Tensor, b: Tensor) -> Tensor:

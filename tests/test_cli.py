@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from foleyflow import training
+from foleyflow import cli, training
 from foleyflow.cli import main
 from foleyflow.datapipe import MANIFEST_HEADER
 
@@ -194,7 +194,10 @@ def test_eval_missing_dir(workdir, capsys):
 # pipeline
 
 
-def _write_manifest(path):
+@pytest.fixture(scope="module")
+def manifest(workdir):
+    """The pipeline input every pipeline test reads, written once per module."""
+    path = workdir / "in.manifest"
     path.write_text(
         MANIFEST_HEADER
         + "\n"
@@ -203,13 +206,13 @@ def _write_manifest(path):
         + "mangled nonsense\n"
         + "faint,2.0,hit:0.2:0.5,0.05,0.9,0,0\n"
     )
+    return path
 
 
-def test_pipeline_filters_and_reports(workdir, capsys):
-    src = workdir / "in.manifest"
+def test_pipeline_filters_and_reports(workdir, manifest, capsys):
+    src = manifest
     dst = workdir / "out.manifest"
     report = workdir / "drops.csv"
-    _write_manifest(src)
     code = main(["pipeline", str(src), str(dst), "--report", str(report)])
     assert code == 0
     captured = capsys.readouterr()
@@ -222,8 +225,8 @@ def test_pipeline_filters_and_reports(workdir, capsys):
     assert [line.split(",")[0] for line in out_lines[1:]] == ["good#0", "good#1"]
 
 
-def test_pipeline_keep_speech_flag(workdir, capsys):
-    src = workdir / "in.manifest"
+def test_pipeline_keep_speech_flag(workdir, manifest, capsys):
+    src = manifest
     dst = workdir / "kept.manifest"
     code = main(["pipeline", str(src), str(dst), "--keep-speech"])
     assert code == 0
@@ -309,8 +312,8 @@ def test_explicit_flag_beats_config(workdir, checkpoint):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_config_boolean_keys(workdir, capsys):
-    src = workdir / "in.manifest"
+def test_config_boolean_keys(workdir, manifest, capsys):
+    src = manifest
     dst = workdir / "cfgkeep.manifest"
     cfg = workdir / "pipe.cfg"
     cfg.write_text("keep_speech=true\nkeep_bgm=false\n")
@@ -351,6 +354,18 @@ def test_config_not_utf8(workdir, capsys):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"]["kind"] == "ConfigError"
     assert str(cfg) in err["error"]["message"]
+
+
+def test_unexpected_exception_leaves_as_one_json_line(monkeypatch, capsys):
+    def broken(args):
+        raise ValueError("not a foleyflow error")
+
+    monkeypatch.setattr(cli, "cmd_eval", broken)
+    code = main(["eval", "gen", "ref"])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": {"kind": "ValueError", "message": "not a foleyflow error"}}
 
 
 def test_console_script_help():

@@ -1,5 +1,7 @@
 """Flow matching: path algebra, sway grid, guidance blending, Euler sampling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,10 @@ from foleyflow.flow import (
     guided_velocity,
     make_flow_sample,
     sample,
+    sample_many,
     sway_schedule,
 )
-from foleyflow.model import ConditionBundle, ModelConfig
+from foleyflow.model import ConditionBundle, ModelConfig, TwoTowerModel
 from foleyflow.rng import SeededRng
 from foleyflow.tensor import Tensor
 
@@ -309,3 +312,129 @@ def test_sample_uses_guidance_from_config():
     out1 = sample(model, _textual_cond(), cfg1)
     out2 = sample(model, _textual_cond(), cfg2)
     assert not np.array_equal(out1, out2)
+
+
+# ---------------------------------------------------------------------------
+# sampling a stack of seeds
+
+
+def test_guided_velocity_stack_matches_single_states():
+    model = _branching_stub()
+    xs = SeededRng(10).normal((3, STUB_CFG.t_audio, STUB_CFG.d_audio_latent))
+    cond = _textual_cond()
+    for w in (0.0, 1.0, 2.0):
+        out = guided_velocity(model, xs, 0.5, cond, w)
+        assert out.shape == xs.shape
+        for i in range(3):
+            assert np.array_equal(out[i], guided_velocity(model, xs[i], 0.5, cond, w)), (w, i)
+
+
+def test_sample_many_one_call_of_batch_2k_per_step():
+    model = _branching_stub()
+    seeds = [3, 1, 4, 1]
+    out = sample_many(model, _textual_cond(), SamplerConfig(nfe=5, guidance_scale=2.0), seeds)
+    assert len(out) == 4
+    assert model.batch_sizes == [8] * 5
+    # the k unconditional items come first, then k conditional ones
+    seen = []
+
+    def spy(x, t, cond):
+        seen.append(cond.text_kept)
+        return x
+
+    model = StubModel(spy)
+    sample_many(model, _textual_cond(), SamplerConfig(nfe=1, guidance_scale=2.0), seeds)
+    assert seen == [False] * 4 + [True] * 4
+
+
+def test_sample_many_matches_sample_per_seed_on_stub():
+    model = StubModel(lambda x, t, cond: np.sin(x) - t)
+    cfg = SamplerConfig(nfe=6, seed=99)
+    seeds = [5, 6, 7]
+    out = sample_many(model, _textual_cond(), cfg, seeds)
+    for seed, latent in zip(seeds, out):
+        assert np.array_equal(latent, sample(model, _textual_cond(), replace(cfg, seed=seed)))
+
+
+def test_sample_many_needs_a_seed():
+    with pytest.raises(ContractError):
+        sample_many(_branching_stub(), ConditionBundle(), SamplerConfig(nfe=2), [])
+
+
+class FailAt(StubModel):
+    """StubModel whose call number `call` (0-based) makes the conditional
+    velocity of batch row `row` NaN."""
+
+    def __init__(self, fn, call, row):
+        super().__init__(fn)
+        self.call, self.row = call, row
+
+    def __call__(self, x_t, t, conds):
+        out = super().__call__(x_t, t, conds)
+        if len(self.batch_sizes) == self.call + 1:
+            out.data[len(conds) // 2 + self.row] = np.nan
+        return out
+
+
+def test_sample_many_drops_a_diverged_seed_and_runs_the_rest():
+    def fn(x, t, cond):
+        return np.cos(x) + (1.0 if cond.text_kept else -1.0) * t
+
+    cfg = SamplerConfig(nfe=5, guidance_scale=2.0)
+    seeds = [10, 11, 12, 13]
+    model = FailAt(fn, call=2, row=1)
+    out = sample_many(model, _textual_cond(), cfg, seeds)
+    assert isinstance(out[1], DivergenceError)
+    assert out[1].step == 2
+    assert str(out[1]) == "sampler produced non-finite values at step 2"
+    # the diverged seed leaves the batch after the step that broke it
+    assert model.batch_sizes == [8, 8, 8, 6, 6]
+    for i in (0, 2, 3):
+        alone = sample(StubModel(fn), _textual_cond(), replace(cfg, seed=seeds[i]))
+        assert np.array_equal(out[i], alone), i
+
+
+def test_sample_many_all_diverged_stops_early():
+    model = StubModel(lambda x, t, cond: np.full_like(x, np.inf))
+    out = sample_many(model, ConditionBundle(), SamplerConfig(nfe=6), [1, 2])
+    assert [e.step for e in out] == [0, 0]
+    assert model.batch_sizes == [2]
+
+
+REAL_CFG = ModelConfig(d_model=8, n_layers=1, n_heads=2, d_audio_latent=3, d_video_feat=4, d_text=4, t_audio=6)
+
+
+@pytest.fixture(scope="module")
+def real_model():
+    return TwoTowerModel(REAL_CFG, seed=3)
+
+
+def _real_conds():
+    rng = SeededRng(21)
+    text = Tensor(rng.normal((2, REAL_CFG.d_text)))
+    video = Tensor(rng.normal((5, REAL_CFG.d_video_feat)))
+    token = Tensor(rng.normal((1, REAL_CFG.d_text)))
+    return {
+        "text+video": ConditionBundle(text_emb=text, video_feat=video, text_kept=True, video_kept=True),
+        "text": ConditionBundle(text_emb=text, text_kept=True),
+        "video": ConditionBundle(video_feat=video, video_kept=True),
+        "unconditional": ConditionBundle(),
+        "text+video+token": ConditionBundle(
+            text_emb=text, video_feat=video, text_kept=True, video_kept=True, extra_tokens=token
+        ),
+        "token": ConditionBundle(extra_tokens=token),
+    }
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("guidance", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("mix", list(_real_conds()))
+def test_sample_many_matches_one_seed_sample_on_real_model(real_model, mix, guidance, k):
+    cond = _real_conds()[mix]
+    cfg = SamplerConfig(nfe=3, guidance_scale=guidance, seed=8)
+    seeds = list(range(40, 40 + k))
+    out = sample_many(real_model, cond, cfg, seeds)
+    assert len(out) == k
+    for seed, latent in zip(seeds, out):
+        alone = sample(real_model, cond, replace(cfg, seed=seed))
+        assert np.abs(latent - alone).max() <= 1e-12, (mix, guidance, k, seed)

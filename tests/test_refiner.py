@@ -1,8 +1,13 @@
 """Refinement loop: signal extraction, reward composition, the keep-best gate."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from foleyflow import flow
 from foleyflow.errors import ContractError, DivergenceError
 from foleyflow.flow import SamplerConfig
 from foleyflow.metrics import EvalConfig, default_eval_providers
@@ -17,6 +22,7 @@ from foleyflow.refiner import (
     signal_token,
 )
 from foleyflow.rng import SeededRng, derive_seed
+from foleyflow.tensor import Tensor
 
 SMALL = ModelConfig(
     d_model=8,
@@ -170,6 +176,25 @@ def _coarse(rng):
     return rng.normal((SMALL.t_audio, SMALL.d_audio_latent))
 
 
+def per_candidate(fn):
+    """A batch-shaped sample_fn built from a one-candidate stub fn(model, cond, cfg).
+
+    Each seed gets its own call with the seed in cfg; a DivergenceError the
+    stub raises becomes that candidate's entry.
+    """
+
+    def sample_fn(model, cond, cfg, seeds):
+        out = []
+        for seed in seeds:
+            try:
+                out.append(fn(model, cond, replace(cfg, seed=seed)))
+            except DivergenceError as exc:
+                out.append(exc)
+        return out
+
+    return sample_fn
+
+
 def test_refine_tie_keeps_coarse(small_model):
     rng = SeededRng(1)
     cond = _cond(rng)
@@ -178,7 +203,10 @@ def test_refine_tie_keeps_coarse(small_model):
     def clone_coarse(model, c, cfg):
         return coarse.copy()
 
-    result = refine(small_model, cond, coarse, k=3, sampler_cfg=SamplerConfig(nfe=4), sample_fn=clone_coarse)
+    result = refine(
+        small_model, cond, coarse, k=3,
+        sampler_cfg=SamplerConfig(nfe=4), sample_fn=per_candidate(clone_coarse),
+    )
     assert result.picked == "coarse"
     assert np.array_equal(result.best, coarse)
     assert result.report.aggregate == result.coarse_report.aggregate
@@ -195,7 +223,7 @@ def test_refine_candidate_seeds_are_derived(small_model):
         return coarse.copy()
 
     base = SamplerConfig(nfe=4, seed=123)
-    refine(small_model, cond, coarse, k=3, sampler_cfg=base, sample_fn=spy)
+    refine(small_model, cond, coarse, k=3, sampler_cfg=base, sample_fn=per_candidate(spy))
     assert seen == [derive_seed(123, "candidate", i) for i in range(3)]
 
 
@@ -209,7 +237,7 @@ def test_refine_passes_signal_token_to_sampler(small_model):
         captured.append(c)
         return coarse.copy()
 
-    refine(small_model, cond, coarse, k=1, sampler_cfg=SamplerConfig(nfe=4), sample_fn=spy)
+    refine(small_model, cond, coarse, k=1, sampler_cfg=SamplerConfig(nfe=4), sample_fn=per_candidate(spy))
     aug = captured[0]
     assert aug.extra_tokens is not None
     assert aug.extra_tokens.data.shape == (1, SMALL.d_text)
@@ -226,7 +254,7 @@ def test_refine_better_candidate_wins(small_model):
     def flat(model, c, cfg):
         return np.full((10, 4), float(cfg.seed % 7))
 
-    result = refine(small_model, cond, coarse, k=2, sampler_cfg=SamplerConfig(nfe=4), sample_fn=flat)
+    result = refine(small_model, cond, coarse, k=2, sampler_cfg=SamplerConfig(nfe=4), sample_fn=per_candidate(flat))
     assert result.picked.startswith("candidate:")
     assert result.report.aggregate == 1.0
     assert result.coarse_report.aggregate == 0.0
@@ -244,7 +272,10 @@ def test_refine_skips_diverged_candidates(small_model):
             raise DivergenceError("blew up")
         return coarse.copy()
 
-    result = refine(small_model, cond, coarse, k=4, sampler_cfg=SamplerConfig(nfe=4, seed=0), sample_fn=flaky)
+    result = refine(
+        small_model, cond, coarse, k=4,
+        sampler_cfg=SamplerConfig(nfe=4, seed=0), sample_fn=per_candidate(flaky),
+    )
     assert len(result.trace) == 4
     failed = [e for e in result.trace if e.error is not None]
     succeeded = [e for e in result.trace if e.report is not None]
@@ -261,7 +292,7 @@ def test_refine_all_candidates_diverge_keeps_coarse(small_model):
     def doomed(model, c, cfg):
         raise DivergenceError("no luck")
 
-    result = refine(small_model, cond, coarse, k=3, sampler_cfg=SamplerConfig(nfe=4), sample_fn=doomed)
+    result = refine(small_model, cond, coarse, k=3, sampler_cfg=SamplerConfig(nfe=4), sample_fn=per_candidate(doomed))
     assert result.picked == "coarse"
     assert np.array_equal(result.best, coarse)
     assert all(e.error is not None for e in result.trace)
@@ -285,7 +316,7 @@ def test_refine_never_below_coarse_random_inputs(small_model):
             return noise.normal((SMALL.t_audio, SMALL.d_audio_latent)) * 3.0
 
         result = refine(
-            small_model, cond, coarse, k=3, sampler_cfg=SamplerConfig(nfe=4, seed=trial), sample_fn=wild
+            small_model, cond, coarse, k=3, sampler_cfg=SamplerConfig(nfe=4, seed=trial), sample_fn=per_candidate(wild)
         )
         assert result.report.aggregate >= result.coarse_report.aggregate
 
@@ -313,6 +344,64 @@ def test_refine_deterministic(small_model):
     assert a.report.aggregate == b.report.aggregate
 
 
+class FieldStub:
+    """A per-item velocity field with the SMALL latent shape. The call
+    numbered fail_call (0-based, one call per Euler step) makes the
+    conditional velocity of batch row fail_row NaN."""
+
+    config = SMALL
+
+    def __init__(self, fail_call=None, fail_row=None):
+        self.fail_call, self.fail_row = fail_call, fail_row
+        self.batch_sizes = []
+
+    def __call__(self, x_t, times, conds):
+        x = x_t.data
+        gain = [2.0 if cond.extra_tokens is not None else 1.0 for cond in conds]
+        v = np.stack([gain[b] * np.tanh(x[b]) - times[b] for b in range(len(conds))])
+        if len(self.batch_sizes) == self.fail_call:
+            v[len(conds) // 2 + self.fail_row] = np.nan
+        self.batch_sizes.append(len(conds))
+        return Tensor(v)
+
+
+def test_refine_diverged_candidate_leaves_the_others_untouched():
+    rng = SeededRng(13)
+    cond = _cond(rng)
+    coarse = _coarse(rng)
+    cfg = SamplerConfig(nfe=4, guidance_scale=2.0, seed=21)
+    stub = FieldStub(fail_call=2, fail_row=2)
+    batched = refine(stub, cond, coarse, k=4, sampler_cfg=cfg)
+    assert stub.batch_sizes == [8, 8, 8, 6]
+    alone = refine(FieldStub(), cond, coarse, k=4, sampler_cfg=cfg, sample_fn=per_candidate(flow.sample))
+    assert batched.trace[2].error == "sampler produced non-finite values at step 2"
+    assert batched.trace[2].report is None
+    for i in (0, 1, 3):
+        assert batched.trace[i].error is None
+        assert batched.trace[i].report == alone.trace[i].report, i
+    assert render_trace(batched).splitlines()[3].endswith(",failed")
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    text=st.booleans(),
+    video=st.booleans(),
+    k=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    scale=st.floats(min_value=0.0, max_value=4.0),
+)
+def test_refine_never_below_coarse_property(small_model, text, video, k, seed, scale):
+    # the real batched sampler, any modality mix, any k: the gate never loses ground
+    rng = SeededRng(seed)
+    cond = _cond(rng, text=text, video=video)
+    coarse = scale * _coarse(rng)
+    result = refine(small_model, cond, coarse, k=k, sampler_cfg=SamplerConfig(nfe=2, seed=seed))
+    assert len(result.trace) == k
+    assert result.report.aggregate >= result.coarse_report.aggregate
+    if result.picked == "coarse":
+        assert np.array_equal(result.best, coarse)
+
+
 # ---------------------------------------------------------------------------
 # trace rendering
 
@@ -330,7 +419,10 @@ def test_render_trace_format(small_model):
             raise DivergenceError("boom")
         return coarse.copy()
 
-    result = refine(small_model, cond, coarse, k=2, sampler_cfg=SamplerConfig(nfe=4, seed=3), sample_fn=half_flaky)
+    result = refine(
+        small_model, cond, coarse, k=2,
+        sampler_cfg=SamplerConfig(nfe=4, seed=3), sample_fn=per_candidate(half_flaky),
+    )
     lines = render_trace(result).splitlines()
     assert lines[0] == "index,seed,temporal,semantic,smoothness,aggregate,status"
     assert lines[1].startswith("0,") and lines[1].endswith(",failed")
