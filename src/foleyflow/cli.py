@@ -14,13 +14,10 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import container, datapipe, flow, metrics, providers, refiner, training
 from .errors import ConfigError, ContractError
 from .model import ConditionBundle, ModelConfig, TwoTowerModel
 from .rng import derive_seed
-from .tensor import Tensor
 
 
 def _error_line(exc: Exception) -> str:
@@ -115,12 +112,8 @@ def _load_video(arg: str, cfg: ModelConfig):
 
 
 def _build_condition(args, cfg: ModelConfig) -> ConditionBundle:
-    text_emb = None
-    video_feat = None
-    if args.text is not None:
-        text_emb = Tensor(providers.text_embedding(args.text, 2, cfg.d_text))
-    if args.video is not None:
-        video_feat = Tensor(np.asarray(_load_video(args.video, cfg), dtype=np.float64))
+    text_emb = None if args.text is None else providers.text_embedding(args.text, 2, cfg.d_text)
+    video_feat = None if args.video is None else _load_video(args.video, cfg)
     return ConditionBundle(
         text_emb=text_emb,
         video_feat=video_feat,
@@ -152,12 +145,7 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if args.stages is not None:
-        stage_ids = [int(s) for s in args.stages.split(",") if s]
-    elif args.preset == "toy":
-        stage_ids = [1, 2, 3]
-    else:
-        stage_ids = [int(args.preset.removeprefix("stage"))]
+    stage_ids = [int(s) for s in args.stages.split(",") if s]
     if not stage_ids:
         raise ConfigError("no stages selected")
 
@@ -308,9 +296,7 @@ def build_parser() -> _Parser:
         p.add_argument("--frame-rate", type=float, default=16.0, help=frame_rate_help)
 
     p = sub.add_parser("train", formatter_class=fmt, help="run curriculum stages on the synthetic toy data")
-    p.add_argument("--preset", choices=("toy", "stage1", "stage2", "stage3"), default="toy",
-                   help="toy runs stages 1-3; stageN runs that stage alone")
-    p.add_argument("--stages", type=str, default=None, help="comma list of stage ids, overrides --preset")
+    p.add_argument("--stages", type=str, default="1,2,3", help="comma list of stage ids")
     p.add_argument("--steps", type=str, default=None, help="comma list of step counts, one per selected stage")
     p.add_argument("--init-checkpoint", type=str, default=None, help="checkpoint to start from (required past stage 1)")
     p.add_argument("--out", type=str, required=True, help="output directory for checkpoints and events.log")

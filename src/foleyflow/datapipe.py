@@ -23,13 +23,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, FormatError
-from .metrics import av_align, detect_peaks
+from .metrics import EvalConfig, envelope_alignment
 
 MANIFEST_HEADER = "#ysnd-manifest v1"
 
 DROP_REASONS = ("unscored", "alignment", "semantic", "speech", "bgm")
 
 _LABEL_FORBIDDEN = set(",;:")
+
+_ALIGNMENT = EvalConfig()  # peak threshold, separation and match window of score_alignment
 
 
 @dataclass(frozen=True)
@@ -161,11 +163,8 @@ def score_alignment(
     audio_envelope,
     video_envelope,
     frame_rate: float,
-    threshold_rel: float = 0.3,
-    min_separation: float = 0.1,
-    window: float = 0.1,
 ) -> ClipRecord:
-    """Fill av_align_score from paired energy envelopes.
+    """Fill av_align_score from paired energy envelopes (envelope_alignment).
 
     Either envelope missing leaves the record unscored on the alignment
     axis (the filter will then drop it as "unscored"). Envelopes must
@@ -181,9 +180,8 @@ def score_alignment(
             raise ContractError(
                 f"{record.clip_id}: {name} envelope covers {covered:.3f}s of a {record.duration:.3f}s clip"
             )
-    a_peaks = detect_peaks(audio_env, frame_rate, threshold_rel, min_separation)
-    v_peaks = detect_peaks(video_env, frame_rate, threshold_rel, min_separation)
-    return replace(record, av_align_score=av_align(a_peaks, v_peaks, window))
+    score = envelope_alignment(audio_env, frame_rate, video_env, frame_rate, _ALIGNMENT)
+    return replace(record, av_align_score=score)
 
 
 def drop_reason(record: ClipRecord, policy: FilterPolicy) -> str | None:

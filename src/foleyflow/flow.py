@@ -91,8 +91,6 @@ def cfm_loss(model, batch, rng: SeededRng) -> Tensor:
         raise ContractError("cfm_loss needs a non-empty batch")
     points = []
     for x1, _ in items:
-        if isinstance(x1, Tensor):
-            x1 = x1.data
         x1 = np.asarray(x1, dtype=np.float64)
         x0 = rng.normal(x1.shape)
         t = rng.uniform()
@@ -122,7 +120,7 @@ def guided_velocity(model, x_t, t: float, cond: ConditionBundle, guidance_scale:
     """
     if guidance_scale < 0:
         raise ContractError(f"guidance_scale must be >= 0, got {guidance_scale}")
-    x = x_t.data if isinstance(x_t, Tensor) else np.asarray(x_t, dtype=np.float64)
+    x = np.asarray(x_t, dtype=np.float64)
     xs = x[None] if x.ndim == 2 else x
     if _is_unconditional(cond) or guidance_scale == 0.0:
         branches = [ConditionBundle()]

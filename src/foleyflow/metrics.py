@@ -225,10 +225,7 @@ def detect_peaks(
     keeping the taller one. Endpoints cannot be peaks (a local maximum
     needs both neighbours), hence the T >= 3 requirement.
     """
-    env = np.asarray(envelope, dtype=np.float64)
-    if hasattr(envelope, "data") and not isinstance(envelope, np.ndarray):
-        env = np.asarray(envelope.data, dtype=np.float64)
-    env = env.reshape(-1)
+    env = np.asarray(envelope, dtype=np.float64).reshape(-1)
     if env.size < 3:
         raise ContractError(f"peak detection needs at least 3 frames, got {env.size}")
     if frame_rate <= 0:
@@ -275,6 +272,15 @@ def av_align(audio_peaks: PeakTrain, video_peaks: PeakTrain, window: float) -> f
         used_v.add(j)
         matched += 1
     return matched / (len(a) + len(v) - matched)
+
+
+def envelope_alignment(env_a, rate_a: float, env_b, rate_b: float, config: "EvalConfig") -> float:
+    """av_align of the detect_peaks trains of two envelopes, each at its own
+    frame rate, under config's threshold, separation and match window: the
+    refiner's temporal reward, the AV column and the pipeline's score."""
+    peaks_a = detect_peaks(env_a, rate_a, config.peak_threshold, config.min_separation)
+    peaks_b = detect_peaks(env_b, rate_b, config.peak_threshold, config.min_separation)
+    return av_align(peaks_a, peaks_b, config.match_window)
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +395,7 @@ def evaluate_set(gen_dir: str, ref_dir: str, providers: EvalProviders, config: E
     for cid, gseq, rseq in zip(shared_ids, gen_seqs, ref_seqs):
         clip_scores.append(clip_style_score(providers.shared.embed(gseq), providers.shared.embed(rseq)))
         g_env, r_env = energy_envelope(gseq), energy_envelope(rseq)
-        g_peaks = detect_peaks(g_env, config.frame_rate, config.peak_threshold, config.min_separation)
-        r_peaks = detect_peaks(r_env, config.frame_rate, config.peak_threshold, config.min_separation)
-        av_scores.append(av_align(g_peaks, r_peaks, config.match_window))
+        av_scores.append(envelope_alignment(g_env, config.frame_rate, r_env, config.frame_rate, config))
         details.append(PairDetail(clip_id=cid, gen_envelope=g_env, ref_envelope=r_env))
 
     values = {

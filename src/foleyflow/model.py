@@ -13,7 +13,7 @@ carry video, and are skipped entirely when none does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .tensor import (
 # timesteps live in [0, 1]; the sinusoid sees them scaled so neighbouring
 # steps of a fine grid stay distinguishable
 _TIME_SCALE = 1000.0
+_INIT_STD = 0.02
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,7 @@ class ConditionBundle:
     back to a learned null token, the video side is bypassed).
     extra_tokens, when present, are appended to the cross-attention token
     list in text-embedding space regardless of the keep flags.
+    Features are never differentiated: each is stored as a float64 array.
     """
 
     text_emb: object = None
@@ -81,14 +83,15 @@ class ConditionBundle:
             raise ContractError("text_kept=True requires text_emb")
         if self.video_kept and self.video_feat is None:
             raise ContractError("video_kept=True requires video_feat")
+        for name in ("text_emb", "video_feat", "extra_tokens"):
+            value = getattr(self, name)
+            if value is not None:
+                array = value.data if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
+                object.__setattr__(self, name, array)
 
-    def with_extra_tokens(self, tokens) -> "ConditionBundle":
-        return replace(self, extra_tokens=tokens)
 
-
-def _feature_rows(value, name: str, width: int, width_name: str) -> np.ndarray:
+def _feature_rows(arr: np.ndarray, name: str, width: int, width_name: str) -> np.ndarray:
     """A condition's (rows, width) feature array, checked against the config."""
-    arr = value.data if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"{name} must be 2-D (frames x dims), got shape {arr.shape}")
     if arr.shape[-1] != width:
@@ -112,29 +115,27 @@ def timestep_features(t: float, dim: int) -> np.ndarray:
 def resample_video(video_feat, t_audio: int):
     """Nearest-neighbour resample of (t_v, d) video features to t_audio rows.
 
-    Output row j copies input row floor(j * t_v / t_audio). Returns the
-    same kind of object it was given (Tensor in, Tensor out).
+    Output row j copies input row floor(j * t_v / t_audio).
     """
-    is_tensor = isinstance(video_feat, Tensor)
-    data = video_feat.data if is_tensor else np.asarray(video_feat, dtype=np.float64)
+    data = np.asarray(video_feat, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 1:
         raise ShapeError(f"video features must be (t_v >= 1, d), got shape {data.shape}")
     if t_audio < 1:
         raise ContractError(f"t_audio must be >= 1, got {t_audio}")
     t_v = data.shape[0]
     idx = (np.arange(t_audio) * t_v) // t_audio
-    out = data[idx].copy()
-    return Tensor(out) if is_tensor else out
+    return data[idx]
 
 
 class Linear:
-    """Affine map on the last axis; rows of the input are the batch."""
+    """Affine map on the last axis; rows of the input are the batch.
+    The weight is N(0, _INIT_STD^2) from rng, or zero when rng is None."""
 
-    def __init__(self, d_in: int, d_out: int, rng: SeededRng | None, zero_init: bool = False, std: float = 0.02):
-        if zero_init or rng is None:
+    def __init__(self, d_in: int, d_out: int, rng: SeededRng | None):
+        if rng is None:
             w = np.zeros((d_in, d_out))
         else:
-            w = rng.normal((d_in, d_out)) * std
+            w = rng.normal((d_in, d_out)) * _INIT_STD
         self.w = Tensor(w, requires_grad=True)
         self.b = Tensor(np.zeros(d_out), requires_grad=True)
 
@@ -169,7 +170,7 @@ class Block:
         self.n_heads = cfg.n_heads
         self.cross_attention = cross_attention
         n_sublayers = 3 if cross_attention else 2
-        self.adaln = Linear(d, n_sublayers * 3 * d, None, zero_init=True)
+        self.adaln = Linear(d, n_sublayers * 3 * d, None)
         # norms carry no affine parameters; adaLN supplies shift and scale
         self._ones = Tensor(np.ones(d))
         self._zeros = Tensor(np.zeros(d))
@@ -241,8 +242,8 @@ class TwoTowerModel:
         self.audio_blocks = [Block(cfg, rng, cross_attention=True) for _ in range(cfg.n_layers)]
         self.video_blocks = [Block(cfg, rng, cross_attention=False) for _ in range(cfg.n_layers)]
         # mixers start at zero: video information fades in as they train
-        self.mix_a = [Linear(2 * d, d, None, zero_init=True) for _ in range(cfg.n_layers)]
-        self.mix_v = [Linear(2 * d, d, None, zero_init=True) for _ in range(cfg.n_layers)]
+        self.mix_a = [Linear(2 * d, d, None) for _ in range(cfg.n_layers)]
+        self.mix_v = [Linear(2 * d, d, None) for _ in range(cfg.n_layers)]
 
         named: list = []
         named += self.audio_in.named("audio_in")

@@ -9,7 +9,7 @@ competes, the selected output never scores below it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,22 +18,13 @@ from .errors import ContractError, DivergenceError
 from .metrics import (
     EvalConfig,
     EvalProviders,
-    av_align,
     clip_style_score,
     default_eval_providers,
-    detect_peaks,
     energy_envelope,
+    envelope_alignment,
 )
 from .model import ConditionBundle
 from .rng import SeededRng, derive_seed, string_seed
-from .tensor import Tensor
-
-
-def _feature_array(value) -> np.ndarray | None:
-    if value is None:
-        return None
-    data = value.data if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
-    return np.asarray(data, dtype=np.float64)
 
 
 def _fixed_projection(tag: str, d_in: int, d_out: int) -> np.ndarray:
@@ -51,11 +42,11 @@ def extract_signal(cond: ConditionBundle, coarse: np.ndarray, d_signal: int = 16
     """
     if d_signal < 1:
         raise ContractError(f"d_signal must be >= 1, got {d_signal}")
-    coarse_arr = _feature_array(coarse)
-    if coarse_arr is None or coarse_arr.ndim != 2:
+    coarse_arr = np.asarray(coarse, dtype=np.float64)
+    if coarse_arr.ndim != 2:
         raise ContractError("extract_signal needs a 2-D coarse latent sequence")
-    video = _feature_array(cond.video_feat) if cond.video_kept else None
-    text = _feature_array(cond.text_emb) if cond.text_kept else None
+    video = cond.video_feat if cond.video_kept else None
+    text = cond.text_emb if cond.text_kept else None
 
     vid_dim = video.shape[1] if video is not None else 0
     txt_dim = text.shape[1] if text is not None else 0
@@ -113,23 +104,19 @@ def reward(
     smoothness  1 - mean squared frame difference, floored at 0.
     Weights renormalize over the components that apply.
     """
-    cand = _feature_array(candidate)
-    if cand is None or cand.ndim != 2:
+    cand = np.asarray(candidate, dtype=np.float64)
+    if cand.ndim != 2:
         raise ContractError("reward needs a 2-D candidate latent sequence")
-    video = _feature_array(cond.video_feat) if cond.video_kept else None
-    text = _feature_array(cond.text_emb) if cond.text_kept else None
+    video = cond.video_feat if cond.video_kept else None
+    text = cond.text_emb if cond.text_kept else None
 
     components: dict = {}
     if video is not None:
         duration = cand.shape[0] / config.frame_rate
         video_rate = video.shape[0] / duration
-        cand_peaks = detect_peaks(
-            energy_envelope(cand), config.frame_rate, config.peak_threshold, config.min_separation
+        components["temporal"] = envelope_alignment(
+            energy_envelope(cand), config.frame_rate, energy_envelope(video), video_rate, config
         )
-        video_peaks = detect_peaks(
-            energy_envelope(video), video_rate, config.peak_threshold, config.min_separation
-        )
-        components["temporal"] = av_align(cand_peaks, video_peaks, config.match_window)
 
     anchor = video if video is not None else text
     if anchor is not None:
@@ -198,10 +185,9 @@ def refine(
     providers = providers if providers is not None else default_eval_providers(config)
     sample_fn = sample_fn if sample_fn is not None else flow.sample_many
 
-    coarse_arr = _feature_array(coarse)
+    coarse_arr = np.asarray(coarse, dtype=np.float64)
     signal = extract_signal(cond, coarse_arr, d_signal=d_signal)
-    token = signal_token(signal, model.config.d_text)
-    cond_aug = cond.with_extra_tokens(Tensor(token))
+    cond_aug = replace(cond, extra_tokens=signal_token(signal, model.config.d_text))
 
     coarse_report = reward(coarse_arr, cond, providers, config, weights)
     best_arr, best_report, picked = coarse_arr, coarse_report, "coarse"

@@ -75,15 +75,6 @@ class Tensor:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def backward(self) -> None:
-        backward(self)
-
-    def sum(self) -> "Tensor":
-        return reduce_sum(self)
-
-    def mean(self) -> "Tensor":
-        return reduce_mean(self)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -91,26 +82,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _coerce(other))
 
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
     def __sub__(self, other):
         return sub(self, _coerce(other))
 
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
     def __mul__(self, other):
         return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __neg__(self):
-        return mul(self, Tensor(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, _coerce(other))
 
 
 def _coerce(value) -> Tensor:
@@ -467,6 +443,8 @@ def backward(loss: Tensor) -> None:
             if g is None or not parent.requires_grad:
                 continue
             if parent.grad is None:
-                parent.grad = np.zeros(parent.shape, dtype=np.float64)
-            parent.grad += g
+                # a copy, not g itself: add's backward hands both parents views of one array
+                parent.grad = g.copy()
+            else:
+                parent.grad += g
     loss._done = True

@@ -19,7 +19,7 @@ from .errors import ConfigError, ContractError, DivergenceError
 from .flow import cfm_loss
 from .model import ConditionBundle, TwoTowerModel
 from .rng import SeededRng, derive_seed
-from .tensor import Tensor, backward
+from .tensor import backward
 
 TAG_T2A = "T2A"
 TAG_TV2A = "TV2A"
@@ -175,8 +175,8 @@ def draw_batch(stage: StageConfig, datasets: dict, rng: SeededRng, batch_size: i
         text_kept = False if tag == TAG_V2A else rng.bernoulli(stage.p_keep_text)
         video_kept = False if tag == TAG_T2A else rng.bernoulli(stage.p_keep_video)
         cond = ConditionBundle(
-            text_emb=Tensor(clip.text_emb) if text_kept else None,
-            video_feat=Tensor(clip.video_feat) if video_kept else None,
+            text_emb=clip.text_emb if text_kept else None,
+            video_feat=clip.video_feat if video_kept else None,
             text_kept=text_kept,
             video_kept=video_kept,
         )

@@ -191,8 +191,8 @@ def test_criterion_2_mixer():
     assert np.max(np.abs(out_v.data - want_v)) <= 1e-12
 
     # zero-init mixers are the identity on both streams
-    zero_a = Linear(2 * d, d, None, zero_init=True)
-    zero_v = Linear(2 * d, d, None, zero_init=True)
+    zero_a = Linear(2 * d, d, None)
+    zero_v = Linear(2 * d, d, None)
     id_a, id_v = cross_modal_mix(y_a, y_v, zero_a, zero_v)
     assert np.max(np.abs(id_a.data - y_a.data)) <= 1e-12
     assert np.max(np.abs(id_v.data - y_v.data)) <= 1e-12

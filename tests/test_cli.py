@@ -23,7 +23,7 @@ def checkpoint(workdir):
     code = main(
         [
             "train",
-            "--preset", "stage1",
+            "--stages", "1",
             "--steps", "3",
             "--batch-size", "2",
             "--data-clips", "4",
@@ -77,7 +77,7 @@ def test_train_multi_stage_chains(workdir):
 
 
 def test_train_later_stage_requires_init(workdir, capsys):
-    code = main(["train", "--preset", "stage2", "--steps", "2", "--out", str(workdir / "nope")])
+    code = main(["train", "--stages", "2", "--steps", "2", "--out", str(workdir / "nope")])
     assert code == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"]["kind"] == "ConfigError"
@@ -89,7 +89,7 @@ def test_train_resume_from_checkpoint(workdir, checkpoint):
     code = main(
         [
             "train",
-            "--preset", "stage2",
+            "--stages", "2",
             "--steps", "2",
             "--batch-size", "2",
             "--data-clips", "4",

@@ -164,13 +164,6 @@ def test_cfm_loss_rng_order_x0_then_t():
     assert abs(loss - np.mean((x1 - x0) ** 2)) <= 1e-12
 
 
-def test_cfm_loss_accepts_tensor_targets():
-    model = StubModel(lambda x, t, cond: np.zeros_like(x))
-    a = cfm_loss(model, [(Tensor(np.ones((2, 2))), ConditionBundle())], SeededRng(5)).item()
-    b = cfm_loss(model, [(np.ones((2, 2)), ConditionBundle())], SeededRng(5)).item()
-    assert a == b
-
-
 def test_cfm_loss_rejects_items_of_different_shapes():
     model = StubModel(lambda x, t, cond: np.zeros_like(x))
     with pytest.raises(ShapeError):

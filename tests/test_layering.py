@@ -1,0 +1,54 @@
+"""Import layering: Tensor is the tape's type and stays inside the tape.
+
+model and flow build tape graphs, and training runs their reverse pass;
+every other module works on plain float64 arrays. The package __init__
+may re-export tape names.
+"""
+
+import ast
+from pathlib import Path
+
+import foleyflow
+
+PACKAGE = Path(foleyflow.__file__).parent
+
+# module -> the tensor names it may import (None: any)
+ALLOWED = {"__init__": None, "model": None, "flow": None, "training": {"backward"}}
+
+
+def _tensor_imports(tree: ast.Module) -> list:
+    """Names a module takes from foleyflow.tensor; "tensor" for the module itself."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            relative = node.level == 1
+            if (relative and node.module == "tensor") or (node.level == 0 and node.module == "foleyflow.tensor"):
+                names += [alias.name for alias in node.names]
+            elif (relative and node.module is None) or (node.level == 0 and node.module == "foleyflow"):
+                names += ["tensor" for alias in node.names if alias.name == "tensor"]
+        elif isinstance(node, ast.Import):
+            names += ["tensor" for alias in node.names if alias.name == "foleyflow.tensor"]
+    return names
+
+
+def test_only_the_tape_modules_import_tensor():
+    modules = {path.stem: path for path in sorted(PACKAGE.glob("*.py")) if path.stem != "tensor"}
+    assert {"cli", "refiner", "metrics", "training", "model", "flow"} <= set(modules)
+    offenders = {}
+    for name, path in modules.items():
+        imported = _tensor_imports(ast.parse(path.read_text(encoding="utf-8")))
+        allowed = ALLOWED.get(name, set())
+        if allowed is not None and not set(imported) <= allowed:
+            offenders[name] = sorted(set(imported) - allowed)
+    assert offenders == {}
+
+
+def test_probe_sees_every_import_form():
+    tree = ast.parse(
+        "from .tensor import Tensor\n"
+        "from . import tensor\n"
+        "from foleyflow.tensor import backward\n"
+        "import foleyflow.tensor\n"
+        "from .model import ConditionBundle\n"
+    )
+    assert _tensor_imports(tree) == ["Tensor", "tensor", "backward", "tensor"]

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from foleyflow import container
+from foleyflow import container, datapipe, refiner
 from foleyflow.errors import ContractError, ShapeError
+from foleyflow.model import ConditionBundle
 from foleyflow.metrics import (
     REPORT_COLUMNS,
     ClassPosterior,
@@ -18,6 +19,7 @@ from foleyflow.metrics import (
     default_eval_providers,
     detect_peaks,
     energy_envelope,
+    envelope_alignment,
     evaluate_set,
     frechet_distance,
     inception_score,
@@ -366,6 +368,35 @@ def test_evaluate_set_detects_distribution_shift(tmp_path):
     report = evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"), default_eval_providers(config), config)
     assert report.values["FAD"] > 0.01
     assert report.values["FD"] > 0.01
+
+
+def _spiky(seed, frames, t=32, d=4):
+    arr = np.random.default_rng(seed).normal(size=(t, d)) * 0.05
+    arr[list(frames)] += 2.0
+    return arr
+
+
+def test_av_callers_share_envelope_alignment(tmp_path):
+    # the refiner's temporal reward, evaluate_set's AV column and the
+    # pipeline's alignment score are one measure on one envelope pair
+    config = EvalConfig()
+    fr = config.frame_rate
+    pairs = [(_spiky(0, (4, 10, 17)), _spiky(1, (4, 12, 20))), (_spiky(2, (6, 20)), _spiky(3, (7, 14, 26)))]
+    scores = [envelope_alignment(energy_envelope(a), fr, energy_envelope(v), fr, config) for a, v in pairs]
+    assert all(0.0 < s < 1.0 for s in scores)
+
+    providers = default_eval_providers(config)
+    for (audio, video), score in zip(pairs, scores):
+        cond = ConditionBundle(video_feat=video, video_kept=True)
+        assert refiner.reward(audio, cond, providers, config).components["temporal"] == score
+        record = datapipe.ClipRecord(clip_id="c", duration=audio.shape[0] / fr, events=())
+        scored = datapipe.score_alignment(record, energy_envelope(audio), energy_envelope(video), fr)
+        assert scored.av_align_score == score
+
+    _write_latents(tmp_path / "gen", {f"clip{i}": a for i, (a, _) in enumerate(pairs)})
+    _write_latents(tmp_path / "ref", {f"clip{i}": v for i, (_, v) in enumerate(pairs)})
+    report = evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"), providers, config)
+    assert report.values["AV"] == float(np.mean(scores))
 
 
 def test_render_report_formats(tmp_path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,6 +65,35 @@ def test_bundle_kept_requires_features():
         ConditionBundle(video_kept=True)
 
 
+def test_bundle_stores_float64_arrays_converted_once():
+    rng = SeededRng(9)
+    text = rng.normal((2, SMALL.d_text))
+    video = rng.normal((5, SMALL.d_video_feat))
+    token = rng.normal((1, SMALL.d_text))
+
+    def bundle(wrap):
+        return ConditionBundle(
+            text_emb=wrap(text), video_feat=wrap(video), text_kept=True, video_kept=True, extra_tokens=wrap(token)
+        )
+
+    from_tensors = bundle(Tensor)
+    from_arrays = bundle(lambda a: a)
+    from_lists = bundle(lambda a: a.tolist())
+    for name, want in (("text_emb", text), ("video_feat", video), ("extra_tokens", token)):
+        for b in (from_tensors, from_arrays, from_lists):
+            got = getattr(b, name)
+            assert type(got) is np.ndarray and got.dtype == np.float64
+            assert np.array_equal(got, want)
+        # a float64 array is kept as given, not copied
+        assert getattr(from_arrays, name) is want
+
+    model = TwoTowerModel(SMALL, seed=0)
+    _perturb(model)
+    x = rng.normal((1, SMALL.t_audio, SMALL.d_audio_latent))
+    outs = [model(Tensor(x), [0.3], [b]).data for b in (from_tensors, from_arrays, from_lists)]
+    assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # building blocks
 
@@ -94,7 +124,6 @@ def test_resample_video_indices():
     out = resample_video(feat, 8)
     # row j copies input row floor(j * 4 / 8)
     assert out[:, 0].tolist() == [0.0, 0.0, 2.0, 2.0, 4.0, 4.0, 6.0, 6.0]
-    assert isinstance(resample_video(Tensor(feat), 8), Tensor)
     assert isinstance(resample_video(feat, 8), np.ndarray)
 
 
@@ -116,8 +145,8 @@ def test_mixer_identity_with_zero_init():
     d = 8
     y_a = Tensor(rng.normal((5, d)))
     y_v = Tensor(rng.normal((5, d)))
-    mix_a = Linear(2 * d, d, None, zero_init=True)
-    mix_v = Linear(2 * d, d, None, zero_init=True)
+    mix_a = Linear(2 * d, d, None)
+    mix_v = Linear(2 * d, d, None)
     out_a, out_v = cross_modal_mix(y_a, y_v, mix_a, mix_v)
     assert np.abs(out_a.data - y_a.data).max() <= 1e-12
     assert np.abs(out_v.data - y_v.data).max() <= 1e-12
@@ -253,7 +282,7 @@ def test_extra_tokens_enter_cross_attention():
     x = Tensor(rng.normal((1, SMALL.t_audio, SMALL.d_audio_latent)))
     cond = _cond(SMALL, rng, video=False)
     out_plain = model(x, [0.5], [cond])
-    out_extra = model(x, [0.5], [cond.with_extra_tokens(Tensor(rng.normal((1, SMALL.d_text))))])
+    out_extra = model(x, [0.5], [replace(cond, extra_tokens=rng.normal((1, SMALL.d_text)))])
     assert not np.allclose(out_plain.data, out_extra.data)
 
 
@@ -286,7 +315,7 @@ def test_forward_shape_errors():
     bad_video = ConditionBundle(video_feat=Tensor(rng.normal((4, SMALL.d_video_feat + 2))), video_kept=True)
     with pytest.raises(ShapeError):
         model(good_x, [0.5], [bad_video])
-    bad_extra = ConditionBundle().with_extra_tokens(Tensor(rng.normal((1, SMALL.d_text + 3))))
+    bad_extra = ConditionBundle(extra_tokens=rng.normal((1, SMALL.d_text + 3)))
     with pytest.raises(ShapeError):
         model(good_x, [0.5], [bad_extra])
 
