@@ -24,11 +24,11 @@ from .tensor import (
     Tensor,
     attention,
     concat,
+    gated_residual,
     gather_rows,
     gelu,
-    layer_norm,
     matmul,
-    narrow,
+    modulated_norm,
     scatter_rows,
 )
 
@@ -140,7 +140,7 @@ class Linear:
         self.b = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return matmul(x, self.w) + self.b
+        return matmul(x, self.w, self.b)
 
     def named(self, prefix: str) -> list:
         return [(prefix + ".w", self.w), (prefix + ".b", self.b)]
@@ -170,10 +170,8 @@ class Block:
         self.n_heads = cfg.n_heads
         self.cross_attention = cross_attention
         n_sublayers = 3 if cross_attention else 2
+        # shift, scale and gate of every sublayer, in sublayer order
         self.adaln = Linear(d, n_sublayers * 3 * d, None)
-        # norms carry no affine parameters; adaLN supplies shift and scale
-        self._ones = Tensor(np.ones(d))
-        self._zeros = Tensor(np.zeros(d))
         self.wq = Linear(d, d, rng)
         self.wk = Linear(d, d, rng)
         self.wv = Linear(d, d, rng)
@@ -186,27 +184,21 @@ class Block:
         self.fc1 = Linear(d, 4 * d, rng)
         self.fc2 = Linear(4 * d, d, rng)
 
-    def _sublayer_input(self, x: Tensor, shift: Tensor, scale: Tensor) -> Tensor:
-        return layer_norm(x, self._ones, self._zeros) * (scale + 1.0) + shift
-
     def __call__(self, x: Tensor, t_emb: Tensor, context: Tensor | None = None, context_mask=None) -> Tensor:
         """x: (B, T, d) stream; t_emb: (B, 1, d). context: the (B, L, d)
         tokens a cross-attention block attends to, context_mask their (B, L)
         validity; both unused otherwise."""
-        d = x.shape[-1]
         mod = self.adaln(gelu(t_emb))  # (B, 1, n_sublayers * 3d)
-        chunks = [narrow(mod, i * d, (i + 1) * d) for i in range(mod.shape[-1] // d)]
-        sh, sc, g = chunks[:3]
-        y = self._sublayer_input(x, sh, sc)
-        x = x + g * self.wo(attention(self.wq(y), self.wk(y), self.wv(y), self.n_heads))
+        y = modulated_norm(x, mod, 0)
+        x = gated_residual(x, mod, 0, self.wo(attention(self.wq(y), self.wk(y), self.wv(y), self.n_heads)))
+        mlp = 1
         if self.cross_attention:
-            sh, sc, g = chunks[3:6]
-            y = self._sublayer_input(x, sh, sc)
+            y = modulated_norm(x, mod, 1)
             attended = attention(self.cq(y), self.ck(context), self.cv(context), self.n_heads, context_mask)
-            x = x + g * self.co(attended)
-        sh, sc, g = chunks[-3:]
-        y = self._sublayer_input(x, sh, sc)
-        return x + g * self.fc2(gelu(self.fc1(y)))
+            x = gated_residual(x, mod, 1, self.co(attended))
+            mlp = 2
+        y = modulated_norm(x, mod, mlp)
+        return gated_residual(x, mod, mlp, self.fc2(gelu(self.fc1(y))))
 
     def named(self, prefix: str) -> list:
         cross = ("cq", "ck", "cv", "co") if self.cross_attention else ()

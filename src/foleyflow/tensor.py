@@ -4,8 +4,10 @@ The engine is deliberately small: exactly the ops a two-tower transformer
 needs, all in float64 so numerical tolerances stay tight. Graphs are
 dynamic and single-use; an op never mutates its operands' buffers.
 Activations carry a leading batch axis, (B, T, d): matmul folds the
-leading axes into rows, attention is one fused multi-head op, and
-gather_rows / scatter_rows select items along the batch axis.
+leading axes into rows and takes an optional bias, attention is one
+fused multi-head op, modulated_norm / gated_residual are the two halves
+of an adaLN-zero sublayer, and gather_rows / scatter_rows select items
+along the batch axis.
 Broadcasting covers leading-dimension expansion plus trailing parameter
 vectors (a strict subset of general numpy broadcasting is relied upon by
 callers, though the gradient rules handle the general case).
@@ -28,9 +30,9 @@ __all__ = [
     "sub",
     "mul",
     "concat",
-    "narrow",
     "transpose",
-    "layer_norm",
+    "modulated_norm",
+    "gated_residual",
     "softmax",
     "gelu",
     "attention",
@@ -123,20 +125,27 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # ops
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(..., m, k) @ (k, n): the leading axes of a fold into rows of one product."""
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """(..., m, k) @ (k, n), plus bias (n,) when given: the leading axes of
+    a fold into rows of one product."""
     if a.ndim < 2 or b.ndim != 2:
         raise ShapeError(f"matmul expects (..., m, k) @ (k, n), got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
     a_shape, n = a.shape, b.shape[1]
+    if bias is not None and bias.shape != (n,):
+        raise ShapeError(f"matmul bias {bias.shape} does not match output width {n}")
     a2d, b_data = a.data.reshape(-1, a_shape[-1]), b.data
 
     def bw(g):
         g2d = g.reshape(-1, n)
-        return (g2d @ b_data.T).reshape(a_shape), a2d.T @ g2d
+        grads = ((g2d @ b_data.T).reshape(a_shape), a2d.T @ g2d)
+        return grads if bias is None else grads + (_unbroadcast(g, (n,)),)
 
-    return _from_op((a2d @ b_data).reshape(a_shape[:-1] + (n,)), (a, b), bw)
+    out = (a2d @ b_data).reshape(a_shape[:-1] + (n,))
+    if bias is None:
+        return _from_op(out, (a, b), bw)
+    return _from_op(out + bias.data, (a, b, bias), bw)
 
 
 def _broadcast_error(a: Tensor, b: Tensor, op: str) -> ShapeError:
@@ -201,20 +210,6 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
     return _from_op(np.concatenate([a.data, b.data], axis=-1), (a, b), bw)
 
 
-def narrow(x: Tensor, start: int, stop: int) -> Tensor:
-    """Slice [start, stop) of the last axis."""
-    d = x.shape[-1]
-    if not (0 <= start < stop <= d):
-        raise ContractError(f"narrow range [{start}, {stop}) invalid for last dim {d}")
-
-    def bw(g):
-        full = np.zeros(x.shape, dtype=np.float64)
-        full[..., start:stop] = g
-        return (full,)
-
-    return _from_op(x.data[..., start:stop].copy(), (x,), bw)
-
-
 def transpose(x: Tensor) -> Tensor:
     if x.ndim != 2:
         raise ShapeError(f"transpose expects a 2-D tensor, got {x.shape}")
@@ -225,34 +220,68 @@ def transpose(x: Tensor) -> Tensor:
     return _from_op(x.data.T, (x,), bw)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine.
-
-    Variance is the biased estimate over the last axis; eps = 1e-5 keeps
-    zero-variance rows finite (they normalize to zero).
-    """
+def _mod_chunk(x: Tensor, mod: Tensor, j: int, op: str) -> slice:
+    """Chunk j, as wide as x's last axis, of mod's last axis."""
     d = x.shape[-1]
-    if gain.shape[-1] != d or bias.shape[-1] != d:
-        raise ShapeError(f"layer_norm affine dims {gain.shape}/{bias.shape} do not match input {x.shape}")
+    if mod.ndim != x.ndim or any(m not in (1, s) for m, s in zip(mod.shape[:-1], x.shape[:-1])):
+        raise ShapeError(f"{op} modulation {mod.shape} does not broadcast over input {x.shape}")
+    if j < 0 or mod.shape[-1] < (j + 1) * d:
+        raise ShapeError(f"{op} modulation width {mod.shape[-1]} has no chunk {j} of width {d}")
+    return slice(j * d, (j + 1) * d)
+
+
+def _chunk_grad(mod: Tensor, *parts) -> np.ndarray:
+    """A zero gradient for mod with each (chunk, gradient) pair written in place."""
+    full = np.zeros(mod.shape, dtype=np.float64)
+    for at, g in parts:
+        full[..., at] = _unbroadcast(g, full[..., at].shape)
+    return full
+
+
+def modulated_norm(x: Tensor, mod: Tensor, i: int) -> Tensor:
+    """The input of adaLN-zero sublayer i: layer_norm(x) * (1 + scale) + shift.
+
+    mod is the adaLN output: for an (..., d) x, shift and scale are the
+    chunks 3i and 3i+1, each d wide, of its last axis (the gate, chunk
+    3i+2, is gated_residual's). Its leading axes broadcast over x's, so a
+    (B, 1, n 3d) mod modulates every row of a (B, T, d) x. The norm has no
+    affine parameters of its own: zero mean and unit biased variance over
+    the last axis, with eps = 1e-5 keeping zero-variance rows finite (they
+    normalize to zero).
+    """
+    shift_at = _mod_chunk(x, mod, 3 * i, "modulated_norm")
+    scale_at = _mod_chunk(x, mod, 3 * i + 1, "modulated_norm")
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = centered * inv
-    gain_data, bias_data = gain.data, bias.data
+    scale1 = mod.data[..., scale_at] + 1.0
 
     def bw(g):
-        dgain = _unbroadcast(g * xhat, gain.shape)
-        dbias = _unbroadcast(g, bias.shape)
-        dxhat = g * gain_data
+        dxhat = g * scale1
         dx = inv * (
             dxhat
             - dxhat.mean(axis=-1, keepdims=True)
             - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
         )
-        return dx, dgain, dbias
+        return dx, _chunk_grad(mod, (shift_at, g), (scale_at, g * xhat))
 
-    return _from_op(xhat * gain_data + bias_data, (x, gain, bias), bw)
+    return _from_op(xhat * scale1 + mod.data[..., shift_at], (x, mod), bw)
+
+
+def gated_residual(x: Tensor, mod: Tensor, i: int, y: Tensor) -> Tensor:
+    """The output of adaLN-zero sublayer i: x + gate * y, the gate being
+    chunk 3i+2 of mod's last axis (see modulated_norm)."""
+    if y.shape != x.shape:
+        raise ShapeError(f"gated_residual branch {y.shape} does not match stream {x.shape}")
+    gate_at = _mod_chunk(x, mod, 3 * i + 2, "gated_residual")
+    gate, y_data = mod.data[..., gate_at], y.data
+
+    def bw(g):
+        return g, _chunk_grad(mod, (gate_at, g * y_data)), g * gate
+
+    return _from_op(x.data + gate * y_data, (x, mod, y), bw)
 
 
 def softmax(x: Tensor) -> Tensor:

@@ -53,10 +53,8 @@ class StageConfig:
                 raise ConfigError(f"{name} must lie in [0, 1], got {p}")
 
 
-# toy step counts keep the full curriculum in desk time; the production
-# counts are recorded alongside for reference
+# toy step counts keep the full curriculum in desk time
 TOY_STAGE_STEPS = {1: 300, 2: 100, 3: 300}
-PRODUCTION_STAGE_STEPS = {1: 250_000, 2: 50_000, 3: 230_000}
 
 
 def stage_preset(stage_id: int, steps: int | None = None) -> StageConfig:
@@ -103,11 +101,6 @@ class OptimizerConfig:
 def toy_optimizer() -> OptimizerConfig:
     """Optimizer settings sized for the toy curriculum."""
     return OptimizerConfig(lr=3e-3, batch_size=8)
-
-
-def production_optimizer() -> OptimizerConfig:
-    """Production-scale optimizer settings."""
-    return OptimizerConfig(lr=3e-5, batch_size=128)
 
 
 @dataclass(frozen=True)

@@ -29,12 +29,12 @@ from foleyflow.tensor import (
     add,
     attention,
     concat,
+    gated_residual,
     gather_rows,
     gelu,
-    layer_norm,
     matmul,
+    modulated_norm,
     mul,
-    narrow,
     reduce_mean,
     reduce_sum,
     scatter_rows,
@@ -120,6 +120,9 @@ def test_criterion_1_gradients():
     checked += weighted(lambda: matmul(a, b), {"a": a, "b": b})
     a3 = leaf((2, 3, 4))
     checked += weighted(lambda: matmul(a3, b), {"a3": a3, "b": b})
+    bias = leaf((2,))
+    checked += weighted(lambda: matmul(a, b, bias), {"a": a, "b": b, "bias": bias})
+    checked += weighted(lambda: matmul(a3, b, bias), {"a3": a3, "b": b, "bias": bias})
     x, y = leaf((3, 4)), leaf((4,))
     checked += weighted(lambda: add(x, y), {"x": x, "y": y})
     checked += weighted(lambda: sub(x, y), {"x": x, "y": y})
@@ -134,13 +137,14 @@ def test_criterion_1_gradients():
     checked += weighted(lambda: gather_rows(rows, [2, 0]), {"rows": rows})
     checked += weighted(lambda: scatter_rows(rows, [3, 0, 1], 4), {"rows": rows})
     w = leaf((3, 6))
-    checked += weighted(lambda: narrow(w, 1, 4), {"w": w})
     checked += weighted(lambda: transpose(w), {"w": w})
     checked += weighted(lambda: softmax(w), {"w": w})
     checked += weighted(lambda: gelu(w), {"w": w})
-    g, h = leaf((4, 5)), leaf((5,)),
-    bias = leaf((5,))
-    checked += weighted(lambda: layer_norm(g, h, bias), {"g": g, "h": h, "bias": bias})
+    # adaLN-zero sublayer halves, each sublayer's chunks of a (B, 1, 9d) mod
+    s_x, s_y, mod = leaf((2, 3, 4)), leaf((2, 3, 4)), leaf((2, 1, 36))
+    for i in range(3):
+        checked += weighted(lambda: modulated_norm(s_x, mod, i), {"s_x": s_x, "mod": mod})
+        checked += weighted(lambda: gated_residual(s_x, mod, i, s_y), {"s_x": s_x, "mod": mod, "s_y": s_y})
     z = leaf((3, 3))
     checked += check_gradients(lambda: reduce_sum(mul(z, z)), {"z": z})
     checked += check_gradients(lambda: reduce_mean(mul(z, z)), {"z": z})

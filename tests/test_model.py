@@ -1,13 +1,15 @@
 """Two-tower model: init identities, bypass rules, shapes, persistence."""
 
+import collections
 import hashlib
 import struct
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from foleyflow import container
+from foleyflow import container, flow, tensor
 from foleyflow.errors import ConfigError, ContractError, FormatError, ShapeError
 from foleyflow.model import (
     ConditionBundle,
@@ -388,6 +390,26 @@ def test_tape_size_does_not_grow_with_batch():
         out = model(x, [0.5] * n, conds)
         sizes.append(len(ComputationTape.trace(reduce_mean(out * out)).nodes))
     assert sizes[0] == sizes[1]
+
+
+def test_guided_forward_records_100_tape_ops(monkeypatch):
+    # every op records its output through tensor._from_op, so counting its
+    # calls by calling function counts one guided forward's ops by kind
+    kinds = collections.Counter()
+    record = tensor._from_op
+
+    def counted(*args):
+        kinds[sys._getframe(1).f_code.co_name] += 1
+        return record(*args)
+
+    monkeypatch.setattr(tensor, "_from_op", counted)
+    cfg = ModelConfig()
+    rng = SeededRng(22)
+    x_t = rng.normal((cfg.t_audio, cfg.d_audio_latent))
+    flow.guided_velocity(TwoTowerModel(cfg, seed=0), x_t, 0.5, _cond(cfg, rng), 2.0)
+    assert sum(kinds.values()) == 100
+    fused = {k: kinds[k] for k in ("matmul", "modulated_norm", "gated_residual", "narrow", "layer_norm")}
+    assert fused == {"matmul": 46, "modulated_norm": 10, "gated_residual": 10, "narrow": 0, "layer_norm": 0}
 
 
 def test_zero_grad_clears():

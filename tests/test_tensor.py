@@ -11,11 +11,11 @@ from foleyflow.tensor import (
     backward,
     concat,
     elementwise,
+    gated_residual,
     gather_rows,
     gelu,
-    layer_norm,
     matmul,
-    narrow,
+    modulated_norm,
     reduce_mean,
     reduce_sum,
     scatter_rows,
@@ -64,6 +64,11 @@ def test_matmul_folds_leading_axes():
         assert np.abs(out.data[i] - a.data[i] @ b.data).max() <= 1e-12
     with pytest.raises(ShapeError):
         matmul(a, Tensor(_rand((2, 4, 5), 22)))
+
+
+def test_matmul_bias_adds_after_the_product():
+    a, b, bias = Tensor(_rand((2, 3, 4), 34)), Tensor(_rand((4, 5), 35)), Tensor(_rand((5,), 36))
+    assert np.array_equal(matmul(a, b, bias).data, matmul(a, b).data + bias.data)
 
 
 def _reference_attention(q, k, v, n_heads, keep):
@@ -156,12 +161,10 @@ def test_concat_and_narrow_roundtrip():
     b = _leaf((2, 2), 1)
     joined = concat(a, b)
     assert joined.shape == (2, 5)
-    assert np.array_equal(narrow(joined, 0, 3).data, a.data)
-    assert np.array_equal(narrow(joined, 3, 5).data, b.data)
+    assert np.array_equal(joined.data[:, :3], a.data)
+    assert np.array_equal(joined.data[:, 3:], b.data)
     with pytest.raises(ShapeError):
         concat(a, Tensor(np.zeros((3, 2))))
-    with pytest.raises(ContractError):
-        narrow(joined, 3, 3)
 
 
 def test_transpose_value():
@@ -181,8 +184,9 @@ def test_softmax_rows_sum_to_one_and_shift_invariance():
 
 
 def test_layer_norm_output_statistics():
+    # a zero modulation leaves modulated_norm's plain layer norm
     x = _leaf((4, 8), 2)
-    out = layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8)))
+    out = modulated_norm(x, Tensor(np.zeros((1, 24))), 0)
     assert np.allclose(out.data.mean(axis=-1), 0.0, atol=1e-12)
     # biased variance with eps pulls the norm slightly under 1
     assert np.all(out.data.std(axis=-1) < 1.0)
@@ -191,13 +195,41 @@ def test_layer_norm_output_statistics():
 
 def test_layer_norm_zero_variance_row_is_finite():
     x = Tensor(np.full((1, 4), 7.0))
-    out = layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
+    out = modulated_norm(x, Tensor(np.zeros((1, 12))), 0)
     assert np.allclose(out.data, 0.0)
 
 
 def test_layer_norm_shape_error():
+    # the modulation's leading axes must broadcast over the input's
     with pytest.raises(ShapeError):
-        layer_norm(Tensor(np.zeros((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(4)))
+        modulated_norm(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 12))), 0)
+    with pytest.raises(ShapeError):
+        modulated_norm(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 12))), 0)
+
+
+def test_fused_op_shape_errors():
+    x = Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(ShapeError):
+        matmul(x, Tensor(np.zeros((4, 5))), Tensor(np.zeros(4)))
+    # sublayer i's norm reads chunks 3i and 3i+1, its gate chunk 3i+2; each width is one chunk short
+    for i, width in ((0, 4), (1, 16), (2, 28)):
+        with pytest.raises(ShapeError):
+            modulated_norm(x, Tensor(np.zeros((2, 1, width))), i)
+    for i, width in ((0, 8), (1, 20), (2, 32)):
+        with pytest.raises(ShapeError):
+            gated_residual(x, Tensor(np.zeros((2, 1, width))), i, x)
+    with pytest.raises(ShapeError):
+        gated_residual(x, Tensor(np.zeros((2, 1, 12))), 0, Tensor(np.zeros((2, 1, 4))))
+
+
+def test_modulated_sublayer_values():
+    x, mod, y = _rand((2, 3, 4), 37), _rand((2, 1, 24), 38), _rand((2, 3, 4), 39)
+    xhat = (x - x.mean(axis=-1, keepdims=True)) / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+    for i in (0, 1):
+        shift, scale, gate = (mod[..., 4 * j : 4 * (j + 1)] for j in range(3 * i, 3 * i + 3))
+        norm = modulated_norm(Tensor(x), Tensor(mod), i).data
+        assert np.abs(norm - (xhat * (1.0 + scale) + shift)).max() <= 1e-12
+        assert np.array_equal(gated_residual(Tensor(x), Tensor(mod), i, Tensor(y)).data, x + gate * y)
 
 
 def test_gelu_fixed_points():
@@ -233,10 +265,12 @@ def test_binary_op_gradients_with_broadcast():
 
 def test_concat_narrow_transpose_gradients():
     a, b = _leaf((2, 3), 7), _leaf((2, 2), 8)
+    # fixed selection matrices pick columns [1, 4) and [0, 3) of the join
+    cols_1_4, cols_0_3 = Tensor(np.eye(5)[:, 1:4]), Tensor(np.eye(5)[:, 0:3])
 
     def loss():
         j = concat(a, b)
-        return reduce_sum(matmul(narrow(j, 1, 4), transpose(narrow(j, 0, 3))))
+        return reduce_sum(matmul(matmul(j, cols_1_4), transpose(matmul(j, cols_0_3))))
 
     check_gradients(loss, {"a": a, "b": b})
 
@@ -244,6 +278,14 @@ def test_concat_narrow_transpose_gradients():
 def test_matmul_3d_gradients():
     a, b = _leaf((2, 3, 4), 17), _leaf((4, 2), 18)
     check_gradients(lambda: reduce_sum(matmul(a, b) * matmul(a, b)), {"a": a, "b": b})
+
+
+def test_matmul_bias_gradients():
+    b, bias = _leaf((4, 2), 41), _leaf((2,), 42)
+    for a_shape in ((3, 4), (2, 3, 4)):
+        a = _leaf(a_shape, 40)
+        w = Tensor(_rand(a_shape[:-1] + (2,), 43))
+        check_gradients(lambda: reduce_sum(matmul(a, b, bias) * w), {"a": a, "b": b, "bias": bias})
 
 
 def test_attention_gradients():
@@ -274,11 +316,21 @@ def test_gelu_gradients():
 
 
 def test_layer_norm_gradients():
-    x = _leaf((3, 6), 12)
-    gain = _leaf((6,), 13)
-    bias = _leaf((6,), 14)
-    w = Tensor(_rand((3, 6), 15))
-    check_gradients(lambda: reduce_sum(layer_norm(x, gain, bias) * w), {"x": x, "gain": gain, "bias": bias})
+    # modulated_norm, with a (B, 1, 9d) modulation broadcast over T as a
+    # three-sublayer block uses it, for each sublayer's chunks
+    x = _leaf((2, 3, 4), 12)
+    mod = _leaf((2, 1, 36), 13)
+    w = Tensor(_rand((2, 3, 4), 15))
+    for i in range(3):
+        check_gradients(lambda: reduce_sum(modulated_norm(x, mod, i) * w), {"x": x, "mod": mod})
+
+
+def test_gated_residual_gradients():
+    x, y = _leaf((2, 3, 4), 44), _leaf((2, 3, 4), 45)
+    mod = _leaf((2, 1, 36), 46)
+    w = Tensor(_rand((2, 3, 4), 47))
+    for i in range(3):
+        check_gradients(lambda: reduce_sum(gated_residual(x, mod, i, y) * w), {"x": x, "mod": mod, "y": y})
 
 
 def test_mean_gradient_is_uniform():

@@ -9,7 +9,6 @@ from foleyflow.providers import ToyClip, make_toy_clips
 from foleyflow.rng import SeededRng, derive_seed
 from foleyflow.tensor import Tensor
 from foleyflow.training import (
-    PRODUCTION_STAGE_STEPS,
     TAG_T2A,
     TAG_TV2A,
     TAG_V2A,
@@ -23,7 +22,6 @@ from foleyflow.training import (
     draw_batch,
     format_event,
     parse_event,
-    production_optimizer,
     run_curriculum,
     run_stage,
     stage_preset,
@@ -65,7 +63,6 @@ def test_stage_presets():
 
 def test_toy_and_production_step_tables():
     assert TOY_STAGE_STEPS == {1: 300, 2: 100, 3: 300}
-    assert PRODUCTION_STAGE_STEPS == {1: 250_000, 2: 50_000, 3: 230_000}
 
 
 def test_stage_config_validation():
@@ -91,7 +88,6 @@ def test_optimizer_config_defaults_and_presets():
     assert cfg.grad_clip_norm == 0.2
     assert cfg.batch_size == 8
     assert toy_optimizer().lr == 3e-3
-    assert production_optimizer().batch_size == 128
     with pytest.raises(ConfigError):
         OptimizerConfig(lr=0.0)
     with pytest.raises(ConfigError):
