@@ -114,12 +114,7 @@ def _load_video(arg: str, cfg: ModelConfig):
 def _build_condition(args, cfg: ModelConfig) -> ConditionBundle:
     text_emb = None if args.text is None else providers.text_embedding(args.text, 2, cfg.d_text)
     video_feat = None if args.video is None else _load_video(args.video, cfg)
-    return ConditionBundle(
-        text_emb=text_emb,
-        video_feat=video_feat,
-        text_kept=text_emb is not None,
-        video_kept=video_feat is not None,
-    )
+    return ConditionBundle(text_emb=text_emb, video_feat=video_feat)
 
 
 def _write_envelope_csv(path: str, arrays: dict, frame_rate: float) -> None:
@@ -142,6 +137,7 @@ def _write_envelope_csv(path: str, arrays: dict, frame_rate: float) -> None:
 def cmd_train(args) -> int:
     if args.init_checkpoint is not None:
         _require_file(args.init_checkpoint, "init checkpoint")
+    opt_cfg = training.OptimizerConfig(lr=args.lr, grad_clip_norm=args.clip_norm, batch_size=args.batch_size)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -167,11 +163,6 @@ def cmd_train(args) -> int:
     else:
         raise ConfigError(f"starting at stage {stage_ids[0]} requires --init-checkpoint from stage {stage_ids[0] - 1}")
 
-    opt_cfg = training.OptimizerConfig(
-        lr=args.lr,
-        grad_clip_norm=args.clip_norm,
-        batch_size=args.batch_size,
-    )
     clips = providers.make_toy_clips(
         args.data_clips,
         t_audio=model.config.t_audio,
@@ -204,13 +195,15 @@ def _sampler_config(args) -> flow.SamplerConfig:
 
 
 def cmd_sample(args) -> int:
+    sampler_cfg = _sampler_config(args)
+    config = metrics.EvalConfig(frame_rate=args.frame_rate)
     _require_file(args.checkpoint, "checkpoint")
     model = TwoTowerModel.load(args.checkpoint)
     cond = _build_condition(args, model.config)
-    latent = flow.sample(model, cond, _sampler_config(args))
+    latent = flow.sample(model, cond, sampler_cfg)
     container.write_latents(args.out, {metrics.LATENT_RECORD: latent})
     env = metrics.energy_envelope(latent)
-    _write_envelope_csv(args.out + ".env.csv", {"audio_energy": env}, args.frame_rate)
+    _write_envelope_csv(args.out + ".env.csv", {"audio_energy": env}, config.frame_rate)
     print(f"wrote {args.out} ({latent.shape[0]} frames)")
     return 0
 
@@ -219,7 +212,7 @@ def cmd_eval(args) -> int:
     _require_dir(args.gen_dir, "generated directory")
     _require_dir(args.ref_dir, "reference directory")
     config = metrics.EvalConfig(frame_rate=args.frame_rate)
-    report = metrics.evaluate_set(args.gen_dir, args.ref_dir, metrics.default_eval_providers(config), config)
+    report = metrics.evaluate_set(args.gen_dir, args.ref_dir, metrics.default_eval_providers(), config)
     rendered = metrics.render_report(report, as_json=args.json)
     print(rendered)
     if args.out is not None:
@@ -255,6 +248,8 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_refine(args) -> int:
+    sampler_cfg = _sampler_config(args)
+    config = metrics.EvalConfig(frame_rate=args.frame_rate)
     _require_file(args.checkpoint, "checkpoint")
     _require_file(args.coarse, "coarse latent file")
     model = TwoTowerModel.load(args.checkpoint)
@@ -263,8 +258,7 @@ def cmd_refine(args) -> int:
         raise ContractError(f"{args.coarse}: no {metrics.LATENT_RECORD!r} record")
     coarse = records[metrics.LATENT_RECORD]
     cond = _build_condition(args, model.config)
-    config = metrics.EvalConfig(frame_rate=args.frame_rate)
-    result = refiner.refine(model, cond, coarse, args.k, _sampler_config(args), config=config)
+    result = refiner.refine(model, cond, coarse, args.k, sampler_cfg, config=config)
     container.write_latents(args.out, {metrics.LATENT_RECORD: result.best})
     trace_text = refiner.render_trace(result)
     Path(args.out + ".trace.csv").write_text(trace_text + "\n", encoding="utf-8")
@@ -281,6 +275,9 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="foleyflow", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     fmt = argparse.ArgumentDefaultsHelpFormatter
+    # the config classes hold every default that is also a flag default
+    sampler, evaluation = flow.SamplerConfig, metrics.EvalConfig
+    optimizer, policy = training.OptimizerConfig, datapipe.FilterPolicy
 
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="master seed; all randomness derives from it")
@@ -290,19 +287,19 @@ def build_parser() -> _Parser:
         """The condition and sampler flags that sample and refine share."""
         p.add_argument("--text", type=str, default=None, help="text prompt (synthetic embedding provider)")
         p.add_argument("--video", type=str, default=None, help="video id, or path to a container with a video_feat record")
-        p.add_argument("--nfe", type=_positive_int, default=64, help="number of integrator steps")
-        p.add_argument("--sway", type=float, default=-1.0, help="sway coefficient of the time grid")
-        p.add_argument("--guidance", type=float, default=2.0, help="classifier-free guidance scale")
-        p.add_argument("--frame-rate", type=float, default=16.0, help=frame_rate_help)
+        p.add_argument("--nfe", type=_positive_int, default=sampler.nfe, help="number of integrator steps")
+        p.add_argument("--sway", type=float, default=sampler.sway_coef, help="sway coefficient of the time grid")
+        p.add_argument("--guidance", type=float, default=sampler.guidance_scale, help="classifier-free guidance scale")
+        p.add_argument("--frame-rate", type=float, default=evaluation.frame_rate, help=frame_rate_help)
 
     p = sub.add_parser("train", formatter_class=fmt, help="run curriculum stages on the synthetic toy data")
     p.add_argument("--stages", type=str, default="1,2,3", help="comma list of stage ids")
     p.add_argument("--steps", type=str, default=None, help="comma list of step counts, one per selected stage")
     p.add_argument("--init-checkpoint", type=str, default=None, help="checkpoint to start from (required past stage 1)")
     p.add_argument("--out", type=str, required=True, help="output directory for checkpoints and events.log")
-    p.add_argument("--lr", type=float, default=3e-3, help="Adam learning rate")
-    p.add_argument("--batch-size", type=_positive_int, default=8, help="samples per step")
-    p.add_argument("--clip-norm", type=float, default=0.2, help="global gradient norm ceiling")
+    p.add_argument("--lr", type=float, default=optimizer.lr, help="Adam learning rate")
+    p.add_argument("--batch-size", type=_positive_int, default=optimizer.batch_size, help="samples per step")
+    p.add_argument("--clip-norm", type=float, default=optimizer.grad_clip_norm, help="global gradient norm ceiling")
     p.add_argument("--data-clips", type=_positive_int, default=16, help="synthetic clips in the toy dataset")
     common(p)
     p.set_defaults(func=cmd_train)
@@ -320,15 +317,15 @@ def build_parser() -> _Parser:
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     p.add_argument("--out", type=str, default=None, help="also write the report to this file")
     p.add_argument("--plot", type=str, default=None, help="directory for per-pair envelope curves")
-    p.add_argument("--frame-rate", type=float, default=16.0, help="frames per second of the latents")
+    p.add_argument("--frame-rate", type=float, default=evaluation.frame_rate, help="frames per second of the latents")
     common(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("pipeline", formatter_class=fmt, help="filter and cut a clip manifest")
     p.add_argument("manifest_in", type=str, help="input manifest path")
     p.add_argument("manifest_out", type=str, help="output manifest path")
-    p.add_argument("--min-av", type=float, default=0.2, help="minimum audio-video alignment score")
-    p.add_argument("--min-sem", type=float, default=0.3, help="minimum semantic score")
+    p.add_argument("--min-av", type=float, default=policy.min_av_align, help="minimum audio-video alignment score")
+    p.add_argument("--min-sem", type=float, default=policy.min_semantic, help="minimum semantic score")
     p.add_argument("--keep-speech", action="store_true", help="keep records flagged as speech")
     p.add_argument("--keep-bgm", action="store_true", help="keep records flagged as background music")
     p.add_argument("--report", type=str, default=None, help="also write the drop report to this file")

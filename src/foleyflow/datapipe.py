@@ -17,21 +17,20 @@ through unchanged, which makes the pipeline idempotent on its own output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, FormatError
-from .metrics import EvalConfig, envelope_alignment
+from .errors import ConfigError, ContractError, FormatError
+from .metrics import envelope_alignment
 
 MANIFEST_HEADER = "#ysnd-manifest v1"
 
 DROP_REASONS = ("unscored", "alignment", "semantic", "speech", "bgm")
 
 _LABEL_FORBIDDEN = set(",;:")
-
-_ALIGNMENT = EvalConfig()  # peak threshold, separation and match window of score_alignment
 
 
 @dataclass(frozen=True)
@@ -74,6 +73,12 @@ class FilterPolicy:
     min_semantic: float = 0.3
     drop_speech: bool = True
     drop_bgm: bool = True
+
+    def __post_init__(self):
+        for name in ("min_av_align", "min_semantic"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +185,7 @@ def score_alignment(
             raise ContractError(
                 f"{record.clip_id}: {name} envelope covers {covered:.3f}s of a {record.duration:.3f}s clip"
             )
-    score = envelope_alignment(audio_env, frame_rate, video_env, frame_rate, _ALIGNMENT)
+    score = envelope_alignment(audio_env, frame_rate, video_env, frame_rate)
     return replace(record, av_align_score=score)
 
 

@@ -56,8 +56,8 @@ class SamplerConfig:
             raise ConfigError(f"nfe must be >= 1, got {self.nfe}")
         if not (SWAY_MIN <= self.sway_coef <= SWAY_MAX):
             raise ConfigError(f"sway_coef {self.sway_coef} outside [{SWAY_MIN}, {SWAY_MAX:.6f}]")
-        if self.guidance_scale < 0:
-            raise ConfigError(f"guidance_scale must be >= 0, got {self.guidance_scale}")
+        if not (0.0 <= self.guidance_scale < math.inf):
+            raise ConfigError(f"guidance_scale must be finite and >= 0, got {self.guidance_scale}")
 
 
 def sway_schedule(nfe: int, sway_coef: float) -> np.ndarray:
@@ -104,7 +104,7 @@ def cfm_loss(model, batch, rng: SeededRng) -> Tensor:
 
 
 def _is_unconditional(cond: ConditionBundle) -> bool:
-    return not cond.text_kept and not cond.video_kept and cond.extra_tokens is None
+    return cond.text_emb is None and cond.video_feat is None and cond.extra_tokens is None
 
 
 def guided_velocity(model, x_t, t: float, cond: ConditionBundle, guidance_scale: float) -> np.ndarray:

@@ -19,6 +19,7 @@ Lower is better for the first three columns, higher for the rest.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,6 +34,16 @@ from .providers import SyntheticClassifier, SyntheticEmbedder
 _PSD_TOLERANCE = 1e-6
 _PROB_FLOOR = 1e-12
 
+# onset detection and matching: peaks reach PEAK_THRESHOLD of the envelope
+# maximum and lie MIN_SEPARATION s apart; matched onsets lie within
+# MATCH_WINDOW s of each other
+PEAK_THRESHOLD = 0.3
+MIN_SEPARATION = 0.1
+MATCH_WINDOW = 0.1
+# widths of the synthetic embedding and classifier stand-ins
+EMBED_DIM = 8
+N_CLASSES = 8
+
 REPORT_COLUMNS = ("FAD", "FD", "KL-sigmoid", "IS", "CLIP", "AV")
 
 
@@ -45,7 +56,6 @@ class EmbeddingSet:
     """n embedding vectors from one provider, as an (n, d) array."""
 
     vectors: np.ndarray
-    provider_id: str = ""
 
     def __post_init__(self):
         arr = np.asarray(self.vectors, dtype=np.float64)
@@ -216,8 +226,8 @@ def energy_envelope(latent: np.ndarray) -> np.ndarray:
 def detect_peaks(
     envelope: np.ndarray,
     frame_rate: float,
-    threshold_rel: float = 0.3,
-    min_separation: float = 0.1,
+    threshold_rel: float = PEAK_THRESHOLD,
+    min_separation: float = MIN_SEPARATION,
 ) -> PeakTrain:
     """Local maxima at or above threshold_rel * max(envelope).
 
@@ -274,13 +284,11 @@ def av_align(audio_peaks: PeakTrain, video_peaks: PeakTrain, window: float) -> f
     return matched / (len(a) + len(v) - matched)
 
 
-def envelope_alignment(env_a, rate_a: float, env_b, rate_b: float, config: "EvalConfig") -> float:
+def envelope_alignment(env_a, rate_a: float, env_b, rate_b: float) -> float:
     """av_align of the detect_peaks trains of two envelopes, each at its own
-    frame rate, under config's threshold, separation and match window: the
-    refiner's temporal reward, the AV column and the pipeline's score."""
-    peaks_a = detect_peaks(env_a, rate_a, config.peak_threshold, config.min_separation)
-    peaks_b = detect_peaks(env_b, rate_b, config.peak_threshold, config.min_separation)
-    return av_align(peaks_a, peaks_b, config.match_window)
+    frame rate, within MATCH_WINDOW: the refiner's temporal reward, the AV
+    column and the pipeline's score."""
+    return av_align(detect_peaks(env_a, rate_a), detect_peaks(env_b, rate_b), MATCH_WINDOW)
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +298,10 @@ def envelope_alignment(env_a, rate_a: float, env_b, rate_b: float, config: "Eval
 @dataclass(frozen=True)
 class EvalConfig:
     frame_rate: float = 16.0
-    peak_threshold: float = 0.3
-    min_separation: float = 0.1
-    match_window: float = 0.1
-    embed_dim: int = 8
-    n_classes: int = 8
 
     def __post_init__(self):
-        if self.frame_rate <= 0:
-            raise ContractError(f"frame_rate must be > 0, got {self.frame_rate}")
-        if self.match_window <= 0:
-            raise ContractError(f"match_window must be > 0, got {self.match_window}")
+        if not (0.0 < self.frame_rate < math.inf):
+            raise ContractError(f"frame_rate must be finite and > 0, got {self.frame_rate}")
 
 
 @dataclass(frozen=True)
@@ -313,12 +314,12 @@ class EvalProviders:
     shared: SyntheticEmbedder
 
 
-def default_eval_providers(config: EvalConfig) -> EvalProviders:
+def default_eval_providers() -> EvalProviders:
     return EvalProviders(
-        fidelity=SyntheticEmbedder("audio-fidelity", config.embed_dim),
-        distribution=SyntheticEmbedder("audio-distribution", config.embed_dim),
-        classifier=SyntheticClassifier("audio-tagger", config.n_classes),
-        shared=SyntheticEmbedder("shared-space", config.embed_dim),
+        fidelity=SyntheticEmbedder("audio-fidelity", EMBED_DIM),
+        distribution=SyntheticEmbedder("audio-distribution", EMBED_DIM),
+        classifier=SyntheticClassifier("audio-tagger", N_CLASSES),
+        shared=SyntheticEmbedder("shared-space", EMBED_DIM),
     )
 
 
@@ -377,12 +378,12 @@ def evaluate_set(gen_dir: str, ref_dir: str, providers: EvalProviders, config: E
     ref_seqs = [ref[cid] for cid in shared_ids]
 
     fad = frechet_distance(
-        EmbeddingSet(providers.fidelity.embed_set(gen_seqs), providers.fidelity.provider_id),
-        EmbeddingSet(providers.fidelity.embed_set(ref_seqs), providers.fidelity.provider_id),
+        EmbeddingSet(providers.fidelity.embed_set(gen_seqs)),
+        EmbeddingSet(providers.fidelity.embed_set(ref_seqs)),
     )
     fd = frechet_distance(
-        EmbeddingSet(providers.distribution.embed_set(gen_seqs), providers.distribution.provider_id),
-        EmbeddingSet(providers.distribution.embed_set(ref_seqs), providers.distribution.provider_id),
+        EmbeddingSet(providers.distribution.embed_set(gen_seqs)),
+        EmbeddingSet(providers.distribution.embed_set(ref_seqs)),
     )
     gen_posts = sigmoid_calibrate(np.stack([providers.classifier.scores(s) for s in gen_seqs]))
     ref_posts = sigmoid_calibrate(np.stack([providers.classifier.scores(s) for s in ref_seqs]))
@@ -395,7 +396,7 @@ def evaluate_set(gen_dir: str, ref_dir: str, providers: EvalProviders, config: E
     for cid, gseq, rseq in zip(shared_ids, gen_seqs, ref_seqs):
         clip_scores.append(clip_style_score(providers.shared.embed(gseq), providers.shared.embed(rseq)))
         g_env, r_env = energy_envelope(gseq), energy_envelope(rseq)
-        av_scores.append(envelope_alignment(g_env, config.frame_rate, r_env, config.frame_rate, config))
+        av_scores.append(envelope_alignment(g_env, config.frame_rate, r_env, config.frame_rate))
         details.append(PairDetail(clip_id=cid, gen_envelope=g_env, ref_envelope=r_env))
 
     values = {

@@ -62,27 +62,21 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class ConditionBundle:
-    """Conditioning for one generation: optional text and video, keep flags.
+    """Conditioning for one generation: optional text and video features.
 
-    A kept modality must carry its features. A dropped modality may still
-    carry stale buffers; the model never reads them (the text side falls
-    back to a learned null token, the video side is bypassed).
-    extra_tokens, when present, are appended to the cross-attention token
-    list in text-embedding space regardless of the keep flags.
+    A modality is kept exactly when its features are present. A dropped
+    text falls back to a learned null token; a dropped video bypasses the
+    video tower. ConditionBundle() is the unconditional branch of
+    classifier-free guidance. extra_tokens, when present, are appended to
+    the cross-attention token list in text-embedding space.
     Features are never differentiated: each is stored as a float64 array.
     """
 
     text_emb: object = None
     video_feat: object = None
-    text_kept: bool = False
-    video_kept: bool = False
     extra_tokens: object = None
 
     def __post_init__(self):
-        if self.text_kept and self.text_emb is None:
-            raise ContractError("text_kept=True requires text_emb")
-        if self.video_kept and self.video_feat is None:
-            raise ContractError("video_kept=True requires video_feat")
         for name in ("text_emb", "video_feat", "extra_tokens"):
             value = getattr(self, name)
             if value is not None:
@@ -309,11 +303,12 @@ class TwoTowerModel:
         cfg = self.config
         items = []
         for cond in conds:
-            lead = _feature_rows(cond.text_emb, "text_emb", cfg.d_text, "d_text") if cond.text_kept else None
-            rows = [np.zeros((1, cfg.d_text)) if lead is None else lead]
+            uses_null = cond.text_emb is None
+            lead = np.zeros((1, cfg.d_text)) if uses_null else cond.text_emb
+            rows = [_feature_rows(lead, "text_emb", cfg.d_text, "d_text")]
             if cond.extra_tokens is not None:
                 rows.append(_feature_rows(cond.extra_tokens, "extra_tokens", cfg.d_text, "d_text"))
-            items.append((np.concatenate(rows), lead is None))
+            items.append((np.concatenate(rows), uses_null))
         width = max(tokens.shape[0] for tokens, _ in items)
         const = np.zeros((len(items), width, cfg.d_text))
         null = np.zeros((len(items), width, 1))
@@ -344,7 +339,7 @@ class TwoTowerModel:
             )
         t_emb = self.embed_timestep(times)
         text_h, text_mask = self._text_tokens(conds)
-        video = [b for b, cond in enumerate(conds) if cond.video_kept]
+        video = [b for b, cond in enumerate(conds) if cond.video_feat is not None]
         feats = [_feature_rows(conds[b].video_feat, "video_feat", cfg.d_video_feat, "d_video_feat") for b in video]
 
         h_a = self.audio_in(x) + self.audio_pos
@@ -354,7 +349,7 @@ class TwoTowerModel:
             h_v = self.video_in(Tensor(frames)) + self.video_pos
             t_emb_v = gather_rows(t_emb, video)
             # items without video keep their audio stream through the mixers
-            no_video = Tensor(np.array([0.0 if cond.video_kept else 1.0 for cond in conds]).reshape(n, 1, 1))
+            no_video = Tensor(np.array([float(cond.video_feat is None) for cond in conds]).reshape(n, 1, 1))
             self.video_tower_invocations += 1
 
         for i in range(cfg.n_layers):

@@ -96,34 +96,21 @@ class ToyClip:
 
     clip_id: str
     x1: np.ndarray          # (t_audio, d_audio_latent)
-    text_emb: np.ndarray    # (n_tokens, d_text)
-    video_feat: np.ndarray  # (t_video, d_video_feat)
+    text_emb: np.ndarray    # (2, d_text)
+    video_feat: np.ndarray  # (t_audio, d_video_feat)
     event_frames: tuple = field(default=())
 
 
-def make_toy_clips(
-    n_clips: int,
-    t_audio: int,
-    d_audio: int,
-    d_video: int,
-    d_text: int,
-    seed: int,
-    t_video: int | None = None,
-    n_tokens: int = 2,
-    events_per_clip: int = 2,
-    background: float = 0.05,
-    amplitude: float = 2.0,
-) -> list[ToyClip]:
+def make_toy_clips(n_clips: int, t_audio: int, d_audio: int, d_video: int, d_text: int, seed: int) -> list[ToyClip]:
     """Build clips whose audio energy spikes where the video spikes.
 
-    Each clip gets events_per_clip event frames; at each event the video
-    features and the audio latent both receive a large spike along a fixed
-    global direction, over a small noise floor. The video -> audio mapping
-    is therefore the same for every clip while event times vary, which is
-    what a conditional generator has to pick up.
+    Each clip gets two event frames; at each event the video features and
+    the audio latent both receive a spike of about 2 along a fixed global
+    direction, over a 0.05 noise floor, and the video has t_audio frames.
+    The video -> audio mapping is therefore the same for every clip while
+    event times vary, which is what a conditional generator has to pick up.
+    Each clip's text is two tokens.
     """
-    if t_video is None:
-        t_video = t_audio
     if t_audio < 8:
         raise ContractError(f"toy clips need t_audio >= 8, got {t_audio}")
     dir_rng = SeededRng(derive_seed(seed, "toyset", "directions"))
@@ -138,21 +125,19 @@ def make_toy_clips(
         lo, hi = 2, t_audio - 2
         frames: list[int] = []
         attempts = 0
-        while len(frames) < events_per_clip and attempts < 200:
+        while len(frames) < 2 and attempts < 200:
             cand = lo + rng.integers(hi - lo)
             attempts += 1
             if all(abs(cand - f) >= 6 for f in frames):
                 frames.append(cand)
         frames.sort()
 
-        x1 = rng.normal((t_audio, d_audio)) * background
-        video = rng.normal((t_video, d_video)) * background
+        x1 = rng.normal((t_audio, d_audio)) * 0.05
+        video = rng.normal((t_audio, d_video)) * 0.05
         for f in frames:
-            amp = amplitude * (0.9 + 0.2 * rng.uniform())
-            x1[f] += amp * g_audio
-            fv = min(int(f * t_video / t_audio), t_video - 1)
-            video[fv] += amplitude * g_video
-        text = rng.normal((n_tokens, d_text)) * 0.5
+            x1[f] += 2.0 * (0.9 + 0.2 * rng.uniform()) * g_audio
+            video[f] += 2.0 * g_video
+        text = rng.normal((2, d_text)) * 0.5
         clips.append(
             ToyClip(
                 clip_id=f"clip{i:03d}",

@@ -26,27 +26,30 @@ from .metrics import (
 from .model import ConditionBundle
 from .rng import SeededRng, derive_seed, string_seed
 
+# width of the pooled signal embedding
+_D_SIGNAL = 16
+# reward component weights; they sum to 1 and renormalize over the
+# components that apply to a candidate
+REWARD_WEIGHTS = {"temporal": 0.5, "semantic": 0.4, "smoothness": 0.1}
+
 
 def _fixed_projection(tag: str, d_in: int, d_out: int) -> np.ndarray:
     rng = SeededRng(derive_seed(string_seed("refiner"), tag, d_in, d_out))
     return rng.normal((d_in, d_out)) / np.sqrt(d_in)
 
 
-def extract_signal(cond: ConditionBundle, coarse: np.ndarray, d_signal: int = 16) -> np.ndarray:
-    """Pool conditions and the coarse output into a d_signal vector.
+def extract_signal(cond: ConditionBundle, coarse: np.ndarray) -> np.ndarray:
+    """Pool conditions and the coarse output into a _D_SIGNAL-wide vector.
 
     Mean and max over time of the video features and of the coarse
     latents, concatenated with the mean-pooled text embedding, then a
     fixed seeded linear projection (no bias, so all-zero inputs map to
     the zero signal). Absent modalities contribute zeros of their slot.
     """
-    if d_signal < 1:
-        raise ContractError(f"d_signal must be >= 1, got {d_signal}")
     coarse_arr = np.asarray(coarse, dtype=np.float64)
     if coarse_arr.ndim != 2:
         raise ContractError("extract_signal needs a 2-D coarse latent sequence")
-    video = cond.video_feat if cond.video_kept else None
-    text = cond.text_emb if cond.text_kept else None
+    video, text = cond.video_feat, cond.text_emb
 
     vid_dim = video.shape[1] if video is not None else 0
     txt_dim = text.shape[1] if text is not None else 0
@@ -56,7 +59,7 @@ def extract_signal(cond: ConditionBundle, coarse: np.ndarray, d_signal: int = 16
         text.mean(axis=0) if text is not None else np.zeros(0),
     ]
     pooled = np.concatenate(segments)
-    proj = _fixed_projection(f"signal-project/v{vid_dim}/t{txt_dim}", pooled.size, d_signal)
+    proj = _fixed_projection(f"signal-project/v{vid_dim}/t{txt_dim}", pooled.size, _D_SIGNAL)
     return pooled @ proj
 
 
@@ -68,31 +71,13 @@ def signal_token(signal: np.ndarray, d_text: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RewardWeights:
-    temporal: float = 0.5
-    semantic: float = 0.4
-    smoothness: float = 0.1
-
-    def __post_init__(self):
-        total = self.temporal + self.semantic + self.smoothness
-        if abs(total - 1.0) > 1e-9:
-            raise ContractError(f"reward weights must sum to 1, got {total}")
-
-
-@dataclass(frozen=True)
 class RewardReport:
     components: dict
     weights: dict
     aggregate: float
 
 
-def reward(
-    candidate: np.ndarray,
-    cond: ConditionBundle,
-    providers: EvalProviders,
-    config: EvalConfig,
-    weights: RewardWeights = RewardWeights(),
-) -> RewardReport:
+def reward(candidate: np.ndarray, cond: ConditionBundle, providers: EvalProviders, config: EvalConfig) -> RewardReport:
     """Score one candidate against its conditions.
 
     temporal    peak alignment between the candidate envelope and the
@@ -102,20 +87,19 @@ def reward(
                 zero-norm side scores 0 rather than erroring, since the
                 refiner must rank arbitrary candidates.
     smoothness  1 - mean squared frame difference, floored at 0.
-    Weights renormalize over the components that apply.
+    REWARD_WEIGHTS renormalize over the components that apply.
     """
     cand = np.asarray(candidate, dtype=np.float64)
     if cand.ndim != 2:
         raise ContractError("reward needs a 2-D candidate latent sequence")
-    video = cond.video_feat if cond.video_kept else None
-    text = cond.text_emb if cond.text_kept else None
+    video, text = cond.video_feat, cond.text_emb
 
     components: dict = {}
     if video is not None:
         duration = cand.shape[0] / config.frame_rate
         video_rate = video.shape[0] / duration
         components["temporal"] = envelope_alignment(
-            energy_envelope(cand), config.frame_rate, energy_envelope(video), video_rate, config
+            energy_envelope(cand), config.frame_rate, energy_envelope(video), video_rate
         )
 
     anchor = video if video is not None else text
@@ -131,8 +115,7 @@ def reward(
     msd = float(np.mean(frame_diff * frame_diff)) if frame_diff.size else 0.0
     components["smoothness"] = max(0.0, 1.0 - msd)
 
-    raw = {"temporal": weights.temporal, "semantic": weights.semantic, "smoothness": weights.smoothness}
-    present = {name: raw[name] for name in components}
+    present = {name: REWARD_WEIGHTS[name] for name in components}
     total = sum(present.values())
     used = {name: w / total for name, w in present.items()}
     aggregate = sum(used[name] * components[name] for name in components)
@@ -164,8 +147,6 @@ def refine(
     sampler_cfg: flow.SamplerConfig,
     providers: EvalProviders | None = None,
     config: EvalConfig | None = None,
-    weights: RewardWeights = RewardWeights(),
-    d_signal: int = 16,
     sample_fn=None,
 ) -> RefineResult:
     """Sample k signal-conditioned candidates and keep the best by reward.
@@ -182,14 +163,14 @@ def refine(
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
     config = config if config is not None else EvalConfig()
-    providers = providers if providers is not None else default_eval_providers(config)
+    providers = providers if providers is not None else default_eval_providers()
     sample_fn = sample_fn if sample_fn is not None else flow.sample_many
 
     coarse_arr = np.asarray(coarse, dtype=np.float64)
-    signal = extract_signal(cond, coarse_arr, d_signal=d_signal)
+    signal = extract_signal(cond, coarse_arr)
     cond_aug = replace(cond, extra_tokens=signal_token(signal, model.config.d_text))
 
-    coarse_report = reward(coarse_arr, cond, providers, config, weights)
+    coarse_report = reward(coarse_arr, cond, providers, config)
     best_arr, best_report, picked = coarse_arr, coarse_report, "coarse"
 
     seeds = [derive_seed(sampler_cfg.seed, "candidate", i) for i in range(k)]
@@ -199,7 +180,7 @@ def refine(
         if isinstance(candidate, DivergenceError):
             trace.append(TraceEntry(index=i, seed=seed_i, error=str(candidate)))
             continue
-        cand_report = reward(candidate, cond, providers, config, weights)
+        cand_report = reward(candidate, cond, providers, config)
         trace.append(TraceEntry(index=i, seed=seed_i, report=cand_report))
         if cand_report.aggregate > best_report.aggregate:
             best_arr, best_report, picked = candidate, cand_report, f"candidate:{i}"

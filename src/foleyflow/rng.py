@@ -46,15 +46,17 @@ class SeededRng:
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.Philox(self.seed))
 
-    def normal(self, shape=None, mean: float = 0.0, std: float = 1.0):
+    def normal(self, shape=None):
+        """Standard normal draws."""
         if shape is None:
-            return float(self._gen.normal(mean, std))
-        return self._gen.normal(mean, std, size=shape)
+            return float(self._gen.normal(0.0, 1.0))
+        return self._gen.normal(0.0, 1.0, size=shape)
 
-    def uniform(self, shape=None, low: float = 0.0, high: float = 1.0):
+    def uniform(self, shape=None):
+        """Uniform draws in [0, 1)."""
         if shape is None:
-            return float(self._gen.uniform(low, high))
-        return self._gen.uniform(low, high, size=shape)
+            return float(self._gen.uniform(0.0, 1.0))
+        return self._gen.uniform(0.0, 1.0, size=shape)
 
     def bernoulli(self, p: float, shape=None):
         if shape is None:

@@ -11,6 +11,7 @@ gets trained without a separate mechanism.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,31 +77,26 @@ def stage_preset(stage_id: int, steps: int | None = None) -> StageConfig:
     )
 
 
+# Adam's moment decay rates and denominator floor
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    lr: float = 3e-5
-    betas: tuple = (0.9, 0.999)
-    eps: float = 1e-8
+    """Defaults sized for the toy curriculum."""
+
+    lr: float = 3e-3
     grad_clip_norm: float = 0.2
     batch_size: int = 8
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
-        b1, b2 = self.betas
-        if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
-            raise ConfigError(f"betas must lie in [0, 1), got {self.betas}")
-        if self.eps <= 0:
-            raise ConfigError(f"eps must be > 0, got {self.eps}")
-        if self.grad_clip_norm <= 0:
-            raise ConfigError(f"grad_clip_norm must be > 0, got {self.grad_clip_norm}")
+        for name in ("lr", "grad_clip_norm"):
+            value = getattr(self, name)
+            if not (0.0 < value < math.inf):
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-
-
-def toy_optimizer() -> OptimizerConfig:
-    """Optimizer settings sized for the toy curriculum."""
-    return OptimizerConfig(lr=3e-3, batch_size=8)
 
 
 @dataclass(frozen=True)
@@ -159,6 +155,7 @@ def draw_batch(stage: StageConfig, datasets: dict, rng: SeededRng, batch_size: i
             raise ConfigError(f"stage {stage.stage_id} mix needs dataset {tag!r}, which is missing or empty")
     weights = np.array([stage.mix[t] for t in tags], dtype=np.float64)
     cumulative = np.cumsum(weights / weights.sum())
+    cumulative[-1] = 1.0  # round-off can leave it below a draw in [0, 1)
 
     batch = []
     for _ in range(batch_size):
@@ -170,8 +167,6 @@ def draw_batch(stage: StageConfig, datasets: dict, rng: SeededRng, batch_size: i
         cond = ConditionBundle(
             text_emb=clip.text_emb if text_kept else None,
             video_feat=clip.video_feat if video_kept else None,
-            text_kept=text_kept,
-            video_kept=video_kept,
         )
         batch.append(DrawnSample(x1=clip.x1, cond=cond, tag=tag))
     return batch
@@ -213,7 +208,7 @@ def adam_step(params: dict, grads: dict, opt_cfg: OptimizerConfig, state: AdamSt
         if g is not None and not np.all(np.isfinite(g)):
             raise DivergenceError(f"non-finite gradient for {name} at optimizer step {t}", step=t)
     state.step = t
-    b1, b2 = opt_cfg.betas
+    b1, b2 = ADAM_BETAS
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -230,7 +225,7 @@ def adam_step(params: dict, grads: dict, opt_cfg: OptimizerConfig, state: AdamSt
         v += (1.0 - b2) * (g * g)
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
-        p.data -= opt_cfg.lr * m_hat / (np.sqrt(v_hat) + opt_cfg.eps)
+        p.data -= opt_cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def run_stage(
@@ -242,7 +237,6 @@ def run_stage(
     sink=None,
     start_step: int = 0,
     checkpoint_path: str | None = None,
-    adam_state: AdamState | None = None,
 ) -> list:
     """Run one curriculum stage and return its TrainEvents.
 
@@ -252,7 +246,7 @@ def run_stage(
     checkpoint_path, when given, before raising.
     """
     events: list = []
-    state = adam_state if adam_state is not None else AdamState()
+    state = AdamState()
     params = model.parameters()
 
     for i in range(stage.steps):
@@ -280,8 +274,8 @@ def run_stage(
             loss=loss_value,
             grad_norm_preclip=pre_norm,
             mix_draw=first.tag,
-            text_kept=first.cond.text_kept,
-            video_kept=first.cond.video_kept,
+            text_kept=first.cond.text_emb is not None,
+            video_kept=first.cond.video_feat is not None,
         )
         events.append(event)
         if sink is not None:

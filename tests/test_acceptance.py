@@ -86,7 +86,7 @@ def toy_run():
     datasets = {t: clips for t in (training.TAG_T2A, training.TAG_TV2A, training.TAG_V2A)}
     stages = [training.stage_preset(s) for s in (1, 2, 3)]
     events = []
-    training.run_curriculum(model, stages, training.toy_optimizer(), datasets, seed=0, sink=events.append)
+    training.run_curriculum(model, stages, training.OptimizerConfig(), datasets, seed=0, sink=events.append)
     return model, clips, events, time.monotonic() - start
 
 
@@ -157,8 +157,6 @@ def test_criterion_1_gradients():
     cond = ConditionBundle(
         text_emb=Tensor(jit.normal((2, SMALL.d_text))),
         video_feat=Tensor(jit.normal((SMALL.t_audio, SMALL.d_video_feat))),
-        text_kept=True,
-        video_kept=True,
     )
     x_t = jit.normal((1, SMALL.t_audio, SMALL.d_audio_latent))
     target = Tensor(jit.normal((1, SMALL.t_audio, SMALL.d_audio_latent)))
@@ -207,7 +205,7 @@ def test_criterion_2_mixer():
     x_t = rng.normal((1, cfg.t_audio, cfg.d_audio_latent))
     outs = []
     for video in (rng.normal((cfg.t_audio, cfg.d_video_feat)), rng.normal((4, cfg.d_video_feat)) * 10.0, None):
-        cond = ConditionBundle(video_feat=Tensor(video) if video is not None else None, video_kept=video is not None)
+        cond = ConditionBundle(video_feat=Tensor(video) if video is not None else None)
         outs.append(model(Tensor(x_t.copy()), [0.4], [cond]).data)
     assert np.max(np.abs(outs[0] - outs[1])) <= 1e-12
     assert np.max(np.abs(outs[0] - outs[2])) <= 1e-12
@@ -236,12 +234,12 @@ def test_criterion_3_curriculum_statistics():
         assert abs(observed - frac) <= sigma(frac, n), f"{tag}: {observed} vs {frac}"
 
     # forced rules are absolute, free flags are Bernoulli at the stage rates
-    assert not any(s.cond.text_kept for s in batch if s.tag == training.TAG_V2A)
-    assert not any(s.cond.video_kept for s in batch if s.tag == training.TAG_T2A)
+    assert not any(s.cond.text_emb is not None for s in batch if s.tag == training.TAG_V2A)
+    assert not any(s.cond.video_feat is not None for s in batch if s.tag == training.TAG_T2A)
     text_free = [s for s in batch if s.tag != training.TAG_V2A]
     video_free = [s for s in batch if s.tag != training.TAG_T2A]
-    text_rate = sum(s.cond.text_kept for s in text_free) / len(text_free)
-    video_rate = sum(s.cond.video_kept for s in video_free) / len(video_free)
+    text_rate = sum(s.cond.text_emb is not None for s in text_free) / len(text_free)
+    video_rate = sum(s.cond.video_feat is not None for s in video_free) / len(video_free)
     assert abs(text_rate - stage.p_keep_text) <= sigma(stage.p_keep_text, len(text_free))
     assert abs(video_rate - stage.p_keep_video) <= sigma(stage.p_keep_video, len(video_free))
 
@@ -255,13 +253,13 @@ def test_criterion_3_curriculum_statistics():
 
 @criterion(4, "post-clip norm <= 0.2 across 300 toy steps; Adam closed form to 1e-12")
 def test_criterion_4_optimizer_contract():
-    opt_cfg = training.toy_optimizer()
+    opt_cfg = training.OptimizerConfig()
 
     # closed-form first step: v_hat = g^2, so the update is lr * g / (|g| + eps)
     w = Tensor(np.array([0.7]), requires_grad=True)
     g = np.array([0.3])
     training.adam_step({"w": w}, {"w": g}, opt_cfg, training.AdamState())
-    expected = 0.7 - opt_cfg.lr * (0.3 / (abs(0.3) + opt_cfg.eps))
+    expected = 0.7 - opt_cfg.lr * (0.3 / (abs(0.3) + training.ADAM_EPS))
     assert abs(float(w.data[0]) - expected) <= 1e-12
 
     # 300-step toy run, measuring the clipped gradients directly
@@ -306,23 +304,18 @@ def test_criterion_5_toy_overfit(toy_run):
     assert last50 < 0.5 * first50, f"loss went {first50:.4f} -> {last50:.4f}"
 
     frame_rate = 16.0
-    econf = metrics.EvalConfig(frame_rate=frame_rate)
     cond_scores, uncond_scores = [], []
     for i in range(8):
         clip = clips[i]
         scfg = flow.SamplerConfig(nfe=32, sway_coef=-1.0, guidance_scale=2.0, seed=1000 + i)
-        cond = ConditionBundle(video_feat=Tensor(clip.video_feat), video_kept=True)
+        cond = ConditionBundle(video_feat=Tensor(clip.video_feat))
         duration = model.config.t_audio / frame_rate
         video_rate = clip.video_feat.shape[0] / duration
-        video_peaks = metrics.detect_peaks(
-            metrics.energy_envelope(clip.video_feat), video_rate, econf.peak_threshold, econf.min_separation
-        )
+        video_peaks = metrics.detect_peaks(metrics.energy_envelope(clip.video_feat), video_rate)
         for bundle, bucket in ((cond, cond_scores), (ConditionBundle(), uncond_scores)):
             latent = flow.sample(model, bundle, scfg)
-            peaks = metrics.detect_peaks(
-                metrics.energy_envelope(latent), frame_rate, econf.peak_threshold, econf.min_separation
-            )
-            bucket.append(metrics.av_align(peaks, video_peaks, econf.match_window))
+            peaks = metrics.detect_peaks(metrics.energy_envelope(latent), frame_rate)
+            bucket.append(metrics.av_align(peaks, video_peaks, metrics.MATCH_WINDOW))
 
     mean_cond = float(np.mean(cond_scores))
     mean_uncond = float(np.mean(uncond_scores))
@@ -394,8 +387,7 @@ def test_criterion_7_metric_fixtures(tmp_path):
     for i in range(2):
         latent = SeededRng(100 + i).normal((16, 8)) * 2.0
         container.write_latents(str(gen_dir / f"clip{i}{metrics.LATENT_EXTENSION}"), {metrics.LATENT_RECORD: latent})
-    econf = metrics.EvalConfig()
-    report = metrics.evaluate_set(str(gen_dir), str(gen_dir), metrics.default_eval_providers(econf), econf)
+    report = metrics.evaluate_set(str(gen_dir), str(gen_dir), metrics.default_eval_providers(), metrics.EvalConfig())
     assert report.values["FAD"] == 0.0
     assert report.values["AV"] == 1.0
 
@@ -478,8 +470,6 @@ def test_criterion_9_refiner_guarantee():
         cond = ConditionBundle(
             text_emb=Tensor(rng.normal((2, SMALL.d_text))) if with_text else None,
             video_feat=Tensor(rng.normal((6, SMALL.d_video_feat))) if with_video else None,
-            text_kept=with_text,
-            video_kept=with_video,
         )
         coarse = rng.normal((SMALL.t_audio, SMALL.d_audio_latent))
         result = refine(model, cond, coarse, k=1, sampler_cfg=flow.SamplerConfig(nfe=4, seed=trial))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -377,3 +378,47 @@ def test_console_script_help():
     assert proc.returncode == 0
     for command in ("train", "sample", "eval", "pipeline", "refine"):
         assert command in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# non-finite settings
+
+
+@pytest.mark.parametrize(
+    "command,flag,value,setting",
+    [
+        ("train", "--lr", "nan", "lr"),
+        ("train", "--clip-norm", "inf", "grad_clip_norm"),
+        ("sample", "--guidance", "nan", "guidance_scale"),
+        ("sample", "--guidance", "inf", "guidance_scale"),
+        ("sample", "--frame-rate", "nan", "frame_rate"),
+        ("refine", "--guidance", "nan", "guidance_scale"),
+        ("eval", "--frame-rate", "nan", "frame_rate"),
+        ("pipeline", "--min-av", "nan", "min_av_align"),
+        ("pipeline", "--min-sem", "nan", "min_semantic"),
+    ],
+)
+def test_non_finite_setting_is_rejected(workdir, checkpoint, latent, manifest, capsys, command, flag, value, setting):
+    out = workdir / f"nonfinite-{command}{flag}-{value}"
+    gen_dir = workdir / "nonfinite-gen"
+    gen_dir.mkdir(exist_ok=True)
+    for name in ("a", "b"):
+        (gen_dir / f"{name}.ysnd").write_bytes(Path(latent).read_bytes())
+    argv = {
+        "train": ["train", "--stages", "1", "--steps", "2", "--data-clips", "4", "--out", str(out)],
+        "sample": ["sample", "--checkpoint", checkpoint, "--out", str(out), "--nfe", "2"],
+        "refine": ["refine", "--checkpoint", checkpoint, "--coarse", latent, "--out", str(out), "--nfe", "2"],
+        "eval": ["eval", str(gen_dir), str(gen_dir), "--out", str(out)],
+        "pipeline": ["pipeline", str(manifest), str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + [flag, value]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["kind"] in ("ConfigError", "ContractError")
+    assert setting in error["message"]
+    assert captured.out == ""
+    # nothing is written: no checkpoint, latent, sidecar, report or manifest
+    assert sorted(workdir.glob(out.name + "*")) == []

@@ -22,7 +22,7 @@ from foleyflow.datapipe import (
     score_alignment,
     write_manifest,
 )
-from foleyflow.errors import ContractError, FormatError
+from foleyflow.errors import ConfigError, ContractError, FormatError
 
 
 def _record(**overrides):
@@ -196,6 +196,14 @@ def test_drop_reason_order_is_canonical():
 def test_policy_thresholds_are_inclusive():
     policy = FilterPolicy(min_av_align=0.2, min_semantic=0.3)
     assert drop_reason(_record(av_align_score=0.2, semantic_score=0.3), policy) is None
+
+
+def test_policy_rejects_non_finite_thresholds():
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigError):
+            FilterPolicy(min_av_align=bad)
+        with pytest.raises(ConfigError):
+            FilterPolicy(min_semantic=bad)
 
 
 def test_policy_keep_flags():

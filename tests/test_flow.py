@@ -117,6 +117,9 @@ def test_sampler_config_validation():
         SamplerConfig(sway_coef=-2.0)
     with pytest.raises(ConfigError):
         SamplerConfig(guidance_scale=-0.1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            SamplerConfig(guidance_scale=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +186,13 @@ def test_cfm_loss_empty_batch_raises():
 def _branching_stub():
     # conditional branch returns x + 1, unconditional x - 1
     def fn(x, t, cond):
-        return x + 1.0 if cond.text_kept else x - 1.0
+        return x + 1.0 if cond.text_emb is not None else x - 1.0
 
     return StubModel(fn)
 
 
 def _textual_cond():
-    return ConditionBundle(text_emb=Tensor(np.zeros((1, STUB_CFG.d_text))), text_kept=True)
+    return ConditionBundle(text_emb=Tensor(np.zeros((1, STUB_CFG.d_text))))
 
 
 def test_guided_velocity_blend_algebra():
@@ -247,8 +250,6 @@ def test_guided_velocity_unconditional_branch_drops_every_condition():
     full = ConditionBundle(
         text_emb=Tensor(np.zeros((1, STUB_CFG.d_text))),
         video_feat=Tensor(np.ones((STUB_CFG.t_audio, STUB_CFG.d_video_feat))),
-        text_kept=True,
-        video_kept=True,
         extra_tokens=extra,
     )
     for cond, w in ((full, 2.0), (full, 0.0), (ConditionBundle(extra_tokens=extra), 2.0)):
@@ -256,7 +257,6 @@ def test_guided_velocity_unconditional_branch_drops_every_condition():
         guided_velocity(StubModel(fn), x, 0.5, cond, w)
         bare = [c for c in seen if c is not cond]
         assert len(bare) == 1, (cond, w)
-        assert not bare[0].text_kept and not bare[0].video_kept
         assert bare[0].text_emb is None and bare[0].video_feat is None and bare[0].extra_tokens is None
 
 
@@ -332,7 +332,7 @@ def test_sample_many_one_call_of_batch_2k_per_step():
     seen = []
 
     def spy(x, t, cond):
-        seen.append(cond.text_kept)
+        seen.append(cond.text_emb is not None)
         return x
 
     model = StubModel(spy)
@@ -371,7 +371,7 @@ class FailAt(StubModel):
 
 def test_sample_many_drops_a_diverged_seed_and_runs_the_rest():
     def fn(x, t, cond):
-        return np.cos(x) + (1.0 if cond.text_kept else -1.0) * t
+        return np.cos(x) + (1.0 if cond.text_emb is not None else -1.0) * t
 
     cfg = SamplerConfig(nfe=5, guidance_scale=2.0)
     seeds = [10, 11, 12, 13]
@@ -408,13 +408,11 @@ def _real_conds():
     video = Tensor(rng.normal((5, REAL_CFG.d_video_feat)))
     token = Tensor(rng.normal((1, REAL_CFG.d_text)))
     return {
-        "text+video": ConditionBundle(text_emb=text, video_feat=video, text_kept=True, video_kept=True),
-        "text": ConditionBundle(text_emb=text, text_kept=True),
-        "video": ConditionBundle(video_feat=video, video_kept=True),
+        "text+video": ConditionBundle(text_emb=text, video_feat=video),
+        "text": ConditionBundle(text_emb=text),
+        "video": ConditionBundle(video_feat=video),
         "unconditional": ConditionBundle(),
-        "text+video+token": ConditionBundle(
-            text_emb=text, video_feat=video, text_kept=True, video_kept=True, extra_tokens=token
-        ),
+        "text+video+token": ConditionBundle(text_emb=text, video_feat=video, extra_tokens=token),
         "token": ConditionBundle(extra_tokens=token),
     }
 

@@ -41,6 +41,12 @@ def test_embedding_set_validation():
         EmbeddingSet(np.array([[np.nan, 0.0]]))
 
 
+def test_eval_config_rejects_bad_frame_rate():
+    for bad in (0.0, -16.0, float("nan"), float("inf")):
+        with pytest.raises(ContractError):
+            EvalConfig(frame_rate=bad)
+
+
 def test_posterior_validation():
     ClassPosterior(np.array([[0.5, 0.5]]))
     with pytest.raises(ContractError):
@@ -326,7 +332,7 @@ def test_evaluate_set_self_is_perfect(tmp_path):
     _write_latents(tmp_path / "gen", items)
     _write_latents(tmp_path / "ref", items)
     config = EvalConfig()
-    report = evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"), default_eval_providers(config), config)
+    report = evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"), default_eval_providers(), config)
     assert report.values["FAD"] == 0.0
     assert report.values["FD"] == 0.0
     assert report.values["KL-sigmoid"] == 0.0
@@ -345,7 +351,7 @@ def test_evaluate_set_lists_missing_and_pairs_by_stem(tmp_path):
     _write_latents(tmp_path / "gen", gen)
     _write_latents(tmp_path / "ref", ref)
     config = EvalConfig()
-    report = evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"), default_eval_providers(config), config)
+    report = evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"), default_eval_providers(), config)
     assert report.n_pairs == 3
     assert report.missing == ("extra (gen only)", "lonely (ref only)")
 
@@ -356,7 +362,7 @@ def test_evaluate_set_needs_two_pairs(tmp_path):
     _write_latents(tmp_path / "ref", items)
     config = EvalConfig()
     with pytest.raises(ContractError, match="2 paired"):
-        evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"), default_eval_providers(config), config)
+        evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"), default_eval_providers(), config)
 
 
 def test_evaluate_set_detects_distribution_shift(tmp_path):
@@ -365,7 +371,7 @@ def test_evaluate_set_detects_distribution_shift(tmp_path):
     _write_latents(tmp_path / "gen", gen)
     _write_latents(tmp_path / "ref", ref)
     config = EvalConfig()
-    report = evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"), default_eval_providers(config), config)
+    report = evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"), default_eval_providers(), config)
     assert report.values["FAD"] > 0.01
     assert report.values["FD"] > 0.01
 
@@ -382,12 +388,12 @@ def test_av_callers_share_envelope_alignment(tmp_path):
     config = EvalConfig()
     fr = config.frame_rate
     pairs = [(_spiky(0, (4, 10, 17)), _spiky(1, (4, 12, 20))), (_spiky(2, (6, 20)), _spiky(3, (7, 14, 26)))]
-    scores = [envelope_alignment(energy_envelope(a), fr, energy_envelope(v), fr, config) for a, v in pairs]
+    scores = [envelope_alignment(energy_envelope(a), fr, energy_envelope(v), fr) for a, v in pairs]
     assert all(0.0 < s < 1.0 for s in scores)
 
-    providers = default_eval_providers(config)
+    providers = default_eval_providers()
     for (audio, video), score in zip(pairs, scores):
-        cond = ConditionBundle(video_feat=video, video_kept=True)
+        cond = ConditionBundle(video_feat=video)
         assert refiner.reward(audio, cond, providers, config).components["temporal"] == score
         record = datapipe.ClipRecord(clip_id="c", duration=audio.shape[0] / fr, events=())
         scored = datapipe.score_alignment(record, energy_envelope(audio), energy_envelope(video), fr)
@@ -404,7 +410,7 @@ def test_render_report_formats(tmp_path):
     _write_latents(tmp_path / "gen", items)
     _write_latents(tmp_path / "ref", items)
     config = EvalConfig()
-    report = evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"), default_eval_providers(config), config)
+    report = evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"), default_eval_providers(), config)
 
     text = render_report(report)
     lines = text.splitlines()

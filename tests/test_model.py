@@ -31,8 +31,6 @@ def _cond(cfg, rng, text=True, video=True, t_video=None):
     return ConditionBundle(
         text_emb=Tensor(rng.normal((2, cfg.d_text))) if text else None,
         video_feat=Tensor(rng.normal((t_video or cfg.t_audio, cfg.d_video_feat))) if video else None,
-        text_kept=text,
-        video_kept=video,
     )
 
 
@@ -60,13 +58,6 @@ def test_config_to_dict_roundtrip():
     assert ModelConfig(**cfg.to_dict()) == cfg
 
 
-def test_bundle_kept_requires_features():
-    with pytest.raises(ContractError):
-        ConditionBundle(text_kept=True)
-    with pytest.raises(ContractError):
-        ConditionBundle(video_kept=True)
-
-
 def test_bundle_stores_float64_arrays_converted_once():
     rng = SeededRng(9)
     text = rng.normal((2, SMALL.d_text))
@@ -74,9 +65,7 @@ def test_bundle_stores_float64_arrays_converted_once():
     token = rng.normal((1, SMALL.d_text))
 
     def bundle(wrap):
-        return ConditionBundle(
-            text_emb=wrap(text), video_feat=wrap(video), text_kept=True, video_kept=True, extra_tokens=wrap(token)
-        )
+        return ConditionBundle(text_emb=wrap(text), video_feat=wrap(video), extra_tokens=wrap(token))
 
     from_tensors = bundle(Tensor)
     from_arrays = bundle(lambda a: a)
@@ -214,17 +203,8 @@ def test_video_tower_bypassed_without_video():
     x = Tensor(rng.normal((1, SMALL.t_audio, SMALL.d_audio_latent)))
     cond = _cond(SMALL, rng, video=False)
     assert model.video_tower_invocations == 0
-    out1 = model(x, [0.5], [cond])
+    model(x, [0.5], [cond])
     assert model.video_tower_invocations == 0
-    # stale video buffers on a dropped bundle are never read
-    stale = ConditionBundle(
-        text_emb=cond.text_emb,
-        video_feat=Tensor(np.full((SMALL.t_audio, SMALL.d_video_feat), 1e6)),
-        text_kept=True,
-        video_kept=False,
-    )
-    out2 = model(x, [0.5], [stale])
-    assert np.array_equal(out1.data, out2.data)
 
 
 def test_video_changes_output_when_kept():
@@ -236,8 +216,6 @@ def test_video_changes_output_when_kept():
     cond_b = ConditionBundle(
         text_emb=cond_a.text_emb,
         video_feat=Tensor(rng.normal((SMALL.t_audio, SMALL.d_video_feat))),
-        text_kept=True,
-        video_kept=True,
     )
     before = model.video_tower_invocations
     out_a = model(x, [0.5], [cond_a])
@@ -311,10 +289,10 @@ def test_forward_shape_errors():
         model(good_x, [0.5, 0.5], [ConditionBundle()])
     with pytest.raises(ShapeError):
         model(good_x, [0.5], [ConditionBundle(), ConditionBundle()])
-    bad_text = ConditionBundle(text_emb=Tensor(rng.normal((2, SMALL.d_text + 1))), text_kept=True)
+    bad_text = ConditionBundle(text_emb=Tensor(rng.normal((2, SMALL.d_text + 1))))
     with pytest.raises(ShapeError):
         model(good_x, [0.5], [bad_text])
-    bad_video = ConditionBundle(video_feat=Tensor(rng.normal((4, SMALL.d_video_feat + 2))), video_kept=True)
+    bad_video = ConditionBundle(video_feat=Tensor(rng.normal((4, SMALL.d_video_feat + 2))))
     with pytest.raises(ShapeError):
         model(good_x, [0.5], [bad_video])
     bad_extra = ConditionBundle(extra_tokens=rng.normal((1, SMALL.d_text + 3)))
@@ -346,7 +324,6 @@ def _mixed_conds(rng, n):
         lambda: _cond(SMALL, rng, text=False, t_video=4),
         lambda: ConditionBundle(
             text_emb=Tensor(rng.normal((3, SMALL.d_text))),
-            text_kept=True,
             extra_tokens=Tensor(rng.normal((1, SMALL.d_text))),
         ),
     ]

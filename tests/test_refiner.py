@@ -13,8 +13,8 @@ from foleyflow.flow import SamplerConfig
 from foleyflow.metrics import EvalConfig, default_eval_providers
 from foleyflow.model import ConditionBundle, ModelConfig, TwoTowerModel
 from foleyflow.refiner import (
+    REWARD_WEIGHTS,
     RefineResult,
-    RewardWeights,
     extract_signal,
     refine,
     render_trace,
@@ -39,8 +39,6 @@ def _cond(rng, text=True, video=True):
     return ConditionBundle(
         text_emb=rng.normal((2, SMALL.d_text)) if text else None,
         video_feat=rng.normal((6, SMALL.d_video_feat)) if video else None,
-        text_kept=text,
-        video_kept=video,
     )
 
 
@@ -52,8 +50,8 @@ def test_extract_signal_shape_and_determinism():
     rng = SeededRng(7)
     cond = _cond(rng)
     coarse = rng.normal((SMALL.t_audio, SMALL.d_audio_latent))
-    a = extract_signal(cond, coarse, d_signal=16)
-    b = extract_signal(cond, coarse, d_signal=16)
+    a = extract_signal(cond, coarse)
+    b = extract_signal(cond, coarse)
     assert a.shape == (16,)
     assert np.array_equal(a, b)
 
@@ -61,8 +59,8 @@ def test_extract_signal_shape_and_determinism():
 def test_extract_signal_zero_inputs_give_zero_signal():
     # the projection has no bias, so all-zero pools map to the origin
     coarse = np.zeros((5, SMALL.d_audio_latent))
-    sig = extract_signal(ConditionBundle(), coarse, d_signal=8)
-    assert np.array_equal(sig, np.zeros(8))
+    sig = extract_signal(ConditionBundle(), coarse)
+    assert np.array_equal(sig, np.zeros(16))
 
 
 def test_extract_signal_depends_on_modalities():
@@ -70,23 +68,19 @@ def test_extract_signal_depends_on_modalities():
     cond_full = _cond(rng)
     coarse = rng.normal((SMALL.t_audio, SMALL.d_audio_latent))
     full = extract_signal(cond_full, coarse)
-    text_only = extract_signal(
-        ConditionBundle(text_emb=cond_full.text_emb, text_kept=True), coarse
-    )
+    text_only = extract_signal(ConditionBundle(text_emb=cond_full.text_emb), coarse)
     assert full.shape == text_only.shape
     assert not np.allclose(full, text_only)
 
 
 def test_extract_signal_handles_other_feature_widths():
     rng = SeededRng(11)
-    cond = ConditionBundle(video_feat=rng.normal((4, 9)), video_kept=True)
-    sig = extract_signal(cond, rng.normal((5, 3)), d_signal=4)
-    assert sig.shape == (4,)
+    cond = ConditionBundle(video_feat=rng.normal((4, 9)))
+    sig = extract_signal(cond, rng.normal((5, 3)))
+    assert sig.shape == (16,)
 
 
 def test_extract_signal_contracts():
-    with pytest.raises(ContractError):
-        extract_signal(ConditionBundle(), np.zeros((5, 4)), d_signal=0)
     with pytest.raises(ContractError):
         extract_signal(ConditionBundle(), np.zeros(5))
 
@@ -103,16 +97,13 @@ def test_signal_token_shape_and_linearity():
 
 
 def test_reward_weights_must_sum_to_one():
-    RewardWeights()
-    RewardWeights(0.2, 0.3, 0.5)
-    with pytest.raises(ContractError):
-        RewardWeights(0.5, 0.5, 0.5)
+    assert set(REWARD_WEIGHTS) == {"temporal", "semantic", "smoothness"}
+    assert abs(sum(REWARD_WEIGHTS.values()) - 1.0) <= 1e-9
 
 
 @pytest.fixture(scope="module")
 def eval_setup():
-    config = EvalConfig()
-    return config, default_eval_providers(config)
+    return EvalConfig(), default_eval_providers()
 
 
 def test_reward_components_present(eval_setup):
@@ -242,7 +233,7 @@ def test_refine_passes_signal_token_to_sampler(small_model):
     assert aug.extra_tokens is not None
     assert aug.extra_tokens.data.shape == (1, SMALL.d_text)
     # original conditioning rides along untouched
-    assert aug.text_kept and aug.video_kept
+    assert aug.text_emb is cond.text_emb and aug.video_feat is cond.video_feat
 
 
 def test_refine_better_candidate_wins(small_model):

@@ -12,6 +12,8 @@ from foleyflow.training import (
     TAG_T2A,
     TAG_TV2A,
     TAG_V2A,
+    ADAM_BETAS,
+    ADAM_EPS,
     TOY_STAGE_STEPS,
     AdamState,
     OptimizerConfig,
@@ -25,7 +27,6 @@ from foleyflow.training import (
     run_curriculum,
     run_stage,
     stage_preset,
-    toy_optimizer,
 )
 
 SMALL = ModelConfig(d_model=8, n_layers=1, n_heads=2, d_audio_latent=4, d_video_feat=4, d_text=4, t_audio=8)
@@ -82,18 +83,20 @@ def test_stage_config_validation():
 
 def test_optimizer_config_defaults_and_presets():
     cfg = OptimizerConfig()
-    assert cfg.lr == 3e-5
-    assert cfg.betas == (0.9, 0.999)
-    assert cfg.eps == 1e-8
+    assert cfg.lr == 3e-3
+    assert ADAM_BETAS == (0.9, 0.999)
+    assert ADAM_EPS == 1e-8
     assert cfg.grad_clip_norm == 0.2
     assert cfg.batch_size == 8
-    assert toy_optimizer().lr == 3e-3
     with pytest.raises(ConfigError):
         OptimizerConfig(lr=0.0)
     with pytest.raises(ConfigError):
-        OptimizerConfig(betas=(0.9, 1.0))
-    with pytest.raises(ConfigError):
         OptimizerConfig(grad_clip_norm=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            OptimizerConfig(lr=bad)
+        with pytest.raises(ConfigError):
+            OptimizerConfig(grad_clip_norm=bad)
 
 
 def test_event_line_roundtrip_exact():
@@ -124,8 +127,8 @@ def test_draw_batch_deterministic():
     b = draw_batch(stage, datasets, SeededRng(5), batch_size=16)
     for sa, sb in zip(a, b):
         assert sa.tag == sb.tag
-        assert sa.cond.text_kept == sb.cond.text_kept
-        assert sa.cond.video_kept == sb.cond.video_kept
+        assert (sa.cond.text_emb is None) == (sb.cond.text_emb is None)
+        assert (sa.cond.video_feat is None) == (sb.cond.video_feat is None)
         assert np.array_equal(sa.x1, sb.x1)
 
 
@@ -135,9 +138,9 @@ def test_draw_batch_forced_modality_rules():
     rng = SeededRng(6)
     for s in draw_batch(stage, datasets, rng, batch_size=400):
         if s.tag == TAG_T2A:
-            assert not s.cond.video_kept
+            assert s.cond.video_feat is None
         if s.tag == TAG_V2A:
-            assert not s.cond.text_kept
+            assert s.cond.text_emb is None
 
 
 def test_stage1_draws_text_only():
@@ -145,8 +148,8 @@ def test_stage1_draws_text_only():
     datasets = _datasets()
     for s in draw_batch(stage, datasets, SeededRng(7), batch_size=100):
         assert s.tag == TAG_T2A
-        assert s.cond.text_kept
-        assert not s.cond.video_kept
+        assert s.cond.text_emb is not None
+        assert s.cond.video_feat is None
 
 
 def test_draw_batch_missing_dataset_raises():
@@ -159,6 +162,27 @@ def test_draw_batch_missing_dataset_raises():
     datasets[TAG_TV2A] = []
     with pytest.raises(ConfigError, match="TV2A"):
         draw_batch(stage, datasets, SeededRng(0))
+
+
+class _TopDrawRng:
+    """Stub rng whose every uniform draw is the largest float below 1."""
+
+    def uniform(self):
+        return 1.0 - 2.0**-53
+
+    def integers(self, n):
+        return 0
+
+    def bernoulli(self, p):
+        return True
+
+
+def test_draw_batch_top_draw_lands_in_last_bucket():
+    # these weights normalize and sum to 0.9999999999999999, below the draw
+    mix = {TAG_T2A: 9, TAG_TV2A: 8, TAG_V2A: 2}
+    stage = StageConfig(stage_id=3, steps=1, mix=mix, p_keep_text=0.5, p_keep_video=0.5)
+    (sample,) = draw_batch(stage, _datasets(), _TopDrawRng())
+    assert sample.tag == TAG_V2A
 
 
 def test_draw_batch_size_contract():
@@ -205,13 +229,13 @@ def test_adam_first_step_closed_form():
     g = rng.normal((3, 4))
     cfg = OptimizerConfig(lr=1e-2)
     adam_step(params, {"w": g}, cfg, AdamState())
-    expected = before - cfg.lr * g / (np.abs(g) + cfg.eps)
+    expected = before - cfg.lr * g / (np.abs(g) + ADAM_EPS)
     assert np.abs(params["w"].data - expected).max() <= 1e-12
 
 
 def test_adam_second_step_reference():
     cfg = OptimizerConfig(lr=0.1)
-    b1, b2 = cfg.betas
+    b1, b2 = ADAM_BETAS
     p = Tensor(np.array([1.0]), requires_grad=True)
     g1, g2 = np.array([0.5]), np.array([-0.25])
     state = AdamState()
@@ -221,10 +245,10 @@ def test_adam_second_step_reference():
     # hand-rolled reference
     m = (1 - b1) * g1
     v = (1 - b2) * g1 * g1
-    x = 1.0 - cfg.lr * (m / (1 - b1)) / (np.sqrt(v / (1 - b2)) + cfg.eps)
+    x = 1.0 - cfg.lr * (m / (1 - b1)) / (np.sqrt(v / (1 - b2)) + ADAM_EPS)
     m = b1 * m + (1 - b1) * g2
     v = b2 * v + (1 - b2) * g2 * g2
-    x = x - cfg.lr * (m / (1 - b1**2)) / (np.sqrt(v / (1 - b2**2)) + cfg.eps)
+    x = x - cfg.lr * (m / (1 - b1**2)) / (np.sqrt(v / (1 - b2**2)) + ADAM_EPS)
     assert np.abs(p.data - x).max() <= 1e-12
 
 
