@@ -138,9 +138,6 @@ def cmd_train(args) -> int:
     if args.init_checkpoint is not None:
         _require_file(args.init_checkpoint, "init checkpoint")
     opt_cfg = training.OptimizerConfig(lr=args.lr, grad_clip_norm=args.clip_norm, batch_size=args.batch_size)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     stage_ids = [int(s) for s in args.stages.split(",") if s]
     if not stage_ids:
         raise ConfigError("no stages selected")
@@ -162,6 +159,8 @@ def cmd_train(args) -> int:
         model = TwoTowerModel.load(args.init_checkpoint)
     else:
         raise ConfigError(f"starting at stage {stage_ids[0]} requires --init-checkpoint from stage {stage_ids[0] - 1}")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     clips = providers.make_toy_clips(
         args.data_clips,

@@ -163,6 +163,11 @@ def write_manifest(path: str, records) -> None:
 # scoring, filtering, cutting
 
 
+def _check_frame_rate(frame_rate, caller: str) -> None:
+    if frame_rate is None or not (0.0 < frame_rate < math.inf):  # NaN fails too
+        raise ContractError(f"{caller} needs a finite frame_rate > 0, got {frame_rate!r}")
+
+
 def score_alignment(
     record: ClipRecord,
     audio_envelope,
@@ -177,6 +182,7 @@ def score_alignment(
     """
     if audio_envelope is None or video_envelope is None:
         return replace(record, av_align_score=None)
+    _check_frame_rate(frame_rate, "score_alignment")
     audio_env = np.asarray(audio_envelope, dtype=np.float64)
     video_env = np.asarray(video_envelope, dtype=np.float64)
     for name, env in (("audio", audio_env), ("video", video_env)):
@@ -240,8 +246,7 @@ def cut(record: ClipRecord, audio_feature_seq=None, frame_rate: float | None = N
         return [(record, features)]
     feats = None
     if audio_feature_seq is not None:
-        if frame_rate is None or frame_rate <= 0:
-            raise ContractError("cut with features needs a positive frame_rate")
+        _check_frame_rate(frame_rate, "cut with features")
         feats = np.asarray(audio_feature_seq, dtype=np.float64)
     segments: list = []
     events = sorted(record.events, key=lambda e: (e[1], e[2]))

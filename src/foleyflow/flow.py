@@ -107,29 +107,48 @@ def _is_unconditional(cond: ConditionBundle) -> bool:
     return cond.text_emb is None and cond.video_feat is None and cond.extra_tokens is None
 
 
-def guided_velocity(model, x_t, t: float, cond: ConditionBundle, guidance_scale: float) -> np.ndarray:
+def _guidance_branches(cond: ConditionBundle, guidance_scale: float) -> list:
+    """The bundles of the branches a guided velocity runs, unconditional first.
+
+    The unconditional branch sees ConditionBundle(): no text, no video and
+    no extra tokens. w = 0, or a cond that is itself unconditional, needs
+    that branch alone and w = 1 the conditional branch alone; other weights
+    need both.
+    """
+    if guidance_scale < 0:
+        raise ContractError(f"guidance_scale must be >= 0, got {guidance_scale}")
+    if _is_unconditional(cond) or guidance_scale == 0.0:
+        return [ConditionBundle()]
+    if guidance_scale == 1.0:
+        return [cond]
+    return [ConditionBundle(), cond]
+
+
+def _condition_guided(model, cond: ConditionBundle, guidance_scale: float, n: int):
+    """model.condition of the guided batch over n states: every branch's
+    bundle n times, in branch order."""
+    return model.condition([c for c in _guidance_branches(cond, guidance_scale) for _ in range(n)])
+
+
+def guided_velocity(model, x_t, t: float, cond: ConditionBundle, guidance_scale: float, conditioned=None) -> np.ndarray:
     """Classifier-free-guided velocity v_u + w (v_c - v_u) as a plain array.
 
     x_t is one state (t_audio, d_audio_latent) or a stack of n states
     (n, t_audio, d_audio_latent) that share cond; the result has x_t's
-    shape. The unconditional branch v_u sees ConditionBundle(): no text,
-    no video and no extra tokens. w = 0 returns the unconditional branch
-    alone and w = 1 the conditional branch alone, each from one model
-    call of batch n; other weights run both branches as one call of batch
-    2n, the n unconditional items first.
+    shape. w = 0 returns the unconditional branch alone and w = 1 the
+    conditional branch alone, each from one model call of batch n; other
+    weights run both branches as one call of batch 2n, the n unconditional
+    items first. conditioned, when given, is that batch's model.condition,
+    which a sampler computes once per trajectory; without it the call
+    conditions its batch itself.
     """
-    if guidance_scale < 0:
-        raise ContractError(f"guidance_scale must be >= 0, got {guidance_scale}")
+    branches = _guidance_branches(cond, guidance_scale)
     x = np.asarray(x_t, dtype=np.float64)
     xs = x[None] if x.ndim == 2 else x
-    if _is_unconditional(cond) or guidance_scale == 0.0:
-        branches = [ConditionBundle()]
-    elif guidance_scale == 1.0:
-        branches = [cond]
-    else:
-        branches = [ConditionBundle(), cond]
-    conds = [c for c in branches for _ in xs]
-    v = model(Tensor(np.concatenate([xs] * len(branches))), [t] * len(conds), conds).data
+    if conditioned is None:
+        conditioned = _condition_guided(model, cond, guidance_scale, len(xs))
+    size = len(branches) * len(xs)
+    v = model(Tensor(np.concatenate([xs] * len(branches))), [t] * size, conditioned).data
     v = v.reshape((len(branches),) + xs.shape)
     out = v[0] if len(branches) == 1 else v[0] + guidance_scale * (v[1] - v[0])
     return out.reshape(x.shape)
@@ -140,25 +159,28 @@ def sample_many(model, cond: ConditionBundle, sampler_cfg: SamplerConfig, seeds)
 
     The live states form one (n, t_audio, d_audio_latent) stack, so each
     step costs one guided_velocity call for every seed together; the seed
-    in sampler_cfg is not used. Returns one entry per seed, in order: the
-    latent at t=1, or the DivergenceError of a trajectory that went
-    non-finite. A diverged trajectory leaves the stack after the step that
-    broke it; batch items do not interact, so the others run on as they
-    would alone, up to the round-off of a larger batch.
+    in sampler_cfg is not used. The guided batch is conditioned once, and
+    again only when the stack shrinks. Returns one entry per seed, in
+    order: the latent at t=1, or the DivergenceError of a trajectory that
+    went non-finite. A diverged trajectory leaves the stack after the step
+    that broke it; batch items do not interact, so the others run on as
+    they would alone, up to the round-off of a larger batch.
 
-    model must expose .config (for the latent shape) and be callable on a
-    batch as model(x_t, times, conds).
+    model must expose .config (for the latent shape), .condition(conds)
+    and be callable on a batch as model(x_t, times, conditioned).
     """
     seeds = list(seeds)
     if not seeds:
         raise ContractError("sample_many needs at least one seed")
     cfg = model.config
+    w = sampler_cfg.guidance_scale
     grid = sway_schedule(sampler_cfg.nfe, sampler_cfg.sway_coef)
     x = np.stack([SeededRng(seed).normal((cfg.t_audio, cfg.d_audio_latent)) for seed in seeds])
     live = list(range(len(seeds)))  # seed index of each row of x
     results: list = [None] * len(seeds)
+    conditioned = _condition_guided(model, cond, w, len(live))
     for k in range(sampler_cfg.nfe):
-        v = guided_velocity(model, x, float(grid[k]), cond, sampler_cfg.guidance_scale)
+        v = guided_velocity(model, x, float(grid[k]), cond, w, conditioned)
         x = x + (grid[k + 1] - grid[k]) * v
         finite = np.isfinite(x).all(axis=(1, 2))
         if not finite.all():
@@ -168,6 +190,7 @@ def sample_many(model, cond: ConditionBundle, sampler_cfg: SamplerConfig, seeds)
             x = x[finite]
             if not live:
                 break
+            conditioned = _condition_guided(model, cond, w, len(live))
     for i, latent in zip(live, x):
         results[i] = latent
     return results

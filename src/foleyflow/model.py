@@ -93,17 +93,21 @@ def _feature_rows(arr: np.ndarray, name: str, width: int, width_name: str) -> np
     return arr
 
 
-def timestep_features(t: float, dim: int) -> np.ndarray:
-    """Sinusoidal features of a scalar time in [0, 1], shape (1, dim)."""
-    if not (0.0 <= t <= 1.0):
-        raise ContractError(f"timestep {t} outside [0, 1]")
+def timestep_features(t, dim: int) -> np.ndarray:
+    """Sinusoidal features of times in [0, 1]: shape (B, dim) for an array
+    of B times, (1, dim) for a scalar."""
+    times = np.asarray(t, dtype=np.float64)
+    if times.ndim > 1:
+        raise ShapeError(f"timestep_features needs a scalar or 1-D times, got shape {times.shape}")
+    times = times.reshape(-1)
+    inside = (times >= 0.0) & (times <= 1.0)  # False for NaN
+    if not inside.all():
+        raise ContractError(f"timestep {times[~inside][0]} outside [0, 1]")
     half = dim // 2
     freqs = np.exp(-math.log(10000.0) * np.arange(half, dtype=np.float64) / max(half, 1))
-    angles = t * _TIME_SCALE * freqs
-    feats = np.concatenate([np.sin(angles), np.cos(angles)])
-    if feats.size < dim:  # odd dim: zero-pad
-        feats = np.concatenate([feats, np.zeros(dim - feats.size)])
-    return feats.reshape(1, dim)
+    angles = (times * _TIME_SCALE)[:, None] * freqs
+    # odd dim: the last column is zero
+    return np.concatenate([np.sin(angles), np.cos(angles), np.zeros((times.size, dim - 2 * half))], axis=1)
 
 
 def resample_video(video_feat, t_audio: int):
@@ -178,9 +182,10 @@ class Block:
         self.fc1 = Linear(d, 4 * d, rng)
         self.fc2 = Linear(4 * d, d, rng)
 
-    def __call__(self, x: Tensor, t_emb: Tensor, context: Tensor | None = None, context_mask=None) -> Tensor:
-        """x: (B, T, d) stream; t_emb: (B, 1, d). context: the (B, L, d)
-        tokens a cross-attention block attends to, context_mask their (B, L)
+    def __call__(self, x: Tensor, t_emb: Tensor, context_kv: tuple = (), context_mask=None) -> Tensor:
+        """x: (B, T, d) stream; t_emb: (B, 1, d). context_kv: the (B, L, d)
+        keys and values, ck and cv of the context tokens, that a
+        cross-attention block attends to, context_mask their (B, L)
         validity; both unused otherwise."""
         mod = self.adaln(gelu(t_emb))  # (B, 1, n_sublayers * 3d)
         y = modulated_norm(x, mod, 0)
@@ -188,7 +193,7 @@ class Block:
         mlp = 1
         if self.cross_attention:
             y = modulated_norm(x, mod, 1)
-            attended = attention(self.cq(y), self.ck(context), self.cv(context), self.n_heads, context_mask)
+            attended = attention(self.cq(y), *context_kv, self.n_heads, context_mask)
             x = gated_residual(x, mod, 1, self.co(attended))
             mlp = 2
         y = modulated_norm(x, mod, mlp)
@@ -200,6 +205,26 @@ class Block:
         for tag in ("wq", "wk", "wv", "wo") + cross + ("fc1", "fc2"):
             out += getattr(self, tag).named(f"{prefix}.{tag}")
         return out
+
+
+@dataclass(frozen=True, eq=False)
+class Conditioning:
+    """The part of a forward that depends on its B condition bundles alone,
+    from TwoTowerModel.condition; every forward over the same bundles can
+    reuse it, whatever its states and times.
+
+    text_kv holds each audio block's (keys, values) of the cross-attention
+    tokens, each (B, L, d), and text_mask their (B, L) validity. video
+    lists the items that carry video and video_h their (len(video),
+    t_audio, d) video tower input, None when no item does. Its tensors
+    stay on the tape, so a backward through one forward leaves gradients
+    on them: differentiate each forward through a fresh Conditioning.
+    """
+
+    text_kv: tuple
+    text_mask: np.ndarray
+    video: tuple
+    video_h: Tensor | None
 
 
 class TwoTowerModel:
@@ -290,7 +315,7 @@ class TwoTowerModel:
 
     def embed_timestep(self, times) -> Tensor:
         """(B, 1, d) embedding of B times in [0, 1]."""
-        feats = np.stack([timestep_features(float(t), self.config.d_model) for t in times])
+        feats = timestep_features(times, self.config.d_model)[:, None, :]
         return self.time_mlp2(gelu(self.time_mlp1(Tensor(feats))))
 
     def _text_tokens(self, conds: list) -> tuple:
@@ -320,44 +345,60 @@ class TwoTowerModel:
         # the null token enters through the tape so its gradient flows
         return self.text_proj(Tensor(const) + Tensor(null) * self.null_text), mask
 
+    def condition(self, conds) -> Conditioning:
+        """Check B >= 1 bundles and compute what a forward needs of them.
+
+        That is every audio block's cross-attention keys and values of the
+        text tokens, with their mask, and the video tower's input
+        video_in(frames) + video_pos for the items that carry video. A
+        sampler conditions its batch once per trajectory, not per step.
+        """
+        cfg = self.config
+        conds = list(conds)
+        if not conds:
+            raise ShapeError("condition needs B >= 1 bundles, got none")
+        text_h, text_mask = self._text_tokens(conds)
+        video = tuple(b for b, cond in enumerate(conds) if cond.video_feat is not None)
+        feats = [_feature_rows(conds[b].video_feat, "video_feat", cfg.d_video_feat, "d_video_feat") for b in video]
+        video_h = None
+        if video:
+            frames = np.stack([resample_video(f, cfg.t_audio) for f in feats])
+            video_h = self.video_in(Tensor(frames)) + self.video_pos
+        text_kv = tuple((block.ck(text_h), block.cv(text_h)) for block in self.audio_blocks)
+        return Conditioning(text_kv, text_mask, video, video_h)
+
     def forward(self, x_t, t, conds) -> Tensor:
         """Velocities (B, t_audio, d_audio_latent) for B items at once.
 
         x_t is (B, t_audio, d_audio_latent), t holds the B times and conds
-        the B ConditionBundles. Items do not interact: each item's output
-        is its batch-1 output up to round-off.
+        the B ConditionBundles, or their Conditioning. Items do not
+        interact: each item's output is its batch-1 output up to round-off.
         """
         cfg = self.config
         x = x_t if isinstance(x_t, Tensor) else Tensor(np.asarray(x_t, dtype=np.float64))
-        conds = list(conds)
+        if not isinstance(conds, Conditioning):
+            conds = self.condition(conds)
         times = np.asarray(t, dtype=np.float64)
-        n = len(conds)
-        if n < 1 or x.shape != (n, cfg.t_audio, cfg.d_audio_latent) or times.shape != (n,):
+        n = len(conds.text_mask)
+        if x.shape != (n, cfg.t_audio, cfg.d_audio_latent) or times.shape != (n,):
             raise ShapeError(
                 f"forward needs x (B, t_audio, d_audio_latent) = (B, {cfg.t_audio}, {cfg.d_audio_latent}) "
-                f"and B times and bundles for B >= 1; got x {x.shape}, t {times.shape}, {n} bundles"
+                f"and B times for B = {n} bundles; got x {x.shape}, t {times.shape}"
             )
         t_emb = self.embed_timestep(times)
-        text_h, text_mask = self._text_tokens(conds)
-        video = [b for b, cond in enumerate(conds) if cond.video_feat is not None]
-        feats = [_feature_rows(conds[b].video_feat, "video_feat", cfg.d_video_feat, "d_video_feat") for b in video]
-
         h_a = self.audio_in(x) + self.audio_pos
-        h_v = None
+        video, h_v = conds.video, conds.video_h
         if video:
-            frames = np.stack([resample_video(f, cfg.t_audio) for f in feats])
-            h_v = self.video_in(Tensor(frames)) + self.video_pos
             t_emb_v = gather_rows(t_emb, video)
-            # items without video keep their audio stream through the mixers
-            no_video = Tensor(np.array([float(cond.video_feat is None) for cond in conds]).reshape(n, 1, 1))
             self.video_tower_invocations += 1
 
         for i in range(cfg.n_layers):
-            h_a = self.audio_blocks[i](h_a, t_emb, text_h, text_mask)
-            if h_v is not None:
+            h_a = self.audio_blocks[i](h_a, t_emb, conds.text_kv[i], conds.text_mask)
+            if video:
                 h_v = self.video_blocks[i](h_v, t_emb_v)
                 mixed_a, h_v = cross_modal_mix(gather_rows(h_a, video), h_v, self.mix_a[i], self.mix_v[i])
-                h_a = h_a * no_video + scatter_rows(mixed_a, video, n)
+                # items without video keep their audio stream through the mixers
+                h_a = scatter_rows(mixed_a, video, h_a)
         # the final video stream is dropped; only the audio stream is decoded
         return self.out_proj(h_a)
 

@@ -6,8 +6,8 @@ dynamic and single-use; an op never mutates its operands' buffers.
 Activations carry a leading batch axis, (B, T, d): matmul folds the
 leading axes into rows and takes an optional bias, attention is one
 fused multi-head op, modulated_norm / gated_residual are the two halves
-of an adaLN-zero sublayer, and gather_rows / scatter_rows select items
-along the batch axis.
+of an adaLN-zero sublayer, gather_rows selects items along the batch
+axis and scatter_rows writes them back onto a base batch.
 Broadcasting covers leading-dimension expansion plus trailing parameter
 vectors (a strict subset of general numpy broadcasting is relied upon by
 callers, though the gradient rules handle the general case).
@@ -367,33 +367,36 @@ def _batch_rows(rows, n: int) -> np.ndarray:
     return idx
 
 
-def _placed(values: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros((n,) + values.shape[1:], dtype=np.float64)
-    out[idx] = values
-    return out
-
-
 def gather_rows(x: Tensor, rows) -> Tensor:
-    """The items rows of x along the batch (first) axis; scatter_rows is its backward."""
-    n = x.shape[0]
-    idx = _batch_rows(rows, n)
+    """The items rows of x along the batch (first) axis."""
+    idx = _batch_rows(rows, x.shape[0])
 
     def bw(g):
-        return (_placed(g, idx, n),)
+        grad = np.zeros(x.shape, dtype=np.float64)
+        grad[idx] = g
+        return (grad,)
 
     return _from_op(x.data[idx], (x,), bw)
 
 
-def scatter_rows(x: Tensor, rows, n: int) -> Tensor:
-    """A batch of n items, zero except item rows[i] = x[i]; gather_rows is its backward."""
-    idx = _batch_rows(rows, n)
-    if idx.size != x.shape[0]:
-        raise ShapeError(f"scatter_rows got {idx.size} rows for {x.shape[0]} items")
+def scatter_rows(x: Tensor, rows, base: Tensor) -> Tensor:
+    """base with item rows[i] replaced by x[i] along the batch (first) axis.
+
+    x's gradient gathers those rows of the output's, and base's is the
+    output's with those rows zeroed.
+    """
+    idx = _batch_rows(rows, base.shape[0])
+    if x.shape != (idx.size,) + base.shape[1:]:
+        raise ShapeError(f"scatter_rows got {x.shape} for {idx.size} rows of {base.shape}")
+    out = base.data.copy()
+    out[idx] = x.data
 
     def bw(g):
-        return (g[idx],)
+        g_base = g.copy()
+        g_base[idx] = 0.0
+        return g_base, g[idx]
 
-    return _from_op(_placed(x.data, idx, n), (x,), bw)
+    return _from_op(out, (base, x), bw)
 
 
 def reduce_sum(x: Tensor) -> Tensor:

@@ -135,7 +135,8 @@ def test_criterion_1_gradients():
     checked += weighted(lambda: attention(aq, ak, av, 2, keep), {"aq": aq, "ak": ak, "av": av})
     rows = leaf((3, 2, 2))
     checked += weighted(lambda: gather_rows(rows, [2, 0]), {"rows": rows})
-    checked += weighted(lambda: scatter_rows(rows, [3, 0, 1], 4), {"rows": rows})
+    base = leaf((4, 2, 2))
+    checked += weighted(lambda: scatter_rows(rows, [3, 0, 1], base), {"rows": rows, "base": base})
     w = leaf((3, 6))
     checked += weighted(lambda: transpose(w), {"w": w})
     checked += weighted(lambda: softmax(w), {"w": w})
@@ -335,6 +336,9 @@ def test_criterion_6_sampler_convergence():
 
     class Decay:
         config = cfg
+
+        def condition(self, conds):
+            return list(conds)
 
         def __call__(self, x_t, times, conds):
             x = x_t.data if isinstance(x_t, Tensor) else np.asarray(x_t)

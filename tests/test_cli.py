@@ -109,6 +109,23 @@ def test_train_steps_count_mismatch(workdir, capsys):
     assert err["error"]["kind"] == "ConfigError"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--stages", "2", "--steps", "1"],  # a later stage without --init-checkpoint
+        ["--stages", "1", "--steps", "1,2"],  # step count mismatch
+        ["--stages", "4"],  # no such stage
+    ],
+)
+def test_train_bad_arguments_write_nothing(tmp_path, capsys, args):
+    out = tmp_path / "run"
+    assert main(["train", *args, "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["kind"] == "ConfigError"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sample
 

@@ -167,6 +167,16 @@ def test_score_alignment_missing_envelope_leaves_unscored():
     assert out.av_align_score is None
 
 
+@pytest.mark.parametrize("frame_rate", [0.0, -10.0, math.nan, math.inf])
+def test_bad_frame_rate_is_a_contract_error(frame_rate):
+    rec = _record(av_align_score=None)
+    with pytest.raises(ContractError, match="frame_rate"):
+        score_alignment(rec, np.zeros(20), np.zeros(20), frame_rate)
+    cuttable = _record(events=(("hit", 0.5, 1.5),), duration=2.0)
+    with pytest.raises(ContractError, match="frame_rate"):
+        cut(cuttable, np.zeros((20, 2)), frame_rate=frame_rate)
+
+
 def test_score_alignment_coverage_contract():
     rec = _record(av_align_score=None)
     with pytest.raises(ContractError, match="covers"):

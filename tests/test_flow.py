@@ -33,6 +33,9 @@ class StubModel:
         self.config = config
         self.batch_sizes = []
 
+    def condition(self, conds):
+        return list(conds)
+
     def __call__(self, x_t, t, conds):
         self.batch_sizes.append(len(conds))
         x = x_t.data if isinstance(x_t, Tensor) else np.asarray(x_t)
@@ -385,6 +388,32 @@ def test_sample_many_drops_a_diverged_seed_and_runs_the_rest():
     for i in (0, 2, 3):
         alone = sample(StubModel(fn), _textual_cond(), replace(cfg, seed=seeds[i]))
         assert np.array_equal(out[i], alone), i
+
+
+def test_sample_many_conditions_once_and_again_after_a_divergence():
+    """Perf budget: the guided batch is conditioned once per trajectory,
+    and again only when a diverged row leaves it; conditioning inside the
+    step loop fails here."""
+
+    class Counting(FailAt):
+        def __init__(self, fn, call, row):
+            super().__init__(fn, call, row)
+            self.conditioned = []
+
+        def condition(self, conds):
+            self.conditioned.append(len(conds))
+            return super().condition(conds)
+
+    def fn(x, t, cond):
+        return np.cos(x) + (1.0 if cond.text_emb is not None else -1.0) * t
+
+    model = Counting(fn, call=2, row=1)
+    sample_many(model, _textual_cond(), SamplerConfig(nfe=5, guidance_scale=2.0), [10, 11, 12, 13])
+    assert model.conditioned == [8, 6]
+    assert model.batch_sizes == [8, 8, 8, 6, 6]
+    clean = Counting(fn, call=99, row=0)  # never fails
+    sample_many(clean, _textual_cond(), SamplerConfig(nfe=5, guidance_scale=2.0), [10, 11])
+    assert clean.conditioned == [4]
 
 
 def test_sample_many_all_diverged_stops_early():

@@ -104,6 +104,20 @@ def test_timestep_features_odd_dim_zero_padded():
     assert f[0, -1] == 0.0
 
 
+def test_timestep_features_of_many_times_match_scalar_calls():
+    times = np.array([0.0, 0.013, 0.5, 0.77, 1.0])
+    for dim in (32, 7, 1):
+        rows = timestep_features(times, dim)
+        assert rows.shape == (5, dim)
+        for b, t in enumerate(times):
+            assert np.array_equal(rows[b : b + 1], timestep_features(float(t), dim)), (dim, t)
+    for bad in (np.nan, [0.5, np.nan], [0.5, 1.5], [-0.1]):
+        with pytest.raises(ContractError):
+            timestep_features(bad, 8)
+    with pytest.raises(ShapeError):
+        timestep_features(np.zeros((2, 2)), 8)
+
+
 def test_timestep_features_distinguish_fine_steps():
     a = timestep_features(0.500, 16)
     b = timestep_features(0.501, 16)
@@ -369,9 +383,9 @@ def test_tape_size_does_not_grow_with_batch():
     assert sizes[0] == sizes[1]
 
 
-def test_guided_forward_records_100_tape_ops(monkeypatch):
-    # every op records its output through tensor._from_op, so counting its
-    # calls by calling function counts one guided forward's ops by kind
+def _count_ops(monkeypatch) -> collections.Counter:
+    """Tape ops recorded from now on, by kind: every op records its output
+    through tensor._from_op, so its calls counted by calling function."""
     kinds = collections.Counter()
     record = tensor._from_op
 
@@ -380,13 +394,79 @@ def test_guided_forward_records_100_tape_ops(monkeypatch):
         return record(*args)
 
     monkeypatch.setattr(tensor, "_from_op", counted)
+    return kinds
+
+
+def test_guided_forward_records_96_tape_ops(monkeypatch):
+    """Perf budget of the hot path: the tape ops of one guided text+video
+    forward at the default config. 9 of them condition the batch (text
+    tokens, cross-attention keys and values, video input); a change that
+    adds ops to the forward fails here without running a benchmark."""
+    kinds = _count_ops(monkeypatch)
     cfg = ModelConfig()
     rng = SeededRng(22)
     x_t = rng.normal((cfg.t_audio, cfg.d_audio_latent))
     flow.guided_velocity(TwoTowerModel(cfg, seed=0), x_t, 0.5, _cond(cfg, rng), 2.0)
-    assert sum(kinds.values()) == 100
-    fused = {k: kinds[k] for k in ("matmul", "modulated_norm", "gated_residual", "narrow", "layer_norm")}
-    assert fused == {"matmul": 46, "modulated_norm": 10, "gated_residual": 10, "narrow": 0, "layer_norm": 0}
+    assert sum(kinds.values()) == 96
+    pinned = ("matmul", "modulated_norm", "gated_residual", "scatter_rows", "mul")
+    assert {k: kinds[k] for k in pinned} == {
+        "matmul": 46,
+        "modulated_norm": 10,
+        "gated_residual": 10,
+        "scatter_rows": 2,
+        "mul": 1,
+    }
+
+
+@pytest.mark.parametrize("nfe, ops", [(1, 96), (4, 357)])
+def test_sample_many_conditions_once_per_trajectory(monkeypatch, nfe, ops):
+    """Perf budget of the sampler: 9 conditioning ops once per trajectory,
+    then 87 per Euler step. A change that puts per-condition work back
+    into the step loop fails here without running a benchmark."""
+    kinds = _count_ops(monkeypatch)
+    cfg = ModelConfig()
+    rng = SeededRng(23)
+    flow.sample_many(TwoTowerModel(cfg, seed=0), _cond(cfg, rng), flow.SamplerConfig(nfe=nfe), [1, 2])
+    assert sum(kinds.values()) == ops == 9 + 87 * nfe
+
+
+def test_forward_on_a_conditioning_matches_forward_on_bundles():
+    model = TwoTowerModel(SMALL, seed=0)
+    _perturb(model)
+    rng = SeededRng(17)
+    conds = _mixed_conds(rng, 4)
+    times = [0.1, 0.4, 0.7, 0.95]
+    x = rng.normal((4, SMALL.t_audio, SMALL.d_audio_latent))
+    runs = []
+    for given in (conds, model.condition(conds)):
+        model.zero_grad()
+        out = model(Tensor(x), times, given)
+        backward(reduce_mean(out * out))
+        runs.append((out.data, {name: p.grad for name, p in model.parameters().items()}))
+    (out_a, grads_a), (out_b, grads_b) = runs
+    assert np.array_equal(out_a, out_b)
+    assert grads_a.keys() == grads_b.keys()
+    for name, grad in grads_a.items():
+        assert (grad is None) == (grads_b[name] is None), name
+        assert grad is None or np.array_equal(grad, grads_b[name]), name
+
+
+def test_condition_checks_bundles_and_reuses_across_times():
+    model = TwoTowerModel(SMALL, seed=0)
+    _perturb(model)
+    rng = SeededRng(24)
+    conds = _mixed_conds(rng, 3)
+    conditioned = model.condition(conds)
+    assert conditioned.text_mask.shape[0] == 3 and conditioned.video == (0, 2)
+    x = rng.normal((3, SMALL.t_audio, SMALL.d_audio_latent))
+    for times in ([0.2, 0.5, 0.9], [0.0, 1.0, 0.3]):
+        assert np.array_equal(model(Tensor(x), times, conditioned).data, model(Tensor(x), times, conds).data)
+    with pytest.raises(ShapeError):
+        model(Tensor(x[:2]), [0.5, 0.5], conditioned)
+    with pytest.raises(ShapeError):
+        model.condition([])
+    with pytest.raises(ShapeError):
+        model.condition([ConditionBundle(video_feat=rng.normal((4, SMALL.d_video_feat + 1)))])
 
 
 def test_zero_grad_clears():

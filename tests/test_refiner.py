@@ -346,6 +346,9 @@ class FieldStub:
         self.fail_call, self.fail_row = fail_call, fail_row
         self.batch_sizes = []
 
+    def condition(self, conds):
+        return list(conds)
+
     def __call__(self, x_t, times, conds):
         x = x_t.data
         gain = [2.0 if cond.extra_tokens is not None else 1.0 for cond in conds]

@@ -118,14 +118,20 @@ def test_gather_and_scatter_rows_values():
     x = Tensor(_rand((4, 2, 3), 26))
     picked = gather_rows(x, [3, 1])
     assert np.array_equal(picked.data, x.data[[3, 1]])
-    placed = scatter_rows(picked, [3, 1], 4)
-    assert np.array_equal(placed.data[[3, 1]], x.data[[3, 1]])
-    assert not placed.data[[0, 2]].any()
+    base = Tensor(_rand((4, 2, 3), 27))
+    placed = scatter_rows(picked, [0, 2], base)
+    assert np.array_equal(placed.data[[0, 2]], x.data[[3, 1]])
+    assert np.array_equal(placed.data[[1, 3]], base.data[[1, 3]])
+    assert np.array_equal(base.data, _rand((4, 2, 3), 27))  # operands untouched
     for rows in ([], [1, 1], [4], [-1]):
         with pytest.raises(ContractError):
             gather_rows(x, rows)
+        with pytest.raises(ContractError):
+            scatter_rows(picked, rows, base)
     with pytest.raises(ShapeError):
-        scatter_rows(picked, [0, 1, 2], 4)
+        scatter_rows(picked, [0, 1, 2], base)  # row count
+    with pytest.raises(ShapeError):
+        scatter_rows(picked, [0, 1], Tensor(np.zeros((4, 2, 4))))  # trailing shape
 
 
 def test_add_broadcasts_row_vector():
@@ -297,10 +303,12 @@ def test_attention_gradients():
 
 
 def test_gather_and_scatter_rows_gradients():
-    x, y = _leaf((4, 2, 3), 31), _leaf((2, 2, 3), 32)
+    # x reaches the output through both operands of scatter_rows
+    x, y, base = _leaf((4, 2, 3), 31), _leaf((2, 2, 3), 32), _leaf((4, 2, 3), 34)
     w = Tensor(_rand((4, 2, 3), 33))
     check_gradients(
-        lambda: reduce_sum((scatter_rows(gather_rows(x, [2, 0]) * y, [1, 3], 4) + x) * w), {"x": x, "y": y}
+        lambda: reduce_sum(scatter_rows(gather_rows(x, [2, 0]) * y, [1, 3], x * base) * w),
+        {"x": x, "y": y, "base": base},
     )
 
 
