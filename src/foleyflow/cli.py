@@ -139,9 +139,6 @@ def cmd_train(args) -> int:
         _require_file(args.init_checkpoint, "init checkpoint")
     opt_cfg = training.OptimizerConfig(lr=args.lr, grad_clip_norm=args.clip_norm, batch_size=args.batch_size)
     stage_ids = [int(s) for s in args.stages.split(",") if s]
-    if not stage_ids:
-        raise ConfigError("no stages selected")
-
     steps = None
     if args.steps is not None:
         steps = [int(s) for s in args.steps.split(",") if s]
@@ -151,6 +148,7 @@ def cmd_train(args) -> int:
         training.stage_preset(sid, steps[i] if steps is not None else None)
         for i, sid in enumerate(stage_ids)
     ]
+    training.check_stage_order(stages)
 
     cfg = ModelConfig()
     if stage_ids[0] == 1 and args.init_checkpoint is None:
@@ -195,14 +193,14 @@ def _sampler_config(args) -> flow.SamplerConfig:
 
 def cmd_sample(args) -> int:
     sampler_cfg = _sampler_config(args)
-    config = metrics.EvalConfig(frame_rate=args.frame_rate)
+    metrics.check_frame_rate(args.frame_rate)
     _require_file(args.checkpoint, "checkpoint")
     model = TwoTowerModel.load(args.checkpoint)
     cond = _build_condition(args, model.config)
     latent = flow.sample(model, cond, sampler_cfg)
     container.write_latents(args.out, {metrics.LATENT_RECORD: latent})
     env = metrics.energy_envelope(latent)
-    _write_envelope_csv(args.out + ".env.csv", {"audio_energy": env}, config.frame_rate)
+    _write_envelope_csv(args.out + ".env.csv", {"audio_energy": env}, args.frame_rate)
     print(f"wrote {args.out} ({latent.shape[0]} frames)")
     return 0
 
@@ -210,8 +208,7 @@ def cmd_sample(args) -> int:
 def cmd_eval(args) -> int:
     _require_dir(args.gen_dir, "generated directory")
     _require_dir(args.ref_dir, "reference directory")
-    config = metrics.EvalConfig(frame_rate=args.frame_rate)
-    report = metrics.evaluate_set(args.gen_dir, args.ref_dir, metrics.default_eval_providers(), config)
+    report = metrics.evaluate_set(args.gen_dir, args.ref_dir, args.frame_rate)
     rendered = metrics.render_report(report, as_json=args.json)
     print(rendered)
     if args.out is not None:
@@ -223,7 +220,7 @@ def cmd_eval(args) -> int:
             _write_envelope_csv(
                 str(plot_dir / f"{pair.clip_id}.envelopes.csv"),
                 {"audio_energy": pair.gen_envelope, "video_energy": pair.ref_envelope},
-                config.frame_rate,
+                args.frame_rate,
             )
     return 0
 
@@ -248,7 +245,7 @@ def cmd_pipeline(args) -> int:
 
 def cmd_refine(args) -> int:
     sampler_cfg = _sampler_config(args)
-    config = metrics.EvalConfig(frame_rate=args.frame_rate)
+    metrics.check_frame_rate(args.frame_rate)
     _require_file(args.checkpoint, "checkpoint")
     _require_file(args.coarse, "coarse latent file")
     model = TwoTowerModel.load(args.checkpoint)
@@ -257,7 +254,7 @@ def cmd_refine(args) -> int:
         raise ContractError(f"{args.coarse}: no {metrics.LATENT_RECORD!r} record")
     coarse = records[metrics.LATENT_RECORD]
     cond = _build_condition(args, model.config)
-    result = refiner.refine(model, cond, coarse, args.k, sampler_cfg, config=config)
+    result = refiner.refine(model, cond, coarse, args.k, sampler_cfg, args.frame_rate)
     container.write_latents(args.out, {metrics.LATENT_RECORD: result.best})
     trace_text = refiner.render_trace(result)
     Path(args.out + ".trace.csv").write_text(trace_text + "\n", encoding="utf-8")
@@ -274,8 +271,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="foleyflow", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     fmt = argparse.ArgumentDefaultsHelpFormatter
-    # the config classes hold every default that is also a flag default
-    sampler, evaluation = flow.SamplerConfig, metrics.EvalConfig
+    # the config classes and metrics.FRAME_RATE hold every default that is also a flag default
+    sampler = flow.SamplerConfig
     optimizer, policy = training.OptimizerConfig, datapipe.FilterPolicy
 
     def common(p):
@@ -289,7 +286,7 @@ def build_parser() -> _Parser:
         p.add_argument("--nfe", type=_positive_int, default=sampler.nfe, help="number of integrator steps")
         p.add_argument("--sway", type=float, default=sampler.sway_coef, help="sway coefficient of the time grid")
         p.add_argument("--guidance", type=float, default=sampler.guidance_scale, help="classifier-free guidance scale")
-        p.add_argument("--frame-rate", type=float, default=evaluation.frame_rate, help=frame_rate_help)
+        p.add_argument("--frame-rate", type=float, default=metrics.FRAME_RATE, help=frame_rate_help)
 
     p = sub.add_parser("train", formatter_class=fmt, help="run curriculum stages on the synthetic toy data")
     p.add_argument("--stages", type=str, default="1,2,3", help="comma list of stage ids")
@@ -316,7 +313,7 @@ def build_parser() -> _Parser:
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     p.add_argument("--out", type=str, default=None, help="also write the report to this file")
     p.add_argument("--plot", type=str, default=None, help="directory for per-pair envelope curves")
-    p.add_argument("--frame-rate", type=float, default=evaluation.frame_rate, help="frames per second of the latents")
+    p.add_argument("--frame-rate", type=float, default=metrics.FRAME_RATE, help="frames per second of the latents")
     common(p)
     p.set_defaults(func=cmd_eval)
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ContractError, FormatError
-from .metrics import envelope_alignment
+from .metrics import check_frame_rate, envelope_alignment
 
 MANIFEST_HEADER = "#ysnd-manifest v1"
 
@@ -163,11 +163,6 @@ def write_manifest(path: str, records) -> None:
 # scoring, filtering, cutting
 
 
-def _check_frame_rate(frame_rate, caller: str) -> None:
-    if frame_rate is None or not (0.0 < frame_rate < math.inf):  # NaN fails too
-        raise ContractError(f"{caller} needs a finite frame_rate > 0, got {frame_rate!r}")
-
-
 def score_alignment(
     record: ClipRecord,
     audio_envelope,
@@ -182,7 +177,7 @@ def score_alignment(
     """
     if audio_envelope is None or video_envelope is None:
         return replace(record, av_align_score=None)
-    _check_frame_rate(frame_rate, "score_alignment")
+    check_frame_rate(frame_rate)
     audio_env = np.asarray(audio_envelope, dtype=np.float64)
     video_env = np.asarray(video_envelope, dtype=np.float64)
     for name, env in (("audio", audio_env), ("video", video_env)):
@@ -230,37 +225,17 @@ def _is_single_full_cover(record: ClipRecord) -> bool:
     return start == 0.0 and end == record.duration
 
 
-def cut(record: ClipRecord, audio_feature_seq=None, frame_rate: float | None = None) -> list:
-    """Slice one segment per event, in time order.
+def cut(record: ClipRecord) -> list:
+    """Slice one segment record per event, in time order.
 
-    Returns a list of (segment_record, segment_features); features are
-    None unless audio_feature_seq and frame_rate are given, in which case
-    segment rows are [floor(start * fr), ceil(end * fr)). Segment ids are
-    parent#index, except that a record which is already exactly one
-    full-cover event is returned unchanged.
+    Segment ids are parent#index, except that a record which is already
+    exactly one full-cover event is returned unchanged.
     """
     if _is_single_full_cover(record):
-        features = None
-        if audio_feature_seq is not None:
-            features = np.asarray(audio_feature_seq, dtype=np.float64).copy()
-        return [(record, features)]
-    feats = None
-    if audio_feature_seq is not None:
-        _check_frame_rate(frame_rate, "cut with features")
-        feats = np.asarray(audio_feature_seq, dtype=np.float64)
+        return [record]
     segments: list = []
     events = sorted(record.events, key=lambda e: (e[1], e[2]))
     for index, (label, start, end) in enumerate(events):
-        seg_features = None
-        if feats is not None:
-            row_start = int(np.floor(start * frame_rate))
-            row_end = int(np.ceil(end * frame_rate))
-            if row_end > feats.shape[0]:
-                raise ContractError(
-                    f"{record.clip_id}: event {label!r} [{start}, {end}) needs rows up to {row_end}, "
-                    f"features have {feats.shape[0]}"
-                )
-            seg_features = feats[row_start:row_end].copy()
         seg_duration = end - start
         segment = ClipRecord(
             clip_id=f"{record.clip_id}#{index}",
@@ -271,7 +246,7 @@ def cut(record: ClipRecord, audio_feature_seq=None, frame_rate: float | None = N
             speech_flag=record.speech_flag,
             bgm_flag=record.bgm_flag,
         )
-        segments.append((segment, seg_features))
+        segments.append(segment)
     return segments
 
 
@@ -309,7 +284,7 @@ def process_records(records, policy: FilterPolicy, envelope_provider=None) -> Pi
         counts[reason] += 1
     segments: list = []
     for record in kept:
-        segments.extend(seg for seg, _ in cut(record))
+        segments.extend(cut(record))
     return PipelineResult(
         segments=tuple(segments),
         kept=tuple(kept),

@@ -29,7 +29,7 @@ from scipy.signal import find_peaks
 
 from . import container
 from .errors import ContractError, ShapeError
-from .providers import SyntheticClassifier, SyntheticEmbedder
+from .providers import SyntheticEmbedder
 
 _PSD_TOLERANCE = 1e-6
 _PROB_FLOOR = 1e-12
@@ -40,9 +40,16 @@ _PROB_FLOOR = 1e-12
 PEAK_THRESHOLD = 0.3
 MIN_SEPARATION = 0.1
 MATCH_WINDOW = 0.1
-# widths of the synthetic embedding and classifier stand-ins
+# frames per second of latent sequences
+FRAME_RATE = 16.0
+# the synthetic stand-ins every score uses: two Frechet embedders, an
+# audio tagger's raw class scores, and the shared audio/video/text space
 EMBED_DIM = 8
 N_CLASSES = 8
+FIDELITY = SyntheticEmbedder("audio-fidelity", EMBED_DIM)
+DISTRIBUTION = SyntheticEmbedder("audio-distribution", EMBED_DIM)
+CLASSIFIER = SyntheticEmbedder("audio-tagger/scores", N_CLASSES)
+SHARED = SyntheticEmbedder("shared-space", EMBED_DIM)
 
 REPORT_COLUMNS = ("FAD", "FD", "KL-sigmoid", "IS", "CLIP", "AV")
 
@@ -223,46 +230,40 @@ def energy_envelope(latent: np.ndarray) -> np.ndarray:
     return np.sqrt(np.mean(arr * arr, axis=1))
 
 
-def detect_peaks(
-    envelope: np.ndarray,
-    frame_rate: float,
-    threshold_rel: float = PEAK_THRESHOLD,
-    min_separation: float = MIN_SEPARATION,
-) -> PeakTrain:
-    """Local maxima at or above threshold_rel * max(envelope).
+def check_frame_rate(frame_rate) -> None:
+    """The one frame-rate rule of every scorer and the CLI: finite and > 0 (NaN fails)."""
+    if not (0.0 < frame_rate < math.inf):
+        raise ContractError(f"frame_rate must be finite and > 0, got {frame_rate!r}")
 
-    Peaks closer than min_separation seconds are thinned greedily,
+
+def detect_peaks(envelope: np.ndarray, frame_rate: float) -> PeakTrain:
+    """Local maxima at or above PEAK_THRESHOLD * max(envelope).
+
+    Peaks closer than MIN_SEPARATION seconds are thinned greedily,
     keeping the taller one. Endpoints cannot be peaks (a local maximum
     needs both neighbours), hence the T >= 3 requirement.
     """
     env = np.asarray(envelope, dtype=np.float64).reshape(-1)
     if env.size < 3:
         raise ContractError(f"peak detection needs at least 3 frames, got {env.size}")
-    if frame_rate <= 0:
-        raise ContractError(f"frame_rate must be > 0, got {frame_rate}")
-    if not (0.0 < threshold_rel <= 1.0):
-        raise ContractError(f"threshold_rel must lie in (0, 1], got {threshold_rel}")
-    if min_separation < 0:
-        raise ContractError(f"min_separation must be >= 0, got {min_separation}")
+    check_frame_rate(frame_rate)
     duration = env.size / frame_rate
     peak = float(env.max())
     if peak <= 0.0:
         return PeakTrain(times=(), duration=duration)
-    distance = max(1.0, min_separation * frame_rate)
-    idx, _ = find_peaks(env, height=threshold_rel * peak, distance=distance)
+    distance = max(1.0, MIN_SEPARATION * frame_rate)
+    idx, _ = find_peaks(env, height=PEAK_THRESHOLD * peak, distance=distance)
     return PeakTrain(times=tuple(idx / frame_rate), duration=duration)
 
 
-def av_align(audio_peaks: PeakTrain, video_peaks: PeakTrain, window: float) -> float:
+def av_align(audio_peaks: PeakTrain, video_peaks: PeakTrain) -> float:
     """Greedy one-to-one matching score between two peak trains.
 
-    Candidate pairs within +-window seconds are matched in order of
+    Candidate pairs within +-MATCH_WINDOW seconds are matched in order of
     ascending time difference (ties by earlier times); the score is
     matched / (|A| + |V| - matched), the intersection-over-union of the
     two trains. Two empty trains score 1.0.
     """
-    if window <= 0:
-        raise ContractError(f"match window must be > 0, got {window}")
     a, v = audio_peaks.times, video_peaks.times
     if not a and not v:
         return 1.0
@@ -270,7 +271,7 @@ def av_align(audio_peaks: PeakTrain, video_peaks: PeakTrain, window: float) -> f
         (abs(ta - tv), i, j)
         for i, ta in enumerate(a)
         for j, tv in enumerate(v)
-        if abs(ta - tv) <= window
+        if abs(ta - tv) <= MATCH_WINDOW
     )
     used_a: set = set()
     used_v: set = set()
@@ -286,41 +287,13 @@ def av_align(audio_peaks: PeakTrain, video_peaks: PeakTrain, window: float) -> f
 
 def envelope_alignment(env_a, rate_a: float, env_b, rate_b: float) -> float:
     """av_align of the detect_peaks trains of two envelopes, each at its own
-    frame rate, within MATCH_WINDOW: the refiner's temporal reward, the AV
-    column and the pipeline's score."""
-    return av_align(detect_peaks(env_a, rate_a), detect_peaks(env_b, rate_b), MATCH_WINDOW)
+    frame rate: the refiner's temporal reward, the AV column and the
+    pipeline's score."""
+    return av_align(detect_peaks(env_a, rate_a), detect_peaks(env_b, rate_b))
 
 
 # ---------------------------------------------------------------------------
 # set-level evaluation
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    frame_rate: float = 16.0
-
-    def __post_init__(self):
-        if not (0.0 < self.frame_rate < math.inf):
-            raise ContractError(f"frame_rate must be finite and > 0, got {self.frame_rate}")
-
-
-@dataclass(frozen=True)
-class EvalProviders:
-    """The four embedding stand-ins one evaluation run needs."""
-
-    fidelity: SyntheticEmbedder
-    distribution: SyntheticEmbedder
-    classifier: SyntheticClassifier
-    shared: SyntheticEmbedder
-
-
-def default_eval_providers() -> EvalProviders:
-    return EvalProviders(
-        fidelity=SyntheticEmbedder("audio-fidelity", EMBED_DIM),
-        distribution=SyntheticEmbedder("audio-distribution", EMBED_DIM),
-        classifier=SyntheticClassifier("audio-tagger", N_CLASSES),
-        shared=SyntheticEmbedder("shared-space", EMBED_DIM),
-    )
 
 
 @dataclass(frozen=True)
@@ -355,13 +328,14 @@ def _load_latent_dir(path: str) -> dict:
     return out
 
 
-def evaluate_set(gen_dir: str, ref_dir: str, providers: EvalProviders, config: EvalConfig) -> EvalReport:
+def evaluate_set(gen_dir: str, ref_dir: str, frame_rate: float = FRAME_RATE) -> EvalReport:
     """Compare latent files paired by stem name across two directories.
 
     The reference item of each pair stands in for the anchor modality in
     the CLIP and AV columns; ids present on only one side are listed as
     missing and excluded from every aggregate.
     """
+    check_frame_rate(frame_rate)
     gen = _load_latent_dir(gen_dir)
     ref = _load_latent_dir(ref_dir)
     shared_ids = sorted(set(gen) & set(ref))
@@ -378,15 +352,15 @@ def evaluate_set(gen_dir: str, ref_dir: str, providers: EvalProviders, config: E
     ref_seqs = [ref[cid] for cid in shared_ids]
 
     fad = frechet_distance(
-        EmbeddingSet(providers.fidelity.embed_set(gen_seqs)),
-        EmbeddingSet(providers.fidelity.embed_set(ref_seqs)),
+        EmbeddingSet(FIDELITY.embed_set(gen_seqs)),
+        EmbeddingSet(FIDELITY.embed_set(ref_seqs)),
     )
     fd = frechet_distance(
-        EmbeddingSet(providers.distribution.embed_set(gen_seqs)),
-        EmbeddingSet(providers.distribution.embed_set(ref_seqs)),
+        EmbeddingSet(DISTRIBUTION.embed_set(gen_seqs)),
+        EmbeddingSet(DISTRIBUTION.embed_set(ref_seqs)),
     )
-    gen_posts = sigmoid_calibrate(np.stack([providers.classifier.scores(s) for s in gen_seqs]))
-    ref_posts = sigmoid_calibrate(np.stack([providers.classifier.scores(s) for s in ref_seqs]))
+    gen_posts = sigmoid_calibrate(np.stack([CLASSIFIER.embed(s) for s in gen_seqs]))
+    ref_posts = sigmoid_calibrate(np.stack([CLASSIFIER.embed(s) for s in ref_seqs]))
     kl = kl_sigmoid(gen_posts, ref_posts)
     is_score = inception_score(gen_posts)
 
@@ -394,9 +368,9 @@ def evaluate_set(gen_dir: str, ref_dir: str, providers: EvalProviders, config: E
     av_scores = []
     details = []
     for cid, gseq, rseq in zip(shared_ids, gen_seqs, ref_seqs):
-        clip_scores.append(clip_style_score(providers.shared.embed(gseq), providers.shared.embed(rseq)))
+        clip_scores.append(clip_style_score(SHARED.embed(gseq), SHARED.embed(rseq)))
         g_env, r_env = energy_envelope(gseq), energy_envelope(rseq)
-        av_scores.append(envelope_alignment(g_env, config.frame_rate, r_env, config.frame_rate))
+        av_scores.append(envelope_alignment(g_env, frame_rate, r_env, frame_rate))
         details.append(PairDetail(clip_id=cid, gen_envelope=g_env, ref_envelope=r_env))
 
     values = {

@@ -56,24 +56,6 @@ class SyntheticEmbedder:
         return np.stack([self.embed(seq) for seq in sequences])
 
 
-class SyntheticClassifier:
-    """Deterministic stand-in for an audio event classifier.
-
-    Returns raw per-class scores; calibration to the simplex happens in
-    the metrics layer.
-    """
-
-    def __init__(self, provider_id: str, n_classes: int):
-        if n_classes < 2:
-            raise ContractError(f"classifier needs >= 2 classes, got {n_classes}")
-        self.provider_id = provider_id
-        self.n_classes = n_classes
-        self._embedder = SyntheticEmbedder(provider_id + "/scores", n_classes)
-
-    def scores(self, features: np.ndarray) -> np.ndarray:
-        return self._embedder.embed(features)
-
-
 def text_embedding(text: str, n_tokens: int, d_text: int) -> np.ndarray:
     """Deterministic pseudo-embedding of a prompt string."""
     rng = SeededRng(derive_seed(string_seed("text-provider"), string_seed(text), n_tokens, d_text))

@@ -15,14 +15,7 @@ import numpy as np
 
 from . import flow
 from .errors import ContractError, DivergenceError
-from .metrics import (
-    EvalConfig,
-    EvalProviders,
-    clip_style_score,
-    default_eval_providers,
-    energy_envelope,
-    envelope_alignment,
-)
+from .metrics import FRAME_RATE, SHARED, check_frame_rate, clip_style_score, energy_envelope, envelope_alignment
 from .model import ConditionBundle
 from .rng import SeededRng, derive_seed, string_seed
 
@@ -77,7 +70,7 @@ class RewardReport:
     aggregate: float
 
 
-def reward(candidate: np.ndarray, cond: ConditionBundle, providers: EvalProviders, config: EvalConfig) -> RewardReport:
+def reward(candidate: np.ndarray, cond: ConditionBundle, frame_rate: float = FRAME_RATE) -> RewardReport:
     """Score one candidate against its conditions.
 
     temporal    peak alignment between the candidate envelope and the
@@ -89,6 +82,7 @@ def reward(candidate: np.ndarray, cond: ConditionBundle, providers: EvalProvider
     smoothness  1 - mean squared frame difference, floored at 0.
     REWARD_WEIGHTS renormalize over the components that apply.
     """
+    check_frame_rate(frame_rate)
     cand = np.asarray(candidate, dtype=np.float64)
     if cand.ndim != 2:
         raise ContractError("reward needs a 2-D candidate latent sequence")
@@ -96,16 +90,14 @@ def reward(candidate: np.ndarray, cond: ConditionBundle, providers: EvalProvider
 
     components: dict = {}
     if video is not None:
-        duration = cand.shape[0] / config.frame_rate
+        duration = cand.shape[0] / frame_rate
         video_rate = video.shape[0] / duration
-        components["temporal"] = envelope_alignment(
-            energy_envelope(cand), config.frame_rate, energy_envelope(video), video_rate
-        )
+        components["temporal"] = envelope_alignment(energy_envelope(cand), frame_rate, energy_envelope(video), video_rate)
 
     anchor = video if video is not None else text
     if anchor is not None:
-        emb_c = providers.shared.embed(cand)
-        emb_a = providers.shared.embed(anchor)
+        emb_c = SHARED.embed(cand)
+        emb_a = SHARED.embed(anchor)
         if np.linalg.norm(emb_c) == 0.0 or np.linalg.norm(emb_a) == 0.0:
             components["semantic"] = 0.0
         else:
@@ -145,32 +137,35 @@ def refine(
     coarse: np.ndarray,
     k: int,
     sampler_cfg: flow.SamplerConfig,
-    providers: EvalProviders | None = None,
-    config: EvalConfig | None = None,
+    frame_rate: float = FRAME_RATE,
     sample_fn=None,
 ) -> RefineResult:
     """Sample k signal-conditioned candidates and keep the best by reward.
 
     Candidate i runs with a seed derived from (sampler_cfg.seed, i), so
-    the whole call is deterministic. The k candidates share one batched
-    trajectory: sample_fn(model, cond, sampler_cfg, seeds) returns one
-    latent or DivergenceError per seed (flow.sample_many by default). A
-    candidate whose sampling diverges is skipped but still recorded in the
-    trace. The coarse input always competes, so the result's aggregate is
-    never below the coarse one; ties keep the coarse output, then the
-    lower candidate index.
+    the whole call is deterministic. The coarse input must be a finite
+    (t_audio, d_audio_latent) array under the model's config. The k
+    candidates share one batched trajectory: sample_fn(model, cond,
+    sampler_cfg, seeds) returns one latent or DivergenceError per seed
+    (flow.sample_many by default). A candidate whose sampling diverges is
+    skipped but still recorded in the trace. The coarse input always
+    competes, so the result's aggregate is never below the coarse one;
+    ties keep the coarse output, then the lower candidate index.
     """
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
-    config = config if config is not None else EvalConfig()
-    providers = providers if providers is not None else default_eval_providers()
     sample_fn = sample_fn if sample_fn is not None else flow.sample_many
 
     coarse_arr = np.asarray(coarse, dtype=np.float64)
+    shape = (model.config.t_audio, model.config.d_audio_latent)
+    if coarse_arr.shape != shape:
+        raise ContractError(f"coarse latent must have shape {shape}, got {coarse_arr.shape}")
+    if not np.all(np.isfinite(coarse_arr)):
+        raise ContractError("coarse latent contains non-finite values")
     signal = extract_signal(cond, coarse_arr)
     cond_aug = replace(cond, extra_tokens=signal_token(signal, model.config.d_text))
 
-    coarse_report = reward(coarse_arr, cond, providers, config)
+    coarse_report = reward(coarse_arr, cond, frame_rate)
     best_arr, best_report, picked = coarse_arr, coarse_report, "coarse"
 
     seeds = [derive_seed(sampler_cfg.seed, "candidate", i) for i in range(k)]
@@ -180,7 +175,7 @@ def refine(
         if isinstance(candidate, DivergenceError):
             trace.append(TraceEntry(index=i, seed=seed_i, error=str(candidate)))
             continue
-        cand_report = reward(candidate, cond, providers, config)
+        cand_report = reward(candidate, cond, frame_rate)
         trace.append(TraceEntry(index=i, seed=seed_i, report=cand_report))
         if cand_report.aggregate > best_report.aggregate:
             best_arr, best_report, picked = candidate, cand_report, f"candidate:{i}"

@@ -286,6 +286,15 @@ def run_stage(
     return events
 
 
+def check_stage_order(stages: list) -> None:
+    """A curriculum runs at least one stage, in strictly increasing stage ids."""
+    ids = [s.stage_id for s in stages]
+    if not ids:
+        raise ConfigError("no stages selected")
+    if any(b <= a for a, b in zip(ids, ids[1:])):
+        raise ConfigError(f"stage ids must be strictly increasing, got {ids}")
+
+
 def run_curriculum(
     model: TwoTowerModel,
     stages: list,
@@ -297,15 +306,11 @@ def run_curriculum(
 ) -> list:
     """Run stages in order, checkpointing each and chaining step numbers.
 
-    Stage ids must be strictly increasing. Each stage gets its own seed
+    The stages pass check_stage_order. Each stage gets its own seed
     derived from (seed, stage_id), so a run resumed from a stage-N
     checkpoint reproduces the original stage-N+1 events exactly.
     """
-    if not stages:
-        raise ConfigError("run_curriculum needs at least one stage")
-    ids = [s.stage_id for s in stages]
-    if any(b <= a for a, b in zip(ids, ids[1:])):
-        raise ConfigError(f"stage ids must be strictly increasing, got {ids}")
+    check_stage_order(stages)
     events: list = []
     step = 0
     for stage in stages:

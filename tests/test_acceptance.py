@@ -316,7 +316,7 @@ def test_criterion_5_toy_overfit(toy_run):
         for bundle, bucket in ((cond, cond_scores), (ConditionBundle(), uncond_scores)):
             latent = flow.sample(model, bundle, scfg)
             peaks = metrics.detect_peaks(metrics.energy_envelope(latent), frame_rate)
-            bucket.append(metrics.av_align(peaks, video_peaks, metrics.MATCH_WINDOW))
+            bucket.append(metrics.av_align(peaks, video_peaks))
 
     mean_cond = float(np.mean(cond_scores))
     mean_uncond = float(np.mean(uncond_scores))
@@ -384,14 +384,14 @@ def test_criterion_7_metric_fixtures(tmp_path):
     # 1 match out of audio {1.0, 5.0} and video {1.02, 2.0, 3.0}: 1/(2+3-1)
     audio_train = metrics.PeakTrain((1.0, 5.0), duration=6.0)
     video_train = metrics.PeakTrain((1.02, 2.0, 3.0), duration=6.0)
-    assert metrics.av_align(audio_train, video_train, window=0.1) == 0.25
+    assert metrics.av_align(audio_train, video_train) == 0.25
 
     gen_dir = tmp_path / "latents"
     gen_dir.mkdir()
     for i in range(2):
         latent = SeededRng(100 + i).normal((16, 8)) * 2.0
         container.write_latents(str(gen_dir / f"clip{i}{metrics.LATENT_EXTENSION}"), {metrics.LATENT_RECORD: latent})
-    report = metrics.evaluate_set(str(gen_dir), str(gen_dir), metrics.default_eval_providers(), metrics.EvalConfig())
+    report = metrics.evaluate_set(str(gen_dir), str(gen_dir))
     assert report.values["FAD"] == 0.0
     assert report.values["AV"] == 1.0
 

@@ -6,9 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from foleyflow import cli, training
+from foleyflow import cli, container, training
 from foleyflow.cli import main
 from foleyflow.datapipe import MANIFEST_HEADER
 
@@ -115,10 +116,14 @@ def test_train_steps_count_mismatch(workdir, capsys):
         ["--stages", "2", "--steps", "1"],  # a later stage without --init-checkpoint
         ["--stages", "1", "--steps", "1,2"],  # step count mismatch
         ["--stages", "4"],  # no such stage
+        ["--stages", "1,1", "--steps", "1,1"],  # a repeated stage
+        ["--stages", "3,2", "--steps", "1,1", "--init-checkpoint", "CHECKPOINT"],  # stages out of order
     ],
 )
-def test_train_bad_arguments_write_nothing(tmp_path, capsys, args):
+def test_train_bad_arguments_write_nothing(tmp_path, capsys, request, args):
     out = tmp_path / "run"
+    if "CHECKPOINT" in args:
+        args = [request.getfixturevalue("checkpoint") if a == "CHECKPOINT" else a for a in args]
     assert main(["train", *args, "--out", str(out)]) == 1
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
@@ -285,6 +290,21 @@ def test_refine_picks_and_traces(workdir, checkpoint, latent, capsys):
     assert out.is_file()
 
 
+@pytest.mark.parametrize("bad", ["nan", "shape"])
+def test_refine_rejects_bad_coarse_latent(workdir, checkpoint, latent, capsys, bad):
+    good = container.read_latents(latent)["latent"]
+    coarse = workdir / f"coarse-{bad}.ysnd"
+    value = np.full_like(good, np.nan) if bad == "nan" else np.zeros((5, 3))
+    container.write_latents(str(coarse), {"latent": value})
+    out = workdir / f"refined-{bad}.ysnd"
+    capsys.readouterr()
+    assert main(["refine", "--checkpoint", checkpoint, "--coarse", str(coarse), "--out", str(out), "--nfe", "2"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["kind"] == "ContractError"
+    assert sorted(workdir.glob(out.name + "*")) == []
+
+
 def test_refine_rejects_k_zero(workdir, checkpoint, latent, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["refine", "--checkpoint", checkpoint, "--coarse", latent, "--out", "x.lat", "--k", "0"])
@@ -410,6 +430,7 @@ def test_console_script_help():
         ("sample", "--guidance", "inf", "guidance_scale"),
         ("sample", "--frame-rate", "nan", "frame_rate"),
         ("refine", "--guidance", "nan", "guidance_scale"),
+        ("refine", "--frame-rate", "nan", "frame_rate"),
         ("eval", "--frame-rate", "nan", "frame_rate"),
         ("pipeline", "--min-av", "nan", "min_av_align"),
         ("pipeline", "--min-sem", "nan", "min_semantic"),

@@ -172,9 +172,6 @@ def test_bad_frame_rate_is_a_contract_error(frame_rate):
     rec = _record(av_align_score=None)
     with pytest.raises(ContractError, match="frame_rate"):
         score_alignment(rec, np.zeros(20), np.zeros(20), frame_rate)
-    cuttable = _record(events=(("hit", 0.5, 1.5),), duration=2.0)
-    with pytest.raises(ContractError, match="frame_rate"):
-        cut(cuttable, np.zeros((20, 2)), frame_rate=frame_rate)
 
 
 def test_score_alignment_coverage_contract():
@@ -235,10 +232,8 @@ def test_filter_records_partition():
 
 def test_cut_segments_in_time_order():
     rec = _record(events=(("thud", 1.0, 1.4), ("hit", 0.2, 0.5)))
-    segments = cut(rec)
-    ids = [seg.clip_id for seg, _ in segments]
-    assert ids == ["clipA#0", "clipA#1"]
-    first, second = segments[0][0], segments[1][0]
+    first, second = cut(rec)
+    assert [first.clip_id, second.clip_id] == ["clipA#0", "clipA#1"]
     assert first.events == (("hit", 0.0, pytest.approx(0.3)),)
     assert first.duration == pytest.approx(0.3)
     assert second.events[0][0] == "thud"
@@ -248,43 +243,17 @@ def test_cut_segments_in_time_order():
     assert first.semantic_score == rec.semantic_score
 
 
-def test_cut_feature_rows_floor_ceil():
-    rec = _record(events=(("hit", 0.25, 0.51),), duration=1.0)
-    feats = np.arange(20.0).reshape(10, 2)
-    segments = cut(rec, feats, frame_rate=10.0)
-    seg, rows = segments[0]
-    # rows [floor(2.5), ceil(5.1)) = [2, 6)
-    assert rows.shape == (4, 2)
-    assert rows[0, 0] == feats[2, 0]
-    assert rows[-1, 0] == feats[5, 0]
-
-
-def test_cut_feature_rows_out_of_range():
-    rec = _record(events=(("hit", 0.5, 1.9),), duration=2.0)
-    feats = np.zeros((10, 2))  # only 1 s of rows at 10 fps
-    with pytest.raises(ContractError, match="rows"):
-        cut(rec, feats, frame_rate=10.0)
-
-
-def test_cut_with_features_needs_frame_rate():
-    with pytest.raises(ContractError):
-        cut(_record(), np.zeros((30, 2)))
-
-
 def test_cut_full_cover_passes_through_unchanged():
     rec = _record(events=(("roomtone", 0.0, 2.0),))
     segments = cut(rec)
     assert len(segments) == 1
-    assert segments[0][0] is rec  # same object, no renaming
+    assert segments[0] is rec  # same object, no renaming
 
 
 def test_cut_is_idempotent_on_own_output():
     rec = _record()
-    once = [seg for seg, _ in cut(rec)]
-    for seg in once:
-        again = cut(seg)
-        assert len(again) == 1
-        assert again[0][0] == seg
+    for seg in cut(rec):
+        assert cut(seg) == [seg]
 
 
 # ---------------------------------------------------------------------------

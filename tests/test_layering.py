@@ -2,7 +2,8 @@
 
 model and flow build tape graphs, and training runs their reverse pass;
 every other module works on plain float64 arrays. The package __init__
-may re-export tape names.
+may re-export tape names. The synthetic embedding stand-ins are built
+once, in metrics, and every scorer reads them from there.
 """
 
 import ast
@@ -52,3 +53,32 @@ def test_probe_sees_every_import_form():
         "from .model import ConditionBundle\n"
     )
     assert _tensor_imports(tree) == ["Tensor", "tensor", "backward", "tensor"]
+
+
+def _embedder_constructions(tree: ast.Module) -> int:
+    """Calls of SyntheticEmbedder, by bare name or as a module attribute."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            count += name == "SyntheticEmbedder"
+    return count
+
+
+def test_only_metrics_constructs_the_stand_ins():
+    counts = {
+        name: _embedder_constructions(ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8")))
+        for name in ("metrics", "cli", "refiner", "datapipe")
+    }
+    assert counts["metrics"] > 0
+    assert {name: n for name, n in counts.items() if name != "metrics" and n} == {}
+
+
+def test_embedder_probe_sees_every_call_form():
+    tree = ast.parse(
+        "a = SyntheticEmbedder('x', 2)\n"
+        "b = providers.SyntheticEmbedder('y', 2)\n"
+        "c = metrics.SHARED.embed(z)\n"
+    )
+    assert _embedder_constructions(tree) == 2

@@ -9,14 +9,13 @@ from foleyflow import container, datapipe, refiner
 from foleyflow.errors import ContractError, ShapeError
 from foleyflow.model import ConditionBundle
 from foleyflow.metrics import (
+    FRAME_RATE,
     REPORT_COLUMNS,
     ClassPosterior,
     EmbeddingSet,
-    EvalConfig,
     PeakTrain,
     av_align,
     clip_style_score,
-    default_eval_providers,
     detect_peaks,
     energy_envelope,
     envelope_alignment,
@@ -27,7 +26,7 @@ from foleyflow.metrics import (
     render_report,
     sigmoid_calibrate,
 )
-from foleyflow.providers import SyntheticClassifier, SyntheticEmbedder
+from foleyflow.providers import SyntheticEmbedder
 
 
 # ---------------------------------------------------------------------------
@@ -41,10 +40,24 @@ def test_embedding_set_validation():
         EmbeddingSet(np.array([[np.nan, 0.0]]))
 
 
-def test_eval_config_rejects_bad_frame_rate():
-    for bad in (0.0, -16.0, float("nan"), float("inf")):
-        with pytest.raises(ContractError):
-            EvalConfig(frame_rate=bad)
+def test_every_scorer_rejects_bad_frame_rate(tmp_path):
+    items = _toy_latents(0)
+    _write_latents(tmp_path / "gen", items)
+    _write_latents(tmp_path / "ref", items)
+    latent = items["clip0"]
+    env = energy_envelope(latent)
+    record = datapipe.ClipRecord(clip_id="c", duration=1.0, events=())
+    scorers = {
+        "detect_peaks": lambda fr: detect_peaks(env, fr),
+        "evaluate_set": lambda fr: evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"), fr),
+        "reward": lambda fr: refiner.reward(latent, ConditionBundle(video_feat=latent), fr),
+        "score_alignment": lambda fr: datapipe.score_alignment(record, env, env, fr),
+    }
+    for name, score in scorers.items():
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ContractError, match="frame_rate"):
+                score(bad)
+                pytest.fail(f"{name} accepted frame_rate {bad}")
 
 
 def test_posterior_validation():
@@ -221,16 +234,17 @@ def test_detect_peaks_threshold_filters_small_bumps():
     env = np.full(20, 0.0)
     env[4] = 1.0
     env[12] = 0.2  # below 0.3 * max
-    peaks = detect_peaks(env, frame_rate=10.0, threshold_rel=0.3)
+    peaks = detect_peaks(env, frame_rate=10.0)
     assert peaks.times == (0.4,)
 
 
 def test_detect_peaks_min_separation_keeps_taller():
-    env = np.zeros(30)
+    env = np.zeros(50)
     env[10] = 0.8
-    env[12] = 1.0  # 0.2 s away at 10 fps, inside the 0.5 s window
-    peaks = detect_peaks(env, frame_rate=10.0, min_separation=0.5)
-    assert peaks.times == (1.2,)
+    env[13] = 1.0  # 0.06 s away at 50 fps, inside the 0.1 s separation
+    env[30] = 0.9  # 0.34 s further on: kept
+    peaks = detect_peaks(env, frame_rate=50.0)
+    assert peaks.times == (0.26, 0.6)
 
 
 def test_detect_peaks_flat_zero_envelope_is_empty():
@@ -252,10 +266,6 @@ def test_detect_peaks_contracts():
         detect_peaks(np.zeros(2), frame_rate=10.0)
     with pytest.raises(ContractError):
         detect_peaks(np.zeros(10), frame_rate=0.0)
-    with pytest.raises(ContractError):
-        detect_peaks(np.zeros(10), frame_rate=10.0, threshold_rel=0.0)
-    with pytest.raises(ContractError):
-        detect_peaks(np.zeros(10), frame_rate=10.0, min_separation=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -264,25 +274,25 @@ def test_detect_peaks_contracts():
 
 def test_av_align_perfect_match():
     a = PeakTrain(times=(0.5, 1.0), duration=2.0)
-    assert av_align(a, a, window=0.1) == 1.0
+    assert av_align(a, a) == 1.0
 
 
 def test_av_align_both_empty_is_one():
     empty = PeakTrain(times=(), duration=1.0)
-    assert av_align(empty, empty, window=0.1) == 1.0
+    assert av_align(empty, empty) == 1.0
 
 
 def test_av_align_one_empty_is_zero():
     a = PeakTrain(times=(0.5,), duration=1.0)
     empty = PeakTrain(times=(), duration=1.0)
-    assert av_align(a, empty, window=0.1) == 0.0
-    assert av_align(empty, a, window=0.1) == 0.0
+    assert av_align(a, empty) == 0.0
+    assert av_align(empty, a) == 0.0
 
 
 def test_av_align_outside_window_no_match():
     a = PeakTrain(times=(0.0,), duration=1.0)
     v = PeakTrain(times=(0.5,), duration=1.0)
-    assert av_align(a, v, window=0.1) == 0.0
+    assert av_align(a, v) == 0.0
 
 
 def test_av_align_greedy_prefers_closest():
@@ -290,7 +300,7 @@ def test_av_align_greedy_prefers_closest():
     # other video peak goes unmatched: score = 1 / (1 + 2 - 1)
     a = PeakTrain(times=(1.0,), duration=2.0)
     v = PeakTrain(times=(0.95, 1.04), duration=2.0)
-    assert av_align(a, v, window=0.1) == 0.5
+    assert av_align(a, v) == 0.5
 
 
 def test_av_align_one_to_one():
@@ -298,13 +308,7 @@ def test_av_align_one_to_one():
     # 1 match over (2 + 1 - 1) candidates
     a = PeakTrain(times=(0.98, 1.02), duration=2.0)
     v = PeakTrain(times=(1.0,), duration=2.0)
-    assert av_align(a, v, window=0.1) == 0.5
-
-
-def test_av_align_window_contract():
-    a = PeakTrain(times=(), duration=1.0)
-    with pytest.raises(ContractError):
-        av_align(a, a, window=0.0)
+    assert av_align(a, v) == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +335,7 @@ def test_evaluate_set_self_is_perfect(tmp_path):
     items = _toy_latents(0)
     _write_latents(tmp_path / "gen", items)
     _write_latents(tmp_path / "ref", items)
-    config = EvalConfig()
-    report = evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"), default_eval_providers(), config)
+    report = evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"))
     assert report.values["FAD"] == 0.0
     assert report.values["FD"] == 0.0
     assert report.values["KL-sigmoid"] == 0.0
@@ -350,8 +353,7 @@ def test_evaluate_set_lists_missing_and_pairs_by_stem(tmp_path):
     ref["lonely"] = items["clip1"]
     _write_latents(tmp_path / "gen", gen)
     _write_latents(tmp_path / "ref", ref)
-    config = EvalConfig()
-    report = evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"), default_eval_providers(), config)
+    report = evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"))
     assert report.n_pairs == 3
     assert report.missing == ("extra (gen only)", "lonely (ref only)")
 
@@ -360,9 +362,8 @@ def test_evaluate_set_needs_two_pairs(tmp_path):
     items = _toy_latents(2, n=1)
     _write_latents(tmp_path / "gen", items)
     _write_latents(tmp_path / "ref", items)
-    config = EvalConfig()
     with pytest.raises(ContractError, match="2 paired"):
-        evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"), default_eval_providers(), config)
+        evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"))
 
 
 def test_evaluate_set_detects_distribution_shift(tmp_path):
@@ -370,8 +371,7 @@ def test_evaluate_set_detects_distribution_shift(tmp_path):
     ref = _toy_latents(3)
     _write_latents(tmp_path / "gen", gen)
     _write_latents(tmp_path / "ref", ref)
-    config = EvalConfig()
-    report = evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"), default_eval_providers(), config)
+    report = evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"))
     assert report.values["FAD"] > 0.01
     assert report.values["FD"] > 0.01
 
@@ -385,23 +385,21 @@ def _spiky(seed, frames, t=32, d=4):
 def test_av_callers_share_envelope_alignment(tmp_path):
     # the refiner's temporal reward, evaluate_set's AV column and the
     # pipeline's alignment score are one measure on one envelope pair
-    config = EvalConfig()
-    fr = config.frame_rate
+    fr = FRAME_RATE
     pairs = [(_spiky(0, (4, 10, 17)), _spiky(1, (4, 12, 20))), (_spiky(2, (6, 20)), _spiky(3, (7, 14, 26)))]
     scores = [envelope_alignment(energy_envelope(a), fr, energy_envelope(v), fr) for a, v in pairs]
     assert all(0.0 < s < 1.0 for s in scores)
 
-    providers = default_eval_providers()
     for (audio, video), score in zip(pairs, scores):
         cond = ConditionBundle(video_feat=video)
-        assert refiner.reward(audio, cond, providers, config).components["temporal"] == score
+        assert refiner.reward(audio, cond, fr).components["temporal"] == score
         record = datapipe.ClipRecord(clip_id="c", duration=audio.shape[0] / fr, events=())
         scored = datapipe.score_alignment(record, energy_envelope(audio), energy_envelope(video), fr)
         assert scored.av_align_score == score
 
     _write_latents(tmp_path / "gen", {f"clip{i}": a for i, (a, _) in enumerate(pairs)})
     _write_latents(tmp_path / "ref", {f"clip{i}": v for i, (_, v) in enumerate(pairs)})
-    report = evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"), providers, config)
+    report = evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"), fr)
     assert report.values["AV"] == float(np.mean(scores))
 
 
@@ -409,8 +407,7 @@ def test_render_report_formats(tmp_path):
     items = _toy_latents(4)
     _write_latents(tmp_path / "gen", items)
     _write_latents(tmp_path / "ref", items)
-    config = EvalConfig()
-    report = evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"), default_eval_providers(), config)
+    report = evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"))
 
     text = render_report(report)
     lines = text.splitlines()
@@ -432,5 +429,3 @@ def test_providers_are_deterministic():
     seq = np.random.default_rng(5).normal(size=(10, 3))
     assert np.array_equal(emb.embed(seq), SyntheticEmbedder("provider-x", 6).embed(seq))
     assert not np.array_equal(emb.embed(seq), SyntheticEmbedder("provider-y", 6).embed(seq))
-    clf = SyntheticClassifier("tagger", 4)
-    assert clf.scores(seq).shape == (4,)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from foleyflow import flow
 from foleyflow.errors import ContractError, DivergenceError
 from foleyflow.flow import SamplerConfig
-from foleyflow.metrics import EvalConfig, default_eval_providers
 from foleyflow.model import ConditionBundle, ModelConfig, TwoTowerModel
 from foleyflow.refiner import (
     REWARD_WEIGHTS,
@@ -101,57 +100,47 @@ def test_reward_weights_must_sum_to_one():
     assert abs(sum(REWARD_WEIGHTS.values()) - 1.0) <= 1e-9
 
 
-@pytest.fixture(scope="module")
-def eval_setup():
-    return EvalConfig(), default_eval_providers()
-
-
-def test_reward_components_present(eval_setup):
-    config, providers = eval_setup
+def test_reward_components_present():
     rng = SeededRng(2)
     cand = rng.normal((32, SMALL.d_audio_latent))
-    with_video = reward(cand, _cond(rng), providers, config)
+    with_video = reward(cand, _cond(rng))
     assert set(with_video.components) == {"temporal", "semantic", "smoothness"}
-    text_only = reward(cand, _cond(rng, video=False), providers, config)
+    text_only = reward(cand, _cond(rng, video=False))
     assert set(text_only.components) == {"semantic", "smoothness"}
-    bare = reward(cand, ConditionBundle(), providers, config)
+    bare = reward(cand, ConditionBundle())
     assert set(bare.components) == {"smoothness"}
 
 
-def test_reward_weights_renormalize(eval_setup):
-    config, providers = eval_setup
+def test_reward_weights_renormalize():
     rng = SeededRng(4)
     cand = rng.normal((32, SMALL.d_audio_latent))
-    report = reward(cand, _cond(rng, video=False), providers, config)
+    report = reward(cand, _cond(rng, video=False))
     assert report.weights == pytest.approx({"semantic": 0.8, "smoothness": 0.2})
-    bare = reward(cand, ConditionBundle(), providers, config)
+    bare = reward(cand, ConditionBundle())
     assert bare.weights == {"smoothness": 1.0}
     assert bare.aggregate == bare.components["smoothness"]
 
 
-def test_reward_smoothness_values(eval_setup):
-    config, providers = eval_setup
+def test_reward_smoothness_values():
     flat = np.ones((10, 4))
-    report = reward(flat, ConditionBundle(), providers, config)
+    report = reward(flat, ConditionBundle())
     assert report.components["smoothness"] == 1.0
     jagged = np.zeros((10, 4))
     jagged[1::2] = 2.0  # msd 16 floors the component at zero
-    report = reward(jagged, ConditionBundle(), providers, config)
+    report = reward(jagged, ConditionBundle())
     assert report.components["smoothness"] == 0.0
 
 
-def test_reward_zero_norm_semantic_is_zero(eval_setup):
-    config, providers = eval_setup
+def test_reward_zero_norm_semantic_is_zero():
     rng = SeededRng(9)
     cand = np.zeros((16, SMALL.d_audio_latent))
-    report = reward(cand, _cond(rng, video=False), providers, config)
+    report = reward(cand, _cond(rng, video=False))
     assert report.components["semantic"] == 0.0
 
 
-def test_reward_rejects_bad_candidate(eval_setup):
-    config, providers = eval_setup
+def test_reward_rejects_bad_candidate():
     with pytest.raises(ContractError):
-        reward(np.zeros(8), ConditionBundle(), providers, config)
+        reward(np.zeros(8), ConditionBundle())
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +228,11 @@ def test_refine_passes_signal_token_to_sampler(small_model):
 def test_refine_better_candidate_wins(small_model):
     rng = SeededRng(4)
     cond = ConditionBundle()
-    coarse = np.zeros((10, 4))
+    coarse = np.zeros((SMALL.t_audio, SMALL.d_audio_latent))
     coarse[1::2] = 2.0  # smoothness 0, so any flat candidate beats it
 
     def flat(model, c, cfg):
-        return np.full((10, 4), float(cfg.seed % 7))
+        return np.full(coarse.shape, float(cfg.seed % 7))
 
     result = refine(small_model, cond, coarse, k=2, sampler_cfg=SamplerConfig(nfe=4), sample_fn=per_candidate(flat))
     assert result.picked.startswith("candidate:")
