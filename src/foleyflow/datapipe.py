@@ -46,8 +46,8 @@ class ClipRecord:
     def __post_init__(self):
         if not self.clip_id or "," in self.clip_id:
             raise ContractError(f"invalid clip_id {self.clip_id!r}")
-        if not (self.duration > 0):
-            raise ContractError(f"{self.clip_id}: duration must be > 0, got {self.duration}")
+        if not (0 < self.duration < math.inf):
+            raise ContractError(f"{self.clip_id}: duration must be finite and > 0, got {self.duration}")
         events = tuple((str(l), float(s), float(e)) for l, s, e in self.events)
         for label, start, end in events:
             if not label or _LABEL_FORBIDDEN & set(label):
@@ -136,7 +136,10 @@ def read_manifest(path: str) -> tuple[list, list]:
     (line_number, reason) for lines that failed to parse; parsing
     continues past them.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: manifest is not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
     lines = text.splitlines()
     if not lines or lines[0].strip() != MANIFEST_HEADER:
         raise FormatError(f"{path}: first line must be {MANIFEST_HEADER!r}")

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from . import container
 from .errors import ContractError, ShapeError
@@ -239,21 +238,47 @@ def check_frame_rate(frame_rate) -> None:
 def detect_peaks(envelope: np.ndarray, frame_rate: float) -> PeakTrain:
     """Local maxima at or above PEAK_THRESHOLD * max(envelope).
 
-    Peaks closer than MIN_SEPARATION seconds are thinned greedily,
-    keeping the taller one. Endpoints cannot be peaks (a local maximum
-    needs both neighbours), hence the T >= 3 requirement.
+    A maximum is a strict rise followed by a strict fall; a flat top counts
+    once, at its middle frame rounded down. Endpoints cannot be peaks (a
+    local maximum needs both neighbours), hence the T >= 3 requirement.
+    Peaks closer than MIN_SEPARATION seconds are thinned greedily, keeping
+    the taller one. These are scipy.signal.find_peaks' rules with its
+    height and distance options, ties included.
     """
     env = np.asarray(envelope, dtype=np.float64).reshape(-1)
     if env.size < 3:
         raise ContractError(f"peak detection needs at least 3 frames, got {env.size}")
     check_frame_rate(frame_rate)
     duration = env.size / frame_rate
+    if not math.isfinite(duration):
+        raise ContractError(f"frame_rate {frame_rate!r} is too small: {env.size} frames overflow the clip duration")
     peak = float(env.max())
     if peak <= 0.0:
         return PeakTrain(times=(), duration=duration)
-    distance = max(1.0, MIN_SEPARATION * frame_rate)
-    idx, _ = find_peaks(env, height=PEAK_THRESHOLD * peak, distance=distance)
-    return PeakTrain(times=tuple(idx / frame_rate), duration=duration)
+    # find_peaks' scan: from each strict rise, step over the flat run and
+    # look for a strict fall
+    x = env.tolist()
+    last = env.size - 1
+    maxima = []
+    i = 1
+    while i < last:
+        if x[i - 1] < x[i]:
+            ahead = i + 1
+            while ahead < last and x[ahead] == x[i]:
+                ahead += 1
+            if x[ahead] < x[i]:
+                if x[i] >= PEAK_THRESHOLD * peak:
+                    maxima.append((i + ahead - 1) // 2)
+                i = ahead
+        i += 1
+    # tallest first, in the reversed np.argsort order find_peaks visits them
+    # in, so that ties resolve the same way; the cap keeps the gap a small int
+    gap = min(math.ceil(MIN_SEPARATION * frame_rate), env.size)
+    kept: list = []
+    for j in np.argsort(env[maxima])[::-1].tolist():
+        if all(abs(maxima[j] - q) >= gap for q in kept):
+            kept.append(maxima[j])
+    return PeakTrain(times=tuple(p / frame_rate for p in sorted(kept)), duration=duration)
 
 
 def av_align(audio_peaks: PeakTrain, video_peaks: PeakTrain) -> float:

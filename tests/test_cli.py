@@ -264,6 +264,18 @@ def test_pipeline_missing_input(workdir, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"]["kind"] == "ContractError"
 
 
+def test_pipeline_non_utf8_input_is_a_format_error(workdir, capsys):
+    src = workdir / "latin1.manifest"
+    src.write_bytes(MANIFEST_HEADER.encode() + b"\ncaf\xe9,2.0,,0.5,0.5,0,0\n")
+    dst = workdir / "latin1-out.manifest"
+    code = main(["pipeline", str(src), str(dst)])
+    assert code == 1
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["error"]["kind"] == "FormatError"
+    assert not dst.exists()
+
+
 # ---------------------------------------------------------------------------
 # refine
 

@@ -50,6 +50,8 @@ def test_record_validation():
         _record(clip_id="a,b")
     with pytest.raises(ContractError):
         _record(duration=0.0)
+    with pytest.raises(ContractError, match="finite"):
+        _record(duration=math.inf, events=(("hit", 0.0, math.inf),))
     with pytest.raises(ContractError):
         _record(events=(("hit", 0.5, 0.2),))
     with pytest.raises(ContractError):
@@ -126,10 +128,19 @@ def test_read_manifest_collects_problems_and_continues(tmp_path):
         + "\n"
         + "good2,1.0,,0.5,0.5,0,0\n"
         + "bad2,-1.0,,0.5,0.5,0,0\n"
+        + "endless,inf,,0.5,0.5,0,0\n"
+        + "endless2,inf,hit:0.0:inf,0.5,0.5,0,0\n"
     )
     records, problems = read_manifest(str(path))
     assert [r.clip_id for r in records] == ["good1", "good2"]
-    assert [lineno for lineno, _ in problems] == [3, 7]
+    assert [lineno for lineno, _ in problems] == [3, 7, 8, 9]
+
+
+def test_read_manifest_rejects_non_utf8(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_bytes(MANIFEST_HEADER.encode() + b"\nclip\xff,2.0,,0.5,0.5,0,0\n")
+    with pytest.raises(FormatError, match=f"m.txt: manifest is not valid UTF-8 .* at byte {len(MANIFEST_HEADER) + 5}"):
+        read_manifest(str(path))
 
 
 def test_write_read_manifest_roundtrip(tmp_path):

@@ -3,10 +3,12 @@
 model and flow build tape graphs, and training runs their reverse pass;
 every other module works on plain float64 arrays. The package __init__
 may re-export tape names. The synthetic embedding stand-ins are built
-once, in metrics, and every scorer reads them from there.
+once, in metrics, and every scorer reads them from there. Beyond the
+standard library the package imports numpy alone.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import foleyflow
@@ -82,3 +84,36 @@ def test_embedder_probe_sees_every_call_form():
         "c = metrics.SHARED.embed(z)\n"
     )
     assert _embedder_constructions(tree) == 2
+
+
+def _foreign_imports(tree: ast.Module) -> list:
+    """Top-level names of imported modules outside the standard library, numpy and foleyflow."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            names += [alias.name.split(".")[0] for alias in node.names]
+    allowed = sys.stdlib_module_names | {"numpy", "foleyflow"}
+    return [name for name in names if name not in allowed]
+
+
+def test_package_imports_numpy_and_the_standard_library_only():
+    offenders = {
+        path.stem: _foreign_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_dependency_probe_sees_every_import_form():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import math, json\n"
+        "import numpy as np\n"
+        "from . import tensor\n"
+        "from foleyflow.errors import FormatError\n"
+        "import scipy.signal\n"
+        "from scipy.signal import find_peaks\n"
+    )
+    assert _foreign_imports(tree) == ["scipy", "scipy"]

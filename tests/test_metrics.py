@@ -1,15 +1,20 @@
 """Metric oracles: hand-computable fixtures for every column."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foleyflow import container, datapipe, refiner
 from foleyflow.errors import ContractError, ShapeError
 from foleyflow.model import ConditionBundle
 from foleyflow.metrics import (
     FRAME_RATE,
+    MIN_SEPARATION,
+    PEAK_THRESHOLD,
     REPORT_COLUMNS,
     ClassPosterior,
     EmbeddingSet,
@@ -266,6 +271,43 @@ def test_detect_peaks_contracts():
         detect_peaks(np.zeros(2), frame_rate=10.0)
     with pytest.raises(ContractError):
         detect_peaks(np.zeros(10), frame_rate=0.0)
+
+
+def test_detect_peaks_plateau_and_tie_rules():
+    # a flat top counts at its middle frame, rounded down
+    assert detect_peaks(np.array([0.0, 1, 1, 1, 1, 0, 0]), frame_rate=1.0).times == (2.0,)
+    # a plateau that runs into the last frame is no peak
+    assert detect_peaks(np.array([0.0, 1, 0, 2, 2]), frame_rate=1.0).times == (1.0,)
+    # equal heights 2 frames apart at a 3-frame gap: the right-hand one wins
+    assert detect_peaks(np.array([0.0, 1, 0, 1, 0, 0]), frame_rate=30.0).times == (0.1,)
+
+
+def test_detect_peaks_extreme_frame_rates():
+    env = np.zeros(20)
+    env[[4, 12]] = 1.0
+    # the gap is far wider than the clip: one peak survives
+    assert len(detect_peaks(env, 1e308).times) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match="frame_rate 5e-324"):
+            detect_peaks(env, 5e-324)
+
+
+_runs = st.lists(
+    st.tuples(st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 1.0)), st.integers(1, 4)),
+    min_size=3,
+    max_size=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(runs=_runs, frame_rate=st.floats(1.0, 1000.0))
+def test_detect_peaks_matches_scipy_find_peaks(runs, frame_rate):
+    find_peaks = pytest.importorskip("scipy.signal").find_peaks
+    levels, lengths = zip(*runs)
+    env = np.repeat(levels, lengths)
+    idx, _ = find_peaks(env, height=PEAK_THRESHOLD * env.max(), distance=max(1, MIN_SEPARATION * frame_rate))
+    assert detect_peaks(env, frame_rate).times == tuple(idx / frame_rate)
 
 
 # ---------------------------------------------------------------------------
