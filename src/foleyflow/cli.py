@@ -193,9 +193,9 @@ def _sampler_config(args) -> flow.SamplerConfig:
 
 def cmd_sample(args) -> int:
     sampler_cfg = _sampler_config(args)
-    metrics.check_frame_rate(args.frame_rate)
     _require_file(args.checkpoint, "checkpoint")
     model = TwoTowerModel.load(args.checkpoint)
+    metrics.check_frame_rate(args.frame_rate, model.config.t_audio)
     cond = _build_condition(args, model.config)
     latent = flow.sample(model, cond, sampler_cfg)
     container.write_latents(args.out, {metrics.LATENT_RECORD: latent})
@@ -245,10 +245,10 @@ def cmd_pipeline(args) -> int:
 
 def cmd_refine(args) -> int:
     sampler_cfg = _sampler_config(args)
-    metrics.check_frame_rate(args.frame_rate)
     _require_file(args.checkpoint, "checkpoint")
     _require_file(args.coarse, "coarse latent file")
     model = TwoTowerModel.load(args.checkpoint)
+    metrics.check_frame_rate(args.frame_rate, model.config.t_audio)
     records = container.read_latents(args.coarse)
     if metrics.LATENT_RECORD not in records:
         raise ContractError(f"{args.coarse}: no {metrics.LATENT_RECORD!r} record")

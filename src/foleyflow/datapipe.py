@@ -180,9 +180,9 @@ def score_alignment(
     """
     if audio_envelope is None or video_envelope is None:
         return replace(record, av_align_score=None)
-    check_frame_rate(frame_rate)
     audio_env = np.asarray(audio_envelope, dtype=np.float64)
     video_env = np.asarray(video_envelope, dtype=np.float64)
+    check_frame_rate(frame_rate, max(audio_env.size, video_env.size))
     for name, env in (("audio", audio_env), ("video", video_env)):
         covered = env.size / frame_rate
         if covered + 1e-9 < record.duration:

@@ -25,26 +25,6 @@ SWAY_MIN = -1.0
 
 
 @dataclass(frozen=True)
-class FlowSample:
-    """One supervised point on the straight path from noise to data."""
-
-    t: float
-    x_t: np.ndarray
-    target_v: np.ndarray
-
-
-def make_flow_sample(x0: np.ndarray, x1: np.ndarray, t: float) -> FlowSample:
-    x0 = np.asarray(x0, dtype=np.float64)
-    x1 = np.asarray(x1, dtype=np.float64)
-    if x0.shape != x1.shape:
-        raise ShapeError(f"flow endpoints must match: {x0.shape} vs {x1.shape}")
-    if not (0.0 <= t <= 1.0):
-        raise ContractError(f"interpolation time {t} outside [0, 1]")
-    x_t = (1.0 - t) * x0 + t * x1
-    return FlowSample(t=float(t), x_t=x_t, target_v=x1 - x0)
-
-
-@dataclass(frozen=True)
 class SamplerConfig:
     nfe: int = 64
     sway_coef: float = -1.0
@@ -89,17 +69,15 @@ def cfm_loss(model, batch, rng: SeededRng) -> Tensor:
     items = list(batch)
     if not items:
         raise ContractError("cfm_loss needs a non-empty batch")
-    points = []
-    for x1, _ in items:
-        x1 = np.asarray(x1, dtype=np.float64)
-        x0 = rng.normal(x1.shape)
-        t = rng.uniform()
-        points.append(make_flow_sample(x0, x1, t))
-    shapes = {p.x_t.shape for p in points}
+    x1 = [np.asarray(x, dtype=np.float64) for x, _ in items]
+    shapes = {x.shape for x in x1}
     if len(shapes) != 1:
         raise ShapeError(f"cfm_loss batch items differ in shape: {sorted(shapes)}")
-    pred = model(Tensor(np.stack([p.x_t for p in points])), [p.t for p in points], [cond for _, cond in items])
-    diff = pred - Tensor(np.stack([p.target_v for p in points]))
+    x0, t = zip(*[(rng.normal(x.shape), rng.uniform()) for x in x1])
+    x0, x1 = np.stack(x0), np.stack(x1)
+    tb = np.reshape(t, (-1,) + (1,) * (x1.ndim - 1))
+    pred = model(Tensor((1.0 - tb) * x0 + tb * x1), list(t), [cond for _, cond in items])
+    diff = pred - Tensor(x1 - x0)
     return reduce_mean(diff * diff)
 
 

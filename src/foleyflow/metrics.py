@@ -229,10 +229,12 @@ def energy_envelope(latent: np.ndarray) -> np.ndarray:
     return np.sqrt(np.mean(arr * arr, axis=1))
 
 
-def check_frame_rate(frame_rate) -> None:
-    """The one frame-rate rule of every scorer and the CLI: finite and > 0 (NaN fails)."""
+def check_frame_rate(frame_rate, frames: int) -> None:
+    """The one frame-rate rule of every scorer and the CLI: finite, > 0 (NaN fails) and frames / rate finite."""
     if not (0.0 < frame_rate < math.inf):
         raise ContractError(f"frame_rate must be finite and > 0, got {frame_rate!r}")
+    if not math.isfinite(frames / frame_rate):
+        raise ContractError(f"frame_rate {frame_rate!r} is too small: {frames} frames overflow the clip duration")
 
 
 def detect_peaks(envelope: np.ndarray, frame_rate: float) -> PeakTrain:
@@ -248,10 +250,8 @@ def detect_peaks(envelope: np.ndarray, frame_rate: float) -> PeakTrain:
     env = np.asarray(envelope, dtype=np.float64).reshape(-1)
     if env.size < 3:
         raise ContractError(f"peak detection needs at least 3 frames, got {env.size}")
-    check_frame_rate(frame_rate)
+    check_frame_rate(frame_rate, env.size)
     duration = env.size / frame_rate
-    if not math.isfinite(duration):
-        raise ContractError(f"frame_rate {frame_rate!r} is too small: {env.size} frames overflow the clip duration")
     peak = float(env.max())
     if peak <= 0.0:
         return PeakTrain(times=(), duration=duration)
@@ -360,7 +360,6 @@ def evaluate_set(gen_dir: str, ref_dir: str, frame_rate: float = FRAME_RATE) -> 
     the CLIP and AV columns; ids present on only one side are listed as
     missing and excluded from every aggregate.
     """
-    check_frame_rate(frame_rate)
     gen = _load_latent_dir(gen_dir)
     ref = _load_latent_dir(ref_dir)
     shared_ids = sorted(set(gen) & set(ref))
@@ -375,6 +374,7 @@ def evaluate_set(gen_dir: str, ref_dir: str, frame_rate: float = FRAME_RATE) -> 
 
     gen_seqs = [gen[cid] for cid in shared_ids]
     ref_seqs = [ref[cid] for cid in shared_ids]
+    check_frame_rate(frame_rate, max(len(s) for s in gen_seqs + ref_seqs))
 
     fad = frechet_distance(
         EmbeddingSet(FIDELITY.embed_set(gen_seqs)),

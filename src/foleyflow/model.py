@@ -306,8 +306,16 @@ class TwoTowerModel:
 
     @classmethod
     def load(cls, path: str) -> "TwoTowerModel":
+        """Rebuild a saved model; a bad config block is a FormatError raised before the model is built."""
         fields_dict, arrays = container.read_checkpoint(path)
-        model = cls(ModelConfig(**fields_dict))
+        try:
+            cfg = ModelConfig(**fields_dict)
+        except ConfigError as exc:
+            raise FormatError(f"{path}: bad config block: {exc}") from None
+        stored, needed = sum(arr.size for arr in arrays.values()), expected_param_count(cfg)
+        if stored != needed:
+            raise FormatError(f"{path}: config block {fields_dict} needs {needed} parameter values, records hold {stored}")
+        model = cls(cfg)
         model.load_state(arrays)
         return model
 

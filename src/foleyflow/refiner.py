@@ -82,10 +82,10 @@ def reward(candidate: np.ndarray, cond: ConditionBundle, frame_rate: float = FRA
     smoothness  1 - mean squared frame difference, floored at 0.
     REWARD_WEIGHTS renormalize over the components that apply.
     """
-    check_frame_rate(frame_rate)
     cand = np.asarray(candidate, dtype=np.float64)
     if cand.ndim != 2:
         raise ContractError("reward needs a 2-D candidate latent sequence")
+    check_frame_rate(frame_rate, cand.shape[0])
     video, text = cond.video_feat, cond.text_emb
 
     components: dict = {}

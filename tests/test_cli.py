@@ -441,9 +441,12 @@ def test_console_script_help():
         ("sample", "--guidance", "nan", "guidance_scale"),
         ("sample", "--guidance", "inf", "guidance_scale"),
         ("sample", "--frame-rate", "nan", "frame_rate"),
+        ("sample", "--frame-rate", "5e-324", "frame_rate"),
         ("refine", "--guidance", "nan", "guidance_scale"),
         ("refine", "--frame-rate", "nan", "frame_rate"),
+        ("refine", "--frame-rate", "5e-324", "frame_rate"),
         ("eval", "--frame-rate", "nan", "frame_rate"),
+        ("eval", "--frame-rate", "5e-324", "frame_rate"),
         ("pipeline", "--min-av", "nan", "min_av_align"),
         ("pipeline", "--min-sem", "nan", "min_semantic"),
     ],

@@ -12,7 +12,6 @@ from foleyflow.flow import (
     SamplerConfig,
     cfm_loss,
     guided_velocity,
-    make_flow_sample,
     sample,
     sample_many,
     sway_schedule,
@@ -46,23 +45,27 @@ class StubModel:
 # path algebra
 
 
-def test_flow_sample_interpolation_exact():
-    rng = SeededRng(0)
-    x0, x1 = rng.normal((4, 3)), rng.normal((4, 3))
-    s = make_flow_sample(x0, x1, 0.25)
-    assert np.array_equal(s.x_t, 0.75 * x0 + 0.25 * x1)
-    assert np.array_equal(s.target_v, x1 - x0)
-    assert np.array_equal(make_flow_sample(x0, x1, 0.0).x_t, x0)
-    assert np.array_equal(make_flow_sample(x0, x1, 1.0).x_t, x1)
+def test_cfm_loss_interpolates_and_regresses_the_straight_path():
+    # the stub records each item it is asked to predict and answers sin(x_t)
+    seen = []
 
+    def fn(x, t, cond):
+        seen.append((x.copy(), t))
+        return np.sin(x)
 
-def test_flow_sample_contracts():
-    with pytest.raises(ShapeError):
-        make_flow_sample(np.zeros((2, 2)), np.zeros((2, 3)), 0.5)
-    with pytest.raises(ContractError):
-        make_flow_sample(np.zeros((2, 2)), np.zeros((2, 2)), 1.5)
-    with pytest.raises(ContractError):
-        make_flow_sample(np.zeros((2, 2)), np.zeros((2, 2)), -0.1)
+    data = [SeededRng(30 + i).normal((5, 3)) for i in range(3)]
+    loss = cfm_loss(StubModel(fn), [(x1, ConditionBundle()) for x1 in data], SeededRng(9)).item()
+
+    # replay the stream: x0, then t, per item
+    assert len(seen) == len(data)
+    twin = SeededRng(9)
+    x0 = []
+    for (x_t, t), x1 in zip(seen, data):
+        x0.append(twin.normal(x1.shape))
+        assert t == twin.uniform()
+        assert np.array_equal(x_t, (1.0 - t) * x0[-1] + t * x1)
+    pred = np.sin(np.stack([x_t for x_t, _ in seen]))
+    assert loss == np.mean((pred - (np.stack(data) - np.stack(x0))) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,15 @@
 
 model and flow build tape graphs, and training runs their reverse pass;
 every other module works on plain float64 arrays. The package __init__
-may re-export tape names. The synthetic embedding stand-ins are built
-once, in metrics, and every scorer reads them from there. Beyond the
-standard library the package imports numpy alone.
+binds __version__ alone, so importing a module loads only what it
+imports. The synthetic embedding stand-ins are built once, in metrics,
+and every scorer reads them from there. Beyond the standard library the
+package imports numpy alone.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,7 +19,7 @@ import foleyflow
 PACKAGE = Path(foleyflow.__file__).parent
 
 # module -> the tensor names it may import (None: any)
-ALLOWED = {"__init__": None, "model": None, "flow": None, "training": {"backward"}}
+ALLOWED = {"model": None, "flow": None, "training": {"backward"}}
 
 
 def _tensor_imports(tree: ast.Module) -> list:
@@ -44,6 +47,24 @@ def test_only_the_tape_modules_import_tensor():
         if allowed is not None and not set(imported) <= allowed:
             offenders[name] = sorted(set(imported) - allowed)
     assert offenders == {}
+
+
+def _fresh_interpreter(code: str) -> str:
+    """stdout of code run in a new interpreter, so nothing this process imported counts."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_array_modules_load_without_the_tape():
+    tape = ["foleyflow.tensor", "foleyflow.model", "foleyflow.flow", "foleyflow.training"]
+    for module in ("foleyflow.container", "foleyflow.metrics", "foleyflow.datapipe"):
+        loaded = _fresh_interpreter(f"import sys, {module}; print(sorted(set({tape!r}) & set(sys.modules)))")
+        assert (module, loaded) == (module, "[]")
+    # the package binds no public name beside __version__
+    public = "import foleyflow; print(foleyflow.__version__, [n for n in vars(foleyflow) if not n.startswith('_')])"
+    assert _fresh_interpreter(public) == f"{foleyflow.__version__} []"
 
 
 def test_probe_sees_every_import_form():

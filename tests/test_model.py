@@ -547,6 +547,26 @@ def test_version_1_checkpoint_loads(tmp_path):
         TwoTowerModel.load(bad)
 
 
+def test_load_rejects_an_invalid_config_block(tmp_path):
+    path = str(tmp_path / "heads.ckpt")
+    container.write_checkpoint(path, {**SMALL.to_dict(), "n_heads": 3}, TwoTowerModel(SMALL, seed=0).state_arrays())
+    with pytest.raises(FormatError, match="heads.ckpt.*n_heads 3"):
+        TwoTowerModel.load(path)
+
+
+def test_load_rejects_a_config_block_wider_than_its_records_before_building(tmp_path, monkeypatch):
+    small = ModelConfig(d_model=32, n_layers=1, n_heads=4, d_audio_latent=4, d_video_feat=4, d_text=4, t_audio=4)
+    path = str(tmp_path / "wide.ckpt")
+    container.write_checkpoint(path, {**small.to_dict(), "d_model": 48}, TwoTowerModel(small, seed=0).state_arrays())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the model was built")
+
+    monkeypatch.setattr(TwoTowerModel, "__init__", refuse)
+    with pytest.raises(FormatError, match="wide.ckpt"):
+        TwoTowerModel.load(path)
+
+
 def test_default_init_parameters_pinned():
     # Philox draws only, so the digest does not depend on the BLAS build;
     # a change in parameter names, order, shapes or init values moves it
