@@ -135,14 +135,13 @@ def guided_velocity(model, x_t, t: float, cond: ConditionBundle, guidance_scale:
 def sample_many(model, cond: ConditionBundle, sampler_cfg: SamplerConfig, seeds) -> list:
     """Integrate one trajectory per seed, all of them in one Euler loop.
 
-    The live states form one (n, t_audio, d_audio_latent) stack, so each
-    step costs one guided_velocity call for every seed together; the seed
-    in sampler_cfg is not used. The guided batch is conditioned once, and
-    again only when the stack shrinks. Returns one entry per seed, in
-    order: the latent at t=1, or the DivergenceError of a trajectory that
-    went non-finite. A diverged trajectory leaves the stack after the step
-    that broke it; batch items do not interact, so the others run on as
-    they would alone, up to the round-off of a larger batch.
+    The states form one (n, t_audio, d_audio_latent) stack from t=0 to t=1,
+    so a step is one guided_velocity call and the guided batch is
+    conditioned once; sampler_cfg.seed is not used. Returns per seed, in
+    order, the latent at t=1 or the DivergenceError of a trajectory that
+    went non-finite; its row stays in the stack, zeroed, and the loop
+    stops early only when every row has. Where gemm rows do not depend on
+    the row count (README, Determinism), a latent has its one-seed bits.
 
     model must expose .config (for the latent shape), .condition(conds)
     and be callable on a batch as model(x_t, times, conditioned).
@@ -154,24 +153,17 @@ def sample_many(model, cond: ConditionBundle, sampler_cfg: SamplerConfig, seeds)
     w = sampler_cfg.guidance_scale
     grid = sway_schedule(sampler_cfg.nfe, sampler_cfg.sway_coef)
     x = np.stack([SeededRng(seed).normal((cfg.t_audio, cfg.d_audio_latent)) for seed in seeds])
-    live = list(range(len(seeds)))  # seed index of each row of x
     results: list = [None] * len(seeds)
-    conditioned = _condition_guided(model, cond, w, len(live))
+    conditioned = _condition_guided(model, cond, w, len(seeds))
     for k in range(sampler_cfg.nfe):
-        v = guided_velocity(model, x, float(grid[k]), cond, w, conditioned)
-        x = x + (grid[k + 1] - grid[k]) * v
-        finite = np.isfinite(x).all(axis=(1, 2))
-        if not finite.all():
-            for row in np.flatnonzero(~finite):
-                results[live[row]] = DivergenceError(f"sampler produced non-finite values at step {k}", step=k)
-            live = [i for i, ok in zip(live, finite) if ok]
-            x = x[finite]
-            if not live:
-                break
-            conditioned = _condition_guided(model, cond, w, len(live))
-    for i, latent in zip(live, x):
-        results[i] = latent
-    return results
+        x = x + (grid[k + 1] - grid[k]) * guided_velocity(model, x, float(grid[k]), cond, w, conditioned)
+        for row in np.flatnonzero(~np.isfinite(x).all(axis=(1, 2))):
+            if results[row] is None:
+                results[row] = DivergenceError(f"sampler produced non-finite values at step {k}", step=k)
+            x[row] = 0.0  # keeps NaN and inf out of the model
+        if None not in results:
+            break
+    return [latent if error is None else error for latent, error in zip(x, results)]
 
 
 def sample(model, cond: ConditionBundle, sampler_cfg: SamplerConfig) -> np.ndarray:

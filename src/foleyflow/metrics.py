@@ -204,14 +204,14 @@ def kl_sigmoid(p_gen: ClassPosterior, p_ref: ClassPosterior) -> float:
 
 
 def clip_style_score(emb_a: np.ndarray, emb_b: np.ndarray) -> float:
-    """100 * cosine similarity, clamped below at zero."""
+    """100 * cosine similarity, clamped below at zero; needs finite, non-zero norms."""
     a = np.asarray(emb_a, dtype=np.float64).reshape(-1)
     b = np.asarray(emb_b, dtype=np.float64).reshape(-1)
     if a.shape != b.shape:
         raise ShapeError(f"embedding shapes differ: {a.shape} vs {b.shape}")
     norm_a, norm_b = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ContractError("cosine similarity undefined for a zero-norm embedding")
+    if not 0.0 < norm_a * norm_b < math.inf:  # False for NaN
+        raise ContractError(f"cosine similarity undefined for embedding norms {norm_a} and {norm_b}")
     cos = float(np.dot(a, b) / (norm_a * norm_b))
     cos = min(1.0, cos)  # |cos| <= 1; round-off can overshoot for identical inputs
     return 100.0 * max(0.0, cos)

@@ -68,8 +68,9 @@ class ConditionBundle:
     text falls back to a learned null token; a dropped video bypasses the
     video tower. ConditionBundle() is the unconditional branch of
     classifier-free guidance. extra_tokens, when present, are appended to
-    the cross-attention token list in text-embedding space.
-    Features are never differentiated: each is stored as a float64 array.
+    the cross-attention token list in text-embedding space. Features are
+    never differentiated: each is stored as a float64 array, checked to be
+    finite and (rows >= 1, dims); a model checks dims against its config.
     """
 
     text_emb: object = None
@@ -79,15 +80,18 @@ class ConditionBundle:
     def __post_init__(self):
         for name in ("text_emb", "video_feat", "extra_tokens"):
             value = getattr(self, name)
-            if value is not None:
-                array = value.data if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
-                object.__setattr__(self, name, array)
+            if value is None:
+                continue
+            array = value.data if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
+            if array.ndim != 2 or array.shape[0] < 1:
+                raise ShapeError(f"{name} must be 2-D (rows x dims) with at least one row, got shape {array.shape}")
+            if not np.isfinite(array).all():
+                raise ContractError(f"{name} contains non-finite values")
+            object.__setattr__(self, name, array)
 
 
 def _feature_rows(arr: np.ndarray, name: str, width: int, width_name: str) -> np.ndarray:
     """A condition's (rows, width) feature array, checked against the config."""
-    if arr.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D (frames x dims), got shape {arr.shape}")
     if arr.shape[-1] != width:
         raise ShapeError(f"{name} last dim {arr.shape[-1]} != {width_name} {width}")
     return arr
@@ -379,8 +383,9 @@ class TwoTowerModel:
         """Velocities (B, t_audio, d_audio_latent) for B items at once.
 
         x_t is (B, t_audio, d_audio_latent), t holds the B times and conds
-        the B ConditionBundles, or their Conditioning. Items do not
-        interact: each item's output is its batch-1 output up to round-off.
+        the B ConditionBundles, or their Conditioning. Items do not interact:
+        given row-invariant gemm (README), an item's output has the bits of
+        its batch-1 output unless the batch pads its cross-attention tokens.
         """
         cfg = self.config
         x = x_t if isinstance(x_t, Tensor) else Tensor(np.asarray(x_t, dtype=np.float64))

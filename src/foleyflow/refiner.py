@@ -147,10 +147,10 @@ def refine(
     (t_audio, d_audio_latent) array under the model's config. The k
     candidates share one batched trajectory: sample_fn(model, cond,
     sampler_cfg, seeds) returns one latent or DivergenceError per seed
-    (flow.sample_many by default). A candidate whose sampling diverges is
-    skipped but still recorded in the trace. The coarse input always
-    competes, so the result's aggregate is never below the coarse one;
-    ties keep the coarse output, then the lower candidate index.
+    (flow.sample_many by default, which keeps a diverged row in the batch,
+    zeroed, so the others keep their bits). A diverged candidate only
+    enters the trace. The coarse input always competes, so the result
+    never scores below it; ties keep it, then the lower candidate index.
     """
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")

@@ -142,7 +142,10 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         grads = ((g2d @ b_data.T).reshape(a_shape), a2d.T @ g2d)
         return grads if bias is None else grads + (_unbroadcast(g, (n,)),)
 
-    out = (a2d @ b_data).reshape(a_shape[:-1] + (n,))
+    # one row would take BLAS gemv, which rounds unlike gemm: run it as two
+    # and keep the first, so a row's bits do not depend on its batch
+    rows = a2d if len(a2d) > 1 else np.concatenate([a2d, a2d])
+    out = (rows @ b_data)[: len(a2d)].reshape(a_shape[:-1] + (n,))
     if bias is None:
         return _from_op(out, (a, b), bw)
     return _from_op(out + bias.data, (a, b, bias), bw)

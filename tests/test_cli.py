@@ -324,6 +324,32 @@ def test_refine_rejects_k_zero(workdir, checkpoint, latent, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"]["kind"] == "ConfigError"
 
 
+@pytest.mark.parametrize("command", ["sample", "refine"])
+@pytest.mark.parametrize(
+    "bad,kind",
+    [("nan", "ContractError"), ("1-D", "ShapeError"), ("no-rows", "ShapeError")],
+)
+def test_bad_video_record_is_rejected_before_anything_is_written(workdir, checkpoint, latent, capsys, command, bad, kind):
+    value = {"nan": np.full((8, 16), np.nan), "1-D": np.ones(16), "no-rows": np.zeros((0, 16))}[bad]
+    video = workdir / f"video-{bad}.ysnd"
+    container.write_latents(str(video), {"video_feat": value})
+    out = workdir / f"badvideo-{command}-{bad}"
+    argv = {
+        "sample": ["sample", "--checkpoint", checkpoint, "--out", str(out)],
+        "refine": ["refine", "--checkpoint", checkpoint, "--coarse", latent, "--out", str(out), "--k", "2"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + ["--video", str(video), "--nfe", "2"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["kind"] == kind
+    assert "video_feat" in error["message"]
+    assert captured.out == ""
+    assert sorted(workdir.glob(out.name + "*")) == []
+
+
 # ---------------------------------------------------------------------------
 # parsing and config files
 

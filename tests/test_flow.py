@@ -1,9 +1,12 @@
 """Flow matching: path algebra, sway grid, guidance blending, Euler sampling."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foleyflow.errors import ConfigError, ContractError, DivergenceError, ShapeError
 from foleyflow.flow import (
@@ -361,21 +364,24 @@ def test_sample_many_needs_a_seed():
 
 
 class FailAt(StubModel):
-    """StubModel whose call number `call` (0-based) makes the conditional
-    velocity of batch row `row` NaN."""
+    """StubModel whose calls number `call` to `call + calls - 1` (0-based)
+    make the conditional velocity of batch row `row` NaN; it keeps a copy
+    of every state batch it is given."""
 
-    def __init__(self, fn, call, row):
+    def __init__(self, fn, call, row, calls=1):
         super().__init__(fn)
-        self.call, self.row = call, row
+        self.call, self.row, self.calls = call, row, calls
+        self.states = []
 
     def __call__(self, x_t, t, conds):
+        self.states.append(x_t.data.copy())
         out = super().__call__(x_t, t, conds)
-        if len(self.batch_sizes) == self.call + 1:
+        if self.call < len(self.batch_sizes) <= self.call + self.calls:
             out.data[len(conds) // 2 + self.row] = np.nan
         return out
 
 
-def test_sample_many_drops_a_diverged_seed_and_runs_the_rest():
+def test_sample_many_keeps_a_diverged_seed_zeroed_and_runs_the_rest():
     def fn(x, t, cond):
         return np.cos(x) + (1.0 if cond.text_emb is not None else -1.0) * t
 
@@ -386,17 +392,33 @@ def test_sample_many_drops_a_diverged_seed_and_runs_the_rest():
     assert isinstance(out[1], DivergenceError)
     assert out[1].step == 2
     assert str(out[1]) == "sampler produced non-finite values at step 2"
-    # the diverged seed leaves the batch after the step that broke it
-    assert model.batch_sizes == [8, 8, 8, 6, 6]
+    # the diverged seed stays in the batch, zeroed, in both of its branch rows
+    assert model.batch_sizes == [8] * 5
+    assert not model.states[3][[1, 5]].any()
     for i in (0, 2, 3):
         alone = sample(StubModel(fn), _textual_cond(), replace(cfg, seed=seeds[i]))
         assert np.array_equal(out[i], alone), i
 
 
-def test_sample_many_conditions_once_and_again_after_a_divergence():
+def test_sample_many_reports_the_first_divergence_and_feeds_the_model_no_nan():
+    fed = []
+
+    def fn(x, t, cond):
+        fed.append(np.isfinite(x).all())
+        return np.cos(x)
+
+    # row 0 goes NaN at step 1 and at every step after it
+    model = FailAt(fn, call=1, row=0, calls=99)
+    out = sample_many(model, _textual_cond(), SamplerConfig(nfe=5, guidance_scale=2.0), [10, 11])
+    assert out[0].step == 1
+    assert isinstance(out[1], np.ndarray)
+    assert model.batch_sizes == [4] * 5
+    assert all(fed)
+
+
+def test_sample_many_conditions_once_even_after_a_divergence():
     """Perf budget: the guided batch is conditioned once per trajectory,
-    and again only when a diverged row leaves it; conditioning inside the
-    step loop fails here."""
+    divergences included; conditioning inside the step loop fails here."""
 
     class Counting(FailAt):
         def __init__(self, fn, call, row):
@@ -412,8 +434,8 @@ def test_sample_many_conditions_once_and_again_after_a_divergence():
 
     model = Counting(fn, call=2, row=1)
     sample_many(model, _textual_cond(), SamplerConfig(nfe=5, guidance_scale=2.0), [10, 11, 12, 13])
-    assert model.conditioned == [8, 6]
-    assert model.batch_sizes == [8, 8, 8, 6, 6]
+    assert model.conditioned == [8]
+    assert model.batch_sizes == [8] * 5
     clean = Counting(fn, call=99, row=0)  # never fails
     sample_many(clean, _textual_cond(), SamplerConfig(nfe=5, guidance_scale=2.0), [10, 11])
     assert clean.conditioned == [4]
@@ -461,3 +483,84 @@ def test_sample_many_matches_one_seed_sample_on_real_model(real_model, mix, guid
     for seed, latent in zip(seeds, out):
         alone = sample(real_model, cond, replace(cfg, seed=seed))
         assert np.abs(latent - alone).max() <= 1e-12, (mix, guidance, k, seed)
+
+
+def _jittered(cfg, seed):
+    """A TwoTowerModel with every parameter moved by N(0, 0.05^2), so the
+    adaLN gates, the mixers and the video tower all shape the velocity."""
+    model = TwoTowerModel(cfg, seed=seed)
+    rng = SeededRng(seed + 1)
+    for p in model.parameters().values():
+        p.data = p.data + 0.05 * rng.normal(p.shape)
+    return model
+
+
+# the default widths, so every product has a (k, n) shape that
+# test_tensor::test_gemm_rows_do_not_depend_on_the_row_count guards
+WIDE_CFG = ModelConfig(n_layers=1, t_audio=6)
+
+
+@pytest.fixture(scope="module")
+def wide_model():
+    return _jittered(WIDE_CFG, seed=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["text+video", "text", "video", "unconditional"]),
+    token=st.booleans(),
+    guidance=st.sampled_from([0.0, 1.0, 2.0]),
+    seeds=st.lists(st.integers(min_value=0, max_value=2**31 - 1), min_size=1, max_size=4, unique=True),
+    nfe=st.integers(min_value=1, max_value=3),
+)
+def test_a_seeds_latent_does_not_depend_on_its_batch(wide_model, kind, token, guidance, seeds, nfe):
+    rng = SeededRng(21)
+    cond = ConditionBundle(
+        text_emb=rng.normal((2, WIDE_CFG.d_text)) if "text" in kind else None,
+        video_feat=rng.normal((5, WIDE_CFG.d_video_feat)) if "video" in kind else None,
+        extra_tokens=rng.normal((1, WIDE_CFG.d_text)) if token else None,
+    )
+    cfg = SamplerConfig(nfe=nfe, guidance_scale=guidance)
+    batched = sample_many(wide_model, cond, cfg, seeds)
+    for seed, latent in zip(seeds, batched):
+        assert np.array_equal(latent, sample_many(wide_model, cond, cfg, [seed])[0]), seed
+
+
+class NanRowAt:
+    """A model whose call number `call` (0-based) makes the conditional
+    velocity of batch row `row` NaN; it counts its condition calls."""
+
+    def __init__(self, model, call, row):
+        self.model, self.call, self.row = model, call, row
+        self.config = model.config
+        self.calls = self.conditioned = 0
+
+    def condition(self, conds):
+        self.conditioned += 1
+        return self.model.condition(conds)
+
+    def __call__(self, x_t, t, conds):
+        out = self.model(x_t, t, conds)
+        if self.calls == self.call:
+            out.data[len(out.data) // 2 + self.row] = np.nan
+        self.calls += 1
+        return out
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_a_diverged_sibling_leaves_the_other_seeds_bit_equal(k):
+    model = _jittered(ModelConfig(), seed=5)
+    rng = SeededRng(22)
+    cond = ConditionBundle(text_emb=rng.normal((2, model.config.d_text)), video_feat=rng.normal((9, model.config.d_video_feat)))
+    cfg = SamplerConfig(nfe=4, guidance_scale=2.0)
+    seeds = list(range(60, 60 + k))
+    clean = sample_many(model, cond, cfg, seeds)
+    failing = NanRowAt(model, call=2, row=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the zeroed row keeps NaN out of every op
+        out = sample_many(failing, cond, cfg, seeds)
+    assert failing.conditioned == 1
+    assert str(out[1]) == "sampler produced non-finite values at step 2"
+    for i in range(k):
+        if i != 1:
+            assert np.array_equal(out[i], clean[i]), i

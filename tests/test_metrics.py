@@ -215,6 +215,14 @@ def test_clip_score_zero_norm_rejected():
         clip_style_score(np.zeros(3), np.ones(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_clip_score_rejects_non_finite_embeddings(bad):
+    # min(1.0, nan) is 1.0, so an unchecked NaN cosine scores a perfect 100
+    for a, b in (([bad, 1.0, 0.0], [1.0, 1.0, 1.0]), ([1.0, 1.0, 1.0], [bad, 1.0, 0.0])):
+        with pytest.raises(ContractError):
+            clip_style_score(np.array(a), np.array(b))
+
+
 # ---------------------------------------------------------------------------
 # envelopes and peaks
 

@@ -314,6 +314,21 @@ def test_forward_shape_errors():
         model(good_x, [0.5], [bad_extra])
 
 
+@pytest.mark.parametrize("field", ["text_emb", "video_feat", "extra_tokens"])
+def test_condition_bundle_checks_features_where_they_enter(field):
+    for shape in ((4,), (0, 4), (2, 3, 4), ()):
+        for wrap in (np.zeros, lambda s: Tensor(np.zeros(s))):
+            with pytest.raises(ShapeError, match=field):
+                ConditionBundle(**{field: wrap(shape)})
+    for bad in (np.nan, np.inf, -np.inf):
+        values = np.ones((3, 4))
+        values[1, 2] = bad
+        with pytest.raises(ContractError, match=f"{field} contains non-finite values"):
+            ConditionBundle(**{field: values})
+    kept = getattr(ConditionBundle(**{field: [[1.0, 2.0]]}), field)
+    assert kept.dtype == np.float64 and kept.shape == (1, 2)
+
+
 def test_gradients_reach_both_towers():
     # perturbed, not fresh: zero-init mixers block gradient flow into the
     # video tower until they move off zero

@@ -327,15 +327,18 @@ def test_refine_deterministic(small_model):
 class FieldStub:
     """A per-item velocity field with the SMALL latent shape. The call
     numbered fail_call (0-based, one call per Euler step) makes the
-    conditional velocity of batch row fail_row NaN."""
+    conditional velocity of batch row fail_row NaN. It counts its
+    condition calls."""
 
     config = SMALL
 
     def __init__(self, fail_call=None, fail_row=None):
         self.fail_call, self.fail_row = fail_call, fail_row
         self.batch_sizes = []
+        self.conditioned = 0
 
     def condition(self, conds):
+        self.conditioned += 1
         return list(conds)
 
     def __call__(self, x_t, times, conds):
@@ -355,7 +358,9 @@ def test_refine_diverged_candidate_leaves_the_others_untouched():
     cfg = SamplerConfig(nfe=4, guidance_scale=2.0, seed=21)
     stub = FieldStub(fail_call=2, fail_row=2)
     batched = refine(stub, cond, coarse, k=4, sampler_cfg=cfg)
-    assert stub.batch_sizes == [8, 8, 8, 6]
+    # the diverged candidate stays in the batch, zeroed, and nothing is conditioned again
+    assert stub.batch_sizes == [8] * 4
+    assert stub.conditioned == 1
     alone = refine(FieldStub(), cond, coarse, k=4, sampler_cfg=cfg, sample_fn=per_candidate(flow.sample))
     assert batched.trace[2].error == "sampler produced non-finite values at step 2"
     assert batched.trace[2].report is None

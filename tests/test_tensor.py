@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from foleyflow.errors import ContractError, ShapeError
+from foleyflow.model import ModelConfig, TwoTowerModel
 from foleyflow.tensor import (
     ComputationTape,
     Tensor,
@@ -69,6 +70,35 @@ def test_matmul_folds_leading_axes():
 def test_matmul_bias_adds_after_the_product():
     a, b, bias = Tensor(_rand((2, 3, 4), 34)), Tensor(_rand((4, 5), 35)), Tensor(_rand((5,), 36))
     assert np.array_equal(matmul(a, b, bias).data, matmul(a, b).data + bias.data)
+
+
+def test_matmul_runs_one_row_as_row_0_of_two():
+    # one row alone would take BLAS gemv, which rounds unlike gemm
+    for seed in range(50):
+        for n in (32, 128, 192, 288):
+            a, b, bias = _rand((2, 1, 32), seed), _rand((32, n), seed + 100), _rand((n,), seed + 200)
+            two = matmul(Tensor(a), Tensor(b), Tensor(bias)).data
+            one = matmul(Tensor(a[:1]), Tensor(b), Tensor(bias)).data
+            assert one.shape == (1, 1, n)
+            assert np.array_equal(one, two[:1]), (seed, n)
+
+
+def test_gemm_rows_do_not_depend_on_the_row_count():
+    """Row i of an m-row product has the bits of row i of a 599-row one,
+    for m = 2 to 599 and every (k, n) weight shape of the default model.
+    With the 1-row rule of matmul, this is what makes a seed's latent
+    independent of its batch. It is a property of the BLAS build, not of
+    foleyflow, like the golden digests."""
+    params = TwoTowerModel(ModelConfig()).parameters()
+    shapes = sorted({p.shape for name, p in params.items() if name.endswith(".w")})
+    for k, n in shapes:
+        a, b = _rand((599, k), k), _rand((k, n), n)
+        full = a @ b
+        for m in range(2, 599):
+            assert np.array_equal(a[:m] @ b, full[:m]), (
+                f"rows of a ({m}, {k}) @ ({k}, {n}) product depend on the row count: this BLAS build "
+                "breaks batch invariance, so a seed's latent depends on its batch"
+            )
 
 
 def _reference_attention(q, k, v, n_heads, keep):
