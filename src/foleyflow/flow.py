@@ -14,14 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, DivergenceError, ShapeError
-from .model import ConditionBundle
+from .model import ConditionBundle, TimePath
 from .rng import SeededRng
-from .tensor import Tensor, reduce_mean
+from .tensor import Tensor, no_tape, reduce_mean
 
 # upper end of the admissible sway range; below it the warped grid is
 # monotone on [0, 1]
 SWAY_MAX = 2.0 / (math.pi - 2.0)
 SWAY_MIN = -1.0
+
+# grid times per model.time_path call, so a trajectory's time path takes
+# the same memory at any nfe
+_PATH_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -108,7 +112,7 @@ def _condition_guided(model, cond: ConditionBundle, guidance_scale: float, n: in
     return model.condition([c for c in _guidance_branches(cond, guidance_scale) for _ in range(n)])
 
 
-def guided_velocity(model, x_t, t: float, cond: ConditionBundle, guidance_scale: float, conditioned=None) -> np.ndarray:
+def guided_velocity(model, x_t, t, cond: ConditionBundle, guidance_scale: float, conditioned=None) -> np.ndarray:
     """Classifier-free-guided velocity v_u + w (v_c - v_u) as a plain array.
 
     x_t is one state (t_audio, d_audio_latent) or a stack of n states
@@ -116,17 +120,21 @@ def guided_velocity(model, x_t, t: float, cond: ConditionBundle, guidance_scale:
     shape. w = 0 returns the unconditional branch alone and w = 1 the
     conditional branch alone, each from one model call of batch n; other
     weights run both branches as one call of batch 2n, the n unconditional
-    items first. conditioned, when given, is that batch's model.condition,
-    which a sampler computes once per trajectory; without it the call
-    conditions its batch itself.
+    items first. t is a time in [0, 1], or its row of a model.time_path,
+    which a sampler computes once per trajectory; given a time, the call
+    computes its one-time path itself. conditioned, when given, is that
+    batch's model.condition, which a sampler also computes once per
+    trajectory; without it the call conditions its batch itself. The
+    call runs taped unless its caller is inside tensor.no_tape.
     """
     branches = _guidance_branches(cond, guidance_scale)
     x = np.asarray(x_t, dtype=np.float64)
     xs = x[None] if x.ndim == 2 else x
     if conditioned is None:
         conditioned = _condition_guided(model, cond, guidance_scale, len(xs))
-    size = len(branches) * len(xs)
-    v = model(Tensor(np.concatenate([xs] * len(branches))), [t] * size, conditioned).data
+    if not isinstance(t, TimePath):
+        t = model.time_path([t])[0]
+    v = model(Tensor(np.concatenate([xs] * len(branches))), t, conditioned).data
     v = v.reshape((len(branches),) + xs.shape)
     out = v[0] if len(branches) == 1 else v[0] + guidance_scale * (v[1] - v[0])
     return out.reshape(x.shape)
@@ -136,15 +144,20 @@ def sample_many(model, cond: ConditionBundle, sampler_cfg: SamplerConfig, seeds)
     """Integrate one trajectory per seed, all of them in one Euler loop.
 
     The states form one (n, t_audio, d_audio_latent) stack from t=0 to t=1,
-    so a step is one guided_velocity call and the guided batch is
-    conditioned once; sampler_cfg.seed is not used. Returns per seed, in
-    order, the latent at t=1 or the DivergenceError of a trajectory that
-    went non-finite; its row stays in the stack, zeroed, and the loop
-    stops early only when every row has. Where gemm rows do not depend on
-    the row count (README, Determinism), a latent has its one-seed bits.
+    so a step is one guided_velocity call; sampler_cfg.seed is not used.
+    The guided batch is conditioned once, and the grid times' time path
+    once, in blocks of _PATH_ROWS times; step k reads row k. All of it
+    runs under tensor.no_tape: nothing is recorded for a backward, and no
+    parameter gets a gradient. Returns per seed, in order, the latent at
+    t=1 or the DivergenceError of a trajectory that went non-finite; its
+    row stays in the stack, zeroed, and the loop stops early only when
+    every row has. Where gemm rows do not depend on the row count
+    (README, Determinism), a latent has its one-seed bits, and the bits of
+    a loop that gives the model its times at every step.
 
-    model must expose .config (for the latent shape), .condition(conds)
-    and be callable on a batch as model(x_t, times, conditioned).
+    model must expose .config (for the latent shape), .condition(conds),
+    .time_path(times), and be callable on a batch as
+    model(x_t, time_path_row, conditioned).
     """
     seeds = list(seeds)
     if not seeds:
@@ -154,15 +167,19 @@ def sample_many(model, cond: ConditionBundle, sampler_cfg: SamplerConfig, seeds)
     grid = sway_schedule(sampler_cfg.nfe, sampler_cfg.sway_coef)
     x = np.stack([SeededRng(seed).normal((cfg.t_audio, cfg.d_audio_latent)) for seed in seeds])
     results: list = [None] * len(seeds)
-    conditioned = _condition_guided(model, cond, w, len(seeds))
-    for k in range(sampler_cfg.nfe):
-        x = x + (grid[k + 1] - grid[k]) * guided_velocity(model, x, float(grid[k]), cond, w, conditioned)
-        for row in np.flatnonzero(~np.isfinite(x).all(axis=(1, 2))):
-            if results[row] is None:
-                results[row] = DivergenceError(f"sampler produced non-finite values at step {k}", step=k)
-            x[row] = 0.0  # keeps NaN and inf out of the model
-        if None not in results:
-            break
+    with no_tape():
+        conditioned = _condition_guided(model, cond, w, len(seeds))
+        for k in range(sampler_cfg.nfe):
+            if k % _PATH_ROWS == 0:
+                path = model.time_path(grid[k : min(k + _PATH_ROWS, sampler_cfg.nfe)])
+            v = guided_velocity(model, x, path[k % _PATH_ROWS], cond, w, conditioned)
+            x = x + (grid[k + 1] - grid[k]) * v
+            for row in np.flatnonzero(~np.isfinite(x).all(axis=(1, 2))):
+                if results[row] is None:
+                    results[row] = DivergenceError(f"sampler produced non-finite values at step {k}", step=k)
+                x[row] = 0.0  # keeps NaN and inf out of the model
+            if None not in results:
+                break
     return [latent if error is None else error for latent, error in zip(x, results)]
 
 

@@ -186,12 +186,13 @@ class Block:
         self.fc1 = Linear(d, 4 * d, rng)
         self.fc2 = Linear(4 * d, d, rng)
 
-    def __call__(self, x: Tensor, t_emb: Tensor, context_kv: tuple = (), context_mask=None) -> Tensor:
-        """x: (B, T, d) stream; t_emb: (B, 1, d). context_kv: the (B, L, d)
+    def __call__(self, x: Tensor, mod: Tensor, context_kv: tuple = (), context_mask=None) -> Tensor:
+        """x: (B, T, d) stream; mod: the block's adaln(gelu(t_emb)), shift,
+        scale and gate of every sublayer, (B, 1, n_sublayers 3d) per item
+        or (1, 1, n_sublayers 3d) shared by all. context_kv: the (B, L, d)
         keys and values, ck and cv of the context tokens, that a
         cross-attention block attends to, context_mask their (B, L)
         validity; both unused otherwise."""
-        mod = self.adaln(gelu(t_emb))  # (B, 1, n_sublayers * 3d)
         y = modulated_norm(x, mod, 0)
         x = gated_residual(x, mod, 0, self.wo(attention(self.wq(y), self.wk(y), self.wv(y), self.n_heads)))
         mlp = 1
@@ -220,15 +221,41 @@ class Conditioning:
     text_kv holds each audio block's (keys, values) of the cross-attention
     tokens, each (B, L, d), and text_mask their (B, L) validity. video
     lists the items that carry video and video_h their (len(video),
-    t_audio, d) video tower input, None when no item does. Its tensors
-    stay on the tape, so a backward through one forward leaves gradients
-    on them: differentiate each forward through a fresh Conditioning.
+    t_audio, d) video tower input, None when no item does. Computed taped,
+    its tensors stay on the tape, so a backward through one forward leaves
+    gradients on them: differentiate each forward through a fresh
+    Conditioning. The sampler's is computed under tensor.no_tape and
+    carries no tape.
     """
 
     text_kv: tuple
     text_mask: np.ndarray
     video: tuple
     video_h: Tensor | None
+
+
+@dataclass(frozen=True, eq=False)
+class TimePath:
+    """Every block's adaLN modulation at m times, from TwoTowerModel.time_path.
+
+    audio[i] is audio block i's (m, 1, 9d) modulation and video[i] video
+    block i's (m, 1, 6d). path[k] is the path at time k alone (m = 1),
+    which a forward given it as t applies to every item. Its tensors are
+    copies cut from the tape: a forward on a path row is for sampling and
+    passes no gradient to the time MLP or the adaLN weights.
+    """
+
+    audio: tuple
+    video: tuple
+
+    def __len__(self) -> int:
+        return self.audio[0].shape[0]
+
+    def __getitem__(self, k: int) -> "TimePath":
+        def row(mods: tuple) -> tuple:
+            return tuple(Tensor(mod.data[k : k + 1]) for mod in mods)
+
+        return TimePath(row(self.audio), row(self.video))
 
 
 class TwoTowerModel:
@@ -330,6 +357,20 @@ class TwoTowerModel:
         feats = timestep_features(times, self.config.d_model)[:, None, :]
         return self.time_mlp2(gelu(self.time_mlp1(Tensor(feats))))
 
+    def time_path(self, times) -> TimePath:
+        """Every block's modulation at each of m times in [0, 1].
+
+        The time embedding and its gelu are computed once for all blocks,
+        then each block's adaln is one product of m rows. Given
+        row-invariant gemm (README), path[k] has the bits of the
+        modulations that a forward given time k computes for itself.
+        """
+        g = gelu(self.embed_timestep(times))
+        return TimePath(
+            tuple(block.adaln(g) for block in self.audio_blocks),
+            tuple(block.adaln(g) for block in self.video_blocks),
+        )
+
     def _text_tokens(self, conds: list) -> tuple:
         """(B, L, d) projected cross-attention tokens and their (B, L) mask.
 
@@ -382,33 +423,43 @@ class TwoTowerModel:
     def forward(self, x_t, t, conds) -> Tensor:
         """Velocities (B, t_audio, d_audio_latent) for B items at once.
 
-        x_t is (B, t_audio, d_audio_latent), t holds the B times and conds
-        the B ConditionBundles, or their Conditioning. Items do not interact:
-        given row-invariant gemm (README), an item's output has the bits of
-        its batch-1 output unless the batch pads its cross-attention tokens.
+        x_t is (B, t_audio, d_audio_latent) and conds the B
+        ConditionBundles, or their Conditioning. t holds the B times, or
+        one time's TimePath row, time_path(times)[k], that every item
+        shares; with times, each block computes its modulation per item.
+        Items do not interact: given row-invariant gemm (README), an item's
+        output has the bits of its batch-1 output unless the batch pads its
+        cross-attention tokens, and a path row gives the bits of its time.
         """
         cfg = self.config
         x = x_t if isinstance(x_t, Tensor) else Tensor(np.asarray(x_t, dtype=np.float64))
         if not isinstance(conds, Conditioning):
             conds = self.condition(conds)
-        times = np.asarray(t, dtype=np.float64)
         n = len(conds.text_mask)
-        if x.shape != (n, cfg.t_audio, cfg.d_audio_latent) or times.shape != (n,):
+        path = t if isinstance(t, TimePath) else None
+        t_shape = (len(path),) if path is not None else np.shape(t)
+        if x.shape != (n, cfg.t_audio, cfg.d_audio_latent) or t_shape != ((1,) if path is not None else (n,)):
             raise ShapeError(
                 f"forward needs x (B, t_audio, d_audio_latent) = (B, {cfg.t_audio}, {cfg.d_audio_latent}) "
-                f"and B times for B = {n} bundles; got x {x.shape}, t {times.shape}"
+                f"and B times or a one-time path for B = {n} bundles; got x {x.shape}, t {t_shape}"
             )
-        t_emb = self.embed_timestep(times)
         h_a = self.audio_in(x) + self.audio_pos
         video, h_v = conds.video, conds.video_h
         if video:
-            t_emb_v = gather_rows(t_emb, video)
             self.video_tower_invocations += 1
+        if path is not None:
+            mods_a, mods_v = path.audio, path.video
+        else:
+            t_emb = self.embed_timestep(t)
+            mods_a = [block.adaln(gelu(t_emb)) for block in self.audio_blocks]
+            if video:
+                t_emb_v = gather_rows(t_emb, video)
+                mods_v = [block.adaln(gelu(t_emb_v)) for block in self.video_blocks]
 
         for i in range(cfg.n_layers):
-            h_a = self.audio_blocks[i](h_a, t_emb, conds.text_kv[i], conds.text_mask)
+            h_a = self.audio_blocks[i](h_a, mods_a[i], conds.text_kv[i], conds.text_mask)
             if video:
-                h_v = self.video_blocks[i](h_v, t_emb_v)
+                h_v = self.video_blocks[i](h_v, mods_v[i])
                 mixed_a, h_v = cross_modal_mix(gather_rows(h_a, video), h_v, self.mix_a[i], self.mix_v[i])
                 # items without video keep their audio stream through the mixers
                 h_a = scatter_rows(mixed_a, video, h_a)

@@ -8,6 +8,9 @@ leading axes into rows and takes an optional bias, attention is one
 fused multi-head op, modulated_norm / gated_residual are the two halves
 of an adaLN-zero sublayer, gather_rows selects items along the batch
 axis and scatter_rows writes them back onto a base batch.
+Inside no_tape(), ops compute their outputs but record nothing for the
+reverse pass, which a forward that is never differentiated, such as
+sampling, does not need.
 Broadcasting covers leading-dimension expansion plus trailing parameter
 vectors (a strict subset of general numpy broadcasting is relied upon by
 callers, though the gradient rules handle the general case).
@@ -15,6 +18,7 @@ callers, though the gradient rules handle the general case).
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -44,6 +48,9 @@ __all__ = [
 ]
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+
+# False inside no_tape(): _from_op then links no output to its operands
+_taping = True
 
 
 class Tensor:
@@ -95,10 +102,25 @@ def _coerce(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+@contextlib.contextmanager
+def no_tape():
+    """Run ops untaped: within the block their outputs have no parents and
+    requires_grad False, so backward through them raises ContractError and
+    their operands are free as soon as the next op has read them. Output
+    values are the same as taped. Blocks nest, and the previous setting
+    comes back on exit, an exception included."""
+    global _taping
+    before, _taping = _taping, False
+    try:
+        yield
+    finally:
+        _taping = before
+
+
 def _from_op(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = np.ascontiguousarray(data, dtype=np.float64)
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _taping and any(p.requires_grad for p in parents)
     out.grad = None
     out._done = False
     if out.requires_grad:

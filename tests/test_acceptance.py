@@ -340,6 +340,9 @@ def test_criterion_6_sampler_convergence():
         def condition(self, conds):
             return list(conds)
 
+        def time_path(self, times):
+            return times
+
         def __call__(self, x_t, times, conds):
             x = x_t.data if isinstance(x_t, Tensor) else np.asarray(x_t)
             return Tensor(-x)  # (B, T, a): every item decays

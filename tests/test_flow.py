@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foleyflow import flow
 from foleyflow.errors import ConfigError, ContractError, DivergenceError, ShapeError
 from foleyflow.flow import (
     SWAY_MAX,
@@ -28,7 +29,9 @@ STUB_CFG = ModelConfig(d_model=8, n_layers=1, n_heads=2, d_audio_latent=3, d_tex
 
 class StubModel:
     """Batched velocity field fn(x, t, cond), applied item by item, with a
-    record of each call's batch size and no learnable state."""
+    record of each call's batch size and no learnable state. Its time
+    path is the times themselves, so a path row is one time that every
+    item of a call shares."""
 
     def __init__(self, fn, config=STUB_CFG):
         self.fn = fn
@@ -38,9 +41,13 @@ class StubModel:
     def condition(self, conds):
         return list(conds)
 
+    def time_path(self, times):
+        return np.asarray(times, dtype=np.float64)
+
     def __call__(self, x_t, t, conds):
         self.batch_sizes.append(len(conds))
         x = x_t.data if isinstance(x_t, Tensor) else np.asarray(x_t)
+        t = np.broadcast_to(t, (len(conds),))
         return Tensor(np.stack([self.fn(x[b], t[b], cond) for b, cond in enumerate(conds)]))
 
 
@@ -528,19 +535,25 @@ def test_a_seeds_latent_does_not_depend_on_its_batch(wide_model, kind, token, gu
 
 class NanRowAt:
     """A model whose call number `call` (0-based) makes the conditional
-    velocity of batch row `row` NaN; it counts its condition calls."""
+    velocity of batch row `row` NaN; it counts its condition calls and
+    records whether each call's output is on the tape."""
 
     def __init__(self, model, call, row):
         self.model, self.call, self.row = model, call, row
         self.config = model.config
         self.calls = self.conditioned = 0
+        self.taped = []
 
     def condition(self, conds):
         self.conditioned += 1
         return self.model.condition(conds)
 
+    def time_path(self, times):
+        return self.model.time_path(times)
+
     def __call__(self, x_t, t, conds):
         out = self.model(x_t, t, conds)
+        self.taped.append(out.requires_grad)
         if self.calls == self.call:
             out.data[len(out.data) // 2 + self.row] = np.nan
         self.calls += 1
@@ -564,3 +577,61 @@ def test_a_diverged_sibling_leaves_the_other_seeds_bit_equal(k):
     for i in range(k):
         if i != 1:
             assert np.array_equal(out[i], clean[i]), i
+
+
+def _taping() -> bool:
+    """Whether an op on a trainable leaf records itself on the tape."""
+    return (Tensor(1.0, requires_grad=True) * Tensor(2.0)).requires_grad
+
+
+def test_sample_many_runs_untaped_and_leaves_taping_on():
+    model = _jittered(REAL_CFG, seed=4)
+    cond = _real_conds()["text+video"]
+    failing = NanRowAt(model, call=1, row=0)
+    out = sample_many(failing, cond, SamplerConfig(nfe=3, guidance_scale=2.0), [1, 2])
+    assert isinstance(out[0], DivergenceError) and isinstance(out[1], np.ndarray)
+    assert failing.taped == [False] * 3
+    assert _taping()
+    assert all(p.grad is None for p in model.parameters().values())
+    with pytest.raises(DivergenceError):
+        sample(StubModel(lambda x, t, c: np.full_like(x, np.inf)), ConditionBundle(), SamplerConfig(nfe=2))
+    assert _taping()
+    bad = ConditionBundle(video_feat=np.ones((5, REAL_CFG.d_video_feat + 1)))
+    with pytest.raises(ShapeError):
+        sample_many(model, bad, SamplerConfig(nfe=2), [1])
+    assert _taping()
+    # a bare guided_velocity call runs taped
+    bare = NanRowAt(model, call=-1, row=0)
+    guided_velocity(bare, np.zeros((REAL_CFG.t_audio, REAL_CFG.d_audio_latent)), 0.5, cond, 2.0)
+    assert bare.taped == [True]
+    assert all(p.grad is None for p in model.parameters().values())
+
+
+class GivenTimes:
+    """A model with a stub time path: each call gives it the step's time
+    for every item, so its blocks compute their modulations themselves."""
+
+    def __init__(self, model):
+        self.model, self.config = model, model.config
+
+    def condition(self, conds):
+        return self.model.condition(conds)
+
+    def time_path(self, times):
+        return np.asarray(times, dtype=np.float64)
+
+    def __call__(self, x_t, t, conds):
+        return self.model(x_t, [t] * len(conds.text_mask), conds)
+
+
+@pytest.mark.parametrize("nfe", [1, 64, flow._PATH_ROWS + 1])
+def test_the_time_path_keeps_the_bits_of_given_times(wide_model, nfe):
+    # nfe 1 is a one-row path, through matmul's one-row rule; one more
+    # step than a path block starts a second, one-row block
+    rng = SeededRng(26)
+    cond = ConditionBundle(text_emb=rng.normal((2, WIDE_CFG.d_text)), video_feat=rng.normal((5, WIDE_CFG.d_video_feat)))
+    cfg = SamplerConfig(nfe=nfe, guidance_scale=2.0)
+    out = sample_many(wide_model, cond, cfg, [3, 4])
+    given = sample_many(GivenTimes(wide_model), cond, cfg, [3, 4])
+    for a, b in zip(out, given):
+        assert np.array_equal(a, b)

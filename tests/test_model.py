@@ -312,6 +312,8 @@ def test_forward_shape_errors():
     bad_extra = ConditionBundle(extra_tokens=rng.normal((1, SMALL.d_text + 3)))
     with pytest.raises(ShapeError):
         model(good_x, [0.5], [bad_extra])
+    with pytest.raises(ShapeError):
+        model(good_x, model.time_path([0.5, 0.5]), [ConditionBundle()])
 
 
 @pytest.mark.parametrize("field", ["text_emb", "video_feat", "extra_tokens"])
@@ -344,16 +346,16 @@ def test_gradients_reach_both_towers():
         assert np.any(params[name].grad != 0.0), name
 
 
-def _mixed_conds(rng, n):
+def _mixed_conds(rng, n, cfg=SMALL):
     """n bundles cycling through text+video, unconditional, video-only and
     text + an extra token, with token and frame counts that differ."""
     kinds = [
-        lambda: _cond(SMALL, rng, t_video=9),
+        lambda: _cond(cfg, rng, t_video=9),
         lambda: ConditionBundle(),
-        lambda: _cond(SMALL, rng, text=False, t_video=4),
+        lambda: _cond(cfg, rng, text=False, t_video=4),
         lambda: ConditionBundle(
-            text_emb=Tensor(rng.normal((3, SMALL.d_text))),
-            extra_tokens=Tensor(rng.normal((1, SMALL.d_text))),
+            text_emb=Tensor(rng.normal((3, cfg.d_text))),
+            extra_tokens=Tensor(rng.normal((1, cfg.d_text))),
         ),
     ]
     return [kinds[b % len(kinds)]() for b in range(n)]
@@ -412,20 +414,24 @@ def _count_ops(monkeypatch) -> collections.Counter:
     return kinds
 
 
-def test_guided_forward_records_96_tape_ops(monkeypatch):
+def test_guided_forward_records_92_tape_ops(monkeypatch):
     """Perf budget of the hot path: the tape ops of one guided text+video
     forward at the default config. 9 of them condition the batch (text
-    tokens, cross-attention keys and values, video input); a change that
-    adds ops to the forward fails here without running a benchmark."""
+    tokens, cross-attention keys and values, video input) and 8 make the
+    time path of its one time (time embedding, its gelu, one adaln per
+    block); a change that adds ops to the forward fails here without
+    running a benchmark."""
     kinds = _count_ops(monkeypatch)
     cfg = ModelConfig()
     rng = SeededRng(22)
     x_t = rng.normal((cfg.t_audio, cfg.d_audio_latent))
     flow.guided_velocity(TwoTowerModel(cfg, seed=0), x_t, 0.5, _cond(cfg, rng), 2.0)
-    assert sum(kinds.values()) == 96
-    pinned = ("matmul", "modulated_norm", "gated_residual", "scatter_rows", "mul")
+    assert sum(kinds.values()) == 92
+    pinned = ("matmul", "gelu", "gather_rows", "modulated_norm", "gated_residual", "scatter_rows", "mul")
     assert {k: kinds[k] for k in pinned} == {
         "matmul": 46,
+        "gelu": 6,
+        "gather_rows": 2,
         "modulated_norm": 10,
         "gated_residual": 10,
         "scatter_rows": 2,
@@ -433,16 +439,35 @@ def test_guided_forward_records_96_tape_ops(monkeypatch):
     }
 
 
-@pytest.mark.parametrize("nfe, ops", [(1, 96), (4, 357)])
+@pytest.mark.parametrize("nfe, ops", [(1, 92), (4, 317)])
 def test_sample_many_conditions_once_per_trajectory(monkeypatch, nfe, ops):
-    """Perf budget of the sampler: 9 conditioning ops once per trajectory,
-    then 87 per Euler step. A change that puts per-condition work back
-    into the step loop fails here without running a benchmark."""
+    """Perf budget of the sampler: 9 conditioning ops and 8 time-path ops
+    once per trajectory, then 75 per Euler step. A change that puts
+    per-condition or per-time work back into the step loop fails here
+    without running a benchmark."""
     kinds = _count_ops(monkeypatch)
     cfg = ModelConfig()
     rng = SeededRng(23)
     flow.sample_many(TwoTowerModel(cfg, seed=0), _cond(cfg, rng), flow.SamplerConfig(nfe=nfe), [1, 2])
-    assert sum(kinds.values()) == ops == 9 + 87 * nfe
+    assert sum(kinds.values()) == ops == 9 + 8 + 75 * nfe
+
+
+@pytest.mark.parametrize("m", [1, 64])
+def test_a_time_path_row_keeps_the_bits_of_its_time(m):
+    # the default widths, whose gemm rows keep their bits at any row
+    # count (test_tensor); m = 1 runs through matmul's one-row rule
+    cfg = ModelConfig(n_layers=1, t_audio=6)
+    model = TwoTowerModel(cfg, seed=0)
+    _perturb(model)
+    rng = SeededRng(27)
+    conds = _mixed_conds(rng, 4, cfg)
+    conditioned = model.condition(conds)
+    times = flow.sway_schedule(m, -1.0)[:m]
+    path = model.time_path(times)
+    assert len(path) == m
+    x = Tensor(rng.normal((4, cfg.t_audio, cfg.d_audio_latent)))
+    for k, t in enumerate(times):
+        assert np.array_equal(model(x, path[k], conditioned).data, model(x, [t] * 4, conditioned).data), k
 
 
 def test_forward_on_a_conditioning_matches_forward_on_bundles():

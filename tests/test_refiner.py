@@ -328,7 +328,8 @@ class FieldStub:
     """A per-item velocity field with the SMALL latent shape. The call
     numbered fail_call (0-based, one call per Euler step) makes the
     conditional velocity of batch row fail_row NaN. It counts its
-    condition calls."""
+    condition calls. Its time path is the times themselves, so a path
+    row is one time that every item of a call shares."""
 
     config = SMALL
 
@@ -341,8 +342,12 @@ class FieldStub:
         self.conditioned += 1
         return list(conds)
 
+    def time_path(self, times):
+        return np.asarray(times, dtype=np.float64)
+
     def __call__(self, x_t, times, conds):
         x = x_t.data
+        times = np.broadcast_to(times, (len(conds),))
         gain = [2.0 if cond.extra_tokens is not None else 1.0 for cond in conds]
         v = np.stack([gain[b] * np.tanh(x[b]) - times[b] for b in range(len(conds))])
         if len(self.batch_sizes) == self.fail_call:

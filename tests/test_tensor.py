@@ -17,6 +17,7 @@ from foleyflow.tensor import (
     gelu,
     matmul,
     modulated_norm,
+    no_tape,
     reduce_mean,
     reduce_sum,
     scatter_rows,
@@ -435,3 +436,42 @@ def test_ops_do_not_mutate_operands():
     before = x.data.copy()
     _ = gelu(softmax(x + 1.0) * 2.0)
     assert np.array_equal(x.data, before)
+
+
+def _taping() -> bool:
+    """Whether an op on a trainable leaf records itself on the tape."""
+    return (Tensor(1.0, requires_grad=True) * Tensor(2.0)).requires_grad
+
+
+def test_no_tape_records_nothing_and_keeps_the_values():
+    x = _leaf((2, 3), 25)
+    w = _leaf((3, 4), 26)
+    taped = gelu(matmul(x, w)) * x.data.sum()
+    with no_tape():
+        out = gelu(matmul(x, w)) * x.data.sum()
+    assert out._parents == () and out._backward is None
+    assert out.requires_grad is False
+    assert np.array_equal(out.data, taped.data)
+    with pytest.raises(ContractError):
+        backward(reduce_sum(out))
+    with no_tape():
+        loss = reduce_sum(x * x)
+    with pytest.raises(ContractError):
+        backward(loss)
+    assert x.grad is None and w.grad is None
+
+
+def test_no_tape_nests_and_restores_after_an_exception():
+    assert _taping()
+    with no_tape():
+        with no_tape():
+            assert not _taping()
+        assert not _taping()  # leaving the inner block keeps the outer one
+    assert _taping()
+    with pytest.raises(ShapeError):
+        with no_tape():
+            matmul(_leaf((2, 3), 27), _leaf((4, 2), 28))
+    assert _taping()
+    x = _leaf((2,), 29)
+    backward(reduce_sum(x * x))
+    assert np.array_equal(x.grad, 2.0 * x.data)

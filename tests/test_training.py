@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from foleyflow.errors import ConfigError, ContractError, DivergenceError
-from foleyflow.model import ModelConfig, TwoTowerModel
+from foleyflow.flow import SamplerConfig, sample_many
+from foleyflow.model import ConditionBundle, ModelConfig, TwoTowerModel
 from foleyflow.providers import ToyClip, make_toy_clips
 from foleyflow.rng import SeededRng, derive_seed
 from foleyflow.tensor import Tensor
@@ -305,6 +306,25 @@ def test_run_stage_updates_and_logs(tmp_path):
     assert any(not np.array_equal(before[k], after[k]) for k in before)
     loaded = TwoTowerModel.load(ckpt)
     assert all(np.array_equal(loaded.state_arrays()[k], after[k]) for k in after)
+
+
+def test_a_sample_before_a_stage_leaves_its_run_bit_equal():
+    # sampling runs untaped; the stage after it must still train taped,
+    # exactly as without the sample
+    runs = []
+    for sample_first in (False, True):
+        model = TwoTowerModel(SMALL, seed=0)
+        if sample_first:
+            clip = _datasets()[TAG_TV2A][0]
+            cond = ConditionBundle(text_emb=clip.text_emb, video_feat=clip.video_feat)
+            sample_many(model, cond, SamplerConfig(nfe=3), [1, 2])
+        opt = OptimizerConfig(lr=1e-3, batch_size=2)
+        events = run_stage(model, stage_preset(3, steps=3), opt, _datasets(), SeededRng(4))
+        runs.append(([(e.loss, e.grad_norm_preclip) for e in events], model.state_arrays()))
+    (plain, plain_state), (after_sample, state) = runs
+    assert after_sample == plain
+    assert state.keys() == plain_state.keys()
+    assert all(np.array_equal(state[k], plain_state[k]) for k in state)
 
 
 def test_run_stage_start_step_offsets_numbering():
