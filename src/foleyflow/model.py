@@ -259,7 +259,13 @@ class TimePath:
 
 
 class TwoTowerModel:
-    """Velocity predictor v(x_t, t, condition) over audio latent sequences."""
+    """Velocity predictor v(x_t, t, condition) over audio latent sequences.
+
+    Every parameter's data is a view of one float64 vector, flat, in
+    registry order; slices[name] is its place there. Change parameters in
+    place: rebinding p.data cuts it off the vector, and training refuses
+    a model with such a parameter.
+    """
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
@@ -305,6 +311,15 @@ class TwoTowerModel:
         self._params = dict(named)
         if len(self._params) != len(named):
             raise ContractError("duplicate parameter names in model registry")
+        # every parameter is a view of one vector, in registry order, so
+        # the optimizer updates them all with whole-vector ops
+        self.flat = np.concatenate([p.data.reshape(-1) for _, p in named])
+        self.slices: dict = {}
+        start = 0
+        for name, p in named:
+            at = self.slices[name] = slice(start, start + p.size)
+            p.data = self.flat[at].reshape(p.shape)
+            start = at.stop
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -316,21 +331,25 @@ class TwoTowerModel:
             p.grad = None
 
     def param_count(self) -> int:
-        return sum(p.size for p in self._params.values())
+        return self.flat.size
 
     def state_arrays(self) -> dict:
         return {name: p.data.copy() for name, p in self._params.items()}
 
     def load_state(self, arrays: dict) -> None:
+        """Copy every named array into its parameter's view of the vector.
+        All or nothing: names and shapes are checked before any copy."""
         missing = sorted(set(self._params) - set(arrays))
         extra = sorted(set(arrays) - set(self._params))
         if missing or extra:
             raise FormatError(f"parameter names do not match model: missing {missing}, unexpected {extra}")
+        checked = {}
         for name, p in self._params.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
+            arr = checked[name] = np.asarray(arrays[name], dtype=np.float64)
             if arr.shape != p.shape:
                 raise FormatError(f"parameter {name} has shape {arr.shape}, expected {p.shape}")
-            p.data = arr.copy()
+        for name, p in self._params.items():
+            p.data[...] = checked[name]
 
     def save(self, path: str) -> None:
         container.write_checkpoint(path, self.config.to_dict(), self.state_arrays())

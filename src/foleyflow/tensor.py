@@ -161,7 +161,9 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
 
     def bw(g):
         g2d = g.reshape(-1, n)
-        grads = ((g2d @ b_data.T).reshape(a_shape), a2d.T @ g2d)
+        # no product for an operand without a gradient, such as the model input
+        da = (g2d @ b_data.T).reshape(a_shape) if a.requires_grad else None
+        grads = (da, a2d.T @ g2d)
         return grads if bias is None else grads + (_unbroadcast(g, (n,)),)
 
     # one row would take BLAS gemv, which rounds unlike gemm: run it as two
@@ -480,6 +482,9 @@ def backward(loss: Tensor) -> None:
 
     loss must be a single-element tensor attached to a non-empty graph.
     A graph is single-use: a second backward through the same loss raises.
+    A node's first gradient is stored as its op's backward returned it,
+    which may be a view shared with another node; a later one is added
+    out of place. So a .grad is read-only: never change one in place.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -500,8 +505,8 @@ def backward(loss: Tensor) -> None:
             if g is None or not parent.requires_grad:
                 continue
             if parent.grad is None:
-                # a copy, not g itself: add's backward hands both parents views of one array
-                parent.grad = g.copy()
+                parent.grad = g
             else:
-                parent.grad += g
+                # out of place: add's backward hands both parents views of one array
+                parent.grad = parent.grad + g
     loss._done = True

@@ -12,7 +12,7 @@ gets trained without a separate mechanism.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,60 +172,111 @@ def draw_batch(stage: StageConfig, datasets: dict, rng: SeededRng, batch_size: i
     return batch
 
 
-def clip_grad_norm(grads: dict, max_norm: float) -> tuple[dict, float]:
-    """Scale the gradient set so its global L2 norm is at most max_norm.
+@dataclass(frozen=True)
+class FlatGrads:
+    """A train step's gradients in one vector laid out like the parameter
+    vector (TwoTowerModel.flat): flat[at] is the gradient of each
+    (name, at) in spans, the parameters the loss reached, in registry
+    order. The slots outside the spans are never read."""
 
-    Returns the (possibly rescaled) gradients and the pre-clip norm.
+    flat: np.ndarray
+    spans: list
+
+
+def _runs(spans: list) -> list:
+    """The slices of spans, adjacent ones merged."""
+    runs: list = []
+    for _, at in spans:
+        if runs and runs[-1].stop == at.start:
+            runs[-1] = slice(runs[-1].start, at.stop)
+        else:
+            runs.append(at)
+    return runs
+
+
+def gather_grads(model: TwoTowerModel, out: np.ndarray) -> FlatGrads:
+    """Copy each parameter's .grad into its slice of out, a vector of the
+    model's size, and record which parameters have one.
+
+    Raises ContractError if a parameter's data is no longer its view of
+    model.flat, as after rebinding p.data: the optimizer updates the
+    vector, so such a parameter would silently stop training.
+    """
+    spans = []
+    for name, p in model.parameters().items():
+        if p.data.base is not model.flat:
+            raise ContractError(f"parameter {name} no longer views the model's vector; change p.data in place")
+        if p.grad is not None:
+            at = model.slices[name]
+            out[at] = p.grad.reshape(-1)
+            spans.append((name, at))
+    return FlatGrads(out, spans)
+
+
+def clip_grad_norm(grads: FlatGrads, max_norm: float) -> tuple[FlatGrads, float]:
+    """Scale the gradients in place so their global L2 norm is at most max_norm.
+
+    Returns the gradients and the pre-clip norm, the sum of each
+    parameter's sum of squares taken in registry order.
     """
     if max_norm <= 0:
         raise ContractError(f"max_norm must be > 0, got {max_norm}")
     total = 0.0
-    for g in grads.values():
-        total += float(np.sum(g * g))
+    for _, at in grads.spans:
+        g = grads.flat[at]
+        total += float((g * g).sum())
     norm = float(np.sqrt(total))
-    if norm <= max_norm:
-        return grads, norm
-    scale = max_norm / norm
-    return {name: g * scale for name, g in grads.items()}, norm
+    if norm > max_norm:
+        scale = max_norm / norm
+        for at in _runs(grads.spans):
+            grads.flat[at] *= scale
+    return grads, norm
 
 
-@dataclass
 class AdamState:
-    step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    """The step count and Adam's moments m and v, laid out like the
+    parameter vector; a parameter's slots stay zero until its first
+    update. work holds two scratch vectors of the same size."""
+
+    def __init__(self, size: int):
+        self.step = 0
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.work = (np.empty(size), np.empty(size))
 
 
-def adam_step(params: dict, grads: dict, opt_cfg: OptimizerConfig, state: AdamState) -> None:
-    """One bias-corrected Adam update, in place on the parameter tensors.
+def adam_step(params: np.ndarray, grads: FlatGrads, opt_cfg: OptimizerConfig, state: AdamState) -> None:
+    """One bias-corrected Adam update, in place on the parameter vector.
 
-    All or nothing: every gradient is checked before any parameter, moment
-    or the step count changes, so a DivergenceError leaves them as they were.
+    Only the slices of the parameters in grads.spans change, in params, m
+    and v alike. All or nothing: the gradients are checked before any
+    parameter, moment or the step count changes, so a DivergenceError
+    leaves them as they were; it names the first non-finite parameter.
     """
     t = state.step + 1
-    for name in params:
-        g = grads.get(name)
-        if g is not None and not np.all(np.isfinite(g)):
-            raise DivergenceError(f"non-finite gradient for {name} at optimizer step {t}", step=t)
+    g, runs = grads.flat, _runs(grads.spans)
+    if not all(np.isfinite(g[at]).all() for at in runs):
+        name = next(name for name, at in grads.spans if not np.isfinite(g[at]).all())
+        raise DivergenceError(f"non-finite gradient for {name} at optimizer step {t}", step=t)
     state.step = t
     b1, b2 = ADAM_BETAS
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros(p.shape, dtype=np.float64)
-            state.m[name] = m
-            state.v[name] = np.zeros(p.shape, dtype=np.float64)
-        v = state.v[name]
+    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+    # lr * (m / c1) / (sqrt(v / c2) + eps) in this order, which the bits
+    # depend on, computed in the two scratch vectors
+    work1, work2 = state.work
+    for at in runs:
+        gr, m, v, w1, w2 = g[at], state.m[at], state.v[at], work1[at], work2[at]
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(gr, 1.0 - b1, out=w1)
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p.data -= opt_cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        np.multiply(gr, gr, out=w1)
+        v += np.multiply(w1, 1.0 - b2, out=w1)
+        np.divide(m, c1, out=w1)
+        np.sqrt(np.divide(v, c2, out=w2), out=w2)
+        w2 += ADAM_EPS
+        w1 *= opt_cfg.lr
+        w1 /= w2
+        params[at] -= w1
 
 
 def run_stage(
@@ -243,11 +294,12 @@ def run_stage(
     sink, when given, receives each event as it is produced. A loss or
     gradient divergence raises before any parameter changes, so the model
     keeps the previous step's parameters; they are written to
-    checkpoint_path, when given, before raising.
+    checkpoint_path, when given, before raising. A parameter rebound off
+    model.flat is a ContractError (see gather_grads).
     """
     events: list = []
-    state = AdamState()
-    params = model.parameters()
+    state = AdamState(model.flat.size)
+    grad_flat = np.zeros(model.flat.size)
 
     for i in range(stage.steps):
         step = start_step + i + 1
@@ -259,9 +311,8 @@ def run_stage(
             if not np.isfinite(loss_value):
                 raise DivergenceError(f"training loss diverged at step {step}", step=step)
             backward(loss)
-            grads = {name: p.grad for name, p in params.items() if p.grad is not None}
-            grads, pre_norm = clip_grad_norm(grads, opt_cfg.grad_clip_norm)
-            adam_step(params, grads, opt_cfg, state)
+            grads, pre_norm = clip_grad_norm(gather_grads(model, grad_flat), opt_cfg.grad_clip_norm)
+            adam_step(model.flat, grads, opt_cfg, state)
         except DivergenceError:
             if checkpoint_path is not None:
                 model.save(checkpoint_path)

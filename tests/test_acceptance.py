@@ -257,11 +257,11 @@ def test_criterion_4_optimizer_contract():
     opt_cfg = training.OptimizerConfig()
 
     # closed-form first step: v_hat = g^2, so the update is lr * g / (|g| + eps)
-    w = Tensor(np.array([0.7]), requires_grad=True)
+    w = np.array([0.7])
     g = np.array([0.3])
-    training.adam_step({"w": w}, {"w": g}, opt_cfg, training.AdamState())
+    training.adam_step(w, training.FlatGrads(g, [("w", slice(0, 1))]), opt_cfg, training.AdamState(1))
     expected = 0.7 - opt_cfg.lr * (0.3 / (abs(0.3) + training.ADAM_EPS))
-    assert abs(float(w.data[0]) - expected) <= 1e-12
+    assert abs(float(w[0]) - expected) <= 1e-12
 
     # 300-step toy run, measuring the clipped gradients directly
     cfg = ModelConfig()
@@ -270,8 +270,8 @@ def test_criterion_4_optimizer_contract():
     datasets = {t: clips for t in (training.TAG_T2A, training.TAG_TV2A, training.TAG_V2A)}
     stage = training.stage_preset(1, 300)
     rng = SeededRng(derive_seed(0, "stage", 1))
-    params = model.parameters()
-    state = training.AdamState()
+    state = training.AdamState(model.param_count())
+    grad_flat = np.zeros(model.param_count())
     from foleyflow.flow import cfm_loss
     from foleyflow.tensor import backward
 
@@ -281,12 +281,11 @@ def test_criterion_4_optimizer_contract():
         model.zero_grad()
         loss = cfm_loss(model, [(s.x1, s.cond) for s in batch], rng)
         backward(loss)
-        grads = {name: p.grad for name, p in params.items() if p.grad is not None}
-        grads, _ = training.clip_grad_norm(grads, opt_cfg.grad_clip_norm)
-        post = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+        grads, _ = training.clip_grad_norm(training.gather_grads(model, grad_flat), opt_cfg.grad_clip_norm)
+        post = float(np.sqrt(sum(float(np.sum(g * g)) for g in (grads.flat[at] for _, at in grads.spans))))
         worst = max(worst, post)
         assert post <= opt_cfg.grad_clip_norm + 1e-9, f"post-clip norm {post}"
-        training.adam_step(params, grads, opt_cfg, state)
+        training.adam_step(model.flat, grads, opt_cfg, state)
     assert worst > 0.0
 
 

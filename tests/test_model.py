@@ -557,6 +557,31 @@ def test_load_state_rejects_shape_mismatch():
         model.load_state(state)
 
 
+def test_load_state_is_all_or_nothing():
+    # every record but the last is valid and different, so a load that
+    # copied as it checked would have overwritten them before raising
+    model = TwoTowerModel(SMALL, seed=0)
+    before = model.state_arrays()
+    state = TwoTowerModel(SMALL, seed=1).state_arrays()
+    last = list(state)[-1]
+    state[last] = np.zeros(state[last].size + 1)
+    with pytest.raises(FormatError, match=last):
+        model.load_state(state)
+    after = model.state_arrays()
+    assert all(np.array_equal(before[k], after[k]) for k in before)
+
+
+def test_load_state_copies_into_the_vector():
+    model = TwoTowerModel(SMALL, seed=0)
+    views = {name: p.data for name, p in model.parameters().items()}
+    state = TwoTowerModel(SMALL, seed=1).state_arrays()
+    model.load_state(state)
+    assert model.param_count() == model.flat.size == expected_param_count(SMALL)
+    for name, p in model.parameters().items():
+        assert p.data is views[name] and p.data.base is model.flat
+        assert np.array_equal(model.flat[model.slices[name]], state[name].reshape(-1))
+
+
 def _write_v1_checkpoint(path, cfg, arrays, version=1):
     """Hand-pack the version-1 layout: the int config block, then an f64 slot."""
     with open(path, "wb") as fh:

@@ -8,6 +8,7 @@ from foleyflow.model import ModelConfig, TwoTowerModel
 from foleyflow.tensor import (
     ComputationTape,
     Tensor,
+    add,
     attention,
     backward,
     concat,
@@ -312,6 +313,19 @@ def test_concat_narrow_transpose_gradients():
     check_gradients(loss, {"a": a, "b": b})
 
 
+def test_matmul_skips_the_product_for_an_operand_without_gradient():
+    # a constant a gets no dA product; b's and the bias's gradients keep their bits
+    a_data, b, bias = _rand((3, 5, 4), 90), _leaf((4, 6), 91), _leaf((6,), 92)
+    grads = []
+    for a in (Tensor(a_data, requires_grad=True), Tensor(a_data)):
+        b.grad = bias.grad = None
+        backward(reduce_sum(gelu(matmul(a, b, bias))))
+        grads.append((a.grad, b.grad, bias.grad))
+    (a_grad, b_taped, bias_taped), (a_const, b_const, bias_const) = grads
+    assert a_grad is not None and a_const is None
+    assert np.array_equal(b_const, b_taped) and np.array_equal(bias_const, bias_taped)
+
+
 def test_matmul_3d_gradients():
     a, b = _leaf((2, 3, 4), 17), _leaf((4, 2), 18)
     check_gradients(lambda: reduce_sum(matmul(a, b) * matmul(a, b)), {"a": a, "b": b})
@@ -401,6 +415,17 @@ def test_trace_orders_parents_before_children():
         for parent in node._parents:
             assert pos[id(parent)] < pos[id(node)]
     assert tape.nodes[-1] is loss
+
+
+def test_accumulation_leaves_a_shared_gradient_view_alone():
+    # add's backward hands x and y views of one array; x's second use then
+    # adds to x.grad, which must not write through to y.grad
+    x, y = _leaf((2, 3), 93), _leaf((2, 3), 94)
+    s = add(x, y)
+    loss = reduce_sum(s * s + x * 3.0)
+    backward(loss)
+    assert np.array_equal(y.grad, 2.0 * (x.data + y.data))
+    assert np.allclose(x.grad, 2.0 * (x.data + y.data) + 3.0, rtol=0, atol=1e-12)
 
 
 def test_backward_requires_scalar():

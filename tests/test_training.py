@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from foleyflow import training
 from foleyflow.errors import ConfigError, ContractError, DivergenceError
-from foleyflow.flow import SamplerConfig, sample_many
+from foleyflow.flow import SamplerConfig, cfm_loss, sample_many
 from foleyflow.model import ConditionBundle, ModelConfig, TwoTowerModel
 from foleyflow.providers import ToyClip, make_toy_clips
 from foleyflow.rng import SeededRng, derive_seed
-from foleyflow.tensor import Tensor
+from foleyflow.tensor import backward
 from foleyflow.training import (
     TAG_T2A,
     TAG_TV2A,
@@ -17,6 +18,7 @@ from foleyflow.training import (
     ADAM_EPS,
     TOY_STAGE_STEPS,
     AdamState,
+    FlatGrads,
     OptimizerConfig,
     StageConfig,
     TrainEvent,
@@ -203,20 +205,31 @@ def test_stage3_mix_prefers_v2a():
 # clipping and Adam
 
 
+def _flat(named: dict) -> FlatGrads:
+    """FlatGrads holding each named gradient, in order, in one vector."""
+    spans, start = [], 0
+    for name, g in named.items():
+        spans.append((name, slice(start, start + np.size(g))))
+        start += np.size(g)
+    return FlatGrads(np.concatenate([np.ravel(g) for g in named.values()]), spans)
+
+
 def test_clip_grad_norm_below_ceiling_untouched():
-    grads = {"a": np.array([0.1, 0.0]), "b": np.array([0.0, 0.1])}
+    grads = _flat({"a": np.array([0.1, 0.0]), "b": np.array([0.0, 0.1])})
+    before = grads.flat.copy()
     out, norm = clip_grad_norm(grads, 0.2)
     assert out is grads
+    assert np.array_equal(out.flat, before)
     assert abs(norm - np.sqrt(0.02)) <= 1e-15
 
 
 def test_clip_grad_norm_scales_to_ceiling():
-    grads = {"a": np.array([3.0]), "b": np.array([4.0])}
+    grads = _flat({"a": np.array([3.0]), "b": np.array([4.0])})
     out, norm = clip_grad_norm(grads, 0.2)
     assert norm == 5.0
-    clipped = np.sqrt(sum(float(np.sum(g * g)) for g in out.values()))
+    clipped = np.sqrt(sum(float(np.sum(g * g)) for g in (out.flat[at] for _, at in out.spans)))
     assert abs(clipped - 0.2) <= 1e-12
-    assert np.allclose(out["a"], 3.0 * 0.2 / 5.0)
+    assert np.allclose(out.flat[out.spans[0][1]], 3.0 * 0.2 / 5.0)
     with pytest.raises(ContractError):
         clip_grad_norm(grads, 0.0)
 
@@ -225,23 +238,23 @@ def test_adam_first_step_closed_form():
     # with m = g and v = g^2 after bias correction, the first update is
     # exactly -lr * g / (|g| + eps)
     rng = SeededRng(9)
-    params = {"w": Tensor(rng.normal((3, 4)), requires_grad=True)}
-    before = params["w"].data.copy()
-    g = rng.normal((3, 4))
+    params = rng.normal((3, 4)).reshape(-1)
+    before = params.copy()
+    g = rng.normal((3, 4)).reshape(-1)
     cfg = OptimizerConfig(lr=1e-2)
-    adam_step(params, {"w": g}, cfg, AdamState())
+    adam_step(params, _flat({"w": g}), cfg, AdamState(params.size))
     expected = before - cfg.lr * g / (np.abs(g) + ADAM_EPS)
-    assert np.abs(params["w"].data - expected).max() <= 1e-12
+    assert np.abs(params - expected).max() <= 1e-12
 
 
 def test_adam_second_step_reference():
     cfg = OptimizerConfig(lr=0.1)
     b1, b2 = ADAM_BETAS
-    p = Tensor(np.array([1.0]), requires_grad=True)
+    p = np.array([1.0])
     g1, g2 = np.array([0.5]), np.array([-0.25])
-    state = AdamState()
-    adam_step({"p": p}, {"p": g1}, cfg, state)
-    adam_step({"p": p}, {"p": g2}, cfg, state)
+    state = AdamState(1)
+    adam_step(p, _flat({"p": g1}), cfg, state)
+    adam_step(p, _flat({"p": g2}), cfg, state)
 
     # hand-rolled reference
     m = (1 - b1) * g1
@@ -250,40 +263,39 @@ def test_adam_second_step_reference():
     m = b1 * m + (1 - b1) * g2
     v = b2 * v + (1 - b2) * g2 * g2
     x = x - cfg.lr * (m / (1 - b1**2)) / (np.sqrt(v / (1 - b2**2)) + ADAM_EPS)
-    assert np.abs(p.data - x).max() <= 1e-12
+    assert np.abs(p - x).max() <= 1e-12
 
 
 def test_adam_skips_absent_grads():
-    p = Tensor(np.array([1.0]), requires_grad=True)
-    q = Tensor(np.array([2.0]), requires_grad=True)
-    adam_step({"p": p, "q": q}, {"p": np.array([1.0])}, OptimizerConfig(lr=0.1), AdamState())
-    assert q.data[0] == 2.0
-    assert p.data[0] != 1.0
+    # q's slot holds a value that would move it, but q is not in the spans
+    params = np.array([1.0, 2.0])
+    state = AdamState(2)
+    adam_step(params, FlatGrads(np.array([1.0, 0.5]), [("p", slice(0, 1))]), OptimizerConfig(lr=0.1), state)
+    assert params[1] == 2.0
+    assert params[0] != 1.0
+    assert state.m[1] == 0.0 and state.v[1] == 0.0
 
 
 def test_adam_rejects_nonfinite_grads():
-    p = Tensor(np.array([1.0]), requires_grad=True)
+    p = np.array([1.0])
     with pytest.raises(DivergenceError):
-        adam_step({"p": p}, {"p": np.array([np.nan])}, OptimizerConfig(), AdamState())
+        adam_step(p, _flat({"p": np.array([np.nan])}), OptimizerConfig(), AdamState(1))
 
 
 def test_adam_nonfinite_grad_changes_nothing():
     # the finite gradient comes first, so a step that updated as it checked
     # would already have moved "a" and its moments when "b" raises
-    params = {"a": Tensor(np.array([1.0, 2.0]), requires_grad=True), "b": Tensor(np.array([3.0]), requires_grad=True)}
-    state = AdamState()
-    adam_step(params, {"a": np.array([0.5, -0.5]), "b": np.array([0.25])}, OptimizerConfig(lr=0.1), state)
-    before = {name: p.data.copy() for name, p in params.items()}
-    m_before = {name: m.copy() for name, m in state.m.items()}
-    v_before = {name: v.copy() for name, v in state.v.items()}
-    with pytest.raises(DivergenceError) as err:
-        adam_step(params, {"a": np.array([1.0, 1.0]), "b": np.array([np.nan])}, OptimizerConfig(lr=0.1), state)
+    params = np.array([1.0, 2.0, 3.0])
+    state = AdamState(3)
+    adam_step(params, _flat({"a": np.array([0.5, -0.5]), "b": np.array([0.25])}), OptimizerConfig(lr=0.1), state)
+    before, m_before, v_before = params.copy(), state.m.copy(), state.v.copy()
+    with pytest.raises(DivergenceError, match="for b at") as err:
+        adam_step(params, _flat({"a": np.array([1.0, 1.0]), "b": np.array([np.nan])}), OptimizerConfig(lr=0.1), state)
     assert err.value.step == 2
     assert state.step == 1
-    for name, p in params.items():
-        assert np.array_equal(p.data, before[name])
-        assert np.array_equal(state.m[name], m_before[name])
-        assert np.array_equal(state.v[name], v_before[name])
+    assert np.array_equal(params, before)
+    assert np.array_equal(state.m, m_before)
+    assert np.array_equal(state.v, v_before)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +374,103 @@ def test_run_stage_divergence_restores_and_checkpoints(tmp_path):
     assert all(np.array_equal(initial[k], after[k]) for k in initial)
     rescued = TwoTowerModel.load(ckpt)
     assert all(np.array_equal(rescued.state_arrays()[k], initial[k]) for k in initial)
+
+
+def test_run_stage_rejects_a_detached_parameter():
+    # a rebound p.data no longer views the vector Adam updates
+    model = TwoTowerModel(SMALL, seed=0)
+    p = model.parameters()["out_proj.w"]
+    p.data = p.data.copy()
+    before = model.state_arrays()
+    with pytest.raises(ContractError, match="out_proj.w"):
+        run_stage(model, stage_preset(1, steps=1), OptimizerConfig(batch_size=1), _datasets(), SeededRng(2))
+    after = model.state_arrays()
+    assert all(np.array_equal(before[k], after[k]) for k in before)
+
+
+def _loop_clip_grad_norm(grads: dict, max_norm: float) -> tuple:
+    # the per-parameter clip the flat one replaced
+    total = 0.0
+    for g in grads.values():
+        total += float(np.sum(g * g))
+    norm = float(np.sqrt(total))
+    if norm <= max_norm:
+        return grads, norm
+    scale = max_norm / norm
+    return {name: g * scale for name, g in grads.items()}, norm
+
+
+def _loop_adam_step(params: dict, grads: dict, opt_cfg, state: dict) -> None:
+    # the per-parameter Adam the flat one replaced; state holds step, m, v
+    t = state["step"] + 1
+    for name in params:
+        g = grads.get(name)
+        if g is not None and not np.all(np.isfinite(g)):
+            raise DivergenceError(f"non-finite gradient for {name} at optimizer step {t}", step=t)
+    state["step"] = t
+    b1, b2 = ADAM_BETAS
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            continue
+        m = state["m"].setdefault(name, np.zeros(p.shape))
+        v = state["v"].setdefault(name, np.zeros(p.shape))
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        p.data -= opt_cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+def _loop_run_stage(model, stage, opt_cfg, datasets, rng, sink=None, start_step=0, checkpoint_path=None):
+    # run_stage's step with the per-parameter optimizer
+    events = []
+    state = {"step": 0, "m": {}, "v": {}}
+    params = model.parameters()
+    for i in range(stage.steps):
+        batch = draw_batch(stage, datasets, rng, opt_cfg.batch_size)
+        model.zero_grad()
+        loss = cfm_loss(model, [(s.x1, s.cond) for s in batch], rng)
+        backward(loss)
+        grads = {name: p.grad for name, p in params.items() if p.grad is not None}
+        grads, pre_norm = _loop_clip_grad_norm(grads, opt_cfg.grad_clip_norm)
+        _loop_adam_step(params, grads, opt_cfg, state)
+        first = batch[0]
+        events.append(
+            TrainEvent(
+                start_step + i + 1,
+                stage.stage_id,
+                loss.item(),
+                pre_norm,
+                first.tag,
+                first.cond.text_emb is not None,
+                first.cond.video_feat is not None,
+            )
+        )
+    return events
+
+
+def test_flat_optimizer_matches_the_per_parameter_loop(monkeypatch):
+    # batch 1, so an event's video flag is its batch's: stage 2 has a step
+    # without video after one with it, when the video tower and mixers
+    # already have moments that the skip rule must leave alone
+    stages = [stage_preset(1, steps=3), stage_preset(2, steps=6), stage_preset(3, steps=4)]
+    opt = OptimizerConfig(lr=3e-3, batch_size=1, grad_clip_norm=0.3)
+    flat_model = TwoTowerModel(SMALL, seed=5)
+    flat_events = run_curriculum(flat_model, stages, opt, _datasets(), seed=3)
+    loop_model = TwoTowerModel(SMALL, seed=5)
+    monkeypatch.setattr(training, "run_stage", _loop_run_stage)
+    loop_events = run_curriculum(loop_model, stages, opt, _datasets(), seed=3)
+
+    video = [e.video_kept for e in flat_events if e.stage_id == 2]
+    assert True in video and False in video[video.index(True) :]
+    # steps on both sides of the clip ceiling
+    assert {e.grad_norm_preclip > opt.grad_clip_norm for e in flat_events} == {True, False}
+    assert flat_events == loop_events
+    flat_state, loop_state = flat_model.state_arrays(), loop_model.state_arrays()
+    assert all(np.array_equal(flat_state[k], loop_state[k]) for k in loop_state)
 
 
 # ---------------------------------------------------------------------------
