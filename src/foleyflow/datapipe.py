@@ -30,11 +30,17 @@ MANIFEST_HEADER = "#ysnd-manifest v1"
 
 DROP_REASONS = ("unscored", "alignment", "semantic", "speech", "bgm")
 
-_LABEL_FORBIDDEN = set(",;:")
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClipRecord:
+    """One manifest record; construction enforces what the reader needs.
+
+    clip_id and labels are printable (no line break of any kind), clip_id
+    has no comma and starts with neither "#" nor whitespace, and labels
+    hold none of ",;:", so every record that constructs with a float
+    duration is written as one manifest line that parses back equal.
+    """
+
     clip_id: str
     duration: float
     events: tuple  # of (label, t_start, t_end)
@@ -44,23 +50,22 @@ class ClipRecord:
     bgm_flag: bool = False
 
     def __post_init__(self):
-        if not self.clip_id or "," in self.clip_id:
-            raise ContractError(f"invalid clip_id {self.clip_id!r}")
-        if not (0 < self.duration < math.inf):
-            raise ContractError(f"{self.clip_id}: duration must be finite and > 0, got {self.duration}")
-        events = tuple((str(l), float(s), float(e)) for l, s, e in self.events)
+        clip_id, duration = self.clip_id, self.duration
+        if not clip_id or "," in clip_id or clip_id[0] == "#" or clip_id[0].isspace() or not clip_id.isprintable():
+            raise ContractError(f"invalid clip_id {clip_id!r}")
+        if not (0 < duration < math.inf):
+            raise ContractError(f"{clip_id}: duration must be finite and > 0, got {duration}")
+        events = tuple([(str(label), float(start), float(end)) for label, start, end in self.events])
         for label, start, end in events:
-            if not label or _LABEL_FORBIDDEN & set(label):
-                raise ContractError(f"{self.clip_id}: invalid event label {label!r}")
-            if not (0.0 <= start < end <= self.duration):
-                raise ContractError(
-                    f"{self.clip_id}: event {label!r} span [{start}, {end}) outside [0, {self.duration}]"
-                )
+            if not label or "," in label or ";" in label or ":" in label or not label.isprintable():
+                raise ContractError(f"{clip_id}: invalid event label {label!r}")
+            if not (0.0 <= start < end <= duration):
+                raise ContractError(f"{clip_id}: event {label!r} span [{start}, {end}) outside [0, {duration}]")
         object.__setattr__(self, "events", events)
         for name in ("av_align_score", "semantic_score"):
             value = getattr(self, name)
             if value is not None and not (0.0 <= value <= 1.0):
-                raise ContractError(f"{self.clip_id}: {name} must lie in [0, 1], got {value}")
+                raise ContractError(f"{clip_id}: {name} must lie in [0, 1], got {value}")
 
     @property
     def scored(self) -> bool:
@@ -90,7 +95,7 @@ def _format_score(value) -> str:
 
 
 def format_record(record: ClipRecord) -> str:
-    events = ";".join(f"{label}:{start!r}:{end!r}" for label, start, end in record.events)
+    events = ";".join([f"{label}:{start!r}:{end!r}" for label, start, end in record.events])
     return ",".join(
         [
             record.clip_id,
@@ -98,8 +103,8 @@ def format_record(record: ClipRecord) -> str:
             events,
             _format_score(record.av_align_score),
             _format_score(record.semantic_score),
-            str(int(record.speech_flag)),
-            str(int(record.bgm_flag)),
+            "1" if record.speech_flag else "0",
+            "1" if record.bgm_flag else "0",
         ]
     )
 
@@ -118,14 +123,16 @@ def parse_record(line: str) -> ClipRecord:
             events.append((bits[0], float(bits[1]), float(bits[2])))
     if speech_s not in ("0", "1") or bgm_s not in ("0", "1"):
         raise FormatError(f"flags must be 0 or 1, got {speech_s!r}/{bgm_s!r}")
+    # positional, like cut's segments: a keyword call to a class builds a
+    # kwargs dict per record
     return ClipRecord(
-        clip_id=clip_id,
-        duration=float(duration_s),
-        events=tuple(events),
-        av_align_score=None if av_s == "-" else float(av_s),
-        semantic_score=None if sem_s == "-" else float(sem_s),
-        speech_flag=speech_s == "1",
-        bgm_flag=bgm_s == "1",
+        clip_id,
+        float(duration_s),
+        events,
+        None if av_s == "-" else float(av_s),
+        None if sem_s == "-" else float(sem_s),
+        speech_s == "1",
+        bgm_s == "1",
     )
 
 
@@ -140,8 +147,8 @@ def read_manifest(path: str) -> tuple[list, list]:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: manifest is not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != MANIFEST_HEADER:
+    lines = text.split("\n")
+    if lines[0].strip() != MANIFEST_HEADER:
         raise FormatError(f"{path}: first line must be {MANIFEST_HEADER!r}")
     records: list = []
     problems: list = []
@@ -241,13 +248,13 @@ def cut(record: ClipRecord) -> list:
     for index, (label, start, end) in enumerate(events):
         seg_duration = end - start
         segment = ClipRecord(
-            clip_id=f"{record.clip_id}#{index}",
-            duration=seg_duration,
-            events=((label, 0.0, seg_duration),),
-            av_align_score=record.av_align_score,
-            semantic_score=record.semantic_score,
-            speech_flag=record.speech_flag,
-            bgm_flag=record.bgm_flag,
+            f"{record.clip_id}#{index}",
+            seg_duration,
+            ((label, 0.0, seg_duration),),
+            record.av_align_score,
+            record.semantic_score,
+            record.speech_flag,
+            record.bgm_flag,
         )
         segments.append(segment)
     return segments
@@ -273,15 +280,17 @@ def process_records(records, policy: FilterPolicy, envelope_provider=None) -> Pi
     video_envelope, frame_rate) and is consulted only for records that
     still lack an alignment score.
     """
-    scored: list = []
-    for record in records:
-        if record.av_align_score is None and envelope_provider is not None:
-            provided = envelope_provider(record.clip_id)
-            if provided is not None:
-                audio_env, video_env, frame_rate = provided
-                record = score_alignment(record, audio_env, video_env, frame_rate)
-        scored.append(record)
-    kept, dropped = filter_records(scored, policy)
+    if envelope_provider is not None:
+        scored: list = []
+        for record in records:
+            if record.av_align_score is None:
+                provided = envelope_provider(record.clip_id)
+                if provided is not None:
+                    audio_env, video_env, frame_rate = provided
+                    record = score_alignment(record, audio_env, video_env, frame_rate)
+            scored.append(record)
+        records = scored
+    kept, dropped = filter_records(records, policy)
     counts = {reason: 0 for reason in DROP_REASONS}
     for _, reason in dropped:
         counts[reason] += 1

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from foleyflow.datapipe import (
     DROP_REASONS,
@@ -60,6 +62,49 @@ def test_record_validation():
         _record(events=(("a:b", 0.0, 1.0),))
     with pytest.raises(ContractError):
         _record(av_align_score=1.5)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(events=(("a,b", 0.0, 1.0),)), "clipA: invalid event label 'a,b'"),
+        (dict(events=(("a;b", 0.0, 1.0),)), "clipA: invalid event label 'a;b'"),
+        (dict(events=(("a:b", 0.0, 1.0),)), "clipA: invalid event label 'a:b'"),
+        (dict(events=(("", 0.0, 1.0),)), "clipA: invalid event label ''"),
+        (dict(events=(("hit", math.nan, 1.0),)), "clipA: event 'hit' span [nan, 1.0) outside [0, 2.0]"),
+        (dict(events=(("hit", 0.0, math.nan),)), "clipA: event 'hit' span [0.0, nan) outside [0, 2.0]"),
+        (dict(duration=math.nan), "clipA: duration must be finite and > 0, got nan"),
+        (dict(av_align_score=math.nan), "clipA: av_align_score must lie in [0, 1], got nan"),
+        (dict(semantic_score=math.nan), "clipA: semantic_score must lie in [0, 1], got nan"),
+    ],
+    ids=["comma", "semicolon", "colon", "empty-label", "nan-start", "nan-end", "nan-duration", "nan-av", "nan-sem"],
+)
+def test_record_rejection_messages(overrides, message):
+    with pytest.raises(ContractError) as info:
+        _record(**overrides)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(events=(("a\nb", 0.0, 1.0),)),
+        dict(events=(("a\x85b", 0.0, 1.0),)),
+        dict(events=(("a\u2028b", 0.0, 1.0),)),
+        dict(clip_id="c\u2028d"),
+        dict(clip_id="#c4"),
+        dict(clip_id=" c5 "),
+    ],
+    ids=["label-newline", "label-nel", "label-line-separator", "id-line-separator", "id-hash", "id-space"],
+)
+def test_record_rejects_what_the_reader_cannot_read_back(overrides):
+    # each would be written as a line that reads back lost, split or changed
+    with pytest.raises(ContractError):
+        _record(**overrides)
+
+
+def test_record_has_no_instance_dict():
+    assert not hasattr(_record(), "__dict__")
 
 
 def test_scored_property():
@@ -136,6 +181,25 @@ def test_read_manifest_collects_problems_and_continues(tmp_path):
     assert [lineno for lineno, _ in problems] == [3, 7, 8, 9]
 
 
+def test_read_manifest_numbers_problems_by_file_line(tmp_path):
+    # a form feed is a line boundary to str.splitlines, not to the file
+    path = tmp_path / "m.txt"
+    path.write_text(
+        MANIFEST_HEADER + "\n" + "c1,2.0,hit:0.2:0.5,0.8,0.9,0\x0c,0\n" + "c2,2.0,,0.8,0.9,7,0\n" + "c3,2.0,,0.8,0.9,0,0\n"
+    )
+    records, problems = read_manifest(str(path))
+    assert [r.clip_id for r in records] == ["c3"]
+    assert [lineno for lineno, _ in problems] == [2, 3]
+
+
+def test_read_manifest_reads_crlf(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_bytes((MANIFEST_HEADER + "\r\nc1,2.0,hit:0.2:0.5,0.8,0.9,0,0\r\nbroken\r\n").encode())
+    records, problems = read_manifest(str(path))
+    assert records == [parse_record("c1,2.0,hit:0.2:0.5,0.8,0.9,0,0")]
+    assert [lineno for lineno, _ in problems] == [3]
+
+
 def test_read_manifest_rejects_non_utf8(tmp_path):
     path = tmp_path / "m.txt"
     path.write_bytes(MANIFEST_HEADER.encode() + b"\nclip\xff,2.0,,0.5,0.5,0,0\n")
@@ -150,6 +214,67 @@ def test_write_read_manifest_roundtrip(tmp_path):
     back, problems = read_manifest(path)
     assert problems == []
     assert back == records
+
+
+@st.composite
+def _awkward_text(draw):
+    """Printable text, one time in four with a character the format treats specially."""
+    text = draw(st.text(st.characters(categories=("L", "M", "N", "P", "S", "Zs")), max_size=5))
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(",;:# \t\r\n\x0c\x85\u2028\x00")) + text[at:]
+    return text
+
+
+_score = st.none() | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _record_fields(draw):
+    duration = draw(st.floats(0.0, exclude_min=True, allow_infinity=False))
+    events = []
+    for _ in range(draw(st.integers(0, 3))):
+        start, end = sorted([draw(st.floats(0.0, duration)), draw(st.floats(0.0, duration))])
+        events.append((draw(_awkward_text()), start, end))
+    return dict(
+        clip_id=draw(_awkward_text()),
+        duration=duration,
+        events=tuple(events),
+        av_align_score=draw(_score),
+        semantic_score=draw(_score),
+        speech_flag=draw(st.booleans()),
+        bgm_flag=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fields=st.lists(_record_fields(), max_size=4))
+def test_every_record_that_constructs_roundtrips(tmp_path, fields):
+    records = []
+    for kwargs in fields:
+        try:
+            records.append(ClipRecord(**kwargs))
+        except ContractError:
+            pass
+    path = str(tmp_path / "m.txt")
+    write_manifest(path, records)
+    assert read_manifest(path) == (records, [])
+
+
+_manifest_like = st.text(st.sampled_from("c0123456789.,;:-#einfa \t\r\n\x0c\x85")).map(str.encode)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=st.binary() | _manifest_like)
+def test_read_manifest_parses_or_raises_format_error(tmp_path, body):
+    path = tmp_path / "m.txt"
+    path.write_bytes(MANIFEST_HEADER.encode() + b"\n" + body)
+    try:
+        records, problems = read_manifest(str(path))
+    except FormatError:
+        return
+    assert all(isinstance(r, ClipRecord) for r in records)
+    assert all(isinstance(lineno, int) and isinstance(reason, str) for lineno, reason in problems)
 
 
 # ---------------------------------------------------------------------------
