@@ -42,9 +42,9 @@ def _positive_int(text: str) -> int:
 def _read_config_tokens(path: str) -> list:
     """Translate key=value lines into flag tokens.
 
-    Booleans (true/false, 1/0, yes/no) toggle store_true flags; any other
-    value becomes the flag's argument. Unknown keys surface as unknown
-    flags when parsed.
+    The values true/yes set a store_true flag and false/no leave it
+    unset, in any letter case; any other value, 1 and 0 included, becomes
+    the flag's argument. Unknown keys surface as unknown flags when parsed.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")

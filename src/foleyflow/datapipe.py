@@ -37,8 +37,8 @@ class ClipRecord:
 
     clip_id and labels are printable (no line break of any kind), clip_id
     has no comma and starts with neither "#" nor whitespace, and labels
-    hold none of ",;:", so every record that constructs with a float
-    duration is written as one manifest line that parses back equal.
+    hold none of ",;:", so every record that constructs is written as one
+    manifest line that parses back equal.
     """
 
     clip_id: str
@@ -53,6 +53,12 @@ class ClipRecord:
         clip_id, duration = self.clip_id, self.duration
         if not clip_id or "," in clip_id or clip_id[0] == "#" or clip_id[0].isspace() or not clip_id.isprintable():
             raise ContractError(f"invalid clip_id {clip_id!r}")
+        if type(duration) is not float:
+            try:
+                duration = float(duration)
+            except (TypeError, ValueError, OverflowError):
+                raise ContractError(f"{clip_id}: duration must convert to a float, got {duration!r:.40}") from None
+            object.__setattr__(self, "duration", duration)
         if not (0 < duration < math.inf):
             raise ContractError(f"{clip_id}: duration must be finite and > 0, got {duration}")
         events = tuple([(str(label), float(start), float(end)) for label, start, end in self.events])

@@ -187,7 +187,7 @@ class Block:
         self.fc2 = Linear(4 * d, d, rng)
 
     def __call__(self, x: Tensor, mod: Tensor, context_kv: tuple = (), context_mask=None) -> Tensor:
-        """x: (B, T, d) stream; mod: the block's adaln(gelu(t_emb)), shift,
+        """x: (B, T, d) stream; mod: the block's TimePath entry, shift,
         scale and gate of every sublayer, (B, 1, n_sublayers 3d) per item
         or (1, 1, n_sublayers 3d) shared by all. context_kv: the (B, L, d)
         keys and values, ck and cv of the context tokens, that a
@@ -239,10 +239,11 @@ class TimePath:
     """Every block's adaLN modulation at m times, from TwoTowerModel.time_path.
 
     audio[i] is audio block i's (m, 1, 9d) modulation and video[i] video
-    block i's (m, 1, 6d). path[k] is the path at time k alone (m = 1),
-    which a forward given it as t applies to every item. Its tensors are
-    copies cut from the tape: a forward on a path row is for sampling and
-    passes no gradient to the time MLP or the adaLN weights.
+    block i's (m, 1, 6d). A forward applies a path of one row per item
+    row by row, and a path of one row to every item. Built taped, a path
+    stays on the tape whole, for a backward to the time MLP and the adaLN
+    weights. path[k], the path at time k alone (m = 1), is cut from the
+    tape: a forward on it is for sampling and passes them no gradient.
     """
 
     audio: tuple
@@ -371,20 +372,17 @@ class TwoTowerModel:
 
     # -- forward ------------------------------------------------------------
 
-    def embed_timestep(self, times) -> Tensor:
-        """(B, 1, d) embedding of B times in [0, 1]."""
-        feats = timestep_features(times, self.config.d_model)[:, None, :]
-        return self.time_mlp2(gelu(self.time_mlp1(Tensor(feats))))
-
     def time_path(self, times) -> TimePath:
         """Every block's modulation at each of m times in [0, 1].
 
-        The time embedding and its gelu are computed once for all blocks,
-        then each block's adaln is one product of m rows. Given
-        row-invariant gemm (README), path[k] has the bits of the
-        modulations that a forward given time k computes for itself.
+        The sinusoidal features pass through the time MLP, and its output
+        through one gelu, once for all blocks; then each block's adaln is
+        one product of m rows. Computed taped, the path stays on the tape
+        for a backward. Given row-invariant gemm (README), path[k] has the
+        bits of the modulations of time k in any path.
         """
-        g = gelu(self.embed_timestep(times))
+        feats = Tensor(timestep_features(times, self.config.d_model)[:, None, :])
+        g = gelu(self.time_mlp2(gelu(self.time_mlp1(feats))))
         return TimePath(
             tuple(block.adaln(g) for block in self.audio_blocks),
             tuple(block.adaln(g) for block in self.video_blocks),
@@ -443,42 +441,36 @@ class TwoTowerModel:
         """Velocities (B, t_audio, d_audio_latent) for B items at once.
 
         x_t is (B, t_audio, d_audio_latent) and conds the B
-        ConditionBundles, or their Conditioning. t holds the B times, or
-        one time's TimePath row, time_path(times)[k], that every item
-        shares; with times, each block computes its modulation per item.
-        Items do not interact: given row-invariant gemm (README), an item's
-        output has the bits of its batch-1 output unless the batch pads its
-        cross-attention tokens, and a path row gives the bits of its time.
+        ConditionBundles, or their Conditioning. t holds the B times, whose
+        time_path the forward computes on the tape, or a TimePath of B
+        rows, one per item, or of one row, such as time_path(times)[k],
+        that every item shares. Items do not interact: given row-invariant
+        gemm (README), an item's output has the bits of its batch-1 output
+        unless the batch pads its cross-attention tokens, and the same
+        times give the same bits as times or as a path.
         """
         cfg = self.config
         x = x_t if isinstance(x_t, Tensor) else Tensor(np.asarray(x_t, dtype=np.float64))
         if not isinstance(conds, Conditioning):
             conds = self.condition(conds)
         n = len(conds.text_mask)
-        path = t if isinstance(t, TimePath) else None
-        t_shape = (len(path),) if path is not None else np.shape(t)
-        if x.shape != (n, cfg.t_audio, cfg.d_audio_latent) or t_shape != ((1,) if path is not None else (n,)):
+        given_path = isinstance(t, TimePath)
+        t_shape = (len(t),) if given_path else np.shape(t)
+        if x.shape != (n, cfg.t_audio, cfg.d_audio_latent) or t_shape not in {(n,), (1,) if given_path else (n,)}:
             raise ShapeError(
                 f"forward needs x (B, t_audio, d_audio_latent) = (B, {cfg.t_audio}, {cfg.d_audio_latent}) "
-                f"and B times or a one-time path for B = {n} bundles; got x {x.shape}, t {t_shape}"
+                f"and B times or a path of B rows or one row for B = {n} bundles; got x {x.shape}, t {t_shape}"
             )
+        path = t if given_path else self.time_path(t)
         h_a = self.audio_in(x) + self.audio_pos
         video, h_v = conds.video, conds.video_h
         if video:
             self.video_tower_invocations += 1
-        if path is not None:
-            mods_a, mods_v = path.audio, path.video
-        else:
-            t_emb = self.embed_timestep(t)
-            mods_a = [block.adaln(gelu(t_emb)) for block in self.audio_blocks]
-            if video:
-                t_emb_v = gather_rows(t_emb, video)
-                mods_v = [block.adaln(gelu(t_emb_v)) for block in self.video_blocks]
-
         for i in range(cfg.n_layers):
-            h_a = self.audio_blocks[i](h_a, mods_a[i], conds.text_kv[i], conds.text_mask)
+            h_a = self.audio_blocks[i](h_a, path.audio[i], conds.text_kv[i], conds.text_mask)
             if video:
-                h_v = self.video_blocks[i](h_v, mods_v[i])
+                mod_v = gather_rows(path.video[i], video) if len(path) == n else path.video[i]
+                h_v = self.video_blocks[i](h_v, mod_v)
                 mixed_a, h_v = cross_modal_mix(gather_rows(h_a, video), h_v, self.mix_a[i], self.mix_v[i])
                 # items without video keep their audio stream through the mixers
                 h_a = scatter_rows(mixed_a, video, h_a)

@@ -76,8 +76,12 @@ def test_record_validation():
         (dict(duration=math.nan), "clipA: duration must be finite and > 0, got nan"),
         (dict(av_align_score=math.nan), "clipA: av_align_score must lie in [0, 1], got nan"),
         (dict(semantic_score=math.nan), "clipA: semantic_score must lie in [0, 1], got nan"),
+        (dict(duration="2s"), "clipA: duration must convert to a float, got '2s'"),
     ],
-    ids=["comma", "semicolon", "colon", "empty-label", "nan-start", "nan-end", "nan-duration", "nan-av", "nan-sem"],
+    ids=[
+        "comma", "semicolon", "colon", "empty-label", "nan-start", "nan-end", "nan-duration", "nan-av", "nan-sem",
+        "text-duration",
+    ],
 )
 def test_record_rejection_messages(overrides, message):
     with pytest.raises(ContractError) as info:
@@ -94,8 +98,13 @@ def test_record_rejection_messages(overrides, message):
         dict(clip_id="c\u2028d"),
         dict(clip_id="#c4"),
         dict(clip_id=" c5 "),
+        dict(duration=10**400),
+        dict(duration=None),
     ],
-    ids=["label-newline", "label-nel", "label-line-separator", "id-line-separator", "id-hash", "id-space"],
+    ids=[
+        "label-newline", "label-nel", "label-line-separator", "id-line-separator", "id-hash", "id-space",
+        "duration-overflow", "duration-none",
+    ],
 )
 def test_record_rejects_what_the_reader_cannot_read_back(overrides):
     # each would be written as a line that reads back lost, split or changed
@@ -236,9 +245,11 @@ def _record_fields(draw):
     for _ in range(draw(st.integers(0, 3))):
         start, end = sorted([draw(st.floats(0.0, duration)), draw(st.floats(0.0, duration))])
         events.append((draw(_awkward_text()), start, end))
+    # a duration may arrive as a numpy float or an integral int of the same value
+    as_type = draw(st.sampled_from([float, np.float64] + ([int] if duration.is_integer() else [])))
     return dict(
         clip_id=draw(_awkward_text()),
-        duration=duration,
+        duration=as_type(duration),
         events=tuple(events),
         av_align_score=draw(_score),
         semantic_score=draw(_score),

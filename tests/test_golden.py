@@ -18,19 +18,19 @@ from foleyflow.cli import main
 from foleyflow.model import ModelConfig, TwoTowerModel
 
 GOLDEN = {
-    "stage1.ckpt": "cff796d6c381d54a3b6a3c60f89a709b2077bcad3238249d0e486f32cab41571",
-    "stage2.ckpt": "1036d9abab2e2e6e835bee8a7d7fcd6fbb41826a3f952be0a6ecd1c81433a19f",
-    "stage3.ckpt": "d26dcc7a71fe898d3df8b37f95bd5bb29f8e696b6e84ae7c6bc25fbcc57285df",
+    "stage1.ckpt": "2b9f3e591fd21780d05a3aef39cd3548f95ed471246236cf030aef0b653d1d5a",
+    "stage2.ckpt": "2a4862c4903b254ec583b87aa738154fae77fac75aff8ca7265dd798385c8ec8",
+    "stage3.ckpt": "9c1d2906a398dbdc4e85b167e97732b64ff7497e4a0eb4cfbeb4eaaceb4e200c",
     "events.log": "81bce18182e10f4160c67590e946d607b99ef731e967d645710086005947735d",
-    "latent": "311240abf20a761dfed9fa28b700693974e6b421c48168ba9d2afa5f3d77b04e",
+    "latent": "bb0683c659ed84507af5f7ce710013900d1c27eb39143d048f460ee486f2b212",
 }
 
 GOLDEN_REFINE = {
-    "latent": "03bd4c2b6703982ed239c495825262cfedf7cc0f2f3952985894f242e5f85b0f",
+    "latent": "5029cd04c6c3a82b3e4dda284da2598dc3fd1f3463178fcb57accd605b3ffba2",
     "trace.csv": "cbf071499bc2b65a7ee4273cd580fa7d93c2c6f2e0ac1116b0fd8a6bd99df8d2",
 }
 
-GOLDEN_EVAL = "38b4bb7927718629c2eb2dea857e4d163d61e4cf0b40c112f630d44305f54eb8"
+GOLDEN_EVAL = "95233ea3eb4d3f74c4bacd429402e300700336adc04390da076c7dca7c7e1584"
 
 GOLDEN_PIPELINE = {
     "cli.manifest": "3dea1430bc350c60c4880e9dd9f095085cdea81ac28a7813b127ba306dd6cdb7",

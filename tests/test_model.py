@@ -439,6 +439,31 @@ def test_guided_forward_records_92_tape_ops(monkeypatch):
     }
 
 
+def test_training_forward_records_97_tape_ops(monkeypatch):
+    """Perf budget of a training step's forward: the tape ops of one
+    cfm_loss at batch 8 of the default config, where some items carry
+    video and some do not. The forward makes the time path of its 8 times
+    (time embedding, its gelu, one adaln per block) and gathers the video
+    items' rows of each video block's modulation; a change that adds ops
+    to the training forward fails here without running a benchmark."""
+    cfg = ModelConfig()
+    rng = SeededRng(28)
+    batch = [(rng.normal((cfg.t_audio, cfg.d_audio_latent)), cond) for cond in _mixed_conds(rng, 8, cfg)]
+    kinds = _count_ops(monkeypatch)
+    flow.cfm_loss(TwoTowerModel(cfg, seed=0), batch, SeededRng(29))
+    assert sum(kinds.values()) == 97
+    pinned = ("matmul", "gelu", "gather_rows", "modulated_norm", "gated_residual", "scatter_rows", "mul")
+    assert {k: kinds[k] for k in pinned} == {
+        "matmul": 46,
+        "gelu": 6,
+        "gather_rows": 4,
+        "modulated_norm": 10,
+        "gated_residual": 10,
+        "scatter_rows": 2,
+        "mul": 2,
+    }
+
+
 @pytest.mark.parametrize("nfe, ops", [(1, 92), (4, 317)])
 def test_sample_many_conditions_once_per_trajectory(monkeypatch, nfe, ops):
     """Perf budget of the sampler: 9 conditioning ops and 8 time-path ops
@@ -470,6 +495,37 @@ def test_a_time_path_row_keeps_the_bits_of_its_time(m):
         assert np.array_equal(model(x, path[k], conditioned).data, model(x, [t] * 4, conditioned).data), k
 
 
+def _forward_and_grads(model, x, t, conds) -> tuple:
+    """A forward's output and every parameter's gradient of mean(out^2)."""
+    model.zero_grad()
+    out = model(Tensor(x), t, conds)
+    backward(reduce_mean(out * out))
+    return out.data, {name: p.grad for name, p in model.parameters().items()}
+
+
+def _assert_same_bits(run_a, run_b):
+    (out_a, grads_a), (out_b, grads_b) = run_a, run_b
+    assert np.array_equal(out_a, out_b)
+    assert grads_a.keys() == grads_b.keys()
+    for name, grad in grads_a.items():
+        assert (grad is None) == (grads_b[name] is None), name
+        assert grad is None or np.array_equal(grad, grads_b[name]), name
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_forward_on_times_matches_forward_on_their_time_path(n):
+    """A forward given B times runs on their time path: the same output
+    and parameter gradient bits as a forward given time_path(times)."""
+    model = TwoTowerModel(SMALL, seed=0)
+    _perturb(model)
+    rng = SeededRng(30)
+    conds = _mixed_conds(rng, n)
+    times = [0.1, 0.4, 0.7, 0.95][:n]
+    x = rng.normal((n, SMALL.t_audio, SMALL.d_audio_latent))
+    on_times = _forward_and_grads(model, x, times, conds)
+    _assert_same_bits(on_times, _forward_and_grads(model, x, model.time_path(times), conds))
+
+
 def test_forward_on_a_conditioning_matches_forward_on_bundles():
     model = TwoTowerModel(SMALL, seed=0)
     _perturb(model)
@@ -477,18 +533,8 @@ def test_forward_on_a_conditioning_matches_forward_on_bundles():
     conds = _mixed_conds(rng, 4)
     times = [0.1, 0.4, 0.7, 0.95]
     x = rng.normal((4, SMALL.t_audio, SMALL.d_audio_latent))
-    runs = []
-    for given in (conds, model.condition(conds)):
-        model.zero_grad()
-        out = model(Tensor(x), times, given)
-        backward(reduce_mean(out * out))
-        runs.append((out.data, {name: p.grad for name, p in model.parameters().items()}))
-    (out_a, grads_a), (out_b, grads_b) = runs
-    assert np.array_equal(out_a, out_b)
-    assert grads_a.keys() == grads_b.keys()
-    for name, grad in grads_a.items():
-        assert (grad is None) == (grads_b[name] is None), name
-        assert grad is None or np.array_equal(grad, grads_b[name]), name
+    on_bundles = _forward_and_grads(model, x, times, conds)
+    _assert_same_bits(on_bundles, _forward_and_grads(model, x, times, model.condition(conds)))
 
 
 def test_condition_checks_bundles_and_reuses_across_times():
