@@ -28,6 +28,13 @@ SWAY_MIN = -1.0
 _PATH_ROWS = 64
 
 
+def _check_nfe(nfe) -> None:
+    if isinstance(nfe, (bool, np.bool_)) or not isinstance(nfe, (int, np.integer)):
+        raise ConfigError(f"nfe must be an integer, got {nfe!r}")
+    if nfe < 1:
+        raise ConfigError(f"nfe must be >= 1, got {nfe}")
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     nfe: int = 64
@@ -36,8 +43,7 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.nfe < 1:
-            raise ConfigError(f"nfe must be >= 1, got {self.nfe}")
+        _check_nfe(self.nfe)
         if not (SWAY_MIN <= self.sway_coef <= SWAY_MAX):
             raise ConfigError(f"sway_coef {self.sway_coef} outside [{SWAY_MIN}, {SWAY_MAX:.6f}]")
         if not (0.0 <= self.guidance_scale < math.inf):
@@ -51,8 +57,7 @@ def sway_schedule(nfe: int, sway_coef: float) -> np.ndarray:
     Endpoints are exactly 0 and 1 and the grid is strictly increasing for
     s in the admissible range.
     """
-    if nfe < 1:
-        raise ConfigError(f"nfe must be >= 1, got {nfe}")
+    _check_nfe(nfe)
     if not (SWAY_MIN <= sway_coef <= SWAY_MAX):
         raise ConfigError(f"sway_coef {sway_coef} outside [{SWAY_MIN}, {SWAY_MAX:.6f}]")
     u = np.arange(nfe + 1, dtype=np.float64) / nfe

@@ -3,6 +3,10 @@
 The engine is deliberately small: exactly the ops a two-tower transformer
 needs, all in float64 so numerical tolerances stay tight. Graphs are
 dynamic and single-use; an op never mutates its operands' buffers.
+A forward rule writes its intermediates into fresh buffers of its own,
+with in-place ufuncs (out=, *=, +=), in the operation order of the
+formula it implements, so its output has that formula's bits; it never
+changes an array that its backward closure reads.
 Activations carry a leading batch axis, (B, T, d): matmul folds the
 leading axes into rows and takes an optional bias, attention is one
 fused multi-head op, modulated_norm / gated_residual are the two halves
@@ -69,7 +73,7 @@ class Tensor:
 
     @property
     def shape(self) -> tuple:
-        return tuple(self.data.shape)
+        return self.data.shape
 
     @property
     def ndim(self) -> int:
@@ -172,7 +176,8 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     out = (rows @ b_data)[: len(a2d)].reshape(a_shape[:-1] + (n,))
     if bias is None:
         return _from_op(out, (a, b), bw)
-    return _from_op(out + bias.data, (a, b, bias), bw)
+    out += bias.data
+    return _from_op(out, (a, b, bias), bw)
 
 
 def _broadcast_error(a: Tensor, b: Tensor, op: str) -> ShapeError:
@@ -249,11 +254,12 @@ def transpose(x: Tensor) -> Tensor:
 
 def _mod_chunk(x: Tensor, mod: Tensor, j: int, op: str) -> slice:
     """Chunk j, as wide as x's last axis, of mod's last axis."""
-    d = x.shape[-1]
-    if mod.ndim != x.ndim or any(m not in (1, s) for m, s in zip(mod.shape[:-1], x.shape[:-1])):
-        raise ShapeError(f"{op} modulation {mod.shape} does not broadcast over input {x.shape}")
-    if j < 0 or mod.shape[-1] < (j + 1) * d:
-        raise ShapeError(f"{op} modulation width {mod.shape[-1]} has no chunk {j} of width {d}")
+    x_shape, mod_shape = x.data.shape, mod.data.shape
+    d = x_shape[-1]
+    if len(mod_shape) != len(x_shape) or any(m not in (1, s) for m, s in zip(mod_shape[:-1], x_shape[:-1])):
+        raise ShapeError(f"{op} modulation {mod_shape} does not broadcast over input {x_shape}")
+    if j < 0 or mod_shape[-1] < (j + 1) * d:
+        raise ShapeError(f"{op} modulation width {mod_shape[-1]} has no chunk {j} of width {d}")
     return slice(j * d, (j + 1) * d)
 
 
@@ -278,11 +284,18 @@ def modulated_norm(x: Tensor, mod: Tensor, i: int) -> Tensor:
     """
     shift_at = _mod_chunk(x, mod, 3 * i, "modulated_norm")
     scale_at = _mod_chunk(x, mod, 3 * i + 1, "modulated_norm")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = centered * inv
+    d = x.data.shape[-1]
+    # a sum over the last axis divided by d is what np.mean computes
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
+    mu /= d
+    xhat = x.data - mu  # centered here, normalized below
+    out = xhat * xhat  # the squares; the output is written over them
+    inv = np.add.reduce(out, axis=-1, keepdims=True)  # var, then 1 / sqrt(var + eps)
+    inv /= d
+    inv += 1e-5
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
     scale1 = mod.data[..., scale_at] + 1.0
 
     def bw(g):
@@ -294,7 +307,9 @@ def modulated_norm(x: Tensor, mod: Tensor, i: int) -> Tensor:
         )
         return dx, _chunk_grad(mod, (shift_at, g), (scale_at, g * xhat))
 
-    return _from_op(xhat * scale1 + mod.data[..., shift_at], (x, mod), bw)
+    np.multiply(xhat, scale1, out=out)
+    out += mod.data[..., shift_at]
+    return _from_op(out, (x, mod), bw)
 
 
 def gated_residual(x: Tensor, mod: Tensor, i: int, y: Tensor) -> Tensor:
@@ -308,7 +323,9 @@ def gated_residual(x: Tensor, mod: Tensor, i: int, y: Tensor) -> Tensor:
     def bw(g):
         return g, _chunk_grad(mod, (gate_at, g * y_data)), g * gate
 
-    return _from_op(x.data + gate * y_data, (x, mod, y), bw)
+    out = gate * y_data
+    out += x.data
+    return _from_op(out, (x, mod, y), bw)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -326,15 +343,24 @@ def softmax(x: Tensor) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     """GELU via the tanh approximation."""
     v = x.data
-    inner = _GELU_C * (v + 0.044715 * (v * v * v))
-    t = np.tanh(inner)
+    # t = tanh(_GELU_C * (v + 0.044715 * (v * v * v))), built in one buffer;
+    # empty_like keeps it an array when v is 0-d
+    t = np.empty_like(v)
+    np.multiply(v, v, out=t)
+    t *= v
+    t *= 0.044715
+    t += v
+    t *= _GELU_C
+    np.tanh(t, out=t)
 
     def bw(g):
         dinner = _GELU_C * (1.0 + 3.0 * 0.044715 * v * v)
         local = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * dinner
         return (g * local,)
 
-    return _from_op(0.5 * v * (1.0 + t), (x,), bw)
+    out = 0.5 * v
+    out *= 1.0 + t
+    return _from_op(out, (x,), bw)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, key_mask=None) -> Tensor:
@@ -363,16 +389,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, key_mask=None) -> T
         return x.reshape(batch, x.shape[1], n_heads, dh).transpose(0, 2, 1, 3)
 
     qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
-    scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale  # (B, H, Tq, Tk)
+    scores = qh @ kh.transpose(0, 1, 3, 2)  # (B, H, Tq, Tk)
+    scores *= scale
     if key_mask is not None:
         keep = np.asarray(key_mask, dtype=bool)
         if keep.shape != (batch, t_k):
             raise ShapeError(f"key_mask shape {keep.shape} != (B, Tk) = ({batch}, {t_k})")
         if not keep.any(axis=1).all():
             raise ContractError("key_mask hides every key of some item")
-        scores = np.where(keep[:, None, None, :], scores, -np.inf)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    probs = e / e.sum(axis=-1, keepdims=True)
+        np.copyto(scores, -np.inf, where=~keep[:, None, None, :])
+    # the softmax, in the scores' buffer
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    probs = scores
 
     def merge(xh: np.ndarray) -> np.ndarray:  # (B, H, T, dh) -> (B, T, d)
         return xh.transpose(0, 2, 1, 3).reshape(batch, xh.shape[2], d)
@@ -388,10 +418,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, key_mask=None) -> T
 
 
 def _batch_rows(rows, n: int) -> np.ndarray:
-    idx = np.asarray(rows, dtype=np.intp)
-    if idx.ndim != 1 or idx.size == 0 or idx.min() < 0 or idx.max() >= n or np.unique(idx).size != idx.size:
-        raise ContractError(f"rows must be distinct indices in [0, {n}), got {rows!r}")
-    return idx
+    idx = np.asarray(rows)
+    # numpy reads a bool among ints as 0 or 1, so each item's type is checked too
+    integers = idx.dtype.kind in "iu" and idx.ndim == 1 and not any(isinstance(r, (bool, np.bool_)) for r in rows)
+    if not integers or idx.size == 0 or idx.min() < 0 or idx.max() >= n or len(set(idx.tolist())) != idx.size:
+        raise ContractError(f"rows must be distinct integer indices in [0, {n}), got {rows!r}")
+    return idx.astype(np.intp, copy=False)
 
 
 def gather_rows(x: Tensor, rows) -> Tensor:

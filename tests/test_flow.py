@@ -118,8 +118,10 @@ def test_sway_closed_form_value():
 
 
 def test_sway_schedule_contracts():
-    with pytest.raises(ConfigError):
-        sway_schedule(0, 0.0)
+    for nfe in (0, 2.5, 2.0, True, "8"):
+        with pytest.raises(ConfigError):
+            sway_schedule(nfe, 0.0)
+    assert np.array_equal(sway_schedule(np.int32(4), 0.0), sway_schedule(4, 0.0))
     with pytest.raises(ConfigError):
         sway_schedule(8, SWAY_MIN - 0.01)
     with pytest.raises(ConfigError):
@@ -127,8 +129,10 @@ def test_sway_schedule_contracts():
 
 
 def test_sampler_config_validation():
-    with pytest.raises(ConfigError):
-        SamplerConfig(nfe=0)
+    for nfe in (0, 2.5, 2.0, True, np.bool_(True), "8", None):
+        with pytest.raises(ConfigError):
+            SamplerConfig(nfe=nfe)
+    assert SamplerConfig(nfe=np.int64(3)).nfe == 3
     with pytest.raises(ConfigError):
         SamplerConfig(sway_coef=-2.0)
     with pytest.raises(ConfigError):

@@ -1,7 +1,12 @@
 """Tensor engine: forward values, gradients vs central differences, tape contract."""
 
+import contextlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foleyflow.errors import ContractError, ShapeError
 from foleyflow.model import ModelConfig, TwoTowerModel
@@ -18,11 +23,13 @@ from foleyflow.tensor import (
     gelu,
     matmul,
     modulated_norm,
+    mul,
     no_tape,
     reduce_mean,
     reduce_sum,
     scatter_rows,
     softmax,
+    sub,
     transpose,
 )
 
@@ -146,6 +153,113 @@ def test_attention_contracts():
         attention(x, x, x, 2, np.array([[True, False, False], [False, False, False]]))
 
 
+# Reference forward formulas of gelu, attention, modulated_norm,
+# gated_residual and biased matmul as plain numpy expressions, each
+# temporary a fresh array; the ops must reproduce their bits exactly.
+
+
+def _gelu_expression(v):
+    inner = math.sqrt(2.0 / math.pi) * (v + 0.044715 * (v * v * v))
+    t = np.tanh(inner)
+    return 0.5 * v * (1.0 + t)
+
+
+def _attention_expression(q, k, v, n_heads, key_mask=None):
+    batch, _, d = q.shape
+    dh = d // n_heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def heads(x):
+        return x.reshape(batch, x.shape[1], n_heads, dh).transpose(0, 2, 1, 3)
+
+    qh, kh, vh = heads(q), heads(k), heads(v)
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
+    if key_mask is not None:
+        scores = np.where(key_mask[:, None, None, :], scores, -np.inf)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    out = probs @ vh
+    return out.transpose(0, 2, 1, 3).reshape(batch, out.shape[2], d)
+
+
+def _modulated_norm_expression(x, mod, i):
+    d = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = centered * inv
+    scale1 = mod[..., (3 * i + 1) * d : (3 * i + 2) * d] + 1.0
+    return xhat * scale1 + mod[..., 3 * i * d : (3 * i + 1) * d]
+
+
+def _gated_residual_expression(x, mod, i, y):
+    d = x.shape[-1]
+    return x + mod[..., (3 * i + 2) * d : (3 * i + 3) * d] * y
+
+
+def _biased_matmul_expression(a, b, bias):
+    a2d = a.reshape(-1, a.shape[-1])
+    rows = a2d if len(a2d) > 1 else np.concatenate([a2d, a2d])
+    out = (rows @ b)[: len(a2d)].reshape(a.shape[:-1] + (b.shape[1],))
+    return out + bias
+
+
+def _both_ways(call, *arrays):
+    """call's output on trainable operands, taped and under no_tape."""
+    taped = call(*[Tensor(a, requires_grad=True) for a in arrays]).data
+    with no_tape():
+        untaped = call(*[Tensor(a, requires_grad=True) for a in arrays]).data
+    return taped, untaped
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.integers(1, 8),
+    t_q=st.integers(1, 9),
+    t_k=st.integers(1, 9),
+    heads=st.integers(1, 3),
+    dh=st.integers(1, 5),
+    magnitude=st.sampled_from([1e-3, 1.0, 40.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_forward_rules_keep_the_bits_of_their_expressions(batch, t_q, t_k, heads, dh, magnitude, seed):
+    rng = np.random.default_rng(seed)
+    d = heads * dh
+    x, y = rng.normal(size=(2, batch, t_q, d)) * magnitude
+    x[0, 0] = 3.0  # a zero-variance row
+    k, v = rng.normal(size=(2, batch, t_k, d)) * magnitude
+    keep = rng.random((batch, t_k)) < 0.6
+    keep[np.arange(batch), rng.integers(0, t_k, batch)] = True
+    expected = {
+        "gelu": (_gelu_expression(x), _both_ways(gelu, x)),
+        "gelu 0-d": (_gelu_expression(x[-1, -1, -1]), _both_ways(gelu, x[-1, -1, -1])),
+        "attention": (_attention_expression(x, k, v, heads), _both_ways(lambda *o: attention(*o, heads), x, k, v)),
+        "attention masked": (
+            _attention_expression(x, k, v, heads, keep),
+            _both_ways(lambda *o: attention(*o, heads, keep), x, k, v),
+        ),
+    }
+    for mods in ((batch, 1, 9 * d), (1, 1, 9 * d)):  # per item and shared
+        mod = rng.normal(size=mods)
+        for i in range(3):
+            expected[f"modulated_norm {mods} {i}"] = (
+                _modulated_norm_expression(x, mod, i),
+                _both_ways(lambda a, m: modulated_norm(a, m, i), x, mod),
+            )
+            expected[f"gated_residual {mods} {i}"] = (
+                _gated_residual_expression(x, mod, i, y),
+                _both_ways(lambda a, m, c: gated_residual(a, m, i, c), x, mod, y),
+            )
+    w, bias = rng.normal(size=(d, 4 * d)), rng.normal(size=4 * d)
+    for name, a in (("matmul one row", x[:1, :1]), ("matmul rows", x)):
+        expected[name] = (_biased_matmul_expression(a, w, bias), _both_ways(matmul, a, w, bias))
+    for name, (want, (taped, untaped)) in expected.items():
+        # an op's output is at least 1-D
+        assert np.array_equal(taped, np.atleast_1d(want)), name
+        assert np.array_equal(untaped, np.atleast_1d(want)), name
+
+
 def test_gather_and_scatter_rows_values():
     x = Tensor(_rand((4, 2, 3), 26))
     picked = gather_rows(x, [3, 1])
@@ -155,11 +269,16 @@ def test_gather_and_scatter_rows_values():
     assert np.array_equal(placed.data[[0, 2]], x.data[[3, 1]])
     assert np.array_equal(placed.data[[1, 3]], base.data[[1, 3]])
     assert np.array_equal(base.data, _rand((4, 2, 3), 27))  # operands untouched
-    for rows in ([], [1, 1], [4], [-1]):
+    # rows are distinct integers in range; floats and bools are not rows
+    bad = ([], [1, 1], [4], [-1], [0.7, 2.2], [1.0, 2.0], [True, False], [1, True], np.array([True, False]), ["1", "2"])
+    for rows in bad:
         with pytest.raises(ContractError):
             gather_rows(x, rows)
         with pytest.raises(ContractError):
             scatter_rows(picked, rows, base)
+    for rows in ((np.int64(3), np.int32(1)), np.array([3, 1], dtype=np.uint8)):
+        assert np.array_equal(gather_rows(x, rows).data, picked.data)
+        assert np.array_equal(scatter_rows(picked, rows, base).data[[3, 1]], picked.data)
     with pytest.raises(ShapeError):
         scatter_rows(picked, [0, 1, 2], base)  # row count
     with pytest.raises(ShapeError):
@@ -456,11 +575,55 @@ def test_no_grad_leaves_are_skipped():
     assert np.allclose(x.grad, 1.0)
 
 
+def _model_op_calls(rng):
+    """One call of every tensor op, as (name, operands, call) triples; mod is
+    a (1, 1, 9d) row shared by the batch, as a sampler's time path row is."""
+    b, t, d = 3, 4, 6
+    x, y = rng.normal(size=(b, t, d)), rng.normal(size=(b, t, d))
+    kv = rng.normal(size=(b, 5, d))
+    mod = rng.normal(size=(1, 1, 9 * d))
+    w, bias, w2 = rng.normal(size=(d, 2 * d)), rng.normal(size=2 * d), rng.normal(size=(t, t))
+    keep = np.array([[True, False, True, True, False], [False, False, True, False, False], [True] * 5])
+    one = rng.normal(size=(1, 1, d))
+    return [
+        ("matmul", (x, w, bias), matmul),
+        ("matmul one row", (one, w, bias), matmul),
+        ("matmul no bias", (x, w), matmul),
+        ("add", (x, y[0]), add),
+        ("sub", (x, y), sub),
+        ("mul", (x, y), mul),
+        ("elementwise", (x, y), lambda a, c: elementwise("mul", a, c)),
+        ("concat", (x, y), concat),
+        ("transpose", (w2,), transpose),
+        ("modulated_norm", (x, mod), lambda a, m: modulated_norm(a, m, 2)),
+        ("gated_residual", (x, mod, y), lambda a, m, c: gated_residual(a, m, 1, c)),
+        ("gated_residual on itself", (x, mod), lambda a, m: gated_residual(a, m, 0, a)),
+        ("softmax", (x,), softmax),
+        ("gelu", (x,), gelu),
+        ("attention", (x, y, y), lambda q, k, v: attention(q, k, v, 2)),
+        ("attention masked", (x, kv, kv), lambda q, k, v: attention(q, k, v, 3, keep)),
+        ("gather_rows", (x,), lambda a: gather_rows(a, [2, 0])),
+        ("scatter_rows", (y[:2], x), lambda a, c: scatter_rows(a, [2, 0], c)),
+        ("reduce_sum", (x,), reduce_sum),
+        ("reduce_mean", (x,), reduce_mean),
+    ]
+
+
 def test_ops_do_not_mutate_operands():
-    x = _leaf((2, 2), 24)
-    before = x.data.copy()
-    _ = gelu(softmax(x + 1.0) * 2.0)
-    assert np.array_equal(x.data, before)
+    # every op, taped (operands checked after the forward and after the
+    # backward) and under no_tape (after the forward)
+    rng = np.random.default_rng(24)
+    for taped in (True, False):
+        for name, arrays, call in _model_op_calls(rng):
+            operands = [Tensor(a, requires_grad=True) for a in arrays]
+            with contextlib.nullcontext() if taped else no_tape():
+                out = call(*operands)
+            for op, a in zip(operands, arrays):
+                assert np.array_equal(op.data, a), (name, taped)
+            if taped:
+                backward(reduce_sum(out * Tensor(rng.normal(size=out.shape))))
+                for op, a in zip(operands, arrays):
+                    assert np.array_equal(op.data, a), (name, taped)
 
 
 def _taping() -> bool:
