@@ -1,8 +1,11 @@
 """Error taxonomy shared across the package.
 
 Everything user-facing derives from FoleyflowError so the CLI can map
-failures onto a single machine-readable stderr line.
+failures onto a single machine-readable stderr line. check_positive_int
+is the one rule for every count a caller passes: sizes, steps, k, nfe.
 """
+
+import numbers
 
 
 class FoleyflowError(Exception):
@@ -34,3 +37,10 @@ class DivergenceError(FoleyflowError, RuntimeError):
     def __init__(self, message: str, step: int | None = None):
         super().__init__(message)
         self.step = step
+
+
+def check_positive_int(name: str, value, error: type = ConfigError) -> None:
+    """Raise error unless value is an integer >= 1. numpy integers count;
+    bools and floats do not, even 2.0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise error(f"{name} must be a positive integer, got {value!r}")

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DivergenceError, ShapeError
-from .model import ConditionBundle, TimePath
+from .errors import ConfigError, ContractError, DivergenceError, ShapeError, check_positive_int
+from .model import ConditionBundle
 from .rng import SeededRng
 from .tensor import Tensor, no_tape, reduce_mean
 
@@ -28,13 +28,6 @@ SWAY_MIN = -1.0
 _PATH_ROWS = 64
 
 
-def _check_nfe(nfe) -> None:
-    if isinstance(nfe, (bool, np.bool_)) or not isinstance(nfe, (int, np.integer)):
-        raise ConfigError(f"nfe must be an integer, got {nfe!r}")
-    if nfe < 1:
-        raise ConfigError(f"nfe must be >= 1, got {nfe}")
-
-
 @dataclass(frozen=True)
 class SamplerConfig:
     nfe: int = 64
@@ -43,7 +36,7 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_nfe(self.nfe)
+        check_positive_int("nfe", self.nfe)
         if not (SWAY_MIN <= self.sway_coef <= SWAY_MAX):
             raise ConfigError(f"sway_coef {self.sway_coef} outside [{SWAY_MIN}, {SWAY_MAX:.6f}]")
         if not (0.0 <= self.guidance_scale < math.inf):
@@ -54,16 +47,20 @@ def sway_schedule(nfe: int, sway_coef: float) -> np.ndarray:
     """Time grid t_k = u + s (cos(pi u / 2) - 1 + u) for u = k/nfe.
 
     Negative s front-loads steps near t = 0; s = 0 is the uniform grid.
-    Endpoints are exactly 0 and 1 and the grid is strictly increasing for
-    s in the admissible range.
+    Endpoints are exactly 0 and 1, and the grid is strictly increasing or
+    a ConfigError. At s = SWAY_MAX the warp is flat at u = 1, so its last
+    steps shrink as nfe^-3; from nfe ~ 2^18 they fall below the float64
+    spacing near 1, and no formula can make them positive.
     """
-    _check_nfe(nfe)
+    check_positive_int("nfe", nfe)
     if not (SWAY_MIN <= sway_coef <= SWAY_MAX):
         raise ConfigError(f"sway_coef {sway_coef} outside [{SWAY_MIN}, {SWAY_MAX:.6f}]")
     u = np.arange(nfe + 1, dtype=np.float64) / nfe
     grid = u + sway_coef * (np.cos(math.pi * u / 2.0) - 1.0 + u)
     grid[0] = 0.0
     grid[-1] = 1.0
+    if not (np.diff(grid) > 0.0).all():
+        raise ConfigError(f"sway grid for nfe {nfe} and s {sway_coef} is not strictly increasing in float64")
     return grid
 
 
@@ -71,9 +68,10 @@ def cfm_loss(model, batch, rng: SeededRng) -> Tensor:
     """Mean squared velocity error over a batch of (x1, condition) pairs.
 
     For each item, draws x0 ~ N(0, I) then t ~ U(0, 1) from rng (in that
-    order) and builds x_t; one model call then predicts every item, and
-    the loss regresses the predictions onto x1 - x0. The returned scalar
-    stays on the tape for backward().
+    order) and builds x_t; one model call on the batch's model.condition
+    and the time_path of its times, computed in that order, then predicts
+    every item, and the loss regresses the predictions onto x1 - x0. The
+    returned scalar stays on the tape for backward().
     """
     items = list(batch)
     if not items:
@@ -85,13 +83,10 @@ def cfm_loss(model, batch, rng: SeededRng) -> Tensor:
     x0, t = zip(*[(rng.normal(x.shape), rng.uniform()) for x in x1])
     x0, x1 = np.stack(x0), np.stack(x1)
     tb = np.reshape(t, (-1,) + (1,) * (x1.ndim - 1))
-    pred = model(Tensor((1.0 - tb) * x0 + tb * x1), list(t), [cond for _, cond in items])
+    conditioning = model.condition([cond for _, cond in items])
+    pred = model(Tensor((1.0 - tb) * x0 + tb * x1), model.time_path(t), conditioning)
     diff = pred - Tensor(x1 - x0)
     return reduce_mean(diff * diff)
-
-
-def _is_unconditional(cond: ConditionBundle) -> bool:
-    return cond.text_emb is None and cond.video_feat is None and cond.extra_tokens is None
 
 
 def _guidance_branches(cond: ConditionBundle, guidance_scale: float) -> list:
@@ -104,45 +99,30 @@ def _guidance_branches(cond: ConditionBundle, guidance_scale: float) -> list:
     """
     if guidance_scale < 0:
         raise ContractError(f"guidance_scale must be >= 0, got {guidance_scale}")
-    if _is_unconditional(cond) or guidance_scale == 0.0:
+    if guidance_scale == 0.0 or all(f is None for f in (cond.text_emb, cond.video_feat, cond.extra_tokens)):
         return [ConditionBundle()]
     if guidance_scale == 1.0:
         return [cond]
     return [ConditionBundle(), cond]
 
 
-def _condition_guided(model, cond: ConditionBundle, guidance_scale: float, n: int):
-    """model.condition of the guided batch over n states: every branch's
-    bundle n times, in branch order."""
-    return model.condition([c for c in _guidance_branches(cond, guidance_scale) for _ in range(n)])
+def guided_velocity(model, x: np.ndarray, t, cond: ConditionBundle, guidance_scale: float, conditioned) -> np.ndarray:
+    """Classifier-free-guided velocity v_u + w (v_c - v_u) of a stack of n
+    states (n, t_audio, d_audio_latent) that share cond, as a plain array
+    of the same shape.
 
-
-def guided_velocity(model, x_t, t, cond: ConditionBundle, guidance_scale: float, conditioned=None) -> np.ndarray:
-    """Classifier-free-guided velocity v_u + w (v_c - v_u) as a plain array.
-
-    x_t is one state (t_audio, d_audio_latent) or a stack of n states
-    (n, t_audio, d_audio_latent) that share cond; the result has x_t's
-    shape. w = 0 returns the unconditional branch alone and w = 1 the
-    conditional branch alone, each from one model call of batch n; other
-    weights run both branches as one call of batch 2n, the n unconditional
-    items first. t is a time in [0, 1], or its row of a model.time_path,
-    which a sampler computes once per trajectory; given a time, the call
-    computes its one-time path itself. conditioned, when given, is that
-    batch's model.condition, which a sampler also computes once per
-    trajectory; without it the call conditions its batch itself. The
-    call runs taped unless its caller is inside tensor.no_tape.
+    w = 0 returns the unconditional branch alone and w = 1 the conditional
+    branch alone, each from one model call of batch n; other weights run
+    both branches as one call of batch 2n, the n unconditional items
+    first. t is the step's row of a model.time_path and conditioned the
+    model.condition of that batch, every branch's bundle n times in
+    branch order; a sampler computes both once per trajectory. The call
+    runs taped unless its caller is inside tensor.no_tape.
     """
     branches = _guidance_branches(cond, guidance_scale)
-    x = np.asarray(x_t, dtype=np.float64)
-    xs = x[None] if x.ndim == 2 else x
-    if conditioned is None:
-        conditioned = _condition_guided(model, cond, guidance_scale, len(xs))
-    if not isinstance(t, TimePath):
-        t = model.time_path([t])[0]
-    v = model(Tensor(np.concatenate([xs] * len(branches))), t, conditioned).data
-    v = v.reshape((len(branches),) + xs.shape)
-    out = v[0] if len(branches) == 1 else v[0] + guidance_scale * (v[1] - v[0])
-    return out.reshape(x.shape)
+    v = model(Tensor(np.concatenate([x] * len(branches))), t, conditioned).data
+    v = v.reshape((len(branches),) + x.shape)
+    return v[0] if len(branches) == 1 else v[0] + guidance_scale * (v[1] - v[0])
 
 
 def sample_many(model, cond: ConditionBundle, sampler_cfg: SamplerConfig, seeds) -> list:
@@ -158,7 +138,7 @@ def sample_many(model, cond: ConditionBundle, sampler_cfg: SamplerConfig, seeds)
     row stays in the stack, zeroed, and the loop stops early only when
     every row has. Where gemm rows do not depend on the row count
     (README, Determinism), a latent has its one-seed bits, and the bits of
-    a loop that gives the model its times at every step.
+    a loop that computes each step's one-time path on its own.
 
     model must expose .config (for the latent shape), .condition(conds),
     .time_path(times), and be callable on a batch as
@@ -173,7 +153,7 @@ def sample_many(model, cond: ConditionBundle, sampler_cfg: SamplerConfig, seeds)
     x = np.stack([SeededRng(seed).normal((cfg.t_audio, cfg.d_audio_latent)) for seed in seeds])
     results: list = [None] * len(seeds)
     with no_tape():
-        conditioned = _condition_guided(model, cond, w, len(seeds))
+        conditioned = model.condition([c for c in _guidance_branches(cond, w) for _ in seeds])
         for k in range(sampler_cfg.nfe):
             if k % _PATH_ROWS == 0:
                 path = model.time_path(grid[k : min(k + _PATH_ROWS, sampler_cfg.nfe)])

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import container
-from .errors import ConfigError, ContractError, FormatError, ShapeError
+from .errors import ConfigError, ContractError, FormatError, ShapeError, check_positive_int
 from .rng import SeededRng, derive_seed
 from .tensor import (
     Tensor,
@@ -49,10 +49,8 @@ class ModelConfig:
     t_audio: int = 32
 
     def __post_init__(self):
-        for name in ("d_model", "n_layers", "n_heads", "d_audio_latent", "d_video_feat", "d_text", "t_audio"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        for f in fields(self):
+            check_positive_int(f.name, getattr(self, f.name))
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
 
@@ -331,9 +329,6 @@ class TwoTowerModel:
         for p in self._params.values():
             p.grad = None
 
-    def param_count(self) -> int:
-        return self.flat.size
-
     def state_arrays(self) -> dict:
         return {name: p.data.copy() for name, p in self._params.items()}
 
@@ -437,37 +432,29 @@ class TwoTowerModel:
         text_kv = tuple((block.ck(text_h), block.cv(text_h)) for block in self.audio_blocks)
         return Conditioning(text_kv, text_mask, video, video_h)
 
-    def forward(self, x_t, t, conds) -> Tensor:
+    def forward(self, x: Tensor, path: TimePath, conditioning: Conditioning) -> Tensor:
         """Velocities (B, t_audio, d_audio_latent) for B items at once.
 
-        x_t is (B, t_audio, d_audio_latent) and conds the B
-        ConditionBundles, or their Conditioning. t holds the B times, whose
-        time_path the forward computes on the tape, or a TimePath of B
-        rows, one per item, or of one row, such as time_path(times)[k],
-        that every item shares. Items do not interact: given row-invariant
-        gemm (README), an item's output has the bits of its batch-1 output
-        unless the batch pads its cross-attention tokens, and the same
-        times give the same bits as times or as a path.
+        x is (B, t_audio, d_audio_latent) and conditioning is condition()
+        of the B items' bundles. path is a TimePath of B rows, one per
+        item, or of one row, such as time_path(times)[k], that every item
+        shares. Items do not interact: given row-invariant gemm (README),
+        an item's output has the bits of its batch-1 output unless the
+        batch pads its cross-attention tokens.
         """
         cfg = self.config
-        x = x_t if isinstance(x_t, Tensor) else Tensor(np.asarray(x_t, dtype=np.float64))
-        if not isinstance(conds, Conditioning):
-            conds = self.condition(conds)
-        n = len(conds.text_mask)
-        given_path = isinstance(t, TimePath)
-        t_shape = (len(t),) if given_path else np.shape(t)
-        if x.shape != (n, cfg.t_audio, cfg.d_audio_latent) or t_shape not in {(n,), (1,) if given_path else (n,)}:
+        n = len(conditioning.text_mask)
+        if x.shape != (n, cfg.t_audio, cfg.d_audio_latent) or len(path) not in (n, 1):
             raise ShapeError(
                 f"forward needs x (B, t_audio, d_audio_latent) = (B, {cfg.t_audio}, {cfg.d_audio_latent}) "
-                f"and B times or a path of B rows or one row for B = {n} bundles; got x {x.shape}, t {t_shape}"
+                f"and a path of B rows or one row for B = {n} items; got x {x.shape}, {len(path)} path rows"
             )
-        path = t if given_path else self.time_path(t)
         h_a = self.audio_in(x) + self.audio_pos
-        video, h_v = conds.video, conds.video_h
+        video, h_v = conditioning.video, conditioning.video_h
         if video:
             self.video_tower_invocations += 1
         for i in range(cfg.n_layers):
-            h_a = self.audio_blocks[i](h_a, path.audio[i], conds.text_kv[i], conds.text_mask)
+            h_a = self.audio_blocks[i](h_a, path.audio[i], conditioning.text_kv[i], conditioning.text_mask)
             if video:
                 mod_v = gather_rows(path.video[i], video) if len(path) == n else path.video[i]
                 h_v = self.video_blocks[i](h_v, mod_v)

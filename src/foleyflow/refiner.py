@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import flow
-from .errors import ContractError, DivergenceError
+from .errors import ContractError, DivergenceError, check_positive_int
 from .metrics import FRAME_RATE, SHARED, check_frame_rate, clip_style_score, energy_envelope, envelope_alignment
 from .model import ConditionBundle
 from .rng import SeededRng, derive_seed, string_seed
@@ -152,8 +152,7 @@ def refine(
     enters the trace. The coarse input always competes, so the result
     never scores below it; ties keep it, then the lower candidate index.
     """
-    if k < 1:
-        raise ContractError(f"k must be >= 1, got {k}")
+    check_positive_int("k", k, ContractError)
     sample_fn = sample_fn if sample_fn is not None else flow.sample_many
 
     coarse_arr = np.asarray(coarse, dtype=np.float64)

@@ -46,25 +46,17 @@ class SeededRng:
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.Philox(self.seed))
 
-    def normal(self, shape=None):
-        """Standard normal draws."""
-        if shape is None:
-            return float(self._gen.normal(0.0, 1.0))
+    def normal(self, shape):
+        """An array of standard normal draws."""
         return self._gen.normal(0.0, 1.0, size=shape)
 
-    def uniform(self, shape=None):
-        """Uniform draws in [0, 1)."""
-        if shape is None:
-            return float(self._gen.uniform(0.0, 1.0))
-        return self._gen.uniform(0.0, 1.0, size=shape)
+    def uniform(self) -> float:
+        """One uniform draw in [0, 1)."""
+        return float(self._gen.uniform(0.0, 1.0))
 
-    def bernoulli(self, p: float, shape=None):
-        if shape is None:
-            return bool(self._gen.random() < p)
-        return self._gen.random(size=shape) < p
+    def bernoulli(self, p: float) -> bool:
+        return bool(self._gen.random() < p)
 
-    def integers(self, n: int, shape=None):
-        """Uniform integers in [0, n)."""
-        if shape is None:
-            return int(self._gen.integers(0, n))
-        return self._gen.integers(0, n, size=shape)
+    def integers(self, n: int) -> int:
+        """One uniform integer in [0, n)."""
+        return int(self._gen.integers(0, n))

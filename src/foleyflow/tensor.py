@@ -46,7 +46,6 @@ __all__ = [
     "attention",
     "gather_rows",
     "scatter_rows",
-    "reduce_sum",
     "reduce_mean",
     "backward",
 ]
@@ -456,14 +455,6 @@ def scatter_rows(x: Tensor, rows, base: Tensor) -> Tensor:
         return g_base, g[idx]
 
     return _from_op(out, (base, x), bw)
-
-
-def reduce_sum(x: Tensor) -> Tensor:
-    def bw(g):
-        # g has a single element but ndim may be 1 (outputs are >= 1-D)
-        return (np.full(x.shape, float(np.asarray(g).sum()), dtype=np.float64),)
-
-    return _from_op(np.asarray(x.data.sum()), (x,), bw)
 
 
 def reduce_mean(x: Tensor) -> Tensor:

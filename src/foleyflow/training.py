@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DivergenceError
+from .errors import ConfigError, ContractError, DivergenceError, check_positive_int
 from .flow import cfm_loss
 from .model import ConditionBundle, TwoTowerModel
 from .rng import SeededRng, derive_seed
@@ -25,56 +26,53 @@ from .tensor import backward
 TAG_T2A = "T2A"
 TAG_TV2A = "TV2A"
 TAG_V2A = "V2A"
-_TAGS = (TAG_T2A, TAG_TV2A, TAG_V2A)
+
+
+@dataclass(frozen=True)
+class CurriculumRow:
+    """A stage's dataset mix (tag -> relative weight), its keep
+    probabilities for text and video, and its toy step count."""
+
+    mix: MappingProxyType
+    p_keep_text: float
+    p_keep_video: float
+    toy_steps: int
+
+
+# read-only, mixes included; toy step counts keep the full curriculum in desk time
+CURRICULUM = MappingProxyType({
+    1: CurriculumRow(MappingProxyType({TAG_T2A: 1}), 1.0, 0.0, 300),
+    2: CurriculumRow(MappingProxyType({TAG_T2A: 1, TAG_TV2A: 1}), 1.0, 0.5, 100),
+    3: CurriculumRow(MappingProxyType({TAG_T2A: 1, TAG_TV2A: 1, TAG_V2A: 2}), 0.5, 0.75, 300),
+})
+
+
+def _curriculum_row(stage_id) -> CurriculumRow:
+    check_positive_int("stage_id", stage_id)
+    if stage_id not in CURRICULUM:
+        raise ConfigError(f"stage_id must be 1, 2, or 3, got {stage_id}")
+    return CURRICULUM[stage_id]
 
 
 @dataclass(frozen=True)
 class StageConfig:
+    """A curriculum stage, run for steps steps; the rest of it is its row."""
+
     stage_id: int
     steps: int
-    mix: dict
-    p_keep_text: float
-    p_keep_video: float
 
     def __post_init__(self):
-        if self.stage_id < 1:
-            raise ConfigError(f"stage_id must be >= 1, got {self.stage_id}")
-        if self.steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {self.steps}")
-        if not self.mix:
-            raise ConfigError("stage mix must name at least one dataset")
-        for tag, weight in self.mix.items():
-            if tag not in _TAGS:
-                raise ConfigError(f"unknown dataset tag {tag!r} in mix")
-            if weight <= 0:
-                raise ConfigError(f"mix weight for {tag} must be > 0, got {weight}")
-        for name in ("p_keep_text", "p_keep_video"):
-            p = getattr(self, name)
-            if not (0.0 <= p <= 1.0):
-                raise ConfigError(f"{name} must lie in [0, 1], got {p}")
+        _curriculum_row(self.stage_id)
+        check_positive_int("steps", self.steps)
 
-
-# toy step counts keep the full curriculum in desk time
-TOY_STAGE_STEPS = {1: 300, 2: 100, 3: 300}
+    @property
+    def row(self) -> CurriculumRow:
+        return CURRICULUM[self.stage_id]
 
 
 def stage_preset(stage_id: int, steps: int | None = None) -> StageConfig:
-    """The canonical curriculum row for a stage, with toy default steps."""
-    rows = {
-        1: ({TAG_T2A: 1}, 1.0, 0.0),
-        2: ({TAG_T2A: 1, TAG_TV2A: 1}, 1.0, 0.5),
-        3: ({TAG_T2A: 1, TAG_TV2A: 1, TAG_V2A: 2}, 0.5, 0.75),
-    }
-    if stage_id not in rows:
-        raise ConfigError(f"stage_id must be 1, 2, or 3, got {stage_id}")
-    mix, p_text, p_video = rows[stage_id]
-    return StageConfig(
-        stage_id=stage_id,
-        steps=TOY_STAGE_STEPS[stage_id] if steps is None else steps,
-        mix=dict(mix),
-        p_keep_text=p_text,
-        p_keep_video=p_video,
-    )
+    """A stage with its toy step count, unless steps is given."""
+    return StageConfig(stage_id, _curriculum_row(stage_id).toy_steps if steps is None else steps)
 
 
 # Adam's moment decay rates and denominator floor
@@ -95,8 +93,7 @@ class OptimizerConfig:
             value = getattr(self, name)
             if not (0.0 < value < math.inf):
                 raise ConfigError(f"{name} must be finite and > 0, got {value}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        check_positive_int("batch_size", self.batch_size)
 
 
 @dataclass(frozen=True)
@@ -147,13 +144,13 @@ def draw_batch(stage: StageConfig, datasets: dict, rng: SeededRng, batch_size: i
     index, then only the keep flags the tag leaves free (text is forced
     off for V2A draws, video is forced off for T2A draws).
     """
-    if batch_size < 1:
-        raise ContractError(f"batch_size must be >= 1, got {batch_size}")
-    tags = sorted(stage.mix)
+    check_positive_int("batch_size", batch_size, ContractError)
+    row = stage.row
+    tags = sorted(row.mix)
     for tag in tags:
         if tag not in datasets or not datasets[tag]:
             raise ConfigError(f"stage {stage.stage_id} mix needs dataset {tag!r}, which is missing or empty")
-    weights = np.array([stage.mix[t] for t in tags], dtype=np.float64)
+    weights = np.array([row.mix[t] for t in tags], dtype=np.float64)
     cumulative = np.cumsum(weights / weights.sum())
     cumulative[-1] = 1.0  # round-off can leave it below a draw in [0, 1)
 
@@ -162,8 +159,8 @@ def draw_batch(stage: StageConfig, datasets: dict, rng: SeededRng, batch_size: i
         u = rng.uniform()
         tag = tags[int(np.searchsorted(cumulative, u, side="right"))]
         clip = datasets[tag][rng.integers(len(datasets[tag]))]
-        text_kept = False if tag == TAG_V2A else rng.bernoulli(stage.p_keep_text)
-        video_kept = False if tag == TAG_T2A else rng.bernoulli(stage.p_keep_video)
+        text_kept = False if tag == TAG_V2A else rng.bernoulli(row.p_keep_text)
+        video_kept = False if tag == TAG_T2A else rng.bernoulli(row.p_keep_video)
         cond = ConditionBundle(
             text_emb=clip.text_emb if text_kept else None,
             video_feat=clip.video_feat if video_kept else None,

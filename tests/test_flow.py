@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from foleyflow import flow
@@ -96,10 +96,29 @@ def test_sway_endpoints_exact_for_all_coefficients():
         assert grid[-1] == 1.0
 
 
-def test_sway_strictly_increasing_across_range():
-    for s in (SWAY_MIN, -0.99, -0.3, 0.0, 1.0, SWAY_MAX):
-        grid = sway_schedule(64, s)
-        assert np.all(np.diff(grid) > 0.0), s
+@settings(max_examples=200, deadline=None)
+@given(s=st.floats(min_value=SWAY_MIN, max_value=SWAY_MAX), nfe=st.integers(min_value=1, max_value=2048))
+@example(s=SWAY_MIN, nfe=2048)
+@example(s=SWAY_MAX, nfe=2048)
+def test_sway_strictly_increasing_across_range(s, nfe):
+    grid = sway_schedule(nfe, s)
+    assert grid.shape == (nfe + 1,)
+    assert grid[0] == 0.0 and grid[-1] == 1.0
+    assert np.all(np.diff(grid) > 0.0)
+
+
+def test_sway_grid_too_fine_for_float64_is_a_config_error():
+    # at SWAY_MAX the warp is flat at t = 1: from nfe 2^18 the last knots
+    # round to 1.0, which an Euler step would take as dt <= 0
+    with pytest.raises(ConfigError, match=f"nfe 262144 and s {SWAY_MAX}"):
+        sway_schedule(262144, SWAY_MAX)
+    with pytest.raises(ConfigError, match="nfe 1000000"):
+        sway_schedule(10**6, SWAY_MAX)
+    model = StubModel(lambda x, t, cond: x)
+    with pytest.raises(ConfigError):
+        sample(model, ConditionBundle(), SamplerConfig(nfe=262144, sway_coef=SWAY_MAX))
+    assert model.batch_sizes == []
+    assert np.all(np.diff(sway_schedule(131072, SWAY_MAX)) > 0.0)
 
 
 def test_negative_sway_front_loads():
@@ -215,46 +234,53 @@ def _textual_cond():
     return ConditionBundle(text_emb=Tensor(np.zeros((1, STUB_CFG.d_text))))
 
 
+def _guided(model, xs, t, cond, w):
+    """guided_velocity of the stack xs at time t, given what sample_many
+    gives it: the path row of t and the guided batch's conditioning."""
+    conditioned = model.condition([c for c in flow._guidance_branches(cond, w) for _ in xs])
+    return guided_velocity(model, xs, model.time_path([t])[0], cond, w, conditioned)
+
+
 def test_guided_velocity_blend_algebra():
     model = _branching_stub()
-    x = SeededRng(8).normal((STUB_CFG.t_audio, STUB_CFG.d_audio_latent))
+    x = SeededRng(8).normal((1, STUB_CFG.t_audio, STUB_CFG.d_audio_latent))
     cond = _textual_cond()
     v_u, v_c = x - 1.0, x + 1.0
     for w in (0.5, 2.0, 3.5):
-        out = guided_velocity(model, x, 0.5, cond, w)
+        out = _guided(model, x, 0.5, cond, w)
         assert np.array_equal(out, v_u + w * (v_c - v_u)), w
     # w = 0 and w = 1 take the single-call path, so they return the branch
     # itself, bit for bit, not the blended expression
-    assert np.array_equal(guided_velocity(model, x, 0.5, cond, 0.0), v_u)
-    assert np.array_equal(guided_velocity(model, x, 0.5, cond, 1.0), v_c)
+    assert np.array_equal(_guided(model, x, 0.5, cond, 0.0), v_u)
+    assert np.array_equal(_guided(model, x, 0.5, cond, 1.0), v_c)
 
 
 def test_guided_velocity_single_call_at_trivial_weights():
-    x = np.zeros((STUB_CFG.t_audio, STUB_CFG.d_audio_latent))
+    x = np.zeros((1, STUB_CFG.t_audio, STUB_CFG.d_audio_latent))
     cond = _textual_cond()
 
     model = _branching_stub()
-    guided_velocity(model, x, 0.5, cond, 0.0)
+    _guided(model, x, 0.5, cond, 0.0)
     assert model.batch_sizes == [1]
 
     model = _branching_stub()
-    guided_velocity(model, x, 0.5, cond, 1.0)
+    _guided(model, x, 0.5, cond, 1.0)
     assert model.batch_sizes == [1]
 
     # both branches run as one batch
     model = _branching_stub()
-    guided_velocity(model, x, 0.5, cond, 2.0)
+    _guided(model, x, 0.5, cond, 2.0)
     assert model.batch_sizes == [2]
 
     model = _branching_stub()
-    guided_velocity(model, x, 0.5, ConditionBundle(), 2.0)
+    _guided(model, x, 0.5, ConditionBundle(), 2.0)
     assert model.batch_sizes == [1]
 
 
 def test_guided_velocity_unconditional_bundle_ignores_weight():
     model = _branching_stub()
-    x = SeededRng(9).normal((STUB_CFG.t_audio, STUB_CFG.d_audio_latent))
-    out = guided_velocity(model, x, 0.5, ConditionBundle(), 5.0)
+    x = SeededRng(9).normal((1, STUB_CFG.t_audio, STUB_CFG.d_audio_latent))
+    out = _guided(model, x, 0.5, ConditionBundle(), 5.0)
     assert np.array_equal(out, x - 1.0)
 
 
@@ -265,7 +291,7 @@ def test_guided_velocity_unconditional_branch_drops_every_condition():
         seen.append(cond)
         return x
 
-    x = np.zeros((STUB_CFG.t_audio, STUB_CFG.d_audio_latent))
+    x = np.zeros((1, STUB_CFG.t_audio, STUB_CFG.d_audio_latent))
     extra = Tensor(np.ones((1, STUB_CFG.d_text)))
     full = ConditionBundle(
         text_emb=Tensor(np.zeros((1, STUB_CFG.d_text))),
@@ -274,15 +300,17 @@ def test_guided_velocity_unconditional_branch_drops_every_condition():
     )
     for cond, w in ((full, 2.0), (full, 0.0), (ConditionBundle(extra_tokens=extra), 2.0)):
         seen.clear()
-        guided_velocity(StubModel(fn), x, 0.5, cond, w)
+        _guided(StubModel(fn), x, 0.5, cond, w)
         bare = [c for c in seen if c is not cond]
         assert len(bare) == 1, (cond, w)
         assert bare[0].text_emb is None and bare[0].video_feat is None and bare[0].extra_tokens is None
 
 
 def test_guided_velocity_rejects_negative_weight():
+    model, cond = _branching_stub(), _textual_cond()
+    conditioned = model.condition([ConditionBundle(), cond])
     with pytest.raises(ContractError):
-        guided_velocity(_branching_stub(), np.zeros((6, 3)), 0.5, _textual_cond(), -1.0)
+        guided_velocity(model, np.zeros((1, 6, 3)), 0.5, cond, -1.0, conditioned)
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +364,10 @@ def test_guided_velocity_stack_matches_single_states():
     xs = SeededRng(10).normal((3, STUB_CFG.t_audio, STUB_CFG.d_audio_latent))
     cond = _textual_cond()
     for w in (0.0, 1.0, 2.0):
-        out = guided_velocity(model, xs, 0.5, cond, w)
+        out = _guided(model, xs, 0.5, cond, w)
         assert out.shape == xs.shape
         for i in range(3):
-            assert np.array_equal(out[i], guided_velocity(model, xs[i], 0.5, cond, w)), (w, i)
+            assert np.array_equal(out[i : i + 1], _guided(model, xs[i : i + 1], 0.5, cond, w)), (w, i)
 
 
 def test_sample_many_one_call_of_batch_2k_per_step():
@@ -606,14 +634,14 @@ def test_sample_many_runs_untaped_and_leaves_taping_on():
     assert _taping()
     # a bare guided_velocity call runs taped
     bare = NanRowAt(model, call=-1, row=0)
-    guided_velocity(bare, np.zeros((REAL_CFG.t_audio, REAL_CFG.d_audio_latent)), 0.5, cond, 2.0)
+    _guided(bare, np.zeros((1, REAL_CFG.t_audio, REAL_CFG.d_audio_latent)), 0.5, cond, 2.0)
     assert bare.taped == [True]
     assert all(p.grad is None for p in model.parameters().values())
 
 
 class GivenTimes:
-    """A model with a stub time path: each call gives it the step's time
-    for every item, so its blocks compute their modulations themselves."""
+    """A model with a stub time path: each call computes the time path of
+    the step's time for every item itself, not from the sampler's rows."""
 
     def __init__(self, model):
         self.model, self.config = model, model.config
@@ -625,7 +653,7 @@ class GivenTimes:
         return np.asarray(times, dtype=np.float64)
 
     def __call__(self, x_t, t, conds):
-        return self.model(x_t, [t] * len(conds.text_mask), conds)
+        return self.model(x_t, self.model.time_path([t] * len(conds.text_mask)), conds)
 
 
 @pytest.mark.parametrize("nfe", [1, 64, flow._PATH_ROWS + 1])

@@ -49,6 +49,35 @@ def test_only_the_tape_modules_import_tensor():
     assert offenders == {}
 
 
+# tensor exports without a caller in the program. perfbench's
+# test_tracer_skips_deleted_names_and_counts_new_op_kinds still calls them,
+# so they go with the next change to the benchmark.
+UNCALLED_TENSOR_NAMES = {"elementwise", "softmax", "transpose"}
+
+
+def _loaded_names(tree: ast.Module) -> set:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_tensor_export_is_used_by_the_program():
+    # used: read inside tensor itself, or imported by a module that builds
+    # or runs the tape; an op only tests call is dead weight on the engine
+    from foleyflow import tensor
+
+    def tree(name):
+        return ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+
+    used = _loaded_names(tree("tensor"))
+    for name in ("model", "flow", "training"):
+        used |= set(_tensor_imports(tree(name)))
+    assert set(tensor.__all__) - used == UNCALLED_TENSOR_NAMES
+
+
+def test_name_probe_sees_loads_only():
+    tree = ast.parse("def f(a):\n    b = a.transpose()\n    return g(b)\n")
+    assert _loaded_names(tree) == {"a", "g", "b"}
+
+
 def _fresh_interpreter(code: str) -> str:
     """stdout of code run in a new interpreter, so nothing this process imported counts."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

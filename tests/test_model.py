@@ -34,6 +34,13 @@ def _cond(cfg, rng, text=True, video=True, t_video=None):
     )
 
 
+def _forward(model, x: Tensor, times, conds) -> Tensor:
+    """A forward of B items at B times, its inputs prepared as cfm_loss
+    prepares them: the conditioning first, then the time path."""
+    conditioning = model.condition(conds)
+    return model(x, model.time_path(times), conditioning)
+
+
 def _perturb(model, seed=0, scale=0.05):
     rng = SeededRng(seed)
     for p in model.parameters().values():
@@ -45,8 +52,11 @@ def _perturb(model, seed=0, scale=0.05):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        ModelConfig(d_model=0)
+    for field in ModelConfig().to_dict():
+        for bad in (0, -1, True, 2.5, 16.0, "8", None):
+            with pytest.raises(ConfigError, match=field):
+                ModelConfig(**{field: bad})
+    assert ModelConfig(n_layers=np.int64(1)).n_layers == 1
     with pytest.raises(ConfigError):
         ModelConfig(d_model=10, n_heads=3)
     with pytest.raises(ConfigError):
@@ -81,7 +91,7 @@ def test_bundle_stores_float64_arrays_converted_once():
     model = TwoTowerModel(SMALL, seed=0)
     _perturb(model)
     x = rng.normal((1, SMALL.t_audio, SMALL.d_audio_latent))
-    outs = [model(Tensor(x), [0.3], [b]).data for b in (from_tensors, from_arrays, from_lists)]
+    outs = [_forward(model, Tensor(x), [0.3], [b]).data for b in (from_tensors, from_arrays, from_lists)]
     assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
 
 
@@ -186,7 +196,7 @@ def test_fresh_model_is_projection_composition():
         _cond(SMALL, rng, text=False),
         _cond(SMALL, rng, video=False),
     ):
-        out = model(Tensor(x), [0.37], [cond])
+        out = _forward(model, Tensor(x), [0.37], [cond])
         assert np.abs(out.data - expected).max() <= 1e-12
 
 
@@ -207,7 +217,7 @@ def test_param_count_matches_closed_form():
         ModelConfig(),
         ModelConfig(d_model=16, n_layers=3, n_heads=2, d_audio_latent=8, d_video_feat=12, d_text=10, t_audio=20),
     ):
-        assert TwoTowerModel(cfg).param_count() == expected_param_count(cfg)
+        assert TwoTowerModel(cfg).flat.size == expected_param_count(cfg)
 
 
 def test_video_tower_bypassed_without_video():
@@ -217,7 +227,7 @@ def test_video_tower_bypassed_without_video():
     x = Tensor(rng.normal((1, SMALL.t_audio, SMALL.d_audio_latent)))
     cond = _cond(SMALL, rng, video=False)
     assert model.video_tower_invocations == 0
-    model(x, [0.5], [cond])
+    _forward(model, x, [0.5], [cond])
     assert model.video_tower_invocations == 0
 
 
@@ -232,8 +242,8 @@ def test_video_changes_output_when_kept():
         video_feat=Tensor(rng.normal((SMALL.t_audio, SMALL.d_video_feat))),
     )
     before = model.video_tower_invocations
-    out_a = model(x, [0.5], [cond_a])
-    out_b = model(x, [0.5], [cond_b])
+    out_a = _forward(model, x, [0.5], [cond_a])
+    out_b = _forward(model, x, [0.5], [cond_b])
     assert model.video_tower_invocations == before + 2
     assert not np.allclose(out_a.data, out_b.data)
 
@@ -243,7 +253,7 @@ def test_video_time_axis_is_resampled():
     _perturb(model)
     rng = SeededRng(8)
     x = Tensor(rng.normal((1, SMALL.t_audio, SMALL.d_audio_latent)))
-    out = model(x, [0.5], [_cond(SMALL, rng, t_video=13)])
+    out = _forward(model, x, [0.5], [_cond(SMALL, rng, t_video=13)])
     assert out.shape == (1, SMALL.t_audio, SMALL.d_audio_latent)
 
 
@@ -252,10 +262,10 @@ def test_null_token_backs_dropped_text():
     _perturb(model)
     rng = SeededRng(9)
     x = Tensor(rng.normal((1, SMALL.t_audio, SMALL.d_audio_latent)))
-    out_a = model(x, [0.5], [_cond(SMALL, rng, text=False, video=False)])
+    out_a = _forward(model, x, [0.5], [_cond(SMALL, rng, text=False, video=False)])
     # moving the null token moves the unconditional output
     model.null_text.data = model.null_text.data + 1.0
-    out_b = model(x, [0.5], [_cond(SMALL, rng, text=False, video=False)])
+    out_b = _forward(model, x, [0.5], [_cond(SMALL, rng, text=False, video=False)])
     assert not np.allclose(out_a.data, out_b.data)
 
 
@@ -264,8 +274,8 @@ def test_text_content_matters_after_perturbation():
     _perturb(model)
     rng = SeededRng(10)
     x = Tensor(rng.normal((1, SMALL.t_audio, SMALL.d_audio_latent)))
-    out_a = model(x, [0.5], [_cond(SMALL, rng, video=False)])
-    out_b = model(x, [0.5], [_cond(SMALL, rng, video=False)])
+    out_a = _forward(model, x, [0.5], [_cond(SMALL, rng, video=False)])
+    out_b = _forward(model, x, [0.5], [_cond(SMALL, rng, video=False)])
     assert not np.allclose(out_a.data, out_b.data)
 
 
@@ -275,8 +285,8 @@ def test_extra_tokens_enter_cross_attention():
     rng = SeededRng(11)
     x = Tensor(rng.normal((1, SMALL.t_audio, SMALL.d_audio_latent)))
     cond = _cond(SMALL, rng, video=False)
-    out_plain = model(x, [0.5], [cond])
-    out_extra = model(x, [0.5], [replace(cond, extra_tokens=rng.normal((1, SMALL.d_text)))])
+    out_plain = _forward(model, x, [0.5], [cond])
+    out_extra = _forward(model, x, [0.5], [replace(cond, extra_tokens=rng.normal((1, SMALL.d_text)))])
     assert not np.allclose(out_plain.data, out_extra.data)
 
 
@@ -286,8 +296,8 @@ def test_timestep_matters_after_perturbation():
     rng = SeededRng(12)
     x = Tensor(rng.normal((1, SMALL.t_audio, SMALL.d_audio_latent)))
     cond = _cond(SMALL, rng)
-    out_a = model(x, [0.1], [cond])
-    out_b = model(x, [0.9], [cond])
+    out_a = _forward(model, x, [0.1], [cond])
+    out_b = _forward(model, x, [0.9], [cond])
     assert not np.allclose(out_a.data, out_b.data)
 
 
@@ -295,25 +305,31 @@ def test_forward_shape_errors():
     model = TwoTowerModel(SMALL, seed=0)
     rng = SeededRng(13)
     good_x = Tensor(rng.normal((1, SMALL.t_audio, SMALL.d_audio_latent)))
+    one, two = model.condition([ConditionBundle()]), model.condition([ConditionBundle()] * 2)
+    path = model.time_path([0.5])
     with pytest.raises(ShapeError):
-        model(Tensor(rng.normal((1, SMALL.t_audio + 1, SMALL.d_audio_latent))), [0.5], [ConditionBundle()])
+        model(Tensor(rng.normal((1, SMALL.t_audio + 1, SMALL.d_audio_latent))), path, one)
     with pytest.raises(ShapeError):
-        model(Tensor(rng.normal((SMALL.t_audio, SMALL.d_audio_latent))), [0.5], [ConditionBundle()])
+        model(Tensor(rng.normal((SMALL.t_audio, SMALL.d_audio_latent))), path, one)
     with pytest.raises(ShapeError):
-        model(good_x, [0.5, 0.5], [ConditionBundle()])
+        model(good_x, model.time_path([0.5, 0.5]), one)
     with pytest.raises(ShapeError):
-        model(good_x, [0.5], [ConditionBundle(), ConditionBundle()])
+        model(good_x, path, two)
+    # a path of one row serves any batch, a path of B rows only batch B
+    x3 = Tensor(np.zeros((3, SMALL.t_audio, SMALL.d_audio_latent)))
+    three = model.condition([ConditionBundle()] * 3)
+    assert model(x3, path, three).shape[0] == 3
+    with pytest.raises(ShapeError):
+        model(x3, model.time_path([0.5, 0.5]), three)
     bad_text = ConditionBundle(text_emb=Tensor(rng.normal((2, SMALL.d_text + 1))))
     with pytest.raises(ShapeError):
-        model(good_x, [0.5], [bad_text])
+        model.condition([bad_text])
     bad_video = ConditionBundle(video_feat=Tensor(rng.normal((4, SMALL.d_video_feat + 2))))
     with pytest.raises(ShapeError):
-        model(good_x, [0.5], [bad_video])
+        model.condition([bad_video])
     bad_extra = ConditionBundle(extra_tokens=rng.normal((1, SMALL.d_text + 3)))
     with pytest.raises(ShapeError):
-        model(good_x, [0.5], [bad_extra])
-    with pytest.raises(ShapeError):
-        model(good_x, model.time_path([0.5, 0.5]), [ConditionBundle()])
+        model.condition([bad_extra])
 
 
 @pytest.mark.parametrize("field", ["text_emb", "video_feat", "extra_tokens"])
@@ -338,7 +354,7 @@ def test_gradients_reach_both_towers():
     _perturb(model)
     rng = SeededRng(14)
     x = Tensor(rng.normal((1, SMALL.t_audio, SMALL.d_audio_latent)))
-    out = model(x, [0.5], [_cond(SMALL, rng)])
+    out = _forward(model, x, [0.5], [_cond(SMALL, rng)])
     backward(reduce_mean(out * out))
     params = model.parameters()
     for name in ("audio_in.w", "out_proj.w", "layers.0.audio.adaln.w", "layers.0.video.adaln.w", "layers.0.mix_a.w"):
@@ -369,7 +385,7 @@ def test_batch_matches_batch_1_forwards_and_gradients():
     times = [0.1, 0.4, 0.7, 0.95]
     x = rng.normal((4, SMALL.t_audio, SMALL.d_audio_latent))
 
-    out = model(Tensor(x), times, conds)
+    out = _forward(model, Tensor(x), times, conds)
     backward(reduce_mean(out * out))
     # the last layer's video mixer feeds nothing and gets no gradient
     batch_grads = {name: p.grad.copy() for name, p in model.parameters().items() if p.grad is not None}
@@ -378,7 +394,7 @@ def test_batch_matches_batch_1_forwards_and_gradients():
     item_grads = {name: np.zeros(p.shape) for name, p in model.parameters().items()}
     for b in range(4):
         model.zero_grad()
-        alone = model(Tensor(x[b : b + 1]), [times[b]], [conds[b]])
+        alone = _forward(model, Tensor(x[b : b + 1]), [times[b]], [conds[b]])
         assert np.abs(alone.data[0] - out.data[b]).max() <= 1e-12, b
         backward(reduce_mean(alone * alone))
         for name, p in model.parameters().items():
@@ -395,7 +411,7 @@ def test_tape_size_does_not_grow_with_batch():
     sizes = []
     for n, conds in ((1, [_cond(SMALL, rng)]), (8, _mixed_conds(rng, 8))):
         x = Tensor(rng.normal((n, SMALL.t_audio, SMALL.d_audio_latent)))
-        out = model(x, [0.5] * n, conds)
+        out = _forward(model, x, [0.5] * n, conds)
         sizes.append(len(ComputationTape.trace(reduce_mean(out * out)).nodes))
     assert sizes[0] == sizes[1]
 
@@ -421,11 +437,13 @@ def test_guided_forward_records_92_tape_ops(monkeypatch):
     time path of its one time (time embedding, its gelu, one adaln per
     block); a change that adds ops to the forward fails here without
     running a benchmark."""
-    kinds = _count_ops(monkeypatch)
     cfg = ModelConfig()
+    model = TwoTowerModel(cfg, seed=0)
     rng = SeededRng(22)
-    x_t = rng.normal((cfg.t_audio, cfg.d_audio_latent))
-    flow.guided_velocity(TwoTowerModel(cfg, seed=0), x_t, 0.5, _cond(cfg, rng), 2.0)
+    x_t, cond = rng.normal((1, cfg.t_audio, cfg.d_audio_latent)), _cond(cfg, rng)
+    kinds = _count_ops(monkeypatch)
+    conditioned = model.condition([ConditionBundle(), cond])
+    flow.guided_velocity(model, x_t, model.time_path([0.5])[0], cond, 2.0, conditioned)
     assert sum(kinds.values()) == 92
     pinned = ("matmul", "gelu", "gather_rows", "modulated_norm", "gated_residual", "scatter_rows", "mul")
     assert {k: kinds[k] for k in pinned} == {
@@ -492,49 +510,8 @@ def test_a_time_path_row_keeps_the_bits_of_its_time(m):
     assert len(path) == m
     x = Tensor(rng.normal((4, cfg.t_audio, cfg.d_audio_latent)))
     for k, t in enumerate(times):
-        assert np.array_equal(model(x, path[k], conditioned).data, model(x, [t] * 4, conditioned).data), k
-
-
-def _forward_and_grads(model, x, t, conds) -> tuple:
-    """A forward's output and every parameter's gradient of mean(out^2)."""
-    model.zero_grad()
-    out = model(Tensor(x), t, conds)
-    backward(reduce_mean(out * out))
-    return out.data, {name: p.grad for name, p in model.parameters().items()}
-
-
-def _assert_same_bits(run_a, run_b):
-    (out_a, grads_a), (out_b, grads_b) = run_a, run_b
-    assert np.array_equal(out_a, out_b)
-    assert grads_a.keys() == grads_b.keys()
-    for name, grad in grads_a.items():
-        assert (grad is None) == (grads_b[name] is None), name
-        assert grad is None or np.array_equal(grad, grads_b[name]), name
-
-
-@pytest.mark.parametrize("n", [1, 4])
-def test_forward_on_times_matches_forward_on_their_time_path(n):
-    """A forward given B times runs on their time path: the same output
-    and parameter gradient bits as a forward given time_path(times)."""
-    model = TwoTowerModel(SMALL, seed=0)
-    _perturb(model)
-    rng = SeededRng(30)
-    conds = _mixed_conds(rng, n)
-    times = [0.1, 0.4, 0.7, 0.95][:n]
-    x = rng.normal((n, SMALL.t_audio, SMALL.d_audio_latent))
-    on_times = _forward_and_grads(model, x, times, conds)
-    _assert_same_bits(on_times, _forward_and_grads(model, x, model.time_path(times), conds))
-
-
-def test_forward_on_a_conditioning_matches_forward_on_bundles():
-    model = TwoTowerModel(SMALL, seed=0)
-    _perturb(model)
-    rng = SeededRng(17)
-    conds = _mixed_conds(rng, 4)
-    times = [0.1, 0.4, 0.7, 0.95]
-    x = rng.normal((4, SMALL.t_audio, SMALL.d_audio_latent))
-    on_bundles = _forward_and_grads(model, x, times, conds)
-    _assert_same_bits(on_bundles, _forward_and_grads(model, x, times, model.condition(conds)))
+        per_item = model(x, model.time_path([t] * 4), conditioned)
+        assert np.array_equal(model(x, path[k], conditioned).data, per_item.data), k
 
 
 def test_condition_checks_bundles_and_reuses_across_times():
@@ -546,9 +523,10 @@ def test_condition_checks_bundles_and_reuses_across_times():
     assert conditioned.text_mask.shape[0] == 3 and conditioned.video == (0, 2)
     x = rng.normal((3, SMALL.t_audio, SMALL.d_audio_latent))
     for times in ([0.2, 0.5, 0.9], [0.0, 1.0, 0.3]):
-        assert np.array_equal(model(Tensor(x), times, conditioned).data, model(Tensor(x), times, conds).data)
+        reused = model(Tensor(x), model.time_path(times), conditioned)
+        assert np.array_equal(reused.data, _forward(model, Tensor(x), times, conds).data)
     with pytest.raises(ShapeError):
-        model(Tensor(x[:2]), [0.5, 0.5], conditioned)
+        model(Tensor(x[:2]), model.time_path([0.5, 0.5]), conditioned)
     with pytest.raises(ShapeError):
         model.condition([])
     with pytest.raises(ShapeError):
@@ -559,7 +537,7 @@ def test_zero_grad_clears():
     model = TwoTowerModel(SMALL, seed=0)
     rng = SeededRng(15)
     x = Tensor(rng.normal((1, SMALL.t_audio, SMALL.d_audio_latent)))
-    backward(reduce_mean(model(x, [0.5], [ConditionBundle()]) * 1.0))
+    backward(reduce_mean(_forward(model, x, [0.5], [ConditionBundle()]) * 1.0))
     model.zero_grad()
     assert all(p.grad is None for p in model.parameters().values())
 
@@ -578,8 +556,8 @@ def test_save_load_roundtrip_forward_identical(tmp_path):
     rng = SeededRng(16)
     x = Tensor(rng.normal((1, SMALL.t_audio, SMALL.d_audio_latent)))
     cond = _cond(SMALL, rng)
-    a = model(x, [0.25], [cond])
-    b = loaded(x, [0.25], [cond])
+    a = _forward(model, x, [0.25], [cond])
+    b = _forward(loaded, x, [0.25], [cond])
     assert np.array_equal(a.data, b.data)
 
 
@@ -622,7 +600,7 @@ def test_load_state_copies_into_the_vector():
     views = {name: p.data for name, p in model.parameters().items()}
     state = TwoTowerModel(SMALL, seed=1).state_arrays()
     model.load_state(state)
-    assert model.param_count() == model.flat.size == expected_param_count(SMALL)
+    assert model.flat.size == expected_param_count(SMALL)
     for name, p in model.parameters().items():
         assert p.data is views[name] and p.data.base is model.flat
         assert np.array_equal(model.flat[model.slices[name]], state[name].reshape(-1))
@@ -688,5 +666,5 @@ def test_default_init_parameters_pinned():
         digest.update(name.encode("utf-8"))
         digest.update(repr(arr.shape).encode("utf-8"))
         digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    assert (len(state), model.param_count()) == (95, 105_088)
+    assert (len(state), model.flat.size) == (95, 105_088)
     assert digest.hexdigest() == "783c63750addfa9fa00d0b61148ed4f2ec56b60cc8b57d73da6957d294c6a119"

@@ -280,8 +280,9 @@ def test_refine_all_candidates_diverge_keeps_coarse(small_model):
 
 def test_refine_rejects_bad_k(small_model):
     rng = SeededRng(7)
-    with pytest.raises(ContractError):
-        refine(small_model, _cond(rng), _coarse(rng), k=0, sampler_cfg=SamplerConfig(nfe=4))
+    for k in (0, -2, 2.5, True, None):
+        with pytest.raises(ContractError, match="k must be a positive integer"):
+            refine(small_model, _cond(rng), _coarse(rng), k=k, sampler_cfg=SamplerConfig(nfe=4))
 
 
 def test_refine_never_below_coarse_random_inputs(small_model):

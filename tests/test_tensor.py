@@ -26,7 +26,6 @@ from foleyflow.tensor import (
     mul,
     no_tape,
     reduce_mean,
-    reduce_sum,
     scatter_rows,
     softmax,
     sub,
@@ -399,7 +398,6 @@ def test_gelu_fixed_points():
 
 def test_reductions():
     x = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert reduce_sum(x).item() == 10.0
     assert reduce_mean(x).item() == 2.5
     with pytest.raises(ContractError):
         x.item()
@@ -411,13 +409,13 @@ def test_reductions():
 
 def test_matmul_gradients():
     a, b = _leaf((3, 4), 3), _leaf((4, 2), 4)
-    check_gradients(lambda: reduce_sum(matmul(a, b) * matmul(a, b)), {"a": a, "b": b})
+    check_gradients(lambda: reduce_mean(matmul(a, b) * matmul(a, b)), {"a": a, "b": b})
 
 
 def test_binary_op_gradients_with_broadcast():
     x = _leaf((3, 4), 5)
     bias = _leaf((4,), 6)
-    check_gradients(lambda: reduce_sum((x + bias) * (x - bias) * bias), {"x": x, "bias": bias})
+    check_gradients(lambda: reduce_mean((x + bias) * (x - bias) * bias), {"x": x, "bias": bias})
 
 
 def test_concat_narrow_transpose_gradients():
@@ -427,7 +425,7 @@ def test_concat_narrow_transpose_gradients():
 
     def loss():
         j = concat(a, b)
-        return reduce_sum(matmul(matmul(j, cols_1_4), transpose(matmul(j, cols_0_3))))
+        return reduce_mean(matmul(matmul(j, cols_1_4), transpose(matmul(j, cols_0_3))))
 
     check_gradients(loss, {"a": a, "b": b})
 
@@ -438,7 +436,7 @@ def test_matmul_skips_the_product_for_an_operand_without_gradient():
     grads = []
     for a in (Tensor(a_data, requires_grad=True), Tensor(a_data)):
         b.grad = bias.grad = None
-        backward(reduce_sum(gelu(matmul(a, b, bias))))
+        backward(reduce_mean(gelu(matmul(a, b, bias))))
         grads.append((a.grad, b.grad, bias.grad))
     (a_grad, b_taped, bias_taped), (a_const, b_const, bias_const) = grads
     assert a_grad is not None and a_const is None
@@ -447,7 +445,7 @@ def test_matmul_skips_the_product_for_an_operand_without_gradient():
 
 def test_matmul_3d_gradients():
     a, b = _leaf((2, 3, 4), 17), _leaf((4, 2), 18)
-    check_gradients(lambda: reduce_sum(matmul(a, b) * matmul(a, b)), {"a": a, "b": b})
+    check_gradients(lambda: reduce_mean(matmul(a, b) * matmul(a, b)), {"a": a, "b": b})
 
 
 def test_matmul_bias_gradients():
@@ -455,7 +453,7 @@ def test_matmul_bias_gradients():
     for a_shape in ((3, 4), (2, 3, 4)):
         a = _leaf(a_shape, 40)
         w = Tensor(_rand(a_shape[:-1] + (2,), 43))
-        check_gradients(lambda: reduce_sum(matmul(a, b, bias) * w), {"a": a, "b": b, "bias": bias})
+        check_gradients(lambda: reduce_mean(matmul(a, b, bias) * w), {"a": a, "b": b, "bias": bias})
 
 
 def test_attention_gradients():
@@ -463,7 +461,7 @@ def test_attention_gradients():
     q, k, v = _leaf((2, 3, 4), 27), _leaf((2, 5, 4), 28), _leaf((2, 5, 4), 29)
     w = Tensor(_rand((2, 3, 4), 30))
     keep = np.array([[True, False, True, True, False], [False, True, True, False, True]])
-    check_gradients(lambda: reduce_sum(attention(q, k, v, 2, keep) * w), {"q": q, "k": k, "v": v})
+    check_gradients(lambda: reduce_mean(attention(q, k, v, 2, keep) * w), {"q": q, "k": k, "v": v})
 
 
 def test_gather_and_scatter_rows_gradients():
@@ -471,7 +469,7 @@ def test_gather_and_scatter_rows_gradients():
     x, y, base = _leaf((4, 2, 3), 31), _leaf((2, 2, 3), 32), _leaf((4, 2, 3), 34)
     w = Tensor(_rand((4, 2, 3), 33))
     check_gradients(
-        lambda: reduce_sum(scatter_rows(gather_rows(x, [2, 0]) * y, [1, 3], x * base) * w),
+        lambda: reduce_mean(scatter_rows(gather_rows(x, [2, 0]) * y, [1, 3], x * base) * w),
         {"x": x, "y": y, "base": base},
     )
 
@@ -479,12 +477,12 @@ def test_gather_and_scatter_rows_gradients():
 def test_softmax_gradients():
     x = _leaf((3, 5), 9)
     w = _leaf((5,), 10)
-    check_gradients(lambda: reduce_sum(softmax(x) * w), {"x": x, "w": w})
+    check_gradients(lambda: reduce_mean(softmax(x) * w), {"x": x, "w": w})
 
 
 def test_gelu_gradients():
     x = _leaf((4, 4), 11)
-    check_gradients(lambda: reduce_sum(gelu(x) * gelu(x)), {"x": x})
+    check_gradients(lambda: reduce_mean(gelu(x) * gelu(x)), {"x": x})
 
 
 def test_layer_norm_gradients():
@@ -494,7 +492,7 @@ def test_layer_norm_gradients():
     mod = _leaf((2, 1, 36), 13)
     w = Tensor(_rand((2, 3, 4), 15))
     for i in range(3):
-        check_gradients(lambda: reduce_sum(modulated_norm(x, mod, i) * w), {"x": x, "mod": mod})
+        check_gradients(lambda: reduce_mean(modulated_norm(x, mod, i) * w), {"x": x, "mod": mod})
 
 
 def test_gated_residual_gradients():
@@ -502,7 +500,7 @@ def test_gated_residual_gradients():
     mod = _leaf((2, 1, 36), 46)
     w = Tensor(_rand((2, 3, 4), 47))
     for i in range(3):
-        check_gradients(lambda: reduce_sum(gated_residual(x, mod, i, y) * w), {"x": x, "mod": mod, "y": y})
+        check_gradients(lambda: reduce_mean(gated_residual(x, mod, i, y) * w), {"x": x, "mod": mod, "y": y})
 
 
 def test_mean_gradient_is_uniform():
@@ -514,9 +512,9 @@ def test_mean_gradient_is_uniform():
 
 def test_gradient_accumulation_within_one_graph():
     x = _leaf((2, 2), 19)
-    loss = reduce_sum(x * x + x * x)
+    loss = reduce_mean(x * x + x * x)
     backward(loss)
-    assert np.allclose(x.grad, 4.0 * x.data)
+    assert np.allclose(x.grad, 4.0 * x.data / x.size)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +525,7 @@ def test_trace_orders_parents_before_children():
     x = _leaf((2, 2), 20)
     y = x * x
     z = y + x
-    loss = reduce_sum(z)
+    loss = reduce_mean(z)
     tape = ComputationTape.trace(loss)
     pos = {id(n): i for i, n in enumerate(tape.nodes)}
     for node in tape.nodes:
@@ -541,10 +539,11 @@ def test_accumulation_leaves_a_shared_gradient_view_alone():
     # adds to x.grad, which must not write through to y.grad
     x, y = _leaf((2, 3), 93), _leaf((2, 3), 94)
     s = add(x, y)
-    loss = reduce_sum(s * s + x * 3.0)
+    loss = reduce_mean(s * s + x * 3.0)
     backward(loss)
-    assert np.array_equal(y.grad, 2.0 * (x.data + y.data))
-    assert np.allclose(x.grad, 2.0 * (x.data + y.data) + 3.0, rtol=0, atol=1e-12)
+    g = 1.0 / x.size  # the mean's gradient
+    assert np.array_equal(y.grad, 2.0 * (g * s.data))
+    assert np.allclose(x.grad, g * (2.0 * (x.data + y.data) + 3.0), rtol=0, atol=1e-12)
 
 
 def test_backward_requires_scalar():
@@ -560,7 +559,7 @@ def test_backward_requires_graph():
 
 def test_graph_is_single_use():
     x = _leaf((2,), 22)
-    loss = reduce_sum(x * x)
+    loss = reduce_mean(x * x)
     backward(loss)
     with pytest.raises(ContractError):
         backward(loss)
@@ -569,10 +568,10 @@ def test_graph_is_single_use():
 def test_no_grad_leaves_are_skipped():
     x = _leaf((2, 2), 23)
     c = Tensor(np.ones((2, 2)))
-    loss = reduce_sum(x * c)
+    loss = reduce_mean(x * c)
     backward(loss)
     assert c.grad is None
-    assert np.allclose(x.grad, 1.0)
+    assert np.allclose(x.grad, 1.0 / x.size)
 
 
 def _model_op_calls(rng):
@@ -604,7 +603,6 @@ def _model_op_calls(rng):
         ("attention masked", (x, kv, kv), lambda q, k, v: attention(q, k, v, 3, keep)),
         ("gather_rows", (x,), lambda a: gather_rows(a, [2, 0])),
         ("scatter_rows", (y[:2], x), lambda a, c: scatter_rows(a, [2, 0], c)),
-        ("reduce_sum", (x,), reduce_sum),
         ("reduce_mean", (x,), reduce_mean),
     ]
 
@@ -621,7 +619,7 @@ def test_ops_do_not_mutate_operands():
             for op, a in zip(operands, arrays):
                 assert np.array_equal(op.data, a), (name, taped)
             if taped:
-                backward(reduce_sum(out * Tensor(rng.normal(size=out.shape))))
+                backward(reduce_mean(out * Tensor(rng.normal(size=out.shape))))
                 for op, a in zip(operands, arrays):
                     assert np.array_equal(op.data, a), (name, taped)
 
@@ -641,9 +639,9 @@ def test_no_tape_records_nothing_and_keeps_the_values():
     assert out.requires_grad is False
     assert np.array_equal(out.data, taped.data)
     with pytest.raises(ContractError):
-        backward(reduce_sum(out))
+        backward(reduce_mean(out))
     with no_tape():
-        loss = reduce_sum(x * x)
+        loss = reduce_mean(x * x)
     with pytest.raises(ContractError):
         backward(loss)
     assert x.grad is None and w.grad is None
@@ -661,5 +659,5 @@ def test_no_tape_nests_and_restores_after_an_exception():
             matmul(_leaf((2, 3), 27), _leaf((4, 2), 28))
     assert _taping()
     x = _leaf((2,), 29)
-    backward(reduce_sum(x * x))
-    assert np.array_equal(x.grad, 2.0 * x.data)
+    backward(reduce_mean(x * x))
+    assert np.array_equal(x.grad, 2.0 * x.data / x.size)

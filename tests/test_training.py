@@ -1,7 +1,11 @@
 """Curriculum, batch drawing, gradient clipping, Adam, stage loops."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foleyflow import training
 from foleyflow.errors import ConfigError, ContractError, DivergenceError
@@ -16,7 +20,7 @@ from foleyflow.training import (
     TAG_V2A,
     ADAM_BETAS,
     ADAM_EPS,
-    TOY_STAGE_STEPS,
+    CURRICULUM,
     AdamState,
     FlatGrads,
     OptimizerConfig,
@@ -53,35 +57,46 @@ def _datasets(n=3, seed=0):
 
 def test_stage_presets():
     s1, s2, s3 = stage_preset(1), stage_preset(2), stage_preset(3)
-    assert s1.mix == {TAG_T2A: 1}
-    assert s1.p_keep_text == 1.0 and s1.p_keep_video == 0.0
-    assert s2.mix == {TAG_T2A: 1, TAG_TV2A: 1}
-    assert s2.p_keep_text == 1.0 and s2.p_keep_video == 0.5
-    assert s3.mix == {TAG_T2A: 1, TAG_TV2A: 1, TAG_V2A: 2}
-    assert s3.p_keep_text == 0.5 and s3.p_keep_video == 0.75
+    assert s1.row.mix == {TAG_T2A: 1}
+    assert s1.row.p_keep_text == 1.0 and s1.row.p_keep_video == 0.0
+    assert s2.row.mix == {TAG_T2A: 1, TAG_TV2A: 1}
+    assert s2.row.p_keep_text == 1.0 and s2.row.p_keep_video == 0.5
+    assert s3.row.mix == {TAG_T2A: 1, TAG_TV2A: 1, TAG_V2A: 2}
+    assert s3.row.p_keep_text == 0.5 and s3.row.p_keep_video == 0.75
     assert (s1.steps, s2.steps, s3.steps) == (300, 100, 300)
-    assert stage_preset(2, steps=7).steps == 7
-    with pytest.raises(ConfigError):
-        stage_preset(4)
+    assert stage_preset(2, steps=7) == StageConfig(2, 7)
+    for bad in (0, 4, True, 1.0, "1", None):
+        with pytest.raises(ConfigError, match="stage_id"):
+            stage_preset(bad)
+    for bad in (0, 2.5, True):
+        with pytest.raises(ConfigError, match="steps"):
+            stage_preset(1, bad)
 
 
 def test_toy_and_production_step_tables():
-    assert TOY_STAGE_STEPS == {1: 300, 2: 100, 3: 300}
+    assert {stage_id: row.toy_steps for stage_id, row in CURRICULUM.items()} == {1: 300, 2: 100, 3: 300}
+    # the table is read-only, mixes included
+    with pytest.raises(TypeError):
+        CURRICULUM[4] = CURRICULUM[3]
+    with pytest.raises(TypeError):
+        CURRICULUM[3].mix[TAG_V2A] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        CURRICULUM[3].p_keep_text = 1.0
 
 
 def test_stage_config_validation():
-    with pytest.raises(ConfigError):
-        StageConfig(stage_id=0, steps=1, mix={TAG_T2A: 1}, p_keep_text=1.0, p_keep_video=0.0)
-    with pytest.raises(ConfigError):
-        StageConfig(stage_id=1, steps=0, mix={TAG_T2A: 1}, p_keep_text=1.0, p_keep_video=0.0)
-    with pytest.raises(ConfigError):
-        StageConfig(stage_id=1, steps=1, mix={}, p_keep_text=1.0, p_keep_video=0.0)
-    with pytest.raises(ConfigError):
-        StageConfig(stage_id=1, steps=1, mix={"XYZ": 1}, p_keep_text=1.0, p_keep_video=0.0)
-    with pytest.raises(ConfigError):
-        StageConfig(stage_id=1, steps=1, mix={TAG_T2A: 0}, p_keep_text=1.0, p_keep_video=0.0)
-    with pytest.raises(ConfigError):
-        StageConfig(stage_id=1, steps=1, mix={TAG_T2A: 1}, p_keep_text=1.5, p_keep_video=0.0)
+    # a stage is its id and step count; everything else is its row, not a copy
+    assert [f.name for f in dataclasses.fields(StageConfig)] == ["stage_id", "steps"]
+    assert StageConfig(stage_id=3, steps=1).row is CURRICULUM[3]
+    assert StageConfig(stage_id=np.int64(2), steps=np.int64(5)).row is CURRICULUM[2]
+    for stage_id in (0, -1, 4, True, 1.0, np.float64(2.0)):
+        with pytest.raises(ConfigError, match="stage_id"):
+            StageConfig(stage_id=stage_id, steps=1)
+    for steps in (0, -3, 2.5, True, None):
+        with pytest.raises(ConfigError, match="steps"):
+            StageConfig(stage_id=1, steps=steps)
+    with pytest.raises(TypeError):
+        StageConfig(stage_id=1, steps=1, mix={TAG_T2A: 1})
 
 
 def test_optimizer_config_defaults_and_presets():
@@ -95,6 +110,10 @@ def test_optimizer_config_defaults_and_presets():
         OptimizerConfig(lr=0.0)
     with pytest.raises(ConfigError):
         OptimizerConfig(grad_clip_norm=0.0)
+    for bad in (0, 2.5, True, 8.0):
+        with pytest.raises(ConfigError, match="batch_size"):
+            OptimizerConfig(batch_size=bad)
+    assert OptimizerConfig(batch_size=np.int64(3)).batch_size == 3
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ConfigError):
             OptimizerConfig(lr=bad)
@@ -135,15 +154,23 @@ def test_draw_batch_deterministic():
         assert np.array_equal(sa.x1, sb.x1)
 
 
-def test_draw_batch_forced_modality_rules():
-    stage = stage_preset(3)
-    datasets = _datasets()
-    rng = SeededRng(6)
-    for s in draw_batch(stage, datasets, rng, batch_size=400):
-        if s.tag == TAG_T2A:
-            assert s.cond.video_feat is None
+@settings(max_examples=60, deadline=None)
+@given(
+    stage_id=st.sampled_from(sorted(CURRICULUM)),
+    seed=st.integers(min_value=0, max_value=2**63 - 1),
+    batch_size=st.integers(min_value=1, max_value=48),
+)
+def test_draw_batch_forced_modality_rules(stage_id, seed, batch_size):
+    batch = draw_batch(stage_preset(stage_id), _datasets(), SeededRng(seed), batch_size)
+    assert len(batch) == batch_size
+    for s in batch:
+        assert s.tag in CURRICULUM[stage_id].mix
         if s.tag == TAG_V2A:
             assert s.cond.text_emb is None
+        if s.tag == TAG_T2A:
+            assert s.cond.video_feat is None
+        if stage_id == 1:
+            assert s.tag == TAG_T2A and s.cond.text_emb is not None
 
 
 def test_stage1_draws_text_only():
@@ -180,17 +207,22 @@ class _TopDrawRng:
         return True
 
 
-def test_draw_batch_top_draw_lands_in_last_bucket():
-    # these weights normalize and sum to 0.9999999999999999, below the draw
-    mix = {TAG_T2A: 9, TAG_TV2A: 8, TAG_V2A: 2}
-    stage = StageConfig(stage_id=3, steps=1, mix=mix, p_keep_text=0.5, p_keep_video=0.5)
-    (sample,) = draw_batch(stage, _datasets(), _TopDrawRng())
+def test_draw_batch_top_draw_lands_in_last_bucket(monkeypatch):
+    # these weights normalize and sum to 0.9999999999999999, which a
+    # right-sided search puts the top draw past
+    row = dataclasses.replace(CURRICULUM[3], mix={TAG_T2A: 9, TAG_TV2A: 8, TAG_V2A: 2})
+    monkeypatch.setattr(training, "CURRICULUM", {**CURRICULUM, 3: row})
+    weights = np.array([9, 8, 2], dtype=np.float64)
+    assert np.cumsum(weights / weights.sum())[-1] <= _TopDrawRng().uniform()
+    (sample,) = draw_batch(stage_preset(3, steps=1), _datasets(), _TopDrawRng())
     assert sample.tag == TAG_V2A
 
 
 def test_draw_batch_size_contract():
-    with pytest.raises(ContractError):
-        draw_batch(stage_preset(1), _datasets(), SeededRng(0), batch_size=0)
+    for bad in (0, -1, 2.5, True, None):
+        with pytest.raises(ContractError, match="batch_size"):
+            draw_batch(stage_preset(1), _datasets(), SeededRng(0), batch_size=bad)
+    assert len(draw_batch(stage_preset(1), _datasets(), SeededRng(0), batch_size=np.int64(2))) == 2
 
 
 def test_stage3_mix_prefers_v2a():
