@@ -211,14 +211,14 @@ def cmd_eval(args) -> int:
     report = metrics.evaluate_set(args.gen_dir, args.ref_dir, args.frame_rate)
     rendered = metrics.render_report(report, as_json=args.json)
     print(rendered)
+    if args.plot is not None:  # made first, so an unusable --plot leaves no report behind
+        Path(args.plot).mkdir(parents=True, exist_ok=True)
     if args.out is not None:
         Path(args.out).write_text(rendered + "\n", encoding="utf-8")
     if args.plot is not None:
-        plot_dir = Path(args.plot)
-        plot_dir.mkdir(parents=True, exist_ok=True)
         for pair in report.pairs:
             _write_envelope_csv(
-                str(plot_dir / f"{pair.clip_id}.envelopes.csv"),
+                str(Path(args.plot) / f"{pair.clip_id}.envelopes.csv"),
                 {"audio_energy": pair.gen_envelope, "video_energy": pair.ref_envelope},
                 args.frame_rate,
             )

@@ -5,16 +5,14 @@ Layout (all integers little-endian):
   checkpoint:  magic "YSND" | u32 version | config block | u32 count | records
   latent file: magic "YSND" | u32 version | u32 count | records
 
-  config block: seven i32 fields in CONFIG_INT_FIELDS order. Version 1
-                followed them with one f64 (an unread guidance scale),
-                which the reader skips.
+  config block: seven i32 fields in CONFIG_INT_FIELDS order.
   record:       u32 name length | name bytes (utf-8) | u32 ndim |
                 u32 per dim | float64 payload, row-major.
 
-Writers emit version 2; readers accept versions 1 and 2, whose latent
-files share one layout. Float payloads round-trip bit-exactly. Both
-readers raise FormatError on unknown magic or version, truncation,
-trailing bytes, and undecodable or duplicate record names.
+Writers and readers use version 2 only. Float payloads round-trip
+bit-exactly. Both readers raise FormatError on unknown magic, any
+version but 2, truncation, trailing bytes, and undecodable or duplicate
+record names.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from .errors import FormatError
 
 MAGIC = b"YSND"
 VERSION = 2
-_READABLE_VERSIONS = (1, 2)
 
 CONFIG_INT_FIELDS = (
     "d_model",
@@ -74,13 +71,12 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
 
-def _check_header(r: _Reader) -> int:
+def _check_header(r: _Reader) -> None:
     if r.take(4) != MAGIC:
         raise FormatError(f"{r.path}: bad magic, not a container file")
     version = r.u32()
-    if version not in _READABLE_VERSIONS:
+    if version != VERSION:
         raise FormatError(f"{r.path}: unsupported container version {version}")
-    return version
 
 
 def _unpack_records(r: _Reader) -> dict:
@@ -124,10 +120,8 @@ def read_checkpoint(path: str) -> tuple[dict, dict]:
     """Return (config field dict, name -> float64 array)."""
     with open(path, "rb") as fh:
         r = _Reader(fh.read(), path)
-    version = _check_header(r)
+    _check_header(r)
     fields = {name: struct.unpack("<i", r.take(4))[0] for name in CONFIG_INT_FIELDS}
-    if version == 1:
-        r.take(8)  # version 1 stored an unread f64 guidance scale here
     return fields, _unpack_records(r)
 
 

@@ -96,12 +96,8 @@ def _feature_rows(arr: np.ndarray, name: str, width: int, width_name: str) -> np
 
 
 def timestep_features(t, dim: int) -> np.ndarray:
-    """Sinusoidal features of times in [0, 1]: shape (B, dim) for an array
-    of B times, (1, dim) for a scalar."""
+    """Sinusoidal features, shape (B, dim), of a 1-D sequence of B times in [0, 1]."""
     times = np.asarray(t, dtype=np.float64)
-    if times.ndim > 1:
-        raise ShapeError(f"timestep_features needs a scalar or 1-D times, got shape {times.shape}")
-    times = times.reshape(-1)
     inside = (times >= 0.0) & (times <= 1.0)  # False for NaN
     if not inside.all():
         raise ContractError(f"timestep {times[~inside][0]} outside [0, 1]")
@@ -115,16 +111,13 @@ def timestep_features(t, dim: int) -> np.ndarray:
 def resample_video(video_feat, t_audio: int):
     """Nearest-neighbour resample of (t_v, d) video features to t_audio rows.
 
-    Output row j copies input row floor(j * t_v / t_audio).
+    Output row j copies input row floor(j * t_v / t_audio). The features
+    come from a ConditionBundle and t_audio from a ModelConfig, which
+    check that t_v and t_audio are >= 1.
     """
-    data = np.asarray(video_feat, dtype=np.float64)
-    if data.ndim != 2 or data.shape[0] < 1:
-        raise ShapeError(f"video features must be (t_v >= 1, d), got shape {data.shape}")
-    if t_audio < 1:
-        raise ContractError(f"t_audio must be >= 1, got {t_audio}")
-    t_v = data.shape[0]
+    t_v = video_feat.shape[0]
     idx = (np.arange(t_audio) * t_v) // t_audio
-    return data[idx]
+    return video_feat[idx]
 
 
 class Linear:

@@ -115,21 +115,6 @@ def format_event(event: TrainEvent) -> str:
     )
 
 
-def parse_event(line: str) -> TrainEvent:
-    parts = line.split()
-    if len(parts) != 7:
-        raise ContractError(f"event line has {len(parts)} fields, expected 7: {line!r}")
-    return TrainEvent(
-        step=int(parts[0]),
-        stage_id=int(parts[1]),
-        loss=float(parts[2]),
-        grad_norm_preclip=float(parts[3]),
-        mix_draw=parts[4],
-        text_kept=bool(int(parts[5])),
-        video_kept=bool(int(parts[6])),
-    )
-
-
 @dataclass(frozen=True)
 class DrawnSample:
     x1: np.ndarray
@@ -137,14 +122,14 @@ class DrawnSample:
     tag: str
 
 
-def draw_batch(stage: StageConfig, datasets: dict, rng: SeededRng, batch_size: int = 1) -> list:
-    """Draw batch_size training samples under the stage's mixing rules.
+def draw_batch(stage: StageConfig, datasets: dict, rng: SeededRng, batch_size: int) -> list:
+    """Draw batch_size training samples, an OptimizerConfig's positive
+    batch size, under the stage's mixing rules.
 
     Per sample the rng is consumed in a fixed order: dataset tag, clip
     index, then only the keep flags the tag leaves free (text is forced
     off for V2A draws, video is forced off for T2A draws).
     """
-    check_positive_int("batch_size", batch_size, ContractError)
     row = stage.row
     tags = sorted(row.mix)
     for tag in tags:
@@ -211,13 +196,12 @@ def gather_grads(model: TwoTowerModel, out: np.ndarray) -> FlatGrads:
 
 
 def clip_grad_norm(grads: FlatGrads, max_norm: float) -> tuple[FlatGrads, float]:
-    """Scale the gradients in place so their global L2 norm is at most max_norm.
+    """Scale the gradients in place so their global L2 norm is at most
+    max_norm, an OptimizerConfig's positive grad_clip_norm.
 
     Returns the gradients and the pre-clip norm, the sum of each
     parameter's sum of squares taken in registry order.
     """
-    if max_norm <= 0:
-        raise ContractError(f"max_norm must be > 0, got {max_norm}")
     total = 0.0
     for _, at in grads.spans:
         g = grads.flat[at]
@@ -356,7 +340,10 @@ def run_curriculum(
 
     The stages pass check_stage_order. Each stage gets its own seed
     derived from (seed, stage_id), so a run resumed from a stage-N
-    checkpoint reproduces the original stage-N+1 events exactly.
+    checkpoint reproduces the original stage-N+1 losses, draws,
+    parameters and checkpoint bytes exactly. Its step numbers are not:
+    checkpoints do not store the step, so a resumed run numbers its
+    steps from 1.
     """
     check_stage_order(stages)
     events: list = []

@@ -4,9 +4,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foleyflow import container
 from foleyflow.errors import FormatError
+from foleyflow.model import ModelConfig, TwoTowerModel
 
 
 def _arrays():
@@ -109,7 +112,7 @@ def test_trailing_bytes_rejected(tmp_path):
 def test_implausible_name_length_rejected(tmp_path):
     path = str(tmp_path / "bad")
     with open(path, "wb") as fh:
-        fh.write(container.MAGIC + struct.pack("<I", 1))
+        fh.write(container.MAGIC + struct.pack("<I", container.VERSION))
         fh.write(struct.pack("<I", 1))  # one record
         fh.write(struct.pack("<I", 2**31))  # absurd name length
     with pytest.raises(FormatError, match="name length"):
@@ -119,7 +122,7 @@ def test_implausible_name_length_rejected(tmp_path):
 def test_implausible_rank_rejected(tmp_path):
     path = str(tmp_path / "bad")
     with open(path, "wb") as fh:
-        fh.write(container.MAGIC + struct.pack("<I", 1))
+        fh.write(container.MAGIC + struct.pack("<I", container.VERSION))
         fh.write(struct.pack("<I", 1))
         fh.write(struct.pack("<I", 1) + b"x")
         fh.write(struct.pack("<I", 200))  # rank 200
@@ -175,22 +178,57 @@ def test_duplicate_record_name_rejected(tmp_path):
         container.read_latents(path)
 
 
-def test_version_1_files_still_read(tmp_path):
-    # version 1 latent files share the version 2 layout; version 1
-    # checkpoints carry one more f64 after the config block, skipped on read
-    arrays = _arrays()
+@pytest.mark.parametrize("kind", ["latents", "checkpoint"])
+@pytest.mark.parametrize("version", [0, 1, 3])
+def test_other_versions_are_format_errors(tmp_path, version, kind):
     path = str(tmp_path / "x.ysnd")
-    container.write_latents(path, arrays)
+    if kind == "latents":
+        container.write_latents(path, _arrays())
+        read = container.read_latents
+    else:
+        container.write_checkpoint(path, _config(), _arrays())
+        read = container.read_checkpoint
     blob = open(path, "rb").read()
     with open(path, "wb") as fh:
-        fh.write(blob[:4] + struct.pack("<I", 1) + blob[8:])
-    assert all(v.tobytes() == arrays[k].tobytes() for k, v in container.read_latents(path).items())
+        fh.write(blob[:4] + struct.pack("<I", version) + blob[8:])
+    with pytest.raises(FormatError, match=f"version {version}"):
+        read(path)
 
-    ckpt = str(tmp_path / "m.ckpt")
-    container.write_checkpoint(ckpt, _config(), arrays)
-    blob = open(ckpt, "rb").read()
-    with open(ckpt, "wb") as fh:
-        fh.write(blob[:4] + struct.pack("<I", 1) + blob[8:36] + struct.pack("<d", 2.0) + blob[36:])
-    fields, loaded = container.read_checkpoint(ckpt)
-    assert fields == _config()
-    assert all(v.tobytes() == arrays[k].tobytes() for k, v in loaded.items())
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """A scratch directory and the bytes of a written latent file and checkpoint."""
+    root = tmp_path_factory.mktemp("fuzz")
+    container.write_latents(str(root / "x.ysnd"), _arrays())
+    tiny = ModelConfig(d_model=4, n_layers=1, n_heads=1, d_audio_latent=2, d_video_feat=2, d_text=2, t_audio=2)
+    TwoTowerModel(tiny, seed=0).save(str(root / "m.ckpt"))
+    return root, {name: (root / name).read_bytes() for name in ("x.ysnd", "m.ckpt")}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(["x.ysnd", "m.ckpt"]),
+    damage=st.sampled_from(["truncate", "flip", "version"]),
+    at=st.integers(0, 39) | st.integers(0, 2**32 - 1),  # a checkpoint's header half the time
+    mask=st.integers(1, 255),
+)
+def test_damaged_containers_read_or_raise_format_error(written, name, damage, at, mask):
+    # a file cut at any length, with any one byte flipped or with any
+    # version word, reads or raises FormatError, whichever reader opens it
+    root, blobs = written
+    blob = blobs[name]
+    i = at % len(blob)
+    if damage == "truncate":
+        blob = blob[:i]
+    elif damage == "flip":
+        blob = blob[:i] + bytes([blob[i] ^ mask]) + blob[i + 1 :]
+    else:
+        blob = blob[:4] + struct.pack("<I", at) + blob[8:]
+    path = root / "damaged"
+    path.write_bytes(blob)
+    for read in (container.read_latents, container.read_checkpoint, TwoTowerModel.load):
+        try:
+            read(str(path))
+        except FormatError:
+            continue
+        assert blob[4:8] == struct.pack("<I", container.VERSION), (read.__qualname__, blob[4:8])

@@ -73,6 +73,50 @@ def test_every_tensor_export_is_used_by_the_program():
     assert set(tensor.__all__) - used == UNCALLED_TENSOR_NAMES
 
 
+def _definitions_used(trees: dict) -> set:
+    """(module, name) of each top-level function or class that a module
+    loads: its own module outside the definition, a module that imports
+    the name and loads it, or a module that reads it as module.name."""
+    used = set()
+    for module, tree in trees.items():
+        loaded = _loaded_names(tree)
+        per_statement = [(node, _loaded_names(node)) for node in tree.body]
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if any(node.name in names for other, names in per_statement if other is not node):
+                    used.add((module, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                used |= {(node.module, a.name) for a in node.names if (a.asname or a.name) in loaded}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                used.add((node.value.id, node.attr))
+    return used
+
+
+def test_every_definition_has_a_caller_in_the_program():
+    # a function or class that only tests reach is a second path to keep
+    # right; the tensor exports above wait for the benchmark's next change
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    defined = {
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    uncalled = {("tensor", name) for name in UNCALLED_TENSOR_NAMES}
+    assert defined - _definitions_used(trees) == uncalled
+
+
+def test_caller_probe_sees_every_use_form():
+    trees = {
+        "a": ast.parse("def f(): return g()\ndef g(): return 1\ndef lone(): return lone()\nclass K: pass\n"),
+        "b": ast.parse("from .a import K\nfrom . import a\nx = K()\ny = a.f\n"),
+        "c": ast.parse("from .a import lone\n"),
+    }
+    assert _definitions_used(trees) >= {("a", "f"), ("a", "g"), ("a", "K")}
+    assert ("a", "lone") not in _definitions_used(trees)
+
+
 def test_name_probe_sees_loads_only():
     tree = ast.parse("def f(a):\n    b = a.transpose()\n    return g(b)\n")
     assert _loaded_names(tree) == {"a", "g", "b"}

@@ -100,37 +100,35 @@ def test_bundle_stores_float64_arrays_converted_once():
 
 
 def test_timestep_features_shape_and_range():
-    f = timestep_features(0.5, 8)
+    f = timestep_features([0.5], 8)
     assert f.shape == (1, 8)
     with pytest.raises(ContractError):
-        timestep_features(-0.01, 8)
+        timestep_features([-0.01], 8)
     with pytest.raises(ContractError):
-        timestep_features(1.01, 8)
+        timestep_features([1.01], 8)
 
 
 def test_timestep_features_odd_dim_zero_padded():
-    f = timestep_features(0.3, 7)
+    f = timestep_features([0.3], 7)
     assert f.shape == (1, 7)
     assert f[0, -1] == 0.0
 
 
-def test_timestep_features_of_many_times_match_scalar_calls():
+def test_timestep_features_of_many_times_match_one_time_calls():
     times = np.array([0.0, 0.013, 0.5, 0.77, 1.0])
     for dim in (32, 7, 1):
         rows = timestep_features(times, dim)
         assert rows.shape == (5, dim)
         for b, t in enumerate(times):
-            assert np.array_equal(rows[b : b + 1], timestep_features(float(t), dim)), (dim, t)
-    for bad in (np.nan, [0.5, np.nan], [0.5, 1.5], [-0.1]):
+            assert np.array_equal(rows[b : b + 1], timestep_features([float(t)], dim)), (dim, t)
+    for bad in ([np.nan], [0.5, np.nan], [0.5, 1.5], [-0.1]):
         with pytest.raises(ContractError):
             timestep_features(bad, 8)
-    with pytest.raises(ShapeError):
-        timestep_features(np.zeros((2, 2)), 8)
 
 
 def test_timestep_features_distinguish_fine_steps():
-    a = timestep_features(0.500, 16)
-    b = timestep_features(0.501, 16)
+    a = timestep_features([0.500], 16)
+    b = timestep_features([0.501], 16)
     assert np.abs(a - b).max() > 1e-3
 
 
@@ -146,13 +144,6 @@ def test_resample_video_downsamples():
     feat = np.arange(16.0).reshape(8, 2)
     out = resample_video(feat, 4)
     assert out[:, 0].tolist() == [0.0, 4.0, 8.0, 12.0]
-
-
-def test_resample_video_errors():
-    with pytest.raises(ShapeError):
-        resample_video(np.zeros(4), 8)
-    with pytest.raises(ContractError):
-        resample_video(np.zeros((4, 2)), 0)
 
 
 def test_mixer_identity_with_zero_init():
@@ -606,34 +597,14 @@ def test_load_state_copies_into_the_vector():
         assert np.array_equal(model.flat[model.slices[name]], state[name].reshape(-1))
 
 
-def _write_v1_checkpoint(path, cfg, arrays, version=1):
-    """Hand-pack the version-1 layout: the int config block, then an f64 slot."""
-    with open(path, "wb") as fh:
-        fh.write(container.MAGIC + struct.pack("<I", version))
-        fh.write(struct.pack("<7i", *(getattr(cfg, f) for f in container.CONFIG_INT_FIELDS)))
-        fh.write(struct.pack("<d", 2.0))
-        fh.write(struct.pack("<I", len(arrays)))
-        for name, arr in arrays.items():
-            name_bytes = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(name_bytes)) + name_bytes)
-            fh.write(struct.pack("<I", arr.ndim) + struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def test_version_1_checkpoint_loads(tmp_path):
-    model = TwoTowerModel(SMALL, seed=0)
-    _perturb(model)
-    path = str(tmp_path / "v1.ckpt")
-    _write_v1_checkpoint(path, SMALL, model.state_arrays())
-    loaded = TwoTowerModel.load(path)
-    assert loaded.config == SMALL
-    state = model.state_arrays()
-    assert all(v.tobytes() == state[k].tobytes() for k, v in loaded.state_arrays().items())
-
-    bad = str(tmp_path / "v99.ckpt")
-    _write_v1_checkpoint(bad, SMALL, model.state_arrays(), version=99)
-    with pytest.raises(FormatError, match="version 99"):
-        TwoTowerModel.load(bad)
+@pytest.mark.parametrize("version", [0, 1, 3])
+def test_checkpoint_of_another_version_does_not_load(tmp_path, version):
+    path = tmp_path / "m.ckpt"
+    TwoTowerModel(SMALL, seed=0).save(str(path))
+    blob = path.read_bytes()
+    path.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
+    with pytest.raises(FormatError, match=f"version {version}"):
+        TwoTowerModel.load(str(path))
 
 
 def test_load_rejects_an_invalid_config_block(tmp_path):
