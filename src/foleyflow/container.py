@@ -60,15 +60,23 @@ class _Reader:
         self.pos = 0
         self.path = path
 
+    def skip(self, n: int) -> int:
+        """Step over n bytes and return the offset they start at."""
+        start = self.pos
+        if start + n > len(self.blob):
+            raise FormatError(f"{self.path}: truncated file (needed {n} bytes at offset {start})")
+        self.pos = start + n
+        return start
+
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise FormatError(f"{self.path}: truncated file (needed {n} bytes at offset {self.pos})")
-        out = self.blob[self.pos : self.pos + n]
-        self.pos += n
-        return out
+        start = self.skip(n)
+        return self.blob[start : self.pos]
+
+    def u32s(self, count: int) -> tuple:
+        return struct.unpack_from(f"<{count}I", self.blob, self.skip(4 * count))
 
     def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+        return self.u32s(1)[0]
 
 
 def _check_header(r: _Reader) -> None:
@@ -95,11 +103,12 @@ def _unpack_records(r: _Reader) -> dict:
         ndim = r.u32()
         if ndim > _MAX_NDIM:
             raise FormatError(f"{r.path}: implausible record rank {ndim}")
-        shape = tuple(r.u32() for _ in range(ndim))
-        # a Python-int product cannot overflow; take() checks it against the bytes left
-        payload = r.take(8 * math.prod(shape))
+        shape = r.u32s(ndim)
+        # a Python-int product cannot overflow; skip() checks it against the bytes left
+        count = math.prod(shape)
+        start = r.skip(8 * count)
         try:
-            arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+            arrays[name] = np.frombuffer(r.blob, "<f8", count, start).reshape(shape).astype(np.float64)
         except ValueError as exc:  # an empty record whose other dims numpy cannot address
             raise FormatError(f"{r.path}: record {name!r} has unusable shape {shape}: {exc}") from None
     if r.pos != len(r.blob):

@@ -20,15 +20,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import container
 from .errors import ContractError, ShapeError
-from .providers import SyntheticEmbedder
+from .providers import SyntheticEmbedder, pool
 
 _PSD_TOLERANCE = 1e-6
 _PROB_FLOOR = 1e-12
@@ -143,21 +143,30 @@ def frechet_distance(a: EmbeddingSet, b: EmbeddingSet) -> float:
         raise ShapeError(f"embedding dims differ: {va.shape} vs {vb.shape}")
     if va.shape[0] < 2 or vb.shape[0] < 2:
         raise ContractError(f"Frechet statistics need n >= 2 on both sides, got {va.shape[0]} and {vb.shape[0]}")
-    mu_a, mu_b = va.mean(axis=0), vb.mean(axis=0)
-    cov_a = np.cov(va, rowvar=False).reshape(va.shape[1], va.shape[1])
-    cov_b = np.cov(vb, rowvar=False).reshape(vb.shape[1], vb.shape[1])
-    root_a = _sqrtm_psd(cov_a, "frechet_distance(cov_a)")
-    inner = root_a @ cov_b @ root_a
-    inner_vals = np.linalg.eigvalsh(inner)
-    if np.any(inner_vals < -_PSD_TOLERANCE):
-        warnings.warn(
-            f"frechet_distance: cross-term eigenvalue {inner_vals.min():.3e} clamped to 0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    tr_sqrt = float(np.sqrt(np.clip(inner_vals, 0.0, None)).sum())
-    mean_term = float(np.sum((mu_a - mu_b) ** 2))
-    value = mean_term + float(np.trace(cov_a) + np.trace(cov_b)) - 2.0 * tr_sqrt
+    # finite embeddings can still overflow their statistics: a bad input
+    # set, which must not surface as numpy warnings or a failed eigensolve
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu_a, mu_b = va.mean(axis=0), vb.mean(axis=0)
+        cov_a = np.cov(va, rowvar=False).reshape(va.shape[1], va.shape[1])
+        cov_b = np.cov(vb, rowvar=False).reshape(vb.shape[1], vb.shape[1])
+        if not all(np.all(np.isfinite(stat)) for stat in (mu_a, mu_b, cov_a, cov_b)):
+            raise ContractError("Frechet statistics overflow: an embedding mean or covariance is not finite")
+        root_a = _sqrtm_psd(cov_a, "frechet_distance(cov_a)")
+        inner = root_a @ cov_b @ root_a
+        if not np.all(np.isfinite(inner)):
+            raise ContractError("Frechet statistics overflow: the covariance cross term is not finite")
+        inner_vals = np.linalg.eigvalsh(inner)
+        if np.any(inner_vals < -_PSD_TOLERANCE):
+            warnings.warn(
+                f"frechet_distance: cross-term eigenvalue {inner_vals.min():.3e} clamped to 0",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        tr_sqrt = float(np.sqrt(np.clip(inner_vals, 0.0, None)).sum())
+        mean_term = float(np.sum((mu_a - mu_b) ** 2))
+        value = mean_term + float(np.trace(cov_a) + np.trace(cov_b)) - 2.0 * tr_sqrt
+    if not math.isfinite(value):
+        raise ContractError(f"Frechet distance overflows: {value}")
     # >= 0 in exact arithmetic; identical sets leave a hair of round-off
     if value < 0.0:
         if value < -_PSD_TOLERANCE:
@@ -226,7 +235,8 @@ def energy_envelope(latent: np.ndarray) -> np.ndarray:
     arr = np.asarray(latent, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1:
         raise ShapeError(f"latent must be (frames, dims), got shape {arr.shape}")
-    return np.sqrt(np.mean(arr * arr, axis=1))
+    # np.mean's arithmetic, sum then divide, without its per-call overhead
+    return np.sqrt((arr * arr).sum(axis=1) / arr.shape[1])
 
 
 def check_frame_rate(frame_rate, frames: int) -> None:
@@ -256,21 +266,20 @@ def detect_peaks(envelope: np.ndarray, frame_rate: float) -> PeakTrain:
     if peak <= 0.0:
         return PeakTrain(times=(), duration=duration)
     # find_peaks' scan: from each strict rise, step over the flat run and
-    # look for a strict fall
+    # look for a strict fall. No frame of a flat run or of its fall is a
+    # rise, so each rise at or above the threshold is checked on its own.
     x = env.tolist()
     last = env.size - 1
+    height = PEAK_THRESHOLD * peak
     maxima = []
-    i = 1
-    while i < last:
-        if x[i - 1] < x[i]:
+    for i in range(1, last):
+        top = x[i]
+        if top >= height and x[i - 1] < top:
             ahead = i + 1
-            while ahead < last and x[ahead] == x[i]:
+            while ahead < last and x[ahead] == top:
                 ahead += 1
-            if x[ahead] < x[i]:
-                if x[i] >= PEAK_THRESHOLD * peak:
-                    maxima.append((i + ahead - 1) // 2)
-                i = ahead
-        i += 1
+            if x[ahead] < top:
+                maxima.append((i + ahead - 1) // 2)
     # tallest first, in the reversed np.argsort order find_peaks visits them
     # in, so that ties resolve the same way; the cap keeps the gap a small int
     gap = min(math.ceil(MIN_SEPARATION * frame_rate), env.size)
@@ -341,16 +350,33 @@ LATENT_RECORD = "latent"
 
 
 def _load_latent_dir(path: str) -> dict:
-    directory = Path(path)
-    if not directory.is_dir():
+    """Stem -> latent of each regular *.ysnd file, in file-name order."""
+    if not os.path.isdir(path):
         raise ContractError(f"not a directory: {path}")
+    with os.scandir(path) as listing:
+        names = sorted(e.name for e in listing if e.name.endswith(LATENT_EXTENSION) and e.is_file())
     out = {}
-    for entry in sorted(directory.glob(f"*{LATENT_EXTENSION}")):
-        records = container.read_latents(str(entry))
+    for name in names:
+        file = os.path.join(path, name)
+        records = container.read_latents(file)
         if LATENT_RECORD not in records:
-            raise ContractError(f"{entry}: no {LATENT_RECORD!r} record")
-        out[entry.stem] = records[LATENT_RECORD]
+            raise ContractError(f"{file}: no {LATENT_RECORD!r} record")
+        out[name[: -len(LATENT_EXTENSION)] or name] = records[LATENT_RECORD]
     return out
+
+
+def _embed_rows(seqs: list) -> tuple:
+    """(n, dim) embeddings of seqs under FIDELITY, DISTRIBUTION, CLASSIFIER
+    and SHARED. Each sequence is pooled once and every provider projects
+    that one vector, row by row: a stacked product may differ in the last
+    bits, and the sequences may differ in shape."""
+    embedders = (FIDELITY, DISTRIBUTION, CLASSIFIER, SHARED)
+    rows = tuple(np.empty((len(seqs), e.dim)) for e in embedders)
+    for i, seq in enumerate(seqs):
+        pooled = pool(seq)
+        for out, embedder in zip(rows, embedders):
+            out[i] = embedder.project(pooled)
+    return rows
 
 
 def evaluate_set(gen_dir: str, ref_dir: str, frame_rate: float = FRAME_RATE) -> EvalReport:
@@ -376,24 +402,20 @@ def evaluate_set(gen_dir: str, ref_dir: str, frame_rate: float = FRAME_RATE) -> 
     ref_seqs = [ref[cid] for cid in shared_ids]
     check_frame_rate(frame_rate, max(len(s) for s in gen_seqs + ref_seqs))
 
-    fad = frechet_distance(
-        EmbeddingSet(FIDELITY.embed_set(gen_seqs)),
-        EmbeddingSet(FIDELITY.embed_set(ref_seqs)),
-    )
-    fd = frechet_distance(
-        EmbeddingSet(DISTRIBUTION.embed_set(gen_seqs)),
-        EmbeddingSet(DISTRIBUTION.embed_set(ref_seqs)),
-    )
-    gen_posts = sigmoid_calibrate(np.stack([CLASSIFIER.embed(s) for s in gen_seqs]))
-    ref_posts = sigmoid_calibrate(np.stack([CLASSIFIER.embed(s) for s in ref_seqs]))
+    gen_fid, gen_dist, gen_scores, gen_shared = _embed_rows(gen_seqs)
+    ref_fid, ref_dist, ref_scores, ref_shared = _embed_rows(ref_seqs)
+    fad = frechet_distance(EmbeddingSet(gen_fid), EmbeddingSet(ref_fid))
+    fd = frechet_distance(EmbeddingSet(gen_dist), EmbeddingSet(ref_dist))
+    gen_posts = sigmoid_calibrate(gen_scores)
+    ref_posts = sigmoid_calibrate(ref_scores)
     kl = kl_sigmoid(gen_posts, ref_posts)
     is_score = inception_score(gen_posts)
 
     clip_scores = []
     av_scores = []
     details = []
-    for cid, gseq, rseq in zip(shared_ids, gen_seqs, ref_seqs):
-        clip_scores.append(clip_style_score(SHARED.embed(gseq), SHARED.embed(rseq)))
+    for cid, gseq, rseq, g_emb, r_emb in zip(shared_ids, gen_seqs, ref_seqs, gen_shared, ref_shared):
+        clip_scores.append(clip_style_score(g_emb, r_emb))
         g_env, r_env = energy_envelope(gseq), energy_envelope(rseq)
         av_scores.append(envelope_alignment(g_env, frame_rate, r_env, frame_rate))
         details.append(PairDetail(clip_id=cid, gen_envelope=g_env, ref_envelope=r_env))

@@ -16,12 +16,15 @@ from .errors import ContractError
 from .rng import SeededRng, derive_seed, string_seed
 
 
-def _pool(features: np.ndarray) -> np.ndarray:
-    """Order-insensitive summary of a (frames, dims) feature sequence."""
+def pool(features: np.ndarray) -> np.ndarray:
+    """Order-insensitive summary of a (frames, dims) feature sequence: the
+    per-dim mean, then the per-dim max. Every embedder projects this vector,
+    so a caller that embeds one sequence under several providers pools it once."""
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] == 0:
         raise ContractError(f"provider input must be a non-empty 2-D sequence, got shape {feats.shape}")
-    return np.concatenate([feats.mean(axis=0), feats.max(axis=0)])
+    # np.mean's arithmetic, sum then divide, without its per-call overhead
+    return np.concatenate([feats.sum(axis=0) / feats.shape[0], feats.max(axis=0)])
 
 
 class SyntheticEmbedder:
@@ -48,12 +51,12 @@ class SyntheticEmbedder:
             self._weights[d_in] = w
         return w
 
-    def embed(self, features: np.ndarray) -> np.ndarray:
-        pooled = _pool(features)
+    def project(self, pooled: np.ndarray) -> np.ndarray:
+        """Embedding of one pool() vector."""
         return pooled @ self._projection(pooled.size)
 
-    def embed_set(self, sequences) -> np.ndarray:
-        return np.stack([self.embed(seq) for seq in sequences])
+    def embed(self, features: np.ndarray) -> np.ndarray:
+        return self.project(pool(features))
 
 
 def text_embedding(text: str, n_tokens: int, d_text: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +214,25 @@ def test_eval_unusable_plot_dir_leaves_no_report(workdir, latent, capsys):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"]["kind"] == "FileExistsError"
     assert not out.exists()
+
+
+def test_eval_overflowing_embeddings_leave_as_one_json_line(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    for side in ("gen", "ref"):
+        (tmp_path / side).mkdir()
+        for i in range(3):
+            container.write_latents(str(tmp_path / side / f"c{i}.ysnd"), {"latent": rng.normal(size=(16, 4))})
+    container.write_latents(str(tmp_path / "gen" / "c0.ysnd"), {"latent": np.full((16, 4), 1e200)})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["eval", str(tmp_path / "gen"), str(tmp_path / "ref"), "--json"])
+    assert code == 1
+    assert [str(w.message) for w in caught] == []  # a warning would be a stderr line of its own
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["kind"] == "ContractError"
+    assert captured.out == ""
 
 
 def test_eval_missing_dir(workdir, capsys):

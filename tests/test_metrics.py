@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foleyflow import container, datapipe, refiner
+from foleyflow import container, datapipe, metrics, providers, refiner
 from foleyflow.errors import ContractError, ShapeError
 from foleyflow.model import ConditionBundle
 from foleyflow.metrics import (
@@ -31,7 +31,7 @@ from foleyflow.metrics import (
     render_report,
     sigmoid_calibrate,
 )
-from foleyflow.providers import SyntheticEmbedder
+from foleyflow.providers import SyntheticEmbedder, pool
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +408,56 @@ def test_evaluate_set_lists_missing_and_pairs_by_stem(tmp_path):
     assert report.missing == ("extra (gen only)", "lonely (ref only)")
 
 
+def test_evaluate_set_pairs_regular_files_only(tmp_path):
+    items = _toy_latents(5)
+    _write_latents(tmp_path / "gen", items)
+    _write_latents(tmp_path / "ref", items)
+    (tmp_path / "gen" / "sub.ysnd").mkdir()
+    (tmp_path / "ref" / "notes.txt").write_text("not a latent\n")
+    report = evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"))
+    assert report.n_pairs == 3
+    assert report.missing == ()
+
+
+# the reports of a set that mixes (T, d) shapes, both ways round, pinned
+# bit for bit: pooling once per latent must not move them
+_MIXED_REPORTS = (
+    {"FAD": 10.472801733453444, "FD": 5.396630556721189, "KL-sigmoid": 0.07843112100243707,
+     "IS": 1.0771468926676748, "CLIP": 87.79653890568899, "AV": 0.14285714285714285},
+    {"FAD": 10.472801733110732, "FD": 5.3966305569852375, "KL-sigmoid": 0.09417036242152811,
+     "IS": 1.000082822555351, "CLIP": 87.79653890568899, "AV": 0.14285714285714285},
+)
+
+
+def test_evaluate_set_of_mixed_shapes_is_pinned(tmp_path):
+    shapes = [(32, 16)] * 5 + [(20, 16), (32, 8)]
+    gen = {f"clip{i}": _spiky(i, (3 + 2 * i, 17), t, d) for i, (t, d) in enumerate(shapes)}
+    ref = {f"clip{i}": _spiky(10 + i, (3 + 3 * i, 24), 32, 16) for i in range(len(shapes))}
+    _write_latents(tmp_path / "gen", gen)
+    _write_latents(tmp_path / "ref", ref)
+    sides = (("gen", "ref"), ("ref", "gen"))
+    for (a, b), pinned in zip(sides, _MIXED_REPORTS):
+        report = evaluate_set(str(tmp_path / a), str(tmp_path / b))
+        assert report.values == pinned  # == on floats: bit for bit
+        assert report.n_pairs == len(shapes)
+
+
+def test_evaluate_set_pools_each_latent_once(tmp_path, monkeypatch):
+    items = _toy_latents(6, n=4)
+    _write_latents(tmp_path / "gen", items)
+    _write_latents(tmp_path / "ref", items)
+    calls = []
+
+    def counted(features):
+        calls.append(features.shape)
+        return pool(features)
+
+    monkeypatch.setattr(providers, "pool", counted)
+    monkeypatch.setattr(metrics, "pool", counted)
+    evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"))
+    assert len(calls) == 2 * len(items)
+
+
 def test_evaluate_set_needs_two_pairs(tmp_path):
     items = _toy_latents(2, n=1)
     _write_latents(tmp_path / "gen", items)
@@ -472,6 +522,13 @@ def test_render_report_formats(tmp_path):
     assert payload["columns"] == list(REPORT_COLUMNS)
     assert payload["values"]["CLIP"] == 100.0
     assert payload["n_pairs"] == 3
+
+
+def test_embed_projects_the_pooled_sequence():
+    seq = np.random.default_rng(6).normal(size=(12, 5))
+    for emb in (metrics.FIDELITY, metrics.DISTRIBUTION, metrics.CLASSIFIER, metrics.SHARED):
+        assert np.array_equal(emb.embed(seq), emb.project(pool(seq)))
+        assert np.array_equal(emb.embed(seq), pool(seq) @ emb._projection(10))
 
 
 def test_providers_are_deterministic():
