@@ -233,13 +233,10 @@ def cmd_pipeline(args) -> int:
         drop_speech=not args.keep_speech,
         drop_bgm=not args.keep_bgm,
     )
-    result = datapipe.run_pipeline(args.manifest_in, args.manifest_out, policy)
+    result = datapipe.run_pipeline(args.manifest_in, args.manifest_out, policy, report_out=args.report)
     for lineno, reason in result.parse_problems:
         print(f"warning: manifest line {lineno}: {reason}", file=sys.stderr)
-    rendered = datapipe.render_drop_report(result)
-    print(rendered)
-    if args.report is not None:
-        Path(args.report).write_text(rendered + "\n", encoding="utf-8")
+    print(datapipe.render_drop_report(result))
     return 0
 
 

@@ -17,7 +17,11 @@ through unchanged, which makes the pipeline idempotent on its own output.
 
 from __future__ import annotations
 
+import errno
 import math
+import os
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -126,7 +130,8 @@ def parse_record(line: str) -> ClipRecord:
             bits = chunk.split(":")
             if len(bits) != 3:
                 raise FormatError(f"event {chunk!r} is not label:start:end")
-            events.append((bits[0], float(bits[1]), float(bits[2])))
+            # one shared string per distinct label: a manifest repeats few labels
+            events.append((sys.intern(bits[0]), float(bits[1]), float(bits[2])))
     if speech_s not in ("0", "1") or bgm_s not in ("0", "1"):
         raise FormatError(f"flags must be 0 or 1, got {speech_s!r}/{bgm_s!r}")
     # positional, like cut's segments: a keyword call to a class builds a
@@ -169,10 +174,42 @@ def read_manifest(path: str) -> tuple[list, list]:
     return records, problems
 
 
+@contextmanager
+def _replacing(path: str):
+    """A text file that takes path's place only if the with-block completes.
+
+    It is a new file in path's directory, flushed, fsynced and then
+    os.replace'd onto path. On any exception it is removed and the
+    exception re-raised, so path keeps its old bytes or stays absent.
+    A path that is a directory fails on entry, as a plain open would.
+    """
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    folder, name = os.path.split(path)
+    tmp = os.path.join(folder, f".{name}.{os.urandom(4).hex()}.tmp")
+    # mode "x" never takes over an existing file, and gives the new one the
+    # permissions a plain open would (tempfile's files are private, 0600)
+    out = open(tmp, "x", encoding="utf-8")
+    try:
+        with out:
+            yield out
+            out.flush()
+            os.fsync(out.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_manifest(path: str, records) -> None:
-    lines = [MANIFEST_HEADER]
-    lines.extend(format_record(r) for r in records)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write the header, then one line per record, straight to the file.
+
+    No copy of the text is held in memory, and the file takes path's place
+    atomically once every record is written (see _replacing).
+    """
+    with _replacing(path) as out:
+        out.write(MANIFEST_HEADER + "\n")
+        out.writelines(format_record(r) + "\n" for r in records)
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +353,24 @@ def run_pipeline(
     manifest_out: str,
     policy: FilterPolicy,
     envelope_provider=None,
+    report_out: str | None = None,
 ) -> PipelineResult:
-    """File-level pipeline: read, score, filter, cut, write."""
+    """File-level pipeline: read, score, filter, cut, write.
+
+    With report_out, the drop report's temporary file is opened before the
+    manifest is written and replaces report_out only after the manifest
+    has replaced manifest_out, so a path that cannot be written, either
+    one, fails before either file changes.
+    """
     records, problems = read_manifest(manifest_in)
-    result = process_records(records, policy, envelope_provider)
-    write_manifest(manifest_out, result.segments)
-    return replace(result, parse_problems=tuple(problems))
+    result = replace(process_records(records, policy, envelope_provider), parse_problems=tuple(problems))
+    if report_out is None:
+        write_manifest(manifest_out, result.segments)
+    else:
+        with _replacing(report_out) as report:
+            report.write(render_drop_report(result) + "\n")
+            write_manifest(manifest_out, result.segments)
+    return result
 
 
 def render_drop_report(result: PipelineResult) -> str:

@@ -82,6 +82,8 @@ class ClassPosterior:
         arr = np.asarray(self.probs, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] < 2:
             raise ShapeError(f"posteriors must be (n, classes >= 2), got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ContractError("posterior rows must be finite")
         if np.any(arr < 0):
             raise ContractError("posterior rows must be non-negative")
         sums = arr.sum(axis=1)
@@ -197,8 +199,15 @@ def sigmoid_calibrate(raw_scores: np.ndarray) -> ClassPosterior:
     scores = np.asarray(raw_scores, dtype=np.float64)
     if scores.ndim != 2:
         raise ShapeError(f"raw scores must be (n, classes), got shape {scores.shape}")
-    squashed = 1.0 / (1.0 + np.exp(-scores))
-    return ClassPosterior(squashed / squashed.sum(axis=1, keepdims=True))
+    # exp(-s) overflows to inf below s = -709, and 1 / (1 + inf) is the 0.0
+    # the logistic rounds to there, so the warning carries no information
+    with np.errstate(over="ignore"):
+        squashed = 1.0 / (1.0 + np.exp(-scores))
+    totals = squashed.sum(axis=1, keepdims=True)
+    underflowed = np.flatnonzero(totals == 0.0)
+    if underflowed.size:
+        raise ContractError(f"raw score row {underflowed[0]}: the logistic of every class score underflows to 0")
+    return ClassPosterior(squashed / totals)
 
 
 def kl_sigmoid(p_gen: ClassPosterior, p_ref: ClassPosterior) -> float:

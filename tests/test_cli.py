@@ -1,5 +1,6 @@
 """Command-line surface: flows, exit codes, JSON errors, config precedence."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -242,6 +243,33 @@ def test_eval_missing_dir(workdir, capsys):
     assert err["error"]["kind"] == "ContractError"
 
 
+@pytest.mark.parametrize(
+    "fill, digest",
+    [
+        (3000.0, "ef3e163d80231fa54596431929d1647994efc79cde26d22e10e09873340f8bf8"),
+        (-3000.0, "88103501b6232cf21c6acc480919151459dfffad19a7f834ce22480f0460ea3c"),
+    ],
+)
+def test_eval_far_out_class_scores_report_without_warnings(tmp_path, capsys, fill, digest):
+    """A latent column at +-3000 drives a raw class score past the point where
+    the logistic's exp overflows; the report keeps the bytes it had while
+    that overflow still warned."""
+    rng = np.random.default_rng(0)
+    for side in ("gen", "ref"):
+        (tmp_path / side).mkdir()
+        for i in range(3):
+            container.write_latents(str(tmp_path / side / f"c{i}.ysnd"), {"latent": rng.normal(size=(16, 4))})
+    far = rng.normal(size=(16, 4))
+    far[:, 0] = fill
+    container.write_latents(str(tmp_path / "gen" / "c0.ysnd"), {"latent": far})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["eval", str(tmp_path / "gen"), str(tmp_path / "ref"), "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.err, [str(w.message) for w in caught]) == (0, "", [])
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # pipeline
 
@@ -285,6 +313,32 @@ def test_pipeline_keep_speech_flag(workdir, manifest, capsys):
     assert "speech,0" in capsys.readouterr().out
     ids = [line.split(",")[0] for line in dst.read_text().splitlines()[1:]]
     assert "talky" in ids or "talky#0" in ids
+
+
+@pytest.mark.parametrize(
+    "dst_name, report_name, kind",
+    [
+        ("unreported.manifest", "nodir/r.txt", "FileNotFoundError"),
+        ("unreported.manifest", ".", "IsADirectoryError"),
+        ("nodir/out.manifest", "unwritten.txt", "FileNotFoundError"),
+    ],
+)
+def test_pipeline_unwritable_output_leaves_both_files_as_they_were(tmp_path, manifest, capsys, dst_name, report_name, kind):
+    dst, report = tmp_path / dst_name, tmp_path / report_name
+    earlier = {}
+    for path in (dst, report):
+        if path.parent.is_dir() and not path.is_dir():
+            path.write_text(f"an earlier run's {path.name}\n")
+            earlier[path] = path.read_bytes()
+    code = main(["pipeline", str(manifest), str(dst), "--report", str(report)])
+    assert code == 1
+    captured = capsys.readouterr()
+    err_lines = captured.err.splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["error"]["kind"] == kind
+    assert captured.out == ""
+    assert {path: path.read_bytes() for path in earlier} == earlier
+    assert sorted(os.listdir(tmp_path)) == sorted(path.name for path in earlier)
 
 
 def test_pipeline_missing_input(workdir, capsys):

@@ -1,6 +1,9 @@
 """Manifest pipeline: parse/format round-trips, filter order, cutting."""
 
 import math
+import os
+import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,6 +226,57 @@ def test_write_read_manifest_roundtrip(tmp_path):
     back, problems = read_manifest(path)
     assert problems == []
     assert back == records
+
+
+@pytest.fixture(scope="module")
+def two_label_manifest(tmp_path_factory):
+    """20k records of two events each, one "hit" and one "thud"."""
+    path = tmp_path_factory.mktemp("two_labels") / "in.txt"
+    lines = [MANIFEST_HEADER] + [f"c{i:05d},2.0,hit:0.25:0.5;thud:1.0:1.5,0.5,0.5,0,0" for i in range(20_000)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_read_manifest_shares_one_string_per_label(two_label_manifest):
+    records, problems = read_manifest(str(two_label_manifest))
+    assert problems == []
+    labels = [label for r in records for label, _, _ in r.events]
+    assert len(labels) == 40_000
+    assert len({id(label) for label in labels}) == 2
+    segments = process_records(records, FilterPolicy()).segments
+    assert len({id(seg.events[0][0]) for seg in segments}) == 2
+
+
+def test_write_manifest_holds_no_copy_of_its_text(two_label_manifest, tmp_path):
+    records, _ = read_manifest(str(two_label_manifest))
+    out = tmp_path / "out.txt"
+    tracemalloc.start()
+    try:
+        write_manifest(str(out), records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25e6  # a list of the lines, their join and its encoding took 7.1 MB
+    assert out.read_bytes() == two_label_manifest.read_bytes()
+
+
+def test_write_manifest_that_fails_part_way_leaves_the_old_file(tmp_path):
+    path = tmp_path / "m.txt"
+    write_manifest(str(path), [_record()])
+    before = path.read_bytes()
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+    def records():
+        for i in range(5_000):  # more than one write buffer, so the failure comes mid-file
+            yield _record(clip_id=f"new{i}")
+        raise RuntimeError("record source failed")
+
+    with pytest.raises(RuntimeError, match="record source failed"):
+        write_manifest(str(path), records())
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["m.txt"]
 
 
 @st.composite

@@ -71,6 +71,8 @@ def test_posterior_validation():
         ClassPosterior(np.array([[0.6, 0.6]]))
     with pytest.raises(ContractError):
         ClassPosterior(np.array([[-0.1, 1.1]]))
+    with pytest.raises(ContractError, match="finite"):
+        ClassPosterior(np.array([[np.nan, np.nan]]))
     with pytest.raises(ShapeError):
         ClassPosterior(np.array([[1.0]]))
 
@@ -163,6 +165,15 @@ def test_sigmoid_calibrate_hand_value():
     # logistic(0) = 1/2, logistic(ln 3) = 3/4; normalized: (0.4, 0.6)
     post = sigmoid_calibrate(np.array([[0.0, math.log(3.0)]]))
     assert np.abs(post.probs - np.array([[0.4, 0.6]])).max() <= 1e-12
+
+
+def test_sigmoid_calibrate_far_out_scores_warn_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        post = sigmoid_calibrate(np.array([[-800.0, 0.0], [3000.0, -3000.0]]))
+        assert post.probs.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        with pytest.raises(ContractError, match="row 1: the logistic of every class score underflows"):
+            sigmoid_calibrate(np.array([[0.0, 0.0], [-800.0, -800.0]]))
 
 
 def test_sigmoid_calibrate_shape_error():
