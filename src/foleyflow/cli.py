@@ -4,6 +4,11 @@ Every command takes --seed (the single source of randomness) and
 --config, a key=value file whose entries are applied as flag defaults;
 explicit flags win. Errors leave through a one-line JSON record on
 stderr and a nonzero exit code.
+
+Output files go through container.replacing. A command that writes
+several opens the last file's temporary file first, writes the others,
+replaces the last file last and prints only then: an unusable path
+fails before any file changes or anything is printed.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import container, datapipe, flow, metrics, providers, refiner, training
@@ -95,11 +101,6 @@ def _require_file(path: str, what: str) -> None:
         raise ContractError(f"{what} not found: {path}")
 
 
-def _require_dir(path: str, what: str) -> None:
-    if not os.path.isdir(path):
-        raise ContractError(f"{what} not found: {path}")
-
-
 def _load_video(arg: str, cfg: ModelConfig):
     """A path to a latent container with a video_feat record, or an id for
     the synthetic provider."""
@@ -117,17 +118,11 @@ def _build_condition(args, cfg: ModelConfig) -> ConditionBundle:
     return ConditionBundle(text_emb=text_emb, video_feat=video_feat)
 
 
-def _write_envelope_csv(path: str, arrays: dict, frame_rate: float) -> None:
-    names = list(arrays)
-    length = max(a.size for a in arrays.values())
-    lines = ["time," + ",".join(names)]
-    for i in range(length):
-        cells = [repr(i / frame_rate)]
-        for name in names:
-            arr = arrays[name]
-            cells.append(repr(float(arr[i])) if i < arr.size else "")
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_envelope_csv(out, arrays: dict, frame_rate: float) -> None:
+    out.write("time," + ",".join(arrays) + "\n")
+    for i in range(max(a.size for a in arrays.values())):
+        cells = [repr(float(a[i])) if i < a.size else "" for a in arrays.values()]
+        out.write(",".join([repr(i / frame_rate), *cells]) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -198,30 +193,28 @@ def cmd_sample(args) -> int:
     metrics.check_frame_rate(args.frame_rate, model.config.t_audio)
     cond = _build_condition(args, model.config)
     latent = flow.sample(model, cond, sampler_cfg)
-    container.write_latents(args.out, {metrics.LATENT_RECORD: latent})
     env = metrics.energy_envelope(latent)
-    _write_envelope_csv(args.out + ".env.csv", {"audio_energy": env}, args.frame_rate)
+    with container.replacing(args.out + ".env.csv") as env_csv:
+        container.write_latents(args.out, {metrics.LATENT_RECORD: latent})
+        _write_envelope_csv(env_csv, {"audio_energy": env}, args.frame_rate)
     print(f"wrote {args.out} ({latent.shape[0]} frames)")
     return 0
 
 
 def cmd_eval(args) -> int:
-    _require_dir(args.gen_dir, "generated directory")
-    _require_dir(args.ref_dir, "reference directory")
     report = metrics.evaluate_set(args.gen_dir, args.ref_dir, args.frame_rate)
     rendered = metrics.render_report(report, as_json=args.json)
+    # --out is the last file; the plot CSVs are written inside its with-block
+    with container.replacing(args.out) if args.out is not None else nullcontext() as out:
+        if out is not None:
+            out.write(rendered + "\n")
+        if args.plot is not None:
+            Path(args.plot).mkdir(parents=True, exist_ok=True)
+            for pair in report.pairs:
+                with container.replacing(str(Path(args.plot) / f"{pair.clip_id}.envelopes.csv")) as csv:
+                    envelopes = {"audio_energy": pair.gen_envelope, "video_energy": pair.ref_envelope}
+                    _write_envelope_csv(csv, envelopes, args.frame_rate)
     print(rendered)
-    if args.plot is not None:  # made first, so an unusable --plot leaves no report behind
-        Path(args.plot).mkdir(parents=True, exist_ok=True)
-    if args.out is not None:
-        Path(args.out).write_text(rendered + "\n", encoding="utf-8")
-    if args.plot is not None:
-        for pair in report.pairs:
-            _write_envelope_csv(
-                str(Path(args.plot) / f"{pair.clip_id}.envelopes.csv"),
-                {"audio_energy": pair.gen_envelope, "video_energy": pair.ref_envelope},
-                args.frame_rate,
-            )
     return 0
 
 
@@ -252,9 +245,10 @@ def cmd_refine(args) -> int:
     coarse = records[metrics.LATENT_RECORD]
     cond = _build_condition(args, model.config)
     result = refiner.refine(model, cond, coarse, args.k, sampler_cfg, args.frame_rate)
-    container.write_latents(args.out, {metrics.LATENT_RECORD: result.best})
     trace_text = refiner.render_trace(result)
-    Path(args.out + ".trace.csv").write_text(trace_text + "\n", encoding="utf-8")
+    with container.replacing(args.out + ".trace.csv") as trace:
+        trace.write(trace_text + "\n")
+        container.write_latents(args.out, {metrics.LATENT_RECORD: result.best})
     print(trace_text)
     print(f"wrote {args.out} (picked {result.picked})")
     return 0

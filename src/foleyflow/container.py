@@ -17,8 +17,11 @@ record names.
 
 from __future__ import annotations
 
+import errno
 import math
+import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from .errors import FormatError
 
 MAGIC = b"YSND"
 VERSION = 2
+_HEADER = MAGIC + struct.pack("<I", VERSION)
 
 CONFIG_INT_FIELDS = (
     "d_model",
@@ -39,6 +43,36 @@ CONFIG_INT_FIELDS = (
 
 _MAX_NAME = 4096
 _MAX_NDIM = 8
+
+
+@contextmanager
+def replacing(path: str, binary: bool = False):
+    """The package's one writer: a utf-8 text (or binary) file that takes
+    path's place only if the with-block completes.
+
+    It is a new file in path's directory, flushed, fsynced and then
+    os.replace'd onto path. On any exception it is removed and the
+    exception re-raised, so path keeps its old bytes or stays absent. A
+    path that is a directory fails on entry, as a plain open would. Only
+    train's events.log is written in place: a stream that a diverged run
+    keeps up to its failing step, next to its divergence checkpoint.
+    """
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    folder, name = os.path.split(path)
+    tmp = os.path.join(folder, f".{name}.{os.urandom(4).hex()}.tmp")
+    # mode "x" never takes over an existing file, and gives the new one the
+    # permissions a plain open would (tempfile's files are private, 0600)
+    out = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8")
+    try:
+        with out:
+            yield out
+            out.flush()
+            os.fsync(out.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _pack_records(arrays: dict) -> bytes:
@@ -79,12 +113,16 @@ class _Reader:
         return self.u32s(1)[0]
 
 
-def _check_header(r: _Reader) -> None:
+def _read(path: str) -> _Reader:
+    """A reader positioned after a checked magic and version."""
+    with open(path, "rb") as fh:
+        r = _Reader(fh.read(), path)
     if r.take(4) != MAGIC:
         raise FormatError(f"{r.path}: bad magic, not a container file")
     version = r.u32()
     if version != VERSION:
         raise FormatError(f"{r.path}: unsupported container version {version}")
+    return r
 
 
 def _unpack_records(r: _Reader) -> dict:
@@ -116,34 +154,29 @@ def _unpack_records(r: _Reader) -> dict:
     return arrays
 
 
+def _write(path: str, head: bytes, arrays: dict) -> None:
+    with replacing(path, binary=True) as fh:
+        fh.write(head)
+        fh.write(_pack_records(arrays))
+
+
 def write_checkpoint(path: str, config_values: dict, arrays: dict) -> None:
     """Write model parameters plus the config fields that rebuild them."""
-    header = [MAGIC, struct.pack("<I", VERSION)]
-    header.append(struct.pack("<7i", *(int(config_values[f]) for f in CONFIG_INT_FIELDS)))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(header))
-        fh.write(_pack_records(arrays))
+    config = struct.pack("<7i", *(int(config_values[f]) for f in CONFIG_INT_FIELDS))
+    _write(path, _HEADER + config, arrays)
 
 
 def read_checkpoint(path: str) -> tuple[dict, dict]:
     """Return (config field dict, name -> float64 array)."""
-    with open(path, "rb") as fh:
-        r = _Reader(fh.read(), path)
-    _check_header(r)
+    r = _read(path)
     fields = {name: struct.unpack("<i", r.take(4))[0] for name in CONFIG_INT_FIELDS}
     return fields, _unpack_records(r)
 
 
 def write_latents(path: str, arrays: dict) -> None:
     """Write named float64 arrays (latents, feature buffers) to one file."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(_pack_records(arrays))
+    _write(path, _HEADER, arrays)
 
 
 def read_latents(path: str) -> dict:
-    with open(path, "rb") as fh:
-        r = _Reader(fh.read(), path)
-    _check_header(r)
-    return _unpack_records(r)
+    return _unpack_records(_read(path))

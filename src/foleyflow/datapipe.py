@@ -17,16 +17,14 @@ through unchanged, which makes the pipeline idempotent on its own output.
 
 from __future__ import annotations
 
-import errno
 import math
-import os
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from .container import replacing
 from .errors import ConfigError, ContractError, FormatError
 from .metrics import check_frame_rate, envelope_alignment
 
@@ -174,40 +172,13 @@ def read_manifest(path: str) -> tuple[list, list]:
     return records, problems
 
 
-@contextmanager
-def _replacing(path: str):
-    """A text file that takes path's place only if the with-block completes.
-
-    It is a new file in path's directory, flushed, fsynced and then
-    os.replace'd onto path. On any exception it is removed and the
-    exception re-raised, so path keeps its old bytes or stays absent.
-    A path that is a directory fails on entry, as a plain open would.
-    """
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    folder, name = os.path.split(path)
-    tmp = os.path.join(folder, f".{name}.{os.urandom(4).hex()}.tmp")
-    # mode "x" never takes over an existing file, and gives the new one the
-    # permissions a plain open would (tempfile's files are private, 0600)
-    out = open(tmp, "x", encoding="utf-8")
-    try:
-        with out:
-            yield out
-            out.flush()
-            os.fsync(out.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def write_manifest(path: str, records) -> None:
     """Write the header, then one line per record, straight to the file.
 
     No copy of the text is held in memory, and the file takes path's place
-    atomically once every record is written (see _replacing).
+    atomically once every record is written (see container.replacing).
     """
-    with _replacing(path) as out:
+    with replacing(path) as out:
         out.write(MANIFEST_HEADER + "\n")
         out.writelines(format_record(r) + "\n" for r in records)
 
@@ -367,7 +338,7 @@ def run_pipeline(
     if report_out is None:
         write_manifest(manifest_out, result.segments)
     else:
-        with _replacing(report_out) as report:
+        with replacing(report_out) as report:
             report.write(render_drop_report(result) + "\n")
             write_manifest(manifest_out, result.segments)
     return result

@@ -434,6 +434,74 @@ def test_bad_video_record_is_rejected_before_anything_is_written(workdir, checkp
 
 
 # ---------------------------------------------------------------------------
+# output files
+
+
+def _tree(root: Path) -> dict:
+    """Relative path -> bytes of every file under root, None for a directory."""
+    return {
+        str(path.relative_to(root)): None if path.is_dir() else path.read_bytes()
+        for path in sorted(root.rglob("*"))
+    }
+
+
+def _argv(command, out_dir, workdir, checkpoint, latent):
+    out, gen = str(out_dir / "x.ysnd"), str(workdir / "gen")
+    return {
+        "sample": ["sample", "--checkpoint", checkpoint, "--out", out, "--nfe", "2"],
+        "refine": ["refine", "--checkpoint", checkpoint, "--coarse", latent, "--out", out, "--k", "2", "--nfe", "2"],
+        "eval": ["eval", gen, gen, "--out", str(out_dir / "r.json"), "--plot", str(out_dir / "plots")],
+    }[command]
+
+
+def _fails_with_one_json_line(capsys, kind):
+    captured = capsys.readouterr()
+    err_lines = captured.err.splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["error"]["kind"] == kind
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["sample", "eval"])
+def test_an_out_in_a_missing_directory_writes_and_prints_nothing(tmp_path, workdir, checkpoint, latent, capsys, command):
+    code = main(_argv(command, tmp_path / "nodir", workdir, checkpoint, latent))
+    assert code == 1
+    _fails_with_one_json_line(capsys, "FileNotFoundError")
+    assert _tree(tmp_path) == {}
+
+
+@pytest.mark.parametrize(
+    "command, blocked",
+    [
+        ("sample", "x.ysnd"),
+        ("sample", "x.ysnd.env.csv"),
+        ("refine", "x.ysnd"),
+        ("refine", "x.ysnd.trace.csv"),
+        ("eval", "r.json"),
+    ],
+)
+def test_an_unusable_output_path_leaves_every_output_as_it_was(tmp_path, workdir, checkpoint, latent, capsys, command, blocked):
+    # a directory where one output goes; the others hold an earlier run's bytes
+    outputs = {
+        "sample": ["x.ysnd", "x.ysnd.env.csv"],
+        "refine": ["x.ysnd", "x.ysnd.trace.csv"],
+        "eval": ["r.json", "plots/clip0.envelopes.csv"],
+    }[command]
+    for name in outputs:
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        if name == blocked:
+            path.mkdir()
+        else:
+            path.write_text(f"an earlier run's {name}\n")
+    earlier = _tree(tmp_path)
+    code = main(_argv(command, tmp_path, workdir, checkpoint, latent))
+    assert code == 1
+    _fails_with_one_json_line(capsys, "IsADirectoryError")
+    assert _tree(tmp_path) == earlier  # no new bytes and no temporary file
+
+
+# ---------------------------------------------------------------------------
 # parsing and config files
 
 

@@ -1,5 +1,6 @@
 """Container files: bit-exact round-trips and corruption rejection."""
 
+import os
 import struct
 
 import numpy as np
@@ -8,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foleyflow import container
-from foleyflow.errors import FormatError
+from foleyflow.errors import DivergenceError, FormatError
 from foleyflow.model import ModelConfig, TwoTowerModel
+from foleyflow.providers import ToyClip
+from foleyflow.rng import SeededRng
+from foleyflow.training import TAG_T2A, OptimizerConfig, run_stage, stage_preset
 
 
 def _arrays():
@@ -193,6 +197,49 @@ def test_other_versions_are_format_errors(tmp_path, version, kind):
         fh.write(blob[:4] + struct.pack("<I", version) + blob[8:])
     with pytest.raises(FormatError, match=f"version {version}"):
         read(path)
+
+
+TINY = ModelConfig(d_model=4, n_layers=1, n_heads=1, d_audio_latent=2, d_video_feat=2, d_text=2, t_audio=2)
+
+
+def _diverging_stage(path):
+    """run_stage on a clip of inf, so step 1 diverges and saves to path."""
+    bad = ToyClip(
+        clip_id="bad",
+        x1=np.full((TINY.t_audio, TINY.d_audio_latent), np.inf),
+        text_emb=np.zeros((2, TINY.d_text)),
+        video_feat=np.zeros((TINY.t_audio, TINY.d_video_feat)),
+        event_frames=(0,),
+    )
+    model, stage, opt = TwoTowerModel(TINY, seed=0), stage_preset(1, steps=1), OptimizerConfig(lr=1e-3, batch_size=1)
+    run_stage(model, stage, opt, {TAG_T2A: [bad]}, SeededRng(0), checkpoint_path=path)
+
+
+WRITERS = {
+    "latents": lambda path: container.write_latents(path, _arrays()),
+    "checkpoint": lambda path: container.write_checkpoint(path, _config(), _arrays()),
+    "divergence save": _diverging_stage,
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the inf clip floods the forward pass
+@pytest.mark.parametrize("fail", ["_pack_records", "fsync"])
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_a_write_that_fails_part_way_leaves_the_earlier_file(tmp_path, monkeypatch, writer, fail):
+    # the header is already in the temporary file when _pack_records
+    # raises, and all of the bytes are when fsync does
+    path = tmp_path / "stage1.ckpt"
+    path.write_bytes(b"an earlier run's checkpoint")
+
+    def boom(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(container if fail == "_pack_records" else os, fail, boom)
+    with pytest.raises(OSError, match="disk full") as err:
+        WRITERS[writer](str(path))
+    assert isinstance(err.value.__context__, DivergenceError) == (writer == "divergence save")
+    assert path.read_bytes() == b"an earlier run's checkpoint"
+    assert os.listdir(tmp_path) == ["stage1.ckpt"]
 
 
 @pytest.fixture(scope="module")

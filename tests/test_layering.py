@@ -4,8 +4,9 @@ model and flow build tape graphs, and training runs their reverse pass;
 every other module works on plain float64 arrays. The package __init__
 binds __version__ alone, so importing a module loads only what it
 imports. The synthetic embedding stand-ins are built once, in metrics,
-and every scorer reads them from there. Beyond the standard library the
-package imports numpy alone.
+and every scorer reads them from there. Every output file is written
+through container.replacing. Beyond the standard library the package
+imports numpy alone.
 """
 
 import ast
@@ -178,6 +179,79 @@ def test_embedder_probe_sees_every_call_form():
         "c = metrics.SHARED.embed(z)\n"
     )
     assert _embedder_constructions(tree) == 2
+
+
+def _writes(tree: ast.Module) -> list:
+    """Source of each call that writes a file: open (builtin, io, os or a
+    Path's) with a w, x or a mode or a mode that is not a literal, and
+    .write_text or .write_bytes."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("write_text", "write_bytes"):
+            found.append(ast.unparse(node))
+        elif name in ("open", "fdopen"):
+            # io.open(path, mode) and os.open(path, flags) take the path first, Path.open(mode) does not
+            owner = func.value.id if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) else None
+            index = 1 if isinstance(func, ast.Name) or owner in ("io", "os", "builtins") else 0
+            mode = next((kw.value for kw in node.keywords if kw.arg in ("mode", "flags")), None)
+            if mode is None and len(node.args) > index:
+                mode = node.args[index]
+            if mode is None:
+                continue
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or set(mode.value) & set("wxa"):
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_only_container_writes_files():
+    # the one file written in place is train's events.log, a stream a
+    # diverged run keeps up to its failing step
+    writes = {
+        path.stem: _writes(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "container"
+    }
+    assert {name: found for name, found in writes.items() if found} == {"cli": ["open(log_path, 'w', encoding='utf-8')"]}
+
+
+def test_write_probe_sees_every_call_form():
+    tree = ast.parse(
+        "open(p, 'w')\n"
+        "open(p, mode='ab')\n"
+        "open(p, 'x', encoding='utf-8')\n"
+        "open(p, chosen)\n"
+        "io.open(p, 'w+')\n"
+        "os.fdopen(fd, 'wb')\n"
+        "os.open(p, os.O_WRONLY | os.O_CREAT)\n"
+        "Path(p).open('w')\n"
+        "p.open(mode='a')\n"
+        "Path(p).write_text(s)\n"
+        "p.write_bytes(b)\n"
+        "open(p)\n"
+        "open(p, 'rb')\n"
+        "io.open(p, encoding='utf-8')\n"
+        "Path(p).open()\n"
+        "p.open('r')\n"
+        "Path(p).read_text()\n"
+        "out.write(s)\n"
+    )
+    assert _writes(tree) == [
+        "open(p, 'w')",
+        "open(p, mode='ab')",
+        "open(p, 'x', encoding='utf-8')",
+        "open(p, chosen)",
+        "io.open(p, 'w+')",
+        "os.fdopen(fd, 'wb')",
+        "os.open(p, os.O_WRONLY | os.O_CREAT)",
+        "Path(p).open('w')",
+        "p.open(mode='a')",
+        "Path(p).write_text(s)",
+        "p.write_bytes(b)",
+    ]
 
 
 def _foreign_imports(tree: ast.Module) -> list:
