@@ -5,10 +5,10 @@ Every command takes --seed (the single source of randomness) and
 explicit flags win. Errors leave through a one-line JSON record on
 stderr and a nonzero exit code.
 
-Output files go through container.replacing. A command that writes
-several opens the last file's temporary file first, writes the others,
-replaces the last file last and prints only then: an unusable path
-fails before any file changes or anything is printed.
+Each command writes its output files in one container.output_set and
+prints only once the set has renamed them all into place: an unusable
+path, or one named twice, fails before any file changes or anything is
+printed.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import nullcontext
 from pathlib import Path
 
 from . import container, datapipe, flow, metrics, providers, refiner, training
@@ -194,9 +193,10 @@ def cmd_sample(args) -> int:
     cond = _build_condition(args, model.config)
     latent = flow.sample(model, cond, sampler_cfg)
     env = metrics.energy_envelope(latent)
-    with container.replacing(args.out + ".env.csv") as env_csv:
+    with container.output_set():
         container.write_latents(args.out, {metrics.LATENT_RECORD: latent})
-        _write_envelope_csv(env_csv, {"audio_energy": env}, args.frame_rate)
+        with container.replacing(args.out + ".env.csv") as env_csv:
+            _write_envelope_csv(env_csv, {"audio_energy": env}, args.frame_rate)
     print(f"wrote {args.out} ({latent.shape[0]} frames)")
     return 0
 
@@ -204,10 +204,10 @@ def cmd_sample(args) -> int:
 def cmd_eval(args) -> int:
     report = metrics.evaluate_set(args.gen_dir, args.ref_dir, args.frame_rate)
     rendered = metrics.render_report(report, as_json=args.json)
-    # --out is the last file; the plot CSVs are written inside its with-block
-    with container.replacing(args.out) if args.out is not None else nullcontext() as out:
-        if out is not None:
-            out.write(rendered + "\n")
+    with container.output_set():
+        if args.out is not None:
+            with container.replacing(args.out) as out:
+                out.write(rendered + "\n")
         if args.plot is not None:
             Path(args.plot).mkdir(parents=True, exist_ok=True)
             for pair in report.pairs:
@@ -226,10 +226,15 @@ def cmd_pipeline(args) -> int:
         drop_speech=not args.keep_speech,
         drop_bgm=not args.keep_bgm,
     )
-    result = datapipe.run_pipeline(args.manifest_in, args.manifest_out, policy, report_out=args.report)
+    with container.output_set():
+        result = datapipe.run_pipeline(args.manifest_in, args.manifest_out, policy)
+        rendered = datapipe.render_drop_report(result)
+        if args.report is not None:
+            with container.replacing(args.report) as report:
+                report.write(rendered + "\n")
     for lineno, reason in result.parse_problems:
         print(f"warning: manifest line {lineno}: {reason}", file=sys.stderr)
-    print(datapipe.render_drop_report(result))
+    print(rendered)
     return 0
 
 
@@ -246,9 +251,10 @@ def cmd_refine(args) -> int:
     cond = _build_condition(args, model.config)
     result = refiner.refine(model, cond, coarse, args.k, sampler_cfg, args.frame_rate)
     trace_text = refiner.render_trace(result)
-    with container.replacing(args.out + ".trace.csv") as trace:
-        trace.write(trace_text + "\n")
+    with container.output_set():
         container.write_latents(args.out, {metrics.LATENT_RECORD: result.best})
+        with container.replacing(args.out + ".trace.csv") as trace:
+            trace.write(trace_text + "\n")
     print(trace_text)
     print(f"wrote {args.out} (picked {result.picked})")
     return 0

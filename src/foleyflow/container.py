@@ -22,10 +22,11 @@ import math
 import os
 import struct
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ContractError, FormatError
 
 MAGIC = b"YSND"
 VERSION = 2
@@ -45,34 +46,76 @@ _MAX_NAME = 4096
 _MAX_NDIM = 8
 
 
+# the output set open in this thread or task: absolute path -> (temporary
+# file, path), in staging order
+_staged: ContextVar = ContextVar("output_set", default=None)
+
+
+@contextmanager
+def output_set():
+    """A command's output set: the files that replacing() writes inside it
+    take their paths' places together, when the with-block completes.
+
+    Each file is written to its temporary file and closed, and every one
+    is renamed onto its path in one loop at the end. On any exception
+    before that loop every temporary file is removed, so each path keeps
+    its old bytes or stays absent. A rename that fails inside the loop
+    (say, on a full disk) leaves the files renamed before it with their
+    new bytes and the rest with their old ones. A path named twice in one
+    set is a ContractError. A set opened inside a set joins it.
+    """
+    if _staged.get() is not None:
+        yield _staged.get()
+        return
+    staged: dict = {}
+    token = _staged.set(staged)
+    try:
+        yield staged
+        for key, (tmp, path) in list(staged.items()):
+            os.replace(tmp, path)
+            del staged[key]
+    except BaseException:
+        for tmp, _ in staged.values():
+            os.unlink(tmp)
+        raise
+    finally:
+        _staged.reset(token)
+
+
 @contextmanager
 def replacing(path: str, binary: bool = False):
     """The package's one writer: a utf-8 text (or binary) file that takes
-    path's place only if the with-block completes.
+    path's place only if the with-block completes, and inside an
+    output_set only once the whole set does.
 
-    It is a new file in path's directory, flushed, fsynced and then
-    os.replace'd onto path. On any exception it is removed and the
-    exception re-raised, so path keeps its old bytes or stays absent. A
-    path that is a directory fails on entry, as a plain open would. Only
-    train's events.log is written in place: a stream that a diverged run
-    keeps up to its failing step, next to its divergence checkpoint.
+    It is a new file in path's directory, flushed, fsynced and closed,
+    then os.replace'd onto path; outside an output_set it is a set of
+    one. On any exception it is removed and the exception re-raised, so
+    path keeps its old bytes or stays absent. A path that is a directory
+    fails on entry, as a plain open would. Only train's events.log is
+    written in place: a stream that a diverged run keeps up to its
+    failing step, next to its divergence checkpoint.
     """
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    folder, name = os.path.split(path)
-    tmp = os.path.join(folder, f".{name}.{os.urandom(4).hex()}.tmp")
-    # mode "x" never takes over an existing file, and gives the new one the
-    # permissions a plain open would (tempfile's files are private, 0600)
-    out = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8")
-    try:
-        with out:
-            yield out
-            out.flush()
-            os.fsync(out.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with output_set() as staged:
+        key = os.path.abspath(path)
+        if key in staged:
+            raise ContractError(f"{path}: named twice among one command's output files")
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        folder, name = os.path.split(path)
+        tmp = os.path.join(folder, f".{name}.{os.urandom(4).hex()}.tmp")
+        # mode "x" never takes over an existing file, and gives the new one the
+        # permissions a plain open would (tempfile's files are private, 0600)
+        out = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8")
+        try:
+            with out:
+                yield out
+                out.flush()
+                os.fsync(out.fileno())
+        except BaseException:
+            os.unlink(tmp)
+            raise
+        staged[key] = (tmp, path)
 
 
 def _pack_records(arrays: dict) -> bytes:

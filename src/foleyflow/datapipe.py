@@ -22,11 +22,8 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from .container import replacing
 from .errors import ConfigError, ContractError, FormatError
-from .metrics import check_frame_rate, envelope_alignment
 
 MANIFEST_HEADER = "#ysnd-manifest v1"
 
@@ -176,7 +173,8 @@ def write_manifest(path: str, records) -> None:
     """Write the header, then one line per record, straight to the file.
 
     No copy of the text is held in memory, and the file takes path's place
-    atomically once every record is written (see container.replacing).
+    atomically once every record is written, or inside an output set once
+    the whole set is (see container.replacing).
     """
     with replacing(path) as out:
         out.write(MANIFEST_HEADER + "\n")
@@ -184,34 +182,7 @@ def write_manifest(path: str, records) -> None:
 
 
 # ---------------------------------------------------------------------------
-# scoring, filtering, cutting
-
-
-def score_alignment(
-    record: ClipRecord,
-    audio_envelope,
-    video_envelope,
-    frame_rate: float,
-) -> ClipRecord:
-    """Fill av_align_score from paired energy envelopes (envelope_alignment).
-
-    Either envelope missing leaves the record unscored on the alignment
-    axis (the filter will then drop it as "unscored"). Envelopes must
-    cover the clip duration at the given frame rate.
-    """
-    if audio_envelope is None or video_envelope is None:
-        return replace(record, av_align_score=None)
-    audio_env = np.asarray(audio_envelope, dtype=np.float64)
-    video_env = np.asarray(video_envelope, dtype=np.float64)
-    check_frame_rate(frame_rate, max(audio_env.size, video_env.size))
-    for name, env in (("audio", audio_env), ("video", video_env)):
-        covered = env.size / frame_rate
-        if covered + 1e-9 < record.duration:
-            raise ContractError(
-                f"{record.clip_id}: {name} envelope covers {covered:.3f}s of a {record.duration:.3f}s clip"
-            )
-    score = envelope_alignment(audio_env, frame_rate, video_env, frame_rate)
-    return replace(record, av_align_score=score)
+# filtering, cutting
 
 
 def drop_reason(record: ClipRecord, policy: FilterPolicy) -> str | None:
@@ -287,23 +258,8 @@ class PipelineResult:
     parse_problems: tuple = ()
 
 
-def process_records(records, policy: FilterPolicy, envelope_provider=None) -> PipelineResult:
-    """Score (when a provider is given), filter, and cut a record list.
-
-    envelope_provider, when present, maps clip_id -> (audio_envelope,
-    video_envelope, frame_rate) and is consulted only for records that
-    still lack an alignment score.
-    """
-    if envelope_provider is not None:
-        scored: list = []
-        for record in records:
-            if record.av_align_score is None:
-                provided = envelope_provider(record.clip_id)
-                if provided is not None:
-                    audio_env, video_env, frame_rate = provided
-                    record = score_alignment(record, audio_env, video_env, frame_rate)
-            scored.append(record)
-        records = scored
+def process_records(records, policy: FilterPolicy) -> PipelineResult:
+    """Filter and cut a record list."""
     kept, dropped = filter_records(records, policy)
     counts = {reason: 0 for reason in DROP_REASONS}
     for _, reason in dropped:
@@ -319,28 +275,11 @@ def process_records(records, policy: FilterPolicy, envelope_provider=None) -> Pi
     )
 
 
-def run_pipeline(
-    manifest_in: str,
-    manifest_out: str,
-    policy: FilterPolicy,
-    envelope_provider=None,
-    report_out: str | None = None,
-) -> PipelineResult:
-    """File-level pipeline: read, score, filter, cut, write.
-
-    With report_out, the drop report's temporary file is opened before the
-    manifest is written and replaces report_out only after the manifest
-    has replaced manifest_out, so a path that cannot be written, either
-    one, fails before either file changes.
-    """
+def run_pipeline(manifest_in: str, manifest_out: str, policy: FilterPolicy) -> PipelineResult:
+    """File-level pipeline: read, filter, cut, write."""
     records, problems = read_manifest(manifest_in)
-    result = replace(process_records(records, policy, envelope_provider), parse_problems=tuple(problems))
-    if report_out is None:
-        write_manifest(manifest_out, result.segments)
-    else:
-        with replacing(report_out) as report:
-            report.write(render_drop_report(result) + "\n")
-            write_manifest(manifest_out, result.segments)
+    result = replace(process_records(records, policy), parse_problems=tuple(problems))
+    write_manifest(manifest_out, result.segments)
     return result
 
 

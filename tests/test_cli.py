@@ -341,6 +341,17 @@ def test_pipeline_unwritable_output_leaves_both_files_as_they_were(tmp_path, man
     assert sorted(os.listdir(tmp_path)) == sorted(path.name for path in earlier)
 
 
+@pytest.mark.parametrize("report_name", ["out.m", "./out.m"])
+def test_pipeline_report_at_the_manifest_path_changes_nothing(tmp_path, manifest, capsys, report_name):
+    # one path named twice in a command's outputs would keep only the file renamed last
+    dst = tmp_path / "out.m"
+    dst.write_text("an earlier run's out.m\n")
+    code = main(["pipeline", str(manifest), str(dst), "--report", f"{tmp_path}/{report_name}"])
+    assert code == 1
+    _fails_with_one_json_line(capsys, "ContractError")
+    assert _tree(tmp_path) == {"out.m": b"an earlier run's out.m\n"}
+
+
 def test_pipeline_missing_input(workdir, capsys):
     code = main(["pipeline", str(workdir / "absent.manifest"), str(workdir / "x.manifest")])
     assert code == 1
@@ -478,6 +489,7 @@ def test_an_out_in_a_missing_directory_writes_and_prints_nothing(tmp_path, workd
         ("refine", "x.ysnd"),
         ("refine", "x.ysnd.trace.csv"),
         ("eval", "r.json"),
+        ("eval", "plots/clip1.envelopes.csv"),
     ],
 )
 def test_an_unusable_output_path_leaves_every_output_as_it_was(tmp_path, workdir, checkpoint, latent, capsys, command, blocked):
@@ -485,7 +497,7 @@ def test_an_unusable_output_path_leaves_every_output_as_it_was(tmp_path, workdir
     outputs = {
         "sample": ["x.ysnd", "x.ysnd.env.csv"],
         "refine": ["x.ysnd", "x.ysnd.trace.csv"],
-        "eval": ["r.json", "plots/clip0.envelopes.csv"],
+        "eval": ["r.json", "plots/clip0.envelopes.csv", "plots/clip1.envelopes.csv"],
     }[command]
     for name in outputs:
         path = tmp_path / name

@@ -2,6 +2,7 @@
 
 import os
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -240,6 +241,71 @@ def test_a_write_that_fails_part_way_leaves_the_earlier_file(tmp_path, monkeypat
     assert isinstance(err.value.__context__, DivergenceError) == (writer == "divergence save")
     assert path.read_bytes() == b"an earlier run's checkpoint"
     assert os.listdir(tmp_path) == ["stage1.ckpt"]
+
+
+def _tree(root) -> dict:
+    """Name -> bytes of every entry under root, None for a directory."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes() for p in sorted(root.rglob("*"))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(earlier=st.lists(st.none() | st.binary(max_size=8), min_size=1, max_size=6), data=st.data())
+def test_an_output_set_renames_every_file_or_none(tmp_path_factory, earlier, data):
+    # each of N paths holds earlier bytes or is absent; a failure at file k,
+    # an exception in its block or a directory at its path, leaves every
+    # path as it was, and only one temporary file is ever open
+    fail = data.draw(st.none() | st.tuples(st.integers(0, len(earlier) - 1), st.sampled_from(["raise", "directory"])))
+    root = tmp_path_factory.mktemp("set")
+    for i, blob in enumerate(earlier):
+        if fail == (i, "directory"):
+            (root / f"f{i}").mkdir()
+        elif blob is not None:
+            (root / f"f{i}").write_bytes(blob)
+    before = _tree(root)
+    handles = []
+
+    def one_at_a_time(*args, **kwargs):
+        assert all(h.closed for h in handles)
+        handles.append(open(*args, **kwargs))
+        return handles[-1]
+
+    with mock.patch.object(container, "open", one_at_a_time, create=True):
+        try:
+            with container.output_set():
+                for i in range(len(earlier)):
+                    with container.replacing(str(root / f"f{i}"), binary=True) as out:
+                        out.write(b"new %d" % i)
+                        if fail == (i, "raise"):
+                            raise OSError("disk full")
+        except OSError:  # IsADirectoryError included
+            assert fail is not None
+            assert _tree(root) == before
+        else:
+            assert fail is None
+            assert _tree(root) == {f"f{i}": b"new %d" % i for i in range(len(earlier))}
+
+
+def test_a_rename_that_fails_part_way_keeps_what_it_renamed(tmp_path, monkeypatch):
+    # the second of three renames fails: the first file has its new bytes,
+    # the other two their old ones, and no temporary file is left
+    paths = [tmp_path / name for name in "abc"]
+    for path in paths:
+        path.write_text("old")
+    renames = []
+
+    def second_fails(src, dst):
+        renames.append(dst)
+        if len(renames) == 2:
+            raise OSError("disk full")
+        os.rename(src, dst)
+
+    monkeypatch.setattr(os, "replace", second_fails)
+    with pytest.raises(OSError, match="disk full"):
+        with container.output_set():
+            for path in paths:
+                with container.replacing(str(path)) as out:
+                    out.write("new")
+    assert _tree(tmp_path) == {"a": b"new", "b": b"old", "c": b"old"}
 
 
 @pytest.fixture(scope="module")

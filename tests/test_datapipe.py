@@ -24,7 +24,6 @@ from foleyflow.datapipe import (
     read_manifest,
     render_drop_report,
     run_pipeline,
-    score_alignment,
     write_manifest,
 )
 from foleyflow.errors import ConfigError, ContractError, FormatError
@@ -343,45 +342,6 @@ def test_read_manifest_parses_or_raises_format_error(tmp_path, body):
 
 
 # ---------------------------------------------------------------------------
-# scoring
-
-
-def test_score_alignment_fills_score():
-    rec = _record(av_align_score=None)
-    fr = 10.0
-    n = int(rec.duration * fr)
-    audio = np.zeros(n)
-    video = np.zeros(n)
-    audio[[4, 12]] = 1.0
-    video[[4, 12]] = 1.0
-    scored = score_alignment(rec, audio, video, fr)
-    assert scored.av_align_score == 1.0
-    misaligned = np.zeros(n)
-    misaligned[[8, 16]] = 1.0
-    scored = score_alignment(rec, audio, misaligned, fr)
-    assert scored.av_align_score == 0.0
-
-
-def test_score_alignment_missing_envelope_leaves_unscored():
-    rec = _record(av_align_score=None)
-    out = score_alignment(rec, None, np.zeros(20), 10.0)
-    assert out.av_align_score is None
-
-
-@pytest.mark.parametrize("frame_rate", [0.0, -10.0, math.nan, math.inf])
-def test_bad_frame_rate_is_a_contract_error(frame_rate):
-    rec = _record(av_align_score=None)
-    with pytest.raises(ContractError, match="frame_rate"):
-        score_alignment(rec, np.zeros(20), np.zeros(20), frame_rate)
-
-
-def test_score_alignment_coverage_contract():
-    rec = _record(av_align_score=None)
-    with pytest.raises(ContractError, match="covers"):
-        score_alignment(rec, np.zeros(5), np.zeros(20), 10.0)
-
-
-# ---------------------------------------------------------------------------
 # filtering
 
 
@@ -476,28 +436,6 @@ def test_process_records_conservation():
     assert set(result.drop_counts) == set(DROP_REASONS)
     # every kept record contributes one segment per event
     assert len(result.segments) == sum(len(r.events) for r in result.kept)
-
-
-def test_process_records_scores_via_provider():
-    rec = _record(clip_id="needs-score", av_align_score=None)
-    fr = 10.0
-    n = int(rec.duration * fr)
-    env = np.zeros(n)
-    env[[4, 12]] = 1.0
-
-    def provider(clip_id):
-        assert clip_id == "needs-score"
-        return env, env, fr
-
-    result = process_records([rec], FilterPolicy(), provider)
-    assert len(result.kept) == 1
-    assert result.kept[0].av_align_score == 1.0
-
-
-def test_process_records_provider_returning_none_leaves_unscored():
-    rec = _record(av_align_score=None)
-    result = process_records([rec], FilterPolicy(), lambda cid: None)
-    assert result.drop_counts["unscored"] == 1
 
 
 def test_run_pipeline_end_to_end(tmp_path):

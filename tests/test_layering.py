@@ -5,8 +5,9 @@ every other module works on plain float64 arrays. The package __init__
 binds __version__ alone, so importing a module loads only what it
 imports. The synthetic embedding stand-ins are built once, in metrics,
 and every scorer reads them from there. Every output file is written
-through container.replacing. Beyond the standard library the package
-imports numpy alone.
+through container.replacing, and only container renames a file into
+place, so a command's output set is committed in one place. Beyond the
+standard library the package imports numpy alone.
 """
 
 import ast
@@ -182,20 +183,25 @@ def test_embedder_probe_sees_every_call_form():
 
 
 def _writes(tree: ast.Module) -> list:
-    """Source of each call that writes a file: open (builtin, io, os or a
-    Path's) with a w, x or a mode or a mode that is not a literal, and
-    .write_text or .write_bytes."""
+    """Source of each call that writes or renames a file: open (builtin,
+    io, os or a Path's) with a w, x or a mode or a mode that is not a
+    literal, .write_text or .write_bytes, os.replace, os.rename,
+    shutil.move, and a Path's .replace or .rename (one positional
+    argument, where str.replace takes two)."""
     found = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name in ("write_text", "write_bytes"):
+        owner = func.value.id if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) else None
+        if name in ("write_text", "write_bytes") or (owner, name) == ("shutil", "move"):
             found.append(ast.unparse(node))
+        elif name in ("replace", "rename") and isinstance(func, ast.Attribute):
+            if owner == "os" or (len(node.args) == 1 and not node.keywords):
+                found.append(ast.unparse(node))
         elif name in ("open", "fdopen"):
             # io.open(path, mode) and os.open(path, flags) take the path first, Path.open(mode) does not
-            owner = func.value.id if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) else None
             index = 1 if isinstance(func, ast.Name) or owner in ("io", "os", "builtins") else 0
             mode = next((kw.value for kw in node.keywords if kw.arg in ("mode", "flags")), None)
             if mode is None and len(node.args) > index:
@@ -231,6 +237,11 @@ def test_write_probe_sees_every_call_form():
         "p.open(mode='a')\n"
         "Path(p).write_text(s)\n"
         "p.write_bytes(b)\n"
+        "os.replace(a, b)\n"
+        "os.rename(a, b)\n"
+        "shutil.move(a, b)\n"
+        "Path(a).replace(b)\n"
+        "p.rename(b)\n"
         "open(p)\n"
         "open(p, 'rb')\n"
         "io.open(p, encoding='utf-8')\n"
@@ -238,6 +249,9 @@ def test_write_probe_sees_every_call_form():
         "p.open('r')\n"
         "Path(p).read_text()\n"
         "out.write(s)\n"
+        "key.replace('_', '-')\n"
+        "replace(record, parse_problems=())\n"
+        "moment.replace(year=2000)\n"
     )
     assert _writes(tree) == [
         "open(p, 'w')",
@@ -251,6 +265,11 @@ def test_write_probe_sees_every_call_form():
         "p.open(mode='a')",
         "Path(p).write_text(s)",
         "p.write_bytes(b)",
+        "os.replace(a, b)",
+        "os.rename(a, b)",
+        "shutil.move(a, b)",
+        "Path(a).replace(b)",
+        "p.rename(b)",
     ]
 
 

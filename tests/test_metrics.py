@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foleyflow import container, datapipe, metrics, providers, refiner
+from foleyflow import container, metrics, providers, refiner
 from foleyflow.errors import ContractError, ShapeError
 from foleyflow.model import ConditionBundle
 from foleyflow.metrics import (
@@ -51,12 +51,10 @@ def test_every_scorer_rejects_bad_frame_rate(tmp_path):
     _write_latents(tmp_path / "ref", items)
     latent = items["clip0"]
     env = energy_envelope(latent)
-    record = datapipe.ClipRecord(clip_id="c", duration=1.0, events=())
     scorers = {
         "detect_peaks": lambda fr: detect_peaks(env, fr),
         "evaluate_set": lambda fr: evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"), fr),
         "reward": lambda fr: refiner.reward(latent, ConditionBundle(video_feat=latent), fr),
-        "score_alignment": lambda fr: datapipe.score_alignment(record, env, env, fr),
     }
     for name, score in scorers.items():
         for bad in (0.0, -1.0, float("nan"), float("inf")):
@@ -494,8 +492,8 @@ def _spiky(seed, frames, t=32, d=4):
 
 
 def test_av_callers_share_envelope_alignment(tmp_path):
-    # the refiner's temporal reward, evaluate_set's AV column and the
-    # pipeline's alignment score are one measure on one envelope pair
+    # the refiner's temporal reward and evaluate_set's AV column are one
+    # measure on one envelope pair
     fr = FRAME_RATE
     pairs = [(_spiky(0, (4, 10, 17)), _spiky(1, (4, 12, 20))), (_spiky(2, (6, 20)), _spiky(3, (7, 14, 26)))]
     scores = [envelope_alignment(energy_envelope(a), fr, energy_envelope(v), fr) for a, v in pairs]
@@ -504,9 +502,6 @@ def test_av_callers_share_envelope_alignment(tmp_path):
     for (audio, video), score in zip(pairs, scores):
         cond = ConditionBundle(video_feat=video)
         assert refiner.reward(audio, cond, fr).components["temporal"] == score
-        record = datapipe.ClipRecord(clip_id="c", duration=audio.shape[0] / fr, events=())
-        scored = datapipe.score_alignment(record, energy_envelope(audio), energy_envelope(video), fr)
-        assert scored.av_align_score == score
 
     _write_latents(tmp_path / "gen", {f"clip{i}": a for i, (a, _) in enumerate(pairs)})
     _write_latents(tmp_path / "ref", {f"clip{i}": v for i, (_, v) in enumerate(pairs)})
