@@ -9,17 +9,24 @@ Manifest format (one record per line, comma-separated, header required):
   scores        floats, or "-" when not yet computed
   flags         0 or 1
 
+Lines end at "\n", "\r\n" or a lone "\r" (universal newlines, as
+Path.read_text reads them), and problems are numbered by those lines.
+
 Filtering drops records by the first failing rule in the documented order
 unscored, alignment, semantic, speech, bgm. Cutting slices one segment per
 event; a record that is already exactly one full-cover event passes
 through unchanged, which makes the pipeline idempotent on its own output.
+The pipeline streams: each record is read, checked, filtered, cut and
+written before the next line is read, and only clip ids, drop reasons and
+parse problems are kept.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .container import replacing
@@ -99,19 +106,14 @@ def _format_score(value) -> str:
     return "-" if value is None else repr(float(value))
 
 
+def _format_scores_and_flags(record: ClipRecord) -> str:
+    speech, bgm = "1" if record.speech_flag else "0", "1" if record.bgm_flag else "0"
+    return f"{_format_score(record.av_align_score)},{_format_score(record.semantic_score)},{speech},{bgm}"
+
+
 def format_record(record: ClipRecord) -> str:
     events = ";".join([f"{label}:{start!r}:{end!r}" for label, start, end in record.events])
-    return ",".join(
-        [
-            record.clip_id,
-            repr(record.duration),
-            events,
-            _format_score(record.av_align_score),
-            _format_score(record.semantic_score),
-            "1" if record.speech_flag else "0",
-            "1" if record.bgm_flag else "0",
-        ]
-    )
+    return f"{record.clip_id},{record.duration!r},{events},{_format_scores_and_flags(record)}"
 
 
 def parse_record(line: str) -> ClipRecord:
@@ -142,43 +144,62 @@ def parse_record(line: str) -> ClipRecord:
     )
 
 
-def read_manifest(path: str) -> tuple[list, list]:
-    """Parse a manifest file.
-
-    Returns (records, problems) where problems is a list of
-    (line_number, reason) for lines that failed to parse; parsing
-    continues past them.
-    """
+def _check_utf8(path: str) -> None:
+    """Raise the FormatError of path's first byte that is not UTF-8, if any,
+    with its offset counted from the start of the file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: manifest is not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
-    lines = text.split("\n")
-    if lines[0].strip() != MANIFEST_HEADER:
-        raise FormatError(f"{path}: first line must be {MANIFEST_HEADER!r}")
-    records: list = []
-    problems: list = []
-    for lineno, raw in enumerate(lines[1:], start=2):
+
+
+def _lines(path: str) -> Iterator[str]:
+    try:
+        with open(path, encoding="utf-8") as fh:  # universal newlines, as Path.read_text
+            yield from fh
+    except UnicodeDecodeError:
+        _check_utf8(path)
+        raise
+
+
+def _records(lines: Iterator[str], problems: list) -> Iterator[ClipRecord]:
+    for lineno, raw in enumerate(lines, start=2):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            records.append(parse_record(line))
+            record = parse_record(line)
         except (FormatError, ContractError, ValueError) as exc:
             problems.append((lineno, str(exc)))
-    return records, problems
+        else:
+            yield record
 
 
-def write_manifest(path: str, records) -> None:
-    """Write the header, then one line per record, straight to the file.
+def read_manifest(path: str, problems: list) -> Iterator[ClipRecord]:
+    """Check a manifest file's header, then yield its records one at a time.
+
+    Each line that fails to parse appends (line_number, reason) to problems,
+    and reading continues past it. A byte that is not UTF-8 raises
+    FormatError when reading reaches it, or at once if the header is wrong
+    too, so a caller commits no output before the records run out.
+    """
+    lines = _lines(path)
+    if next(lines, "").strip() != MANIFEST_HEADER:
+        _check_utf8(path)
+        raise FormatError(f"{path}: first line must be {MANIFEST_HEADER!r}")
+    return _records(lines, problems)
+
+
+def write_manifest(path: str, lines) -> None:
+    """Write the header, then each of lines, straight to the file.
 
     No copy of the text is held in memory, and the file takes path's place
-    atomically once every record is written, or inside an output set once
+    atomically once every line is written, or inside an output set once
     the whole set is (see container.replacing).
     """
     with replacing(path) as out:
         out.write(MANIFEST_HEADER + "\n")
-        out.writelines(format_record(r) + "\n" for r in records)
+        out.writelines(line + "\n" for line in lines)
 
 
 # ---------------------------------------------------------------------------
@@ -200,19 +221,6 @@ def drop_reason(record: ClipRecord, policy: FilterPolicy) -> str | None:
     return None
 
 
-def filter_records(records, policy: FilterPolicy) -> tuple[list, list]:
-    """Partition records into (kept, dropped); dropped pairs with a reason."""
-    kept: list = []
-    dropped: list = []
-    for record in records:
-        reason = drop_reason(record, policy)
-        if reason is None:
-            kept.append(record)
-        else:
-            dropped.append((record, reason))
-    return kept, dropped
-
-
 def _is_single_full_cover(record: ClipRecord) -> bool:
     if len(record.events) != 1:
         return False
@@ -221,28 +229,22 @@ def _is_single_full_cover(record: ClipRecord) -> bool:
 
 
 def cut(record: ClipRecord) -> list:
-    """Slice one segment record per event, in time order.
+    """Manifest lines of one segment per event, in time order.
 
     Segment ids are parent#index, except that a record which is already
-    exactly one full-cover event is returned unchanged.
+    exactly one full-cover event is written unchanged. A segment keeps its
+    parent's scores and flags, and its one event spans all of its duration
+    end - start, which is finite and > 0 since the parent passed its checks;
+    so each line is one that ClipRecord accepts, and none is built.
     """
     if _is_single_full_cover(record):
-        return [record]
-    segments: list = []
-    events = sorted(record.events, key=lambda e: (e[1], e[2]))
-    for index, (label, start, end) in enumerate(events):
-        seg_duration = end - start
-        segment = ClipRecord(
-            f"{record.clip_id}#{index}",
-            seg_duration,
-            ((label, 0.0, seg_duration),),
-            record.av_align_score,
-            record.semantic_score,
-            record.speech_flag,
-            record.bgm_flag,
-        )
-        segments.append(segment)
-    return segments
+        return [format_record(record)]
+    tail = _format_scores_and_flags(record)
+    lines: list = []
+    for index, (label, start, end) in enumerate(sorted(record.events, key=lambda e: (e[1], e[2]))):
+        duration = repr(end - start)
+        lines.append(f"{record.clip_id}#{index},{duration},{label}:0.0:{duration},{tail}")
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -251,41 +253,39 @@ def cut(record: ClipRecord) -> list:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    segments: tuple
-    kept: tuple
-    dropped: tuple  # of (record, reason)
-    drop_counts: dict
-    parse_problems: tuple = ()
+    """What a pipeline run kept and dropped, in input order."""
+
+    kept: list = field(default_factory=list)  # clip ids
+    dropped: list = field(default_factory=list)  # (clip_id, reason)
+    parse_problems: list = field(default_factory=list)  # (line_number, reason)
 
 
-def process_records(records, policy: FilterPolicy) -> PipelineResult:
-    """Filter and cut a record list."""
-    kept, dropped = filter_records(records, policy)
-    counts = {reason: 0 for reason in DROP_REASONS}
-    for _, reason in dropped:
-        counts[reason] += 1
-    segments: list = []
-    for record in kept:
-        segments.extend(cut(record))
-    return PipelineResult(
-        segments=tuple(segments),
-        kept=tuple(kept),
-        dropped=tuple(dropped),
-        drop_counts=counts,
-    )
+def process_records(records, policy: FilterPolicy, result: PipelineResult) -> Iterator[str]:
+    """Yield the segment lines of each record that policy keeps, and note
+    each record in result.kept or, with its reason, in result.dropped."""
+    for record in records:
+        reason = drop_reason(record, policy)
+        if reason is None:
+            result.kept.append(record.clip_id)
+            yield from cut(record)
+        else:
+            result.dropped.append((record.clip_id, reason))
 
 
 def run_pipeline(manifest_in: str, manifest_out: str, policy: FilterPolicy) -> PipelineResult:
-    """File-level pipeline: read, filter, cut, write."""
-    records, problems = read_manifest(manifest_in)
-    result = replace(process_records(records, policy), parse_problems=tuple(problems))
-    write_manifest(manifest_out, result.segments)
+    """File-level pipeline in one streaming pass: read, filter, cut, write."""
+    result = PipelineResult()
+    records = read_manifest(manifest_in, result.parse_problems)
+    write_manifest(manifest_out, process_records(records, policy, result))
     return result
 
 
 def render_drop_report(result: PipelineResult) -> str:
     """reason,count per line in the documented order, then a total line."""
-    lines = [f"{reason},{result.drop_counts[reason]}" for reason in DROP_REASONS]
+    counts = dict.fromkeys(DROP_REASONS, 0)
+    for _, reason in result.dropped:
+        counts[reason] += 1
+    lines = [f"{reason},{counts[reason]}" for reason in DROP_REASONS]
     lines.append(f"total_dropped,{len(result.dropped)}")
     lines.append(f"total_kept,{len(result.kept)}")
     return "\n".join(lines)

@@ -47,6 +47,15 @@ def latent(workdir, checkpoint):
     return str(out)
 
 
+@pytest.fixture(scope="module")
+def gen_dir(checkpoint, latent):
+    """The latent's directory with a second clip, so the distribution metrics have two pairs."""
+    gen = Path(latent).parent
+    code = main(["sample", "--checkpoint", checkpoint, "--out", str(gen / "clip1.ysnd"), "--seed", "3", "--nfe", "4"])
+    assert code == 0
+    return gen
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -182,10 +191,7 @@ def test_sample_video_id_conditions(workdir, checkpoint):
 # eval
 
 
-def test_eval_self_is_perfect(workdir, checkpoint, latent, capsys):
-    gen_dir = workdir / "gen"
-    # a second clip so the distribution metrics have two pairs
-    main(["sample", "--checkpoint", checkpoint, "--out", str(gen_dir / "clip1.ysnd"), "--seed", "3", "--nfe", "4"])
+def test_eval_self_is_perfect(gen_dir, capsys):
     capsys.readouterr()
     code = main(["eval", str(gen_dir), str(gen_dir), "--json"])
     assert code == 0
@@ -196,8 +202,7 @@ def test_eval_self_is_perfect(workdir, checkpoint, latent, capsys):
     assert report["n_pairs"] == 2
 
 
-def test_eval_writes_report_and_plots(workdir, capsys):
-    gen_dir = workdir / "gen"
+def test_eval_writes_report_and_plots(workdir, gen_dir, capsys):
     out = workdir / "report.json"
     plots = workdir / "plots"
     code = main(["eval", str(gen_dir), str(gen_dir), "--json", "--out", str(out), "--plot", str(plots)])
@@ -207,8 +212,8 @@ def test_eval_writes_report_and_plots(workdir, capsys):
     assert sorted(p.name for p in plots.iterdir()) == ["clip0.envelopes.csv", "clip1.envelopes.csv"]
 
 
-def test_eval_unusable_plot_dir_leaves_no_report(workdir, latent, capsys):
-    gen_dir, out, taken = workdir / "gen", workdir / "unplotted.json", workdir / "taken"
+def test_eval_unusable_plot_dir_leaves_no_report(workdir, gen_dir, capsys):
+    out, taken = workdir / "unplotted.json", workdir / "taken"
     taken.write_text("a file where --plot wants a directory\n")
     code = main(["eval", str(gen_dir), str(gen_dir), "--out", str(out), "--plot", str(taken)])
     assert code == 1
@@ -456,8 +461,8 @@ def _tree(root: Path) -> dict:
     }
 
 
-def _argv(command, out_dir, workdir, checkpoint, latent):
-    out, gen = str(out_dir / "x.ysnd"), str(workdir / "gen")
+def _argv(command, out_dir, gen_dir, checkpoint, latent):
+    out, gen = str(out_dir / "x.ysnd"), str(gen_dir)
     return {
         "sample": ["sample", "--checkpoint", checkpoint, "--out", out, "--nfe", "2"],
         "refine": ["refine", "--checkpoint", checkpoint, "--coarse", latent, "--out", out, "--k", "2", "--nfe", "2"],
@@ -474,8 +479,8 @@ def _fails_with_one_json_line(capsys, kind):
 
 
 @pytest.mark.parametrize("command", ["sample", "eval"])
-def test_an_out_in_a_missing_directory_writes_and_prints_nothing(tmp_path, workdir, checkpoint, latent, capsys, command):
-    code = main(_argv(command, tmp_path / "nodir", workdir, checkpoint, latent))
+def test_an_out_in_a_missing_directory_writes_and_prints_nothing(tmp_path, gen_dir, checkpoint, latent, capsys, command):
+    code = main(_argv(command, tmp_path / "nodir", gen_dir, checkpoint, latent))
     assert code == 1
     _fails_with_one_json_line(capsys, "FileNotFoundError")
     assert _tree(tmp_path) == {}
@@ -492,7 +497,7 @@ def test_an_out_in_a_missing_directory_writes_and_prints_nothing(tmp_path, workd
         ("eval", "plots/clip1.envelopes.csv"),
     ],
 )
-def test_an_unusable_output_path_leaves_every_output_as_it_was(tmp_path, workdir, checkpoint, latent, capsys, command, blocked):
+def test_an_unusable_output_path_leaves_every_output_as_it_was(tmp_path, gen_dir, checkpoint, latent, capsys, command, blocked):
     # a directory where one output goes; the others hold an earlier run's bytes
     outputs = {
         "sample": ["x.ysnd", "x.ysnd.env.csv"],
@@ -507,7 +512,7 @@ def test_an_unusable_output_path_leaves_every_output_as_it_was(tmp_path, workdir
         else:
             path.write_text(f"an earlier run's {name}\n")
     earlier = _tree(tmp_path)
-    code = main(_argv(command, tmp_path, workdir, checkpoint, latent))
+    code = main(_argv(command, tmp_path, gen_dir, checkpoint, latent))
     assert code == 1
     _fails_with_one_json_line(capsys, "IsADirectoryError")
     assert _tree(tmp_path) == earlier  # no new bytes and no temporary file

@@ -1,9 +1,12 @@
-"""Manifest pipeline: parse/format round-trips, filter order, cutting."""
+"""Manifest pipeline: parse/format round-trips, filter order, cutting, and
+the streamed pipeline against the read-everything-then-write one it replaced."""
 
 import math
 import os
 import stat
 import tracemalloc
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +18,9 @@ from foleyflow.datapipe import (
     MANIFEST_HEADER,
     ClipRecord,
     FilterPolicy,
+    PipelineResult,
     cut,
     drop_reason,
-    filter_records,
     format_record,
     parse_record,
     process_records,
@@ -41,6 +44,15 @@ def _record(**overrides):
     )
     base.update(overrides)
     return ClipRecord(**base)
+
+
+def _read(path) -> tuple[list, list]:
+    problems: list = []
+    return list(read_manifest(str(path), problems)), problems
+
+
+def _write(path, records) -> None:
+    write_manifest(str(path), map(format_record, records))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +182,7 @@ def test_read_manifest_requires_header(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("clipA,2.0,,0.5,0.5,0,0\n")
     with pytest.raises(FormatError, match="first line"):
-        read_manifest(str(path))
+        _read(path)
 
 
 def test_read_manifest_collects_problems_and_continues(tmp_path):
@@ -187,7 +199,7 @@ def test_read_manifest_collects_problems_and_continues(tmp_path):
         + "endless,inf,,0.5,0.5,0,0\n"
         + "endless2,inf,hit:0.0:inf,0.5,0.5,0,0\n"
     )
-    records, problems = read_manifest(str(path))
+    records, problems = _read(path)
     assert [r.clip_id for r in records] == ["good1", "good2"]
     assert [lineno for lineno, _ in problems] == [3, 7, 8, 9]
 
@@ -198,7 +210,7 @@ def test_read_manifest_numbers_problems_by_file_line(tmp_path):
     path.write_text(
         MANIFEST_HEADER + "\n" + "c1,2.0,hit:0.2:0.5,0.8,0.9,0\x0c,0\n" + "c2,2.0,,0.8,0.9,7,0\n" + "c3,2.0,,0.8,0.9,0,0\n"
     )
-    records, problems = read_manifest(str(path))
+    records, problems = _read(path)
     assert [r.clip_id for r in records] == ["c3"]
     assert [lineno for lineno, _ in problems] == [2, 3]
 
@@ -206,23 +218,32 @@ def test_read_manifest_numbers_problems_by_file_line(tmp_path):
 def test_read_manifest_reads_crlf(tmp_path):
     path = tmp_path / "m.txt"
     path.write_bytes((MANIFEST_HEADER + "\r\nc1,2.0,hit:0.2:0.5,0.8,0.9,0,0\r\nbroken\r\n").encode())
-    records, problems = read_manifest(str(path))
+    records, problems = _read(path)
     assert records == [parse_record("c1,2.0,hit:0.2:0.5,0.8,0.9,0,0")]
     assert [lineno for lineno, _ in problems] == [3]
+
+
+def test_lines_end_at_a_lone_cr_or_crlf_as_at_lf(tmp_path):
+    # universal newlines, as Path.read_text reads a file
+    path = tmp_path / "m.txt"
+    path.write_bytes(b"#ysnd-manifest v1\nc1,2.0,,0.5,0.5,0,0\rc2,2.0,,0.5,0.5,0,0\r\nbad\n")
+    records, problems = _read(path)
+    assert [r.clip_id for r in records] == ["c1", "c2"]
+    assert [lineno for lineno, _ in problems] == [4]
 
 
 def test_read_manifest_rejects_non_utf8(tmp_path):
     path = tmp_path / "m.txt"
     path.write_bytes(MANIFEST_HEADER.encode() + b"\nclip\xff,2.0,,0.5,0.5,0,0\n")
     with pytest.raises(FormatError, match=f"m.txt: manifest is not valid UTF-8 .* at byte {len(MANIFEST_HEADER) + 5}"):
-        read_manifest(str(path))
+        _read(path)
 
 
 def test_write_read_manifest_roundtrip(tmp_path):
     path = str(tmp_path / "m.txt")
     records = [_record(), _record(clip_id="clipB", semantic_score=None)]
-    write_manifest(path, records)
-    back, problems = read_manifest(path)
+    _write(path, records)
+    back, problems = _read(path)
     assert problems == []
     assert back == records
 
@@ -237,43 +258,46 @@ def two_label_manifest(tmp_path_factory):
 
 
 def test_read_manifest_shares_one_string_per_label(two_label_manifest):
-    records, problems = read_manifest(str(two_label_manifest))
+    records, problems = _read(two_label_manifest)
     assert problems == []
     labels = [label for r in records for label, _, _ in r.events]
     assert len(labels) == 40_000
     assert len({id(label) for label in labels}) == 2
-    segments = process_records(records, FilterPolicy()).segments
-    assert len({id(seg.events[0][0]) for seg in segments}) == 2
 
 
-def test_write_manifest_holds_no_copy_of_its_text(two_label_manifest, tmp_path):
-    records, _ = read_manifest(str(two_label_manifest))
+def test_run_pipeline_holds_no_record_and_no_copy_of_its_text(two_label_manifest, tmp_path):
     out = tmp_path / "out.txt"
     tracemalloc.start()
     try:
-        write_manifest(str(out), records)
+        result = run_pipeline(str(two_label_manifest), str(out), FilterPolicy())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.25e6  # a list of the lines, their join and its encoding took 7.1 MB
-    assert out.read_bytes() == two_label_manifest.read_bytes()
+    # the records, their segments, the text and its lines took 22.3 MB when
+    # the pipeline read everything before it wrote; the 20k kept ids take 1.3
+    assert peak < 2.5e6
+    assert len(result.kept) == 20_000
+    segments = [
+        f"c{i:05d}#0,0.25,hit:0.0:0.25,0.5,0.5,0,0\nc{i:05d}#1,0.5,thud:0.0:0.5,0.5,0.5,0,0\n" for i in range(20_000)
+    ]
+    assert out.read_text(encoding="utf-8") == MANIFEST_HEADER + "\n" + "".join(segments)
 
 
 def test_write_manifest_that_fails_part_way_leaves_the_old_file(tmp_path):
     path = tmp_path / "m.txt"
-    write_manifest(str(path), [_record()])
+    _write(path, [_record()])
     before = path.read_bytes()
     umask = os.umask(0)
     os.umask(umask)
     assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
 
-    def records():
+    def lines():
         for i in range(5_000):  # more than one write buffer, so the failure comes mid-file
-            yield _record(clip_id=f"new{i}")
+            yield format_record(_record(clip_id=f"new{i}"))
         raise RuntimeError("record source failed")
 
     with pytest.raises(RuntimeError, match="record source failed"):
-        write_manifest(str(path), records())
+        write_manifest(str(path), lines())
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["m.txt"]
 
@@ -320,9 +344,9 @@ def test_every_record_that_constructs_roundtrips(tmp_path, fields):
             records.append(ClipRecord(**kwargs))
         except ContractError:
             pass
-    path = str(tmp_path / "m.txt")
-    write_manifest(path, records)
-    assert read_manifest(path) == (records, [])
+    path = tmp_path / "m.txt"
+    _write(path, records)
+    assert _read(path) == (records, [])
 
 
 _manifest_like = st.text(st.sampled_from("c0123456789.,;:-#einfa \t\r\n\x0c\x85")).map(str.encode)
@@ -334,7 +358,7 @@ def test_read_manifest_parses_or_raises_format_error(tmp_path, body):
     path = tmp_path / "m.txt"
     path.write_bytes(MANIFEST_HEADER.encode() + b"\n" + body)
     try:
-        records, problems = read_manifest(str(path))
+        records, problems = _read(path)
     except FormatError:
         return
     assert all(isinstance(r, ClipRecord) for r in records)
@@ -379,12 +403,13 @@ def test_policy_keep_flags():
     assert drop_reason(_record(speech_flag=True, bgm_flag=True), policy) is None
 
 
-def test_filter_records_partition():
-    policy = FilterPolicy()
+def test_process_records_partition():
     records = [_record(), _record(clip_id="s", speech_flag=True), _record(clip_id="u", av_align_score=None)]
-    kept, dropped = filter_records(records, policy)
-    assert [r.clip_id for r in kept] == ["clipA"]
-    assert [(r.clip_id, reason) for r, reason in dropped] == [("s", "speech"), ("u", "unscored")]
+    result = PipelineResult()
+    lines = list(process_records(records, FilterPolicy(), result))
+    assert result.kept == ["clipA"]
+    assert result.dropped == [("s", "speech"), ("u", "unscored")]
+    assert lines == cut(records[0])
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +418,7 @@ def test_filter_records_partition():
 
 def test_cut_segments_in_time_order():
     rec = _record(events=(("thud", 1.0, 1.4), ("hit", 0.2, 0.5)))
-    first, second = cut(rec)
+    first, second = map(parse_record, cut(rec))
     assert [first.clip_id, second.clip_id] == ["clipA#0", "clipA#1"]
     assert first.events == (("hit", 0.0, pytest.approx(0.3)),)
     assert first.duration == pytest.approx(0.3)
@@ -406,15 +431,12 @@ def test_cut_segments_in_time_order():
 
 def test_cut_full_cover_passes_through_unchanged():
     rec = _record(events=(("roomtone", 0.0, 2.0),))
-    segments = cut(rec)
-    assert len(segments) == 1
-    assert segments[0] is rec  # same object, no renaming
+    assert cut(rec) == [format_record(rec)]  # no renaming
 
 
 def test_cut_is_idempotent_on_own_output():
-    rec = _record()
-    for seg in cut(rec):
-        assert cut(seg) == [seg]
+    for line in cut(_record()):
+        assert cut(parse_record(line)) == [line]
 
 
 # ---------------------------------------------------------------------------
@@ -430,34 +452,27 @@ def test_process_records_conservation():
         _record(clip_id="b", bgm_flag=True),
         _record(clip_id="low", av_align_score=0.05),
     ]
-    result = process_records(records, policy)
+    result = PipelineResult()
+    lines = list(process_records(records, policy, result))
     assert len(result.kept) + len(result.dropped) == len(records)
-    assert sum(result.drop_counts.values()) == len(result.dropped)
-    assert set(result.drop_counts) == set(DROP_REASONS)
+    assert {reason for _, reason in result.dropped} <= set(DROP_REASONS)
     # every kept record contributes one segment per event
-    assert len(result.segments) == sum(len(r.events) for r in result.kept)
+    assert len(lines) == sum(len(r.events) for r in records if r.clip_id in result.kept)
 
 
 def test_run_pipeline_end_to_end(tmp_path):
     src = str(tmp_path / "in.txt")
     dst = str(tmp_path / "out.txt")
-    write_manifest(
-        src,
-        [
-            _record(),
-            _record(clip_id="drop-me", speech_flag=True),
-        ],
-    )
+    _write(src, [_record(), _record(clip_id="drop-me", speech_flag=True)])
     # sneak a malformed line into the file
     with open(src, "a", encoding="utf-8") as fh:
         fh.write("garbage line\n")
 
     result = run_pipeline(src, dst, FilterPolicy())
     assert len(result.parse_problems) == 1
-    assert len(result.kept) == 1
-    assert len(result.segments) == 2
+    assert result.kept == ["clipA"]
 
-    back, problems = read_manifest(dst)
+    back, problems = _read(dst)
     assert problems == []
     assert [r.clip_id for r in back] == ["clipA#0", "clipA#1"]
 
@@ -465,19 +480,18 @@ def test_run_pipeline_end_to_end(tmp_path):
 def test_run_pipeline_idempotent_on_own_output(tmp_path):
     first = str(tmp_path / "first.txt")
     second = str(tmp_path / "second.txt")
-    write_manifest(first, [_record()])
+    _write(first, [_record()])
     run_pipeline(first, second, FilterPolicy())
     third = str(tmp_path / "third.txt")
     result = run_pipeline(second, third, FilterPolicy())
-    assert result.drop_counts == {reason: 0 for reason in DROP_REASONS}
+    assert result.dropped == []
     assert open(second).read() == open(third).read()
 
 
 def test_render_drop_report_order():
-    result = process_records(
-        [_record(clip_id="u", av_align_score=None), _record(clip_id="s", speech_flag=True)],
-        FilterPolicy(),
-    )
+    result = PipelineResult()
+    records = [_record(clip_id="u", av_align_score=None), _record(clip_id="s", speech_flag=True)]
+    assert list(process_records(records, FilterPolicy(), result)) == []
     lines = render_drop_report(result).splitlines()
     assert lines[0] == "unscored,1"
     assert lines[1] == "alignment,0"
@@ -486,3 +500,167 @@ def test_render_drop_report_order():
     assert lines[4] == "bgm,0"
     assert lines[5] == "total_dropped,2"
     assert lines[6] == "total_kept,0"
+
+
+# ---------------------------------------------------------------------------
+# the streamed pipeline against the one it replaced
+
+
+def _line(fields: dict) -> str:
+    """fields as format_record wrote them, whether or not ClipRecord accepts them."""
+    events = ";".join(f"{label}:{start!r}:{end!r}" for label, start, end in fields["events"])
+    scores = ["-" if fields[k] is None else repr(float(fields[k])) for k in ("av_align_score", "semantic_score")]
+    flags = [str(int(fields["speech_flag"])), str(int(fields["bgm_flag"]))]
+    return ",".join([fields["clip_id"], repr(float(fields["duration"])), events, *scores, *flags])
+
+
+def _oracle_segments(record: ClipRecord) -> list:
+    """cut as it was: one checked ClipRecord per segment."""
+    if len(record.events) == 1 and record.events[0][1:] == (0.0, record.duration):
+        return [record]
+    segments = []
+    for index, (label, start, end) in enumerate(sorted(record.events, key=lambda e: (e[1], e[2]))):
+        fields = (record.av_align_score, record.semantic_score, record.speech_flag, record.bgm_flag)
+        segments.append(ClipRecord(f"{record.clip_id}#{index}", end - start, ((label, 0.0, end - start),), *fields))
+    return segments
+
+
+def _oracle_pipeline(src: Path, dst: Path, policy: FilterPolicy):
+    """The pipeline as it was: decode and split the whole file, parse every
+    record, filter and cut them all, then write. Returns (kept ids, dropped
+    pairs, parse problems, drop report)."""
+    try:
+        text = src.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{src}: manifest is not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
+    lines = text.split("\n")
+    if lines[0].strip() != MANIFEST_HEADER:
+        raise FormatError(f"{src}: first line must be {MANIFEST_HEADER!r}")
+    records, problems = [], []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            records.append(parse_record(line))
+        except (FormatError, ContractError, ValueError) as exc:
+            problems.append((lineno, str(exc)))
+    kept, dropped, segments = [], [], []
+    for record in records:
+        reason = drop_reason(record, policy)
+        if reason is None:
+            kept.append(record.clip_id)
+            segments.extend(_oracle_segments(record))
+        else:
+            dropped.append((record.clip_id, reason))
+    dst.write_bytes("".join(f"{line}\n" for line in [MANIFEST_HEADER, *(_line(asdict(s)) for s in segments)]).encode())
+    report = [f"{reason},{sum(r == reason for _, r in dropped)}" for reason in DROP_REASONS]
+    report += [f"total_dropped,{len(dropped)}", f"total_kept,{len(kept)}"]
+    return kept, dropped, problems, "\n".join(report)
+
+
+def _assert_streams_as_the_oracle(tmp_path, body: bytes) -> None:
+    src, want, got = tmp_path / "in.m", tmp_path / "want.m", tmp_path / "got.m"
+    src.write_bytes(body)
+    want.unlink(missing_ok=True)
+    got.unlink(missing_ok=True)
+    try:
+        kept, dropped, problems, report = _oracle_pipeline(src, want, FilterPolicy())
+    except FormatError as exc:
+        with pytest.raises(FormatError) as info:
+            run_pipeline(str(src), str(got), FilterPolicy())
+        assert str(info.value) == str(exc)
+        assert sorted(os.listdir(tmp_path)) == ["in.m"]
+        return
+    result = run_pipeline(str(src), str(got), FilterPolicy())
+    assert (result.kept, result.dropped, result.parse_problems) == (kept, dropped, problems)
+    assert render_drop_report(result) == report
+    assert got.read_bytes() == want.read_bytes()
+
+
+@st.composite
+def _kept_fields(draw):
+    """Fields of a record that the default policy keeps, if ClipRecord accepts it."""
+    duration = draw(st.floats(0.0, 1e6, exclude_min=True))
+    events = [("whole", 0.0, duration)] if draw(st.integers(0, 4)) == 0 else []
+    while not events or (len(events) < 3 and draw(st.booleans())):
+        start, end = sorted([draw(st.floats(0.0, duration)), draw(st.floats(0.0, duration))])
+        events.append((draw(st.sampled_from(["hit", "thud", "door"])), start, end))
+    return dict(
+        clip_id=draw(st.from_regex(r"[a-z0-9][a-z0-9#_.-]{0,5}", fullmatch=True)),
+        duration=duration,
+        events=events,
+        av_align_score=draw(st.floats(0.2, 1.0)),
+        semantic_score=draw(st.floats(0.3, 1.0)),
+        speech_flag=False,
+        bgm_flag=False,
+    )
+
+
+@st.composite
+def _manifest_bytes(draw):
+    """A header (now and then a wrong one), then records, lines that fail to
+    parse, comments and blank lines, each ended by "\n", "\r\n" or a lone
+    "\r", and now and then a byte that is not UTF-8 mid-line, at the end of a
+    line or at the end of the file; one time in three a long comment first."""
+    lines = [draw(st.sampled_from([MANIFEST_HEADER] * 4 + [" " + MANIFEST_HEADER, "#ysnd-manifest v2", ""]))]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 5))
+        if kind < 2:
+            lines.append(_line(draw(_kept_fields() if kind else _record_fields())))
+        elif kind == 2:
+            lines.append(draw(st.sampled_from(["", " \t", "# a comment", "  #indented"])))
+        elif kind == 3:
+            lines.append(draw(_manifest_like.map(bytes.decode)))
+        else:
+            lines.append(format_record(_record(clip_id=draw(st.sampled_from(["a", "b#0", "c.1"])))))
+    if draw(st.integers(0, 2)) == 0:  # what follows starts near or past the end of the first 8 KiB read
+        lines.insert(1, "#" + "x" * draw(st.integers(8_150, 8_300)))
+    ends = st.sampled_from([b"\n", b"\r\n", b"\r"])
+    body = b"".join(line.encode() + draw(ends) for line in lines)
+    body = body if draw(st.booleans()) else body.rstrip(b"\r\n")
+    bad = draw(st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"]))
+    where = draw(st.sampled_from(["nowhere"] * 5 + ["mid-line", "end-of-line", "end-of-file"]))
+    if where == "mid-line":
+        at = draw(st.integers(0, len(body)))
+        body = body[:at] + bad + body[at:]
+    elif where == "end-of-line":
+        ends_at = [i for i, byte in enumerate(body) if byte in b"\r\n"] or [len(body)]
+        at = draw(st.sampled_from(ends_at))
+        body = body[:at] + bad + body[at:]
+    elif where == "end-of-file":
+        body += bad
+    return body
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=_manifest_bytes())
+def test_streamed_pipeline_gives_what_reading_everything_first_gave(tmp_path, body):
+    _assert_streams_as_the_oracle(tmp_path, body)
+
+
+@pytest.mark.parametrize("pad", range(8_168, 8_180))
+@pytest.mark.parametrize("tail", [b"", b"\xff"], ids=["utf8", "bad-byte"])
+@pytest.mark.parametrize("header", [MANIFEST_HEADER, "#ysnd-manifest v2"], ids=["header", "bad-header"])
+def test_streamed_pipeline_gives_the_same_across_read_chunks(tmp_path, pad, tail, header):
+    # a "\r\n", a lone "\r" and a two-byte character where the reader's
+    # first 8 KiB read ends, and a bad byte two reads later, which a wrong
+    # header does not hide
+    body = (
+        header.encode() + b"\n#" + b"x" * pad + b"\r\nc\xc3\xa9,2.0,hit:0.5:1.0,0.5,0.5,0,0\r"
+        + b"c2,2.0,\xc3\xa9:0.0:2.0,0.5,0.5,0,0\rbroken\n#" + b"y" * 10_000 + b"\n" + tail + b"c3,1.0,,-,-,0,0\n"
+    )
+    _assert_streams_as_the_oracle(tmp_path, body)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=_record_fields() | _kept_fields())
+def test_every_segment_line_is_the_checked_record_cut_once_built(fields):
+    try:
+        record = ClipRecord(**fields)
+    except ContractError:
+        return
+    lines = cut(record)
+    assert lines == [_line(asdict(segment)) for segment in _oracle_segments(record)]
+    for line in lines:
+        assert format_record(parse_record(line)) == line  # parse_record builds a ClipRecord, so its checks pass
