@@ -16,18 +16,22 @@ Filtering drops records by the first failing rule in the documented order
 unscored, alignment, semantic, speech, bgm. Cutting slices one segment per
 event; a record that is already exactly one full-cover event passes
 through unchanged, which makes the pipeline idempotent on its own output.
-The pipeline streams: each record is read, checked, filtered, cut and
-written before the next line is read, and only clip ids, drop reasons and
-parse problems are kept.
+The pipeline streams: each line is parsed into typed fields, checked once
+against the record rules (_checked_record), filtered, cut and written before
+the next line is read; only clip ids, drop reasons and parse problems are kept.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .container import replacing
 from .errors import ConfigError, ContractError, FormatError
@@ -37,51 +41,65 @@ MANIFEST_HEADER = "#ysnd-manifest v1"
 DROP_REASONS = ("unscored", "alignment", "semantic", "speech", "bgm")
 
 
-@dataclass(frozen=True, slots=True)
-class ClipRecord:
-    """One manifest record; construction enforces what the reader needs.
-
-    clip_id and labels are printable (no line break of any kind), clip_id
-    has no comma and starts with neither "#" nor whitespace, and labels
-    hold none of ",;:", so every record that constructs is written as one
-    manifest line that parses back equal.
+class ClipRecord(namedtuple("ClipRecord", "clip_id duration events av_align_score semantic_score speech_flag bgm_flag")):
+    """One manifest record: an immutable tuple, so it also equals a plain
+    tuple of its fields. The constructor converts duration to a float, events
+    to (str, float, float) triples and flags to bools, refuses any field of
+    the wrong type with ContractError, then checks the rules of _checked_record.
     """
 
-    clip_id: str
-    duration: float
-    events: tuple  # of (label, t_start, t_end)
-    av_align_score: float | None = None
-    semantic_score: float | None = None
-    speech_flag: bool = False
-    bgm_flag: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        clip_id, duration = self.clip_id, self.duration
-        if not clip_id or "," in clip_id or clip_id[0] == "#" or clip_id[0].isspace() or not clip_id.isprintable():
-            raise ContractError(f"invalid clip_id {clip_id!r}")
-        if type(duration) is not float:
-            try:
-                duration = float(duration)
-            except (TypeError, ValueError, OverflowError):
-                raise ContractError(f"{clip_id}: duration must convert to a float, got {duration!r:.40}") from None
-            object.__setattr__(self, "duration", duration)
-        if not (0 < duration < math.inf):
-            raise ContractError(f"{clip_id}: duration must be finite and > 0, got {duration}")
-        events = tuple([(str(label), float(start), float(end)) for label, start, end in self.events])
-        for label, start, end in events:
-            if not label or "," in label or ";" in label or ":" in label or not label.isprintable():
-                raise ContractError(f"{clip_id}: invalid event label {label!r}")
-            if not (0.0 <= start < end <= duration):
-                raise ContractError(f"{clip_id}: event {label!r} span [{start}, {end}) outside [0, {duration}]")
-        object.__setattr__(self, "events", events)
-        for name in ("av_align_score", "semantic_score"):
-            value = getattr(self, name)
-            if value is not None and not (0.0 <= value <= 1.0):
-                raise ContractError(f"{clip_id}: {name} must lie in [0, 1], got {value}")
+    def __new__(cls, clip_id, duration, events, av_align_score=None, semantic_score=None, speech_flag=False,
+                bgm_flag=False):
+        if not isinstance(clip_id, str):
+            raise ContractError(f"clip_id must be a str, got {clip_id!r:.40}")
+        try:
+            duration = float(duration)
+        except (TypeError, ValueError, OverflowError):
+            raise ContractError(f"{clip_id}: duration must convert to a float, got {duration!r:.40}") from None
+        try:
+            events = tuple([(str(label), float(start), float(end)) for label, start, end in events])
+        except (TypeError, ValueError, OverflowError):
+            raise ContractError(f"{clip_id}: events must be (label, start, end) triples, got {events!r:.60}") from None
+        scores, flags = (av_align_score, semantic_score), (speech_flag, bgm_flag)
+        if not all(score is None or isinstance(score, numbers.Real) for score in scores):
+            raise ContractError(f"{clip_id}: scores must be real numbers or None, got {scores!r:.60}")
+        if not all(isinstance(flag, (bool, np.bool_)) for flag in flags):
+            raise ContractError(f"{clip_id}: flags must be bools, got {flags!r:.60}")
+        return _checked_record(clip_id, duration, events, *scores, bool(speech_flag), bool(bgm_flag))
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through this: convert and check
+        return cls(*fields)
 
     @property
     def scored(self) -> bool:
         return self.av_align_score is not None and self.semantic_score is not None
+
+
+def _checked_record(clip_id, duration, events, av_align_score, semantic_score, speech_flag, bgm_flag) -> ClipRecord:
+    """The record rules, on fields that have ClipRecord's types already, as
+    parse_record's do, so nothing is converted. clip_id and labels are
+    printable (no line break of any kind), clip_id has no comma and starts
+    with neither "#" nor whitespace, and labels hold none of ",;:", so every
+    record that constructs is written as one manifest line that parses back
+    equal.
+    """
+    if not clip_id or "," in clip_id or clip_id[0] == "#" or clip_id[0].isspace() or not clip_id.isprintable():
+        raise ContractError(f"invalid clip_id {clip_id!r}")
+    if not (0 < duration < math.inf):
+        raise ContractError(f"{clip_id}: duration must be finite and > 0, got {duration}")
+    for label, start, end in events:
+        if not label or "," in label or ";" in label or ":" in label or not label.isprintable():
+            raise ContractError(f"{clip_id}: invalid event label {label!r}")
+        if not (0.0 <= start < end <= duration):
+            raise ContractError(f"{clip_id}: event {label!r} span [{start}, {end}) outside [0, {duration}]")
+    if av_align_score is not None and not (0.0 <= av_align_score <= 1.0):
+        raise ContractError(f"{clip_id}: av_align_score must lie in [0, 1], got {av_align_score}")
+    if semantic_score is not None and not (0.0 <= semantic_score <= 1.0):
+        raise ContractError(f"{clip_id}: semantic_score must lie in [0, 1], got {semantic_score}")
+    return tuple.__new__(ClipRecord, (clip_id, duration, events, av_align_score, semantic_score, speech_flag, bgm_flag))
 
 
 @dataclass(frozen=True)
@@ -102,13 +120,10 @@ class FilterPolicy:
 # manifest serialization
 
 
-def _format_score(value) -> str:
-    return "-" if value is None else repr(float(value))
-
-
 def _format_scores_and_flags(record: ClipRecord) -> str:
+    av, sem = record.av_align_score, record.semantic_score
     speech, bgm = "1" if record.speech_flag else "0", "1" if record.bgm_flag else "0"
-    return f"{_format_score(record.av_align_score)},{_format_score(record.semantic_score)},{speech},{bgm}"
+    return f"{'-' if av is None else repr(float(av))},{'-' if sem is None else repr(float(sem))},{speech},{bgm}"
 
 
 def format_record(record: ClipRecord) -> str:
@@ -131,17 +146,9 @@ def parse_record(line: str) -> ClipRecord:
             events.append((sys.intern(bits[0]), float(bits[1]), float(bits[2])))
     if speech_s not in ("0", "1") or bgm_s not in ("0", "1"):
         raise FormatError(f"flags must be 0 or 1, got {speech_s!r}/{bgm_s!r}")
-    # positional, like cut's segments: a keyword call to a class builds a
-    # kwargs dict per record
-    return ClipRecord(
-        clip_id,
-        float(duration_s),
-        events,
-        None if av_s == "-" else float(av_s),
-        None if sem_s == "-" else float(sem_s),
-        speech_s == "1",
-        bgm_s == "1",
-    )
+    # fields of the record's types, so the record is not converted again
+    return _checked_record(clip_id, float(duration_s), tuple(events), None if av_s == "-" else float(av_s),
+                           None if sem_s == "-" else float(sem_s), speech_s == "1", bgm_s == "1")
 
 
 def _check_utf8(path: str) -> None:
@@ -221,13 +228,6 @@ def drop_reason(record: ClipRecord, policy: FilterPolicy) -> str | None:
     return None
 
 
-def _is_single_full_cover(record: ClipRecord) -> bool:
-    if len(record.events) != 1:
-        return False
-    _, start, end = record.events[0]
-    return start == 0.0 and end == record.duration
-
-
 def cut(record: ClipRecord) -> list:
     """Manifest lines of one segment per event, in time order.
 
@@ -237,7 +237,7 @@ def cut(record: ClipRecord) -> list:
     end - start, which is finite and > 0 since the parent passed its checks;
     so each line is one that ClipRecord accepts, and none is built.
     """
-    if _is_single_full_cover(record):
+    if len(record.events) == 1 and record.events[0][1:] == (0.0, record.duration):
         return [format_record(record)]
     tail = _format_scores_and_flags(record)
     lines: list = []

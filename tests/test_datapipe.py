@@ -4,8 +4,9 @@ the streamed pipeline against the read-everything-then-write one it replaced."""
 import math
 import os
 import stat
+import sys
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from foleyflow import datapipe
 from foleyflow.datapipe import (
     DROP_REASONS,
     MANIFEST_HEADER,
@@ -114,10 +116,22 @@ def test_record_rejection_messages(overrides, message):
         dict(clip_id=" c5 "),
         dict(duration=10**400),
         dict(duration=None),
+        dict(clip_id=5),
+        dict(av_align_score="0.5"),
+        dict(semantic_score=b"0.5"),
+        dict(events=(("a", 0, 1, 2),)),
+        dict(events=(("a", 0),)),
+        dict(events=(("a", "early", 1.0),)),
+        dict(events=None),
+        dict(speech_flag=2),
+        dict(speech_flag=1),
+        dict(bgm_flag=0),
+        dict(bgm_flag=None),
     ],
     ids=[
         "label-newline", "label-nel", "label-line-separator", "id-line-separator", "id-hash", "id-space",
-        "duration-overflow", "duration-none",
+        "duration-overflow", "duration-none", "id-int", "score-str", "score-bytes", "event-of-four", "event-of-two",
+        "event-text-time", "events-none", "flag-2", "flag-1", "flag-0", "flag-none",
     ],
 )
 def test_record_rejects_what_the_reader_cannot_read_back(overrides):
@@ -126,8 +140,30 @@ def test_record_rejects_what_the_reader_cannot_read_back(overrides):
         _record(**overrides)
 
 
+def test_record_takes_numpy_bools_and_numbers_as_python_ones():
+    rec = _record(speech_flag=np.bool_(True), bgm_flag=np.bool_(False), duration=np.float64(2.0), av_align_score=1)
+    assert (type(rec.speech_flag), type(rec.bgm_flag), type(rec.duration)) == (bool, bool, float)
+    assert parse_record(format_record(rec)) == rec
+
+
+def test_record_replace_checks_like_the_constructor():
+    assert _record()._replace(clip_id="other").clip_id == "other"
+    with pytest.raises(ContractError, match="invalid clip_id"):
+        _record()._replace(clip_id="a,b")
+    with pytest.raises(ContractError):
+        _record()._replace(speech_flag=3)
+
+
 def test_record_has_no_instance_dict():
     assert not hasattr(_record(), "__dict__")
+
+
+def test_record_is_an_immutable_hashable_tuple():
+    rec = _record()
+    with pytest.raises(AttributeError):
+        rec.duration = 3.0
+    assert hash(rec) == hash(_record()) and {rec, _record()} == {rec}
+    assert rec == tuple(rec) == ("clipA", 2.0, (("hit", 0.2, 0.5), ("thud", 1.0, 1.4)), 0.8, 0.9, False, False)
 
 
 def test_scored_property():
@@ -176,6 +212,33 @@ def test_parse_record_errors():
         parse_record("c1,2.0,hit:0.2,0.8,0.9,0,0")  # event missing end
     with pytest.raises(FormatError):
         parse_record("c1,2.0,hit:0.2:0.5,0.8,0.9,2,0")  # bad flag
+
+
+def test_each_parsed_line_is_converted_and_checked_once(tmp_path, monkeypatch):
+    # the parser's fields have the record's types already, so the rules run
+    # once per line and the constructor's conversion not at all
+    checked, constructed = [], []
+    check, construct = datapipe._checked_record, ClipRecord.__new__
+
+    def counting_check(*fields):
+        checked.append(fields[0])
+        return check(*fields)
+
+    def counting_construct(cls, *args, **kwargs):
+        constructed.append(args[:1])
+        return construct(cls, *args, **kwargs)
+
+    monkeypatch.setattr(datapipe, "_checked_record", counting_check)
+    monkeypatch.setattr(ClipRecord, "__new__", counting_construct)
+    src = tmp_path / "in.txt"
+    src.write_text(
+        MANIFEST_HEADER + "\n" + "c1,2.0,hit:0.2:0.5;thud:1.0:1.4,0.8,0.9,0,0\n" + "c2,2.0,hit:0.0:2.0,0.8,0.9,0,0\n"
+        + "c3,2.0,hit:0.2:0.5,0.8,0.9,1,0\n" + "c4,2.0,hit:0.2:9.0,0.8,0.9,0,0\n" + "c5,2.0,hit:0.2:0.5,0.8,0.9,7,0\n"
+    )
+    result = run_pipeline(str(src), str(tmp_path / "out.txt"), FilterPolicy())
+    assert checked == ["c1", "c2", "c3", "c4"]  # c5's flag fails before the rules
+    assert constructed == []
+    assert (result.kept, [lineno for lineno, _ in result.parse_problems]) == (["c1", "c2"], [5, 6])
 
 
 def test_read_manifest_requires_header(tmp_path):
@@ -335,8 +398,29 @@ def _record_fields(draw):
     )
 
 
-@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(fields=st.lists(_record_fields(), max_size=4))
+@st.composite
+def _any_record_fields(draw):
+    """_record_fields, one time in two with a field of the wrong type: a flag
+    that is not a bool (or is a numpy bool), an integer clip id, a str score,
+    or an event that is not a triple."""
+    fields = draw(_record_fields())
+    kind = draw(st.integers(0, 7))
+    if kind == 0:
+        flag = draw(st.sampled_from(["speech_flag", "bgm_flag"]))
+        fields[flag] = draw(st.sampled_from([0, 1, 2, None, np.bool_(True), np.bool_(False)]))
+    elif kind == 1:
+        fields["clip_id"] = draw(st.integers(-3, 300))
+    elif kind == 2:
+        score = draw(st.sampled_from(["av_align_score", "semantic_score"]))
+        fields[score] = draw(st.sampled_from(["0.5", "", "-", "high"]))
+    elif kind == 3:
+        event = draw(st.sampled_from([("hit", 0.0), ("hit", 0.0, 0.5, 1.0), ("hit",), "hit"]))
+        fields["events"] = fields["events"] + (event,)
+    return fields
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fields=st.lists(_any_record_fields(), max_size=4))
 def test_every_record_that_constructs_roundtrips(tmp_path, fields):
     records = []
     for kwargs in fields:
@@ -506,6 +590,90 @@ def test_render_drop_report_order():
 # the streamed pipeline against the one it replaced
 
 
+@dataclass(frozen=True, slots=True)
+class _OracleRecord:
+    """ClipRecord as it was when the pipeline first streamed, frozen here so
+    that the oracle below does not move with the code it checks."""
+
+    clip_id: str
+    duration: float
+    events: tuple  # of (label, t_start, t_end)
+    av_align_score: float | None = None
+    semantic_score: float | None = None
+    speech_flag: bool = False
+    bgm_flag: bool = False
+
+    def __post_init__(self):
+        clip_id, duration = self.clip_id, self.duration
+        if not clip_id or "," in clip_id or clip_id[0] == "#" or clip_id[0].isspace() or not clip_id.isprintable():
+            raise ContractError(f"invalid clip_id {clip_id!r}")
+        if type(duration) is not float:
+            try:
+                duration = float(duration)
+            except (TypeError, ValueError, OverflowError):
+                raise ContractError(f"{clip_id}: duration must convert to a float, got {duration!r:.40}") from None
+            object.__setattr__(self, "duration", duration)
+        if not (0 < duration < math.inf):
+            raise ContractError(f"{clip_id}: duration must be finite and > 0, got {duration}")
+        events = tuple([(str(label), float(start), float(end)) for label, start, end in self.events])
+        for label, start, end in events:
+            if not label or "," in label or ";" in label or ":" in label or not label.isprintable():
+                raise ContractError(f"{clip_id}: invalid event label {label!r}")
+            if not (0.0 <= start < end <= duration):
+                raise ContractError(f"{clip_id}: event {label!r} span [{start}, {end}) outside [0, {duration}]")
+        object.__setattr__(self, "events", events)
+        for name in ("av_align_score", "semantic_score"):
+            value = getattr(self, name)
+            if value is not None and not (0.0 <= value <= 1.0):
+                raise ContractError(f"{clip_id}: {name} must lie in [0, 1], got {value}")
+
+    @property
+    def scored(self) -> bool:
+        return self.av_align_score is not None and self.semantic_score is not None
+
+
+def _oracle_parse_record(line: str) -> _OracleRecord:
+    """parse_record as it was, building an _OracleRecord."""
+    parts = line.split(",")
+    if len(parts) != 7:
+        raise FormatError(f"expected 7 comma-separated fields, got {len(parts)}")
+    clip_id, duration_s, events_s, av_s, sem_s, speech_s, bgm_s = parts
+    events = []
+    if events_s:
+        for chunk in events_s.split(";"):
+            bits = chunk.split(":")
+            if len(bits) != 3:
+                raise FormatError(f"event {chunk!r} is not label:start:end")
+            # one shared string per distinct label: a manifest repeats few labels
+            events.append((sys.intern(bits[0]), float(bits[1]), float(bits[2])))
+    if speech_s not in ("0", "1") or bgm_s not in ("0", "1"):
+        raise FormatError(f"flags must be 0 or 1, got {speech_s!r}/{bgm_s!r}")
+    return _OracleRecord(
+        clip_id,
+        float(duration_s),
+        events,
+        None if av_s == "-" else float(av_s),
+        None if sem_s == "-" else float(sem_s),
+        speech_s == "1",
+        bgm_s == "1",
+    )
+
+
+def _oracle_drop_reason(record: _OracleRecord, policy: FilterPolicy) -> str | None:
+    """drop_reason as it was."""
+    if not record.scored:
+        return "unscored"
+    if record.av_align_score < policy.min_av_align:
+        return "alignment"
+    if record.semantic_score < policy.min_semantic:
+        return "semantic"
+    if policy.drop_speech and record.speech_flag:
+        return "speech"
+    if policy.drop_bgm and record.bgm_flag:
+        return "bgm"
+    return None
+
+
 def _line(fields: dict) -> str:
     """fields as format_record wrote them, whether or not ClipRecord accepts them."""
     events = ";".join(f"{label}:{start!r}:{end!r}" for label, start, end in fields["events"])
@@ -514,14 +682,14 @@ def _line(fields: dict) -> str:
     return ",".join([fields["clip_id"], repr(float(fields["duration"])), events, *scores, *flags])
 
 
-def _oracle_segments(record: ClipRecord) -> list:
-    """cut as it was: one checked ClipRecord per segment."""
+def _oracle_segments(record: _OracleRecord) -> list:
+    """cut as it was: one checked record per segment."""
     if len(record.events) == 1 and record.events[0][1:] == (0.0, record.duration):
         return [record]
     segments = []
     for index, (label, start, end) in enumerate(sorted(record.events, key=lambda e: (e[1], e[2]))):
         fields = (record.av_align_score, record.semantic_score, record.speech_flag, record.bgm_flag)
-        segments.append(ClipRecord(f"{record.clip_id}#{index}", end - start, ((label, 0.0, end - start),), *fields))
+        segments.append(_OracleRecord(f"{record.clip_id}#{index}", end - start, ((label, 0.0, end - start),), *fields))
     return segments
 
 
@@ -542,12 +710,12 @@ def _oracle_pipeline(src: Path, dst: Path, policy: FilterPolicy):
         if not line or line.startswith("#"):
             continue
         try:
-            records.append(parse_record(line))
+            records.append(_oracle_parse_record(line))
         except (FormatError, ContractError, ValueError) as exc:
             problems.append((lineno, str(exc)))
     kept, dropped, segments = [], [], []
     for record in records:
-        reason = drop_reason(record, policy)
+        reason = _oracle_drop_reason(record, policy)
         if reason is None:
             kept.append(record.clip_id)
             segments.extend(_oracle_segments(record))
@@ -597,17 +765,71 @@ def _kept_fields(draw):
     )
 
 
+# places in a line, and bad texts for each
+_FAULTS = {
+    "id": ["", "#c", "c\x0cd", "c\u2028d"],
+    "duration": ["2.0x", "", "0", "-1.0", "inf", "nan"],
+    "label": ["", "a\x0cb", "a\x85b"],
+    "span": ["0.x:1.0", "0.0:", "2e6:1e6", "0.0:2e6", "0.0:nan"],
+    "extra-event": [";door:1.0", ";door"],
+    "av": ["high", "1.5", "nan", "-0.25"],
+    "semantic": ["high", "1.5", "nan", "-0.25"],
+    "speech": ["2", "", "yes"],
+    "bgm": ["2", ""],
+    "extra-field": [",extra"],
+}
+
+
+@st.composite
+def _faulty_line(draw):
+    """A line of a kept record with two to four places made bad, such as a
+    bad float and a bad flag, a bad id and a bad span, or an out-of-range
+    score and a bad label, so that which fault is reported first is pinned."""
+    fields = draw(_kept_fields())
+    places = draw(st.lists(st.sampled_from(sorted(_FAULTS)), min_size=2, max_size=4, unique=True))
+    bad = {place: draw(st.sampled_from(_FAULTS[place])) for place in places}
+    (label, start, end), *rest = fields["events"]
+    events = f"{bad.get('label', label)}:{bad.get('span', f'{start!r}:{end!r}')}"
+    events += "".join(f";{label}:{start!r}:{end!r}" for label, start, end in rest) + bad.get("extra-event", "")
+    line = [
+        bad.get("id", fields["clip_id"]),
+        bad.get("duration", repr(fields["duration"])),
+        events,
+        bad.get("av", repr(fields["av_align_score"])),
+        bad.get("semantic", repr(fields["semantic_score"])),
+        bad.get("speech", "0"),
+        bad.get("bgm", "0"),
+    ]
+    return ",".join(line) + bad.get("extra-field", "")
+
+
+def _outcome(parse, line: str):
+    try:
+        record = parse(line)
+    except (FormatError, ContractError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return tuple(getattr(record, name) for name in ClipRecord._fields)
+
+
+@settings(max_examples=200, deadline=None)
+@given(line=_faulty_line())
+def test_parse_record_reports_the_first_of_several_faults_as_before(line):
+    assert _outcome(parse_record, line) == _outcome(_oracle_parse_record, line)
+
+
 @st.composite
 def _manifest_bytes(draw):
     """A header (now and then a wrong one), then records, lines that fail to
-    parse, comments and blank lines, each ended by "\n", "\r\n" or a lone
+    parse (some with several faults), comments and blank lines, each ended by "\n", "\r\n" or a lone
     "\r", and now and then a byte that is not UTF-8 mid-line, at the end of a
     line or at the end of the file; one time in three a long comment first."""
     lines = [draw(st.sampled_from([MANIFEST_HEADER] * 4 + [" " + MANIFEST_HEADER, "#ysnd-manifest v2", ""]))]
     for _ in range(draw(st.integers(0, 8))):
-        kind = draw(st.integers(0, 5))
+        kind = draw(st.integers(0, 6))
         if kind < 2:
             lines.append(_line(draw(_kept_fields() if kind else _record_fields())))
+        elif kind == 6:
+            lines.append(draw(_faulty_line()))
         elif kind == 2:
             lines.append(draw(st.sampled_from(["", " \t", "# a comment", "  #indented"])))
         elif kind == 3:
@@ -657,10 +879,14 @@ def test_streamed_pipeline_gives_the_same_across_read_chunks(tmp_path, pad, tail
 @given(fields=_record_fields() | _kept_fields())
 def test_every_segment_line_is_the_checked_record_cut_once_built(fields):
     try:
-        record = ClipRecord(**fields)
+        oracle = _OracleRecord(**fields)
     except ContractError:
+        with pytest.raises(ContractError):
+            ClipRecord(**fields)
         return
+    record = ClipRecord(**fields)
+    assert record._asdict() == asdict(oracle)
     lines = cut(record)
-    assert lines == [_line(asdict(segment)) for segment in _oracle_segments(record)]
+    assert lines == [_line(asdict(segment)) for segment in _oracle_segments(oracle)]
     for line in lines:
         assert format_record(parse_record(line)) == line  # parse_record builds a ClipRecord, so its checks pass

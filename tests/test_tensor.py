@@ -1,6 +1,8 @@
 """Tensor engine: forward values, gradients vs central differences, tape contract."""
 
+import ast
 import contextlib
+import inspect
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foleyflow import tensor
 from foleyflow.errors import ContractError, ShapeError
 from foleyflow.model import ModelConfig, TwoTowerModel
 from foleyflow.tensor import (
@@ -515,6 +518,139 @@ def test_gradient_accumulation_within_one_graph():
     loss = reduce_mean(x * x + x * x)
     backward(loss)
     assert np.allclose(x.grad, 4.0 * x.data / x.size)
+
+
+def _dims(draw, n_min, n_max, hi=3) -> tuple:
+    return tuple(draw(st.integers(1, hi)) for _ in range(draw(st.integers(n_min, n_max))))
+
+
+def _weighted(draw, out_shape, **tensors):
+    """The op's inputs as fresh leaves, and a loss that weights each output
+    entry differently, so no gradient entry cancels against another."""
+    seed = draw(st.integers(0, 2**16))
+    leaves = {name: _leaf(shape, seed + i) for i, (name, shape) in enumerate(tensors.items())}
+    return leaves, Tensor(_rand(out_shape, seed + len(leaves)))
+
+
+def _binary_case(op):
+    def case(draw):
+        shape = _dims(draw, 1, 3)
+        # the other operand drops leading axes and sets some others to 1;
+        # either may come first
+        other = tuple(1 if draw(st.booleans()) else n for n in shape[draw(st.integers(0, len(shape) - 1)):])
+        a_shape, b_shape = (shape, other) if draw(st.booleans()) else (other, shape)
+        t, w = _weighted(draw, np.broadcast_shapes(a_shape, b_shape), a=a_shape, b=b_shape)
+        return lambda: reduce_mean(op(t["a"], t["b"]) * w), t
+
+    return case
+
+
+def _matmul_case(draw):
+    lead, (m, k, n) = _dims(draw, 0, 2), _dims(draw, 3, 3)  # m = 1 takes matmul's one-row path
+    shapes = dict(a=lead + (m, k), b=(k, n)) | (dict(bias=(n,)) if draw(st.booleans()) else {})
+    t, w = _weighted(draw, lead + (m, n), **shapes)
+    return lambda: reduce_mean(matmul(t["a"], t["b"], t.get("bias")) * w), t
+
+
+def _concat_case(draw):
+    lead, (da, db) = _dims(draw, 0, 2), _dims(draw, 2, 2)
+    t, w = _weighted(draw, lead + (da + db,), a=lead + (da,), b=lead + (db,))
+    return lambda: reduce_mean(concat(t["a"], t["b"]) * w), t
+
+
+def _transpose_case(draw):
+    rows, cols = _dims(draw, 2, 2)
+    t, w = _weighted(draw, (cols, rows), x=(rows, cols))
+    return lambda: reduce_mean(transpose(t["x"]) * w), t
+
+
+def _unary_case(op, n_min):
+    def case(draw):
+        shape = _dims(draw, n_min, 3)
+        t, w = _weighted(draw, shape, x=shape)
+        return lambda: reduce_mean(op(t["x"]) * w), t
+
+    return case
+
+
+def _modulated_case(draw, op):
+    """x of (..., d) and a mod whose leading axes are each 1 or x's, with i's
+    chunks of width d in its last axis."""
+    x_shape, i = _dims(draw, 2, 3), draw(st.integers(0, 2))
+    mod_shape = tuple(draw(st.sampled_from([1, n])) for n in x_shape[:-1]) + (3 * x_shape[-1] * (i + 1),)
+    if op is modulated_norm:
+        t, w = _weighted(draw, x_shape, x=x_shape, mod=mod_shape)
+        return lambda: reduce_mean(modulated_norm(t["x"], t["mod"], i) * w), t
+    t, w = _weighted(draw, x_shape, x=x_shape, mod=mod_shape, y=x_shape)
+    return lambda: reduce_mean(gated_residual(t["x"], t["mod"], i, t["y"]) * w), t
+
+
+def _attention_case(draw):
+    batch, t_q, t_k, heads, dh = _dims(draw, 5, 5)
+    keep = None
+    if draw(st.booleans()):  # hide some keys, but never all of an item's
+        keep = np.array(draw(st.lists(st.booleans(), min_size=batch * t_k, max_size=batch * t_k))).reshape(batch, t_k)
+        keep[np.arange(batch), draw(st.integers(0, t_k - 1))] = True
+    q_shape, kv_shape = (batch, t_q, heads * dh), (batch, t_k, heads * dh)
+    t, w = _weighted(draw, q_shape, q=q_shape, k=kv_shape, v=kv_shape)
+    return lambda: reduce_mean(attention(t["q"], t["k"], t["v"], heads, keep) * w), t
+
+
+def _rows_case(op):
+    def case(draw):
+        (n,), rest = _dims(draw, 1, 1, hi=4), _dims(draw, 0, 2)
+        rows = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+        if op is gather_rows:
+            t, w = _weighted(draw, (len(rows),) + rest, x=(n,) + rest)
+            return lambda: reduce_mean(gather_rows(t["x"], rows) * w), t
+        t, w = _weighted(draw, (n,) + rest, x=(len(rows),) + rest, base=(n,) + rest)
+        return lambda: reduce_mean(scatter_rows(t["x"], rows, t["base"]) * w), t
+
+    return case
+
+
+def _mean_case(draw):
+    shape = _dims(draw, 0, 3)
+    t, _ = _weighted(draw, (), x=shape)
+    return lambda: reduce_mean(t["x"]), t
+
+
+# every op that records a tape node, and how to draw a loss through it
+_GRADIENT_CASES = {
+    "add": _binary_case(add),
+    "sub": _binary_case(sub),
+    "mul": _binary_case(mul),
+    "matmul": _matmul_case,
+    "concat": _concat_case,
+    "transpose": _transpose_case,
+    "softmax": _unary_case(softmax, 1),
+    "gelu": _unary_case(gelu, 0),
+    "modulated_norm": lambda draw: _modulated_case(draw, modulated_norm),
+    "gated_residual": lambda draw: _modulated_case(draw, gated_residual),
+    "attention": _attention_case,
+    "gather_rows": _rows_case(gather_rows),
+    "scatter_rows": _rows_case(scatter_rows),
+    "reduce_mean": _mean_case,
+}
+
+
+def test_gradient_cases_cover_every_tape_op():
+    tree = ast.parse(inspect.getsource(tensor))
+    taping = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "_from_op" for c in ast.walk(node))
+    }
+    assert taping == set(_GRADIENT_CASES)
+
+
+@pytest.mark.parametrize("op", sorted(_GRADIENT_CASES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_every_tape_op_backward_matches_central_differences(op, data):
+    build_loss, tensors = _GRADIENT_CASES[op](data.draw)
+    check_gradients(build_loss, tensors)
 
 
 # ---------------------------------------------------------------------------
