@@ -28,7 +28,7 @@ import numpy as np
 
 from . import container
 from .errors import ContractError, ShapeError
-from .providers import SyntheticEmbedder, pool
+from .providers import SyntheticEmbedder, check_sequence, pool
 
 _PSD_TOLERANCE = 1e-6
 _PROB_FLOOR = 1e-12
@@ -221,18 +221,38 @@ def kl_sigmoid(p_gen: ClassPosterior, p_ref: ClassPosterior) -> float:
     return float(kls.mean())
 
 
-def clip_style_score(emb_a: np.ndarray, emb_b: np.ndarray) -> float:
-    """100 * cosine similarity, clamped below at zero; needs finite, non-zero norms."""
-    a = np.asarray(emb_a, dtype=np.float64).reshape(-1)
-    b = np.asarray(emb_b, dtype=np.float64).reshape(-1)
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row pair of two (n, d) arrays. Each is its own
+    vector-vector product, with the bits of np.dot on that pair."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def clip_style_score(emb_a: np.ndarray, emb_b: np.ndarray) -> float | np.ndarray:
+    """100 * cosine similarity, clamped below at zero; needs finite, non-zero norms.
+
+    Two (n, d) arrays pair row by row and give an array of n scores, each
+    with the bits of its own pair's score; the first pair without a
+    cosine raises. Any other input is one embedding per side.
+    """
+    a = np.asarray(emb_a, dtype=np.float64)
+    b = np.asarray(emb_b, dtype=np.float64)
+    rows = a.ndim == 2
+    if not rows:
+        a, b = a.reshape(-1), b.reshape(-1)
     if a.shape != b.shape:
         raise ShapeError(f"embedding shapes differ: {a.shape} vs {b.shape}")
-    norm_a, norm_b = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    if not 0.0 < norm_a * norm_b < math.inf:  # False for NaN
-        raise ContractError(f"cosine similarity undefined for embedding norms {norm_a} and {norm_b}")
-    cos = float(np.dot(a, b) / (norm_a * norm_b))
-    cos = min(1.0, cos)  # |cos| <= 1; round-off can overshoot for identical inputs
-    return 100.0 * max(0.0, cos)
+    if not rows:
+        a, b = a[None], b[None]
+    norm_a, norm_b = np.sqrt(_row_dots(a, a)), np.sqrt(_row_dots(b, b))
+    norms = norm_a * norm_b
+    undefined = np.flatnonzero(~((0.0 < norms) & (norms < math.inf)))  # NaN is undefined
+    if undefined.size:
+        i = undefined[0]
+        raise ContractError(f"cosine similarity undefined for embedding norms {float(norm_a[i])} and {float(norm_b[i])}")
+    cos = _row_dots(a, b) / norms
+    cos = np.where(cos < 1.0, cos, 1.0)  # |cos| <= 1; round-off can overshoot for identical inputs
+    scores = 100.0 * np.where(cos > 0.0, cos, 0.0)
+    return scores if rows else float(scores[0])
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +260,13 @@ def clip_style_score(emb_a: np.ndarray, emb_b: np.ndarray) -> float:
 
 
 def energy_envelope(latent: np.ndarray) -> np.ndarray:
-    """Per-frame root-mean-square energy of a (frames, dims) sequence."""
+    """Per-frame root-mean-square energy of a (frames, dims) sequence, or
+    of each sequence of an (..., frames, dims) stack."""
     arr = np.asarray(latent, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1:
+    if arr.ndim < 2 or arr.shape[-2] < 1:
         raise ShapeError(f"latent must be (frames, dims), got shape {arr.shape}")
     # np.mean's arithmetic, sum then divide, without its per-call overhead
-    return np.sqrt((arr * arr).sum(axis=1) / arr.shape[1])
+    return np.sqrt((arr * arr).sum(axis=-1) / arr.shape[-1])
 
 
 def check_frame_rate(frame_rate, frames: int) -> None:
@@ -266,37 +287,60 @@ def detect_peaks(envelope: np.ndarray, frame_rate: float) -> PeakTrain:
     the taller one. These are scipy.signal.find_peaks' rules with its
     height and distance options, ties included.
     """
-    env = np.asarray(envelope, dtype=np.float64).reshape(-1)
-    if env.size < 3:
-        raise ContractError(f"peak detection needs at least 3 frames, got {env.size}")
-    check_frame_rate(frame_rate, env.size)
-    duration = env.size / frame_rate
-    peak = float(env.max())
-    if peak <= 0.0:
-        return PeakTrain(times=(), duration=duration)
-    # find_peaks' scan: from each strict rise, step over the flat run and
-    # look for a strict fall. No frame of a flat run or of its fall is a
-    # rise, so each rise at or above the threshold is checked on its own.
-    x = env.tolist()
-    last = env.size - 1
-    height = PEAK_THRESHOLD * peak
-    maxima = []
-    for i in range(1, last):
-        top = x[i]
-        if top >= height and x[i - 1] < top:
-            ahead = i + 1
-            while ahead < last and x[ahead] == top:
-                ahead += 1
-            if x[ahead] < top:
-                maxima.append((i + ahead - 1) // 2)
-    # tallest first, in the reversed np.argsort order find_peaks visits them
-    # in, so that ties resolve the same way; the cap keeps the gap a small int
-    gap = min(math.ceil(MIN_SEPARATION * frame_rate), env.size)
+    return peak_trains(np.asarray(envelope, dtype=np.float64).reshape(1, -1), frame_rate)[0]
+
+
+def peak_trains(envelopes: np.ndarray, frame_rate: float) -> list:
+    """detect_peaks of each row of an (n, frames) envelope stack.
+
+    The maxima of every row are found at once. Only a row with two maxima
+    closer than the gap is thinned, one maximum at a time.
+    """
+    env = np.asarray(envelopes, dtype=np.float64)
+    frames = env.shape[1]
+    if frames < 3:
+        raise ContractError(f"peak detection needs at least 3 frames, got {frames}")
+    check_frame_rate(frame_rate, frames)
+    duration = frames / frame_rate
+    peak = env.max(axis=1)
+    # find_peaks' scan: a strict rise into frame i at or above the height
+    # starts a top; the top's flat run ends at the first frame whose
+    # successor differs, and it is a maximum when that successor falls.
+    # A row whose maximum is not above zero has no peaks.
+    top = env[:, 1:-1]
+    rises = (env[:, :-2] < top) & (top >= (PEAK_THRESHOLD * peak)[:, None]) & (peak > 0.0)[:, None]
+    last = frames - 1
+    run_end = np.where(env[:, 1:] != env[:, :-1], np.arange(last), last)
+    run_end = np.minimum.accumulate(run_end[:, ::-1], axis=1)[:, ::-1]
+    rows, start = np.nonzero(rises)
+    start += 1
+    end = run_end[rows, start]
+    inside = end < last
+    rows, start, end = rows[inside], start[inside], end[inside]
+    falls = env[rows, end + 1] < env[rows, start]
+    rows, maxima = rows[falls], (start[falls] + end[falls]) // 2
+    # the cap keeps the gap a small int
+    gap = min(math.ceil(MIN_SEPARATION * frame_rate), frames)
+    crowded = set(rows[1:][(rows[1:] == rows[:-1]) & (np.diff(maxima) < gap)].tolist())
+    bounds = np.searchsorted(rows, np.arange(len(env) + 1)).tolist()
+    maxima = maxima.tolist()
+    trains = []
+    for r in range(len(env)):
+        kept = maxima[bounds[r] : bounds[r + 1]]
+        if r in crowded:
+            kept = _thinned(env[r], kept, gap)
+        trains.append(PeakTrain(times=tuple(p / frame_rate for p in kept), duration=duration))
+    return trains
+
+
+def _thinned(env: np.ndarray, maxima: list, gap: int) -> list:
+    """Greedy thinning: tallest first, in the reversed np.argsort order
+    find_peaks visits them in, so that ties resolve the same way."""
     kept: list = []
     for j in np.argsort(env[maxima])[::-1].tolist():
         if all(abs(maxima[j] - q) >= gap for q in kept):
             kept.append(maxima[j])
-    return PeakTrain(times=tuple(p / frame_rate for p in sorted(kept)), duration=duration)
+    return sorted(kept)
 
 
 def av_align(audio_peaks: PeakTrain, video_peaks: PeakTrain) -> float:
@@ -328,11 +372,17 @@ def av_align(audio_peaks: PeakTrain, video_peaks: PeakTrain) -> float:
     return matched / (len(a) + len(v) - matched)
 
 
-def envelope_alignment(env_a, rate_a: float, env_b, rate_b: float) -> float:
+def envelope_alignment(env_a, rate_a: float, env_b, rate_b: float) -> float | list:
     """av_align of the detect_peaks trains of two envelopes, each at its own
-    frame rate: the refiner's temporal reward, the AV column and the
-    pipeline's score."""
-    return av_align(detect_peaks(env_a, rate_a), detect_peaks(env_b, rate_b))
+    frame rate: the refiner's temporal reward and the AV column. An
+    (n, frames) stack of first envelopes gives a list of n scores against
+    the one second envelope, whose train is found once."""
+    a = np.asarray(env_a, dtype=np.float64)
+    if a.ndim != 2:
+        return av_align(detect_peaks(a, rate_a), detect_peaks(env_b, rate_b))
+    trains = peak_trains(a, rate_a)
+    other = detect_peaks(env_b, rate_b)
+    return [av_align(train, other) for train in trains]
 
 
 # ---------------------------------------------------------------------------
@@ -374,18 +424,45 @@ def _load_latent_dir(path: str) -> dict:
     return out
 
 
-def _embed_rows(seqs: list) -> tuple:
-    """(n, dim) embeddings of seqs under FIDELITY, DISTRIBUTION, CLASSIFIER
-    and SHARED. Each sequence is pooled once and every provider projects
-    that one vector, row by row: a stacked product may differ in the last
-    bits, and the sequences may differ in shape."""
-    embedders = (FIDELITY, DISTRIBUTION, CLASSIFIER, SHARED)
-    rows = tuple(np.empty((len(seqs), e.dim)) for e in embedders)
+def _stacks(seqs: list) -> list:
+    """(indices, (n, frames, dims) stack) for each shape among seqs, in
+    order of first appearance. The first sequence that is not a provider
+    input raises, as pooling it alone would."""
+    groups: dict = {}
     for i, seq in enumerate(seqs):
-        pooled = pool(seq)
+        groups.setdefault(seq.shape, []).append(i)
+    stacks = []
+    for shape, indices in groups.items():
+        check_sequence(shape)
+        stacks.append((indices, np.stack([seqs[i] for i in indices])))
+    return stacks
+
+
+def _embed_rows(stacks: list, n: int) -> tuple:
+    """(n, dim) embeddings of the sequences of _stacks under FIDELITY,
+    DISTRIBUTION, CLASSIFIER and SHARED. Each stack is pooled once, and
+    every provider projects the pooled rows as stacked vector-matrix
+    products. Each row keeps the bits of its own sequence's embedding,
+    which one plain (n, width) @ (width, dim) gemm would not."""
+    embedders = (FIDELITY, DISTRIBUTION, CLASSIFIER, SHARED)
+    rows = tuple(np.empty((n, e.dim)) for e in embedders)
+    for indices, stack in stacks:
+        pooled = pool(stack)
         for out, embedder in zip(rows, embedders):
-            out[i] = embedder.project(pooled)
+            out[indices] = embedder.project(pooled)
     return rows
+
+
+def _envelope_rows(stacks: list, n: int, frame_rate: float) -> tuple:
+    """The energy envelope and the peak train of each sequence of _stacks,
+    one energy_envelope and one peak_trains call per stack."""
+    envelopes: list = [None] * n
+    trains: list = [None] * n
+    for indices, stack in stacks:
+        rows = energy_envelope(stack)
+        for i, env, train in zip(indices, rows, peak_trains(rows, frame_rate)):
+            envelopes[i], trains[i] = env, train
+    return envelopes, trains
 
 
 def evaluate_set(gen_dir: str, ref_dir: str, frame_rate: float = FRAME_RATE) -> EvalReport:
@@ -393,7 +470,8 @@ def evaluate_set(gen_dir: str, ref_dir: str, frame_rate: float = FRAME_RATE) -> 
 
     The reference item of each pair stands in for the anchor modality in
     the CLIP and AV columns; ids present on only one side are listed as
-    missing and excluded from every aggregate.
+    missing and excluded from every aggregate. The sets may mix latent
+    shapes: the latents of each shape are scored as one stack.
     """
     gen = _load_latent_dir(gen_dir)
     ref = _load_latent_dir(ref_dir)
@@ -404,15 +482,17 @@ def evaluate_set(gen_dir: str, ref_dir: str, frame_rate: float = FRAME_RATE) -> 
             + [f"{cid} (ref only)" for cid in set(ref) - set(gen)]
         )
     )
-    if len(shared_ids) < 2:
-        raise ContractError(f"evaluation needs at least 2 paired clips, found {len(shared_ids)}")
+    n = len(shared_ids)
+    if n < 2:
+        raise ContractError(f"evaluation needs at least 2 paired clips, found {n}")
 
     gen_seqs = [gen[cid] for cid in shared_ids]
     ref_seqs = [ref[cid] for cid in shared_ids]
     check_frame_rate(frame_rate, max(len(s) for s in gen_seqs + ref_seqs))
 
-    gen_fid, gen_dist, gen_scores, gen_shared = _embed_rows(gen_seqs)
-    ref_fid, ref_dist, ref_scores, ref_shared = _embed_rows(ref_seqs)
+    gen_stacks, ref_stacks = _stacks(gen_seqs), _stacks(ref_seqs)
+    gen_fid, gen_dist, gen_scores, gen_shared = _embed_rows(gen_stacks, n)
+    ref_fid, ref_dist, ref_scores, ref_shared = _embed_rows(ref_stacks, n)
     fad = frechet_distance(EmbeddingSet(gen_fid), EmbeddingSet(ref_fid))
     fd = frechet_distance(EmbeddingSet(gen_dist), EmbeddingSet(ref_dist))
     gen_posts = sigmoid_calibrate(gen_scores)
@@ -420,14 +500,18 @@ def evaluate_set(gen_dir: str, ref_dir: str, frame_rate: float = FRAME_RATE) -> 
     kl = kl_sigmoid(gen_posts, ref_posts)
     is_score = inception_score(gen_posts)
 
-    clip_scores = []
-    av_scores = []
-    details = []
-    for cid, gseq, rseq, g_emb, r_emb in zip(shared_ids, gen_seqs, ref_seqs, gen_shared, ref_shared):
-        clip_scores.append(clip_style_score(g_emb, r_emb))
-        g_env, r_env = energy_envelope(gseq), energy_envelope(rseq)
-        av_scores.append(envelope_alignment(g_env, frame_rate, r_env, frame_rate))
-        details.append(PairDetail(clip_id=cid, gen_envelope=g_env, ref_envelope=r_env))
+    # pair by pair, the cosine is checked before the two peak trains, so a
+    # pair too short for peaks ends the cosines that count
+    short = next((i for i in range(n) if min(len(gen_seqs[i]), len(ref_seqs[i])) < 3), None)
+    stop = n if short is None else short + 1
+    clip_scores = clip_style_score(gen_shared[:stop], ref_shared[:stop])
+    if short is not None:
+        detect_peaks(energy_envelope(gen_seqs[short]), frame_rate)
+        detect_peaks(energy_envelope(ref_seqs[short]), frame_rate)
+    gen_envs, gen_trains = _envelope_rows(gen_stacks, n, frame_rate)
+    ref_envs, ref_trains = _envelope_rows(ref_stacks, n, frame_rate)
+    av_scores = [av_align(g, r) for g, r in zip(gen_trains, ref_trains)]
+    details = tuple(PairDetail(clip_id=cid, gen_envelope=g, ref_envelope=r) for cid, g, r in zip(shared_ids, gen_envs, ref_envs))
 
     values = {
         "FAD": fad,
@@ -437,7 +521,7 @@ def evaluate_set(gen_dir: str, ref_dir: str, frame_rate: float = FRAME_RATE) -> 
         "CLIP": float(np.mean(clip_scores)),
         "AV": float(np.mean(av_scores)),
     }
-    return EvalReport(values=values, n_pairs=len(shared_ids), missing=missing, pairs=tuple(details))
+    return EvalReport(values=values, n_pairs=n, missing=missing, pairs=details)
 
 
 def render_report(report: EvalReport, as_json: bool = False) -> str:

@@ -16,15 +16,22 @@ from .errors import ContractError
 from .rng import SeededRng, derive_seed, string_seed
 
 
+def check_sequence(shape: tuple) -> None:
+    """The provider input rule: a non-empty (frames, dims) sequence."""
+    if len(shape) != 2 or shape[0] == 0:
+        raise ContractError(f"provider input must be a non-empty 2-D sequence, got shape {shape}")
+
+
 def pool(features: np.ndarray) -> np.ndarray:
     """Order-insensitive summary of a (frames, dims) feature sequence: the
     per-dim mean, then the per-dim max. Every embedder projects this vector,
-    so a caller that embeds one sequence under several providers pools it once."""
+    so a caller that embeds one sequence under several providers pools it once.
+    An (n, frames, dims) stack pools to (n, 2 * dims), each row with the bits
+    of its own sequence's pool: the sums run over frames in the same order."""
     feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] == 0:
-        raise ContractError(f"provider input must be a non-empty 2-D sequence, got shape {feats.shape}")
+    check_sequence(feats.shape[1:] if feats.ndim == 3 else feats.shape)
     # np.mean's arithmetic, sum then divide, without its per-call overhead
-    return np.concatenate([feats.sum(axis=0) / feats.shape[0], feats.max(axis=0)])
+    return np.concatenate([feats.sum(axis=-2) / feats.shape[-2], feats.max(axis=-2)], axis=-1)
 
 
 class SyntheticEmbedder:
@@ -52,8 +59,10 @@ class SyntheticEmbedder:
         return w
 
     def project(self, pooled: np.ndarray) -> np.ndarray:
-        """Embedding of one pool() vector."""
-        return pooled @ self._projection(pooled.size)
+        """Embedding of one pool() vector, or of each row of an (n, width)
+        stack. Every row is its own vector-matrix product, so a row keeps its
+        bits in any stack; one (n, width) @ (width, dim) gemm would not."""
+        return (pooled[..., None, :] @ self._projection(pooled.shape[-1]))[..., 0, :]
 
     def embed(self, features: np.ndarray) -> np.ndarray:
         return self.project(pool(features))

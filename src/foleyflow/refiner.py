@@ -70,7 +70,7 @@ class RewardReport:
     aggregate: float
 
 
-def reward(candidate: np.ndarray, cond: ConditionBundle, frame_rate: float = FRAME_RATE) -> RewardReport:
+def reward(candidate: np.ndarray, cond: ConditionBundle, frame_rate: float = FRAME_RATE) -> RewardReport | list:
     """Score one candidate against its conditions.
 
     temporal    peak alignment between the candidate envelope and the
@@ -81,37 +81,45 @@ def reward(candidate: np.ndarray, cond: ConditionBundle, frame_rate: float = FRA
                 refiner must rank arbitrary candidates.
     smoothness  1 - mean squared frame difference, floored at 0.
     REWARD_WEIGHTS renormalize over the components that apply.
+
+    An (n, frames, dims) stack of candidates gives a list of n reports,
+    each with the bits of its own candidate's report. The video's peak
+    train and the anchor's embedding are found once for the whole stack.
     """
-    cand = np.asarray(candidate, dtype=np.float64)
-    if cand.ndim != 2:
+    cands = np.asarray(candidate, dtype=np.float64)
+    if cands.ndim not in (2, 3):
         raise ContractError("reward needs a 2-D candidate latent sequence")
-    check_frame_rate(frame_rate, cand.shape[0])
+    stack = cands if cands.ndim == 3 else cands[None]
+    n, frames = stack.shape[:2]
+    check_frame_rate(frame_rate, frames)
     video, text = cond.video_feat, cond.text_emb
 
     components: dict = {}
     if video is not None:
-        duration = cand.shape[0] / frame_rate
-        video_rate = video.shape[0] / duration
-        components["temporal"] = envelope_alignment(energy_envelope(cand), frame_rate, energy_envelope(video), video_rate)
+        video_rate = video.shape[0] / (frames / frame_rate)
+        components["temporal"] = envelope_alignment(energy_envelope(stack), frame_rate, energy_envelope(video), video_rate)
 
     anchor = video if video is not None else text
     if anchor is not None:
-        emb_c = SHARED.embed(cand)
+        emb_c = SHARED.embed(stack)
         emb_a = SHARED.embed(anchor)
-        if np.linalg.norm(emb_c) == 0.0 or np.linalg.norm(emb_a) == 0.0:
-            components["semantic"] = 0.0
-        else:
-            components["semantic"] = clip_style_score(emb_c, emb_a) / 100.0
+        semantic = np.zeros(n)
+        scored = np.flatnonzero((np.linalg.norm(emb_c, axis=1) != 0.0) & (np.linalg.norm(emb_a) != 0.0))
+        semantic[scored] = clip_style_score(emb_c[scored], np.broadcast_to(emb_a, (scored.size, emb_a.size))) / 100.0
+        components["semantic"] = semantic.tolist()
 
-    frame_diff = np.diff(cand, axis=0)
-    msd = float(np.mean(frame_diff * frame_diff)) if frame_diff.size else 0.0
-    components["smoothness"] = max(0.0, 1.0 - msd)
+    frame_diff = np.diff(stack, axis=1).reshape(n, -1)
+    msd = (frame_diff * frame_diff).sum(axis=1) / frame_diff.shape[1] if frame_diff.size else np.zeros(n)
+    components["smoothness"] = [max(0.0, 1.0 - m) for m in msd.tolist()]
 
-    present = {name: REWARD_WEIGHTS[name] for name in components}
-    total = sum(present.values())
-    used = {name: w / total for name, w in present.items()}
-    aggregate = sum(used[name] * components[name] for name in components)
-    return RewardReport(components=components, weights=used, aggregate=aggregate)
+    total = sum(REWARD_WEIGHTS[name] for name in components)
+    used = {name: REWARD_WEIGHTS[name] / total for name in components}
+    reports = []
+    for i in range(n):
+        row = {name: values[i] for name, values in components.items()}
+        aggregate = sum(used[name] * row[name] for name in row)
+        reports.append(RewardReport(components=row, weights=dict(used), aggregate=aggregate))
+    return reports if cands.ndim == 3 else reports[0]
 
 
 @dataclass(frozen=True)
@@ -149,8 +157,10 @@ def refine(
     sampler_cfg, seeds) returns one latent or DivergenceError per seed
     (flow.sample_many by default, which keeps a diverged row in the batch,
     zeroed, so the others keep their bits). A diverged candidate only
-    enters the trace. The coarse input always competes, so the result
-    never scores below it; ties keep it, then the lower candidate index.
+    enters the trace. The coarse input and the sampled candidates are
+    scored as one reward stack, of latents of the coarse input's shape.
+    The coarse input always competes, so the result never scores below
+    it; ties keep it, then the lower candidate index.
     """
     check_positive_int("k", k, ContractError)
     sample_fn = sample_fn if sample_fn is not None else flow.sample_many
@@ -164,17 +174,18 @@ def refine(
     signal = extract_signal(cond, coarse_arr)
     cond_aug = replace(cond, extra_tokens=signal_token(signal, model.config.d_text))
 
-    coarse_report = reward(coarse_arr, cond, frame_rate)
-    best_arr, best_report, picked = coarse_arr, coarse_report, "coarse"
-
     seeds = [derive_seed(sampler_cfg.seed, "candidate", i) for i in range(k)]
     candidates = sample_fn(model, cond_aug, sampler_cfg, seeds)
+    sampled = [c for c in candidates if not isinstance(c, DivergenceError)]
+    reports = iter(reward(np.stack([coarse_arr, *sampled]), cond, frame_rate))
+    coarse_report = next(reports)
+    best_arr, best_report, picked = coarse_arr, coarse_report, "coarse"
     trace: list = []
     for i, (seed_i, candidate) in enumerate(zip(seeds, candidates, strict=True)):
         if isinstance(candidate, DivergenceError):
             trace.append(TraceEntry(index=i, seed=seed_i, error=str(candidate)))
             continue
-        cand_report = reward(candidate, cond, frame_rate)
+        cand_report = next(reports)
         trace.append(TraceEntry(index=i, seed=seed_i, report=cand_report))
         if cand_report.aggregate > best_report.aggregate:
             best_arr, best_report, picked = candidate, cand_report, f"candidate:{i}"

@@ -12,6 +12,7 @@ gets trained without a separate mechanism.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -343,9 +344,12 @@ def run_curriculum(
     checkpoint reproduces the original stage-N+1 losses, draws,
     parameters and checkpoint bytes exactly. Its step numbers are not:
     checkpoints do not store the step, so a resumed run numbers its
-    steps from 1.
+    steps from 1. An out_dir that is not a directory fails before the
+    first step.
     """
     check_stage_order(stages)
+    if out_dir is not None and not os.path.isdir(out_dir):
+        raise ContractError(f"not a directory: {out_dir}")
     events: list = []
     step = 0
     for stage in stages:

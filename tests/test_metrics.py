@@ -1,16 +1,18 @@
 """Metric oracles: hand-computable fixtures for every column."""
 
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from foleyflow import container, metrics, providers, refiner
 from foleyflow.errors import ContractError, ShapeError
-from foleyflow.model import ConditionBundle
+from foleyflow.model import ConditionBundle, ModelConfig
 from foleyflow.metrics import (
     FRAME_RATE,
     MIN_SEPARATION,
@@ -28,6 +30,7 @@ from foleyflow.metrics import (
     frechet_distance,
     inception_score,
     kl_sigmoid,
+    peak_trains,
     render_report,
     sigmoid_calibrate,
 )
@@ -327,6 +330,81 @@ def test_detect_peaks_matches_scipy_find_peaks(runs, frame_rate):
     assert detect_peaks(env, frame_rate).times == tuple(idx / frame_rate)
 
 
+def _oracle_detect_peaks(envelope, frame_rate):
+    """detect_peaks as one scan per envelope, kept as the oracle of the
+    row-stacked peak finder."""
+    env = np.asarray(envelope, dtype=np.float64).reshape(-1)
+    if env.size < 3:
+        raise ContractError(f"peak detection needs at least 3 frames, got {env.size}")
+    metrics.check_frame_rate(frame_rate, env.size)
+    duration = env.size / frame_rate
+    peak = float(env.max())
+    if peak <= 0.0:
+        return PeakTrain(times=(), duration=duration)
+    x = env.tolist()
+    last = env.size - 1
+    height = PEAK_THRESHOLD * peak
+    maxima = []
+    for i in range(1, last):
+        top = x[i]
+        if top >= height and x[i - 1] < top:
+            ahead = i + 1
+            while ahead < last and x[ahead] == top:
+                ahead += 1
+            if x[ahead] < top:
+                maxima.append((i + ahead - 1) // 2)
+    gap = min(math.ceil(MIN_SEPARATION * frame_rate), env.size)
+    kept: list = []
+    for j in np.argsort(env[maxima])[::-1].tolist():
+        if all(abs(maxima[j] - q) >= gap for q in kept):
+            kept.append(maxima[j])
+    return PeakTrain(times=tuple(p / frame_rate for p in sorted(kept)), duration=duration)
+
+
+_level = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
+    st.floats(0.0, 1.0),
+    st.sampled_from([-1.0, math.inf, math.nan]),
+)
+
+
+@st.composite
+def _envelope_stacks(draw):
+    """(n, frames) stacks of runs of few levels: plateaus, ties, all-zero
+    rows and maxima closer than the gap at the higher frame rates."""
+    frames = draw(st.integers(3, 40))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            rows.append(np.zeros(frames))
+            continue
+        runs = draw(st.lists(st.tuples(_level, st.integers(1, 4)), min_size=1, max_size=frames))
+        levels, lengths = zip(*runs)
+        row = np.repeat(levels, lengths)[:frames]
+        rows.append(np.pad(row, (0, frames - row.size)))
+    return np.stack(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(envs=_envelope_stacks(), frame_rate=st.floats(1.0, 1000.0))
+@example(envs=np.array([[-1.0, 0.0, -1.0, 0.0, -2.0], [0.0, 1.0, 0.0, 1.0, 0.0]]), frame_rate=10.0)
+def test_stacked_peaks_match_the_one_row_scan(envs, frame_rate):
+    trains = peak_trains(envs, frame_rate)
+    assert len(trains) == len(envs)
+    for env, train in zip(envs, trains):
+        expected = _oracle_detect_peaks(env, frame_rate)
+        assert train == expected
+        assert detect_peaks(env, frame_rate) == expected
+
+
+def test_stacked_peaks_share_detect_peaks_contracts():
+    with pytest.raises(ContractError, match="at least 3 frames, got 2"):
+        peak_trains(np.zeros((4, 2)), 10.0)
+    with pytest.raises(ContractError, match="frame_rate"):
+        peak_trains(np.zeros((4, 5)), 0.0)
+    assert peak_trains(np.zeros((0, 5)), 10.0) == []
+
+
 # ---------------------------------------------------------------------------
 # alignment score
 
@@ -452,7 +530,7 @@ def test_evaluate_set_of_mixed_shapes_is_pinned(tmp_path):
 
 
 def test_evaluate_set_pools_each_latent_once(tmp_path, monkeypatch):
-    items = _toy_latents(6, n=4)
+    items = {**_toy_latents(6, n=4), "long": _spiky(7, (5, 20), t=40)}
     _write_latents(tmp_path / "gen", items)
     _write_latents(tmp_path / "ref", items)
     calls = []
@@ -464,7 +542,120 @@ def test_evaluate_set_pools_each_latent_once(tmp_path, monkeypatch):
     monkeypatch.setattr(providers, "pool", counted)
     monkeypatch.setattr(metrics, "pool", counted)
     evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"))
-    assert len(calls) == 2 * len(items)
+    # one stack per shape and side, and each latent a row of one of them
+    assert sorted(calls) == [(1, 40, 4), (1, 40, 4), (4, 24, 4), (4, 24, 4)]
+    assert sum(shape[0] for shape in calls) == 2 * len(items)
+
+
+def _oracle_pool(seq):
+    return np.concatenate([seq.sum(axis=0) / seq.shape[0], seq.max(axis=0)])
+
+
+def _oracle_clip(a, b):
+    norm_a, norm_b = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    if not 0.0 < norm_a * norm_b < math.inf:
+        raise ContractError(f"cosine similarity undefined for embedding norms {norm_a} and {norm_b}")
+    return 100.0 * max(0.0, min(1.0, float(np.dot(a, b) / (norm_a * norm_b))))
+
+
+def _oracle_evaluate(gen, ref, frame_rate):
+    """evaluate_set on loaded latents, one latent and one pair at a time,
+    kept as the oracle of the stacked evaluation."""
+    ids = sorted(set(gen) & set(ref))
+    gen_seqs, ref_seqs = [gen[cid] for cid in ids], [ref[cid] for cid in ids]
+    metrics.check_frame_rate(frame_rate, max(len(s) for s in gen_seqs + ref_seqs))
+    embedders = (metrics.FIDELITY, metrics.DISTRIBUTION, metrics.CLASSIFIER, metrics.SHARED)
+    sides = []
+    for seqs in (gen_seqs, ref_seqs):
+        rows = tuple(np.empty((len(seqs), e.dim)) for e in embedders)
+        for i, seq in enumerate(seqs):
+            if seq.ndim != 2 or seq.shape[0] == 0:
+                raise ContractError(f"provider input must be a non-empty 2-D sequence, got shape {seq.shape}")
+            pooled = _oracle_pool(seq)
+            for out, e in zip(rows, embedders):
+                out[i] = pooled @ e._projection(pooled.size)
+        sides.append(rows)
+    (gen_fid, gen_dist, gen_scores, gen_shared), (ref_fid, ref_dist, ref_scores, ref_shared) = sides
+    fad = frechet_distance(EmbeddingSet(gen_fid), EmbeddingSet(ref_fid))
+    fd = frechet_distance(EmbeddingSet(gen_dist), EmbeddingSet(ref_dist))
+    gen_posts, ref_posts = sigmoid_calibrate(gen_scores), sigmoid_calibrate(ref_scores)
+    kl, is_score = kl_sigmoid(gen_posts, ref_posts), inception_score(gen_posts)
+    clip_scores, av_scores, envelopes = [], [], []
+    for gseq, rseq, g_emb, r_emb in zip(gen_seqs, ref_seqs, gen_shared, ref_shared):
+        clip_scores.append(_oracle_clip(g_emb, r_emb))
+        g_env = np.sqrt((gseq * gseq).sum(axis=1) / gseq.shape[1])
+        r_env = np.sqrt((rseq * rseq).sum(axis=1) / rseq.shape[1])
+        av_scores.append(av_align(_oracle_detect_peaks(g_env, frame_rate), _oracle_detect_peaks(r_env, frame_rate)))
+        envelopes.append((g_env, r_env))
+    values = {"FAD": fad, "FD": fd, "KL-sigmoid": kl, "IS": is_score,
+              "CLIP": float(np.mean(clip_scores)), "AV": float(np.mean(av_scores))}
+    return values, envelopes
+
+
+_latent_kind = st.sampled_from(["plain"] * 36 + ["two frames", "one frame", "zero", "huge"])
+
+
+@st.composite
+def _latent_sets(draw):
+    """Paired latents of a few (frames, dims) shapes per side: noise with
+    onset spikes, all-zero latents (no cosine), latents too short for
+    peaks and, rarely, latents whose statistics overflow."""
+    n = draw(st.integers(2, 7))
+    sides = []
+    for side in range(2):
+        shapes = draw(st.lists(st.sampled_from([(32, 4), (32, 8), (20, 4), (5, 4), (3, 1)]), min_size=1, max_size=3))
+        items = {}
+        for i in range(n):
+            kind = draw(_latent_kind)
+            t, d = {"two frames": (2, 4), "one frame": (1, 8)}.get(kind, shapes[i % len(shapes)])
+            arr = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(t, d)) * 0.05
+            arr[draw(st.lists(st.integers(0, t - 1), max_size=3))] += 2.0
+            items[f"clip{i}"] = {"zero": 0.0, "huge": 1e170}.get(kind, 1.0) * arr
+        sides.append(items)
+    return sides
+
+
+@settings(max_examples=100, deadline=None)
+@given(sets=_latent_sets(), frame_rate=st.sampled_from([FRAME_RATE, 4.0, 100.0]))
+def test_evaluate_set_matches_the_per_pair_evaluation(sets, frame_rate):
+    gen, ref = sets
+    try:
+        expected = _oracle_evaluate(gen, ref, frame_rate)
+    except ContractError as exc:
+        expected = exc
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _write_latents(Path(tmp) / "gen", gen)
+        _write_latents(Path(tmp) / "ref", ref)
+        if isinstance(expected, ContractError):
+            with pytest.raises(ContractError) as raised:
+                evaluate_set(str(Path(tmp) / "gen"), str(Path(tmp) / "ref"), frame_rate)
+            assert str(raised.value) == str(expected)
+            return
+        report = evaluate_set(str(Path(tmp) / "gen"), str(Path(tmp) / "ref"), frame_rate)
+    values, envelopes = expected
+    assert report.values == values  # == on floats: bit for bit
+    for pair, (g_env, r_env) in zip(report.pairs, envelopes, strict=True):
+        assert np.array_equal(pair.gen_envelope, g_env) and np.array_equal(pair.ref_envelope, r_env)
+
+
+def test_evaluate_set_raises_for_the_first_bad_pair(tmp_path):
+    good = _toy_latents(8, n=4)
+    cases = {
+        # a pair too short for peaks comes before a pair without a cosine, and after one
+        "short first": ({"clip1": good["clip1"][:2], "clip2": np.zeros((24, 4))}, "at least 3 frames, got 2"),
+        "zero first": ({"clip1": np.zeros((24, 4)), "clip2": good["clip2"][:2]}, "cosine similarity undefined"),
+        # the first latent that is no provider input, in pair order
+        "bad shapes": ({"clip1": np.ones(5), "clip2": np.ones((2, 3, 4))}, r"got shape \(5,\)"),
+    }
+    for name, (changes, message) in cases.items():
+        gen = {**good, **changes}
+        _write_latents(tmp_path / name / "gen", gen)
+        _write_latents(tmp_path / name / "ref", good)
+        with pytest.raises(ContractError, match=message):
+            _oracle_evaluate(gen, good, FRAME_RATE)
+        with pytest.raises(ContractError, match=message):
+            evaluate_set(str(tmp_path / name / "gen"), str(tmp_path / name / "ref"))
 
 
 def test_evaluate_set_needs_two_pairs(tmp_path):
@@ -542,3 +733,27 @@ def test_providers_are_deterministic():
     seq = np.random.default_rng(5).normal(size=(10, 3))
     assert np.array_equal(emb.embed(seq), SyntheticEmbedder("provider-x", 6).embed(seq))
     assert not np.array_equal(emb.embed(seq), SyntheticEmbedder("provider-y", 6).embed(seq))
+
+
+def test_stacked_products_keep_the_bits_of_one_row_products():
+    """Row i of a stacked (n, 1, k) @ (k, m) product, and of a stacked
+    vector-vector product, has the bits of the one-row product, for every
+    embedder at the latent and feature widths the program stacks. The
+    stacked evaluation and reward rest on this; a plain (n, k) @ (k, m)
+    gemm gives no such promise. Like the golden digests, it is a property
+    of the numpy and BLAS builds."""
+    cfg = ModelConfig()
+    widths = sorted({2 * d for d in (cfg.d_audio_latent, cfg.d_video_feat, cfg.d_text, 1, 4, 8)})
+    rng = np.random.default_rng(29)
+    for k in widths:
+        for embedder in (metrics.FIDELITY, metrics.DISTRIBUTION, metrics.CLASSIFIER, metrics.SHARED):
+            w = embedder._projection(k)
+            for n in (1, 2, 3, 7, 64, 1025):
+                pooled = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+                stacked = embedder.project(pooled)
+                emb = rng.normal(size=(n, embedder.dim))
+                dots, norms = metrics._row_dots(stacked, emb), np.sqrt(metrics._row_dots(stacked, stacked))
+                for i in range(n):
+                    assert np.array_equal(stacked[i], pooled[i] @ w), (k, embedder.provider_id, n, i)
+                    assert dots[i] == np.dot(stacked[i], emb[i]), (embedder.dim, n, i)
+                    assert norms[i] == np.linalg.norm(stacked[i]), (embedder.dim, n, i)

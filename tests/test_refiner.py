@@ -143,6 +143,39 @@ def test_reward_rejects_bad_candidate():
         reward(np.zeros(8), ConditionBundle())
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    text=st.booleans(),
+    video=st.booleans(),
+    n=st.integers(min_value=1, max_value=6),
+    zeros=st.lists(st.integers(min_value=0, max_value=5), max_size=2),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_a_stack_of_candidates_scores_as_each_alone(text, video, n, zeros, seed):
+    rng = SeededRng(seed)
+    cond = _cond(rng, text=text, video=video)
+    stack = rng.normal((n, 32, SMALL.d_audio_latent))
+    stack[[z for z in zeros if z < n]] = 0.0  # a zero candidate scores semantic 0
+    reports = reward(stack, cond)
+    assert reports == [reward(candidate, cond) for candidate in stack]
+
+
+def test_refine_finds_the_anchor_once(small_model, monkeypatch):
+    from foleyflow import metrics
+
+    rng = SeededRng(14)
+    cond = _cond(rng)
+    coarse = _coarse(rng)
+    embedded, trains = [], []
+    embed, detect = metrics.SHARED.embed, metrics.detect_peaks
+    monkeypatch.setattr(metrics.SHARED, "embed", lambda x: embedded.append(np.shape(x)) or embed(x))
+    monkeypatch.setattr(metrics, "detect_peaks", lambda env, fr: trains.append(np.shape(env)) or detect(env, fr))
+    refine(small_model, cond, coarse, k=4, sampler_cfg=SamplerConfig(nfe=2, seed=1))
+    # the coarse input and four candidates in one stack, then the video anchor
+    assert embedded == [(5, SMALL.t_audio, SMALL.d_audio_latent), cond.video_feat.shape]
+    assert trains == [(cond.video_feat.shape[0],)]
+
+
 # ---------------------------------------------------------------------------
 # refine
 

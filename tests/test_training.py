@@ -520,6 +520,20 @@ def test_curriculum_requires_increasing_stage_ids():
         run_curriculum(model, [], OptimizerConfig(), _datasets(), seed=0)
 
 
+def test_curriculum_into_a_missing_directory_fails_before_the_first_step(tmp_path):
+    model = TwoTowerModel(SMALL, seed=0)
+    before = {k: v.copy() for k, v in model.state_arrays().items()}
+    stages = [stage_preset(1, steps=2), stage_preset(2, steps=2)]
+    (tmp_path / "file").write_text("")
+    for missing in (tmp_path / "absent", tmp_path / "file"):
+        seen = []
+        with pytest.raises(ContractError, match="not a directory"):
+            run_curriculum(model, stages, OptimizerConfig(), _datasets(), seed=0, out_dir=str(missing), sink=seen.append)
+        assert seen == []
+    assert all(np.array_equal(before[k], v) for k, v in model.state_arrays().items())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
 def test_curriculum_resume_replays_later_stage_exactly(tmp_path):
     # each stage derives its rng from (seed, stage_id), so training stage 2
     # from the stage-1 checkpoint reproduces the full run's stage-2 events
