@@ -104,10 +104,7 @@ def _load_video(arg: str, cfg: ModelConfig):
     """A path to a latent container with a video_feat record, or an id for
     the synthetic provider."""
     if os.path.exists(arg):
-        records = container.read_latents(arg)
-        if "video_feat" not in records:
-            raise ContractError(f"{arg}: no 'video_feat' record")
-        return records["video_feat"]
+        return metrics.read_record(arg, "video_feat")
     return providers.video_features(arg, cfg.t_audio, cfg.d_video_feat)
 
 
@@ -244,10 +241,7 @@ def cmd_refine(args) -> int:
     _require_file(args.coarse, "coarse latent file")
     model = TwoTowerModel.load(args.checkpoint)
     metrics.check_frame_rate(args.frame_rate, model.config.t_audio)
-    records = container.read_latents(args.coarse)
-    if metrics.LATENT_RECORD not in records:
-        raise ContractError(f"{args.coarse}: no {metrics.LATENT_RECORD!r} record")
-    coarse = records[metrics.LATENT_RECORD]
+    coarse = metrics.read_record(args.coarse, metrics.LATENT_RECORD)
     cond = _build_condition(args, model.config)
     result = refiner.refine(model, cond, coarse, args.k, sampler_cfg, args.frame_rate)
     trace_text = refiner.render_trace(result)

@@ -227,22 +227,15 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def clip_style_score(emb_a: np.ndarray, emb_b: np.ndarray) -> float | np.ndarray:
-    """100 * cosine similarity, clamped below at zero; needs finite, non-zero norms.
-
-    Two (n, d) arrays pair row by row and give an array of n scores, each
-    with the bits of its own pair's score; the first pair without a
-    cosine raises. Any other input is one embedding per side.
-    """
+def clip_style_score(emb_a: np.ndarray, emb_b: np.ndarray) -> np.ndarray:
+    """100 * cosine similarity of each row pair of two (n, d) arrays,
+    clamped below at zero: n scores, each with the bits of its own pair's
+    score. Every pair needs finite, non-zero norms; the first pair without
+    a cosine raises."""
     a = np.asarray(emb_a, dtype=np.float64)
     b = np.asarray(emb_b, dtype=np.float64)
-    rows = a.ndim == 2
-    if not rows:
-        a, b = a.reshape(-1), b.reshape(-1)
-    if a.shape != b.shape:
-        raise ShapeError(f"embedding shapes differ: {a.shape} vs {b.shape}")
-    if not rows:
-        a, b = a[None], b[None]
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ShapeError(f"embeddings must be two (n, d) arrays of one shape, got {a.shape} and {b.shape}")
     norm_a, norm_b = np.sqrt(_row_dots(a, a)), np.sqrt(_row_dots(b, b))
     norms = norm_a * norm_b
     undefined = np.flatnonzero(~((0.0 < norms) & (norms < math.inf)))  # NaN is undefined
@@ -251,8 +244,7 @@ def clip_style_score(emb_a: np.ndarray, emb_b: np.ndarray) -> float | np.ndarray
         raise ContractError(f"cosine similarity undefined for embedding norms {float(norm_a[i])} and {float(norm_b[i])}")
     cos = _row_dots(a, b) / norms
     cos = np.where(cos < 1.0, cos, 1.0)  # |cos| <= 1; round-off can overshoot for identical inputs
-    scores = 100.0 * np.where(cos > 0.0, cos, 0.0)
-    return scores if rows else float(scores[0])
+    return 100.0 * np.where(cos > 0.0, cos, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +269,12 @@ def check_frame_rate(frame_rate, frames: int) -> None:
         raise ContractError(f"frame_rate {frame_rate!r} is too small: {frames} frames overflow the clip duration")
 
 
+def check_peak_frames(frames: int) -> None:
+    """The peak finder's length rule: a maximum needs both neighbours."""
+    if frames < 3:
+        raise ContractError(f"peak detection needs at least 3 frames, got {frames}")
+
+
 def detect_peaks(envelope: np.ndarray, frame_rate: float) -> PeakTrain:
     """Local maxima at or above PEAK_THRESHOLD * max(envelope).
 
@@ -298,8 +296,7 @@ def peak_trains(envelopes: np.ndarray, frame_rate: float) -> list:
     """
     env = np.asarray(envelopes, dtype=np.float64)
     frames = env.shape[1]
-    if frames < 3:
-        raise ContractError(f"peak detection needs at least 3 frames, got {frames}")
+    check_peak_frames(frames)
     check_frame_rate(frame_rate, frames)
     duration = frames / frame_rate
     peak = env.max(axis=1)
@@ -372,19 +369,6 @@ def av_align(audio_peaks: PeakTrain, video_peaks: PeakTrain) -> float:
     return matched / (len(a) + len(v) - matched)
 
 
-def envelope_alignment(env_a, rate_a: float, env_b, rate_b: float) -> float | list:
-    """av_align of the detect_peaks trains of two envelopes, each at its own
-    frame rate: the refiner's temporal reward and the AV column. An
-    (n, frames) stack of first envelopes gives a list of n scores against
-    the one second envelope, whose train is found once."""
-    a = np.asarray(env_a, dtype=np.float64)
-    if a.ndim != 2:
-        return av_align(detect_peaks(a, rate_a), detect_peaks(env_b, rate_b))
-    trains = peak_trains(a, rate_a)
-    other = detect_peaks(env_b, rate_b)
-    return [av_align(train, other) for train in trains]
-
-
 # ---------------------------------------------------------------------------
 # set-level evaluation
 
@@ -408,6 +392,14 @@ LATENT_EXTENSION = ".ysnd"
 LATENT_RECORD = "latent"
 
 
+def read_record(path: str, name: str) -> np.ndarray:
+    """The record called name of the latent file at path."""
+    records = container.read_latents(path)
+    if name not in records:
+        raise ContractError(f"{path}: no {name!r} record")
+    return records[name]
+
+
 def _load_latent_dir(path: str) -> dict:
     """Stem -> latent of each regular *.ysnd file, in file-name order."""
     if not os.path.isdir(path):
@@ -416,11 +408,7 @@ def _load_latent_dir(path: str) -> dict:
         names = sorted(e.name for e in listing if e.name.endswith(LATENT_EXTENSION) and e.is_file())
     out = {}
     for name in names:
-        file = os.path.join(path, name)
-        records = container.read_latents(file)
-        if LATENT_RECORD not in records:
-            raise ContractError(f"{file}: no {LATENT_RECORD!r} record")
-        out[name[: -len(LATENT_EXTENSION)] or name] = records[LATENT_RECORD]
+        out[name[: -len(LATENT_EXTENSION)] or name] = read_record(os.path.join(path, name), LATENT_RECORD)
     return out
 
 

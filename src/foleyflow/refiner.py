@@ -15,8 +15,10 @@ import numpy as np
 
 from . import flow
 from .errors import ContractError, DivergenceError, check_positive_int
-from .metrics import FRAME_RATE, SHARED, check_frame_rate, clip_style_score, energy_envelope, envelope_alignment
+from .metrics import FRAME_RATE, SHARED, av_align, check_frame_rate, check_peak_frames, clip_style_score
+from .metrics import detect_peaks, energy_envelope, peak_trains
 from .model import ConditionBundle
+from .providers import pool
 from .rng import SeededRng, derive_seed, string_seed
 
 # width of the pooled signal embedding
@@ -34,25 +36,16 @@ def _fixed_projection(tag: str, d_in: int, d_out: int) -> np.ndarray:
 def extract_signal(cond: ConditionBundle, coarse: np.ndarray) -> np.ndarray:
     """Pool conditions and the coarse output into a _D_SIGNAL-wide vector.
 
-    Mean and max over time of the video features and of the coarse
-    latents, concatenated with the mean-pooled text embedding, then a
-    fixed seeded linear projection (no bias, so all-zero inputs map to
-    the zero signal). Absent modalities contribute zeros of their slot.
+    The pool() of the video features and of the coarse latents (mean,
+    then max over time), concatenated with the mean-pooled text
+    embedding, then a fixed seeded linear projection (no bias, so
+    all-zero inputs map to the zero signal). Absent modalities contribute zeros of their slot.
     """
-    coarse_arr = np.asarray(coarse, dtype=np.float64)
-    if coarse_arr.ndim != 2:
-        raise ContractError("extract_signal needs a 2-D coarse latent sequence")
     video, text = cond.video_feat, cond.text_emb
-
-    vid_dim = video.shape[1] if video is not None else 0
-    txt_dim = text.shape[1] if text is not None else 0
-    segments = [
-        np.concatenate([video.mean(axis=0), video.max(axis=0)]) if video is not None else np.zeros(0),
-        np.concatenate([coarse_arr.mean(axis=0), coarse_arr.max(axis=0)]),
-        text.mean(axis=0) if text is not None else np.zeros(0),
-    ]
-    pooled = np.concatenate(segments)
-    proj = _fixed_projection(f"signal-project/v{vid_dim}/t{txt_dim}", pooled.size, _D_SIGNAL)
+    video_pool = pool(video) if video is not None else np.zeros(0)
+    text_pool = text.mean(axis=0) if text is not None else np.zeros(0)
+    pooled = np.concatenate([video_pool, pool(coarse), text_pool])
+    proj = _fixed_projection(f"signal-project/v{video_pool.size // 2}/t{text_pool.size}", pooled.size, _D_SIGNAL)
     return pooled @ proj
 
 
@@ -70,26 +63,25 @@ class RewardReport:
     aggregate: float
 
 
-def reward(candidate: np.ndarray, cond: ConditionBundle, frame_rate: float = FRAME_RATE) -> RewardReport | list:
-    """Score one candidate against its conditions.
+def reward(candidates: np.ndarray, cond: ConditionBundle, frame_rate: float = FRAME_RATE) -> list:
+    """Score each candidate of an (n, frames, dims) stack against its
+    conditions: a list of n reports, each with the bits that candidate
+    scores alone in a 1-row stack.
 
-    temporal    peak alignment between the candidate envelope and the
-                video envelope (only when video is present).
+    temporal    av_align of the candidate's peak train and the video's,
+                each found on its energy envelope at its own frame rate,
+                as evaluate_set's AV column (only when video is present).
     semantic    shared-space cosine (0..1) between the candidate and the
                 video features, falling back to the text embedding; a
                 zero-norm side scores 0 rather than erroring, since the
                 refiner must rank arbitrary candidates.
     smoothness  1 - mean squared frame difference, floored at 0.
-    REWARD_WEIGHTS renormalize over the components that apply.
-
-    An (n, frames, dims) stack of candidates gives a list of n reports,
-    each with the bits of its own candidate's report. The video's peak
-    train and the anchor's embedding are found once for the whole stack.
+    REWARD_WEIGHTS renormalize over the components that apply. The video's
+    peak train and the anchor's embedding are found once for the stack.
     """
-    cands = np.asarray(candidate, dtype=np.float64)
-    if cands.ndim not in (2, 3):
-        raise ContractError("reward needs a 2-D candidate latent sequence")
-    stack = cands if cands.ndim == 3 else cands[None]
+    stack = np.asarray(candidates, dtype=np.float64)
+    if stack.ndim != 3:
+        raise ContractError(f"reward needs an (n, frames, dims) candidate stack, got shape {stack.shape}")
     n, frames = stack.shape[:2]
     check_frame_rate(frame_rate, frames)
     video, text = cond.video_feat, cond.text_emb
@@ -97,7 +89,9 @@ def reward(candidate: np.ndarray, cond: ConditionBundle, frame_rate: float = FRA
     components: dict = {}
     if video is not None:
         video_rate = video.shape[0] / (frames / frame_rate)
-        components["temporal"] = envelope_alignment(energy_envelope(stack), frame_rate, energy_envelope(video), video_rate)
+        envelopes, video_envelope = energy_envelope(stack), energy_envelope(video)
+        trains, video_train = peak_trains(envelopes, frame_rate), detect_peaks(video_envelope, video_rate)
+        components["temporal"] = [av_align(train, video_train) for train in trains]
 
     anchor = video if video is not None else text
     if anchor is not None:
@@ -119,7 +113,7 @@ def reward(candidate: np.ndarray, cond: ConditionBundle, frame_rate: float = FRA
         row = {name: values[i] for name, values in components.items()}
         aggregate = sum(used[name] * row[name] for name in row)
         reports.append(RewardReport(components=row, weights=dict(used), aggregate=aggregate))
-    return reports if cands.ndim == 3 else reports[0]
+    return reports
 
 
 @dataclass(frozen=True)
@@ -158,7 +152,9 @@ def refine(
     (flow.sample_many by default, which keeps a diverged row in the batch,
     zeroed, so the others keep their bits). A diverged candidate only
     enters the trace. The coarse input and the sampled candidates are
-    scored as one reward stack, of latents of the coarse input's shape.
+    scored as one reward stack, of latents of the coarse input's shape;
+    a coarse input or video too short for the temporal reward's peak
+    trains fails before any candidate is sampled.
     The coarse input always competes, so the result never scores below
     it; ties keep it, then the lower candidate index.
     """
@@ -171,6 +167,9 @@ def refine(
         raise ContractError(f"coarse latent must have shape {shape}, got {coarse_arr.shape}")
     if not np.all(np.isfinite(coarse_arr)):
         raise ContractError("coarse latent contains non-finite values")
+    if cond.video_feat is not None:
+        check_peak_frames(len(coarse_arr))
+        check_peak_frames(len(cond.video_feat))
     signal = extract_signal(cond, coarse_arr)
     cond_aug = replace(cond, extra_tokens=signal_token(signal, model.config.d_text))
 

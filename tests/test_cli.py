@@ -1,19 +1,25 @@
 """Command-line surface: flows, exit codes, JSON errors, config precedence."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from foleyflow import cli, container
 from foleyflow.cli import main
 from foleyflow.datapipe import MANIFEST_HEADER
+from foleyflow.model import ModelConfig, TwoTowerModel
 
 
 @pytest.fixture(scope="module")
@@ -449,6 +455,24 @@ def test_bad_video_record_is_rejected_before_anything_is_written(workdir, checkp
     assert sorted(workdir.glob(out.name + "*")) == []
 
 
+@pytest.mark.parametrize("command, record", [("sample", "video_feat"), ("refine", "latent"), ("eval", "latent")])
+def test_a_latent_file_without_the_named_record_is_rejected(tmp_path, checkpoint, latent, capsys, command, record):
+    (tmp_path / "d").mkdir()
+    unnamed = tmp_path / "d" / "clip0.ysnd"
+    container.write_latents(str(unnamed), {"other": np.zeros((8, 16))})
+    argv = {
+        "sample": ["sample", "--checkpoint", checkpoint, "--video", str(unnamed), "--out", str(tmp_path / "x")],
+        "refine": ["refine", "--checkpoint", checkpoint, "--coarse", str(unnamed), "--out", str(tmp_path / "x")],
+        "eval": ["eval", str(tmp_path / "d"), str(tmp_path / "d")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + (["--nfe", "2"] if command != "eval" else [])) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == {"kind": "ContractError", "message": f"{unnamed}: no {record!r} record"}
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+
+
 # ---------------------------------------------------------------------------
 # output files
 
@@ -669,3 +693,91 @@ def test_non_finite_setting_is_rejected(workdir, checkpoint, latent, manifest, c
     assert captured.out == ""
     # nothing is written: no checkpoint, latent, sidecar, report or manifest
     assert sorted(workdir.glob(out.name + "*")) == []
+
+
+# ---------------------------------------------------------------------------
+# the documented guarantees under fuzz
+
+TINY = ModelConfig(d_model=8, n_layers=1, n_heads=2, d_audio_latent=4, d_video_feat=6, d_text=5, t_audio=8)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A tiny checkpoint, a coarse latent, video records of 1-4 rows and
+    eval directories, one with a pair too short for peak detection."""
+    root = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(0)
+    TwoTowerModel(TINY, seed=0).save(str(root / "tiny.ckpt"))
+    container.write_latents(str(root / "coarse.ysnd"), {"latent": rng.normal(size=(TINY.t_audio, TINY.d_audio_latent))})
+    for rows in range(1, 5):
+        container.write_latents(str(root / f"video{rows}.ysnd"), {"video_feat": rng.normal(size=(rows, TINY.d_video_feat))})
+    for name, rows in (("long", (8, 5, 3)), ("short", (8, 2))):
+        for side in ("gen", "ref"):
+            (root / f"{side}-{name}").mkdir()
+            for i, n in enumerate(rows):
+                container.write_latents(str(root / f"{side}-{name}" / f"c{i}.ysnd"), {"latent": rng.normal(size=(n, 4))})
+    return root
+
+
+_FRAME_RATES = ["16", "1", "0.5", "1e-300", "5e-324", "1e308", "1.7976931348623157e308", "0", "-0.0", "-1", "nan", "inf", "-inf", "x"]
+
+
+def _run(argv):
+    """(exit code, stdout, stderr lines) of one in-process run; a warning
+    counts as the stderr line it would print."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue().splitlines() + [str(w.message) for w in caught]
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(["eval", "refine"]),
+    missing=st.sampled_from([None, None, None, None, "checkpoint", "coarse", "gen", "ref", "out-dir"]),
+    frame_rate=st.one_of(st.none(), st.sampled_from(_FRAME_RATES)),
+    k=st.sampled_from([1, 4, 1, 4, 0]),
+    video=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
+    short=st.booleans(),
+    earlier=st.booleans(),
+)
+def test_eval_and_refine_keep_the_cli_guarantees(fuzz_inputs, command, missing, frame_rate, k, video, short, earlier):
+    root = fuzz_inputs
+
+    def given_path(name, path):
+        return str(root / "absent" / name) if name == missing else str(path)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp) / ("absent" if missing == "out-dir" else "")
+        if command == "eval":
+            pairs = "short" if short else "long"
+            argv = ["eval", given_path("gen", root / f"gen-{pairs}"), given_path("ref", root / f"ref-{pairs}"), "--json"]
+            argv += ["--out", str(out_dir / "report.json"), "--plot", str(out_dir / "plots")]
+            outputs = ["report.json", "plots/c0.envelopes.csv"]
+        else:
+            argv = ["refine", "--checkpoint", given_path("checkpoint", root / "tiny.ckpt")]
+            argv += ["--coarse", given_path("coarse", root / "coarse.ysnd"), "--out", str(out_dir / "x.ysnd")]
+            argv += ["--k", str(k), "--nfe", "2"] + ([] if video is None else ["--video", str(root / f"video{video}.ysnd")])
+            outputs = ["x.ysnd", "x.ysnd.trace.csv"]
+        if frame_rate is not None:
+            argv += [f"--frame-rate={frame_rate}"]
+        if earlier and out_dir.is_dir():
+            for name in outputs:
+                (out_dir / name).parent.mkdir(exist_ok=True)
+                (out_dir / name).write_text(f"an earlier run's {name}\n")
+        before = _tree(Path(tmp))
+
+        code, stdout, err_lines = _run(argv)
+        assert code in (0, 1, 2)
+        if code == 0:
+            after = _tree(Path(tmp))
+            assert _run(argv) == (0, stdout, [])
+            assert _tree(Path(tmp)) == after
+        else:
+            assert len(err_lines) == 1
+            assert set(json.loads(err_lines[0])) == {"error"}
+            assert _tree(Path(tmp)) == before

@@ -25,7 +25,6 @@ from foleyflow.metrics import (
     clip_style_score,
     detect_peaks,
     energy_envelope,
-    envelope_alignment,
     evaluate_set,
     frechet_distance,
     inception_score,
@@ -57,7 +56,7 @@ def test_every_scorer_rejects_bad_frame_rate(tmp_path):
     scorers = {
         "detect_peaks": lambda fr: detect_peaks(env, fr),
         "evaluate_set": lambda fr: evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"), fr),
-        "reward": lambda fr: refiner.reward(latent, ConditionBundle(video_feat=latent), fr),
+        "reward": lambda fr: refiner.reward(latent[None], ConditionBundle(video_feat=latent), fr),
     }
     for name, score in scorers.items():
         for bad in (0.0, -1.0, float("nan"), float("inf")):
@@ -213,18 +212,24 @@ def test_kl_sigmoid_shape_contract():
 
 
 def test_clip_score_fixed_angles():
-    assert clip_style_score(np.array([1.0, 0.0]), np.array([2.0, 0.0])) == 100.0
-    assert clip_style_score(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+    assert clip_style_score(np.array([[1.0, 0.0]]), np.array([[2.0, 0.0]])).tolist() == [100.0]
+    assert clip_style_score(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])).tolist() == [0.0]
     # opposite vectors clamp at zero rather than going negative
-    assert clip_style_score(np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == 0.0
+    assert clip_style_score(np.array([[1.0, 0.0]]), np.array([[-1.0, 0.0]])).tolist() == [0.0]
     # 60 degrees: cos = 1/2
-    value = clip_style_score(np.array([1.0, 0.0]), np.array([1.0, math.sqrt(3.0)]))
+    [value] = clip_style_score(np.array([[1.0, 0.0]]), np.array([[1.0, math.sqrt(3.0)]]))
     assert abs(value - 50.0) <= 1e-9
 
 
 def test_clip_score_zero_norm_rejected():
     with pytest.raises(ContractError):
-        clip_style_score(np.zeros(3), np.ones(3))
+        clip_style_score(np.zeros((1, 3)), np.ones((1, 3)))
+
+
+@pytest.mark.parametrize("a, b", [((3,), (3,)), ((2, 3), (3, 2)), ((1, 2, 3), (1, 2, 3)), ((2, 3), (1, 3))])
+def test_clip_score_refuses_anything_but_two_row_stacks_of_one_shape(a, b):
+    with pytest.raises(ShapeError, match="two \\(n, d\\) arrays of one shape"):
+        clip_style_score(np.ones(a), np.ones(b))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -232,7 +237,7 @@ def test_clip_score_rejects_non_finite_embeddings(bad):
     # min(1.0, nan) is 1.0, so an unchecked NaN cosine scores a perfect 100
     for a, b in (([bad, 1.0, 0.0], [1.0, 1.0, 1.0]), ([1.0, 1.0, 1.0], [bad, 1.0, 0.0])):
         with pytest.raises(ContractError):
-            clip_style_score(np.array(a), np.array(b))
+            clip_style_score(np.array([a]), np.array([b]))
 
 
 # ---------------------------------------------------------------------------
@@ -682,17 +687,17 @@ def _spiky(seed, frames, t=32, d=4):
     return arr
 
 
-def test_av_callers_share_envelope_alignment(tmp_path):
+def test_av_callers_share_one_alignment(tmp_path):
     # the refiner's temporal reward and evaluate_set's AV column are one
     # measure on one envelope pair
     fr = FRAME_RATE
     pairs = [(_spiky(0, (4, 10, 17)), _spiky(1, (4, 12, 20))), (_spiky(2, (6, 20)), _spiky(3, (7, 14, 26)))]
-    scores = [envelope_alignment(energy_envelope(a), fr, energy_envelope(v), fr) for a, v in pairs]
+    scores = [av_align(detect_peaks(energy_envelope(a), fr), detect_peaks(energy_envelope(v), fr)) for a, v in pairs]
     assert all(0.0 < s < 1.0 for s in scores)
 
     for (audio, video), score in zip(pairs, scores):
-        cond = ConditionBundle(video_feat=video)
-        assert refiner.reward(audio, cond, fr).components["temporal"] == score
+        [report] = refiner.reward(audio[None], ConditionBundle(video_feat=video), fr)
+        assert report.components["temporal"] == score
 
     _write_latents(tmp_path / "gen", {f"clip{i}": a for i, (a, _) in enumerate(pairs)})
     _write_latents(tmp_path / "ref", {f"clip{i}": v for i, (_, v) in enumerate(pairs)})

@@ -102,45 +102,47 @@ def test_reward_weights_must_sum_to_one():
 
 def test_reward_components_present():
     rng = SeededRng(2)
-    cand = rng.normal((32, SMALL.d_audio_latent))
-    with_video = reward(cand, _cond(rng))
+    cand = rng.normal((1, 32, SMALL.d_audio_latent))
+    [with_video] = reward(cand, _cond(rng))
     assert set(with_video.components) == {"temporal", "semantic", "smoothness"}
-    text_only = reward(cand, _cond(rng, video=False))
+    [text_only] = reward(cand, _cond(rng, video=False))
     assert set(text_only.components) == {"semantic", "smoothness"}
-    bare = reward(cand, ConditionBundle())
+    [bare] = reward(cand, ConditionBundle())
     assert set(bare.components) == {"smoothness"}
 
 
 def test_reward_weights_renormalize():
     rng = SeededRng(4)
-    cand = rng.normal((32, SMALL.d_audio_latent))
-    report = reward(cand, _cond(rng, video=False))
+    cand = rng.normal((1, 32, SMALL.d_audio_latent))
+    [report] = reward(cand, _cond(rng, video=False))
     assert report.weights == pytest.approx({"semantic": 0.8, "smoothness": 0.2})
-    bare = reward(cand, ConditionBundle())
+    [bare] = reward(cand, ConditionBundle())
     assert bare.weights == {"smoothness": 1.0}
     assert bare.aggregate == bare.components["smoothness"]
 
 
 def test_reward_smoothness_values():
-    flat = np.ones((10, 4))
-    report = reward(flat, ConditionBundle())
+    flat = np.ones((1, 10, 4))
+    [report] = reward(flat, ConditionBundle())
     assert report.components["smoothness"] == 1.0
-    jagged = np.zeros((10, 4))
-    jagged[1::2] = 2.0  # msd 16 floors the component at zero
-    report = reward(jagged, ConditionBundle())
+    jagged = np.zeros((1, 10, 4))
+    jagged[:, 1::2] = 2.0  # msd 16 floors the component at zero
+    [report] = reward(jagged, ConditionBundle())
     assert report.components["smoothness"] == 0.0
 
 
 def test_reward_zero_norm_semantic_is_zero():
     rng = SeededRng(9)
-    cand = np.zeros((16, SMALL.d_audio_latent))
-    report = reward(cand, _cond(rng, video=False))
+    cand = np.zeros((1, 16, SMALL.d_audio_latent))
+    [report] = reward(cand, _cond(rng, video=False))
     assert report.components["semantic"] == 0.0
 
 
 def test_reward_rejects_bad_candidate():
-    with pytest.raises(ContractError):
-        reward(np.zeros(8), ConditionBundle())
+    # one candidate is a 1-row stack, not a (frames, dims) sequence
+    for shape in ((8,), (16, 4)):
+        with pytest.raises(ContractError, match=rf"candidate stack, got shape \({shape[0]},"):
+            reward(np.zeros(shape), ConditionBundle())
 
 
 @settings(max_examples=40, deadline=None)
@@ -157,11 +159,11 @@ def test_a_stack_of_candidates_scores_as_each_alone(text, video, n, zeros, seed)
     stack = rng.normal((n, 32, SMALL.d_audio_latent))
     stack[[z for z in zeros if z < n]] = 0.0  # a zero candidate scores semantic 0
     reports = reward(stack, cond)
-    assert reports == [reward(candidate, cond) for candidate in stack]
+    assert reports == [reward(candidate[None], cond)[0] for candidate in stack]
 
 
 def test_refine_finds_the_anchor_once(small_model, monkeypatch):
-    from foleyflow import metrics
+    from foleyflow import metrics, refiner
 
     rng = SeededRng(14)
     cond = _cond(rng)
@@ -169,7 +171,7 @@ def test_refine_finds_the_anchor_once(small_model, monkeypatch):
     embedded, trains = [], []
     embed, detect = metrics.SHARED.embed, metrics.detect_peaks
     monkeypatch.setattr(metrics.SHARED, "embed", lambda x: embedded.append(np.shape(x)) or embed(x))
-    monkeypatch.setattr(metrics, "detect_peaks", lambda env, fr: trains.append(np.shape(env)) or detect(env, fr))
+    monkeypatch.setattr(refiner, "detect_peaks", lambda env, fr: trains.append(np.shape(env)) or detect(env, fr))
     refine(small_model, cond, coarse, k=4, sampler_cfg=SamplerConfig(nfe=2, seed=1))
     # the coarse input and four candidates in one stack, then the video anchor
     assert embedded == [(5, SMALL.t_audio, SMALL.d_audio_latent), cond.video_feat.shape]
@@ -178,6 +180,25 @@ def test_refine_finds_the_anchor_once(small_model, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # refine
+
+
+@pytest.mark.parametrize("t_audio, video_rows", [(SMALL.t_audio, 2), (SMALL.t_audio, 1), (2, 6), (2, 1)])
+def test_refine_fails_before_sampling_on_input_too_short_for_peaks(t_audio, video_rows):
+    cfg = replace(SMALL, t_audio=t_audio)
+    rng = SeededRng(15)
+    cond = ConditionBundle(video_feat=rng.normal((video_rows, cfg.d_video_feat)))
+    coarse = rng.normal((t_audio, cfg.d_audio_latent))
+
+    def never(*args):
+        pytest.fail("a candidate was sampled")
+
+    with pytest.raises(ContractError) as scored:
+        reward(coarse[None], cond)
+    # the candidates' frames are checked first
+    assert str(scored.value) == f"peak detection needs at least 3 frames, got {t_audio if t_audio < 3 else video_rows}"
+    with pytest.raises(ContractError) as refined:
+        refine(TwoTowerModel(cfg, seed=0), cond, coarse, k=4, sampler_cfg=SamplerConfig(nfe=2), sample_fn=never)
+    assert str(refined.value) == str(scored.value)
 
 
 @pytest.fixture(scope="module")
