@@ -34,7 +34,7 @@ class DivergenceError(FoleyflowError, RuntimeError):
     step: index of the integrator or optimizer step that diverged.
     """
 
-    def __init__(self, message: str, step: int | None = None):
+    def __init__(self, message: str, step: int):
         super().__init__(message)
         self.step = step
 

@@ -453,7 +453,7 @@ def _envelope_rows(stacks: list, n: int, frame_rate: float) -> tuple:
     return envelopes, trains
 
 
-def evaluate_set(gen_dir: str, ref_dir: str, frame_rate: float = FRAME_RATE) -> EvalReport:
+def evaluate_set(gen_dir: str, ref_dir: str, frame_rate: float) -> EvalReport:
     """Compare latent files paired by stem name across two directories.
 
     The reference item of each pair stands in for the anchor modality in
@@ -512,7 +512,7 @@ def evaluate_set(gen_dir: str, ref_dir: str, frame_rate: float = FRAME_RATE) -> 
     return EvalReport(values=values, n_pairs=n, missing=missing, pairs=details)
 
 
-def render_report(report: EvalReport, as_json: bool = False) -> str:
+def render_report(report: EvalReport, as_json: bool) -> str:
     """Header plus one comma-separated value line; missing ids follow as
     comment lines. The JSON form carries the same fields."""
     if as_json:

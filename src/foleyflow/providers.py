@@ -8,7 +8,7 @@ results are reproducible across runs and platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,7 +92,6 @@ class ToyClip:
     x1: np.ndarray          # (t_audio, d_audio_latent)
     text_emb: np.ndarray    # (2, d_text)
     video_feat: np.ndarray  # (t_audio, d_video_feat)
-    event_frames: tuple = field(default=())
 
 
 def make_toy_clips(n_clips: int, t_audio: int, d_audio: int, d_video: int, d_text: int, seed: int) -> list[ToyClip]:
@@ -138,7 +137,6 @@ def make_toy_clips(n_clips: int, t_audio: int, d_audio: int, d_video: int, d_tex
                 x1=x1,
                 text_emb=text,
                 video_feat=video,
-                event_frames=tuple(frames),
             )
         )
     return clips

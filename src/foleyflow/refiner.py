@@ -9,13 +9,14 @@ competes, the selected output never scores below it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import flow
 from .errors import ContractError, DivergenceError, check_positive_int
-from .metrics import FRAME_RATE, SHARED, av_align, check_frame_rate, check_peak_frames, clip_style_score
+from .metrics import SHARED, av_align, check_frame_rate, check_peak_frames, clip_style_score
 from .metrics import detect_peaks, energy_envelope, peak_trains
 from .model import ConditionBundle
 from .providers import pool
@@ -63,7 +64,26 @@ class RewardReport:
     aggregate: float
 
 
-def reward(candidates: np.ndarray, cond: ConditionBundle, frame_rate: float = FRAME_RATE) -> list:
+def _check_conditions(cond: ConditionBundle, frames: int, frame_rate: float) -> float | None:
+    """reward's checks that need no candidate, for latents of frames rows
+    at frame_rate: the frame-rate rule and, with video, the peak finder's
+    3-frame rule on the latents and then on the video. Returns the video's
+    own frame rate, rows / (frames / frame_rate), or None without video.
+    """
+    check_frame_rate(frame_rate, frames)
+    video = cond.video_feat
+    if video is None:
+        return None
+    rows = video.shape[0]
+    check_peak_frames(frames)
+    check_peak_frames(rows)
+    video_rate = rows / (frames / frame_rate)
+    if video_rate == math.inf:
+        raise ContractError(f"frame_rate {frame_rate!r} is too large: {rows} video rows over {frames} frames overflow")
+    return video_rate
+
+
+def reward(candidates: np.ndarray, cond: ConditionBundle, frame_rate: float) -> list:
     """Score each candidate of an (n, frames, dims) stack against its
     conditions: a list of n reports, each with the bits that candidate
     scores alone in a 1-row stack.
@@ -83,12 +103,11 @@ def reward(candidates: np.ndarray, cond: ConditionBundle, frame_rate: float = FR
     if stack.ndim != 3:
         raise ContractError(f"reward needs an (n, frames, dims) candidate stack, got shape {stack.shape}")
     n, frames = stack.shape[:2]
-    check_frame_rate(frame_rate, frames)
+    video_rate = _check_conditions(cond, frames, frame_rate)
     video, text = cond.video_feat, cond.text_emb
 
     components: dict = {}
     if video is not None:
-        video_rate = video.shape[0] / (frames / frame_rate)
         envelopes, video_envelope = energy_envelope(stack), energy_envelope(video)
         trains, video_train = peak_trains(envelopes, frame_rate), detect_peaks(video_envelope, video_rate)
         components["temporal"] = [av_align(train, video_train) for train in trains]
@@ -139,27 +158,25 @@ def refine(
     coarse: np.ndarray,
     k: int,
     sampler_cfg: flow.SamplerConfig,
-    frame_rate: float = FRAME_RATE,
-    sample_fn=None,
+    frame_rate: float,
 ) -> RefineResult:
     """Sample k signal-conditioned candidates and keep the best by reward.
 
     Candidate i runs with a seed derived from (sampler_cfg.seed, i), so
     the whole call is deterministic. The coarse input must be a finite
     (t_audio, d_audio_latent) array under the model's config. The k
-    candidates share one batched trajectory: sample_fn(model, cond,
-    sampler_cfg, seeds) returns one latent or DivergenceError per seed
-    (flow.sample_many by default, which keeps a diverged row in the batch,
-    zeroed, so the others keep their bits). A diverged candidate only
+    candidates share one batched trajectory: flow.sample_many returns one
+    latent or DivergenceError per seed, and keeps a diverged row in the
+    batch, zeroed, so the others keep their bits. A diverged candidate only
     enters the trace. The coarse input and the sampled candidates are
     scored as one reward stack, of latents of the coarse input's shape;
-    a coarse input or video too short for the temporal reward's peak
-    trains fails before any candidate is sampled.
+    every reward check that needs no candidate (the frame rate, a coarse
+    input or video too short for the temporal reward's peak trains, a
+    video rate that overflows) fails before any candidate is sampled.
     The coarse input always competes, so the result never scores below
     it; ties keep it, then the lower candidate index.
     """
     check_positive_int("k", k, ContractError)
-    sample_fn = sample_fn if sample_fn is not None else flow.sample_many
 
     coarse_arr = np.asarray(coarse, dtype=np.float64)
     shape = (model.config.t_audio, model.config.d_audio_latent)
@@ -167,14 +184,12 @@ def refine(
         raise ContractError(f"coarse latent must have shape {shape}, got {coarse_arr.shape}")
     if not np.all(np.isfinite(coarse_arr)):
         raise ContractError("coarse latent contains non-finite values")
-    if cond.video_feat is not None:
-        check_peak_frames(len(coarse_arr))
-        check_peak_frames(len(cond.video_feat))
+    _check_conditions(cond, len(coarse_arr), frame_rate)
     signal = extract_signal(cond, coarse_arr)
     cond_aug = replace(cond, extra_tokens=signal_token(signal, model.config.d_text))
 
     seeds = [derive_seed(sampler_cfg.seed, "candidate", i) for i in range(k)]
-    candidates = sample_fn(model, cond_aug, sampler_cfg, seeds)
+    candidates = flow.sample_many(model, cond_aug, sampler_cfg, seeds)
     sampled = [c for c in candidates if not isinstance(c, DivergenceError)]
     reports = iter(reward(np.stack([coarse_arr, *sampled]), cond, frame_rate))
     coarse_report = next(reports)

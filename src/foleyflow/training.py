@@ -71,8 +71,8 @@ class StageConfig:
         return CURRICULUM[self.stage_id]
 
 
-def stage_preset(stage_id: int, steps: int | None = None) -> StageConfig:
-    """A stage with its toy step count, unless steps is given."""
+def stage_preset(stage_id: int, steps: int | None) -> StageConfig:
+    """A stage of steps steps, or of its toy step count when steps is None."""
     return StageConfig(stage_id, _curriculum_row(stage_id).toy_steps if steps is None else steps)
 
 
@@ -267,17 +267,18 @@ def run_stage(
     opt_cfg: OptimizerConfig,
     datasets: dict,
     rng: SeededRng,
-    sink=None,
-    start_step: int = 0,
-    checkpoint_path: str | None = None,
+    sink,
+    start_step: int,
+    checkpoint_path: str,
 ) -> list:
-    """Run one curriculum stage and return its TrainEvents.
+    """Run one curriculum stage, numbering its steps from start_step + 1,
+    save the model to checkpoint_path and return the stage's TrainEvents.
 
-    sink, when given, receives each event as it is produced. A loss or
+    sink, unless None, receives each event as it is produced. A loss or
     gradient divergence raises before any parameter changes, so the model
     keeps the previous step's parameters; they are written to
-    checkpoint_path, when given, before raising. A parameter rebound off
-    model.flat is a ContractError (see gather_grads).
+    checkpoint_path before raising. A parameter rebound off model.flat is
+    a ContractError (see gather_grads).
     """
     events: list = []
     state = AdamState(model.flat.size)
@@ -296,8 +297,7 @@ def run_stage(
             grads, pre_norm = clip_grad_norm(gather_grads(model, grad_flat), opt_cfg.grad_clip_norm)
             adam_step(model.flat, grads, opt_cfg, state)
         except DivergenceError:
-            if checkpoint_path is not None:
-                model.save(checkpoint_path)
+            model.save(checkpoint_path)
             raise
 
         first = batch[0]
@@ -314,8 +314,7 @@ def run_stage(
         if sink is not None:
             sink(event)
 
-    if checkpoint_path is not None:
-        model.save(checkpoint_path)
+    model.save(checkpoint_path)
     return events
 
 
@@ -334,10 +333,11 @@ def run_curriculum(
     opt_cfg: OptimizerConfig,
     datasets: dict,
     seed: int,
-    out_dir: str | None = None,
+    out_dir: str,
     sink=None,
 ) -> list:
-    """Run stages in order, checkpointing each and chaining step numbers.
+    """Run stages in order, checkpointing each to out_dir/stage<id>.ckpt
+    and chaining step numbers.
 
     The stages pass check_stage_order. Each stage gets its own seed
     derived from (seed, stage_id), so a run resumed from a stage-N
@@ -348,15 +348,12 @@ def run_curriculum(
     first step.
     """
     check_stage_order(stages)
-    if out_dir is not None and not os.path.isdir(out_dir):
+    if not os.path.isdir(out_dir):
         raise ContractError(f"not a directory: {out_dir}")
     events: list = []
     step = 0
     for stage in stages:
         stage_rng = SeededRng(derive_seed(seed, "stage", stage.stage_id))
-        path = None
-        if out_dir is not None:
-            path = f"{out_dir}/stage{stage.stage_id}.ckpt"
         stage_events = run_stage(
             model,
             stage,
@@ -365,7 +362,7 @@ def run_curriculum(
             stage_rng,
             sink=sink,
             start_step=step,
-            checkpoint_path=path,
+            checkpoint_path=f"{out_dir}/stage{stage.stage_id}.ckpt",
         )
         events.extend(stage_events)
         step = events[-1].step

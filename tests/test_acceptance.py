@@ -76,16 +76,18 @@ def _toy_clips(n, cfg, seed=0):
 
 
 @pytest.fixture(scope="module")
-def toy_run():
+def toy_run(tmp_path_factory):
     """One full toy-preset curriculum, shared by the training criteria."""
     start = time.monotonic()
     cfg = ModelConfig()
     model = TwoTowerModel(cfg, seed=0)
     clips = _toy_clips(16, cfg)
     datasets = {t: clips for t in (training.TAG_T2A, training.TAG_TV2A, training.TAG_V2A)}
-    stages = [training.stage_preset(s) for s in (1, 2, 3)]
+    stages = [training.stage_preset(s, None) for s in (1, 2, 3)]
     events = []
-    training.run_curriculum(model, stages, training.OptimizerConfig(), datasets, seed=0, sink=events.append)
+    out_dir = str(tmp_path_factory.mktemp("toy_run"))
+    training.run_curriculum(model, stages, training.OptimizerConfig(), datasets, seed=0, out_dir=out_dir,
+                            sink=events.append)
     return model, clips, events, time.monotonic() - start
 
 
@@ -219,7 +221,7 @@ def test_criterion_2_mixer():
 def test_criterion_3_curriculum_statistics():
     start = time.monotonic()
     n = 40_000
-    stage = training.stage_preset(3)
+    stage = training.stage_preset(3, None)
     cfg = ModelConfig(d_model=8, n_layers=1, n_heads=2, d_audio_latent=2, d_video_feat=2, d_text=2, t_audio=8)
     clips = _toy_clips(2, cfg, seed=3)
     datasets = {t: clips for t in (training.TAG_T2A, training.TAG_TV2A, training.TAG_V2A)}
@@ -392,7 +394,7 @@ def test_criterion_7_metric_fixtures(tmp_path):
     for i in range(2):
         latent = SeededRng(100 + i).normal((16, 8)) * 2.0
         container.write_latents(str(gen_dir / f"clip{i}{metrics.LATENT_EXTENSION}"), {metrics.LATENT_RECORD: latent})
-    report = metrics.evaluate_set(str(gen_dir), str(gen_dir))
+    report = metrics.evaluate_set(str(gen_dir), str(gen_dir), metrics.FRAME_RATE)
     assert report.values["FAD"] == 0.0
     assert report.values["AV"] == 1.0
 
@@ -477,7 +479,8 @@ def test_criterion_9_refiner_guarantee():
             video_feat=Tensor(rng.normal((6, SMALL.d_video_feat))) if with_video else None,
         )
         coarse = rng.normal((SMALL.t_audio, SMALL.d_audio_latent))
-        result = refine(model, cond, coarse, k=1, sampler_cfg=flow.SamplerConfig(nfe=4, seed=trial))
+        result = refine(model, cond, coarse, k=1, sampler_cfg=flow.SamplerConfig(nfe=4, seed=trial),
+                        frame_rate=metrics.FRAME_RATE)
         if result.report.aggregate < result.coarse_report.aggregate:
             violations += 1
     assert violations == 0

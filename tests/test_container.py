@@ -210,10 +210,9 @@ def _diverging_stage(path):
         x1=np.full((TINY.t_audio, TINY.d_audio_latent), np.inf),
         text_emb=np.zeros((2, TINY.d_text)),
         video_feat=np.zeros((TINY.t_audio, TINY.d_video_feat)),
-        event_frames=(0,),
     )
     model, stage, opt = TwoTowerModel(TINY, seed=0), stage_preset(1, steps=1), OptimizerConfig(lr=1e-3, batch_size=1)
-    run_stage(model, stage, opt, {TAG_T2A: [bad]}, SeededRng(0), checkpoint_path=path)
+    run_stage(model, stage, opt, {TAG_T2A: [bad]}, SeededRng(0), sink=None, start_step=0, checkpoint_path=path)
 
 
 WRITERS = {

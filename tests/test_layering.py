@@ -11,6 +11,7 @@ standard library the package imports numpy alone.
 """
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -304,3 +305,129 @@ def test_dependency_probe_sees_every_import_form():
         "from scipy.signal import find_peaks\n"
     )
     assert _foreign_imports(tree) == ["scipy", "scipy"]
+
+
+def _defaults(trees: dict) -> list:
+    """(module, name, callee, parameter, position) of each parameter default
+    of a function or method. name is Class.method for a method; callee is
+    the name its calls use: the class for __init__ and __new__, else its own
+    name. position counts after a method's self or cls, and is None for a
+    keyword-only parameter."""
+    found = []
+
+    def visit(node, module, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, module, child.name)
+            elif isinstance(child, ast.FunctionDef):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in child.decorator_list)
+                bound = cls is not None and not static
+                callee = cls if bound and child.name in ("__init__", "__new__") else child.name
+                name = f"{cls}.{child.name}" if cls is not None else child.name
+                first = len(positional) - len(args.defaults)
+                for i, param in enumerate(positional[first:], start=first - bound):
+                    found.append((module, name, callee, param.arg, i))
+                for param, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        found.append((module, name, callee, param.arg, None))
+                visit(child, module, None)
+            else:
+                visit(child, module, cls)
+
+    for module, tree in trees.items():
+        visit(tree, module, None)
+    return found
+
+
+def _call_forms(trees: dict) -> list:
+    """(callee, positional count, keyword names) of each call. The callee is
+    the called name or attribute, the class itself for cls(...) in its body,
+    and "__call__" for any other expression, such as blocks[i](...). A *
+    argument may fill every position, and a ** argument (None among the
+    keywords) every keyword."""
+    forms = []
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                callee = cls if func.id == "cls" and cls is not None else func.id
+            else:
+                callee = func.attr if isinstance(func, ast.Attribute) else "__call__"
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            forms.append((callee, math.inf if starred else len(node.args), {kw.arg for kw in node.keywords}))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    for tree in trees.values():
+        visit(tree, None)
+    return forms
+
+
+def _never_omitted(defined: dict, callers: dict) -> set:
+    """(module, name, parameter) of each default in defined that no call in
+    callers leaves to its default."""
+    forms = _call_forms(callers)
+    return {
+        (module, name, param)
+        for module, name, callee, param, position in _defaults(defined)
+        if not any(
+            called == callee and param not in keywords and None not in keywords
+            and (position is None or position >= count)
+            for called, count, keywords in forms
+        )
+    }
+
+
+# defaults that only perfbench omits: it must keep running parent commits,
+# so they go with the next change to the benchmark
+KEPT_FOR_PERFBENCH = {("training", "run_curriculum", "sink"), ("tensor", "matmul", "bias")}
+
+
+def test_every_default_is_left_to_itself_by_some_call():
+    # a default that every call passes is a second form that only tests use
+    program = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    bench = {
+        str(path): ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted([*perfbench.glob("*.py"), *perfbench.glob("tests/*.py")])
+    }
+    assert bench
+    assert _never_omitted(program, program) == KEPT_FOR_PERFBENCH
+    assert _never_omitted(program, {**program, **bench}) == set()
+
+
+def test_default_probe_sees_every_call_form():
+    defined = {
+        "a": ast.parse(
+            "def f(x, y=1, *, z=2): pass\n"
+            "class K:\n"
+            "    def __init__(self, v=0): pass\n"
+            "    def m(self, w=1): pass\n"
+            "    def __call__(self, u=None): pass\n"
+            "    @staticmethod\n"
+            "    def s(t=0): pass\n"
+        )
+    }
+    every = {("a", "f", "y"), ("a", "f", "z"), ("a", "K.__init__", "v"), ("a", "K.m", "w"),
+             ("a", "K.__call__", "u"), ("a", "K.s", "t")}
+
+    def never(calls: str) -> set:
+        return _never_omitted(defined, {"b": ast.parse(calls)})
+
+    assert never("") == every
+    assert never("f(0, 1)") == every - {("a", "f", "z")}  # positional
+    assert never("f(0, z=3)") == every - {("a", "f", "y")}  # keyword
+    assert never("mod.f(0)") == every - {("a", "f", "y"), ("a", "f", "z")}
+    assert never("f(*xs)") == every - {("a", "f", "z")}  # a * may fill y, never the keyword-only z
+    assert never("f(0, **kw)") == every  # a ** may fill both
+    assert never("K()\nK(1)\nk.m(1)\nK.s()") == every - {("a", "K.__init__", "v"), ("a", "K.s", "t")}
+    assert never("blocks[0](x)") == every  # the one argument fills u
+    assert never("make()()") == every - {("a", "K.__call__", "u")}
+    assert never("class K:\n    @classmethod\n    def make(cls):\n        return cls()\n") == every - {
+        ("a", "K.__init__", "v")
+    }

@@ -477,7 +477,7 @@ def test_evaluate_set_self_is_perfect(tmp_path):
     items = _toy_latents(0)
     _write_latents(tmp_path / "gen", items)
     _write_latents(tmp_path / "ref", items)
-    report = evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"))
+    report = evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"), FRAME_RATE)
     assert report.values["FAD"] == 0.0
     assert report.values["FD"] == 0.0
     assert report.values["KL-sigmoid"] == 0.0
@@ -495,7 +495,7 @@ def test_evaluate_set_lists_missing_and_pairs_by_stem(tmp_path):
     ref["lonely"] = items["clip1"]
     _write_latents(tmp_path / "gen", gen)
     _write_latents(tmp_path / "ref", ref)
-    report = evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"))
+    report = evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"), FRAME_RATE)
     assert report.n_pairs == 3
     assert report.missing == ("extra (gen only)", "lonely (ref only)")
 
@@ -506,7 +506,7 @@ def test_evaluate_set_pairs_regular_files_only(tmp_path):
     _write_latents(tmp_path / "ref", items)
     (tmp_path / "gen" / "sub.ysnd").mkdir()
     (tmp_path / "ref" / "notes.txt").write_text("not a latent\n")
-    report = evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"))
+    report = evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"), FRAME_RATE)
     assert report.n_pairs == 3
     assert report.missing == ()
 
@@ -529,7 +529,7 @@ def test_evaluate_set_of_mixed_shapes_is_pinned(tmp_path):
     _write_latents(tmp_path / "ref", ref)
     sides = (("gen", "ref"), ("ref", "gen"))
     for (a, b), pinned in zip(sides, _MIXED_REPORTS):
-        report = evaluate_set(str(tmp_path / a), str(tmp_path / b))
+        report = evaluate_set(str(tmp_path / a), str(tmp_path / b), FRAME_RATE)
         assert report.values == pinned  # == on floats: bit for bit
         assert report.n_pairs == len(shapes)
 
@@ -546,7 +546,7 @@ def test_evaluate_set_pools_each_latent_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(providers, "pool", counted)
     monkeypatch.setattr(metrics, "pool", counted)
-    evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"))
+    evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"), FRAME_RATE)
     # one stack per shape and side, and each latent a row of one of them
     assert sorted(calls) == [(1, 40, 4), (1, 40, 4), (4, 24, 4), (4, 24, 4)]
     assert sum(shape[0] for shape in calls) == 2 * len(items)
@@ -660,7 +660,7 @@ def test_evaluate_set_raises_for_the_first_bad_pair(tmp_path):
         with pytest.raises(ContractError, match=message):
             _oracle_evaluate(gen, good, FRAME_RATE)
         with pytest.raises(ContractError, match=message):
-            evaluate_set(str(tmp_path / name / "gen"), str(tmp_path / name / "ref"))
+            evaluate_set(str(tmp_path / name / "gen"), str(tmp_path / name / "ref"), FRAME_RATE)
 
 
 def test_evaluate_set_needs_two_pairs(tmp_path):
@@ -668,7 +668,7 @@ def test_evaluate_set_needs_two_pairs(tmp_path):
     _write_latents(tmp_path / "gen", items)
     _write_latents(tmp_path / "ref", items)
     with pytest.raises(ContractError, match="2 paired"):
-        evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"))
+        evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"), FRAME_RATE)
 
 
 def test_evaluate_set_detects_distribution_shift(tmp_path):
@@ -676,7 +676,7 @@ def test_evaluate_set_detects_distribution_shift(tmp_path):
     ref = _toy_latents(3)
     _write_latents(tmp_path / "gen", gen)
     _write_latents(tmp_path / "ref", ref)
-    report = evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"))
+    report = evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"), FRAME_RATE)
     assert report.values["FAD"] > 0.01
     assert report.values["FD"] > 0.01
 
@@ -709,9 +709,9 @@ def test_render_report_formats(tmp_path):
     items = _toy_latents(4)
     _write_latents(tmp_path / "gen", items)
     _write_latents(tmp_path / "ref", items)
-    report = evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"))
+    report = evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"), FRAME_RATE)
 
-    text = render_report(report)
+    text = render_report(report, as_json=False)
     lines = text.splitlines()
     assert lines[0] == "FAD,FD,KL-sigmoid,IS,CLIP,AV"
     assert len(lines[1].split(",")) == len(REPORT_COLUMNS)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from foleyflow import flow
 from foleyflow.errors import ContractError, DivergenceError
 from foleyflow.flow import SamplerConfig
+from foleyflow.metrics import FRAME_RATE
 from foleyflow.model import ConditionBundle, ModelConfig, TwoTowerModel
 from foleyflow.refiner import (
     REWARD_WEIGHTS,
@@ -103,38 +104,38 @@ def test_reward_weights_must_sum_to_one():
 def test_reward_components_present():
     rng = SeededRng(2)
     cand = rng.normal((1, 32, SMALL.d_audio_latent))
-    [with_video] = reward(cand, _cond(rng))
+    [with_video] = reward(cand, _cond(rng), FRAME_RATE)
     assert set(with_video.components) == {"temporal", "semantic", "smoothness"}
-    [text_only] = reward(cand, _cond(rng, video=False))
+    [text_only] = reward(cand, _cond(rng, video=False), FRAME_RATE)
     assert set(text_only.components) == {"semantic", "smoothness"}
-    [bare] = reward(cand, ConditionBundle())
+    [bare] = reward(cand, ConditionBundle(), FRAME_RATE)
     assert set(bare.components) == {"smoothness"}
 
 
 def test_reward_weights_renormalize():
     rng = SeededRng(4)
     cand = rng.normal((1, 32, SMALL.d_audio_latent))
-    [report] = reward(cand, _cond(rng, video=False))
+    [report] = reward(cand, _cond(rng, video=False), FRAME_RATE)
     assert report.weights == pytest.approx({"semantic": 0.8, "smoothness": 0.2})
-    [bare] = reward(cand, ConditionBundle())
+    [bare] = reward(cand, ConditionBundle(), FRAME_RATE)
     assert bare.weights == {"smoothness": 1.0}
     assert bare.aggregate == bare.components["smoothness"]
 
 
 def test_reward_smoothness_values():
     flat = np.ones((1, 10, 4))
-    [report] = reward(flat, ConditionBundle())
+    [report] = reward(flat, ConditionBundle(), FRAME_RATE)
     assert report.components["smoothness"] == 1.0
     jagged = np.zeros((1, 10, 4))
     jagged[:, 1::2] = 2.0  # msd 16 floors the component at zero
-    [report] = reward(jagged, ConditionBundle())
+    [report] = reward(jagged, ConditionBundle(), FRAME_RATE)
     assert report.components["smoothness"] == 0.0
 
 
 def test_reward_zero_norm_semantic_is_zero():
     rng = SeededRng(9)
     cand = np.zeros((1, 16, SMALL.d_audio_latent))
-    [report] = reward(cand, _cond(rng, video=False))
+    [report] = reward(cand, _cond(rng, video=False), FRAME_RATE)
     assert report.components["semantic"] == 0.0
 
 
@@ -142,7 +143,7 @@ def test_reward_rejects_bad_candidate():
     # one candidate is a 1-row stack, not a (frames, dims) sequence
     for shape in ((8,), (16, 4)):
         with pytest.raises(ContractError, match=rf"candidate stack, got shape \({shape[0]},"):
-            reward(np.zeros(shape), ConditionBundle())
+            reward(np.zeros(shape), ConditionBundle(), FRAME_RATE)
 
 
 @settings(max_examples=40, deadline=None)
@@ -158,8 +159,8 @@ def test_a_stack_of_candidates_scores_as_each_alone(text, video, n, zeros, seed)
     cond = _cond(rng, text=text, video=video)
     stack = rng.normal((n, 32, SMALL.d_audio_latent))
     stack[[z for z in zeros if z < n]] = 0.0  # a zero candidate scores semantic 0
-    reports = reward(stack, cond)
-    assert reports == [reward(candidate[None], cond)[0] for candidate in stack]
+    reports = reward(stack, cond, FRAME_RATE)
+    assert reports == [reward(candidate[None], cond, FRAME_RATE)[0] for candidate in stack]
 
 
 def test_refine_finds_the_anchor_once(small_model, monkeypatch):
@@ -172,7 +173,7 @@ def test_refine_finds_the_anchor_once(small_model, monkeypatch):
     embed, detect = metrics.SHARED.embed, metrics.detect_peaks
     monkeypatch.setattr(metrics.SHARED, "embed", lambda x: embedded.append(np.shape(x)) or embed(x))
     monkeypatch.setattr(refiner, "detect_peaks", lambda env, fr: trains.append(np.shape(env)) or detect(env, fr))
-    refine(small_model, cond, coarse, k=4, sampler_cfg=SamplerConfig(nfe=2, seed=1))
+    refine(small_model, cond, coarse, k=4, sampler_cfg=SamplerConfig(nfe=2, seed=1), frame_rate=FRAME_RATE)
     # the coarse input and four candidates in one stack, then the video anchor
     assert embedded == [(5, SMALL.t_audio, SMALL.d_audio_latent), cond.video_feat.shape]
     assert trains == [(cond.video_feat.shape[0],)]
@@ -182,23 +183,48 @@ def test_refine_finds_the_anchor_once(small_model, monkeypatch):
 # refine
 
 
+def _never_sample(monkeypatch):
+    def never(*args):
+        pytest.fail("a candidate was sampled")
+
+    monkeypatch.setattr(flow, "sample_many", never)
+
+
 @pytest.mark.parametrize("t_audio, video_rows", [(SMALL.t_audio, 2), (SMALL.t_audio, 1), (2, 6), (2, 1)])
-def test_refine_fails_before_sampling_on_input_too_short_for_peaks(t_audio, video_rows):
+def test_refine_fails_before_sampling_on_input_too_short_for_peaks(monkeypatch, t_audio, video_rows):
     cfg = replace(SMALL, t_audio=t_audio)
     rng = SeededRng(15)
     cond = ConditionBundle(video_feat=rng.normal((video_rows, cfg.d_video_feat)))
     coarse = rng.normal((t_audio, cfg.d_audio_latent))
-
-    def never(*args):
-        pytest.fail("a candidate was sampled")
+    _never_sample(monkeypatch)
 
     with pytest.raises(ContractError) as scored:
-        reward(coarse[None], cond)
+        reward(coarse[None], cond, FRAME_RATE)
     # the candidates' frames are checked first
     assert str(scored.value) == f"peak detection needs at least 3 frames, got {t_audio if t_audio < 3 else video_rows}"
     with pytest.raises(ContractError) as refined:
-        refine(TwoTowerModel(cfg, seed=0), cond, coarse, k=4, sampler_cfg=SamplerConfig(nfe=2), sample_fn=never)
+        refine(TwoTowerModel(cfg, seed=0), cond, coarse, k=4, sampler_cfg=SamplerConfig(nfe=2), frame_rate=FRAME_RATE)
     assert str(refined.value) == str(scored.value)
+
+
+@pytest.mark.parametrize("frame_rate", [1e308, 1.7e308, 1.7976931348623157e308])
+def test_refine_fails_before_sampling_on_an_overflowing_video_rate(monkeypatch, frame_rate):
+    # the video's own rate is rows / (frames / frame_rate): 20 rows over 8
+    # frames overflow it at any finite rate above about 7.19e307
+    cfg = replace(SMALL, t_audio=8)
+    rng = SeededRng(16)
+    cond = ConditionBundle(video_feat=rng.normal((20, cfg.d_video_feat)))
+    coarse = rng.normal((8, cfg.d_audio_latent))
+    assert len(reward(coarse[None], cond, 7e307)) == 1
+    _never_sample(monkeypatch)
+
+    message = f"frame_rate {frame_rate!r} is too large: 20 video rows over 8 frames overflow"
+    with pytest.raises(ContractError) as scored:
+        reward(coarse[None], cond, frame_rate)
+    assert str(scored.value) == message
+    with pytest.raises(ContractError) as refined:
+        refine(TwoTowerModel(cfg, seed=0), cond, coarse, k=2, sampler_cfg=SamplerConfig(nfe=2), frame_rate=frame_rate)
+    assert str(refined.value) == message
 
 
 @pytest.fixture(scope="module")
@@ -210,14 +236,15 @@ def _coarse(rng):
     return rng.normal((SMALL.t_audio, SMALL.d_audio_latent))
 
 
-def per_candidate(fn):
-    """A batch-shaped sample_fn built from a one-candidate stub fn(model, cond, cfg).
+def per_candidate(monkeypatch, fn):
+    """Make refine's sampler, flow.sample_many, a batch-shaped stub built
+    from a one-candidate stub fn(model, cond, cfg).
 
     Each seed gets its own call with the seed in cfg; a DivergenceError the
     stub raises becomes that candidate's entry.
     """
 
-    def sample_fn(model, cond, cfg, seeds):
+    def sample_many(model, cond, cfg, seeds):
         out = []
         for seed in seeds:
             try:
@@ -226,10 +253,10 @@ def per_candidate(fn):
                 out.append(exc)
         return out
 
-    return sample_fn
+    monkeypatch.setattr(flow, "sample_many", sample_many)
 
 
-def test_refine_tie_keeps_coarse(small_model):
+def test_refine_tie_keeps_coarse(small_model, monkeypatch):
     rng = SeededRng(1)
     cond = _cond(rng)
     coarse = _coarse(rng)
@@ -237,16 +264,14 @@ def test_refine_tie_keeps_coarse(small_model):
     def clone_coarse(model, c, cfg):
         return coarse.copy()
 
-    result = refine(
-        small_model, cond, coarse, k=3,
-        sampler_cfg=SamplerConfig(nfe=4), sample_fn=per_candidate(clone_coarse),
-    )
+    per_candidate(monkeypatch, clone_coarse)
+    result = refine(small_model, cond, coarse, k=3, sampler_cfg=SamplerConfig(nfe=4), frame_rate=FRAME_RATE)
     assert result.picked == "coarse"
     assert np.array_equal(result.best, coarse)
     assert result.report.aggregate == result.coarse_report.aggregate
 
 
-def test_refine_candidate_seeds_are_derived(small_model):
+def test_refine_candidate_seeds_are_derived(small_model, monkeypatch):
     rng = SeededRng(2)
     cond = _cond(rng)
     coarse = _coarse(rng)
@@ -257,11 +282,12 @@ def test_refine_candidate_seeds_are_derived(small_model):
         return coarse.copy()
 
     base = SamplerConfig(nfe=4, seed=123)
-    refine(small_model, cond, coarse, k=3, sampler_cfg=base, sample_fn=per_candidate(spy))
+    per_candidate(monkeypatch, spy)
+    refine(small_model, cond, coarse, k=3, sampler_cfg=base, frame_rate=FRAME_RATE)
     assert seen == [derive_seed(123, "candidate", i) for i in range(3)]
 
 
-def test_refine_passes_signal_token_to_sampler(small_model):
+def test_refine_passes_signal_token_to_sampler(small_model, monkeypatch):
     rng = SeededRng(3)
     cond = _cond(rng)
     coarse = _coarse(rng)
@@ -271,7 +297,8 @@ def test_refine_passes_signal_token_to_sampler(small_model):
         captured.append(c)
         return coarse.copy()
 
-    refine(small_model, cond, coarse, k=1, sampler_cfg=SamplerConfig(nfe=4), sample_fn=per_candidate(spy))
+    per_candidate(monkeypatch, spy)
+    refine(small_model, cond, coarse, k=1, sampler_cfg=SamplerConfig(nfe=4), frame_rate=FRAME_RATE)
     aug = captured[0]
     assert aug.extra_tokens is not None
     assert aug.extra_tokens.data.shape == (1, SMALL.d_text)
@@ -279,7 +306,7 @@ def test_refine_passes_signal_token_to_sampler(small_model):
     assert aug.text_emb is cond.text_emb and aug.video_feat is cond.video_feat
 
 
-def test_refine_better_candidate_wins(small_model):
+def test_refine_better_candidate_wins(small_model, monkeypatch):
     rng = SeededRng(4)
     cond = ConditionBundle()
     coarse = np.zeros((SMALL.t_audio, SMALL.d_audio_latent))
@@ -288,7 +315,8 @@ def test_refine_better_candidate_wins(small_model):
     def flat(model, c, cfg):
         return np.full(coarse.shape, float(cfg.seed % 7))
 
-    result = refine(small_model, cond, coarse, k=2, sampler_cfg=SamplerConfig(nfe=4), sample_fn=per_candidate(flat))
+    per_candidate(monkeypatch, flat)
+    result = refine(small_model, cond, coarse, k=2, sampler_cfg=SamplerConfig(nfe=4), frame_rate=FRAME_RATE)
     assert result.picked.startswith("candidate:")
     assert result.report.aggregate == 1.0
     assert result.coarse_report.aggregate == 0.0
@@ -296,20 +324,18 @@ def test_refine_better_candidate_wins(small_model):
     assert result.picked == "candidate:0"
 
 
-def test_refine_skips_diverged_candidates(small_model):
+def test_refine_skips_diverged_candidates(small_model, monkeypatch):
     rng = SeededRng(5)
     cond = _cond(rng)
     coarse = _coarse(rng)
 
     def flaky(model, c, cfg):
         if cfg.seed % 2 == 0:
-            raise DivergenceError("blew up")
+            raise DivergenceError("blew up", step=0)
         return coarse.copy()
 
-    result = refine(
-        small_model, cond, coarse, k=4,
-        sampler_cfg=SamplerConfig(nfe=4, seed=0), sample_fn=per_candidate(flaky),
-    )
+    per_candidate(monkeypatch, flaky)
+    result = refine(small_model, cond, coarse, k=4, sampler_cfg=SamplerConfig(nfe=4, seed=0), frame_rate=FRAME_RATE)
     assert len(result.trace) == 4
     failed = [e for e in result.trace if e.error is not None]
     succeeded = [e for e in result.trace if e.report is not None]
@@ -318,15 +344,16 @@ def test_refine_skips_diverged_candidates(small_model):
     assert result.picked == "coarse"
 
 
-def test_refine_all_candidates_diverge_keeps_coarse(small_model):
+def test_refine_all_candidates_diverge_keeps_coarse(small_model, monkeypatch):
     rng = SeededRng(6)
     cond = _cond(rng)
     coarse = _coarse(rng)
 
     def doomed(model, c, cfg):
-        raise DivergenceError("no luck")
+        raise DivergenceError("no luck", step=0)
 
-    result = refine(small_model, cond, coarse, k=3, sampler_cfg=SamplerConfig(nfe=4), sample_fn=per_candidate(doomed))
+    per_candidate(monkeypatch, doomed)
+    result = refine(small_model, cond, coarse, k=3, sampler_cfg=SamplerConfig(nfe=4), frame_rate=FRAME_RATE)
     assert result.picked == "coarse"
     assert np.array_equal(result.best, coarse)
     assert all(e.error is not None for e in result.trace)
@@ -336,10 +363,10 @@ def test_refine_rejects_bad_k(small_model):
     rng = SeededRng(7)
     for k in (0, -2, 2.5, True, None):
         with pytest.raises(ContractError, match="k must be a positive integer"):
-            refine(small_model, _cond(rng), _coarse(rng), k=k, sampler_cfg=SamplerConfig(nfe=4))
+            refine(small_model, _cond(rng), _coarse(rng), k=k, sampler_cfg=SamplerConfig(nfe=4), frame_rate=FRAME_RATE)
 
 
-def test_refine_never_below_coarse_random_inputs(small_model):
+def test_refine_never_below_coarse_random_inputs(small_model, monkeypatch):
     # stub candidates drawn blind; the gate must still never lose ground
     rng = SeededRng(8)
     for trial in range(20):
@@ -350,9 +377,9 @@ def test_refine_never_below_coarse_random_inputs(small_model):
         def wild(model, c, cfg):
             return noise.normal((SMALL.t_audio, SMALL.d_audio_latent)) * 3.0
 
-        result = refine(
-            small_model, cond, coarse, k=3, sampler_cfg=SamplerConfig(nfe=4, seed=trial), sample_fn=per_candidate(wild)
-        )
+        per_candidate(monkeypatch, wild)
+        cfg = SamplerConfig(nfe=4, seed=trial)
+        result = refine(small_model, cond, coarse, k=3, sampler_cfg=cfg, frame_rate=FRAME_RATE)
         assert result.report.aggregate >= result.coarse_report.aggregate
 
 
@@ -361,7 +388,7 @@ def test_refine_real_sampler_smoke(small_model):
     rng = SeededRng(10)
     cond = _cond(rng)
     coarse = _coarse(rng)
-    result = refine(small_model, cond, coarse, k=2, sampler_cfg=SamplerConfig(nfe=4, seed=5))
+    result = refine(small_model, cond, coarse, k=2, sampler_cfg=SamplerConfig(nfe=4, seed=5), frame_rate=FRAME_RATE)
     assert isinstance(result, RefineResult)
     assert result.best.shape == coarse.shape
     assert result.report.aggregate >= result.coarse_report.aggregate
@@ -372,8 +399,8 @@ def test_refine_deterministic(small_model):
     rng = SeededRng(11)
     cond = _cond(rng)
     coarse = _coarse(rng)
-    a = refine(small_model, cond, coarse, k=2, sampler_cfg=SamplerConfig(nfe=4, seed=5))
-    b = refine(small_model, cond, coarse, k=2, sampler_cfg=SamplerConfig(nfe=4, seed=5))
+    a = refine(small_model, cond, coarse, k=2, sampler_cfg=SamplerConfig(nfe=4, seed=5), frame_rate=FRAME_RATE)
+    b = refine(small_model, cond, coarse, k=2, sampler_cfg=SamplerConfig(nfe=4, seed=5), frame_rate=FRAME_RATE)
     assert a.picked == b.picked
     assert np.array_equal(a.best, b.best)
     assert a.report.aggregate == b.report.aggregate
@@ -411,17 +438,23 @@ class FieldStub:
         return Tensor(v)
 
 
-def test_refine_diverged_candidate_leaves_the_others_untouched():
+def test_refine_diverged_candidate_leaves_the_others_untouched(monkeypatch):
     rng = SeededRng(13)
     cond = _cond(rng)
     coarse = _coarse(rng)
     cfg = SamplerConfig(nfe=4, guidance_scale=2.0, seed=21)
     stub = FieldStub(fail_call=2, fail_row=2)
-    batched = refine(stub, cond, coarse, k=4, sampler_cfg=cfg)
+    batched = refine(stub, cond, coarse, k=4, sampler_cfg=cfg, frame_rate=FRAME_RATE)
     # the diverged candidate stays in the batch, zeroed, and nothing is conditioned again
     assert stub.batch_sizes == [8] * 4
     assert stub.conditioned == 1
-    alone = refine(FieldStub(), cond, coarse, k=4, sampler_cfg=cfg, sample_fn=per_candidate(flow.sample))
+    sample_many = flow.sample_many  # taken before the patch, which would otherwise call itself
+
+    def one_seed_at_a_time(model, c, cfg, seeds):
+        return [sample_many(model, c, cfg, [seed])[0] for seed in seeds]
+
+    monkeypatch.setattr(flow, "sample_many", one_seed_at_a_time)
+    alone = refine(FieldStub(), cond, coarse, k=4, sampler_cfg=cfg, frame_rate=FRAME_RATE)
     assert batched.trace[2].error == "sampler produced non-finite values at step 2"
     assert batched.trace[2].report is None
     for i in (0, 1, 3):
@@ -443,7 +476,7 @@ def test_refine_never_below_coarse_property(small_model, text, video, k, seed, s
     rng = SeededRng(seed)
     cond = _cond(rng, text=text, video=video)
     coarse = scale * _coarse(rng)
-    result = refine(small_model, cond, coarse, k=k, sampler_cfg=SamplerConfig(nfe=2, seed=seed))
+    result = refine(small_model, cond, coarse, k=k, sampler_cfg=SamplerConfig(nfe=2, seed=seed), frame_rate=FRAME_RATE)
     assert len(result.trace) == k
     assert result.report.aggregate >= result.coarse_report.aggregate
     if result.picked == "coarse":
@@ -454,7 +487,7 @@ def test_refine_never_below_coarse_property(small_model, text, video, k, seed, s
 # trace rendering
 
 
-def test_render_trace_format(small_model):
+def test_render_trace_format(small_model, monkeypatch):
     rng = SeededRng(12)
     cond = _cond(rng)
     coarse = _coarse(rng)
@@ -464,13 +497,11 @@ def test_render_trace_format(small_model):
     def half_flaky(model, c, cfg):
         calls["n"] += 1
         if calls["n"] == 1:
-            raise DivergenceError("boom")
+            raise DivergenceError("boom", step=0)
         return coarse.copy()
 
-    result = refine(
-        small_model, cond, coarse, k=2,
-        sampler_cfg=SamplerConfig(nfe=4, seed=3), sample_fn=per_candidate(half_flaky),
-    )
+    per_candidate(monkeypatch, half_flaky)
+    result = refine(small_model, cond, coarse, k=2, sampler_cfg=SamplerConfig(nfe=4, seed=3), frame_rate=FRAME_RATE)
     lines = render_trace(result).splitlines()
     assert lines[0] == "index,seed,temporal,semantic,smoothness,aggregate,status"
     assert lines[1].startswith("0,") and lines[1].endswith(",failed")

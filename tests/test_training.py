@@ -55,7 +55,7 @@ def _datasets(n=3, seed=0):
 
 
 def test_stage_presets():
-    s1, s2, s3 = stage_preset(1), stage_preset(2), stage_preset(3)
+    s1, s2, s3 = stage_preset(1, None), stage_preset(2, None), stage_preset(3, None)
     assert s1.row.mix == {TAG_T2A: 1}
     assert s1.row.p_keep_text == 1.0 and s1.row.p_keep_video == 0.0
     assert s2.row.mix == {TAG_T2A: 1, TAG_TV2A: 1}
@@ -66,7 +66,7 @@ def test_stage_presets():
     assert stage_preset(2, steps=7) == StageConfig(2, 7)
     for bad in (0, 4, True, 1.0, "1", None):
         with pytest.raises(ConfigError, match="stage_id"):
-            stage_preset(bad)
+            stage_preset(bad, None)
     for bad in (0, 2.5, True):
         with pytest.raises(ConfigError, match="steps"):
             stage_preset(1, bad)
@@ -141,7 +141,7 @@ def test_event_line_roundtrip_exact():
 
 
 def test_draw_batch_deterministic():
-    stage = stage_preset(3)
+    stage = stage_preset(3, None)
     datasets = _datasets()
     a = draw_batch(stage, datasets, SeededRng(5), batch_size=16)
     b = draw_batch(stage, datasets, SeededRng(5), batch_size=16)
@@ -159,7 +159,7 @@ def test_draw_batch_deterministic():
     batch_size=st.integers(min_value=1, max_value=48),
 )
 def test_draw_batch_forced_modality_rules(stage_id, seed, batch_size):
-    batch = draw_batch(stage_preset(stage_id), _datasets(), SeededRng(seed), batch_size)
+    batch = draw_batch(stage_preset(stage_id, None), _datasets(), SeededRng(seed), batch_size)
     assert len(batch) == batch_size
     for s in batch:
         assert s.tag in CURRICULUM[stage_id].mix
@@ -172,7 +172,7 @@ def test_draw_batch_forced_modality_rules(stage_id, seed, batch_size):
 
 
 def test_stage1_draws_text_only():
-    stage = stage_preset(1)
+    stage = stage_preset(1, None)
     datasets = _datasets()
     for s in draw_batch(stage, datasets, SeededRng(7), batch_size=100):
         assert s.tag == TAG_T2A
@@ -181,7 +181,7 @@ def test_stage1_draws_text_only():
 
 
 def test_draw_batch_missing_dataset_raises():
-    stage = stage_preset(3)
+    stage = stage_preset(3, None)
     datasets = _datasets()
     del datasets[TAG_V2A]
     with pytest.raises(ConfigError, match="V2A"):
@@ -217,7 +217,7 @@ def test_draw_batch_top_draw_lands_in_last_bucket(monkeypatch):
 
 
 def test_stage3_mix_prefers_v2a():
-    stage = stage_preset(3)
+    stage = stage_preset(3, None)
     tags = [s.tag for s in draw_batch(stage, _datasets(), SeededRng(8), batch_size=2000)]
     # weights 1:1:2 over T2A, TV2A, V2A
     assert abs(tags.count(TAG_V2A) / len(tags) - 0.5) < 0.05
@@ -330,7 +330,7 @@ def test_run_stage_updates_and_logs(tmp_path):
     opt = OptimizerConfig(lr=1e-3, batch_size=2)
     seen = []
     ckpt = str(tmp_path / "s1.ckpt")
-    events = run_stage(model, stage, opt, _datasets(), SeededRng(1), sink=seen.append, checkpoint_path=ckpt)
+    events = run_stage(model, stage, opt, _datasets(), SeededRng(1), seen.append, start_step=0, checkpoint_path=ckpt)
     assert [e.step for e in events] == [1, 2, 3]
     assert seen == events
     assert all(e.stage_id == 1 for e in events)
@@ -341,7 +341,7 @@ def test_run_stage_updates_and_logs(tmp_path):
     assert all(np.array_equal(loaded.state_arrays()[k], after[k]) for k in after)
 
 
-def test_a_sample_before_a_stage_leaves_its_run_bit_equal():
+def test_a_sample_before_a_stage_leaves_its_run_bit_equal(tmp_path):
     # sampling runs untaped; the stage after it must still train taped,
     # exactly as without the sample
     runs = []
@@ -352,7 +352,8 @@ def test_a_sample_before_a_stage_leaves_its_run_bit_equal():
             cond = ConditionBundle(text_emb=clip.text_emb, video_feat=clip.video_feat)
             sample_many(model, cond, SamplerConfig(nfe=3), [1, 2])
         opt = OptimizerConfig(lr=1e-3, batch_size=2)
-        events = run_stage(model, stage_preset(3, steps=3), opt, _datasets(), SeededRng(4))
+        ckpt = str(tmp_path / f"s3-{sample_first}.ckpt")
+        events = run_stage(model, stage_preset(3, steps=3), opt, _datasets(), SeededRng(4), None, 0, ckpt)
         runs.append(([(e.loss, e.grad_norm_preclip) for e in events], model.state_arrays()))
     (plain, plain_state), (after_sample, state) = runs
     assert after_sample == plain
@@ -360,11 +361,10 @@ def test_a_sample_before_a_stage_leaves_its_run_bit_equal():
     assert all(np.array_equal(state[k], plain_state[k]) for k in state)
 
 
-def test_run_stage_start_step_offsets_numbering():
+def test_run_stage_start_step_offsets_numbering(tmp_path):
     model = TwoTowerModel(SMALL, seed=0)
-    events = run_stage(
-        model, stage_preset(1, steps=2), OptimizerConfig(lr=1e-3, batch_size=1), _datasets(), SeededRng(2), start_step=10
-    )
+    opt, ckpt = OptimizerConfig(lr=1e-3, batch_size=1), str(tmp_path / "s1.ckpt")
+    events = run_stage(model, stage_preset(1, steps=2), opt, _datasets(), SeededRng(2), None, 10, ckpt)
     assert [e.step for e in events] == [11, 12]
 
 
@@ -377,7 +377,6 @@ def test_run_stage_divergence_restores_and_checkpoints(tmp_path):
         x1=np.full((SMALL.t_audio, SMALL.d_audio_latent), np.inf),
         text_emb=np.zeros((2, SMALL.d_text)),
         video_feat=np.zeros((SMALL.t_audio, SMALL.d_video_feat)),
-        event_frames=(2,),
     )
     datasets = {TAG_T2A: [bad_clip]}
     ckpt = str(tmp_path / "rescue.ckpt")
@@ -388,6 +387,8 @@ def test_run_stage_divergence_restores_and_checkpoints(tmp_path):
             OptimizerConfig(lr=1e-3, batch_size=1),
             datasets,
             SeededRng(3),
+            sink=None,
+            start_step=0,
             checkpoint_path=ckpt,
         )
     assert err.value.step == 1
@@ -397,14 +398,15 @@ def test_run_stage_divergence_restores_and_checkpoints(tmp_path):
     assert all(np.array_equal(rescued.state_arrays()[k], initial[k]) for k in initial)
 
 
-def test_run_stage_rejects_a_detached_parameter():
+def test_run_stage_rejects_a_detached_parameter(tmp_path):
     # a rebound p.data no longer views the vector Adam updates
     model = TwoTowerModel(SMALL, seed=0)
     p = model.parameters()["out_proj.w"]
     p.data = p.data.copy()
     before = model.state_arrays()
     with pytest.raises(ContractError, match="out_proj.w"):
-        run_stage(model, stage_preset(1, steps=1), OptimizerConfig(batch_size=1), _datasets(), SeededRng(2))
+        run_stage(model, stage_preset(1, steps=1), OptimizerConfig(batch_size=1), _datasets(), SeededRng(2), None, 0,
+                  str(tmp_path / "s1.ckpt"))
     after = model.state_arrays()
     assert all(np.array_equal(before[k], after[k]) for k in before)
 
@@ -445,8 +447,8 @@ def _loop_adam_step(params: dict, grads: dict, opt_cfg, state: dict) -> None:
         p.data -= opt_cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def _loop_run_stage(model, stage, opt_cfg, datasets, rng, sink=None, start_step=0, checkpoint_path=None):
-    # run_stage's step with the per-parameter optimizer
+def _loop_run_stage(model, stage, opt_cfg, datasets, rng, sink, start_step, checkpoint_path):
+    # run_stage's step with the per-parameter optimizer; it saves no checkpoint
     events = []
     state = {"step": 0, "m": {}, "v": {}}
     params = model.parameters()
@@ -473,17 +475,17 @@ def _loop_run_stage(model, stage, opt_cfg, datasets, rng, sink=None, start_step=
     return events
 
 
-def test_flat_optimizer_matches_the_per_parameter_loop(monkeypatch):
+def test_flat_optimizer_matches_the_per_parameter_loop(monkeypatch, tmp_path):
     # batch 1, so an event's video flag is its batch's: stage 2 has a step
     # without video after one with it, when the video tower and mixers
     # already have moments that the skip rule must leave alone
     stages = [stage_preset(1, steps=3), stage_preset(2, steps=6), stage_preset(3, steps=4)]
     opt = OptimizerConfig(lr=3e-3, batch_size=1, grad_clip_norm=0.3)
     flat_model = TwoTowerModel(SMALL, seed=5)
-    flat_events = run_curriculum(flat_model, stages, opt, _datasets(), seed=3)
+    flat_events = run_curriculum(flat_model, stages, opt, _datasets(), seed=3, out_dir=str(tmp_path))
     loop_model = TwoTowerModel(SMALL, seed=5)
     monkeypatch.setattr(training, "run_stage", _loop_run_stage)
-    loop_events = run_curriculum(loop_model, stages, opt, _datasets(), seed=3)
+    loop_events = run_curriculum(loop_model, stages, opt, _datasets(), seed=3, out_dir=str(tmp_path))
 
     video = [e.video_kept for e in flat_events if e.stage_id == 2]
     assert True in video and False in video[video.index(True) :]
@@ -511,13 +513,13 @@ def test_curriculum_chains_steps_and_checkpoints(tmp_path):
     assert all(np.array_equal(final.state_arrays()[k], model.state_arrays()[k]) for k in model.state_arrays())
 
 
-def test_curriculum_requires_increasing_stage_ids():
+def test_curriculum_requires_increasing_stage_ids(tmp_path):
     model = TwoTowerModel(SMALL, seed=0)
     stages = [stage_preset(2, steps=1), stage_preset(1, steps=1)]
     with pytest.raises(ConfigError, match="increasing"):
-        run_curriculum(model, stages, OptimizerConfig(), _datasets(), seed=0)
+        run_curriculum(model, stages, OptimizerConfig(), _datasets(), seed=0, out_dir=str(tmp_path))
     with pytest.raises(ConfigError):
-        run_curriculum(model, [], OptimizerConfig(), _datasets(), seed=0)
+        run_curriculum(model, [], OptimizerConfig(), _datasets(), seed=0, out_dir=str(tmp_path))
 
 
 def test_curriculum_into_a_missing_directory_fails_before_the_first_step(tmp_path):
@@ -551,9 +553,11 @@ def test_curriculum_resume_replays_later_stage_exactly(tmp_path):
     )
 
     resumed = TwoTowerModel.load(str(tmp_path / "stage1.ckpt"))
+    (tmp_path / "resumed").mkdir()
     resumed_events = run_curriculum(
-        resumed, [stage_preset(2, steps=3)], opt, datasets, seed=11, out_dir=None
+        resumed, [stage_preset(2, steps=3)], opt, datasets, seed=11, out_dir=str(tmp_path / "resumed")
     )
+    assert (tmp_path / "resumed" / "stage2.ckpt").read_bytes() == (tmp_path / "stage2.ckpt").read_bytes()
     stage2_full = [e for e in full_events if e.stage_id == 2]
     assert [e.loss for e in resumed_events] == [e.loss for e in stage2_full]
     assert [e.mix_draw for e in resumed_events] == [e.mix_draw for e in stage2_full]
