@@ -13,6 +13,11 @@ Writers and readers use version 2 only. Float payloads round-trip
 bit-exactly. Both readers raise FormatError on unknown magic, any
 version but 2, truncation, trailing bytes, and undecodable or duplicate
 record names.
+
+A reader takes a latent file in one os.read and walks it with one
+precompiled struct unpack per field group, each checked against the
+bytes left. No public reader calls another, so a profile that sums
+container.read* calls counts each file once.
 """
 
 from __future__ import annotations
@@ -121,7 +126,7 @@ def replacing(path: str, binary: bool = False):
 def _pack_records(arrays: dict) -> bytes:
     chunks = [struct.pack("<I", len(arrays))]
     for name, arr in arrays.items():
-        data = np.ascontiguousarray(arr, dtype="<f8")
+        data = np.asarray(arr, dtype="<f8")  # ascontiguousarray would make a rank-0 array rank 1
         name_bytes = name.encode("utf-8")
         chunks.append(struct.pack("<I", len(name_bytes)))
         chunks.append(name_bytes)
@@ -131,69 +136,100 @@ def _pack_records(arrays: dict) -> bytes:
     return b"".join(chunks)
 
 
-class _Reader:
-    def __init__(self, blob: bytes, path: str):
-        self.blob = blob
-        self.pos = 0
-        self.path = path
-
-    def skip(self, n: int) -> int:
-        """Step over n bytes and return the offset they start at."""
-        start = self.pos
-        if start + n > len(self.blob):
-            raise FormatError(f"{self.path}: truncated file (needed {n} bytes at offset {start})")
-        self.pos = start + n
-        return start
-
-    def take(self, n: int) -> bytes:
-        start = self.skip(n)
-        return self.blob[start : self.pos]
-
-    def u32s(self, count: int) -> tuple:
-        return struct.unpack_from(f"<{count}I", self.blob, self.skip(4 * count))
-
-    def u32(self) -> int:
-        return self.u32s(1)[0]
+_U32 = struct.Struct("<I")
+_SHAPES = tuple(struct.Struct(f"<{ndim}I") for ndim in range(_MAX_NDIM + 1))
+_CONFIG = struct.Struct(f"<{len(CONFIG_INT_FIELDS)}i")
+# a latent file fits in one read of this size; eval reads thousands of them
+_SMALL = 64 * 1024
 
 
-def _read(path: str) -> _Reader:
-    """A reader positioned after a checked magic and version."""
-    with open(path, "rb") as fh:
-        r = _Reader(fh.read(), path)
-    if r.take(4) != MAGIC:
-        raise FormatError(f"{r.path}: bad magic, not a container file")
-    version = r.u32()
+def _read_bytes(path: str) -> bytes:
+    """The bytes of the file at path. A file of up to _SMALL bytes takes
+    one os.read, and one more that sees its end. A larger one, such as a
+    checkpoint, is read again whole into one buffer; joining chunks costs
+    more than the read itself."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        blob = os.read(fd, _SMALL)
+        more = os.read(fd, _SMALL)
+        if not more:
+            return blob
+        with open(fd, "rb", closefd=False) as fh:
+            if fh.seekable():
+                fh.seek(0)
+                return fh.read()
+            return blob + more + fh.read()  # a pipe cannot rewind
+    except IsADirectoryError:  # os.open opens a directory; open() refuses it by name
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path)) from None
+    finally:
+        os.close(fd)
+
+
+def _truncated(path: str, n: int, at: int) -> FormatError:
+    return FormatError(f"{path}: truncated file (needed {n} bytes at offset {at})")
+
+
+def _read(path: str) -> bytes:
+    """The file's bytes, after a checked magic and version."""
+    blob = _read_bytes(path)
+    if len(blob) < 4:
+        raise _truncated(path, 4, 0)
+    if blob[:4] != MAGIC:
+        raise FormatError(f"{path}: bad magic, not a container file")
+    if len(blob) < 8:
+        raise _truncated(path, 4, 4)
+    (version,) = _U32.unpack_from(blob, 4)
     if version != VERSION:
-        raise FormatError(f"{r.path}: unsupported container version {version}")
-    return r
+        raise FormatError(f"{path}: unsupported container version {version}")
+    return blob
 
 
-def _unpack_records(r: _Reader) -> dict:
-    count = r.u32()
+def _unpack_records(blob: bytes, pos: int, path: str) -> dict:
+    """The records that start at offset pos and run to the end of blob."""
+    end = len(blob)
+    u32 = _U32.unpack_from
+    if pos + 4 > end:
+        raise _truncated(path, 4, pos)
+    (count,) = u32(blob, pos)
+    pos += 4
     arrays: dict = {}
     for _ in range(count):
-        name_len = r.u32()
+        if pos + 4 > end:
+            raise _truncated(path, 4, pos)
+        (name_len,) = u32(blob, pos)
+        pos += 4
         if name_len > _MAX_NAME:
-            raise FormatError(f"{r.path}: implausible record name length {name_len}")
+            raise FormatError(f"{path}: implausible record name length {name_len}")
+        if pos + name_len > end:
+            raise _truncated(path, name_len, pos)
         try:
-            name = r.take(name_len).decode("utf-8")
+            name = blob[pos : pos + name_len].decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise FormatError(f"{r.path}: record name is not valid utf-8 ({exc.reason})") from None
+            raise FormatError(f"{path}: record name is not valid utf-8 ({exc.reason})") from None
+        pos += name_len
         if name in arrays:
-            raise FormatError(f"{r.path}: duplicate record name {name!r}")
-        ndim = r.u32()
+            raise FormatError(f"{path}: duplicate record name {name!r}")
+        if pos + 4 > end:
+            raise _truncated(path, 4, pos)
+        (ndim,) = u32(blob, pos)
+        pos += 4
         if ndim > _MAX_NDIM:
-            raise FormatError(f"{r.path}: implausible record rank {ndim}")
-        shape = r.u32s(ndim)
-        # a Python-int product cannot overflow; skip() checks it against the bytes left
-        count = math.prod(shape)
-        start = r.skip(8 * count)
+            raise FormatError(f"{path}: implausible record rank {ndim}")
+        if pos + 4 * ndim > end:
+            raise _truncated(path, 4 * ndim, pos)
+        shape = _SHAPES[ndim].unpack_from(blob, pos)
+        pos += 4 * ndim
+        # a Python-int product cannot overflow; it is checked against the bytes left
+        size = math.prod(shape)
+        if pos + 8 * size > end:
+            raise _truncated(path, 8 * size, pos)
         try:
-            arrays[name] = np.frombuffer(r.blob, "<f8", count, start).reshape(shape).astype(np.float64)
+            arrays[name] = np.frombuffer(blob, "<f8", size, pos).reshape(shape).astype(np.float64)
         except ValueError as exc:  # an empty record whose other dims numpy cannot address
-            raise FormatError(f"{r.path}: record {name!r} has unusable shape {shape}: {exc}") from None
-    if r.pos != len(r.blob):
-        raise FormatError(f"{r.path}: {len(r.blob) - r.pos} trailing bytes after last record")
+            raise FormatError(f"{path}: record {name!r} has unusable shape {shape}: {exc}") from None
+        pos += 8 * size
+    if pos != end:
+        raise FormatError(f"{path}: {end - pos} trailing bytes after last record")
     return arrays
 
 
@@ -205,15 +241,18 @@ def _write(path: str, head: bytes, arrays: dict) -> None:
 
 def write_checkpoint(path: str, config_values: dict, arrays: dict) -> None:
     """Write model parameters plus the config fields that rebuild them."""
-    config = struct.pack("<7i", *(int(config_values[f]) for f in CONFIG_INT_FIELDS))
+    config = _CONFIG.pack(*(int(config_values[f]) for f in CONFIG_INT_FIELDS))
     _write(path, _HEADER + config, arrays)
 
 
 def read_checkpoint(path: str) -> tuple[dict, dict]:
     """Return (config field dict, name -> float64 array)."""
-    r = _read(path)
-    fields = {name: struct.unpack("<i", r.take(4))[0] for name in CONFIG_INT_FIELDS}
-    return fields, _unpack_records(r)
+    blob = _read(path)
+    records = len(_HEADER) + _CONFIG.size
+    if len(blob) < records:  # name the first config field that is cut off
+        raise _truncated(path, 4, len(blob) - len(blob) % 4)
+    fields = dict(zip(CONFIG_INT_FIELDS, _CONFIG.unpack_from(blob, len(_HEADER))))
+    return fields, _unpack_records(blob, records, path)
 
 
 def write_latents(path: str, arrays: dict) -> None:
@@ -222,4 +261,4 @@ def write_latents(path: str, arrays: dict) -> None:
 
 
 def read_latents(path: str) -> dict:
-    return _unpack_records(_read(path))
+    return _unpack_records(_read(path), len(_HEADER), path)

@@ -405,10 +405,10 @@ def _load_latent_dir(path: str) -> dict:
     if not os.path.isdir(path):
         raise ContractError(f"not a directory: {path}")
     with os.scandir(path) as listing:
-        names = sorted(e.name for e in listing if e.name.endswith(LATENT_EXTENSION) and e.is_file())
+        entries = sorted((e.name, e.path) for e in listing if e.name.endswith(LATENT_EXTENSION) and e.is_file())
     out = {}
-    for name in names:
-        out[name[: -len(LATENT_EXTENSION)] or name] = read_record(os.path.join(path, name), LATENT_RECORD)
+    for name, file in entries:
+        out[name[: -len(LATENT_EXTENSION)] or name] = read_record(file, LATENT_RECORD)
     return out
 
 

@@ -139,7 +139,7 @@ class Linear:
         return [(prefix + ".w", self.w), (prefix + ".b", self.b)]
 
 
-def cross_modal_mix(y_a: Tensor, y_v: Tensor, mix_a: Linear, mix_v: Linear) -> tuple:
+def cross_modal_mix(y_a: Tensor, y_v: Tensor, mix_a: Linear, mix_v: Linear | None) -> tuple:
     """Residual exchange between the towers.
 
     Both streams see the concatenation of both, through their own affine
@@ -147,11 +147,14 @@ def cross_modal_mix(y_a: Tensor, y_v: Tensor, mix_a: Linear, mix_v: Linear) -> t
 
         x_a = y_a + mix_a([y_a, y_v])
         x_v = y_v + mix_v([y_a, y_v])
+
+    mix_v is None in the last layer, whose video stream nothing reads:
+    its product and add are skipped, and y_v comes back as it went in.
     """
     if y_a.shape != y_v.shape:
         raise ShapeError(f"mixer streams must match: {y_a.shape} vs {y_v.shape}")
     joint = concat(y_a, y_v)
-    return y_a + mix_a(joint), y_v + mix_v(joint)
+    return y_a + mix_a(joint), y_v if mix_v is None else y_v + mix_v(joint)
 
 
 class Block:
@@ -451,7 +454,9 @@ class TwoTowerModel:
             if video:
                 mod_v = gather_rows(path.video[i], video) if len(path) == n else path.video[i]
                 h_v = self.video_blocks[i](h_v, mod_v)
-                mixed_a, h_v = cross_modal_mix(gather_rows(h_a, video), h_v, self.mix_a[i], self.mix_v[i])
+                # nothing reads the last layer's video stream, so its video mixer is skipped
+                mix_v = self.mix_v[i] if i + 1 < cfg.n_layers else None
+                mixed_a, h_v = cross_modal_mix(gather_rows(h_a, video), h_v, self.mix_a[i], mix_v)
                 # items without video keep their audio stream through the mixers
                 h_a = scatter_rows(mixed_a, video, h_a)
         # the final video stream is dropped; only the audio stream is decoded

@@ -477,6 +477,46 @@ def test_a_latent_file_without_the_named_record_is_rejected(tmp_path, checkpoint
 # output files
 
 
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    side=st.sampled_from(["gen", "ref"]),
+    clip=st.integers(0, 2),
+    damage=st.sampled_from(["truncate", "flip"]),
+    at=st.integers(0, 2**32 - 1),
+    mask=st.integers(1, 255),
+    earlier=st.booleans(),
+)
+def test_eval_over_a_damaged_latent_keeps_the_cli_guarantees(fuzz_inputs, side, clip, damage, at, mask, earlier):
+    # one latent file of a set cut at any length, or with one byte flipped
+    # before its payload (where every flip is a FormatError or a missing
+    # record), fails eval with one JSON line and leaves every output as it was
+    root = fuzz_inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name in ("gen", "ref"):
+            (tmp / name).mkdir()
+            for path in sorted((root / f"{name}-long").iterdir()):
+                (tmp / name / path.name).write_bytes(path.read_bytes())
+        target = tmp / side / f"c{clip}.ysnd"
+        blob = target.read_bytes()
+        if damage == "truncate":
+            blob = blob[: at % len(blob)]
+        else:
+            i = at % 34  # magic, version, count, name length, "latent", rank and two dims
+            blob = blob[:i] + bytes([blob[i] ^ mask]) + blob[i + 1 :]
+        target.write_bytes(blob)
+        out = tmp / "out"
+        out.mkdir()
+        if earlier:
+            (out / "report.json").write_text("an earlier run's report\n")
+        before = _tree(tmp)
+        argv = ["eval", str(tmp / "gen"), str(tmp / "ref"), "--json", "--out", str(out / "report.json")]
+        code, stdout, err_lines = _run(argv + ["--plot", str(out / "plots")])
+        assert (code, stdout, len(err_lines)) == (1, "", 1)
+        assert set(json.loads(err_lines[0])) == {"error"}
+        assert _tree(tmp) == before
+
+
 def _tree(root: Path) -> dict:
     """Relative path -> bytes of every file under root, None for a directory."""
     return {

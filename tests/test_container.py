@@ -1,7 +1,9 @@
 """Container files: bit-exact round-trips and corruption rejection."""
 
+import math
 import os
 import struct
+import threading
 from unittest import mock
 
 import numpy as np
@@ -344,3 +346,246 @@ def test_damaged_containers_read_or_raise_format_error(written, name, damage, at
         except FormatError:
             continue
         assert blob[4:8] == struct.pack("<I", container.VERSION), (read.__qualname__, blob[4:8])
+
+
+# ---------------------------------------------------------------------------
+# the reader against the one it replaced
+
+
+class _OracleReader:
+    """The reader as it was before it unpacked each field group with one
+    precompiled struct, frozen here so that the oracle below does not move
+    with the code it checks."""
+
+    def __init__(self, blob: bytes, path: str):
+        self.blob = blob
+        self.pos = 0
+        self.path = path
+
+    def skip(self, n: int) -> int:
+        start = self.pos
+        if start + n > len(self.blob):
+            raise FormatError(f"{self.path}: truncated file (needed {n} bytes at offset {start})")
+        self.pos = start + n
+        return start
+
+    def take(self, n: int) -> bytes:
+        start = self.skip(n)
+        return self.blob[start : self.pos]
+
+    def u32s(self, count: int) -> tuple:
+        return struct.unpack_from(f"<{count}I", self.blob, self.skip(4 * count))
+
+    def u32(self) -> int:
+        return self.u32s(1)[0]
+
+
+def _oracle_read(path: str) -> _OracleReader:
+    with open(path, "rb") as fh:
+        r = _OracleReader(fh.read(), path)
+    if r.take(4) != container.MAGIC:
+        raise FormatError(f"{r.path}: bad magic, not a container file")
+    version = r.u32()
+    if version != container.VERSION:
+        raise FormatError(f"{r.path}: unsupported container version {version}")
+    return r
+
+
+def _oracle_unpack_records(r: _OracleReader) -> dict:
+    count = r.u32()
+    arrays: dict = {}
+    for _ in range(count):
+        name_len = r.u32()
+        if name_len > 4096:
+            raise FormatError(f"{r.path}: implausible record name length {name_len}")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{r.path}: record name is not valid utf-8 ({exc.reason})") from None
+        if name in arrays:
+            raise FormatError(f"{r.path}: duplicate record name {name!r}")
+        ndim = r.u32()
+        if ndim > 8:
+            raise FormatError(f"{r.path}: implausible record rank {ndim}")
+        shape = r.u32s(ndim)
+        count = math.prod(shape)
+        start = r.skip(8 * count)
+        try:
+            arrays[name] = np.frombuffer(r.blob, "<f8", count, start).reshape(shape).astype(np.float64)
+        except ValueError as exc:
+            raise FormatError(f"{r.path}: record {name!r} has unusable shape {shape}: {exc}") from None
+    if r.pos != len(r.blob):
+        raise FormatError(f"{r.path}: {len(r.blob) - r.pos} trailing bytes after last record")
+    return arrays
+
+
+def _oracle_read_latents(path: str) -> dict:
+    return _oracle_unpack_records(_oracle_read(path))
+
+
+def _oracle_read_checkpoint(path: str) -> tuple:
+    r = _oracle_read(path)
+    fields = {name: struct.unpack("<i", r.take(4))[0] for name in container.CONFIG_INT_FIELDS}
+    return fields, _oracle_unpack_records(r)
+
+
+def _records(arrays: dict) -> list:
+    """Name, shape, dtype and bits of each record, in file order."""
+    return [(name, a.shape, a.dtype, a.tobytes()) for name, a in arrays.items()]
+
+
+def _outcome(read, path: str):
+    """What read makes of path: its records (and config fields), or the type and text of its error."""
+    try:
+        got = read(path)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return (got[0], _records(got[1])) if isinstance(got, tuple) else _records(got)
+
+
+# record names with non-ASCII letters; shapes of rank 0-8, empty ones included
+_NAMES = st.text(st.characters(codec="utf-8", exclude_categories=["Cs"]), max_size=6)
+_SHAPES = st.lists(st.integers(0, 2), max_size=8).map(tuple)
+_RECORDS = st.dictionaries(_NAMES, _SHAPES, max_size=4)
+_I32 = st.integers(-(2**31), 2**31 - 1)
+
+
+def _filled(shapes: dict, seed: int) -> dict:
+    """Arrays of the given shapes holding any float64 bits, NaN payloads and infinities included."""
+    rng = np.random.default_rng(seed)
+    return {
+        name: np.frombuffer(rng.bytes(8 * math.prod(shape)), np.float64).reshape(shape)
+        for name, shape in shapes.items()
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes=_RECORDS, seed=st.integers(0, 2**32 - 1), config=st.lists(_I32, min_size=7, max_size=7))
+def test_what_is_written_reads_back_bit_exact(tmp_path_factory, shapes, seed, config):
+    root = tmp_path_factory.mktemp("roundtrip")
+    arrays = _filled(shapes, seed)
+    container.write_latents(str(root / "x.ysnd"), arrays)
+    assert _records(container.read_latents(str(root / "x.ysnd"))) == _records(arrays)
+    fields = dict(zip(container.CONFIG_INT_FIELDS, config))
+    container.write_checkpoint(str(root / "m.ckpt"), fields, arrays)
+    assert _outcome(container.read_checkpoint, str(root / "m.ckpt")) == (fields, _records(arrays))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shapes=_RECORDS,
+    seed=st.integers(0, 2**32 - 1),
+    config=st.lists(_I32, min_size=7, max_size=7),
+    checkpoint=st.booleans(),
+    damage=st.sampled_from([None, "truncate", "flip", "extend"]),
+    at=st.integers(0, 2**32 - 1),
+    mask=st.integers(1, 255),
+    tail=st.binary(min_size=1, max_size=12),
+)
+def test_the_reader_agrees_with_the_one_it_replaced(tmp_path_factory, shapes, seed, config, checkpoint, damage, at, mask, tail):
+    # a written latent file or checkpoint, whole, cut at any length, with any
+    # one byte flipped or with bytes appended, gives the same records, names
+    # and bits, or the same error text, to either reader, whichever it opens
+    path = tmp_path_factory.mktemp("oracle") / "f"
+    if checkpoint:
+        container.write_checkpoint(str(path), dict(zip(container.CONFIG_INT_FIELDS, config)), _filled(shapes, seed))
+    else:
+        container.write_latents(str(path), _filled(shapes, seed))
+    blob = path.read_bytes()
+    i = at % len(blob)
+    if damage == "truncate":
+        blob = blob[:i]
+    elif damage == "flip":
+        blob = blob[:i] + bytes([blob[i] ^ mask]) + blob[i + 1 :]
+    elif damage == "extend":
+        blob += tail
+    path.write_bytes(blob)
+    path = str(path)
+    assert _outcome(container.read_latents, path) == _outcome(_oracle_read_latents, path)
+    assert _outcome(container.read_checkpoint, path) == _outcome(_oracle_read_checkpoint, path)
+
+
+def _crafted(tmp_path) -> list:
+    """Paths of files that reach each of the reader's errors, which damage
+    to a written file reaches rarely or never."""
+    paths = []
+    for i, (name_bytes, shape, payload, extra) in enumerate(
+        [
+            (b"\xff\xfe", (1,), b"\x00" * 8, 0),  # not utf-8
+            (b"w", (1,), b"\x00" * 8, 1),  # duplicate name
+            (b"w", (0,) + (2**32 - 1,) * 3, b"", 0),  # unusable empty shape
+            (b"w", (2**16,) * 4, b"", 0),  # 2**64 elements
+            ("\u00e9\u4e2d".encode(), (), b"\x01" * 8, 0),  # a rank-0 record
+        ]
+    ):
+        paths.append(tmp_path / f"record{i}")
+        _one_record_file(paths[-1], name_bytes, shape, payload, extra)
+    header = container.MAGIC + struct.pack("<I", container.VERSION) + struct.pack("<7i", *range(7))
+    for n in range(len(header) + 5):  # every cut of a checkpoint's header, and of its record count
+        paths.append(tmp_path / f"cut{n}")
+        paths[-1].write_bytes((header + struct.pack("<I", 0))[:n])
+    return [str(path) for path in paths]
+
+
+def test_the_reader_agrees_with_the_one_it_replaced_on_crafted_files(tmp_path):
+    for path in _crafted(tmp_path):
+        assert _outcome(container.read_latents, path) == _outcome(_oracle_read_latents, path)
+        assert _outcome(container.read_checkpoint, path) == _outcome(_oracle_read_checkpoint, path)
+
+
+def test_a_latent_file_takes_one_read_and_one_that_sees_its_end(tmp_path, monkeypatch):
+    path = str(tmp_path / "x.ysnd")
+    container.write_latents(path, _arrays())
+    sizes = []
+    real_read = os.read
+
+    def counted(fd, n):
+        got = real_read(fd, n)
+        sizes.append(len(got))
+        return got
+
+    monkeypatch.setattr(os, "read", counted)
+    container.read_latents(path)
+    assert sizes == [os.path.getsize(path), 0]
+
+
+def _big_checkpoint(path) -> dict:
+    """Write a checkpoint three reads long; return its arrays."""
+    arrays = {"big": np.arange(3 * container._SMALL // 8, dtype=np.float64), **_arrays()}
+    container.write_checkpoint(str(path), _config(), arrays)
+    return arrays
+
+
+def test_a_file_larger_than_one_read_reads_whole(tmp_path):
+    arrays = _big_checkpoint(tmp_path / "m.ckpt")
+    assert _outcome(container.read_checkpoint, str(tmp_path / "m.ckpt")) == (_config(), _records(arrays))
+
+
+def test_a_pipe_that_cannot_rewind_keeps_what_was_read(tmp_path):
+    arrays = _big_checkpoint(tmp_path / "m.ckpt")
+    blob = (tmp_path / "m.ckpt").read_bytes()
+    path = str(tmp_path / "fifo")
+    os.mkfifo(path)
+
+    def feed():
+        with open(path, "wb") as fh:
+            fh.write(blob)
+
+    feeder = threading.Thread(target=feed, daemon=True)
+    feeder.start()
+    assert _outcome(container.read_checkpoint, path) == (_config(), _records(arrays))
+    feeder.join(timeout=10)
+    assert not feeder.is_alive()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_an_unreadable_path_raises_what_open_raises(tmp_path, kind):
+    path = tmp_path / "x.ysnd"
+    if kind == "directory":
+        path.mkdir()
+    with pytest.raises(OSError) as expected:
+        open(path, "rb")
+    for read in (container.read_latents, container.read_checkpoint):
+        with pytest.raises(OSError) as got:
+            read(path)
+        assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))

@@ -6,8 +6,9 @@ binds __version__ alone, so importing a module loads only what it
 imports. The synthetic embedding stand-ins are built once, in metrics,
 and every scorer reads them from there. Every output file is written
 through container.replacing, and only container renames a file into
-place, so a command's output set is committed in one place. Beyond the
-standard library the package imports numpy alone.
+place, so a command's output set is committed in one place. No public
+container reader calls another. Beyond the standard library the package
+imports numpy alone.
 """
 
 import ast
@@ -123,6 +124,49 @@ def test_caller_probe_sees_every_use_form():
 def test_name_probe_sees_loads_only():
     tree = ast.parse("def f(a):\n    b = a.transpose()\n    return g(b)\n")
     assert _loaded_names(tree) == {"a", "g", "b"}
+
+
+def _reaches(tree: ast.Module) -> dict:
+    """Name of each top-level function -> the module's top-level functions
+    it calls, directly or through others."""
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    direct = {name: _loaded_names(node) & defs.keys() for name, node in defs.items()}
+    reached = {}
+    for name in defs:
+        seen, todo = set(), list(direct[name])
+        while todo:
+            callee = todo.pop()
+            if callee not in seen:
+                seen.add(callee)
+                todo += direct[callee]
+        reached[name] = seen
+    return reached
+
+
+def test_no_public_container_reader_calls_another():
+    # perfbench sums container.read* calls by name prefix, so a reader that
+    # called another would count that file's bytes and time twice
+    reached = _reaches(ast.parse((PACKAGE / "container.py").read_text(encoding="utf-8")))
+    readers = {name for name in reached if name.startswith("read")}
+    assert readers == {"read_checkpoint", "read_latents"}
+    assert {name: sorted(reached[name] & readers - {name}) for name in readers} == {name: [] for name in readers}
+
+
+def test_reach_probe_sees_calls_through_helpers():
+    tree = ast.parse(
+        "def read_a(): return _h()\n"
+        "def _h(): return _g(read_b)\n"
+        "def _g(f): return f()\n"
+        "def read_b(): return read_b()\n"
+        "def read_c(): return len([])\n"
+    )
+    assert _reaches(tree) == {
+        "read_a": {"_h", "_g", "read_b"},
+        "_h": {"_g", "read_b"},
+        "_g": set(),
+        "read_b": {"read_b"},
+        "read_c": set(),
+    }
 
 
 def _fresh_interpreter(code: str) -> str:

@@ -170,6 +170,35 @@ def test_mixer_mixes_once_trained():
     assert not np.allclose(out_v.data, y_v.data)
     with pytest.raises(ShapeError):
         cross_modal_mix(y_a, Tensor(rng.normal((4, d))), mix_a, mix_v)
+    # without a video mixer the video stream comes back as it went in
+    out_a_only, same_v = cross_modal_mix(y_a, y_v, mix_a, None)
+    assert same_v is y_v
+    assert np.array_equal(out_a_only.data, out_a.data)
+
+
+def test_the_last_video_mixer_never_runs_and_takes_no_gradient(monkeypatch):
+    # the last layer's video stream is dropped, so a product there could
+    # take no gradient; the earlier layer's video mixer still runs and trains
+    cfg = replace(SMALL, n_layers=2)
+    model = TwoTowerModel(cfg, seed=0)
+    _perturb(model)
+    called = []
+    real_call = Linear.__call__
+
+    def spy(self, x):
+        called.append(self)
+        return real_call(self, x)
+
+    monkeypatch.setattr(Linear, "__call__", spy)
+    rng = SeededRng(30)
+    batch = [(rng.normal((cfg.t_audio, cfg.d_audio_latent)), cond) for cond in _mixed_conds(rng, 4, cfg)]
+    model.zero_grad()
+    backward(flow.cfm_loss(model, batch, SeededRng(31)))
+    params = model.parameters()
+    assert [params[f"layers.1.mix_v.{p}"].grad for p in "wb"] == [None, None]
+    assert all(params[f"layers.0.mix_v.{p}"].grad is not None for p in "wb")
+    assert all(params[f"layers.1.mix_a.{p}"].grad is not None for p in "wb")
+    assert [any(m is mixer for m in called) for mixer in model.mix_v] == [True, False]
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +450,7 @@ def _count_ops(monkeypatch) -> collections.Counter:
     return kinds
 
 
-def test_guided_forward_records_92_tape_ops(monkeypatch):
+def test_guided_forward_records_90_tape_ops(monkeypatch):
     """Perf budget of the hot path: the tape ops of one guided text+video
     forward at the default config. 9 of them condition the batch (text
     tokens, cross-attention keys and values, video input) and 8 make the
@@ -435,10 +464,10 @@ def test_guided_forward_records_92_tape_ops(monkeypatch):
     kinds = _count_ops(monkeypatch)
     conditioned = model.condition([ConditionBundle(), cond])
     flow.guided_velocity(model, x_t, model.time_path([0.5])[0], cond, 2.0, conditioned)
-    assert sum(kinds.values()) == 92
+    assert sum(kinds.values()) == 90
     pinned = ("matmul", "gelu", "gather_rows", "modulated_norm", "gated_residual", "scatter_rows", "mul")
     assert {k: kinds[k] for k in pinned} == {
-        "matmul": 46,
+        "matmul": 45,
         "gelu": 6,
         "gather_rows": 2,
         "modulated_norm": 10,
@@ -448,7 +477,7 @@ def test_guided_forward_records_92_tape_ops(monkeypatch):
     }
 
 
-def test_training_forward_records_97_tape_ops(monkeypatch):
+def test_training_forward_records_95_tape_ops(monkeypatch):
     """Perf budget of a training step's forward: the tape ops of one
     cfm_loss at batch 8 of the default config, where some items carry
     video and some do not. The forward makes the time path of its 8 times
@@ -460,10 +489,10 @@ def test_training_forward_records_97_tape_ops(monkeypatch):
     batch = [(rng.normal((cfg.t_audio, cfg.d_audio_latent)), cond) for cond in _mixed_conds(rng, 8, cfg)]
     kinds = _count_ops(monkeypatch)
     flow.cfm_loss(TwoTowerModel(cfg, seed=0), batch, SeededRng(29))
-    assert sum(kinds.values()) == 97
+    assert sum(kinds.values()) == 95
     pinned = ("matmul", "gelu", "gather_rows", "modulated_norm", "gated_residual", "scatter_rows", "mul")
     assert {k: kinds[k] for k in pinned} == {
-        "matmul": 46,
+        "matmul": 45,
         "gelu": 6,
         "gather_rows": 4,
         "modulated_norm": 10,
@@ -473,17 +502,17 @@ def test_training_forward_records_97_tape_ops(monkeypatch):
     }
 
 
-@pytest.mark.parametrize("nfe, ops", [(1, 92), (4, 317)])
+@pytest.mark.parametrize("nfe, ops", [(1, 90), (4, 309)])
 def test_sample_many_conditions_once_per_trajectory(monkeypatch, nfe, ops):
     """Perf budget of the sampler: 9 conditioning ops and 8 time-path ops
-    once per trajectory, then 75 per Euler step. A change that puts
+    once per trajectory, then 73 per Euler step. A change that puts
     per-condition or per-time work back into the step loop fails here
     without running a benchmark."""
     kinds = _count_ops(monkeypatch)
     cfg = ModelConfig()
     rng = SeededRng(23)
     flow.sample_many(TwoTowerModel(cfg, seed=0), _cond(cfg, rng), flow.SamplerConfig(nfe=nfe), [1, 2])
-    assert sum(kinds.values()) == ops == 9 + 8 + 75 * nfe
+    assert sum(kinds.values()) == ops == 9 + 8 + 73 * nfe
 
 
 @pytest.mark.parametrize("m", [1, 64])
