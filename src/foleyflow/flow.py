@@ -108,14 +108,16 @@ def guided_velocity(model, x: np.ndarray, t, cond: ConditionBundle, guidance_sca
     w = 0 returns the unconditional branch alone and w = 1 the conditional
     branch alone, each from one model call of batch n; other weights run
     both branches as one call of batch 2n, the n unconditional items
-    first. t is the step's row of a model.time_path and conditioned the
-    model.condition of that batch, every branch's bundle n times in
-    branch order; a sampler computes both once per trajectory. The call
-    runs taped unless its caller is inside tensor.no_tape.
+    first. The call gets the n states once, and item b reads state b % n,
+    so what depends on a state and the time alone runs once for both
+    branches (TwoTowerModel.forward). t is the step's row of a
+    model.time_path and conditioned the model.condition of that batch,
+    every branch's bundle n times in branch order; a sampler computes
+    both once per trajectory. The call runs taped unless its caller is
+    inside tensor.no_tape.
     """
     branches = _guidance_branches(cond, guidance_scale)
-    v = model(Tensor(np.concatenate([x] * len(branches))), t, conditioned).data
-    v = v.reshape((len(branches),) + x.shape)
+    v = model(Tensor(x), t, conditioned).data.reshape((len(branches),) + x.shape)
     return v[0] if len(branches) == 1 else v[0] + guidance_scale * (v[1] - v[0])
 
 
@@ -124,8 +126,10 @@ def sample_many(model, cond: ConditionBundle, sampler_cfg: SamplerConfig, seeds)
 
     The states form one (n, t_audio, d_audio_latent) stack from t=0 to t=1,
     so a step is one guided_velocity call; sampler_cfg.seed is not used.
-    The guided batch is conditioned once, and the grid times' time path
-    once, in blocks of _PATH_ROWS times; step k reads row k. All of it
+    The guided batch is conditioned once, its n conditional items on the
+    one cond object, so the model runs their video input through its first
+    video block once per step; the grid times' time path is computed once,
+    in blocks of _PATH_ROWS times, and step k reads row k. All of it
     runs under tensor.no_tape: nothing is recorded for a backward, and no
     parameter gets a gradient. Returns per seed, in order, the latent at
     t=1 or the DivergenceError of a trajectory that went non-finite; its

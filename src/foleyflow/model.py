@@ -7,7 +7,9 @@ towers. Timestep conditioning enters every block through adaLN-zero
 modulation, so a freshly initialized model is an identity between its input
 and output projections. One forward runs a batch of items, each with its own
 time and condition bundle; the video tower and mixers run on the items that
-carry video, and are skipped entirely when none does.
+carry video, and are skipped entirely when none does. Work that items share,
+such as one state under several guidance branches, runs once and is
+repeated out to them.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .tensor import (
     gelu,
     matmul,
     modulated_norm,
+    repeat_rows,
     scatter_rows,
 )
 
@@ -161,7 +164,7 @@ class Block:
     """adaLN-zero block: pre-norm self-attention, optional cross-attention
     over context tokens, then an MLP; every sublayer gated and residual."""
 
-    def __init__(self, cfg: ModelConfig, rng: SeededRng, cross_attention: bool):
+    def __init__(self, cfg: ModelConfig, rng: SeededRng | None, cross_attention: bool):
         d = cfg.d_model
         self.n_heads = cfg.n_heads
         self.cross_attention = cross_attention
@@ -186,14 +189,22 @@ class Block:
         or (1, 1, n_sublayers 3d) shared by all. context_kv: the (B, L, d)
         keys and values, ck and cv of the context tokens, that a
         cross-attention block attends to, context_mask their (B, L)
-        validity; both unused otherwise."""
+        validity; both unused otherwise.
+
+        A cross-attention block also takes a stream of n states for B =
+        r n items under a shared mod, item b reading state b % n: the
+        self-attention sublayer and the cross-attention query, which read
+        no context, run on the n states, and their rows are repeated out
+        to the B items for the cross-attention."""
         y = modulated_norm(x, mod, 0)
         x = gated_residual(x, mod, 0, self.wo(attention(self.wq(y), self.wk(y), self.wv(y), self.n_heads)))
         mlp = 1
         if self.cross_attention:
-            y = modulated_norm(x, mod, 1)
-            attended = attention(self.cq(y), *context_kv, self.n_heads, context_mask)
-            x = gated_residual(x, mod, 1, self.co(attended))
+            q = self.cq(modulated_norm(x, mod, 1))
+            if len(x.data) < len(context_mask):
+                items = np.arange(len(context_mask)) % len(x.data)
+                x, q = repeat_rows(x, items), repeat_rows(q, items)
+            x = gated_residual(x, mod, 1, self.co(attention(q, *context_kv, self.n_heads, context_mask)))
             mlp = 2
         y = modulated_norm(x, mod, mlp)
         return gated_residual(x, mod, mlp, self.fc2(gelu(self.fc1(y))))
@@ -214,8 +225,11 @@ class Conditioning:
 
     text_kv holds each audio block's (keys, values) of the cross-attention
     tokens, each (B, L, d), and text_mask their (B, L) validity. video
-    lists the items that carry video and video_h their (len(video),
-    t_audio, d) video tower input, None when no item does. Computed taped,
+    lists the items that carry video, video_h holds the video tower input
+    (m, t_audio, d) once per distinct bundle object among them, and
+    video_rows gives each video item's row of video_h; video_h is None
+    when no item carries video. m < len(video) when items share a bundle
+    object, as a sampler's conditional items do. Computed taped,
     its tensors stay on the tape, so a backward through one forward leaves
     gradients on them: differentiate each forward through a fresh
     Conditioning. The sampler's is computed under tensor.no_tape and
@@ -226,6 +240,7 @@ class Conditioning:
     text_mask: np.ndarray
     video: tuple
     video_h: Tensor | None
+    video_rows: tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,13 +274,14 @@ class TwoTowerModel:
     Every parameter's data is a view of one float64 vector, flat, in
     registry order; slices[name] is its place there. Change parameters in
     place: rebinding p.data cuts it off the vector, and training refuses
-    a model with such a parameter.
+    a model with such a parameter. seed None draws no random numbers and
+    leaves every parameter zero, for load_state to fill.
     """
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int | None):
         self.config = config
         self.video_tower_invocations = 0
-        rng = SeededRng(derive_seed(seed, "model-init"))
+        rng = None if seed is None else SeededRng(derive_seed(seed, "model-init"))
         cfg = config
         d = cfg.d_model
 
@@ -279,7 +295,8 @@ class TwoTowerModel:
         # input-projection / output-projection composition
         self.audio_pos = Tensor(np.zeros((cfg.t_audio, d)), requires_grad=True)
         self.video_pos = Tensor(np.zeros((cfg.t_audio, d)), requires_grad=True)
-        self.null_text = Tensor(rng.normal((1, cfg.d_text)) * 0.02, requires_grad=True)
+        null_text = np.zeros((1, cfg.d_text)) if rng is None else rng.normal((1, cfg.d_text)) * 0.02
+        self.null_text = Tensor(null_text, requires_grad=True)
 
         # the audio tower attends to text tokens; the video tower does not
         self.audio_blocks = [Block(cfg, rng, cross_attention=True) for _ in range(cfg.n_layers)]
@@ -357,7 +374,7 @@ class TwoTowerModel:
         stored, needed = sum(arr.size for arr in arrays.values()), expected_param_count(cfg)
         if stored != needed:
             raise FormatError(f"{path}: config block {fields_dict} needs {needed} parameter values, records hold {stored}")
-        model = cls(cfg)
+        model = cls(cfg, seed=None)
         model.load_state(arrays)
         return model
 
@@ -411,8 +428,9 @@ class TwoTowerModel:
 
         That is every audio block's cross-attention keys and values of the
         text tokens, with their mask, and the video tower's input
-        video_in(frames) + video_pos for the items that carry video. A
-        sampler conditions its batch once per trajectory, not per step.
+        video_in(frames) + video_pos once per distinct bundle object that
+        carries video, with each video item's row of it. A sampler
+        conditions its batch once per trajectory, not per step.
         """
         cfg = self.config
         conds = list(conds)
@@ -420,40 +438,59 @@ class TwoTowerModel:
             raise ShapeError("condition needs B >= 1 bundles, got none")
         text_h, text_mask = self._text_tokens(conds)
         video = tuple(b for b, cond in enumerate(conds) if cond.video_feat is not None)
-        feats = [_feature_rows(conds[b].video_feat, "video_feat", cfg.d_video_feat, "d_video_feat") for b in video]
+        rows: dict = {}  # id of each distinct bundle object that carries video -> its row of video_h
+        video_rows = tuple(rows.setdefault(id(conds[b]), len(rows)) for b in video)
         video_h = None
         if video:
+            firsts = [video[video_rows.index(row)] for row in range(len(rows))]
+            feats = [_feature_rows(conds[b].video_feat, "video_feat", cfg.d_video_feat, "d_video_feat") for b in firsts]
             frames = np.stack([resample_video(f, cfg.t_audio) for f in feats])
             video_h = self.video_in(Tensor(frames)) + self.video_pos
         text_kv = tuple((block.ck(text_h), block.cv(text_h)) for block in self.audio_blocks)
-        return Conditioning(text_kv, text_mask, video, video_h)
+        return Conditioning(text_kv, text_mask, video, video_h, video_rows)
 
     def forward(self, x: Tensor, path: TimePath, conditioning: Conditioning) -> Tensor:
-        """Velocities (B, t_audio, d_audio_latent) for B items at once.
+        """Velocities (B, t_audio, d_audio_latent) for the B items of conditioning.
 
-        x is (B, t_audio, d_audio_latent) and conditioning is condition()
-        of the B items' bundles. path is a TimePath of B rows, one per
-        item, or of one row, such as time_path(times)[k], that every item
-        shares. Items do not interact: given row-invariant gemm (README),
-        an item's output has the bits of its batch-1 output unless the
-        batch pads its cross-attention tokens.
+        conditioning is condition() of the B items' bundles. x holds n
+        states (n, t_audio, d_audio_latent) for B = r n items, and item b
+        reads state b % n; a guided step passes each state once for its r
+        branches. path is a TimePath of B rows, one per item, or of one
+        row, such as time_path(times)[k], that every item shares; n < B
+        needs a one-row path. Under a one-row path, what depends on a state
+        and the time alone runs once per state: audio_in(x) + audio_pos,
+        audio block 0's self-attention sublayer and its cross-attention
+        query; and video block 0 runs once per distinct video input
+        (condition). Their rows are then repeated out to the items. Items
+        do not interact: given row-invariant gemm (README), an item's
+        output has the bits of its batch-1 output unless the batch pads
+        its cross-attention tokens.
         """
         cfg = self.config
-        n = len(conditioning.text_mask)
-        if x.shape != (n, cfg.t_audio, cfg.d_audio_latent) or len(path) not in (n, 1):
+        n, items = x.shape[0] if x.ndim == 3 else 0, len(conditioning.text_mask)
+        per_item = len(path) == items  # one modulation row per item, not one shared row
+        path_fits = len(path) == 1 or per_item and n == items
+        if x.shape[1:] != (cfg.t_audio, cfg.d_audio_latent) or not n or items % n or not path_fits:
             raise ShapeError(
-                f"forward needs x (B, t_audio, d_audio_latent) = (B, {cfg.t_audio}, {cfg.d_audio_latent}) "
-                f"and a path of B rows or one row for B = {n} items; got x {x.shape}, {len(path)} path rows"
+                f"forward needs x (n, t_audio, d_audio_latent) = (n, {cfg.t_audio}, {cfg.d_audio_latent}) for n "
+                f"dividing B = {items} items, and a path of one row, or of B rows with n = B; "
+                f"got x {x.shape}, {len(path)} path rows"
             )
         h_a = self.audio_in(x) + self.audio_pos
         video, h_v = conditioning.video, conditioning.video_h
+
+        def video_items(h: Tensor) -> Tensor:  # a row per distinct video input -> a row per video item
+            return h if len(h.data) == len(video) else repeat_rows(h, conditioning.video_rows)
+
         if video:
             self.video_tower_invocations += 1
+            if per_item:  # each item's video runs under its own modulation from video block 0 on
+                h_v = video_items(h_v)
         for i in range(cfg.n_layers):
             h_a = self.audio_blocks[i](h_a, path.audio[i], conditioning.text_kv[i], conditioning.text_mask)
             if video:
-                mod_v = gather_rows(path.video[i], video) if len(path) == n else path.video[i]
-                h_v = self.video_blocks[i](h_v, mod_v)
+                mod_v = gather_rows(path.video[i], video) if per_item else path.video[i]
+                h_v = video_items(self.video_blocks[i](h_v, mod_v))
                 # nothing reads the last layer's video stream, so its video mixer is skipped
                 mix_v = self.mix_v[i] if i + 1 < cfg.n_layers else None
                 mixed_a, h_v = cross_modal_mix(gather_rows(h_a, video), h_v, self.mix_a[i], mix_v)

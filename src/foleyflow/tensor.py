@@ -11,7 +11,8 @@ Activations carry a leading batch axis, (B, T, d): matmul folds the
 leading axes into rows and takes an optional bias, attention is one
 fused multi-head op, modulated_norm / gated_residual are the two halves
 of an adaLN-zero sublayer, gather_rows selects items along the batch
-axis and scatter_rows writes them back onto a base batch.
+axis, repeat_rows copies items out to several places, and scatter_rows
+writes items back onto a base batch.
 Inside no_tape(), ops compute their outputs but record nothing for the
 reverse pass, which a forward that is never differentiated, such as
 sampling, does not need.
@@ -45,6 +46,7 @@ __all__ = [
     "gelu",
     "attention",
     "gather_rows",
+    "repeat_rows",
     "scatter_rows",
     "reduce_mean",
     "backward",
@@ -397,8 +399,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, key_mask=None) -> T
         if not keep.any(axis=1).all():
             raise ContractError("key_mask hides every key of some item")
         np.copyto(scores, -np.inf, where=~keep[:, None, None, :])
-    # the softmax, in the scores' buffer
-    scores -= scores.max(axis=-1, keepdims=True)
+    # the softmax, in the scores' buffer. Its row max is one reduce over a
+    # key-major copy: a reduce over the short last axis pays a fixed cost
+    # per row, and a max is exact in any order
+    scores -= np.maximum.reduce(scores.transpose(3, 0, 1, 2).copy(), axis=0)[..., None]
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
     probs = scores
@@ -416,12 +420,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, key_mask=None) -> T
     return _from_op(merge(probs @ vh), (q, k, v), bw)
 
 
-def _batch_rows(rows, n: int) -> np.ndarray:
+def _batch_rows(rows, n: int, distinct: bool = True) -> np.ndarray:
     idx = np.asarray(rows)
     # numpy reads a bool among ints as 0 or 1, so each item's type is checked too
     integers = idx.dtype.kind in "iu" and idx.ndim == 1 and not any(isinstance(r, (bool, np.bool_)) for r in rows)
-    if not integers or idx.size == 0 or idx.min() < 0 or idx.max() >= n or len(set(idx.tolist())) != idx.size:
-        raise ContractError(f"rows must be distinct integer indices in [0, {n}), got {rows!r}")
+    if not integers or idx.size == 0 or idx.min() < 0 or idx.max() >= n or distinct and len(set(idx.tolist())) != idx.size:
+        kind = "distinct integer" if distinct else "integer"
+        raise ContractError(f"rows must be {kind} indices in [0, {n}), got {rows!r}")
     return idx.astype(np.intp, copy=False)
 
 
@@ -432,6 +437,19 @@ def gather_rows(x: Tensor, rows) -> Tensor:
     def bw(g):
         grad = np.zeros(x.shape, dtype=np.float64)
         grad[idx] = g
+        return (grad,)
+
+    return _from_op(x.data[idx], (x,), bw)
+
+
+def repeat_rows(x: Tensor, rows) -> Tensor:
+    """The items rows of x along the batch (first) axis, where an item may
+    be taken more than once; its gradient is the sum over its copies."""
+    idx = _batch_rows(rows, x.shape[0], distinct=False)
+
+    def bw(g):
+        grad = np.zeros(x.shape, dtype=np.float64)
+        np.add.at(grad, idx, g)
         return (grad,)
 
     return _from_op(x.data[idx], (x,), bw)

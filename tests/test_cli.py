@@ -824,3 +824,58 @@ def test_eval_and_refine_keep_the_cli_guarantees(fuzz_inputs, command, missing, 
             assert len(err_lines) == 1
             assert set(json.loads(err_lines[0])) == {"error"}
             assert _tree(Path(tmp)) == before
+
+
+# sampler settings, (within, past) their bounds: nfe >= 1, sway in
+# [-1, 2 / (pi - 2) = 1.7519...], guidance finite and >= 0
+_NFES = (["1", "2", "3"], ["0", "-1", "1.5", "1e0", "nan", "x", ""])
+_SWAYS = (["-1", "-0.0", "0", "1.7519"], ["-1.0000001", "1.752", "1e308", "nan", "inf", "-inf", "x"])
+_GUIDANCES = (["0", "-0.0", "1", "2", "1e308", "1.7976931348623157e308"], ["-5e-324", "-1", "nan", "inf", "x"])
+
+
+def _setting(values):
+    """A setting's string, drawn within and past its bounds about equally often."""
+    return st.one_of(st.sampled_from(values[0]), st.sampled_from(values[1]))
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    missing=st.sampled_from([None, None, None, None, "checkpoint", "video", "out-dir"]),
+    frame_rate=st.one_of(st.none(), st.sampled_from(_FRAME_RATES)),
+    video=st.one_of(st.none(), st.sampled_from(_VIDEO_ROWS)),
+    text=st.booleans(),
+    nfe=_setting(_NFES),
+    sway=st.one_of(st.none(), _setting(_SWAYS)),
+    guidance=st.one_of(st.none(), _setting(_GUIDANCES)),
+    earlier=st.booleans(),
+)
+def test_sample_keeps_the_cli_guarantees(fuzz_inputs, missing, frame_rate, video, text, nfe, sway, guidance, earlier):
+    root = fuzz_inputs
+
+    def given_path(name, path):
+        return str(root / "absent" / name) if name == missing else str(path)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp) / ("absent" if missing == "out-dir" else "")
+        argv = ["sample", "--checkpoint", given_path("checkpoint", root / "tiny.ckpt"), "--out", str(out_dir / "x.ysnd")]
+        argv += [f"--nfe={nfe}"] + ([] if video is None else ["--video", given_path("video", root / f"video{video}.ysnd")])
+        argv += ["--text", "a dog barks"] if text else []
+        for flag, value in (("--sway", sway), ("--guidance", guidance), ("--frame-rate", frame_rate)):
+            argv += [] if value is None else [f"{flag}={value}"]
+        outputs = ["x.ysnd", "x.ysnd.env.csv"]
+        if earlier and out_dir.is_dir():
+            for name in outputs:
+                (out_dir / name).write_text(f"an earlier run's {name}\n")
+        before = _tree(Path(tmp))
+
+        code, stdout, err_lines = _run(argv)
+        assert code in (0, 1, 2)
+        if code == 0:
+            after = _tree(Path(tmp))
+            assert set(outputs) <= set(after)
+            assert _run(argv) == (0, stdout, [])
+            assert _tree(Path(tmp)) == after
+        else:
+            assert len(err_lines) == 1
+            assert set(json.loads(err_lines[0])) == {"error"}
+            assert _tree(Path(tmp)) == before

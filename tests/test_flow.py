@@ -27,6 +27,13 @@ from foleyflow.tensor import Tensor
 STUB_CFG = ModelConfig(d_model=8, n_layers=1, n_heads=2, d_audio_latent=3, d_text=4, d_video_feat=4, t_audio=6)
 
 
+def item_states(x_t, conds) -> np.ndarray:
+    """The state of each of a call's items: item b reads state b % n of
+    the n states given, as TwoTowerModel.forward does."""
+    x = x_t.data if isinstance(x_t, Tensor) else np.asarray(x_t)
+    return x[np.arange(len(conds)) % len(x)]
+
+
 class StubModel:
     """Batched velocity field fn(x, t, cond), applied item by item, with a
     record of each call's batch size and no learnable state. Its time
@@ -46,7 +53,7 @@ class StubModel:
 
     def __call__(self, x_t, t, conds):
         self.batch_sizes.append(len(conds))
-        x = x_t.data if isinstance(x_t, Tensor) else np.asarray(x_t)
+        x = item_states(x_t, conds)
         t = np.broadcast_to(t, (len(conds),))
         return Tensor(np.stack([self.fn(x[b], t[b], cond) for b, cond in enumerate(conds)]))
 
@@ -395,7 +402,7 @@ class FailAt(StubModel):
         self.states = []
 
     def __call__(self, x_t, t, conds):
-        self.states.append(x_t.data.copy())
+        self.states.append(item_states(x_t, conds))
         out = super().__call__(x_t, t, conds)
         if self.call < len(self.batch_sizes) <= self.call + self.calls:
             out.data[len(conds) // 2 + self.row] = np.nan
@@ -547,6 +554,47 @@ def test_a_seeds_latent_does_not_depend_on_its_batch(wide_model, kind, token, gu
         assert np.array_equal(latent, sample_many(wide_model, cond, cfg, [seed])[0]), seed
 
 
+@pytest.fixture(scope="module")
+def default_model():
+    return _jittered(ModelConfig(), seed=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    wide=st.booleans(),
+    kind=st.sampled_from(["text+video", "text", "video", "unconditional"]),
+    token=st.booleans(),
+    guidance=st.sampled_from([0.0, 1.0, 2.0]),
+    n=st.integers(min_value=1, max_value=4),
+    t=st.floats(min_value=0.0, max_value=1.0),
+    t_video=st.integers(min_value=1, max_value=9),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_a_guided_step_keeps_the_bits_of_every_branchs_own_copy(
+    wide_model, default_model, wide, kind, token, guidance, n, t, t_video, seed
+):
+    # guided_velocity hands the model each state once for all branches and
+    # the conditional bundle once for all states; the model called on a
+    # copy of each state per branch and a bundle object per item, which
+    # shares nothing, must give the same bits
+    model = wide_model if wide else default_model
+    cfg = model.config
+    rng = SeededRng(seed)
+    cond = ConditionBundle(
+        text_emb=rng.normal((2, cfg.d_text)) if "text" in kind else None,
+        video_feat=rng.normal((t_video, cfg.d_video_feat)) if "video" in kind else None,
+        extra_tokens=rng.normal((1, cfg.d_text)) if token else None,
+    )
+    x = rng.normal((n, cfg.t_audio, cfg.d_audio_latent))
+    row = model.time_path([t])[0]
+    branches = flow._guidance_branches(cond, guidance)
+    shared = model.condition([c for c in branches for _ in range(n)])
+    own = model.condition([replace(c) for c in branches for _ in range(n)])
+    v = model(Tensor(np.concatenate([x] * len(branches))), row, own).data.reshape((len(branches),) + x.shape)
+    want = v[0] if len(branches) == 1 else v[0] + guidance * (v[1] - v[0])
+    assert np.array_equal(guided_velocity(model, x, row, cond, guidance, shared), want)
+
+
 class NanRowAt:
     """A model whose call number `call` (0-based) makes the conditional
     velocity of batch row `row` NaN; it counts its condition calls and
@@ -623,7 +671,8 @@ def test_sample_many_runs_untaped_and_leaves_taping_on():
 
 class GivenTimes:
     """A model with a stub time path: each call computes the time path of
-    the step's time for every item itself, not from the sampler's rows."""
+    the step's time for every item itself, not from the sampler's rows,
+    and so hands the model every item's state."""
 
     def __init__(self, model):
         self.model, self.config = model, model.config
@@ -635,7 +684,8 @@ class GivenTimes:
         return np.asarray(times, dtype=np.float64)
 
     def __call__(self, x_t, t, conds):
-        return self.model(x_t, self.model.time_path([t] * len(conds.text_mask)), conds)
+        items = len(conds.text_mask)
+        return self.model(Tensor(item_states(x_t, range(items))), self.model.time_path([t] * items), conds)
 
 
 @pytest.mark.parametrize("nfe", [1, 64, flow._PATH_ROWS + 1])

@@ -237,7 +237,7 @@ def test_param_count_matches_closed_form():
         ModelConfig(),
         ModelConfig(d_model=16, n_layers=3, n_heads=2, d_audio_latent=8, d_video_feat=12, d_text=10, t_audio=20),
     ):
-        assert TwoTowerModel(cfg).flat.size == expected_param_count(cfg)
+        assert TwoTowerModel(cfg, seed=0).flat.size == expected_param_count(cfg)
 
 
 def test_video_tower_bypassed_without_video():
@@ -333,8 +333,14 @@ def test_forward_shape_errors():
         model(Tensor(rng.normal((SMALL.t_audio, SMALL.d_audio_latent))), path, one)
     with pytest.raises(ShapeError):
         model(good_x, model.time_path([0.5, 0.5]), one)
+    # n states serve B = r n items under a one-row path, and only then
     with pytest.raises(ShapeError):
-        model(good_x, path, two)
+        model(good_x, model.time_path([0.5, 0.5]), two)
+    with pytest.raises(ShapeError):
+        model(Tensor(np.zeros((2, SMALL.t_audio, SMALL.d_audio_latent))), path, model.condition([ConditionBundle()] * 3))
+    with pytest.raises(ShapeError):
+        model(Tensor(np.zeros((0, SMALL.t_audio, SMALL.d_audio_latent))), path, two)
+    assert model(good_x, path, two).shape[0] == 2
     # a path of one row serves any batch, a path of B rows only batch B
     x3 = Tensor(np.zeros((3, SMALL.t_audio, SMALL.d_audio_latent)))
     three = model.condition([ConditionBundle()] * 3)
@@ -450,13 +456,14 @@ def _count_ops(monkeypatch) -> collections.Counter:
     return kinds
 
 
-def test_guided_forward_records_90_tape_ops(monkeypatch):
+def test_guided_forward_records_92_tape_ops(monkeypatch):
     """Perf budget of the hot path: the tape ops of one guided text+video
     forward at the default config. 9 of them condition the batch (text
     tokens, cross-attention keys and values, video input) and 8 make the
     time path of its one time (time embedding, its gelu, one adaln per
-    block); a change that adds ops to the forward fails here without
-    running a benchmark."""
+    block); 2 repeat the state's shared audio rows out to both branches.
+    A change that adds ops to the forward fails here without running a
+    benchmark."""
     cfg = ModelConfig()
     model = TwoTowerModel(cfg, seed=0)
     rng = SeededRng(22)
@@ -464,12 +471,13 @@ def test_guided_forward_records_90_tape_ops(monkeypatch):
     kinds = _count_ops(monkeypatch)
     conditioned = model.condition([ConditionBundle(), cond])
     flow.guided_velocity(model, x_t, model.time_path([0.5])[0], cond, 2.0, conditioned)
-    assert sum(kinds.values()) == 90
-    pinned = ("matmul", "gelu", "gather_rows", "modulated_norm", "gated_residual", "scatter_rows", "mul")
+    assert sum(kinds.values()) == 92
+    pinned = ("matmul", "gelu", "gather_rows", "repeat_rows", "modulated_norm", "gated_residual", "scatter_rows", "mul")
     assert {k: kinds[k] for k in pinned} == {
         "matmul": 45,
         "gelu": 6,
         "gather_rows": 2,
+        "repeat_rows": 2,
         "modulated_norm": 10,
         "gated_residual": 10,
         "scatter_rows": 2,
@@ -490,11 +498,12 @@ def test_training_forward_records_95_tape_ops(monkeypatch):
     kinds = _count_ops(monkeypatch)
     flow.cfm_loss(TwoTowerModel(cfg, seed=0), batch, SeededRng(29))
     assert sum(kinds.values()) == 95
-    pinned = ("matmul", "gelu", "gather_rows", "modulated_norm", "gated_residual", "scatter_rows", "mul")
+    pinned = ("matmul", "gelu", "gather_rows", "repeat_rows", "modulated_norm", "gated_residual", "scatter_rows", "mul")
     assert {k: kinds[k] for k in pinned} == {
         "matmul": 45,
         "gelu": 6,
         "gather_rows": 4,
+        "repeat_rows": 0,
         "modulated_norm": 10,
         "gated_residual": 10,
         "scatter_rows": 2,
@@ -502,17 +511,41 @@ def test_training_forward_records_95_tape_ops(monkeypatch):
     }
 
 
-@pytest.mark.parametrize("nfe, ops", [(1, 90), (4, 309)])
+@pytest.mark.parametrize("nfe, ops", [(1, 93), (4, 321)])
 def test_sample_many_conditions_once_per_trajectory(monkeypatch, nfe, ops):
     """Perf budget of the sampler: 9 conditioning ops and 8 time-path ops
-    once per trajectory, then 73 per Euler step. A change that puts
+    once per trajectory, then 76 per Euler step, 3 of which repeat the
+    branch-shared rows out to the items. A change that puts
     per-condition or per-time work back into the step loop fails here
     without running a benchmark."""
     kinds = _count_ops(monkeypatch)
     cfg = ModelConfig()
     rng = SeededRng(23)
     flow.sample_many(TwoTowerModel(cfg, seed=0), _cond(cfg, rng), flow.SamplerConfig(nfe=nfe), [1, 2])
-    assert sum(kinds.values()) == ops == 9 + 8 + 73 * nfe
+    assert sum(kinds.values()) == ops == 9 + 8 + 76 * nfe
+    assert kinds["repeat_rows"] == 3 * nfe
+
+
+def test_a_guided_step_runs_branch_shared_rows_once(monkeypatch):
+    """Perf guard of the guided step: at k = 4 seeds and text+video, audio
+    block 0's query product sees the rows of the 4 states, not of the 8
+    guided items, and video block 0's the rows of the one video, not of
+    4 copies; the later blocks see every item's rows."""
+    cfg = ModelConfig()
+    model = TwoTowerModel(cfg, seed=0)
+    watched = {id(model.audio_blocks[i].wq.w): f"audio {i}" for i in range(cfg.n_layers)}
+    watched |= {id(model.video_blocks[i].wq.w): f"video {i}" for i in range(cfg.n_layers)}
+    rows = collections.defaultdict(list)
+
+    def counted(a, b, bias=None):
+        if id(b) in watched:
+            rows[watched[id(b)]].append(a.size // a.shape[-1])
+        return tensor.matmul(a, b, bias)
+
+    monkeypatch.setattr("foleyflow.model.matmul", counted)
+    flow.sample_many(model, _cond(cfg, SeededRng(31)), flow.SamplerConfig(nfe=2, guidance_scale=2.0), [1, 2, 3, 4])
+    t = cfg.t_audio
+    assert rows == {"audio 0": [4 * t] * 2, "audio 1": [8 * t] * 2, "video 0": [t] * 2, "video 1": [4 * t] * 2}
 
 
 @pytest.mark.parametrize("m", [1, 64])
@@ -654,6 +687,24 @@ def test_load_rejects_a_config_block_wider_than_its_records_before_building(tmp_
     monkeypatch.setattr(TwoTowerModel, "__init__", refuse)
     with pytest.raises(FormatError, match="wide.ckpt"):
         TwoTowerModel.load(path)
+
+
+def test_load_draws_no_random_numbers(tmp_path, monkeypatch):
+    # every parameter comes from the file, so no init is drawn to be overwritten
+    model = TwoTowerModel(SMALL, seed=4)
+    _perturb(model)
+    path = str(tmp_path / "m.ckpt")
+    model.save(path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load drew random numbers")
+
+    for name in ("__init__", "normal", "uniform", "bernoulli", "integers"):
+        monkeypatch.setattr(SeededRng, name, refuse)
+    loaded = TwoTowerModel.load(path)
+    for name, p in loaded.parameters().items():
+        assert np.array_equal(p.data, model.parameters()[name].data), name
+        assert np.shares_memory(p.data, loaded.flat), name
 
 
 def test_default_init_parameters_pinned():

@@ -428,7 +428,7 @@ class FieldStub:
         return np.asarray(times, dtype=np.float64)
 
     def __call__(self, x_t, times, conds):
-        x = x_t.data
+        x = x_t.data[np.arange(len(conds)) % len(x_t.data)]  # item b reads state b % n
         times = np.broadcast_to(times, (len(conds),))
         gain = [2.0 if cond.extra_tokens is not None else 1.0 for cond in conds]
         v = np.stack([gain[b] * np.tanh(x[b]) - times[b] for b in range(len(conds))])

@@ -23,6 +23,7 @@ from foleyflow.tensor import (
     elementwise,
     gated_residual,
     gather_rows,
+    repeat_rows,
     gelu,
     matmul,
     modulated_norm,
@@ -100,7 +101,7 @@ def test_gemm_rows_do_not_depend_on_the_row_count():
     With the 1-row rule of matmul, this is what makes a seed's latent
     independent of its batch. It is a property of the BLAS build, not of
     foleyflow, like the golden digests."""
-    params = TwoTowerModel(ModelConfig()).parameters()
+    params = TwoTowerModel(ModelConfig(), seed=0).parameters()
     shapes = sorted({p.shape for name, p in params.items() if name.endswith(".w")})
     for k, n in shapes:
         a, b = _rand((599, k), k), _rand((k, n), n)
@@ -260,6 +261,47 @@ def test_forward_rules_keep_the_bits_of_their_expressions(batch, t_q, t_k, heads
         # an op's output is at least 1-D
         assert np.array_equal(taped, np.atleast_1d(want)), name
         assert np.array_equal(untaped, np.atleast_1d(want)), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.integers(1, 4),
+    t_q=st.integers(1, 5),
+    t_k=st.integers(1, 6),
+    heads=st.integers(1, 3),
+    dh=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_attention_row_max_keeps_the_bits_of_the_old_expression(batch, t_q, t_k, heads, dh, seed):
+    # operands from a few small values, signed zeros among them, so scores
+    # tie, a row's max can be -0.0 or +0.0, and masked keys are -inf
+    rng = np.random.default_rng(seed)
+    values = np.array([-2.0, -1.0, -0.0, 0.0, 0.0, 1.0, 3.0])
+    q, k, v = (rng.choice(values, size=(batch, t, heads * dh)) for t in (t_q, t_k, t_k))
+    keep = rng.random((batch, t_k)) < 0.5
+    keep[np.arange(batch), rng.integers(0, t_k, batch)] = True
+    for mask in (None, keep):
+        want = _attention_expression(q, k, v, heads, mask)
+        for got in _both_ways(lambda *o: attention(*o, heads, mask), q, k, v):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_repeat_rows_values():
+    x = Tensor(_rand((3, 2, 4), 28))
+    assert np.array_equal(repeat_rows(x, [2, 0, 2, 2]).data, x.data[[2, 0, 2, 2]])
+    assert np.array_equal(repeat_rows(x, np.arange(6) % 3).data, np.concatenate([x.data] * 2))
+    for rows in ([], [3], [-1], [0.0, 1.0], [True, False], [0, True], ["1"]):
+        with pytest.raises(ContractError):
+            repeat_rows(x, rows)
+
+
+def test_repeat_rows_gradient_sums_the_copies():
+    x = _leaf((3, 2), 29)
+    w = Tensor(_rand((5, 2), 30))
+    backward(reduce_mean(repeat_rows(x, [1, 0, 1, 1, 0]) * w) * Tensor(10.0))
+    want = np.stack([w.data[1] + w.data[4], w.data[0] + w.data[2] + w.data[3], np.zeros(2)])
+    assert np.array_equal(x.grad, want)
 
 
 def test_gather_and_scatter_rows_values():
@@ -609,6 +651,14 @@ def _rows_case(op):
     return case
 
 
+def _repeat_case(draw):
+    # rows may repeat, and some rows of x may go unread
+    (n,), rest = _dims(draw, 1, 1, hi=4), _dims(draw, 0, 2)
+    rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    t, w = _weighted(draw, (len(rows),) + rest, x=(n,) + rest)
+    return lambda: reduce_mean(repeat_rows(t["x"], rows) * w), t
+
+
 def _mean_case(draw):
     shape = _dims(draw, 0, 3)
     t, _ = _weighted(draw, (), x=shape)
@@ -629,6 +679,7 @@ _GRADIENT_CASES = {
     "gated_residual": lambda draw: _modulated_case(draw, gated_residual),
     "attention": _attention_case,
     "gather_rows": _rows_case(gather_rows),
+    "repeat_rows": _repeat_case,
     "scatter_rows": _rows_case(scatter_rows),
     "reduce_mean": _mean_case,
 }
@@ -738,6 +789,7 @@ def _model_op_calls(rng):
         ("attention", (x, y, y), lambda q, k, v: attention(q, k, v, 2)),
         ("attention masked", (x, kv, kv), lambda q, k, v: attention(q, k, v, 3, keep)),
         ("gather_rows", (x,), lambda a: gather_rows(a, [2, 0])),
+        ("repeat_rows", (x,), lambda a: repeat_rows(a, [2, 0, 2])),
         ("scatter_rows", (y[:2], x), lambda a, c: scatter_rows(a, [2, 0], c)),
         ("reduce_mean", (x,), reduce_mean),
     ]
