@@ -131,10 +131,12 @@ def sample_many(model, cond: ConditionBundle, sampler_cfg: SamplerConfig, seeds)
     video block once per step; the grid times' time path is computed once,
     in blocks of _PATH_ROWS times, and step k reads row k. All of it
     runs under tensor.no_tape: nothing is recorded for a backward, and no
-    parameter gets a gradient. Returns per seed, in order, the latent at
-    t=1 or the DivergenceError of a trajectory that went non-finite; its
-    row stays in the stack, zeroed, and the loop stops early only when
-    every row has. Where gemm rows do not depend on the row count
+    parameter gets a gradient; and under one np.errstate that silences
+    numpy's overflow and invalid warnings, since the loop itself turns a
+    non-finite row into an error. Returns per seed, in order, the latent
+    at t=1 or the DivergenceError of a trajectory that went non-finite;
+    its row stays in the stack, zeroed, and the loop stops early only
+    when every row has. Where gemm rows do not depend on the row count
     (README, Determinism), a latent has its one-seed bits, and the bits of
     a loop that computes each step's one-time path on its own.
 
@@ -148,7 +150,7 @@ def sample_many(model, cond: ConditionBundle, sampler_cfg: SamplerConfig, seeds)
     grid = sway_schedule(sampler_cfg.nfe, sampler_cfg.sway_coef)
     x = np.stack([SeededRng(seed).normal((cfg.t_audio, cfg.d_audio_latent)) for seed in seeds])
     results: list = [None] * len(seeds)
-    with no_tape():
+    with no_tape(), np.errstate(over="ignore", invalid="ignore"):
         conditioned = model.condition([c for c in _guidance_branches(cond, w) for _ in seeds])
         for k in range(sampler_cfg.nfe):
             if k % _PATH_ROWS == 0:

@@ -83,7 +83,7 @@ class ConditionBundle:
             value = getattr(self, name)
             if value is None:
                 continue
-            array = value.data if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
+            array = np.asarray(value, dtype=np.float64)
             if array.ndim != 2 or array.shape[0] < 1:
                 raise ShapeError(f"{name} must be 2-D (rows x dims) with at least one row, got shape {array.shape}")
             if not np.isfinite(array).all():

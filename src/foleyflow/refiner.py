@@ -16,7 +16,7 @@ import numpy as np
 
 from . import flow
 from .errors import ContractError, DivergenceError, check_positive_int
-from .metrics import SHARED, av_align, check_frame_rate, check_peak_frames, clip_style_score
+from .metrics import SHARED, PeakTrain, _row_dots, av_align, check_frame_rate, check_peak_frames, clip_style_score
 from .metrics import detect_peaks, energy_envelope, peak_trains
 from .model import ConditionBundle
 from .providers import pool
@@ -64,75 +64,86 @@ class RewardReport:
     aggregate: float
 
 
-def _check_conditions(cond: ConditionBundle, frames: int, frame_rate: float) -> float | None:
-    """reward's checks that need no candidate, for latents of frames rows
-    at frame_rate: the frame-rate rule and, with video, the peak finder's
-    3-frame rule on the latents and then on the video. Returns the video's
-    own frame rate, rows / (frames / frame_rate), or None without video.
-    """
+@dataclass(frozen=True)
+class RewardContext:
+    frames: int
+    frame_rate: float
+    video_train: PeakTrain | None  # the video's peaks at its own rate
+    anchor: np.ndarray | None  # SHARED embedding of the video, else the text
+    anchor_norm: float
+    weights: dict  # REWARD_WEIGHTS renormalized over the components that apply
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow fails as a ContractError
+def reward_context(cond: ConditionBundle, frames: int, frame_rate: float) -> RewardContext:
+    """Everything reward needs of the conditions, for latents of frames
+    rows at frame_rate, checked in this order: the frame-rate rule; with
+    video, the 3-frame rule on the latents, then on the video rows, and a
+    video rate, rows / (frames / frame_rate), that does not overflow; an
+    anchor embedding of finite norm, or a ContractError naming its field."""
     check_frame_rate(frame_rate, frames)
-    video = cond.video_feat
-    if video is None:
-        return None
-    rows = video.shape[0]
-    check_peak_frames(frames)
-    check_peak_frames(rows)
-    video_rate = rows / (frames / frame_rate)
-    if video_rate == math.inf:
-        raise ContractError(f"frame_rate {frame_rate!r} is too large: {rows} video rows over {frames} frames overflow")
-    return video_rate
+    video, text = cond.video_feat, cond.text_emb
+    video_train, anchor, anchor_norm = None, None, 0.0
+    if video is not None:
+        rows = video.shape[0]
+        check_peak_frames(frames)
+        check_peak_frames(rows)
+        video_rate = rows / (frames / frame_rate)
+        if video_rate == math.inf:
+            raise ContractError(f"frame_rate {frame_rate!r} is too large: {rows} video rows over {frames} frames overflow")
+        video_train = detect_peaks(energy_envelope(video), video_rate)
+    if video is not None or text is not None:
+        field = "video_feat" if video is not None else "text_emb"
+        anchor = SHARED.embed(getattr(cond, field))
+        anchor_norm = float(np.sqrt(_row_dots(anchor[None], anchor[None]))[0])
+        if not math.isfinite(anchor_norm):
+            raise ContractError(f"{field}'s shared-space embedding has non-finite norm {anchor_norm}")
+    applies = {"temporal": video is not None, "semantic": anchor is not None, "smoothness": True}
+    total = sum(REWARD_WEIGHTS[name] for name in REWARD_WEIGHTS if applies[name])
+    weights = {name: REWARD_WEIGHTS[name] / total for name in REWARD_WEIGHTS if applies[name]}
+    return RewardContext(frames, frame_rate, video_train, anchor, anchor_norm, weights)
 
 
-def reward(candidates: np.ndarray, cond: ConditionBundle, frame_rate: float) -> list:
-    """Score each candidate of an (n, frames, dims) stack against its
-    conditions: a list of n reports, each with the bits that candidate
-    scores alone in a 1-row stack.
+@np.errstate(over="ignore", invalid="ignore")  # a finite candidate always scores
+def reward(candidates: np.ndarray, context: RewardContext) -> list:
+    """Score each candidate of an (n, context.frames, dims) stack: a list
+    of n reports, each with the bits that candidate scores alone in a
+    1-row stack. Any finite candidate scores.
 
     temporal    av_align of the candidate's peak train and the video's,
                 each found on its energy envelope at its own frame rate,
                 as evaluate_set's AV column (only when video is present).
     semantic    shared-space cosine (0..1) between the candidate and the
-                video features, falling back to the text embedding; a
-                zero-norm side scores 0 rather than erroring, since the
-                refiner must rank arbitrary candidates.
+                anchor; a candidate whose cosine is undefined (the product
+                of the norms is zero or not finite) scores 0.
     smoothness  1 - mean squared frame difference, floored at 0.
-    REWARD_WEIGHTS renormalize over the components that apply. The video's
-    peak train and the anchor's embedding are found once for the stack.
+    The aggregate weighs them by context.weights.
     """
     stack = np.asarray(candidates, dtype=np.float64)
-    if stack.ndim != 3:
-        raise ContractError(f"reward needs an (n, frames, dims) candidate stack, got shape {stack.shape}")
-    n, frames = stack.shape[:2]
-    video_rate = _check_conditions(cond, frames, frame_rate)
-    video, text = cond.video_feat, cond.text_emb
-
+    if stack.ndim != 3 or stack.shape[1] != context.frames:
+        raise ContractError(f"reward needs an (n, {context.frames}, dims) candidate stack, got shape {stack.shape}")
+    n = len(stack)
     components: dict = {}
-    if video is not None:
-        envelopes, video_envelope = energy_envelope(stack), energy_envelope(video)
-        trains, video_train = peak_trains(envelopes, frame_rate), detect_peaks(video_envelope, video_rate)
-        components["temporal"] = [av_align(train, video_train) for train in trains]
+    if context.video_train is not None:
+        trains = peak_trains(energy_envelope(stack), context.frame_rate)
+        components["temporal"] = [av_align(train, context.video_train) for train in trains]
 
-    anchor = video if video is not None else text
-    if anchor is not None:
+    if context.anchor is not None:
         emb_c = SHARED.embed(stack)
-        emb_a = SHARED.embed(anchor)
+        norms = np.sqrt(_row_dots(emb_c, emb_c)) * context.anchor_norm  # clip_style_score's own norms
+        scored = np.flatnonzero((0.0 < norms) & (norms < math.inf))
+        anchors = np.broadcast_to(context.anchor, (scored.size, context.anchor.size))
         semantic = np.zeros(n)
-        scored = np.flatnonzero((np.linalg.norm(emb_c, axis=1) != 0.0) & (np.linalg.norm(emb_a) != 0.0))
-        semantic[scored] = clip_style_score(emb_c[scored], np.broadcast_to(emb_a, (scored.size, emb_a.size))) / 100.0
+        semantic[scored] = clip_style_score(emb_c[scored], anchors) / 100.0
         components["semantic"] = semantic.tolist()
 
     frame_diff = np.diff(stack, axis=1).reshape(n, -1)
     msd = (frame_diff * frame_diff).sum(axis=1) / frame_diff.shape[1] if frame_diff.size else np.zeros(n)
     components["smoothness"] = [max(0.0, 1.0 - m) for m in msd.tolist()]
 
-    total = sum(REWARD_WEIGHTS[name] for name in components)
-    used = {name: REWARD_WEIGHTS[name] / total for name in components}
-    reports = []
-    for i in range(n):
-        row = {name: values[i] for name, values in components.items()}
-        aggregate = sum(used[name] * row[name] for name in row)
-        reports.append(RewardReport(components=row, weights=dict(used), aggregate=aggregate))
-    return reports
+    rows = [{name: values[i] for name, values in components.items()} for i in range(n)]
+    weights = context.weights
+    return [RewardReport(row, dict(weights), sum(weights[name] * row[name] for name in row)) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -168,13 +179,12 @@ def refine(
     candidates share one batched trajectory: flow.sample_many returns one
     latent or DivergenceError per seed, and keeps a diverged row in the
     batch, zeroed, so the others keep their bits. A diverged candidate only
-    enters the trace. The coarse input and the sampled candidates are
-    scored as one reward stack, of latents of the coarse input's shape;
-    every reward check that needs no candidate (the frame rate, a coarse
-    input or video too short for the temporal reward's peak trains, a
-    video rate that overflows) fails before any candidate is sampled.
-    The coarse input always competes, so the result never scores below
-    it; ties keep it, then the lower candidate index.
+    enters the trace. The reward_context is built once, before the
+    signal is extracted or any candidate sampled, so every reward rule
+    that needs no candidate fails first; the coarse input and the sampled
+    candidates are then scored as one reward stack. The coarse input
+    always competes, so the result never scores below it; ties keep it,
+    then the lower candidate index.
     """
     check_positive_int("k", k, ContractError)
 
@@ -184,14 +194,14 @@ def refine(
         raise ContractError(f"coarse latent must have shape {shape}, got {coarse_arr.shape}")
     if not np.all(np.isfinite(coarse_arr)):
         raise ContractError("coarse latent contains non-finite values")
-    _check_conditions(cond, len(coarse_arr), frame_rate)
+    context = reward_context(cond, len(coarse_arr), frame_rate)
     signal = extract_signal(cond, coarse_arr)
     cond_aug = replace(cond, extra_tokens=signal_token(signal, model.config.d_text))
 
     seeds = [derive_seed(sampler_cfg.seed, "candidate", i) for i in range(k)]
     candidates = flow.sample_many(model, cond_aug, sampler_cfg, seeds)
     sampled = [c for c in candidates if not isinstance(c, DivergenceError)]
-    reports = iter(reward(np.stack([coarse_arr, *sampled]), cond, frame_rate))
+    reports = iter(reward(np.stack([coarse_arr, *sampled]), context))
     coarse_report = next(reports)
     best_arr, best_report, picked = coarse_arr, coarse_report, "coarse"
     trace: list = []

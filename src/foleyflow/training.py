@@ -261,6 +261,7 @@ def adam_step(params: np.ndarray, grads: FlatGrads, opt_cfg: OptimizerConfig, st
         params[at] -= w1
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_stage(
     model: TwoTowerModel,
     stage: StageConfig,
@@ -277,8 +278,9 @@ def run_stage(
     sink, unless None, receives each event as it is produced. A loss or
     gradient divergence raises before any parameter changes, so the model
     keeps the previous step's parameters; they are written to
-    checkpoint_path before raising. A parameter rebound off model.flat is
-    a ContractError (see gather_grads).
+    checkpoint_path before raising, so one np.errstate per call silences
+    numpy's overflow and invalid warnings. A parameter rebound off
+    model.flat is a ContractError (see gather_grads).
     """
     events: list = []
     state = AdamState(model.flat.size)

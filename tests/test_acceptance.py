@@ -156,8 +156,8 @@ def test_criterion_1_gradients():
     for tensor in model.parameters().values():
         tensor.data = tensor.data + jit.normal(tensor.shape) * 0.05
     cond = ConditionBundle(
-        text_emb=Tensor(jit.normal((2, SMALL.d_text))),
-        video_feat=Tensor(jit.normal((SMALL.t_audio, SMALL.d_video_feat))),
+        text_emb=jit.normal((2, SMALL.d_text)),
+        video_feat=jit.normal((SMALL.t_audio, SMALL.d_video_feat)),
     )
     x_t = jit.normal((1, SMALL.t_audio, SMALL.d_audio_latent))
     target = Tensor(jit.normal((1, SMALL.t_audio, SMALL.d_audio_latent)))
@@ -207,7 +207,7 @@ def test_criterion_2_mixer():
     x_t = rng.normal((1, cfg.t_audio, cfg.d_audio_latent))
     outs = []
     for video in (rng.normal((cfg.t_audio, cfg.d_video_feat)), rng.normal((4, cfg.d_video_feat)) * 10.0, None):
-        cond = ConditionBundle(video_feat=Tensor(video) if video is not None else None)
+        cond = ConditionBundle(video_feat=video)
         outs.append(model(Tensor(x_t.copy()), model.time_path([0.4]), model.condition([cond])).data)
     assert np.max(np.abs(outs[0] - outs[1])) <= 1e-12
     assert np.max(np.abs(outs[0] - outs[2])) <= 1e-12
@@ -309,7 +309,7 @@ def test_criterion_5_toy_overfit(toy_run):
     for i in range(8):
         clip = clips[i]
         scfg = flow.SamplerConfig(nfe=32, sway_coef=-1.0, guidance_scale=2.0, seed=1000 + i)
-        cond = ConditionBundle(video_feat=Tensor(clip.video_feat))
+        cond = ConditionBundle(video_feat=clip.video_feat)
         duration = model.config.t_audio / frame_rate
         video_rate = clip.video_feat.shape[0] / duration
         video_peaks = metrics.detect_peaks(metrics.energy_envelope(clip.video_feat), video_rate)
@@ -475,8 +475,8 @@ def test_criterion_9_refiner_guarantee():
         with_text = bool(rng.bernoulli(0.5))
         with_video = bool(rng.bernoulli(0.5))
         cond = ConditionBundle(
-            text_emb=Tensor(rng.normal((2, SMALL.d_text))) if with_text else None,
-            video_feat=Tensor(rng.normal((6, SMALL.d_video_feat))) if with_video else None,
+            text_emb=rng.normal((2, SMALL.d_text)) if with_text else None,
+            video_feat=rng.normal((6, SMALL.d_video_feat)) if with_video else None,
         )
         coarse = rng.normal((SMALL.t_audio, SMALL.d_audio_latent))
         result = refine(model, cond, coarse, k=1, sampler_cfg=flow.SamplerConfig(nfe=4, seed=trial),

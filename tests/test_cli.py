@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from foleyflow import cli, container
@@ -145,6 +145,16 @@ def test_train_bad_arguments_write_nothing(tmp_path, capsys, request, args):
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["kind"] == "ConfigError"
     assert not out.exists()
+
+
+def test_train_divergence_leaves_one_json_line_and_the_checkpoint(tmp_path):
+    # at lr 1e300 the first step's update overflows the second step's loss
+    out = tmp_path / "run"
+    argv = ["train", "--stages", "1", "--steps", "3", "--lr", "1e300", "--batch-size", "2", "--data-clips", "2"]
+    code, stdout, err_lines = _run(argv + ["--out", str(out)])
+    assert (code, stdout, len(err_lines)) == (1, "", 1)
+    assert json.loads(err_lines[0])["error"]["kind"] == "DivergenceError"
+    assert (out / "stage1.ckpt").is_file()
 
 
 # ---------------------------------------------------------------------------
@@ -742,18 +752,25 @@ TINY = ModelConfig(d_model=8, n_layers=1, n_heads=2, d_audio_latent=4, d_video_f
 # video records: too short for peak detection, just long enough, and longer
 # than the latent, whose own rate overflows at frame rates near the float maximum
 _VIDEO_ROWS = (1, 2, 3, 4, 20)
+# a finite video of this scale embeds to a vector whose norm overflows
+_HUGE_VIDEO = 1e160
 
 
 @pytest.fixture(scope="module")
 def fuzz_inputs(tmp_path_factory):
-    """A tiny checkpoint, a coarse latent, video records of _VIDEO_ROWS rows
-    and eval directories, one with a pair too short for peak detection."""
+    """A tiny checkpoint, a coarse latent and the same latent times 1e200,
+    video records of _VIDEO_ROWS rows at scale 1 and _HUGE_VIDEO, and eval
+    directories, one with a pair too short for peak detection."""
     root = tmp_path_factory.mktemp("fuzz")
     rng = np.random.default_rng(0)
     TwoTowerModel(TINY, seed=0).save(str(root / "tiny.ckpt"))
-    container.write_latents(str(root / "coarse.ysnd"), {"latent": rng.normal(size=(TINY.t_audio, TINY.d_audio_latent))})
+    coarse = rng.normal(size=(TINY.t_audio, TINY.d_audio_latent))
+    container.write_latents(str(root / "coarse.ysnd"), {"latent": coarse})
+    container.write_latents(str(root / "coarse-huge.ysnd"), {"latent": coarse * 1e200})
     for rows in _VIDEO_ROWS:
-        container.write_latents(str(root / f"video{rows}.ysnd"), {"video_feat": rng.normal(size=(rows, TINY.d_video_feat))})
+        video = rng.normal(size=(rows, TINY.d_video_feat))
+        container.write_latents(str(root / f"video{rows}.ysnd"), {"video_feat": video})
+        container.write_latents(str(root / f"video{rows}-huge.ysnd"), {"video_feat": video * _HUGE_VIDEO})
     for name, rows in (("long", (8, 5, 3)), ("short", (8, 2))):
         for side in ("gen", "ref"):
             (root / f"{side}-{name}").mkdir()
@@ -785,10 +802,15 @@ def _run(argv):
     frame_rate=st.one_of(st.none(), st.sampled_from(_FRAME_RATES)),
     k=st.sampled_from([1, 4, 1, 4, 0]),
     video=st.one_of(st.none(), st.sampled_from(_VIDEO_ROWS)),
+    huge=st.sampled_from(["", "-huge"]),
     short=st.booleans(),
     earlier=st.booleans(),
 )
-def test_eval_and_refine_keep_the_cli_guarantees(fuzz_inputs, command, missing, frame_rate, k, video, short, earlier):
+# a coarse latent whose norms overflow samples and ranks; a video whose
+# embedding norm overflows fails before sampling
+@example(command="refine", missing=None, frame_rate=None, k=4, video=None, huge="-huge", short=False, earlier=False)
+@example(command="refine", missing=None, frame_rate=None, k=4, video=4, huge="-huge", short=False, earlier=False)
+def test_eval_and_refine_keep_the_cli_guarantees(fuzz_inputs, command, missing, frame_rate, k, video, huge, short, earlier):
     root = fuzz_inputs
 
     def given_path(name, path):
@@ -803,8 +825,8 @@ def test_eval_and_refine_keep_the_cli_guarantees(fuzz_inputs, command, missing, 
             outputs = ["report.json", "plots/c0.envelopes.csv"]
         else:
             argv = ["refine", "--checkpoint", given_path("checkpoint", root / "tiny.ckpt")]
-            argv += ["--coarse", given_path("coarse", root / "coarse.ysnd"), "--out", str(out_dir / "x.ysnd")]
-            argv += ["--k", str(k), "--nfe", "2"] + ([] if video is None else ["--video", str(root / f"video{video}.ysnd")])
+            argv += ["--coarse", given_path("coarse", root / f"coarse{huge}.ysnd"), "--out", str(out_dir / "x.ysnd")]
+            argv += ["--k", str(k), "--nfe", "2"] + ([] if video is None else ["--video", str(root / f"video{video}{huge}.ysnd")])
             outputs = ["x.ysnd", "x.ysnd.trace.csv"]
         if frame_rate is not None:
             argv += [f"--frame-rate={frame_rate}"]
@@ -843,13 +865,15 @@ def _setting(values):
     missing=st.sampled_from([None, None, None, None, "checkpoint", "video", "out-dir"]),
     frame_rate=st.one_of(st.none(), st.sampled_from(_FRAME_RATES)),
     video=st.one_of(st.none(), st.sampled_from(_VIDEO_ROWS)),
+    huge=st.sampled_from(["", "-huge"]),
     text=st.booleans(),
     nfe=_setting(_NFES),
     sway=st.one_of(st.none(), _setting(_SWAYS)),
     guidance=st.one_of(st.none(), _setting(_GUIDANCES)),
     earlier=st.booleans(),
 )
-def test_sample_keeps_the_cli_guarantees(fuzz_inputs, missing, frame_rate, video, text, nfe, sway, guidance, earlier):
+@example(missing=None, frame_rate=None, video=20, huge="-huge", text=True, nfe="2", sway=None, guidance=None, earlier=False)
+def test_sample_keeps_the_cli_guarantees(fuzz_inputs, missing, frame_rate, video, huge, text, nfe, sway, guidance, earlier):
     root = fuzz_inputs
 
     def given_path(name, path):
@@ -858,7 +882,7 @@ def test_sample_keeps_the_cli_guarantees(fuzz_inputs, missing, frame_rate, video
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = Path(tmp) / ("absent" if missing == "out-dir" else "")
         argv = ["sample", "--checkpoint", given_path("checkpoint", root / "tiny.ckpt"), "--out", str(out_dir / "x.ysnd")]
-        argv += [f"--nfe={nfe}"] + ([] if video is None else ["--video", given_path("video", root / f"video{video}.ysnd")])
+        argv += [f"--nfe={nfe}"] + ([] if video is None else ["--video", given_path("video", root / f"video{video}{huge}.ysnd")])
         argv += ["--text", "a dog barks"] if text else []
         for flag, value in (("--sway", sway), ("--guidance", guidance), ("--frame-rate", frame_rate)):
             argv += [] if value is None else [f"{flag}={value}"]

@@ -232,7 +232,7 @@ def _branching_stub():
 
 
 def _textual_cond():
-    return ConditionBundle(text_emb=Tensor(np.zeros((1, STUB_CFG.d_text))))
+    return ConditionBundle(text_emb=np.zeros((1, STUB_CFG.d_text)))
 
 
 def _guided(model, xs, t, cond, w):
@@ -293,10 +293,10 @@ def test_guided_velocity_unconditional_branch_drops_every_condition():
         return x
 
     x = np.zeros((1, STUB_CFG.t_audio, STUB_CFG.d_audio_latent))
-    extra = Tensor(np.ones((1, STUB_CFG.d_text)))
+    extra = np.ones((1, STUB_CFG.d_text))
     full = ConditionBundle(
-        text_emb=Tensor(np.zeros((1, STUB_CFG.d_text))),
-        video_feat=Tensor(np.ones((STUB_CFG.t_audio, STUB_CFG.d_video_feat))),
+        text_emb=np.zeros((1, STUB_CFG.d_text)),
+        video_feat=np.ones((STUB_CFG.t_audio, STUB_CFG.d_video_feat)),
         extra_tokens=extra,
     )
     for cond, w in ((full, 2.0), (full, 0.0), (ConditionBundle(extra_tokens=extra), 2.0)):
@@ -486,9 +486,9 @@ def real_model():
 
 def _real_conds():
     rng = SeededRng(21)
-    text = Tensor(rng.normal((2, REAL_CFG.d_text)))
-    video = Tensor(rng.normal((5, REAL_CFG.d_video_feat)))
-    token = Tensor(rng.normal((1, REAL_CFG.d_text)))
+    text = rng.normal((2, REAL_CFG.d_text))
+    video = rng.normal((5, REAL_CFG.d_video_feat))
+    token = rng.normal((1, REAL_CFG.d_text))
     return {
         "text+video": ConditionBundle(text_emb=text, video_feat=video),
         "text": ConditionBundle(text_emb=text),

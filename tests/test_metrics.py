@@ -56,7 +56,7 @@ def test_every_scorer_rejects_bad_frame_rate(tmp_path):
     scorers = {
         "detect_peaks": lambda fr: detect_peaks(env, fr),
         "evaluate_set": lambda fr: evaluate_set(str(tmp_path / "gen"), str(tmp_path / "ref"), fr),
-        "reward": lambda fr: refiner.reward(latent[None], ConditionBundle(video_feat=latent), fr),
+        "reward": lambda fr: refiner.reward_context(ConditionBundle(video_feat=latent), len(latent), fr),
     }
     for name, score in scorers.items():
         for bad in (0.0, -1.0, float("nan"), float("inf")):
@@ -696,7 +696,7 @@ def test_av_callers_share_one_alignment(tmp_path):
     assert all(0.0 < s < 1.0 for s in scores)
 
     for (audio, video), score in zip(pairs, scores):
-        [report] = refiner.reward(audio[None], ConditionBundle(video_feat=video), fr)
+        [report] = refiner.reward(audio[None], refiner.reward_context(ConditionBundle(video_feat=video), len(audio), fr))
         assert report.components["temporal"] == score
 
     _write_latents(tmp_path / "gen", {f"clip{i}": a for i, (a, _) in enumerate(pairs)})

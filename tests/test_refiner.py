@@ -1,5 +1,7 @@
 """Refinement loop: signal extraction, reward composition, the keep-best gate."""
 
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +21,7 @@ from foleyflow.refiner import (
     refine,
     render_trace,
     reward,
+    reward_context,
     signal_token,
 )
 from foleyflow.rng import SeededRng, derive_seed
@@ -96,6 +99,11 @@ def test_signal_token_shape_and_linearity():
 # reward
 
 
+def _scored(stack, cond, frame_rate=FRAME_RATE):
+    """reward of a candidate stack under the context of its conditions."""
+    return reward(stack, reward_context(cond, stack.shape[1], frame_rate))
+
+
 def test_reward_weights_must_sum_to_one():
     assert set(REWARD_WEIGHTS) == {"temporal", "semantic", "smoothness"}
     assert abs(sum(REWARD_WEIGHTS.values()) - 1.0) <= 1e-9
@@ -104,46 +112,48 @@ def test_reward_weights_must_sum_to_one():
 def test_reward_components_present():
     rng = SeededRng(2)
     cand = rng.normal((1, 32, SMALL.d_audio_latent))
-    [with_video] = reward(cand, _cond(rng), FRAME_RATE)
+    [with_video] = _scored(cand, _cond(rng))
     assert set(with_video.components) == {"temporal", "semantic", "smoothness"}
-    [text_only] = reward(cand, _cond(rng, video=False), FRAME_RATE)
+    [text_only] = _scored(cand, _cond(rng, video=False))
     assert set(text_only.components) == {"semantic", "smoothness"}
-    [bare] = reward(cand, ConditionBundle(), FRAME_RATE)
+    [bare] = _scored(cand, ConditionBundle())
     assert set(bare.components) == {"smoothness"}
 
 
 def test_reward_weights_renormalize():
     rng = SeededRng(4)
     cand = rng.normal((1, 32, SMALL.d_audio_latent))
-    [report] = reward(cand, _cond(rng, video=False), FRAME_RATE)
+    [report] = _scored(cand, _cond(rng, video=False))
     assert report.weights == pytest.approx({"semantic": 0.8, "smoothness": 0.2})
-    [bare] = reward(cand, ConditionBundle(), FRAME_RATE)
+    [bare] = _scored(cand, ConditionBundle())
     assert bare.weights == {"smoothness": 1.0}
     assert bare.aggregate == bare.components["smoothness"]
 
 
 def test_reward_smoothness_values():
     flat = np.ones((1, 10, 4))
-    [report] = reward(flat, ConditionBundle(), FRAME_RATE)
+    [report] = _scored(flat, ConditionBundle())
     assert report.components["smoothness"] == 1.0
     jagged = np.zeros((1, 10, 4))
     jagged[:, 1::2] = 2.0  # msd 16 floors the component at zero
-    [report] = reward(jagged, ConditionBundle(), FRAME_RATE)
+    [report] = _scored(jagged, ConditionBundle())
     assert report.components["smoothness"] == 0.0
 
 
 def test_reward_zero_norm_semantic_is_zero():
     rng = SeededRng(9)
     cand = np.zeros((1, 16, SMALL.d_audio_latent))
-    [report] = reward(cand, _cond(rng, video=False), FRAME_RATE)
+    [report] = _scored(cand, _cond(rng, video=False))
     assert report.components["semantic"] == 0.0
 
 
 def test_reward_rejects_bad_candidate():
-    # one candidate is a 1-row stack, not a (frames, dims) sequence
-    for shape in ((8,), (16, 4)):
+    # one candidate is a 1-row stack, not a (frames, dims) sequence, and
+    # a stack has the frames of its context
+    context = reward_context(ConditionBundle(), 16, FRAME_RATE)
+    for shape in ((8,), (16, 4), (1, 8, 4)):
         with pytest.raises(ContractError, match=rf"candidate stack, got shape \({shape[0]},"):
-            reward(np.zeros(shape), ConditionBundle(), FRAME_RATE)
+            reward(np.zeros(shape), context)
 
 
 @settings(max_examples=40, deadline=None)
@@ -152,15 +162,32 @@ def test_reward_rejects_bad_candidate():
     video=st.booleans(),
     n=st.integers(min_value=1, max_value=6),
     zeros=st.lists(st.integers(min_value=0, max_value=5), max_size=2),
+    huge=st.lists(st.integers(min_value=0, max_value=5), max_size=2),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_a_stack_of_candidates_scores_as_each_alone(text, video, n, zeros, seed):
+def test_a_stack_of_candidates_scores_as_each_alone(text, video, n, zeros, huge, seed):
     rng = SeededRng(seed)
     cond = _cond(rng, text=text, video=video)
     stack = rng.normal((n, 32, SMALL.d_audio_latent))
     stack[[z for z in zeros if z < n]] = 0.0  # a zero candidate scores semantic 0
-    reports = reward(stack, cond, FRAME_RATE)
-    assert reports == [reward(candidate[None], cond, FRAME_RATE)[0] for candidate in stack]
+    stack[[h for h in huge if h < n]] *= 1e200  # so does one whose norm overflows
+    context = reward_context(cond, 32, FRAME_RATE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = reward(stack, context)
+        assert reports == [reward(candidate[None], context)[0] for candidate in stack]
+    assert all(math.isfinite(report.aggregate) for report in reports)
+
+
+@pytest.mark.parametrize("field", ["video_feat", "text_emb"])
+def test_an_anchor_whose_embedding_norm_overflows_is_refused_by_name(field):
+    rng = SeededRng(17)
+    cond = _cond(rng, video=field == "video_feat")
+    cond = replace(cond, **{field: getattr(cond, field) * 1e160})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match=rf"^{field}'s shared-space embedding has non-finite norm inf$"):
+            reward_context(cond, 8, FRAME_RATE)
 
 
 def test_refine_finds_the_anchor_once(small_model, monkeypatch):
@@ -174,8 +201,8 @@ def test_refine_finds_the_anchor_once(small_model, monkeypatch):
     monkeypatch.setattr(metrics.SHARED, "embed", lambda x: embedded.append(np.shape(x)) or embed(x))
     monkeypatch.setattr(refiner, "detect_peaks", lambda env, fr: trains.append(np.shape(env)) or detect(env, fr))
     refine(small_model, cond, coarse, k=4, sampler_cfg=SamplerConfig(nfe=2, seed=1), frame_rate=FRAME_RATE)
-    # the coarse input and four candidates in one stack, then the video anchor
-    assert embedded == [(5, SMALL.t_audio, SMALL.d_audio_latent), cond.video_feat.shape]
+    # the video anchor before sampling, then the coarse input and four candidates in one stack
+    assert embedded == [cond.video_feat.shape, (5, SMALL.t_audio, SMALL.d_audio_latent)]
     assert trains == [(cond.video_feat.shape[0],)]
 
 
@@ -199,7 +226,7 @@ def test_refine_fails_before_sampling_on_input_too_short_for_peaks(monkeypatch, 
     _never_sample(monkeypatch)
 
     with pytest.raises(ContractError) as scored:
-        reward(coarse[None], cond, FRAME_RATE)
+        reward_context(cond, len(coarse), FRAME_RATE)
     # the candidates' frames are checked first
     assert str(scored.value) == f"peak detection needs at least 3 frames, got {t_audio if t_audio < 3 else video_rows}"
     with pytest.raises(ContractError) as refined:
@@ -215,16 +242,63 @@ def test_refine_fails_before_sampling_on_an_overflowing_video_rate(monkeypatch, 
     rng = SeededRng(16)
     cond = ConditionBundle(video_feat=rng.normal((20, cfg.d_video_feat)))
     coarse = rng.normal((8, cfg.d_audio_latent))
-    assert len(reward(coarse[None], cond, 7e307)) == 1
+    assert len(reward(coarse[None], reward_context(cond, len(coarse), 7e307))) == 1
     _never_sample(monkeypatch)
 
     message = f"frame_rate {frame_rate!r} is too large: 20 video rows over 8 frames overflow"
     with pytest.raises(ContractError) as scored:
-        reward(coarse[None], cond, frame_rate)
+        reward_context(cond, len(coarse), frame_rate)
     assert str(scored.value) == message
     with pytest.raises(ContractError) as refined:
         refine(TwoTowerModel(cfg, seed=0), cond, coarse, k=2, sampler_cfg=SamplerConfig(nfe=2), frame_rate=frame_rate)
     assert str(refined.value) == message
+
+
+# the numeric frame rates the CLI properties draw
+_FRAME_RATES = (16.0, 1.0, 0.5, 1e-300, 5e-324, 1e308, 1.7976931348623157e308, 0.0, -0.0, -1.0, math.nan, math.inf, -math.inf)
+_MODELS: dict = {}  # t_audio -> a model of SMALL's widths
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    frame_rate=st.sampled_from(_FRAME_RATES),
+    video_rows=st.one_of(st.none(), st.integers(min_value=1, max_value=20)),
+    video_scale=st.sampled_from([1.0, 1e160]),
+    text=st.booleans(),
+    t_audio=st.integers(min_value=2, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_refine_fails_exactly_when_its_reward_context_does(frame_rate, video_rows, video_scale, text, t_audio, seed):
+    cfg = replace(SMALL, t_audio=t_audio)
+    if t_audio not in _MODELS:
+        _MODELS[t_audio] = TwoTowerModel(cfg, seed=0)
+    rng = SeededRng(seed)
+    cond = ConditionBundle(
+        text_emb=rng.normal((2, cfg.d_text)) if text else None,
+        video_feat=None if video_rows is None else rng.normal((video_rows, cfg.d_video_feat)) * video_scale,
+    )
+    coarse = rng.normal((t_audio, cfg.d_audio_latent))
+    calls = []
+    sample_many = flow.sample_many
+
+    def recorded(*args):
+        calls.append(args)
+        return sample_many(*args)
+
+    def refined():
+        return refine(_MODELS[t_audio], cond, coarse, k=2, sampler_cfg=SamplerConfig(nfe=2), frame_rate=frame_rate)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flow, "sample_many", recorded)
+        try:
+            reward_context(cond, t_audio, frame_rate)
+        except ContractError as exc:
+            with pytest.raises(ContractError) as raised:
+                refined()
+            assert (str(raised.value), calls) == (str(exc), [])
+        else:
+            assert len(refined().trace) == 2
+            assert len(calls) == 1
 
 
 @pytest.fixture(scope="module")
