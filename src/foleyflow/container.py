@@ -1,23 +1,21 @@
-"""Binary container for checkpoints and latent files.
+"""Binary container for checkpoints and latent files, version 3.
 
-Layout (all integers little-endian):
+  file:   magic "YSND" | u32 version | u32 count | records | u32 CRC-32
+  record: u32 name length | utf-8 name | u32 dtype code | u32 rank |
+          u32 per dim | payload, row-major
 
-  checkpoint:  magic "YSND" | u32 version | config block | u32 count | records
-  latent file: magic "YSND" | u32 version | u32 count | records
+All integers are little-endian, and the CRC is zlib.crc32 of every byte
+before it. Dtype code 0 is <f8, 1 is <i8. A checkpoint is a file like
+any other, whose "config" record holds CONFIG_INT_FIELDS as <i8 values.
+Payloads round-trip bit-exactly. Both readers raise FormatError on bad
+magic, any version but 3, a CRC mismatch, records that overrun the CRC
+or stop short of it, unknown dtype codes and undecodable or duplicate
+names; read_checkpoint also on a missing or malformed config record.
 
-  config block: seven i32 fields in CONFIG_INT_FIELDS order.
-  record:       u32 name length | name bytes (utf-8) | u32 ndim |
-                u32 per dim | float64 payload, row-major.
-
-Writers and readers use version 2 only. Float payloads round-trip
-bit-exactly. Both readers raise FormatError on unknown magic, any
-version but 2, truncation, trailing bytes, and undecodable or duplicate
-record names.
-
-A reader takes a latent file in one os.read and walks it with one
-precompiled struct unpack per field group, each checked against the
-bytes left. No public reader calls another, so a profile that sums
-container.read* calls counts each file once.
+A reader takes a latent file in one os.read, checks its CRC, and walks
+it with one precompiled struct unpack per field group, each checked
+against the bytes left. No public reader calls another, so a profile
+that sums container.read* calls counts each file once.
 """
 
 from __future__ import annotations
@@ -26,6 +24,7 @@ import errno
 import math
 import os
 import struct
+import zlib
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -34,8 +33,10 @@ import numpy as np
 from .errors import ContractError, FormatError
 
 MAGIC = b"YSND"
-VERSION = 2
-_HEADER = MAGIC + struct.pack("<I", VERSION)
+VERSION = 3
+# a record's dtype is its index here; a new dtype takes the next code
+_DTYPES = (np.dtype("<f8"), np.dtype("<i8"))
+_CONFIG_RECORD = "config"
 
 CONFIG_INT_FIELDS = (
     "d_model",
@@ -123,22 +124,9 @@ def replacing(path: str, binary: bool = False):
         staged[key] = (tmp, path)
 
 
-def _pack_records(arrays: dict) -> bytes:
-    chunks = [struct.pack("<I", len(arrays))]
-    for name, arr in arrays.items():
-        data = np.asarray(arr, dtype="<f8")  # ascontiguousarray would make a rank-0 array rank 1
-        name_bytes = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(name_bytes)))
-        chunks.append(name_bytes)
-        chunks.append(struct.pack("<I", data.ndim))
-        chunks.append(struct.pack(f"<{data.ndim}I", *data.shape) if data.ndim else b"")
-        chunks.append(data.tobytes())
-    return b"".join(chunks)
-
-
 _U32 = struct.Struct("<I")
+_CODE_RANK = struct.Struct("<II")
 _SHAPES = tuple(struct.Struct(f"<{ndim}I") for ndim in range(_MAX_NDIM + 1))
-_CONFIG = struct.Struct(f"<{len(CONFIG_INT_FIELDS)}i")
 # a latent file fits in one read of this size; eval reads thousands of them
 _SMALL = 64 * 1024
 
@@ -169,8 +157,23 @@ def _truncated(path: str, n: int, at: int) -> FormatError:
     return FormatError(f"{path}: truncated file (needed {n} bytes at offset {at})")
 
 
-def _read(path: str) -> bytes:
-    """The file's bytes, after a checked magic and version."""
+def _write(path: str, records: dict) -> None:
+    """Write records, name -> array of a _DTYPES dtype, as one file."""
+    chunks = [MAGIC, struct.pack("<II", VERSION, len(records))]
+    for name, data in records.items():
+        name_bytes = name.encode("utf-8")
+        chunks.append(_U32.pack(len(name_bytes)) + name_bytes)
+        chunks.append(struct.pack(f"<II{data.ndim}I", _DTYPES.index(data.dtype), data.ndim, *data.shape))
+        chunks.append(data.tobytes())
+    body = b"".join(chunks)
+    with replacing(path, binary=True) as fh:
+        fh.write(body)
+        fh.write(_U32.pack(zlib.crc32(body)))
+
+
+def _read(path: str) -> dict:
+    """The records of the file at path, name -> array, after a checked
+    magic, version and CRC."""
     blob = _read_bytes(path)
     if len(blob) < 4:
         raise _truncated(path, 4, 0)
@@ -178,20 +181,17 @@ def _read(path: str) -> bytes:
         raise FormatError(f"{path}: bad magic, not a container file")
     if len(blob) < 8:
         raise _truncated(path, 4, 4)
-    (version,) = _U32.unpack_from(blob, 4)
+    u32 = _U32.unpack_from
+    (version,) = u32(blob, 4)
     if version != VERSION:
         raise FormatError(f"{path}: unsupported container version {version}")
-    return blob
-
-
-def _unpack_records(blob: bytes, pos: int, path: str) -> dict:
-    """The records that start at offset pos and run to the end of blob."""
-    end = len(blob)
-    u32 = _U32.unpack_from
-    if pos + 4 > end:
-        raise _truncated(path, 4, pos)
-    (count,) = u32(blob, pos)
-    pos += 4
+    end = len(blob) - 4  # the CRC's offset
+    if end < 12:
+        raise _truncated(path, 8, 8)
+    if zlib.crc32(memoryview(blob)[:end]) != u32(blob, end)[0]:
+        raise FormatError(f"{path}: CRC-32 mismatch, the file is truncated or damaged")
+    (count,) = u32(blob, 8)
+    pos = 12
     arrays: dict = {}
     for _ in range(count):
         if pos + 4 > end:
@@ -200,8 +200,8 @@ def _unpack_records(blob: bytes, pos: int, path: str) -> dict:
         pos += 4
         if name_len > _MAX_NAME:
             raise FormatError(f"{path}: implausible record name length {name_len}")
-        if pos + name_len > end:
-            raise _truncated(path, name_len, pos)
+        if pos + name_len + 8 > end:  # the name, its dtype code and its rank
+            raise _truncated(path, name_len + 8, pos)
         try:
             name = blob[pos : pos + name_len].decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -209,10 +209,10 @@ def _unpack_records(blob: bytes, pos: int, path: str) -> dict:
         pos += name_len
         if name in arrays:
             raise FormatError(f"{path}: duplicate record name {name!r}")
-        if pos + 4 > end:
-            raise _truncated(path, 4, pos)
-        (ndim,) = u32(blob, pos)
-        pos += 4
+        code, ndim = _CODE_RANK.unpack_from(blob, pos)
+        pos += 8
+        if code >= len(_DTYPES):
+            raise FormatError(f"{path}: record {name!r} has unknown dtype code {code}")
         if ndim > _MAX_NDIM:
             raise FormatError(f"{path}: implausible record rank {ndim}")
         if pos + 4 * ndim > end:
@@ -220,45 +220,41 @@ def _unpack_records(blob: bytes, pos: int, path: str) -> dict:
         shape = _SHAPES[ndim].unpack_from(blob, pos)
         pos += 4 * ndim
         # a Python-int product cannot overflow; it is checked against the bytes left
-        size = math.prod(shape)
-        if pos + 8 * size > end:
-            raise _truncated(path, 8 * size, pos)
+        dtype, size = _DTYPES[code], math.prod(shape)
+        if pos + dtype.itemsize * size > end:
+            raise _truncated(path, dtype.itemsize * size, pos)
         try:
-            arrays[name] = np.frombuffer(blob, "<f8", size, pos).reshape(shape).astype(np.float64)
+            arrays[name] = np.frombuffer(blob, dtype, size, pos).reshape(shape).astype(dtype.type)
         except ValueError as exc:  # an empty record whose other dims numpy cannot address
             raise FormatError(f"{path}: record {name!r} has unusable shape {shape}: {exc}") from None
-        pos += 8 * size
+        pos += dtype.itemsize * size
     if pos != end:
         raise FormatError(f"{path}: {end - pos} trailing bytes after last record")
     return arrays
 
 
-def _write(path: str, head: bytes, arrays: dict) -> None:
-    with replacing(path, binary=True) as fh:
-        fh.write(head)
-        fh.write(_pack_records(arrays))
-
-
 def write_checkpoint(path: str, config_values: dict, arrays: dict) -> None:
-    """Write model parameters plus the config fields that rebuild them."""
-    config = _CONFIG.pack(*(int(config_values[f]) for f in CONFIG_INT_FIELDS))
-    _write(path, _HEADER + config, arrays)
+    """Write model parameters as float64 records, after the config record that rebuilds them."""
+    if _CONFIG_RECORD in arrays:
+        raise ContractError(f"{path}: {_CONFIG_RECORD!r} names a checkpoint's own record")
+    config = np.array([int(config_values[f]) for f in CONFIG_INT_FIELDS], dtype="<i8")
+    _write(path, {_CONFIG_RECORD: config, **{name: np.asarray(arr, dtype="<f8") for name, arr in arrays.items()}})
 
 
 def read_checkpoint(path: str) -> tuple[dict, dict]:
     """Return (config field dict, name -> float64 array)."""
-    blob = _read(path)
-    records = len(_HEADER) + _CONFIG.size
-    if len(blob) < records:  # name the first config field that is cut off
-        raise _truncated(path, 4, len(blob) - len(blob) % 4)
-    fields = dict(zip(CONFIG_INT_FIELDS, _CONFIG.unpack_from(blob, len(_HEADER))))
-    return fields, _unpack_records(blob, records, path)
+    arrays = _read(path)
+    config = arrays.pop(_CONFIG_RECORD, None)
+    if config is None or config.dtype != np.int64 or config.shape != (len(CONFIG_INT_FIELDS),):
+        raise FormatError(f"{path}: no config record of {len(CONFIG_INT_FIELDS)} int64 values")
+    return dict(zip(CONFIG_INT_FIELDS, config.tolist())), arrays
 
 
 def write_latents(path: str, arrays: dict) -> None:
     """Write named float64 arrays (latents, feature buffers) to one file."""
-    _write(path, _HEADER, arrays)
+    # asarray, as ascontiguousarray would make a rank-0 array rank 1
+    _write(path, {name: np.asarray(arr, dtype="<f8") for name, arr in arrays.items()})
 
 
 def read_latents(path: str) -> dict:
-    return _unpack_records(_read(path), len(_HEADER), path)
+    return _read(path)

@@ -151,8 +151,8 @@ def cross_modal_mix(y_a: Tensor, y_v: Tensor, mix_a: Linear, mix_v: Linear | Non
         x_a = y_a + mix_a([y_a, y_v])
         x_v = y_v + mix_v([y_a, y_v])
 
-    mix_v is None in the last layer, whose video stream nothing reads:
-    its product and add are skipped, and y_v comes back as it went in.
+    mix_v is None in the last layer, whose video stream nothing reads,
+    so it has none: y_v comes back as it went in.
     """
     if y_a.shape != y_v.shape:
         raise ShapeError(f"mixer streams must match: {y_a.shape} vs {y_v.shape}")
@@ -301,9 +301,9 @@ class TwoTowerModel:
         # the audio tower attends to text tokens; the video tower does not
         self.audio_blocks = [Block(cfg, rng, cross_attention=True) for _ in range(cfg.n_layers)]
         self.video_blocks = [Block(cfg, rng, cross_attention=False) for _ in range(cfg.n_layers)]
-        # mixers start at zero: video information fades in as they train
+        # mixers start at zero, so video fades in as they train; the last layer's video stream is never read, so no mix_v
         self.mix_a = [Linear(2 * d, d, None) for _ in range(cfg.n_layers)]
-        self.mix_v = [Linear(2 * d, d, None) for _ in range(cfg.n_layers)]
+        self.mix_v = [Linear(2 * d, d, None) for _ in range(cfg.n_layers - 1)]
 
         named: list = []
         named += self.audio_in.named("audio_in")
@@ -319,7 +319,7 @@ class TwoTowerModel:
             named += self.audio_blocks[i].named(f"layers.{i}.audio")
             named += self.video_blocks[i].named(f"layers.{i}.video")
             named += self.mix_a[i].named(f"layers.{i}.mix_a")
-            named += self.mix_v[i].named(f"layers.{i}.mix_v")
+            named += self.mix_v[i].named(f"layers.{i}.mix_v") if i < len(self.mix_v) else []
         self._params = dict(named)
         if len(self._params) != len(named):
             raise ContractError("duplicate parameter names in model registry")
@@ -365,15 +365,18 @@ class TwoTowerModel:
 
     @classmethod
     def load(cls, path: str) -> "TwoTowerModel":
-        """Rebuild a saved model; a bad config block is a FormatError raised before the model is built."""
+        """Rebuild a saved model; a bad config record or non-finite value is a FormatError raised before the model is built."""
         fields_dict, arrays = container.read_checkpoint(path)
         try:
             cfg = ModelConfig(**fields_dict)
         except ConfigError as exc:
-            raise FormatError(f"{path}: bad config block: {exc}") from None
+            raise FormatError(f"{path}: bad config record: {exc}") from None
         stored, needed = sum(arr.size for arr in arrays.values()), expected_param_count(cfg)
         if stored != needed:
-            raise FormatError(f"{path}: config block {fields_dict} needs {needed} parameter values, records hold {stored}")
+            raise FormatError(f"{path}: config record {fields_dict} needs {needed} parameter values, records hold {stored}")
+        for name, arr in arrays.items():
+            if not np.isfinite(arr).all():
+                raise FormatError(f"{path}: record {name!r} holds a non-finite value")
         model = cls(cfg, seed=None)
         model.load_state(arrays)
         return model
@@ -491,8 +494,7 @@ class TwoTowerModel:
             if video:
                 mod_v = gather_rows(path.video[i], video) if per_item else path.video[i]
                 h_v = video_items(self.video_blocks[i](h_v, mod_v))
-                # nothing reads the last layer's video stream, so its video mixer is skipped
-                mix_v = self.mix_v[i] if i + 1 < cfg.n_layers else None
+                mix_v = self.mix_v[i] if i < len(self.mix_v) else None
                 mixed_a, h_v = cross_modal_mix(gather_rows(h_a, video), h_v, self.mix_a[i], mix_v)
                 # items without video keep their audio stream through the mixers
                 h_a = scatter_rows(mixed_a, video, h_a)
@@ -513,7 +515,7 @@ def expected_param_count(cfg: ModelConfig) -> int:
                                + affine(d,4d) + affine(4d,d)
                    video block  affine(d,6d) + 4*affine(d,d)
                                + affine(d,4d) + affine(4d,d)
-                   mixers       2 * affine(2d,d)
+                   mixers       2 * affine(2d,d), less one in the last layer
     """
 
     def affine(i: int, o: int) -> int:
@@ -529,7 +531,7 @@ def expected_param_count(cfg: ModelConfig) -> int:
     )
     audio_block = affine(d, 9 * d) + 8 * affine(d, d) + affine(d, 4 * d) + affine(4 * d, d)
     video_block = affine(d, 6 * d) + 4 * affine(d, d) + affine(d, 4 * d) + affine(4 * d, d)
-    mixers = 2 * affine(2 * d, d)
+    mixer = affine(2 * d, d)
     fixed = (
         affine(a, d)
         + affine(v, d)
@@ -539,4 +541,4 @@ def expected_param_count(cfg: ModelConfig) -> int:
         + 2 * T * d
         + x
     )
-    return fixed + L * (audio_block + video_block + mixers)
+    return fixed + L * (audio_block + video_block) + (2 * L - 1) * mixer

@@ -487,6 +487,12 @@ def test_a_latent_file_without_the_named_record_is_rejected(tmp_path, checkpoint
 # output files
 
 
+def _damaged(blob: bytes, damage: str, at: int, mask: int) -> bytes:
+    """blob cut at a length, or with one byte flipped, at at % len(blob)."""
+    i = at % len(blob)
+    return blob[:i] if damage == "truncate" else blob[:i] + bytes([blob[i] ^ mask]) + blob[i + 1 :]
+
+
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     side=st.sampled_from(["gen", "ref"]),
@@ -496,10 +502,11 @@ def test_a_latent_file_without_the_named_record_is_rejected(tmp_path, checkpoint
     mask=st.integers(1, 255),
     earlier=st.booleans(),
 )
+@example(side="gen", clip=0, damage="flip", at=100, mask=1, earlier=False)  # a payload bit
 def test_eval_over_a_damaged_latent_keeps_the_cli_guarantees(fuzz_inputs, side, clip, damage, at, mask, earlier):
-    # one latent file of a set cut at any length, or with one byte flipped
-    # before its payload (where every flip is a FormatError or a missing
-    # record), fails eval with one JSON line and leaves every output as it was
+    # one latent file of a set cut at any length, or with any one byte
+    # flipped, payload included, fails eval with one JSON FormatError line
+    # and leaves every output as it was
     root = fuzz_inputs
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -508,13 +515,7 @@ def test_eval_over_a_damaged_latent_keeps_the_cli_guarantees(fuzz_inputs, side, 
             for path in sorted((root / f"{name}-long").iterdir()):
                 (tmp / name / path.name).write_bytes(path.read_bytes())
         target = tmp / side / f"c{clip}.ysnd"
-        blob = target.read_bytes()
-        if damage == "truncate":
-            blob = blob[: at % len(blob)]
-        else:
-            i = at % 34  # magic, version, count, name length, "latent", rank and two dims
-            blob = blob[:i] + bytes([blob[i] ^ mask]) + blob[i + 1 :]
-        target.write_bytes(blob)
+        target.write_bytes(_damaged(target.read_bytes(), damage, at, mask))
         out = tmp / "out"
         out.mkdir()
         if earlier:
@@ -523,7 +524,37 @@ def test_eval_over_a_damaged_latent_keeps_the_cli_guarantees(fuzz_inputs, side, 
         argv = ["eval", str(tmp / "gen"), str(tmp / "ref"), "--json", "--out", str(out / "report.json")]
         code, stdout, err_lines = _run(argv + ["--plot", str(out / "plots")])
         assert (code, stdout, len(err_lines)) == (1, "", 1)
-        assert set(json.loads(err_lines[0])) == {"error"}
+        assert json.loads(err_lines[0])["error"]["kind"] == "FormatError"
+        assert _tree(tmp) == before
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(["sample", "refine"]),
+    damage=st.sampled_from(["truncate", "flip"]),
+    at=st.integers(0, 2**32 - 1),
+    mask=st.integers(1, 255),
+    earlier=st.booleans(),
+)
+@example(command="sample", damage="flip", at=4000, mask=1, earlier=False)  # a parameter bit
+def test_sample_and_refine_over_a_damaged_checkpoint_keep_the_cli_guarantees(fuzz_inputs, command, damage, at, mask, earlier):
+    # a checkpoint cut at any length, or with any one byte flipped, fails
+    # sample and refine with one JSON FormatError line and leaves --out and
+    # its sidecar as they were
+    root = fuzz_inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "m.ckpt").write_bytes(_damaged((root / "tiny.ckpt").read_bytes(), damage, at, mask))
+        argv = [command, "--checkpoint", str(tmp / "m.ckpt"), "--out", str(tmp / "x.ysnd"), "--nfe", "2"]
+        if command == "refine":
+            argv += ["--coarse", str(root / "coarse.ysnd"), "--k", "2"]
+        if earlier:
+            for name in ("x.ysnd", "x.ysnd.env.csv" if command == "sample" else "x.ysnd.trace.csv"):
+                (tmp / name).write_text(f"an earlier run's {name}\n")
+        before = _tree(tmp)
+        code, stdout, err_lines = _run(argv)
+        assert (code, stdout, len(err_lines)) == (1, "", 1)
+        assert json.loads(err_lines[0])["error"]["kind"] == "FormatError"
         assert _tree(tmp) == before
 
 

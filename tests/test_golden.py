@@ -18,9 +18,9 @@ from foleyflow.cli import main
 from foleyflow.model import ModelConfig, TwoTowerModel
 
 GOLDEN = {
-    "stage1.ckpt": "2b9f3e591fd21780d05a3aef39cd3548f95ed471246236cf030aef0b653d1d5a",
-    "stage2.ckpt": "2a4862c4903b254ec583b87aa738154fae77fac75aff8ca7265dd798385c8ec8",
-    "stage3.ckpt": "9c1d2906a398dbdc4e85b167e97732b64ff7497e4a0eb4cfbeb4eaaceb4e200c",
+    "stage1.ckpt": "d2c133012293aab10f23f0484b1b70e4af129534407f10b60781b6163335acca",
+    "stage2.ckpt": "c3f1c9593f7f5f5a0eb28de2232a2765161c5f14f2810c5b2f5a445cf0ca6406",
+    "stage3.ckpt": "ec5b7ba4c439f476daf684b5c0bad6c23fa74ca3476bbb60a91c608245c62907",
     "events.log": "81bce18182e10f4160c67590e946d607b99ef731e967d645710086005947735d",
     "latent": "bb0683c659ed84507af5f7ce710013900d1c27eb39143d048f460ee486f2b212",
 }

@@ -176,8 +176,8 @@ def test_mixer_mixes_once_trained():
 
 
 def test_the_last_video_mixer_never_runs_and_takes_no_gradient(monkeypatch):
-    # the last layer's video stream is dropped, so a product there could
-    # take no gradient; the earlier layer's video mixer still runs and trains
+    # the last layer's video stream is dropped, so that layer has no video
+    # mixer at all; the earlier layer's video mixer still runs and trains
     cfg = replace(SMALL, n_layers=2)
     model = TwoTowerModel(cfg, seed=0)
     _perturb(model)
@@ -194,10 +194,10 @@ def test_the_last_video_mixer_never_runs_and_takes_no_gradient(monkeypatch):
     model.zero_grad()
     backward(flow.cfm_loss(model, batch, SeededRng(31)))
     params = model.parameters()
-    assert [params[f"layers.1.mix_v.{p}"].grad for p in "wb"] == [None, None]
+    assert [name for name in params if ".mix_v." in name] == ["layers.0.mix_v.w", "layers.0.mix_v.b"]
     assert all(params[f"layers.0.mix_v.{p}"].grad is not None for p in "wb")
     assert all(params[f"layers.1.mix_a.{p}"].grad is not None for p in "wb")
-    assert [any(m is mixer for m in called) for mixer in model.mix_v] == [True, False]
+    assert [any(m is mixer for m in called) for mixer in model.mix_v] == [True]
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +412,6 @@ def test_batch_matches_batch_1_forwards_and_gradients():
 
     out = _forward(model, Tensor(x), times, conds)
     backward(reduce_mean(out * out))
-    # the last layer's video mixer feeds nothing and gets no gradient
     batch_grads = {name: p.grad.copy() for name, p in model.parameters().items() if p.grad is not None}
 
     # mean(y^2) over the batch is the mean of the per-item means
@@ -425,7 +424,7 @@ def test_batch_matches_batch_1_forwards_and_gradients():
         for name, p in model.parameters().items():
             if p.grad is not None:
                 item_grads[name] += p.grad / 4
-    assert len(batch_grads) == len(item_grads) - 2
+    assert len(batch_grads) == len(item_grads) == 53  # every parameter takes a gradient
     for name, grad in batch_grads.items():
         assert np.abs(grad - item_grads[name]).max() <= 1e-12, name
 
@@ -658,7 +657,7 @@ def test_load_state_copies_into_the_vector():
         assert np.array_equal(model.flat[model.slices[name]], state[name].reshape(-1))
 
 
-@pytest.mark.parametrize("version", [0, 1, 3])
+@pytest.mark.parametrize("version", [0, 1, 2])
 def test_checkpoint_of_another_version_does_not_load(tmp_path, version):
     path = tmp_path / "m.ckpt"
     TwoTowerModel(SMALL, seed=0).save(str(path))
@@ -666,6 +665,22 @@ def test_checkpoint_of_another_version_does_not_load(tmp_path, version):
     path.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
     with pytest.raises(FormatError, match=f"version {version}"):
         TwoTowerModel.load(str(path))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_refuses_a_non_finite_parameter_by_name_before_copying(tmp_path, monkeypatch, value):
+    # a well-formed file written with a NaN passes the container's CRC
+    state = TwoTowerModel(SMALL, seed=0).state_arrays()
+    state["layers.0.audio.fc1.w"][2, 3] = value
+    path = str(tmp_path / "m.ckpt")
+    container.write_checkpoint(path, SMALL.to_dict(), state)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_state was called")
+
+    monkeypatch.setattr(TwoTowerModel, "load_state", refuse)
+    with pytest.raises(FormatError, match=r"m\.ckpt: record 'layers\.0\.audio\.fc1\.w' holds a non-finite value"):
+        TwoTowerModel.load(path)
 
 
 def test_load_rejects_an_invalid_config_block(tmp_path):
@@ -716,5 +731,5 @@ def test_default_init_parameters_pinned():
         digest.update(name.encode("utf-8"))
         digest.update(repr(arr.shape).encode("utf-8"))
         digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    assert (len(state), model.flat.size) == (95, 105_088)
-    assert digest.hexdigest() == "783c63750addfa9fa00d0b61148ed4f2ec56b60cc8b57d73da6957d294c6a119"
+    assert (len(state), model.flat.size) == (93, 103_008)
+    assert digest.hexdigest() == "3942e8992a73b28e639040406220ff53b81256482ba985ca72ab5291fcfac7ee"
