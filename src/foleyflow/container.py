@@ -6,11 +6,12 @@
 
 All integers are little-endian, and the CRC is zlib.crc32 of every byte
 before it. Dtype code 0 is <f8, 1 is <i8. A checkpoint is a file like
-any other, whose "config" record holds CONFIG_INT_FIELDS as <i8 values.
-Payloads round-trip bit-exactly. Both readers raise FormatError on bad
-magic, any version but 3, a CRC mismatch, records that overrun the CRC
-or stop short of it, unknown dtype codes and undecodable or duplicate
-names; read_checkpoint also on a missing or malformed config record.
+any other, whose "config" record is a 1-D run of <i8 values; what they
+mean is the model's to say. Payloads round-trip bit-exactly. Both
+readers raise FormatError on bad magic, any version but 3, a CRC
+mismatch, records that overrun the CRC or stop short of it, unknown
+dtype codes and undecodable or duplicate names; read_checkpoint also on
+a config record that is missing, not <i8 or not 1-D.
 
 A reader takes a latent file in one os.read, checks its CRC, and walks
 it with one precompiled struct unpack per field group, each checked
@@ -37,16 +38,6 @@ VERSION = 3
 # a record's dtype is its index here; a new dtype takes the next code
 _DTYPES = (np.dtype("<f8"), np.dtype("<i8"))
 _CONFIG_RECORD = "config"
-
-CONFIG_INT_FIELDS = (
-    "d_model",
-    "n_layers",
-    "n_heads",
-    "d_audio_latent",
-    "d_video_feat",
-    "d_text",
-    "t_audio",
-)
 
 _MAX_NAME = 4096
 _MAX_NDIM = 8
@@ -233,21 +224,22 @@ def _read(path: str) -> dict:
     return arrays
 
 
-def write_checkpoint(path: str, config_values: dict, arrays: dict) -> None:
-    """Write model parameters as float64 records, after the config record that rebuilds them."""
+def write_checkpoint(path: str, config, arrays: dict) -> None:
+    """Write model parameters as float64 records, after a config record of
+    the ints that rebuild them, in the order given."""
     if _CONFIG_RECORD in arrays:
         raise ContractError(f"{path}: {_CONFIG_RECORD!r} names a checkpoint's own record")
-    config = np.array([int(config_values[f]) for f in CONFIG_INT_FIELDS], dtype="<i8")
-    _write(path, {_CONFIG_RECORD: config, **{name: np.asarray(arr, dtype="<f8") for name, arr in arrays.items()}})
+    values = np.array([int(v) for v in config], dtype="<i8")
+    _write(path, {_CONFIG_RECORD: values, **{name: np.asarray(arr, dtype="<f8") for name, arr in arrays.items()}})
 
 
-def read_checkpoint(path: str) -> tuple[dict, dict]:
-    """Return (config field dict, name -> float64 array)."""
+def read_checkpoint(path: str) -> tuple[tuple, dict]:
+    """Return (the config record's ints, name -> float64 array)."""
     arrays = _read(path)
     config = arrays.pop(_CONFIG_RECORD, None)
-    if config is None or config.dtype != np.int64 or config.shape != (len(CONFIG_INT_FIELDS),):
-        raise FormatError(f"{path}: no config record of {len(CONFIG_INT_FIELDS)} int64 values")
-    return dict(zip(CONFIG_INT_FIELDS, config.tolist())), arrays
+    if config is None or config.dtype != np.int64 or config.ndim != 1:
+        raise FormatError(f"{path}: no config record of int64 values")
+    return tuple(config.tolist()), arrays
 
 
 def write_latents(path: str, arrays: dict) -> None:

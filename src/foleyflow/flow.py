@@ -3,7 +3,9 @@
 Training regresses the straight-path velocity x1 - x0 at interpolated
 points x_t = (1-t) x0 + t x1. Sampling integrates the learned field with
 explicit Euler over a sway-warped time grid and applies classifier-free
-guidance by blending the conditional and unconditional branches.
+guidance by blending the conditional and unconditional branches. A
+trajectory decides its branches once; each Euler step reads how many
+there are from the conditioned batch it is given.
 """
 
 from __future__ import annotations
@@ -100,25 +102,22 @@ def _guidance_branches(cond: ConditionBundle, guidance_scale: float) -> list:
     return [ConditionBundle(), cond]
 
 
-def guided_velocity(model, x: np.ndarray, t, cond: ConditionBundle, guidance_scale: float, conditioned) -> np.ndarray:
+def guided_velocity(model, x: np.ndarray, t, guidance_scale: float, conditioned) -> np.ndarray:
     """Classifier-free-guided velocity v_u + w (v_c - v_u) of a stack of n
-    states (n, t_audio, d_audio_latent) that share cond, as a plain array
-    of the same shape.
+    states (n, t_audio, d_audio_latent), as a plain array of the same shape.
 
-    w = 0 returns the unconditional branch alone and w = 1 the conditional
-    branch alone, each from one model call of batch n; other weights run
-    both branches as one call of batch 2n, the n unconditional items
-    first. The call gets the n states once, and item b reads state b % n,
-    so what depends on a state and the time alone runs once for both
-    branches (TwoTowerModel.forward). t is the step's row of a
-    model.time_path and conditioned the model.condition of that batch,
-    every branch's bundle n times in branch order; a sampler computes
-    both once per trajectory. The call runs taped unless its caller is
-    inside tensor.no_tape.
+    conditioned is the model.condition of a batch of r n items, each
+    branch's bundle n times in branch order, and t the step's row of a
+    model.time_path; a sampler computes both once per trajectory. The one
+    model call gets the n states once, and item b reads state b % n, so
+    what depends on a state and the time alone runs once for both
+    branches (TwoTowerModel.forward). One branch (r = 1) is returned as
+    it is; two, the unconditional first, are blended with weight
+    guidance_scale. The call runs taped unless its caller is inside
+    tensor.no_tape.
     """
-    branches = _guidance_branches(cond, guidance_scale)
-    v = model(Tensor(x), t, conditioned).data.reshape((len(branches),) + x.shape)
-    return v[0] if len(branches) == 1 else v[0] + guidance_scale * (v[1] - v[0])
+    v = model(Tensor(x), t, conditioned).data.reshape((-1,) + x.shape)
+    return v[0] if len(v) == 1 else v[0] + guidance_scale * (v[1] - v[0])
 
 
 def sample_many(model, cond: ConditionBundle, sampler_cfg: SamplerConfig, seeds) -> list:
@@ -126,8 +125,9 @@ def sample_many(model, cond: ConditionBundle, sampler_cfg: SamplerConfig, seeds)
 
     The states form one (n, t_audio, d_audio_latent) stack from t=0 to t=1,
     so a step is one guided_velocity call; sampler_cfg.seed is not used.
-    The guided batch is conditioned once, its n conditional items on the
-    one cond object, so the model runs their video input through its first
+    The guidance branches are decided once (_guidance_branches) and the
+    guided batch conditioned once, its n conditional items on the one
+    cond object, so the model runs their video input through its first
     video block once per step; the grid times' time path is computed once,
     in blocks of _PATH_ROWS times, and step k reads row k. All of it
     runs under tensor.no_tape: nothing is recorded for a backward, and no
@@ -155,7 +155,7 @@ def sample_many(model, cond: ConditionBundle, sampler_cfg: SamplerConfig, seeds)
         for k in range(sampler_cfg.nfe):
             if k % _PATH_ROWS == 0:
                 path = model.time_path(grid[k : min(k + _PATH_ROWS, sampler_cfg.nfe)])
-            v = guided_velocity(model, x, path[k % _PATH_ROWS], cond, w, conditioned)
+            v = guided_velocity(model, x, path[k % _PATH_ROWS], w, conditioned)
             x = x + (grid[k + 1] - grid[k]) * v
             for row in np.flatnonzero(~np.isfinite(x).all(axis=(1, 2))):
                 if results[row] is None:

@@ -9,13 +9,13 @@ and output projections. One forward runs a batch of items, each with its own
 time and condition bundle; the video tower and mixers run on the items that
 carry video, and are skipped entirely when none does. Work that items share,
 such as one state under several guidance branches, runs once and is
-repeated out to them.
+copied out to them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .tensor import (
     gelu,
     matmul,
     modulated_norm,
-    repeat_rows,
     scatter_rows,
 )
 
@@ -56,9 +55,6 @@ class ModelConfig:
             check_positive_int(f.name, getattr(self, f.name))
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -194,7 +190,7 @@ class Block:
         A cross-attention block also takes a stream of n states for B =
         r n items under a shared mod, item b reading state b % n: the
         self-attention sublayer and the cross-attention query, which read
-        no context, run on the n states, and their rows are repeated out
+        no context, run on the n states, and their rows are copied out
         to the B items for the cross-attention."""
         y = modulated_norm(x, mod, 0)
         x = gated_residual(x, mod, 0, self.wo(attention(self.wq(y), self.wk(y), self.wv(y), self.n_heads)))
@@ -203,7 +199,7 @@ class Block:
             q = self.cq(modulated_norm(x, mod, 1))
             if len(x.data) < len(context_mask):
                 items = np.arange(len(context_mask)) % len(x.data)
-                x, q = repeat_rows(x, items), repeat_rows(q, items)
+                x, q = gather_rows(x, items), gather_rows(q, items)
             x = gated_residual(x, mod, 1, self.co(attention(q, *context_kv, self.n_heads, context_mask)))
             mlp = 2
         y = modulated_norm(x, mod, mlp)
@@ -361,19 +357,25 @@ class TwoTowerModel:
             p.data[...] = checked[name]
 
     def save(self, path: str) -> None:
-        container.write_checkpoint(path, self.config.to_dict(), self.state_arrays())
+        container.write_checkpoint(path, astuple(self.config), self.state_arrays())
 
     @classmethod
     def load(cls, path: str) -> "TwoTowerModel":
-        """Rebuild a saved model; a bad config record or non-finite value is a FormatError raised before the model is built."""
-        fields_dict, arrays = container.read_checkpoint(path)
+        """Rebuild a saved model, whose config record holds ModelConfig's
+        fields in declaration order; a bad config record or non-finite
+        value is a FormatError raised before the model is built."""
+        values, arrays = container.read_checkpoint(path)
+        names = [f.name for f in fields(ModelConfig)]
+        if len(values) != len(names):
+            raise FormatError(f"{path}: config record holds {len(values)} ints, ModelConfig has {len(names)} fields")
+        config = dict(zip(names, values))
         try:
-            cfg = ModelConfig(**fields_dict)
+            cfg = ModelConfig(**config)
         except ConfigError as exc:
             raise FormatError(f"{path}: bad config record: {exc}") from None
         stored, needed = sum(arr.size for arr in arrays.values()), expected_param_count(cfg)
         if stored != needed:
-            raise FormatError(f"{path}: config record {fields_dict} needs {needed} parameter values, records hold {stored}")
+            raise FormatError(f"{path}: config record {config} needs {needed} parameter values, records hold {stored}")
         for name, arr in arrays.items():
             if not np.isfinite(arr).all():
                 raise FormatError(f"{path}: record {name!r} holds a non-finite value")
@@ -464,7 +466,7 @@ class TwoTowerModel:
         and the time alone runs once per state: audio_in(x) + audio_pos,
         audio block 0's self-attention sublayer and its cross-attention
         query; and video block 0 runs once per distinct video input
-        (condition). Their rows are then repeated out to the items. Items
+        (condition). Their rows are then copied out to the items. Items
         do not interact: given row-invariant gemm (README), an item's
         output has the bits of its batch-1 output unless the batch pads
         its cross-attention tokens.
@@ -483,7 +485,7 @@ class TwoTowerModel:
         video, h_v = conditioning.video, conditioning.video_h
 
         def video_items(h: Tensor) -> Tensor:  # a row per distinct video input -> a row per video item
-            return h if len(h.data) == len(video) else repeat_rows(h, conditioning.video_rows)
+            return h if len(h.data) == len(video) else gather_rows(h, conditioning.video_rows)
 
         if video:
             self.video_tower_invocations += 1

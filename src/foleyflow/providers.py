@@ -88,7 +88,6 @@ def video_features(video_id: str, t_video: int, d_video: int) -> np.ndarray:
 class ToyClip:
     """One synthetic training pair: audio latent plus its conditions."""
 
-    clip_id: str
     x1: np.ndarray          # (t_audio, d_audio_latent)
     text_emb: np.ndarray    # (2, d_text)
     video_feat: np.ndarray  # (t_audio, d_video_feat)
@@ -131,12 +130,5 @@ def make_toy_clips(n_clips: int, t_audio: int, d_audio: int, d_video: int, d_tex
             x1[f] += 2.0 * (0.9 + 0.2 * rng.uniform()) * g_audio
             video[f] += 2.0 * g_video
         text = rng.normal((2, d_text)) * 0.5
-        clips.append(
-            ToyClip(
-                clip_id=f"clip{i:03d}",
-                x1=x1,
-                text_emb=text,
-                video_feat=video,
-            )
-        )
+        clips.append(ToyClip(x1=x1, text_emb=text, video_feat=video))
     return clips

@@ -60,7 +60,6 @@ def signal_token(signal: np.ndarray, d_text: int) -> np.ndarray:
 @dataclass(frozen=True)
 class RewardReport:
     components: dict
-    weights: dict
     aggregate: float
 
 
@@ -143,7 +142,7 @@ def reward(candidates: np.ndarray, context: RewardContext) -> list:
 
     rows = [{name: values[i] for name, values in components.items()} for i in range(n)]
     weights = context.weights
-    return [RewardReport(row, dict(weights), sum(weights[name] * row[name] for name in row)) for row in rows]
+    return [RewardReport(row, sum(weights[name] * row[name] for name in row)) for row in rows]
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ Activations carry a leading batch axis, (B, T, d): matmul folds the
 leading axes into rows and takes an optional bias, attention is one
 fused multi-head op, modulated_norm / gated_residual are the two halves
 of an adaLN-zero sublayer, gather_rows selects items along the batch
-axis, repeat_rows copies items out to several places, and scatter_rows
-writes items back onto a base batch.
+axis, an item as often as it is named, and scatter_rows writes items
+back onto a base batch.
 Inside no_tape(), ops compute their outputs but record nothing for the
 reverse pass, which a forward that is never differentiated, such as
 sampling, does not need.
@@ -46,7 +46,6 @@ __all__ = [
     "gelu",
     "attention",
     "gather_rows",
-    "repeat_rows",
     "scatter_rows",
     "reduce_mean",
     "backward",
@@ -420,7 +419,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, key_mask=None) -> T
     return _from_op(merge(probs @ vh), (q, k, v), bw)
 
 
-def _batch_rows(rows, n: int, distinct: bool = True) -> np.ndarray:
+def _batch_rows(rows, n: int, distinct: bool) -> np.ndarray:
     idx = np.asarray(rows)
     # numpy reads a bool among ints as 0 or 1, so each item's type is checked too
     integers = idx.dtype.kind in "iu" and idx.ndim == 1 and not any(isinstance(r, (bool, np.bool_)) for r in rows)
@@ -431,25 +430,18 @@ def _batch_rows(rows, n: int, distinct: bool = True) -> np.ndarray:
 
 
 def gather_rows(x: Tensor, rows) -> Tensor:
-    """The items rows of x along the batch (first) axis."""
-    idx = _batch_rows(rows, x.shape[0])
-
-    def bw(g):
-        grad = np.zeros(x.shape, dtype=np.float64)
-        grad[idx] = g
-        return (grad,)
-
-    return _from_op(x.data[idx], (x,), bw)
-
-
-def repeat_rows(x: Tensor, rows) -> Tensor:
     """The items rows of x along the batch (first) axis, where an item may
     be taken more than once; its gradient is the sum over its copies."""
     idx = _batch_rows(rows, x.shape[0], distinct=False)
 
     def bw(g):
         grad = np.zeros(x.shape, dtype=np.float64)
-        np.add.at(grad, idx, g)
+        # np.add.at sums a repeated item's copies; assignment, about ten
+        # times faster, is enough when each item is taken once
+        if len(set(idx.tolist())) == idx.size:
+            grad[idx] = g
+        else:
+            np.add.at(grad, idx, g)
         return (grad,)
 
     return _from_op(x.data[idx], (x,), bw)
@@ -461,7 +453,7 @@ def scatter_rows(x: Tensor, rows, base: Tensor) -> Tensor:
     x's gradient gathers those rows of the output's, and base's is the
     output's with those rows zeroed.
     """
-    idx = _batch_rows(rows, base.shape[0])
+    idx = _batch_rows(rows, base.shape[0], distinct=True)
     if x.shape != (idx.size,) + base.shape[1:]:
         raise ShapeError(f"scatter_rows got {x.shape} for {idx.size} rows of {base.shape}")
     out = base.data.copy()
@@ -537,9 +529,6 @@ def backward(loss: Tensor) -> None:
     loss.grad = np.ones_like(loss.data)
     for node in reversed(tape.nodes):
         if node._backward is None:
-            continue
-        if node.grad is None:
-            # recorded but never contributed to the loss
             continue
         grads = node._backward(node.grad)
         for parent, g in zip(node._parents, grads):

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,10 +17,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from foleyflow import cli, container
+from foleyflow import cli, container, datapipe
 from foleyflow.cli import main
 from foleyflow.datapipe import MANIFEST_HEADER
+from foleyflow.errors import ContractError, FormatError
 from foleyflow.model import ModelConfig, TwoTowerModel
+from test_datapipe import _manifest_bytes, _manifest_like
 
 
 @pytest.fixture(scope="module")
@@ -389,6 +392,73 @@ def test_pipeline_non_utf8_input_is_a_format_error(workdir, capsys):
     assert len(err_lines) == 1
     assert json.loads(err_lines[0])["error"]["kind"] == "FormatError"
     assert not dst.exists()
+
+
+def _manifest_outcome(blob: bytes):
+    """None for a file the pipeline must refuse (bytes that are not UTF-8
+    or a wrong header); else the line numbers of the lines that fail to
+    parse, and the count of records parsed, reading lines as the pipeline
+    does: universal newlines, the header as line 1, blank and comment
+    lines skipped."""
+    try:
+        lines = blob.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    except UnicodeDecodeError:
+        return None
+    if lines[0].strip() != MANIFEST_HEADER:
+        return None
+    bad, parsed = [], 0
+    for lineno, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            datapipe.parse_record(line)
+        except (FormatError, ContractError, ValueError):
+            bad.append(lineno)
+        else:
+            parsed += 1
+    return bad, parsed
+
+
+# damaged manifests: any bytes after a good header, or whole files of
+# records, faulty lines and comments, now and then with a wrong header
+# or a byte that is not UTF-8
+_DAMAGED = (st.binary() | _manifest_like).map(lambda body: MANIFEST_HEADER.encode() + b"\n" + body) | _manifest_bytes()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(blob=_DAMAGED)
+@example(blob=MANIFEST_HEADER.encode() + b"\nc1,2.0,hit:0.5:1.0,-,0.5,0,0\r\nbroken\n#note\n\nc2,1.0,,0.9,0.9,1,0\rc3,1.0,,0.9,0.9,0,0")
+def test_a_damaged_manifest_is_reported_whole_or_changes_nothing(tmp_path, capsys, blob):
+    # exit 0 with a warning per bad line and every parsed record in the
+    # drop report, or exit 1 with one JSON line and both outputs untouched
+    with tempfile.TemporaryDirectory(dir=tmp_path) as root:
+        src, dst, report = (Path(root) / name for name in ("in.m", "out.m", "drops.csv"))
+        src.write_bytes(blob)
+        earlier = {path: f"an earlier run's {path.name}\n".encode() for path in (dst, report)}
+        for path, old in earlier.items():
+            path.write_bytes(old)
+        capsys.readouterr()
+        code = main(["pipeline", str(src), str(dst), "--report", str(report)])
+        outcome = _manifest_outcome(blob)
+        if outcome is None:
+            assert code == 1
+            _fails_with_one_json_line(capsys, "FormatError")
+            assert {path: path.read_bytes() for path in earlier} == earlier
+            assert sorted(os.listdir(root)) == ["drops.csv", "in.m", "out.m"]
+            return
+        assert code == 0
+        captured = capsys.readouterr()
+        bad, parsed = outcome
+        lines = captured.err.split("\n")
+        assert lines.pop() == ""
+        warned = [re.fullmatch(r"warning: manifest line (\d+): .+", line) for line in lines]
+        assert all(warned), lines
+        assert [int(match[1]) for match in warned] == bad
+        totals = dict(line.split(",") for line in captured.out.splitlines() if line.startswith("total_"))
+        assert int(totals["total_kept"]) + int(totals["total_dropped"]) == parsed
+        assert report.read_text(encoding="utf-8") == captured.out
+        assert dst.read_bytes().startswith(MANIFEST_HEADER.encode() + b"\n")
 
 
 # ---------------------------------------------------------------------------

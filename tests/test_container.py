@@ -31,15 +31,7 @@ def _arrays():
 
 
 def _config():
-    return {
-        "d_model": 32,
-        "n_layers": 2,
-        "n_heads": 4,
-        "d_audio_latent": 16,
-        "d_video_feat": 16,
-        "d_text": 16,
-        "t_audio": 32,
-    }
+    return (32, 2, 4, 16, 16, 16, 32)
 
 
 def test_latents_roundtrip_bit_exact(tmp_path):
@@ -154,22 +146,23 @@ def test_a_checkpoint_reads_as_latents_with_its_config_record(tmp_path):
     records = container.read_latents(path)
     assert list(records) == ["config", *_arrays()]
     assert records["config"].dtype == np.int64
-    assert records["config"].tolist() == list(_config().values())
+    assert records["config"].tolist() == list(_config())
 
 
 @pytest.mark.parametrize(
     "config",
-    [None, np.arange(7.0), np.arange(6), np.arange(8), np.arange(7).reshape(7, 1), np.array(7)],
-    ids=["absent", "float64", "6 ints", "8 ints", "rank 2", "rank 0"],
+    [None, np.arange(7.0), np.arange(7).reshape(7, 1), np.array(7)],
+    ids=["absent", "float64", "rank 2", "rank 0"],
 )
 def test_a_file_without_a_well_formed_config_record_is_not_a_checkpoint(tmp_path, config):
-    # a latent file has no config record; a crafted one may have a bad one
+    # a latent file has no config record; a crafted one may have a bad one.
+    # How many ints a config holds is the model's to check (test_model)
     path = str(tmp_path / "x.ysnd")
     if config is None:
         container.write_latents(path, _arrays())
     else:
         container._write(path, {"config": config, **_arrays()})
-    with pytest.raises(FormatError, match="no config record of 7 int64 values"):
+    with pytest.raises(FormatError, match="no config record of int64 values"):
         container.read_checkpoint(path)
 
 
@@ -239,7 +232,6 @@ TINY = ModelConfig(d_model=4, n_layers=1, n_heads=1, d_audio_latent=2, d_video_f
 def _diverging_stage(path):
     """run_stage on a clip of inf, so step 1 diverges and saves to path."""
     bad = ToyClip(
-        clip_id="bad",
         x1=np.full((TINY.t_audio, TINY.d_audio_latent), np.inf),
         text_emb=np.zeros((2, TINY.d_text)),
         video_feat=np.zeros((TINY.t_audio, TINY.d_video_feat)),
@@ -387,7 +379,7 @@ def _records(arrays: dict) -> list:
 
 
 def _outcome(read, path: str):
-    """What read makes of path: its records (and config fields), or the type and text of its error."""
+    """What read makes of path: its records (and config ints), or the type and text of its error."""
     try:
         got = read(path)
     except Exception as exc:
@@ -413,7 +405,7 @@ def _filled(records: dict, seed: int) -> dict:
 
 
 @settings(max_examples=60, deadline=None)
-@given(records=_RECORDS, seed=st.integers(0, 2**32 - 1), config=st.lists(_I64, min_size=7, max_size=7))
+@given(records=_RECORDS, seed=st.integers(0, 2**32 - 1), config=st.lists(_I64, max_size=9).map(tuple))
 def test_what_is_written_reads_back_bit_exact(tmp_path_factory, records, seed, config):
     root = tmp_path_factory.mktemp("roundtrip")
     arrays = _filled(records, seed)
@@ -422,9 +414,8 @@ def test_what_is_written_reads_back_bit_exact(tmp_path_factory, records, seed, c
     # a checkpoint's config record holds its int64 values as they are
     floats = {name: arr.astype(np.float64) for name, arr in arrays.items()}
     assert _records(container.read_latents(str(root / "x.ysnd"))) == _records(floats)
-    fields = dict(zip(container.CONFIG_INT_FIELDS, config))
-    container.write_checkpoint(str(root / "m.ckpt"), fields, arrays)
-    assert _outcome(container.read_checkpoint, str(root / "m.ckpt")) == (fields, _records(floats))
+    container.write_checkpoint(str(root / "m.ckpt"), config, arrays)
+    assert _outcome(container.read_checkpoint, str(root / "m.ckpt")) == (config, _records(floats))
 
 
 def test_a_latent_file_takes_one_read_and_one_that_sees_its_end(tmp_path, monkeypatch):

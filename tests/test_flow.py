@@ -239,7 +239,7 @@ def _guided(model, xs, t, cond, w):
     """guided_velocity of the stack xs at time t, given what sample_many
     gives it: the path row of t and the guided batch's conditioning."""
     conditioned = model.condition([c for c in flow._guidance_branches(cond, w) for _ in xs])
-    return guided_velocity(model, xs, model.time_path([t])[0], cond, w, conditioned)
+    return guided_velocity(model, xs, model.time_path([t])[0], w, conditioned)
 
 
 def test_guided_velocity_blend_algebra():
@@ -380,6 +380,22 @@ def test_sample_many_one_call_of_batch_2k_per_step():
     model = StubModel(spy)
     sample_many(model, _textual_cond(), SamplerConfig(nfe=1, guidance_scale=2.0), seeds)
     assert seen == [False] * 4 + [True] * 4
+
+
+@pytest.mark.parametrize("nfe", [1, 8])
+def test_sample_many_decides_the_guidance_branches_once(monkeypatch, nfe):
+    calls = []
+    decide = flow._guidance_branches
+
+    def counted(cond, w):
+        calls.append(w)
+        return decide(cond, w)
+
+    monkeypatch.setattr(flow, "_guidance_branches", counted)
+    model = _branching_stub()
+    sample_many(model, _textual_cond(), SamplerConfig(nfe=nfe, guidance_scale=2.0), [3, 1])
+    assert calls == [2.0]
+    assert model.batch_sizes == [4] * nfe
 
 
 def test_sample_many_matches_sample_per_seed_on_stub():
@@ -592,7 +608,7 @@ def test_a_guided_step_keeps_the_bits_of_every_branchs_own_copy(
     own = model.condition([replace(c) for c in branches for _ in range(n)])
     v = model(Tensor(np.concatenate([x] * len(branches))), row, own).data.reshape((len(branches),) + x.shape)
     want = v[0] if len(branches) == 1 else v[0] + guidance * (v[1] - v[0])
-    assert np.array_equal(guided_velocity(model, x, row, cond, guidance, shared), want)
+    assert np.array_equal(guided_velocity(model, x, row, guidance, shared), want)
 
 
 class NanRowAt:

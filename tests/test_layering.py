@@ -16,6 +16,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import foleyflow
@@ -150,6 +151,45 @@ def test_no_public_container_reader_calls_another():
     readers = {name for name in reached if name.startswith("read")}
     assert readers == {"read_checkpoint", "read_latents"}
     assert {name: sorted(reached[name] & readers - {name}) for name in readers} == {name: [] for name in readers}
+
+
+def _model_references(tree: ast.Module) -> list:
+    """"model" for each import of foleyflow.model, in any form, and each
+    string constant that equals a ModelConfig field name."""
+    from foleyflow.model import ModelConfig
+
+    names = {f.name for f in fields(ModelConfig)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.level == 1 and node.module == "model") or (node.level == 0 and node.module == "foleyflow.model"):
+                found.append("model")
+            elif (node.level == 1 and node.module is None) or (node.level == 0 and node.module == "foleyflow"):
+                found += ["model" for alias in node.names if alias.name == "model"]
+        elif isinstance(node, ast.Import):
+            found += ["model" for alias in node.names if alias.name == "foleyflow.model"]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in names:
+            found.append(node.value)
+    return found
+
+
+def test_container_knows_nothing_of_the_model_config():
+    # a checkpoint's config record is a run of ints; ModelConfig alone says
+    # which field each one is, so the format never lists them a second time
+    assert _model_references(ast.parse((PACKAGE / "container.py").read_text(encoding="utf-8"))) == []
+
+
+def test_model_reference_probe_sees_every_form():
+    tree = ast.parse(
+        "from .model import ModelConfig\n"
+        "from . import model\n"
+        "from foleyflow.model import fields\n"
+        "import foleyflow.model\n"
+        "from . import rng\n"
+        "x = ('d_model', 'n_heads ', b't_audio')\n"
+        "y = f'{x}: t_audio'\n"
+    )
+    assert _model_references(tree) == ["model", "model", "model", "model", "d_model"]
 
 
 def test_reach_probe_sees_calls_through_helpers():

@@ -4,7 +4,7 @@ import collections
 import hashlib
 import struct
 import sys
-from dataclasses import replace
+from dataclasses import asdict, astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -52,7 +52,7 @@ def _perturb(model, seed=0, scale=0.05):
 
 
 def test_config_validation():
-    for field in ModelConfig().to_dict():
+    for field in (f.name for f in fields(ModelConfig)):
         for bad in (0, -1, True, 2.5, 16.0, "8", None):
             with pytest.raises(ConfigError, match=field):
                 ModelConfig(**{field: bad})
@@ -61,11 +61,6 @@ def test_config_validation():
         ModelConfig(d_model=10, n_heads=3)
     with pytest.raises(ConfigError):
         ModelConfig(t_audio=-5)
-
-
-def test_config_to_dict_roundtrip():
-    cfg = ModelConfig(d_model=16, n_heads=2)
-    assert ModelConfig(**cfg.to_dict()) == cfg
 
 
 def test_bundle_stores_float64_arrays_converted_once():
@@ -459,7 +454,8 @@ def test_guided_forward_records_92_tape_ops(monkeypatch):
     forward at the default config. 9 of them condition the batch (text
     tokens, cross-attention keys and values, video input) and 8 make the
     time path of its one time (time embedding, its gelu, one adaln per
-    block); 2 repeat the state's shared audio rows out to both branches.
+    block); 2 of the 4 gathers copy the state's shared audio rows out to
+    both branches.
     A change that adds ops to the forward fails here without running a
     benchmark."""
     cfg = ModelConfig()
@@ -468,14 +464,13 @@ def test_guided_forward_records_92_tape_ops(monkeypatch):
     x_t, cond = rng.normal((1, cfg.t_audio, cfg.d_audio_latent)), _cond(cfg, rng)
     kinds = _count_ops(monkeypatch)
     conditioned = model.condition([ConditionBundle(), cond])
-    flow.guided_velocity(model, x_t, model.time_path([0.5])[0], cond, 2.0, conditioned)
+    flow.guided_velocity(model, x_t, model.time_path([0.5])[0], 2.0, conditioned)
     assert sum(kinds.values()) == 92
-    pinned = ("matmul", "gelu", "gather_rows", "repeat_rows", "modulated_norm", "gated_residual", "scatter_rows", "mul")
+    pinned = ("matmul", "gelu", "gather_rows", "modulated_norm", "gated_residual", "scatter_rows", "mul")
     assert {k: kinds[k] for k in pinned} == {
         "matmul": 45,
         "gelu": 6,
-        "gather_rows": 2,
-        "repeat_rows": 2,
+        "gather_rows": 4,
         "modulated_norm": 10,
         "gated_residual": 10,
         "scatter_rows": 2,
@@ -496,12 +491,11 @@ def test_training_forward_records_95_tape_ops(monkeypatch):
     kinds = _count_ops(monkeypatch)
     flow.cfm_loss(TwoTowerModel(cfg, seed=0), batch, SeededRng(29))
     assert sum(kinds.values()) == 95
-    pinned = ("matmul", "gelu", "gather_rows", "repeat_rows", "modulated_norm", "gated_residual", "scatter_rows", "mul")
+    pinned = ("matmul", "gelu", "gather_rows", "modulated_norm", "gated_residual", "scatter_rows", "mul")
     assert {k: kinds[k] for k in pinned} == {
         "matmul": 45,
         "gelu": 6,
         "gather_rows": 4,
-        "repeat_rows": 0,
         "modulated_norm": 10,
         "gated_residual": 10,
         "scatter_rows": 2,
@@ -512,8 +506,9 @@ def test_training_forward_records_95_tape_ops(monkeypatch):
 @pytest.mark.parametrize("nfe, ops", [(1, 93), (4, 321)])
 def test_sample_many_conditions_once_per_trajectory(monkeypatch, nfe, ops):
     """Perf budget of the sampler: 9 conditioning ops and 8 time-path ops
-    once per trajectory, then 76 per Euler step, 3 of which repeat the
-    branch-shared rows out to the items. A change that puts
+    once per trajectory, then 76 per Euler step. 5 of those are gathers:
+    3 copy the branch-shared rows out to the items and 2 pick the video
+    items' audio rows for the mixers. A change that puts
     per-condition or per-time work back into the step loop fails here
     without running a benchmark."""
     kinds = _count_ops(monkeypatch)
@@ -521,7 +516,7 @@ def test_sample_many_conditions_once_per_trajectory(monkeypatch, nfe, ops):
     rng = SeededRng(23)
     flow.sample_many(TwoTowerModel(cfg, seed=0), _cond(cfg, rng), flow.SamplerConfig(nfe=nfe), [1, 2])
     assert sum(kinds.values()) == ops == 9 + 8 + 76 * nfe
-    assert kinds["repeat_rows"] == 3 * nfe
+    assert kinds["gather_rows"] == 5 * nfe
 
 
 def test_a_guided_step_runs_branch_shared_rows_once(monkeypatch):
@@ -673,7 +668,7 @@ def test_load_refuses_a_non_finite_parameter_by_name_before_copying(tmp_path, mo
     state = TwoTowerModel(SMALL, seed=0).state_arrays()
     state["layers.0.audio.fc1.w"][2, 3] = value
     path = str(tmp_path / "m.ckpt")
-    container.write_checkpoint(path, SMALL.to_dict(), state)
+    container.write_checkpoint(path, astuple(SMALL), state)
 
     def refuse(*args, **kwargs):
         raise AssertionError("load_state was called")
@@ -685,7 +680,7 @@ def test_load_refuses_a_non_finite_parameter_by_name_before_copying(tmp_path, mo
 
 def test_load_rejects_an_invalid_config_block(tmp_path):
     path = str(tmp_path / "heads.ckpt")
-    container.write_checkpoint(path, {**SMALL.to_dict(), "n_heads": 3}, TwoTowerModel(SMALL, seed=0).state_arrays())
+    container.write_checkpoint(path, {**asdict(SMALL), "n_heads": 3}.values(), TwoTowerModel(SMALL, seed=0).state_arrays())
     with pytest.raises(FormatError, match="heads.ckpt.*n_heads 3"):
         TwoTowerModel.load(path)
 
@@ -693,13 +688,27 @@ def test_load_rejects_an_invalid_config_block(tmp_path):
 def test_load_rejects_a_config_block_wider_than_its_records_before_building(tmp_path, monkeypatch):
     small = ModelConfig(d_model=32, n_layers=1, n_heads=4, d_audio_latent=4, d_video_feat=4, d_text=4, t_audio=4)
     path = str(tmp_path / "wide.ckpt")
-    container.write_checkpoint(path, {**small.to_dict(), "d_model": 48}, TwoTowerModel(small, seed=0).state_arrays())
+    container.write_checkpoint(path, {**asdict(small), "d_model": 48}.values(), TwoTowerModel(small, seed=0).state_arrays())
 
     def refuse(*args, **kwargs):
         raise AssertionError("the model was built")
 
     monkeypatch.setattr(TwoTowerModel, "__init__", refuse)
     with pytest.raises(FormatError, match="wide.ckpt"):
+        TwoTowerModel.load(path)
+
+
+@pytest.mark.parametrize("count", [6, 8], ids=["6 ints", "8 ints"])
+def test_load_refuses_a_config_record_of_another_field_count_before_building(tmp_path, monkeypatch, count):
+    path = str(tmp_path / "m.ckpt")
+    values = (astuple(SMALL) + (1,))[:count]
+    container.write_checkpoint(path, values, TwoTowerModel(SMALL, seed=0).state_arrays())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the model was built")
+
+    monkeypatch.setattr(TwoTowerModel, "__init__", refuse)
+    with pytest.raises(FormatError, match=rf"m\.ckpt: config record holds {count} ints, ModelConfig has 7 fields"):
         TwoTowerModel.load(path)
 
 

@@ -123,11 +123,15 @@ def test_reward_components_present():
 def test_reward_weights_renormalize():
     rng = SeededRng(4)
     cand = rng.normal((1, 32, SMALL.d_audio_latent))
-    [report] = _scored(cand, _cond(rng, video=False))
-    assert report.weights == pytest.approx({"semantic": 0.8, "smoothness": 0.2})
-    [bare] = _scored(cand, ConditionBundle())
+    text_only = reward_context(_cond(rng, video=False), 32, FRAME_RATE)
+    assert text_only.weights == pytest.approx({"semantic": 0.8, "smoothness": 0.2})
+    [report] = reward(cand, text_only)
+    weights = text_only.weights
+    assert report.aggregate == weights["semantic"] * report.components["semantic"] + weights["smoothness"] * report.components["smoothness"]
+    bare = reward_context(ConditionBundle(), 32, FRAME_RATE)
     assert bare.weights == {"smoothness": 1.0}
-    assert bare.aggregate == bare.components["smoothness"]
+    [report] = reward(cand, bare)
+    assert report.aggregate == report.components["smoothness"]
 
 
 def test_reward_smoothness_values():

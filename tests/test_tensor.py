@@ -23,7 +23,6 @@ from foleyflow.tensor import (
     elementwise,
     gated_residual,
     gather_rows,
-    repeat_rows,
     gelu,
     matmul,
     modulated_norm,
@@ -287,23 +286,6 @@ def test_attention_row_max_keeps_the_bits_of_the_old_expression(batch, t_q, t_k,
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def test_repeat_rows_values():
-    x = Tensor(_rand((3, 2, 4), 28))
-    assert np.array_equal(repeat_rows(x, [2, 0, 2, 2]).data, x.data[[2, 0, 2, 2]])
-    assert np.array_equal(repeat_rows(x, np.arange(6) % 3).data, np.concatenate([x.data] * 2))
-    for rows in ([], [3], [-1], [0.0, 1.0], [True, False], [0, True], ["1"]):
-        with pytest.raises(ContractError):
-            repeat_rows(x, rows)
-
-
-def test_repeat_rows_gradient_sums_the_copies():
-    x = _leaf((3, 2), 29)
-    w = Tensor(_rand((5, 2), 30))
-    backward(reduce_mean(repeat_rows(x, [1, 0, 1, 1, 0]) * w) * Tensor(10.0))
-    want = np.stack([w.data[1] + w.data[4], w.data[0] + w.data[2] + w.data[3], np.zeros(2)])
-    assert np.array_equal(x.grad, want)
-
-
 def test_gather_and_scatter_rows_values():
     x = Tensor(_rand((4, 2, 3), 26))
     picked = gather_rows(x, [3, 1])
@@ -313,13 +295,15 @@ def test_gather_and_scatter_rows_values():
     assert np.array_equal(placed.data[[0, 2]], x.data[[3, 1]])
     assert np.array_equal(placed.data[[1, 3]], base.data[[1, 3]])
     assert np.array_equal(base.data, _rand((4, 2, 3), 27))  # operands untouched
-    # rows are distinct integers in range; floats and bools are not rows
-    bad = ([], [1, 1], [4], [-1], [0.7, 2.2], [1.0, 2.0], [True, False], [1, True], np.array([True, False]), ["1", "2"])
+    # rows are integers in range, distinct for scatter_rows; floats and bools are not rows
+    bad = ([], [4], [-1], [0.7, 2.2], [1.0, 2.0], [True, False], [1, True], np.array([True, False]), ["1", "2"])
     for rows in bad:
         with pytest.raises(ContractError):
             gather_rows(x, rows)
         with pytest.raises(ContractError):
             scatter_rows(picked, rows, base)
+    with pytest.raises(ContractError, match="distinct"):
+        scatter_rows(picked, [1, 1], base)
     for rows in ((np.int64(3), np.int32(1)), np.array([3, 1], dtype=np.uint8)):
         assert np.array_equal(gather_rows(x, rows).data, picked.data)
         assert np.array_equal(scatter_rows(picked, rows, base).data[[3, 1]], picked.data)
@@ -327,6 +311,24 @@ def test_gather_and_scatter_rows_values():
         scatter_rows(picked, [0, 1, 2], base)  # row count
     with pytest.raises(ShapeError):
         scatter_rows(picked, [0, 1], Tensor(np.zeros((4, 2, 4))))  # trailing shape
+
+
+def test_repeat_rows_values():
+    # gather_rows may name an item more than once: it also repeats rows
+    x = Tensor(_rand((3, 2, 4), 28))
+    assert np.array_equal(gather_rows(x, [2, 0, 2, 2]).data, x.data[[2, 0, 2, 2]])
+    assert np.array_equal(gather_rows(x, np.arange(6) % 3).data, np.concatenate([x.data] * 2))
+    for rows in ([], [3], [-1], [0.0, 1.0], [True, False], [0, True], ["1"]):
+        with pytest.raises(ContractError):
+            gather_rows(x, rows)
+
+
+def test_gather_rows_gradient_sums_the_copies():
+    x = _leaf((3, 2), 29)
+    w = Tensor(_rand((5, 2), 30))
+    backward(reduce_mean(gather_rows(x, [1, 0, 1, 1, 0]) * w) * Tensor(10.0))
+    want = np.stack([w.data[1] + w.data[4], w.data[0] + w.data[2] + w.data[3], np.zeros(2)])
+    assert np.array_equal(x.grad, want)
 
 
 def test_add_broadcasts_row_vector():
@@ -651,12 +653,13 @@ def _rows_case(op):
     return case
 
 
-def _repeat_case(draw):
-    # rows may repeat, and some rows of x may go unread
+def _repeated_rows_case(draw):
+    # the first row comes again at the end, and some rows of x may go unread
     (n,), rest = _dims(draw, 1, 1, hi=4), _dims(draw, 0, 2)
     rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    rows.append(rows[0])
     t, w = _weighted(draw, (len(rows),) + rest, x=(n,) + rest)
-    return lambda: reduce_mean(repeat_rows(t["x"], rows) * w), t
+    return lambda: reduce_mean(gather_rows(t["x"], rows) * w), t
 
 
 def _mean_case(draw):
@@ -665,7 +668,8 @@ def _mean_case(draw):
     return lambda: reduce_mean(t["x"]), t
 
 
-# every op that records a tape node, and how to draw a loss through it
+# every op that records a tape node, and how to draw a loss through it;
+# a key's first word is the op
 _GRADIENT_CASES = {
     "add": _binary_case(add),
     "sub": _binary_case(sub),
@@ -679,7 +683,7 @@ _GRADIENT_CASES = {
     "gated_residual": lambda draw: _modulated_case(draw, gated_residual),
     "attention": _attention_case,
     "gather_rows": _rows_case(gather_rows),
-    "repeat_rows": _repeat_case,
+    "gather_rows repeated": _repeated_rows_case,
     "scatter_rows": _rows_case(scatter_rows),
     "reduce_mean": _mean_case,
 }
@@ -693,7 +697,7 @@ def test_gradient_cases_cover_every_tape_op():
         if isinstance(node, ast.FunctionDef)
         and any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "_from_op" for c in ast.walk(node))
     }
-    assert taping == set(_GRADIENT_CASES)
+    assert taping == {case.split()[0] for case in _GRADIENT_CASES}
 
 
 @pytest.mark.parametrize("op", sorted(_GRADIENT_CASES))
@@ -789,7 +793,7 @@ def _model_op_calls(rng):
         ("attention", (x, y, y), lambda q, k, v: attention(q, k, v, 2)),
         ("attention masked", (x, kv, kv), lambda q, k, v: attention(q, k, v, 3, keep)),
         ("gather_rows", (x,), lambda a: gather_rows(a, [2, 0])),
-        ("repeat_rows", (x,), lambda a: repeat_rows(a, [2, 0, 2])),
+        ("gather_rows repeated", (x,), lambda a: gather_rows(a, [2, 0, 2])),
         ("scatter_rows", (y[:2], x), lambda a, c: scatter_rows(a, [2, 0], c)),
         ("reduce_mean", (x,), reduce_mean),
     ]
