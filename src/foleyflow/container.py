@@ -11,7 +11,8 @@ mean is the model's to say. Payloads round-trip bit-exactly. Both
 readers raise FormatError on bad magic, any version but 3, a CRC
 mismatch, records that overrun the CRC or stop short of it, unknown
 dtype codes and undecodable or duplicate names; read_checkpoint also on
-a config record that is missing, not <i8 or not 1-D.
+a config record that is missing, not <i8 or not 1-D, and on any other
+record that is not <f8.
 
 A reader takes a latent file in one os.read, checks its CRC, and walks
 it with one precompiled struct unpack per field group, each checked
@@ -239,6 +240,9 @@ def read_checkpoint(path: str) -> tuple[tuple, dict]:
     config = arrays.pop(_CONFIG_RECORD, None)
     if config is None or config.dtype != np.int64 or config.ndim != 1:
         raise FormatError(f"{path}: no config record of int64 values")
+    for name, arr in arrays.items():
+        if arr.dtype != np.float64:
+            raise FormatError(f"{path}: parameter record {name!r} is not float64")
     return tuple(config.tolist()), arrays
 
 

@@ -22,7 +22,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -384,8 +384,8 @@ class PairDetail:
 class EvalReport:
     values: dict
     n_pairs: int
-    missing: tuple = ()
-    pairs: tuple = field(default=())
+    missing: tuple
+    pairs: tuple
 
 
 LATENT_EXTENSION = ".ysnd"
@@ -476,7 +476,8 @@ def evaluate_set(gen_dir: str, ref_dir: str, frame_rate: float) -> EvalReport:
 
     gen_seqs = [gen[cid] for cid in shared_ids]
     ref_seqs = [ref[cid] for cid in shared_ids]
-    check_frame_rate(frame_rate, max(len(s) for s in gen_seqs + ref_seqs))
+    # a rank-0 latent has no frames; _stacks refuses it as no provider input
+    check_frame_rate(frame_rate, max((len(s) for s in gen_seqs + ref_seqs if s.ndim), default=0))
 
     gen_stacks, ref_stacks = _stacks(gen_seqs), _stacks(ref_seqs)
     gen_fid, gen_dist, gen_scores, gen_shared = _embed_rows(gen_stacks, n)

@@ -120,22 +120,67 @@ def resample_video(video_feat, t_audio: int):
 
 
 class Linear:
-    """Affine map on the last axis; rows of the input are the batch.
-    The weight is N(0, _INIT_STD^2) from rng, or zero when rng is None."""
+    """Affine map on the last axis; rows of the input are the batch."""
 
-    def __init__(self, d_in: int, d_out: int, rng: SeededRng | None):
-        if rng is None:
-            w = np.zeros((d_in, d_out))
-        else:
-            w = rng.normal((d_in, d_out)) * _INIT_STD
-        self.w = Tensor(w, requires_grad=True)
-        self.b = Tensor(np.zeros(d_out), requires_grad=True)
+    def __init__(self, w: Tensor, b: Tensor):
+        self.w, self.b = w, b
 
     def __call__(self, x: Tensor) -> Tensor:
         return matmul(x, self.w, self.b)
 
-    def named(self, prefix: str) -> list:
-        return [(prefix + ".w", self.w), (prefix + ".b", self.b)]
+
+def _linear(params: dict, name: str) -> Linear:
+    return Linear(params[name + ".w"], params[name + ".b"])
+
+
+def _attention_tags(cross_attention: bool) -> tuple:
+    """A block's attention maps: self-attention, then any cross-attention."""
+    return ("wq", "wk", "wv", "wo") + (("cq", "ck", "cv", "co") if cross_attention else ())
+
+
+def _declare(cfg: ModelConfig):
+    """Yield every parameter of a cfg model as (name, shape, draw), in
+    registry order: the order of flat and of a checkpoint's records.
+
+    draw is None for a parameter that starts at zero. Drawn parameters
+    take N(0, _INIT_STD^2) values, sorted by draw, then registry order:
+    projections and time MLP, null text token, every audio block, every
+    video block. Shapes are tuples of Python ints and nothing is
+    allocated, so a reader can check a file against the declaration and
+    stop at its first mismatch, however large the config.
+    """
+    d = cfg.d_model
+
+    def affine(name: str, d_in: int, d_out: int, draw: int | None):
+        yield name + ".w", (d_in, d_out), draw
+        yield name + ".b", (d_out,), None
+
+    # positions start at zero so a fresh model is exactly the
+    # input-projection / output-projection composition
+    yield from affine("audio_in", cfg.d_audio_latent, d, 0)
+    yield "audio_pos", (cfg.t_audio, d), None
+    yield from affine("video_in", cfg.d_video_feat, d, 0)
+    yield "video_pos", (cfg.t_audio, d), None
+    yield from affine("text_proj", cfg.d_text, d, 0)
+    yield "null_text", (1, cfg.d_text), 1
+    yield from affine("out_proj", d, cfg.d_audio_latent, 0)
+    yield from affine("time_mlp1", d, d, 0)
+    yield from affine("time_mlp2", d, d, 0)
+    for i in range(cfg.n_layers):
+        # the audio tower attends to text tokens; the video tower does not
+        for tower, cross, draw in (("audio", True, 2), ("video", False, 3)):
+            prefix = f"layers.{i}.{tower}"
+            # shift, scale and gate of every sublayer, in sublayer order
+            yield from affine(prefix + ".adaln", d, (3 if cross else 2) * 3 * d, None)
+            for tag in _attention_tags(cross):
+                yield from affine(f"{prefix}.{tag}", d, d, draw)
+            yield from affine(prefix + ".fc1", d, 4 * d, draw)
+            yield from affine(prefix + ".fc2", 4 * d, d, draw)
+        # mixers start at zero, so video fades in as they train; the last
+        # layer's video stream is never read, so it has no mix_v
+        yield from affine(f"layers.{i}.mix_a", 2 * d, d, None)
+        if i < cfg.n_layers - 1:
+            yield from affine(f"layers.{i}.mix_v", 2 * d, d, None)
 
 
 def cross_modal_mix(y_a: Tensor, y_v: Tensor, mix_a: Linear, mix_v: Linear | None) -> tuple:
@@ -160,24 +205,11 @@ class Block:
     """adaLN-zero block: pre-norm self-attention, optional cross-attention
     over context tokens, then an MLP; every sublayer gated and residual."""
 
-    def __init__(self, cfg: ModelConfig, rng: SeededRng | None, cross_attention: bool):
-        d = cfg.d_model
-        self.n_heads = cfg.n_heads
+    def __init__(self, params: dict, prefix: str, n_heads: int, cross_attention: bool):
+        self.n_heads = n_heads
         self.cross_attention = cross_attention
-        n_sublayers = 3 if cross_attention else 2
-        # shift, scale and gate of every sublayer, in sublayer order
-        self.adaln = Linear(d, n_sublayers * 3 * d, None)
-        self.wq = Linear(d, d, rng)
-        self.wk = Linear(d, d, rng)
-        self.wv = Linear(d, d, rng)
-        self.wo = Linear(d, d, rng)
-        if cross_attention:
-            self.cq = Linear(d, d, rng)
-            self.ck = Linear(d, d, rng)
-            self.cv = Linear(d, d, rng)
-            self.co = Linear(d, d, rng)
-        self.fc1 = Linear(d, 4 * d, rng)
-        self.fc2 = Linear(4 * d, d, rng)
+        for tag in ("adaln",) + _attention_tags(cross_attention) + ("fc1", "fc2"):
+            setattr(self, tag, _linear(params, f"{prefix}.{tag}"))
 
     def __call__(self, x: Tensor, mod: Tensor, context_kv: tuple = (), context_mask=None) -> Tensor:
         """x: (B, T, d) stream; mod: the block's TimePath entry, shift,
@@ -204,13 +236,6 @@ class Block:
             mlp = 2
         y = modulated_norm(x, mod, mlp)
         return gated_residual(x, mod, mlp, self.fc2(gelu(self.fc1(y))))
-
-    def named(self, prefix: str) -> list:
-        cross = ("cq", "ck", "cv", "co") if self.cross_attention else ()
-        out = self.adaln.named(prefix + ".adaln")
-        for tag in ("wq", "wk", "wv", "wo") + cross + ("fc1", "fc2"):
-            out += getattr(self, tag).named(f"{prefix}.{tag}")
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,66 +293,44 @@ class TwoTowerModel:
     """Velocity predictor v(x_t, t, condition) over audio latent sequences.
 
     Every parameter's data is a view of one float64 vector, flat, in
-    registry order; slices[name] is its place there. Change parameters in
-    place: rebinding p.data cuts it off the vector, and training refuses
-    a model with such a parameter. seed None draws no random numbers and
-    leaves every parameter zero, for load_state to fill.
+    registry order (_declare); slices[name] is its place there. Change
+    parameters in place: rebinding p.data cuts it off the vector, and
+    training refuses a model with such a parameter.
     """
 
-    def __init__(self, config: ModelConfig, seed: int | None):
+    def __init__(self, config: ModelConfig, seed: int):
+        layout = list(_declare(config))
+        self._allocate(config, {name: shape for name, shape, _ in layout})
+        rng = SeededRng(derive_seed(seed, "model-init"))
+        # sorted is stable: registry order within each draw
+        for name, shape, _ in sorted((p for p in layout if p[2] is not None), key=lambda p: p[2]):
+            self._params[name].data[...] = rng.normal(shape) * _INIT_STD
+
+    def _allocate(self, config: ModelConfig, shapes: dict) -> None:
+        """Allocate flat, zero, for parameters of shapes (name -> shape, in
+        registry order), bind each to its view and build the layers."""
         self.config = config
         self.video_tower_invocations = 0
-        rng = None if seed is None else SeededRng(derive_seed(seed, "model-init"))
-        cfg = config
-        d = cfg.d_model
-
-        self.audio_in = Linear(cfg.d_audio_latent, d, rng)
-        self.video_in = Linear(cfg.d_video_feat, d, rng)
-        self.text_proj = Linear(cfg.d_text, d, rng)
-        self.out_proj = Linear(d, cfg.d_audio_latent, rng)
-        self.time_mlp1 = Linear(d, d, rng)
-        self.time_mlp2 = Linear(d, d, rng)
-        # positions start at zero so a fresh model is exactly the
-        # input-projection / output-projection composition
-        self.audio_pos = Tensor(np.zeros((cfg.t_audio, d)), requires_grad=True)
-        self.video_pos = Tensor(np.zeros((cfg.t_audio, d)), requires_grad=True)
-        null_text = np.zeros((1, cfg.d_text)) if rng is None else rng.normal((1, cfg.d_text)) * 0.02
-        self.null_text = Tensor(null_text, requires_grad=True)
-
-        # the audio tower attends to text tokens; the video tower does not
-        self.audio_blocks = [Block(cfg, rng, cross_attention=True) for _ in range(cfg.n_layers)]
-        self.video_blocks = [Block(cfg, rng, cross_attention=False) for _ in range(cfg.n_layers)]
-        # mixers start at zero, so video fades in as they train; the last layer's video stream is never read, so no mix_v
-        self.mix_a = [Linear(2 * d, d, None) for _ in range(cfg.n_layers)]
-        self.mix_v = [Linear(2 * d, d, None) for _ in range(cfg.n_layers - 1)]
-
-        named: list = []
-        named += self.audio_in.named("audio_in")
-        named.append(("audio_pos", self.audio_pos))
-        named += self.video_in.named("video_in")
-        named.append(("video_pos", self.video_pos))
-        named += self.text_proj.named("text_proj")
-        named.append(("null_text", self.null_text))
-        named += self.out_proj.named("out_proj")
-        named += self.time_mlp1.named("time_mlp1")
-        named += self.time_mlp2.named("time_mlp2")
-        for i in range(cfg.n_layers):
-            named += self.audio_blocks[i].named(f"layers.{i}.audio")
-            named += self.video_blocks[i].named(f"layers.{i}.video")
-            named += self.mix_a[i].named(f"layers.{i}.mix_a")
-            named += self.mix_v[i].named(f"layers.{i}.mix_v") if i < len(self.mix_v) else []
-        self._params = dict(named)
-        if len(self._params) != len(named):
-            raise ContractError("duplicate parameter names in model registry")
         # every parameter is a view of one vector, in registry order, so
         # the optimizer updates them all with whole-vector ops
-        self.flat = np.concatenate([p.data.reshape(-1) for _, p in named])
-        self.slices: dict = {}
+        self.flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
+        self.slices, params = {}, {}
         start = 0
-        for name, p in named:
-            at = self.slices[name] = slice(start, start + p.size)
-            p.data = self.flat[at].reshape(p.shape)
+        for name, shape in shapes.items():
+            at = self.slices[name] = slice(start, start + math.prod(shape))
+            p = params[name] = Tensor((), requires_grad=True)  # a Tensor copies its values; bind the view instead
+            p.data = self.flat[at].reshape(shape)
             start = at.stop
+        self._params = params
+        self.audio_in, self.video_in = _linear(params, "audio_in"), _linear(params, "video_in")
+        self.text_proj, self.out_proj = _linear(params, "text_proj"), _linear(params, "out_proj")
+        self.time_mlp1, self.time_mlp2 = _linear(params, "time_mlp1"), _linear(params, "time_mlp2")
+        self.audio_pos, self.video_pos, self.null_text = params["audio_pos"], params["video_pos"], params["null_text"]
+        layers, heads = range(config.n_layers), config.n_heads
+        self.audio_blocks = [Block(params, f"layers.{i}.audio", heads, cross_attention=True) for i in layers]
+        self.video_blocks = [Block(params, f"layers.{i}.video", heads, cross_attention=False) for i in layers]
+        self.mix_a = [_linear(params, f"layers.{i}.mix_a") for i in layers]
+        self.mix_v = [_linear(params, f"layers.{i}.mix_v") for i in layers[:-1]]
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -341,46 +344,42 @@ class TwoTowerModel:
     def state_arrays(self) -> dict:
         return {name: p.data.copy() for name, p in self._params.items()}
 
-    def load_state(self, arrays: dict) -> None:
-        """Copy every named array into its parameter's view of the vector.
-        All or nothing: names and shapes are checked before any copy."""
-        missing = sorted(set(self._params) - set(arrays))
-        extra = sorted(set(arrays) - set(self._params))
-        if missing or extra:
-            raise FormatError(f"parameter names do not match model: missing {missing}, unexpected {extra}")
-        checked = {}
-        for name, p in self._params.items():
-            arr = checked[name] = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != p.shape:
-                raise FormatError(f"parameter {name} has shape {arr.shape}, expected {p.shape}")
-        for name, p in self._params.items():
-            p.data[...] = checked[name]
-
     def save(self, path: str) -> None:
         container.write_checkpoint(path, astuple(self.config), self.state_arrays())
 
     @classmethod
     def load(cls, path: str) -> "TwoTowerModel":
         """Rebuild a saved model, whose config record holds ModelConfig's
-        fields in declaration order; a bad config record or non-finite
-        value is a FormatError raised before the model is built."""
+        fields in declaration order. Every record is checked against the
+        config's declaration, by name, shape and finiteness, before the
+        model is allocated; any mismatch is a FormatError. The declaration
+        stops at the first parameter the file lacks, so a config record
+        far larger than its records costs no more than the records do."""
         values, arrays = container.read_checkpoint(path)
         names = [f.name for f in fields(ModelConfig)]
         if len(values) != len(names):
             raise FormatError(f"{path}: config record holds {len(values)} ints, ModelConfig has {len(names)} fields")
-        config = dict(zip(names, values))
         try:
-            cfg = ModelConfig(**config)
+            cfg = ModelConfig(**dict(zip(names, values)))
         except ConfigError as exc:
             raise FormatError(f"{path}: bad config record: {exc}") from None
-        stored, needed = sum(arr.size for arr in arrays.values()), expected_param_count(cfg)
-        if stored != needed:
-            raise FormatError(f"{path}: config record {config} needs {needed} parameter values, records hold {stored}")
-        for name, arr in arrays.items():
+        shapes = {}
+        for name, shape, _ in _declare(cfg):
+            arr = arrays.get(name)
+            if arr is None:
+                raise FormatError(f"{path}: config record {values} needs a record {name!r}, the file has none")
+            if arr.shape != shape:
+                raise FormatError(f"{path}: record {name!r} has shape {arr.shape}, config record {values} needs {shape}")
             if not np.isfinite(arr).all():
                 raise FormatError(f"{path}: record {name!r} holds a non-finite value")
-        model = cls(cfg, seed=None)
-        model.load_state(arrays)
+            shapes[name] = shape
+        if len(shapes) != len(arrays):
+            extra = [name for name in arrays if name not in shapes]
+            raise FormatError(f"{path}: records {extra} are no parameters of config record {values}")
+        model = cls.__new__(cls)
+        model._allocate(cfg, shapes)
+        for name, p in model._params.items():
+            p.data[...] = arrays[name]
         return model
 
     # -- forward ------------------------------------------------------------
@@ -505,42 +504,3 @@ class TwoTowerModel:
 
     __call__ = forward
 
-
-def expected_param_count(cfg: ModelConfig) -> int:
-    """Closed-form parameter count for a config.
-
-    Composed from affine(i, o) = i*o + o:
-      projections: affine(a,d) + affine(v,d) + affine(x,d) + affine(d,a)
-      time MLP:    2 * affine(d,d)
-      positions:   2 * T*d, null text token: x
-      per layer:   audio block  affine(d,9d) + 8*affine(d,d)
-                               + affine(d,4d) + affine(4d,d)
-                   video block  affine(d,6d) + 4*affine(d,d)
-                               + affine(d,4d) + affine(4d,d)
-                   mixers       2 * affine(2d,d), less one in the last layer
-    """
-
-    def affine(i: int, o: int) -> int:
-        return i * o + o
-
-    d, a, v, x, T, L = (
-        cfg.d_model,
-        cfg.d_audio_latent,
-        cfg.d_video_feat,
-        cfg.d_text,
-        cfg.t_audio,
-        cfg.n_layers,
-    )
-    audio_block = affine(d, 9 * d) + 8 * affine(d, d) + affine(d, 4 * d) + affine(4 * d, d)
-    video_block = affine(d, 6 * d) + 4 * affine(d, d) + affine(d, 4 * d) + affine(4 * d, d)
-    mixer = affine(2 * d, d)
-    fixed = (
-        affine(a, d)
-        + affine(v, d)
-        + affine(x, d)
-        + affine(d, a)
-        + 2 * affine(d, d)
-        + 2 * T * d
-        + x
-    )
-    return fixed + L * (audio_block + video_block) + (2 * L - 1) * mixer

@@ -183,8 +183,12 @@ def test_criterion_1_gradients():
 def test_criterion_2_mixer():
     rng = SeededRng(1)
     d = 6
-    mix_a = Linear(2 * d, d, rng)
-    mix_v = Linear(2 * d, d, rng)
+
+    def mixer(w):  # a mixer of weight w and zero bias
+        return Linear(Tensor(w), Tensor(np.zeros(d)))
+
+    mix_a = mixer(rng.normal((2 * d, d)) * 0.02)
+    mix_v = mixer(rng.normal((2 * d, d)) * 0.02)
     y_a = Tensor(rng.normal((5, d)))
     y_v = Tensor(rng.normal((5, d)))
     out_a, out_v = cross_modal_mix(y_a, y_v, mix_a, mix_v)
@@ -195,8 +199,8 @@ def test_criterion_2_mixer():
     assert np.max(np.abs(out_v.data - want_v)) <= 1e-12
 
     # zero-init mixers are the identity on both streams
-    zero_a = Linear(2 * d, d, None)
-    zero_v = Linear(2 * d, d, None)
+    zero_a = mixer(np.zeros((2 * d, d)))
+    zero_v = mixer(np.zeros((2 * d, d)))
     id_a, id_v = cross_modal_mix(y_a, y_v, zero_a, zero_v)
     assert np.max(np.abs(id_a.data - y_a.data)) <= 1e-12
     assert np.max(np.abs(id_v.data - y_v.data)) <= 1e-12

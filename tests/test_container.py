@@ -166,6 +166,14 @@ def test_a_file_without_a_well_formed_config_record_is_not_a_checkpoint(tmp_path
         container.read_checkpoint(path)
 
 
+def test_a_checkpoint_parameter_record_of_another_dtype_is_refused_by_name(tmp_path):
+    # only the config record holds ints; an <i8 parameter would load as floats
+    path = str(tmp_path / "m.ckpt")
+    container._write(path, {"config": np.array(_config()), **_arrays(), "out_proj.b": np.arange(4, dtype=np.int64)})
+    with pytest.raises(FormatError, match=r"m\.ckpt: parameter record 'out_proj\.b' is not float64"):
+        container.read_checkpoint(path)
+
+
 def test_a_checkpoint_cannot_name_a_parameter_config(tmp_path):
     path = tmp_path / "m.ckpt"
     with pytest.raises(ContractError, match="'config'"):

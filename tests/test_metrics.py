@@ -568,7 +568,7 @@ def _oracle_evaluate(gen, ref, frame_rate):
     kept as the oracle of the stacked evaluation."""
     ids = sorted(set(gen) & set(ref))
     gen_seqs, ref_seqs = [gen[cid] for cid in ids], [ref[cid] for cid in ids]
-    metrics.check_frame_rate(frame_rate, max(len(s) for s in gen_seqs + ref_seqs))
+    metrics.check_frame_rate(frame_rate, max(s.shape[0] if s.ndim else 0 for s in gen_seqs + ref_seqs))
     embedders = (metrics.FIDELITY, metrics.DISTRIBUTION, metrics.CLASSIFIER, metrics.SHARED)
     sides = []
     for seqs in (gen_seqs, ref_seqs):
@@ -652,6 +652,7 @@ def test_evaluate_set_raises_for_the_first_bad_pair(tmp_path):
         "zero first": ({"clip1": np.zeros((24, 4)), "clip2": good["clip2"][:2]}, "cosine similarity undefined"),
         # the first latent that is no provider input, in pair order
         "bad shapes": ({"clip1": np.ones(5), "clip2": np.ones((2, 3, 4))}, r"got shape \(5,\)"),
+        "rank 0": ({"clip2": np.float64(3.0)}, r"non-empty 2-D sequence, got shape \(\)"),
     }
     for name, (changes, message) in cases.items():
         gen = {**good, **changes}

@@ -2,12 +2,16 @@
 
 import collections
 import hashlib
+import re
 import struct
 import sys
 from dataclasses import asdict, astuple, fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from foleyflow import container, flow, tensor
 from foleyflow.errors import ConfigError, ContractError, FormatError, ShapeError
@@ -17,7 +21,6 @@ from foleyflow.model import (
     ModelConfig,
     TwoTowerModel,
     cross_modal_mix,
-    expected_param_count,
     resample_video,
     timestep_features,
 )
@@ -39,6 +42,11 @@ def _forward(model, x: Tensor, times, conds) -> Tensor:
     prepares them: the conditioning first, then the time path."""
     conditioning = model.condition(conds)
     return model(x, model.time_path(times), conditioning)
+
+
+def _affine(w: np.ndarray) -> Linear:
+    """A Linear of weight w and zero bias, outside any model."""
+    return Linear(Tensor(w, requires_grad=True), Tensor(np.zeros(w.shape[1]), requires_grad=True))
 
 
 def _perturb(model, seed=0, scale=0.05):
@@ -145,8 +153,8 @@ def test_mixer_identity_with_zero_init():
     d = 8
     y_a = Tensor(rng.normal((5, d)))
     y_v = Tensor(rng.normal((5, d)))
-    mix_a = Linear(2 * d, d, None)
-    mix_v = Linear(2 * d, d, None)
+    mix_a = _affine(np.zeros((2 * d, d)))
+    mix_v = _affine(np.zeros((2 * d, d)))
     out_a, out_v = cross_modal_mix(y_a, y_v, mix_a, mix_v)
     assert np.abs(out_a.data - y_a.data).max() <= 1e-12
     assert np.abs(out_v.data - y_v.data).max() <= 1e-12
@@ -157,8 +165,8 @@ def test_mixer_mixes_once_trained():
     d = 4
     y_a = Tensor(rng.normal((3, d)))
     y_v = Tensor(rng.normal((3, d)))
-    mix_a = Linear(2 * d, d, rng)
-    mix_v = Linear(2 * d, d, rng)
+    mix_a = _affine(rng.normal((2 * d, d)) * 0.02)
+    mix_v = _affine(rng.normal((2 * d, d)) * 0.02)
     out_a, out_v = cross_modal_mix(y_a, y_v, mix_a, mix_v)
     assert not np.allclose(out_a.data, y_a.data)
     assert not np.allclose(out_v.data, y_v.data)
@@ -223,15 +231,6 @@ def test_construction_is_deterministic():
     assert any(
         not np.array_equal(p.data, c.parameters()[name].data) for name, p in a.parameters().items()
     )
-
-
-def test_param_count_matches_closed_form():
-    for cfg in (
-        SMALL,
-        ModelConfig(),
-        ModelConfig(d_model=16, n_layers=3, n_heads=2, d_audio_latent=8, d_video_feat=12, d_text=10, t_audio=20),
-    ):
-        assert TwoTowerModel(cfg, seed=0).flat.size == expected_param_count(cfg)
 
 
 def test_video_tower_bypassed_without_video():
@@ -607,49 +606,156 @@ def test_save_load_roundtrip_forward_identical(tmp_path):
     assert np.array_equal(a.data, b.data)
 
 
-def test_load_state_rejects_name_mismatch():
-    model = TwoTowerModel(SMALL, seed=0)
-    state = model.state_arrays()
+def _closed_form_param_count(cfg: ModelConfig) -> int:
+    """The parameter count worked out by hand, as a check on _declare:
+    projections, time MLP, positions and null text token, then per layer
+    an audio block (9d adaLN, 8 attention maps), a video block (6d adaLN,
+    4 attention maps), and 2L - 1 mixers in all."""
+
+    def affine(i: int, o: int) -> int:
+        return i * o + o
+
+    d, a, v, x, T, L = cfg.d_model, cfg.d_audio_latent, cfg.d_video_feat, cfg.d_text, cfg.t_audio, cfg.n_layers
+    audio_block = affine(d, 9 * d) + 8 * affine(d, d) + affine(d, 4 * d) + affine(4 * d, d)
+    video_block = affine(d, 6 * d) + 4 * affine(d, d) + affine(d, 4 * d) + affine(4 * d, d)
+    fixed = affine(a, d) + affine(v, d) + affine(x, d) + affine(d, a) + 2 * affine(d, d) + 2 * T * d + x
+    return fixed + L * (audio_block + video_block) + (2 * L - 1) * affine(2 * d, d)
+
+
+def test_param_count_matches_closed_form():
+    for cfg in (
+        SMALL,
+        ModelConfig(),
+        ModelConfig(d_model=16, n_layers=3, n_heads=2, d_audio_latent=8, d_video_feat=12, d_text=10, t_audio=20),
+    ):
+        assert TwoTowerModel(cfg, seed=0).flat.size == _closed_form_param_count(cfg)
+
+
+def _saved(tmp_path, state: dict, name: str = "m.ckpt") -> str:
+    path = str(tmp_path / name)
+    container.write_checkpoint(path, astuple(SMALL), state)
+    return path
+
+
+def test_load_state_rejects_name_mismatch(tmp_path):
+    state = TwoTowerModel(SMALL, seed=0).state_arrays()
     state["bogus"] = np.zeros(3)
     with pytest.raises(FormatError, match="bogus"):
-        model.load_state(state)
-    state = model.state_arrays()
+        TwoTowerModel.load(_saved(tmp_path, state, "extra.ckpt"))
+    state = TwoTowerModel(SMALL, seed=0).state_arrays()
     del state["out_proj.w"]
     with pytest.raises(FormatError, match="out_proj.w"):
-        model.load_state(state)
+        TwoTowerModel.load(_saved(tmp_path, state, "missing.ckpt"))
 
 
-def test_load_state_rejects_shape_mismatch():
-    model = TwoTowerModel(SMALL, seed=0)
-    state = model.state_arrays()
+def test_load_state_rejects_shape_mismatch(tmp_path):
+    state = TwoTowerModel(SMALL, seed=0).state_arrays()
     state["out_proj.b"] = np.zeros(SMALL.d_audio_latent + 1)
     with pytest.raises(FormatError, match="shape"):
-        model.load_state(state)
+        TwoTowerModel.load(_saved(tmp_path, state))
 
 
-def test_load_state_is_all_or_nothing():
-    # every record but the last is valid and different, so a load that
-    # copied as it checked would have overwritten them before raising
-    model = TwoTowerModel(SMALL, seed=0)
-    before = model.state_arrays()
+def test_load_state_is_all_or_nothing(tmp_path, monkeypatch):
+    # every record but the last is valid, so a load that allocated and
+    # copied as it checked would have built a model before raising
     state = TwoTowerModel(SMALL, seed=1).state_arrays()
     last = list(state)[-1]
     state[last] = np.zeros(state[last].size + 1)
-    with pytest.raises(FormatError, match=last):
-        model.load_state(state)
-    after = model.state_arrays()
-    assert all(np.array_equal(before[k], after[k]) for k in before)
+    path = _saved(tmp_path, state)
+    monkeypatch.setattr(TwoTowerModel, "_allocate", _refuse_allocation)
+    with pytest.raises(FormatError, match=re.escape(last)):
+        TwoTowerModel.load(path)
 
 
-def test_load_state_copies_into_the_vector():
-    model = TwoTowerModel(SMALL, seed=0)
-    views = {name: p.data for name, p in model.parameters().items()}
+def test_load_state_copies_into_the_vector(tmp_path):
     state = TwoTowerModel(SMALL, seed=1).state_arrays()
-    model.load_state(state)
-    assert model.flat.size == expected_param_count(SMALL)
+    model = TwoTowerModel.load(_saved(tmp_path, state))
+    assert model.flat.size == _closed_form_param_count(SMALL)
     for name, p in model.parameters().items():
-        assert p.data is views[name] and p.data.base is model.flat
+        assert p.data.base is model.flat
         assert np.array_equal(model.flat[model.slices[name]], state[name].reshape(-1))
+
+
+def _refuse(what: str):
+    def refuse(*args, **kwargs):
+        raise AssertionError(what)
+
+    return refuse
+
+
+_refuse_allocation = _refuse("parameter memory was allocated")
+
+
+def _tiny_config(heads: int, width: int, layers: int, a: int, v: int, x: int, t: int) -> ModelConfig:
+    return ModelConfig(d_model=heads * width, n_layers=layers, n_heads=heads, d_audio_latent=a, d_video_feat=v, d_text=x, t_audio=t)
+
+
+_TINY = st.builds(_tiny_config, *[st.integers(1, 3)] * 7)
+_DAMAGE = ("none", "drop", "extra", "reshape", "non-finite", "config")
+_FIELDS = tuple(f.name for f in fields(ModelConfig))
+
+
+def _every_field_at_the_limit(test):
+    for field in range(len(_FIELDS)):
+        test = example(cfg=SMALL, pick=field, value=2**62)(test)
+    return test
+
+
+def _damaged(cfg: ModelConfig, state: dict, damage: str, pick: int, value: int) -> tuple:
+    """(config ints, records, the record named in the error or None, whether the file is valid)."""
+    state = {name: arr.copy() for name, arr in state.items()}
+    names = list(state)
+    name, values = names[pick % len(names)], astuple(cfg)
+    if damage == "drop":
+        del state[name]
+    elif damage == "extra":
+        name = f"layers.{cfg.n_layers - 1}.mix_v.b"  # the dead mixer older checkpoints carried
+        state[name] = np.zeros(cfg.d_model)
+    elif damage == "reshape":
+        state[name] = state[name][None]
+    elif damage == "non-finite":
+        state[name].reshape(-1)[pick % state[name].size] = (np.nan, np.inf, -np.inf)[pick % 3]
+    elif damage == "config":
+        field = pick % len(_FIELDS)
+        values = values[:field] + (max(value, values[field] + 1),) + values[field + 1 :]
+        # n_heads shapes no parameter: a raised head count that divides d_model is a valid config
+        return values, state, None, _FIELDS[field] == "n_heads" and cfg.d_model % values[field] == 0
+    return values, state, name, damage == "none"
+
+
+@settings(max_examples=20, deadline=None)
+@_every_field_at_the_limit
+@given(cfg=_TINY, pick=st.integers(0, 2**16), value=st.integers(1, 2**62))
+def test_load_checks_every_record_against_the_declaration_before_it_allocates(tmp_path_factory, cfg, pick, value):
+    # a damaged file is a FormatError that names the path, and the record
+    # where there is one, raised before any parameter memory exists; an
+    # intact file loads into flat with the saved bits and draws nothing
+    saved = TwoTowerModel(cfg, seed=pick).state_arrays()
+    root = tmp_path_factory.mktemp("load")
+    allocations = []
+    real_allocate = TwoTowerModel._allocate
+
+    def watched(self, *args):
+        allocations.append(args)
+        real_allocate(self, *args)
+
+    for damage in _DAMAGE:
+        values, state, name, valid = _damaged(cfg, saved, damage, pick, value)
+        path = str(root / f"{damage}.ckpt")
+        container.write_checkpoint(path, values, state)
+        allocations.clear()
+        with mock.patch.object(TwoTowerModel, "_allocate", watched):
+            if not valid:
+                with pytest.raises(FormatError, match=re.escape(path) + (f".*{re.escape(repr(name))}" if name else "")):
+                    TwoTowerModel.load(path)
+                assert allocations == [], damage
+                continue
+            with mock.patch.object(SeededRng, "normal", _refuse("load drew random numbers")):
+                loaded = TwoTowerModel.load(path)
+        assert len(allocations) == 1 and loaded.config == ModelConfig(*values)
+        assert list(loaded.parameters()) == list(saved)
+        for key, p in loaded.parameters().items():
+            assert p.data.base is loaded.flat and p.data.tobytes() == state[key].tobytes(), key
 
 
 @pytest.mark.parametrize("version", [0, 1, 2])
@@ -670,10 +776,7 @@ def test_load_refuses_a_non_finite_parameter_by_name_before_copying(tmp_path, mo
     path = str(tmp_path / "m.ckpt")
     container.write_checkpoint(path, astuple(SMALL), state)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("load_state was called")
-
-    monkeypatch.setattr(TwoTowerModel, "load_state", refuse)
+    monkeypatch.setattr(TwoTowerModel, "_allocate", _refuse_allocation)
     with pytest.raises(FormatError, match=r"m\.ckpt: record 'layers\.0\.audio\.fc1\.w' holds a non-finite value"):
         TwoTowerModel.load(path)
 
@@ -690,10 +793,7 @@ def test_load_rejects_a_config_block_wider_than_its_records_before_building(tmp_
     path = str(tmp_path / "wide.ckpt")
     container.write_checkpoint(path, {**asdict(small), "d_model": 48}.values(), TwoTowerModel(small, seed=0).state_arrays())
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the model was built")
-
-    monkeypatch.setattr(TwoTowerModel, "__init__", refuse)
+    monkeypatch.setattr(TwoTowerModel, "_allocate", _refuse_allocation)
     with pytest.raises(FormatError, match="wide.ckpt"):
         TwoTowerModel.load(path)
 
@@ -704,10 +804,7 @@ def test_load_refuses_a_config_record_of_another_field_count_before_building(tmp
     values = (astuple(SMALL) + (1,))[:count]
     container.write_checkpoint(path, values, TwoTowerModel(SMALL, seed=0).state_arrays())
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the model was built")
-
-    monkeypatch.setattr(TwoTowerModel, "__init__", refuse)
+    monkeypatch.setattr(TwoTowerModel, "_allocate", _refuse_allocation)
     with pytest.raises(FormatError, match=rf"m\.ckpt: config record holds {count} ints, ModelConfig has 7 fields"):
         TwoTowerModel.load(path)
 
