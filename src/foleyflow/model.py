@@ -250,11 +250,12 @@ class Conditioning:
     (m, t_audio, d) once per distinct bundle object among them, and
     video_rows gives each video item's row of video_h; video_h is None
     when no item carries video. m < len(video) when items share a bundle
-    object, as a sampler's conditional items do. Computed taped,
-    its tensors stay on the tape, so a backward through one forward leaves
-    gradients on them: differentiate each forward through a fresh
-    Conditioning. The sampler's is computed under tensor.no_tape and
-    carries no tape.
+    object, as a sampler's conditional items do. Computed taped, its
+    tensors are part of the first backward's graph, which releases them:
+    a backward through a second forward on the same Conditioning raises
+    ContractError, so differentiate each forward through a fresh one.
+    Forwards that are never differentiated may share one; the sampler's
+    is computed under tensor.no_tape and carries no tape.
     """
 
     text_kv: tuple
@@ -271,9 +272,11 @@ class TimePath:
     audio[i] is audio block i's (m, 1, 9d) modulation and video[i] video
     block i's (m, 1, 6d). A forward applies a path of one row per item
     row by row, and a path of one row to every item. Built taped, a path
-    stays on the tape whole, for a backward to the time MLP and the adaLN
-    weights. path[k], the path at time k alone (m = 1), is cut from the
-    tape: a forward on it is for sampling and passes them no gradient.
+    stays on the tape whole, for one backward to the time MLP and the
+    adaLN weights; that backward releases it, and a backward through a
+    second forward on the same path raises ContractError. path[k], the
+    path at time k alone (m = 1), is cut from the tape: a forward on it
+    is for sampling and passes them no gradient.
     """
 
     audio: tuple

@@ -2,11 +2,14 @@
 
 The engine is deliberately small: exactly the ops a two-tower transformer
 needs, all in float64 so numerical tolerances stay tight. Graphs are
-dynamic and single-use; an op never mutates its operands' buffers.
-A forward rule writes its intermediates into fresh buffers of its own,
-with in-place ufuncs (out=, *=, +=), in the operation order of the
-formula it implements, so its output has that formula's bits; it never
-changes an array that its backward closure reads.
+dynamic and single-use: backward releases a graph as its sweep passes
+it, so a forward's buffers go as soon as the last gradient rule that
+reads them has run, and afterwards only the leaves hold gradients.
+An op never mutates its operands' buffers.
+A rule, forward or backward, writes its intermediates into fresh buffers
+of its own, with in-place ufuncs (out=, *=, +=), in the operation order
+of the formula it implements, so its output has that formula's bits; a
+forward rule never changes an array that its backward closure reads.
 Activations carry a leading batch axis, (B, T, d): matmul folds the
 leading axes into rows and takes an optional bias, attention is one
 fused multi-head op, modulated_norm / gated_residual are the two halves
@@ -299,13 +302,19 @@ def modulated_norm(x: Tensor, mod: Tensor, i: int) -> Tensor:
     scale1 = mod.data[..., scale_at] + 1.0
 
     def bw(g):
-        dxhat = g * scale1
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
-        return dx, _chunk_grad(mod, (shift_at, g), (scale_at, g * xhat))
+        # dx = inv (dxhat - mean(dxhat) - xhat mean(dxhat xhat)), in two buffers
+        dxhat = g * scale1  # becomes dx
+        term = dxhat * xhat  # dxhat xhat, then xhat mean(dxhat xhat), then g xhat
+        mean_dxhat = np.add.reduce(dxhat, axis=-1, keepdims=True)
+        mean_dxhat /= d
+        mean_term = np.add.reduce(term, axis=-1, keepdims=True)
+        mean_term /= d
+        dxhat -= mean_dxhat
+        np.multiply(xhat, mean_term, out=term)
+        dxhat -= term
+        dxhat *= inv
+        np.multiply(g, xhat, out=term)
+        return dxhat, _chunk_grad(mod, (shift_at, g), (scale_at, term))
 
     np.multiply(xhat, scale1, out=out)
     out += mod.data[..., shift_at]
@@ -354,9 +363,23 @@ def gelu(x: Tensor) -> Tensor:
     np.tanh(t, out=t)
 
     def bw(g):
-        dinner = _GELU_C * (1.0 + 3.0 * 0.044715 * v * v)
-        local = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * dinner
-        return (g * local,)
+        # g * (0.5 (1 + t) + 0.5 v (1 - t t) dinner), dinner being
+        # _GELU_C (1 + 3 0.044715 v v), in three buffers of g's shape
+        # (a 0-d v has a 1-D output)
+        dinner = np.multiply(v, 3.0 * 0.044715, out=np.empty(g.shape))
+        dinner *= v
+        dinner += 1.0
+        dinner *= _GELU_C
+        one_minus_t2 = np.multiply(t, t, out=np.empty(g.shape))
+        np.subtract(1.0, one_minus_t2, out=one_minus_t2)
+        local = np.multiply(v, 0.5, out=np.empty(g.shape))
+        local *= one_minus_t2
+        local *= dinner
+        np.add(t, 1.0, out=one_minus_t2)  # now 1 + t
+        one_minus_t2 *= 0.5
+        local += one_minus_t2
+        local *= g
+        return (local,)
 
     out = 0.5 * v
     out *= 1.0 + t
@@ -492,6 +515,8 @@ class ComputationTape:
 
     @classmethod
     def trace(cls, root: Tensor) -> "ComputationTape":
+        """The nodes reaching root, parents first; a node that an earlier
+        backward swept is a ContractError, since its graph is gone."""
         order: list = []
         seen: set = set()
         stack = [(root, False)]
@@ -502,6 +527,11 @@ class ComputationTape:
                 continue
             if id(node) in seen:
                 continue
+            if node._done:
+                raise ContractError(
+                    "backward reached a tensor whose graph an earlier backward released; "
+                    "rebuild the graph, e.g. a fresh model.condition, to differentiate again"
+                )
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -514,24 +544,29 @@ def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into .grad for every reachable leaf.
 
     loss must be a single-element tensor attached to a non-empty graph.
-    A graph is single-use: a second backward through the same loss raises.
-    A node's first gradient is stored as its op's backward returned it,
-    which may be a view shared with another node; a later one is added
-    out of place. So a .grad is read-only: never change one in place.
+    The sweep releases the graph as it passes it: once a node's rule has
+    run, the node drops its .grad, its rule and its parent links and is
+    marked swept, so a forward buffer is free as soon as the last rule
+    that reads it has run. Afterwards only the leaves (tensors with no
+    recorded op, such as parameters) hold a .grad, and the loss its
+    .data. So a graph is single-use: a backward that reaches a swept
+    node, through the same loss or through a tensor a new forward reused,
+    raises before it changes any gradient.
+    A leaf's first gradient is stored as its op's backward returned it,
+    which may be a view shared with another tensor; a later one is added
+    out of place. So a leaf's .grad is read-only: never change one in place.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if not loss.requires_grad or loss._backward is None:
+    nodes = ComputationTape.trace(loss).nodes
+    if loss._backward is None:
         raise ContractError("backward called on a tensor with no recorded ops")
-    if loss._done:
-        raise ContractError("backward already ran for this graph; rebuild it to differentiate again")
-    tape = ComputationTape.trace(loss)
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape.nodes):
+    while nodes:
+        node = nodes.pop()
         if node._backward is None:
-            continue
-        grads = node._backward(node.grad)
-        for parent, g in zip(node._parents, grads):
+            continue  # a leaf keeps its gradient
+        for parent, g in zip(node._parents, node._backward(node.grad)):
             if g is None or not parent.requires_grad:
                 continue
             if parent.grad is None:
@@ -539,4 +574,6 @@ def backward(loss: Tensor) -> None:
             else:
                 # out of place: add's backward hands both parents views of one array
                 parent.grad = parent.grad + g
-    loss._done = True
+        node.grad = node._backward = None
+        node._parents = ()
+        node._done = True

@@ -1,5 +1,7 @@
 """Flow matching: path algebra, sway grid, guidance blending, Euler sampling."""
 
+import gc
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -22,7 +24,7 @@ from foleyflow.flow import (
 )
 from foleyflow.model import ConditionBundle, ModelConfig, TwoTowerModel
 from foleyflow.rng import SeededRng
-from foleyflow.tensor import Tensor
+from foleyflow.tensor import Tensor, backward
 
 STUB_CFG = ModelConfig(d_model=8, n_layers=1, n_heads=2, d_audio_latent=3, d_text=4, d_video_feat=4, t_audio=6)
 
@@ -211,6 +213,42 @@ def test_cfm_loss_rng_order_x0_then_t():
     twin = SeededRng(3)
     x0 = twin.normal((2, 2))
     assert abs(loss - np.mean((x1 - x0) ** 2)) <= 1e-12
+
+
+def test_a_training_step_frees_its_graph_as_backward_sweeps_it():
+    # the default model, a batch of 8 text+video items, as in stage 3; the
+    # byte counts repeat exactly from run to run
+    cfg = ModelConfig()
+    model = TwoTowerModel(cfg, seed=0)
+    rng = SeededRng(0)
+    batch = [
+        (
+            rng.normal((cfg.t_audio, cfg.d_audio_latent)),
+            ConditionBundle(text_emb=rng.normal((2, cfg.d_text)), video_feat=rng.normal((cfg.t_audio, cfg.d_video_feat))),
+        )
+        for _ in range(8)
+    ]
+    backward(cfm_loss(model, batch, SeededRng(1)))  # first-call allocations
+    model.zero_grad()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = cfm_loss(model, batch, SeededRng(2))
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        backward(loss)
+        after, peak = (n - base for n in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    grad_bytes = sum(p.grad.nbytes for p in model.parameters().values() if p.grad is not None)
+    # the forward holds 9.8 MB. After backward, 0.82 MB of parameter
+    # gradients and 41 kB of their array objects remain; a backward that
+    # kept the graph kept 17.1 MB
+    assert after <= grad_bytes + 64 * 1024
+    # the sweep frees each activation once its last reader has run, so its
+    # peak read 1.06 times the forward's bytes; kept whole, 1.77 times
+    assert peak <= 1.25 * held
 
 
 def test_cfm_loss_rejects_items_of_different_shapes():

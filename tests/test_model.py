@@ -381,6 +381,35 @@ def test_gradients_reach_both_towers():
         assert np.any(params[name].grad != 0.0), name
 
 
+def test_a_conditioning_takes_one_backward_and_a_fresh_one_takes_the_next():
+    # a second backward through one Conditioning's tensors would add the
+    # first backward's gradient on them into text_proj's again
+    model = TwoTowerModel(SMALL, seed=0)
+    _perturb(model)
+    rng = SeededRng(15)
+    conds = [_cond(SMALL, rng), _cond(SMALL, rng, video=False)]
+    x = Tensor(rng.normal((2, SMALL.t_audio, SMALL.d_audio_latent)))
+
+    def loss(conditioning):
+        out = model(x, model.time_path([0.3, 0.8]), conditioning)
+        return reduce_mean(out * out)
+
+    conditioning = model.condition(conds)
+    backward(loss(conditioning))
+    want = {name: p.grad.copy() for name, p in model.parameters().items() if p.grad is not None}
+    assert np.any(want["text_proj.w"] != 0.0)
+    model.zero_grad()
+    reused = loss(conditioning)
+    with pytest.raises(ContractError, match="fresh model.condition"):
+        backward(reused)
+    assert all(p.grad is None for p in model.parameters().values())  # refused before any sweep
+    backward(loss(model.condition(conds)))
+    got = {name: p.grad for name, p in model.parameters().items() if p.grad is not None}
+    assert got.keys() == want.keys()
+    for name, grad in want.items():
+        assert np.array_equal(got[name], grad), name
+
+
 def _mixed_conds(rng, n, cfg=SMALL):
     """n bundles cycling through text+video, unconditional, video-only and
     text + an extra token, with token and frame counts that differ."""

@@ -286,6 +286,72 @@ def test_attention_row_max_keeps_the_bits_of_the_old_expression(batch, t_q, t_k,
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+# Reference backward formulas of gelu and modulated_norm as plain numpy
+# expressions, each temporary a fresh array; the rules' in-place rewrites
+# must reproduce their bits exactly, signed zeros included.
+
+
+def _gelu_backward_expression(v, g):
+    t = np.tanh(math.sqrt(2.0 / math.pi) * (v + 0.044715 * (v * v * v)))
+    dinner = math.sqrt(2.0 / math.pi) * (1.0 + 3.0 * 0.044715 * v * v)
+    local = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * dinner
+    return g * local
+
+
+def _modulated_norm_backward_expression(x, mod, i, g):
+    d = x.shape[-1]
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-5)
+    xhat = centered * inv
+    shift_at, scale_at = slice(3 * i * d, (3 * i + 1) * d), slice((3 * i + 1) * d, (3 * i + 2) * d)
+    dxhat = g * (mod[..., scale_at] + 1.0)
+    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    axes = tuple(a for a, n in enumerate(mod.shape[:-1]) if n == 1 and x.shape[a] != 1)
+    dmod = np.zeros(mod.shape)
+    # a sum over no axes would turn -0.0 into +0.0
+    dmod[..., shift_at] = g.sum(axis=axes, keepdims=True) if axes else g
+    dmod[..., scale_at] = (g * xhat).sum(axis=axes, keepdims=True) if axes else g * xhat
+    return dx, dmod
+
+
+def _same_bits(got, want) -> bool:
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 5), min_size=0, max_size=3).map(tuple),
+    scale=st.sampled_from([1e-3, 1e-1, 1.0, 10.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gelu_backward_keeps_the_bits_of_its_expression(shape, scale, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=shape) * scale
+    out = gelu(Tensor(v, requires_grad=True))
+    g = rng.normal(size=out.shape) * scale
+    (got,) = out._backward(g)
+    assert _same_bits(got, _gelu_backward_expression(v, g).reshape(out.shape))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x_shape=st.lists(st.integers(1, 5), min_size=2, max_size=3).map(tuple),
+    shared=st.lists(st.booleans(), min_size=2, max_size=2),
+    i=st.integers(0, 2),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_modulated_norm_backward_keeps_the_bits_of_its_expression(x_shape, shared, i, scale, seed):
+    rng = np.random.default_rng(seed)
+    mod_shape = tuple(1 if s else n for s, n in zip(shared, x_shape[:-1])) + (9 * x_shape[-1],)
+    x, g = rng.normal(size=(2,) + x_shape) * scale
+    x[(0,) * (len(x_shape) - 1)] = 3.0  # a zero-variance row
+    mod = rng.normal(size=mod_shape)
+    out = modulated_norm(Tensor(x, requires_grad=True), Tensor(mod, requires_grad=True), i)
+    for got, want in zip(out._backward(g), _modulated_norm_backward_expression(x, mod, i, g)):
+        assert _same_bits(got, want)
+
+
 def test_gather_and_scatter_rows_values():
     x = Tensor(_rand((4, 2, 3), 26))
     picked = gather_rows(x, [3, 1])
