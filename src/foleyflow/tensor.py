@@ -435,8 +435,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, key_mask=None) -> T
     def bw(g):
         gh = heads(g)
         dv = probs.transpose(0, 1, 3, 2) @ gh
-        dp = gh @ vh.transpose(0, 1, 3, 2)
-        ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True)) * scale
+        ds = gh @ vh.transpose(0, 1, 3, 2)  # dp, the gradient of probs
+        # ds = probs * (dp - (dp * probs).sum(-1)) * scale, built in dp's
+        # buffer in that order; dp * probs is its one full-size temporary
+        ds -= (ds * probs).sum(axis=-1, keepdims=True)
+        np.multiply(probs, ds, out=ds)
+        ds *= scale
         return merge(ds @ kh), merge(ds.transpose(0, 1, 3, 2) @ qh), merge(dv)
 
     return _from_op(merge(probs @ vh), (q, k, v), bw)

@@ -201,30 +201,50 @@ def clip_grad_norm(grads: FlatGrads, max_norm: float) -> tuple[FlatGrads, float]
     max_norm, an OptimizerConfig's positive grad_clip_norm.
 
     Returns the gradients and the pre-clip norm, the sum of each
-    parameter's sum of squares taken in registry order.
+    parameter's sum of squares taken in registry order. When that sum
+    overflows but every gradient is finite, the norm is taken of the
+    gradients over their largest magnitude instead, and they are clipped
+    along their direction; the pre-clip norm is then inf only when the
+    true norm exceeds the float range.
     """
     total = 0.0
     for _, at in grads.spans:
         g = grads.flat[at]
         total += float((g * g).sum())
     norm = float(np.sqrt(total))
-    if norm > max_norm:
+    runs = _runs(grads.spans)
+    if not math.isfinite(total) and all(np.isfinite(grads.flat[at]).all() for at in runs):
+        # the squares overflowed: the gradients over their largest
+        # magnitude have a norm in [1, sqrt(size)]
+        peak = max(float(np.abs(grads.flat[at]).max()) for at in runs)
+        unit = math.sqrt(sum(float(np.square(grads.flat[at] / peak).sum()) for at in runs))
+        norm = peak * unit
+        if norm > max_norm:
+            for at in runs:
+                grads.flat[at] /= peak
+                grads.flat[at] *= max_norm / unit
+    elif norm > max_norm:
         scale = max_norm / norm
-        for at in _runs(grads.spans):
+        for at in runs:
             grads.flat[at] *= scale
     return grads, norm
+
+
+# values per block of adam_step's update
+ADAM_BLOCK = 8192
 
 
 class AdamState:
     """The step count and Adam's moments m and v, laid out like the
     parameter vector; a parameter's slots stay zero until its first
-    update. work holds two scratch vectors of the same size."""
+    update. work holds two scratch vectors of one block, ADAM_BLOCK
+    values, whatever the model's size."""
 
     def __init__(self, size: int):
         self.step = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
-        self.work = (np.empty(size), np.empty(size))
+        self.work = (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK))
 
 
 def adam_step(params: np.ndarray, grads: FlatGrads, opt_cfg: OptimizerConfig, state: AdamState) -> None:
@@ -234,6 +254,10 @@ def adam_step(params: np.ndarray, grads: FlatGrads, opt_cfg: OptimizerConfig, st
     and v alike. All or nothing: the gradients are checked before any
     parameter, moment or the step count changes, so a DivergenceError
     leaves them as they were; it names the first non-finite parameter.
+    The update then walks each run of adjacent parameters a block of
+    ADAM_BLOCK values at a time. Every value goes through the same
+    operations in the same order whatever the block size, so the blocks
+    change no bits.
     """
     t = state.step + 1
     g, runs = grads.flat, _runs(grads.spans)
@@ -244,10 +268,12 @@ def adam_step(params: np.ndarray, grads: FlatGrads, opt_cfg: OptimizerConfig, st
     b1, b2 = ADAM_BETAS
     c1, c2 = 1.0 - b1**t, 1.0 - b2**t
     # lr * (m / c1) / (sqrt(v / c2) + eps) in this order, which the bits
-    # depend on, computed in the two scratch vectors
+    # depend on, computed in the two scratch blocks
     work1, work2 = state.work
-    for at in runs:
-        gr, m, v, w1, w2 = g[at], state.m[at], state.v[at], work1[at], work2[at]
+    blocks = (slice(i, min(i + ADAM_BLOCK, run.stop)) for run in runs for i in range(run.start, run.stop, ADAM_BLOCK))
+    for at in blocks:
+        n = at.stop - at.start
+        gr, m, v, w1, w2 = g[at], state.m[at], state.v[at], work1[:n], work2[:n]
         m *= b1
         m += np.multiply(gr, 1.0 - b1, out=w1)
         v *= b2

@@ -166,22 +166,27 @@ def _gelu_expression(v):
     return 0.5 * v * (1.0 + t)
 
 
-def _attention_expression(q, k, v, n_heads, key_mask=None):
-    batch, _, d = q.shape
-    dh = d // n_heads
-    scale = 1.0 / math.sqrt(dh)
+def _split_heads(x, n_heads):
+    batch, t, d = x.shape
+    return x.reshape(batch, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
-    def heads(x):
-        return x.reshape(batch, x.shape[1], n_heads, dh).transpose(0, 2, 1, 3)
 
-    qh, kh, vh = heads(q), heads(k), heads(v)
-    scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
+def _merge_heads(xh):
+    batch, n_heads, t, dh = xh.shape
+    return xh.transpose(0, 2, 1, 3).reshape(batch, t, n_heads * dh)
+
+
+def _attention_probs(qh, kh, key_mask):
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(qh.shape[-1]))
     if key_mask is not None:
         scores = np.where(key_mask[:, None, None, :], scores, -np.inf)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    probs = e / e.sum(axis=-1, keepdims=True)
-    out = probs @ vh
-    return out.transpose(0, 2, 1, 3).reshape(batch, out.shape[2], d)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _attention_expression(q, k, v, n_heads, key_mask=None):
+    qh, kh, vh = (_split_heads(x, n_heads) for x in (q, k, v))
+    return _merge_heads(_attention_probs(qh, kh, key_mask) @ vh)
 
 
 def _modulated_norm_expression(x, mod, i):
@@ -286,9 +291,10 @@ def test_attention_row_max_keeps_the_bits_of_the_old_expression(batch, t_q, t_k,
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-# Reference backward formulas of gelu and modulated_norm as plain numpy
-# expressions, each temporary a fresh array; the rules' in-place rewrites
-# must reproduce their bits exactly, signed zeros included.
+# Reference backward formulas of gelu, modulated_norm and attention as
+# plain numpy expressions, each temporary a fresh array; the rules'
+# in-place rewrites must reproduce their bits exactly, signed zeros
+# included.
 
 
 def _gelu_backward_expression(v, g):
@@ -312,6 +318,16 @@ def _modulated_norm_backward_expression(x, mod, i, g):
     dmod[..., shift_at] = g.sum(axis=axes, keepdims=True) if axes else g
     dmod[..., scale_at] = (g * xhat).sum(axis=axes, keepdims=True) if axes else g * xhat
     return dx, dmod
+
+
+def _attention_backward_expression(q, k, v, n_heads, key_mask, g):
+    qh, kh, vh, gh = (_split_heads(x, n_heads) for x in (q, k, v, g))
+    probs = _attention_probs(qh, kh, key_mask)
+    scale = 1.0 / math.sqrt(qh.shape[-1])
+    dv = probs.transpose(0, 1, 3, 2) @ gh
+    dp = gh @ vh.transpose(0, 1, 3, 2)
+    ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True)) * scale
+    return _merge_heads(ds @ kh), _merge_heads(ds.transpose(0, 1, 3, 2) @ qh), _merge_heads(dv)
 
 
 def _same_bits(got, want) -> bool:
@@ -350,6 +366,37 @@ def test_modulated_norm_backward_keeps_the_bits_of_its_expression(x_shape, share
     out = modulated_norm(Tensor(x, requires_grad=True), Tensor(mod, requires_grad=True), i)
     for got, want in zip(out._backward(g), _modulated_norm_backward_expression(x, mod, i, g)):
         assert _same_bits(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.integers(1, 3),
+    t_q=st.integers(1, 4),
+    t_k=st.sampled_from([1, 2, 3, 32]),
+    heads=st.integers(1, 3),
+    dh=st.integers(1, 3),
+    ties=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_attention_backward_keeps_the_bits_of_its_expression(batch, t_q, t_k, heads, dh, ties, seed):
+    # ties draws every operand from a few small values, signed zeros among
+    # them, so probabilities tie and gradient terms cancel to signed zeros
+    rng = np.random.default_rng(seed)
+    d = heads * dh
+    shapes = ((batch, t_q, d), (batch, t_k, d), (batch, t_k, d), (batch, t_q, d))
+    if ties:
+        q, k, v, g = (rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 3.0], size=s) for s in shapes)
+    else:
+        q, k, v, g = (rng.normal(size=s) for s in shapes)
+    keep = rng.random((batch, t_k)) < 0.5
+    keep[np.arange(batch), rng.integers(0, t_k, batch)] = True
+    for mask in (None, keep):
+        out = attention(*(Tensor(a, requires_grad=True) for a in (q, k, v)), heads, mask)
+        got = out._backward(g)
+        want = _attention_backward_expression(q, k, v, heads, mask, g)
+        assert len(got) == len(want) == 3
+        for name, a, b in zip("qkv", got, want):
+            assert _same_bits(a, b), name
 
 
 def test_gather_and_scatter_rows_values():

@@ -1,6 +1,10 @@
 """Curriculum, batch drawing, gradient clipping, Adam, stage loops."""
 
 import dataclasses
+import math
+import tracemalloc
+import types
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from foleyflow.training import (
     TAG_TV2A,
     TAG_V2A,
     ADAM_BETAS,
+    ADAM_BLOCK,
     ADAM_EPS,
     CURRICULUM,
     AdamState,
@@ -254,6 +259,72 @@ def test_clip_grad_norm_scales_to_ceiling():
     clipped = np.sqrt(sum(float(np.sum(g * g)) for g in (out.flat[at] for _, at in out.spans)))
     assert abs(clipped - 0.2) <= 1e-12
     assert np.allclose(out.flat[out.spans[0][1]], 3.0 * 0.2 / 5.0)
+
+
+def test_clip_grad_norm_keeps_the_direction_of_a_gradient_whose_squares_overflow():
+    g = np.array([1e200, -3e199, 0.5])
+    with np.errstate(over="ignore"):
+        out, norm = clip_grad_norm(_flat({"a": g[:2], "b": g[2:]}), 1.0)
+    true = 1e200 * math.sqrt(1.09)  # 0.5 adds nothing at this scale
+    assert abs(norm - true) <= 1e-15 * true
+    assert abs(np.linalg.norm(out.flat) - 1.0) <= 1e-15
+    assert np.allclose(out.flat, g / true, rtol=1e-14, atol=0)
+
+
+def test_clip_grad_norm_reports_inf_only_past_the_float_range():
+    with np.errstate(over="ignore"):
+        out, norm = clip_grad_norm(_flat({"a": np.array([1.5e308, 1.5e308])}), 0.2)
+    assert norm == math.inf
+    assert np.allclose(out.flat, 0.2 / math.sqrt(2.0), rtol=1e-15, atol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    exponent=st.integers(-3, 307),
+    max_norm=st.sampled_from([0.2, 1.0, 1e10]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_clip_grad_norm_clips_a_finite_gradient_of_any_scale_along_its_direction(sizes, exponent, max_norm, seed):
+    rng = np.random.default_rng(seed)
+    named = {f"p{i}": rng.uniform(-1.0, 1.0, size=n) * 10.0**exponent for i, n in enumerate(sizes)}
+    g = np.concatenate(list(named.values()))
+    with np.errstate(over="ignore"):
+        overflows = not np.isfinite(float(np.sum(g * g)))
+        out, norm = clip_grad_norm(_flat(named), max_norm)
+        want, want_norm = _loop_clip_grad_norm(named, max_norm)
+    if not overflows:  # today's bits
+        assert norm == want_norm
+        assert np.array_equal(out.flat, np.concatenate(list(want.values())))
+        return
+    peak = np.abs(g).max()
+    unit = g / peak
+    assert abs(norm - peak * np.linalg.norm(unit)) <= 1e-12 * norm
+    clipped = np.linalg.norm(out.flat)
+    assert abs(clipped - max_norm) <= 1e-12 * max_norm
+    assert abs(out.flat @ unit - clipped * np.linalg.norm(unit)) <= 1e-12 * clipped * np.linalg.norm(unit)
+
+
+def test_adam_holds_its_moments_and_two_blocks():
+    # at the default model size, one step's scratch must not grow with the
+    # model: m and v take 16 bytes a value, the two blocks 16 bytes a block
+    # value. Slack: the finiteness check's bool mask over one run (1 byte a
+    # value; the model's parameters make one run here) and 64 KiB for the
+    # Python objects a step makes. Two more vectors of the model's size
+    # would add 16 bytes a value.
+    n = TwoTowerModel(ModelConfig(), seed=0).flat.size
+    rng = np.random.default_rng(0)
+    params, grads = rng.normal(size=n), FlatGrads(rng.normal(size=n), [("all", slice(0, n))])
+    tracemalloc.start()
+    try:
+        state = AdamState(n)
+        for _ in range(3):
+            adam_step(params, grads, OptimizerConfig(), state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n > 2 * ADAM_BLOCK
+    assert peak <= 16 * n + 16 * ADAM_BLOCK + n + 64 * 1024
 
 
 def test_adam_first_step_closed_form():
@@ -494,6 +565,68 @@ def test_flat_optimizer_matches_the_per_parameter_loop(monkeypatch, tmp_path):
     assert flat_events == loop_events
     flat_state, loop_state = flat_model.state_arrays(), loop_model.state_arrays()
     assert all(np.array_equal(flat_state[k], loop_state[k]) for k in loop_state)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+    block=st.sampled_from([None, 1, 2, 3, 5]),
+    touched=st.lists(st.lists(st.booleans(), min_size=6, max_size=6), min_size=1, max_size=4),
+    bad=st.none() | st.tuples(st.integers(0, 3), st.integers(0, 2**16), st.sampled_from([np.nan, np.inf, -np.inf])),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(
+    sizes=[ADAM_BLOCK + 3, 2, 2 * ADAM_BLOCK - 1, 5],
+    block=None,
+    touched=[[True, True, False, True, True, True], [True] * 6, [False, True, True, True, False, False]],
+    bad=(1, ADAM_BLOCK + 4, np.nan),
+    seed=0,
+)
+def test_blocked_adam_matches_the_per_parameter_loop(sizes, block, touched, bad, seed):
+    # block None keeps ADAM_BLOCK; the others make runs of several blocks
+    # that end mid-parameter. Parameters left out of a step leave gaps
+    # between its spans, and the slots outside the spans hold NaN, which
+    # adam_step must never read. A non-finite value inside a span must
+    # raise the loop's DivergenceError and change nothing.
+    rng = np.random.default_rng(seed)
+    bounds = np.cumsum([0] + sizes).tolist()
+    slices = {f"p{i}": slice(a, b) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))}
+    n = bounds[-1]
+    params = rng.normal(size=n)
+    loop_flat = params.copy()
+    loop_params = {name: types.SimpleNamespace(data=loop_flat[at], shape=(at.stop - at.start,)) for name, at in slices.items()}
+    loop_state = {"step": 0, "m": {}, "v": {}}
+    opt = OptimizerConfig(lr=0.1)
+    with mock.patch.object(training, "ADAM_BLOCK", block or ADAM_BLOCK):
+        state = AdamState(n)
+        for i, flags in enumerate(touched):
+            g = np.full(n, np.nan)
+            spans = [(name, at) for (name, at), flag in zip(slices.items(), flags) if flag]
+            for _, at in spans:
+                g[at] = rng.normal(size=at.stop - at.start) * rng.choice([1e-3, 1.0, 1e3])
+            if bad is not None and bad[0] == i:
+                g[bad[1] % n] = bad[2]
+            before = [_bits(a) for a in (params, state.m, state.v)]
+            try:
+                _loop_adam_step(loop_params, {name: g[at].copy() for name, at in spans}, opt, loop_state)
+            except DivergenceError as want:
+                with pytest.raises(DivergenceError) as got:
+                    adam_step(params, FlatGrads(g, spans), opt, state)
+                assert str(got.value) == str(want) and got.value.step == want.step
+                assert state.step == loop_state["step"] == i
+                assert all(np.array_equal(b, _bits(a)) for b, a in zip(before, (params, state.m, state.v)))
+                continue
+            adam_step(params, FlatGrads(g, spans), opt, state)
+            assert state.step == loop_state["step"]
+            assert np.array_equal(_bits(params), _bits(loop_flat))
+            for name, at in slices.items():
+                for moment in ("m", "v"):
+                    want = loop_state[moment].get(name, np.zeros(at.stop - at.start))
+                    assert np.array_equal(_bits(getattr(state, moment)[at]), _bits(want)), (moment, name)
 
 
 # ---------------------------------------------------------------------------
