@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, ShapeError, check_positive_int
+from .errors import ConfigError, ContractError, DivergenceError, ShapeError, check_positive_int
 from .model import ConditionBundle
 from .rng import SeededRng
 from .tensor import Tensor, no_tape, reduce_mean
@@ -74,6 +74,8 @@ def cfm_loss(model, batch, rng: SeededRng) -> Tensor:
     returned scalar stays on the tape for backward().
     """
     items = list(batch)
+    if not items:
+        raise ShapeError("cfm_loss needs a batch of at least one (x1, condition) pair, got none")
     x1 = [np.asarray(x, dtype=np.float64) for x, _ in items]
     shapes = {x.shape for x in x1}
     if len(shapes) != 1:
@@ -121,7 +123,8 @@ def guided_velocity(model, x: np.ndarray, t, guidance_scale: float, conditioned)
 
 
 def sample_many(model, cond: ConditionBundle, sampler_cfg: SamplerConfig, seeds) -> list:
-    """Integrate one trajectory per seed, at least one, all in one Euler loop.
+    """Integrate one trajectory per seed, at least one (no seed is a
+    ContractError), all in one Euler loop.
 
     The states form one (n, t_audio, d_audio_latent) stack from t=0 to t=1,
     so a step is one guided_velocity call; sampler_cfg.seed is not used.
@@ -145,6 +148,8 @@ def sample_many(model, cond: ConditionBundle, sampler_cfg: SamplerConfig, seeds)
     model(x_t, time_path_row, conditioned).
     """
     seeds = list(seeds)
+    if not seeds:
+        raise ContractError("sample_many needs at least one seed, got none")
     cfg = model.config
     w = sampler_cfg.guidance_scale
     grid = sway_schedule(sampler_cfg.nfe, sampler_cfg.sway_coef)

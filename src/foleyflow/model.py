@@ -30,6 +30,7 @@ from .tensor import (
     gather_rows,
     gelu,
     matmul,
+    mlp,
     modulated_norm,
     scatter_rows,
 )
@@ -226,16 +227,16 @@ class Block:
         to the B items for the cross-attention."""
         y = modulated_norm(x, mod, 0)
         x = gated_residual(x, mod, 0, self.wo(attention(self.wq(y), self.wk(y), self.wv(y), self.n_heads)))
-        mlp = 1
+        last = 1  # the MLP sublayer's index
         if self.cross_attention:
             q = self.cq(modulated_norm(x, mod, 1))
             if len(x.data) < len(context_mask):
                 items = np.arange(len(context_mask)) % len(x.data)
                 x, q = gather_rows(x, items), gather_rows(q, items)
             x = gated_residual(x, mod, 1, self.co(attention(q, *context_kv, self.n_heads, context_mask)))
-            mlp = 2
-        y = modulated_norm(x, mod, mlp)
-        return gated_residual(x, mod, mlp, self.fc2(gelu(self.fc1(y))))
+            last = 2
+        y = mlp(modulated_norm(x, mod, last), self.fc1.w, self.fc1.b, self.fc2.w, self.fc2.b)
+        return gated_residual(x, mod, last, y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,7 +398,8 @@ class TwoTowerModel:
         bits of the modulations of time k in any path.
         """
         feats = Tensor(timestep_features(times, self.config.d_model)[:, None, :])
-        g = gelu(self.time_mlp2(gelu(self.time_mlp1(feats))))
+        mlp1, mlp2 = self.time_mlp1, self.time_mlp2
+        g = gelu(mlp(feats, mlp1.w, mlp1.b, mlp2.w, mlp2.b))
         return TimePath(
             tuple(block.adaln(g) for block in self.audio_blocks),
             tuple(block.adaln(g) for block in self.video_blocks),

@@ -10,12 +10,16 @@ A rule, forward or backward, writes its intermediates into fresh buffers
 of its own, with in-place ufuncs (out=, *=, +=), in the operation order
 of the formula it implements, so its output has that formula's bits; a
 forward rule never changes an array that its backward closure reads.
+A backward rule may rebuild an intermediate from what its op keeps,
+with the forward's exact operations, so the rebuilt array has the
+forward's bits and the graph need not hold it between the passes.
 Activations carry a leading batch axis, (B, T, d): matmul folds the
-leading axes into rows and takes an optional bias, attention is one
-fused multi-head op, modulated_norm / gated_residual are the two halves
-of an adaLN-zero sublayer, gather_rows selects items along the batch
-axis, an item as often as it is named, and scatter_rows writes items
-back onto a base batch.
+leading axes into rows and takes an optional bias, mlp is one fused
+two-layer GELU MLP, attention is one fused multi-head op,
+modulated_norm / gated_residual are the two halves of an adaLN-zero
+sublayer, gather_rows selects items along the batch axis, an item as
+often as it is named, and scatter_rows writes items back onto a base
+batch.
 Inside no_tape(), ops compute their outputs but record nothing for the
 reverse pass, which a forward that is never differentiated, such as
 sampling, does not need.
@@ -47,6 +51,7 @@ __all__ = [
     "gated_residual",
     "softmax",
     "gelu",
+    "mlp",
     "attention",
     "gather_rows",
     "scatter_rows",
@@ -173,14 +178,19 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         grads = (da, a2d.T @ g2d)
         return grads if bias is None else grads + (_unbroadcast(g, (n,)),)
 
-    # one row would take BLAS gemv, which rounds unlike gemm: run it as two
-    # and keep the first, so a row's bits do not depend on its batch
-    rows = a2d if len(a2d) > 1 else np.concatenate([a2d, a2d])
-    out = (rows @ b_data)[: len(a2d)].reshape(a_shape[:-1] + (n,))
+    out = _product(a2d, b_data).reshape(a_shape[:-1] + (n,))
     if bias is None:
         return _from_op(out, (a, b), bw)
     out += bias.data
     return _from_op(out, (a, b, bias), bw)
+
+
+def _product(a2d: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a2d @ b for (m, k) rows a2d. One row would take BLAS gemv, which
+    rounds unlike gemm: it runs as two and keeps the first, so a row's
+    bits do not depend on its batch."""
+    rows = a2d if len(a2d) > 1 else np.concatenate([a2d, a2d])
+    return (rows @ b)[: len(a2d)]
 
 
 def _broadcast_error(a: Tensor, b: Tensor, op: str) -> ShapeError:
@@ -302,6 +312,10 @@ def modulated_norm(x: Tensor, mod: Tensor, i: int) -> Tensor:
     scale1 = mod.data[..., scale_at] + 1.0
 
     def bw(g):
+        # xhat again, from the input and the two (..., 1) statistics kept,
+        # with the forward's operations
+        xhat = x.data - mu
+        xhat *= inv
         # dx = inv (dxhat - mean(dxhat) - xhat mean(dxhat xhat)), in two buffers
         dxhat = g * scale1  # becomes dx
         term = dxhat * xhat  # dxhat xhat, then xhat mean(dxhat xhat), then g xhat
@@ -349,11 +363,9 @@ def softmax(x: Tensor) -> Tensor:
     return _from_op(s, (x,), bw)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """GELU via the tanh approximation."""
-    v = x.data
-    # t = tanh(_GELU_C * (v + 0.044715 * (v * v * v))), built in one buffer;
-    # empty_like keeps it an array when v is 0-d
+def _gelu_tanh(v: np.ndarray) -> np.ndarray:
+    """t = tanh(_GELU_C * (v + 0.044715 * (v * v * v))), built in one
+    buffer; empty_like keeps it an array when v is 0-d."""
     t = np.empty_like(v)
     np.multiply(v, v, out=t)
     t *= v
@@ -361,29 +373,78 @@ def gelu(x: Tensor) -> Tensor:
     t += v
     t *= _GELU_C
     np.tanh(t, out=t)
+    return t
 
-    def bw(g):
-        # g * (0.5 (1 + t) + 0.5 v (1 - t t) dinner), dinner being
-        # _GELU_C (1 + 3 0.044715 v v), in three buffers of g's shape
-        # (a 0-d v has a 1-D output)
-        dinner = np.multiply(v, 3.0 * 0.044715, out=np.empty(g.shape))
-        dinner *= v
-        dinner += 1.0
-        dinner *= _GELU_C
-        one_minus_t2 = np.multiply(t, t, out=np.empty(g.shape))
-        np.subtract(1.0, one_minus_t2, out=one_minus_t2)
-        local = np.multiply(v, 0.5, out=np.empty(g.shape))
-        local *= one_minus_t2
-        local *= dinner
-        np.add(t, 1.0, out=one_minus_t2)  # now 1 + t
-        one_minus_t2 *= 0.5
-        local += one_minus_t2
-        local *= g
-        return (local,)
 
+def _gelu_out(v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """GELU's output 0.5 v (1 + t) of v and its _gelu_tanh t."""
     out = 0.5 * v
     out *= 1.0 + t
-    return _from_op(out, (x,), bw)
+    return out
+
+
+def _gelu_grad(v: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of v, given its _gelu_tanh t and the output gradient g:
+    g * (0.5 (1 + t) + 0.5 v (1 - t t) dinner), dinner being
+    _GELU_C (1 + 3 0.044715 v v), in three buffers of g's shape (a 0-d v
+    has a 1-D output)."""
+    dinner = np.multiply(v, 3.0 * 0.044715, out=np.empty(g.shape))
+    dinner *= v
+    dinner += 1.0
+    dinner *= _GELU_C
+    one_minus_t2 = np.multiply(t, t, out=np.empty(g.shape))
+    np.subtract(1.0, one_minus_t2, out=one_minus_t2)
+    local = np.multiply(v, 0.5, out=np.empty(g.shape))
+    local *= one_minus_t2
+    local *= dinner
+    np.add(t, 1.0, out=one_minus_t2)  # now 1 + t
+    one_minus_t2 *= 0.5
+    local += one_minus_t2
+    local *= g
+    return local
+
+
+def gelu(x: Tensor) -> Tensor:
+    """GELU via the tanh approximation."""
+    v = x.data
+    t = _gelu_tanh(v)
+
+    def bw(g):
+        return (_gelu_grad(v, t, g),)
+
+    return _from_op(_gelu_out(v, t), (x,), bw)
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """matmul(gelu(matmul(x, w1, b1)), w2, b2) as one op, with the bits of
+    those three ops, forward and backward.
+
+    It keeps x's rows, the pre-activation h and its tanh t, but not the
+    GELU output, which only w2's gradient reads: the backward rebuilds it
+    from h and t with the forward's operations.
+    """
+    if x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2 or x.shape[-1] != w1.shape[0] or w1.shape[1] != w2.shape[0]:
+        raise ShapeError(f"mlp expects (..., m, k) @ (k, h) @ (h, n), got {x.shape}, {w1.shape} and {w2.shape}")
+    if b1.shape != w1.shape[1:] or b2.shape != w2.shape[1:]:
+        raise ShapeError(f"mlp biases {b1.shape} and {b2.shape} do not match widths {w1.shape[1]} and {w2.shape[1]}")
+    x_shape, hidden, n = x.shape, w1.shape[1], w2.shape[1]
+    x2d, w1_data, w2_data = x.data.reshape(-1, x_shape[-1]), w1.data, w2.data
+    h = _product(x2d, w1_data).reshape(x_shape[:-1] + (hidden,))
+    h += b1.data
+    t = _gelu_tanh(h)
+
+    def bw(g):
+        # fc2's rule, then gelu's on the pre-activation, then fc1's
+        g2d = g.reshape(-1, n)
+        dw2 = _gelu_out(h, t).reshape(-1, hidden).T @ g2d
+        dh = _gelu_grad(h, t, (g2d @ w2_data.T).reshape(h.shape))
+        dh2d = dh.reshape(-1, hidden)
+        dx = (dh2d @ w1_data.T).reshape(x_shape) if x.requires_grad else None
+        return dx, x2d.T @ dh2d, _unbroadcast(dh, (hidden,)), dw2, _unbroadcast(g, (n,))
+
+    out = _product(_gelu_out(h, t).reshape(-1, hidden), w2_data).reshape(x_shape[:-1] + (n,))
+    out += b2.data
+    return _from_op(out, (x, w1, b1, w2, b2), bw)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, key_mask=None) -> Tensor:

@@ -177,15 +177,17 @@ def _runs(spans: list) -> list:
     return runs
 
 
-def gather_grads(model: TwoTowerModel, out: np.ndarray) -> FlatGrads:
-    """Copy each parameter's .grad into its slice of out, a vector of the
-    model's size, and record which parameters have one.
+def gather_grads(model: TwoTowerModel) -> FlatGrads:
+    """Copy each parameter's .grad into its slice of a new vector of the
+    model's size, and record which parameters have one. The vector is
+    allocated here, after the backward, so a train step holds it only
+    from its backward to its optimizer update, not through its forward.
 
     Raises ContractError if a parameter's data is no longer its view of
     model.flat, as after rebinding p.data: the optimizer updates the
     vector, so such a parameter would silently stop training.
     """
-    spans = []
+    out, spans = np.empty(model.flat.size), []
     for name, p in model.parameters().items():
         if p.data.base is not model.flat:
             raise ContractError(f"parameter {name} no longer views the model's vector; change p.data in place")
@@ -310,7 +312,6 @@ def run_stage(
     """
     events: list = []
     state = AdamState(model.flat.size)
-    grad_flat = np.zeros(model.flat.size)
 
     for i in range(stage.steps):
         step = start_step + i + 1
@@ -322,8 +323,9 @@ def run_stage(
             if not np.isfinite(loss_value):
                 raise DivergenceError(f"training loss diverged at step {step}", step=step)
             backward(loss)
-            grads, pre_norm = clip_grad_norm(gather_grads(model, grad_flat), opt_cfg.grad_clip_norm)
+            grads, pre_norm = clip_grad_norm(gather_grads(model), opt_cfg.grad_clip_norm)
             adam_step(model.flat, grads, opt_cfg, state)
+            del grads  # the gradient vector lives from backward to the update, not through a forward
         except DivergenceError:
             model.save(checkpoint_path)
             raise

@@ -276,7 +276,6 @@ def test_criterion_4_optimizer_contract():
     stage = training.stage_preset(1, 300)
     rng = SeededRng(derive_seed(0, "stage", 1))
     state = training.AdamState(model.flat.size)
-    grad_flat = np.zeros(model.flat.size)
     from foleyflow.flow import cfm_loss
     from foleyflow.tensor import backward
 
@@ -286,7 +285,7 @@ def test_criterion_4_optimizer_contract():
         model.zero_grad()
         loss = cfm_loss(model, [(s.x1, s.cond) for s in batch], rng)
         backward(loss)
-        grads, _ = training.clip_grad_norm(training.gather_grads(model, grad_flat), opt_cfg.grad_clip_norm)
+        grads, _ = training.clip_grad_norm(training.gather_grads(model), opt_cfg.grad_clip_norm)
         post = float(np.sqrt(sum(float(np.sum(g * g)) for g in (grads.flat[at] for _, at in grads.spans))))
         worst = max(worst, post)
         assert post <= opt_cfg.grad_clip_norm + 1e-9, f"post-clip norm {post}"

@@ -477,13 +477,13 @@ def _count_ops(monkeypatch) -> collections.Counter:
     return kinds
 
 
-def test_guided_forward_records_92_tape_ops(monkeypatch):
+def test_guided_forward_records_82_tape_ops(monkeypatch):
     """Perf budget of the hot path: the tape ops of one guided text+video
     forward at the default config. 9 of them condition the batch (text
-    tokens, cross-attention keys and values, video input) and 8 make the
-    time path of its one time (time embedding, its gelu, one adaln per
-    block); 2 of the 4 gathers copy the state's shared audio rows out to
-    both branches.
+    tokens, cross-attention keys and values, video input) and 6 make the
+    time path of its one time (the time MLP, one op, its gelu, one adaln
+    per block); each block's MLP is one mlp op, and 2 of the 4 gathers
+    copy the state's shared audio rows out to both branches.
     A change that adds ops to the forward fails here without running a
     benchmark."""
     cfg = ModelConfig()
@@ -493,11 +493,12 @@ def test_guided_forward_records_92_tape_ops(monkeypatch):
     kinds = _count_ops(monkeypatch)
     conditioned = model.condition([ConditionBundle(), cond])
     flow.guided_velocity(model, x_t, model.time_path([0.5])[0], 2.0, conditioned)
-    assert sum(kinds.values()) == 92
-    pinned = ("matmul", "gelu", "gather_rows", "modulated_norm", "gated_residual", "scatter_rows", "mul")
+    assert sum(kinds.values()) == 82
+    pinned = ("matmul", "mlp", "gelu", "gather_rows", "modulated_norm", "gated_residual", "scatter_rows", "mul")
     assert {k: kinds[k] for k in pinned} == {
-        "matmul": 45,
-        "gelu": 6,
+        "matmul": 35,
+        "mlp": 5,
+        "gelu": 1,
         "gather_rows": 4,
         "modulated_norm": 10,
         "gated_residual": 10,
@@ -506,23 +507,25 @@ def test_guided_forward_records_92_tape_ops(monkeypatch):
     }
 
 
-def test_training_forward_records_95_tape_ops(monkeypatch):
+def test_training_forward_records_85_tape_ops(monkeypatch):
     """Perf budget of a training step's forward: the tape ops of one
     cfm_loss at batch 8 of the default config, where some items carry
     video and some do not. The forward makes the time path of its 8 times
-    (time embedding, its gelu, one adaln per block) and gathers the video
-    items' rows of each video block's modulation; a change that adds ops
-    to the training forward fails here without running a benchmark."""
+    (the time MLP, one op, its gelu, one adaln per block), runs each
+    block's MLP as one mlp op and gathers the video items' rows of each
+    video block's modulation; a change that adds ops to the training
+    forward fails here without running a benchmark."""
     cfg = ModelConfig()
     rng = SeededRng(28)
     batch = [(rng.normal((cfg.t_audio, cfg.d_audio_latent)), cond) for cond in _mixed_conds(rng, 8, cfg)]
     kinds = _count_ops(monkeypatch)
     flow.cfm_loss(TwoTowerModel(cfg, seed=0), batch, SeededRng(29))
-    assert sum(kinds.values()) == 95
-    pinned = ("matmul", "gelu", "gather_rows", "modulated_norm", "gated_residual", "scatter_rows", "mul")
+    assert sum(kinds.values()) == 85
+    pinned = ("matmul", "mlp", "gelu", "gather_rows", "modulated_norm", "gated_residual", "scatter_rows", "mul")
     assert {k: kinds[k] for k in pinned} == {
-        "matmul": 45,
-        "gelu": 6,
+        "matmul": 35,
+        "mlp": 5,
+        "gelu": 1,
         "gather_rows": 4,
         "modulated_norm": 10,
         "gated_residual": 10,
@@ -531,20 +534,22 @@ def test_training_forward_records_95_tape_ops(monkeypatch):
     }
 
 
-@pytest.mark.parametrize("nfe, ops", [(1, 93), (4, 321)])
+@pytest.mark.parametrize("nfe, ops", [(1, 83), (4, 287)])
 def test_sample_many_conditions_once_per_trajectory(monkeypatch, nfe, ops):
-    """Perf budget of the sampler: 9 conditioning ops and 8 time-path ops
-    once per trajectory, then 76 per Euler step. 5 of those are gathers:
-    3 copy the branch-shared rows out to the items and 2 pick the video
-    items' audio rows for the mixers. A change that puts
+    """Perf budget of the sampler: 9 conditioning ops and 6 time-path ops
+    once per trajectory, then 68 per Euler step, where each block's MLP
+    is one mlp op. 5 of the 68 are gathers: 3 copy the branch-shared rows
+    out to the items and 2 pick the video items' audio rows for the
+    mixers. A change that puts
     per-condition or per-time work back into the step loop fails here
     without running a benchmark."""
     kinds = _count_ops(monkeypatch)
     cfg = ModelConfig()
     rng = SeededRng(23)
     flow.sample_many(TwoTowerModel(cfg, seed=0), _cond(cfg, rng), flow.SamplerConfig(nfe=nfe), [1, 2])
-    assert sum(kinds.values()) == ops == 9 + 8 + 76 * nfe
+    assert sum(kinds.values()) == ops == 9 + 6 + 68 * nfe
     assert kinds["gather_rows"] == 5 * nfe
+    assert kinds["mlp"] == 1 + 4 * nfe
 
 
 def test_a_guided_step_runs_branch_shared_rows_once(monkeypatch):

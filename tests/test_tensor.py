@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from foleyflow import tensor
@@ -25,6 +25,7 @@ from foleyflow.tensor import (
     gather_rows,
     gelu,
     matmul,
+    mlp,
     modulated_norm,
     mul,
     no_tape,
@@ -349,6 +350,35 @@ def test_gelu_backward_keeps_the_bits_of_its_expression(shape, scale, seed):
     assert _same_bits(got, _gelu_backward_expression(v, g).reshape(out.shape))
 
 
+def _saved_xhat_norm_backward(x, mod, i, g):
+    """modulated_norm's gradients by its rule as it ran when the forward
+    kept xhat: the forward's statistics and xhat, then the rule's
+    in-place sequence."""
+    d = x.shape[-1]
+    shift_at, scale_at = slice(3 * i * d, (3 * i + 1) * d), slice((3 * i + 1) * d, (3 * i + 2) * d)
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu /= d
+    xhat = x - mu
+    inv = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
+    inv /= d
+    inv += 1e-5
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    dxhat = g * (mod[..., scale_at] + 1.0)
+    term = dxhat * xhat
+    mean_dxhat = np.add.reduce(dxhat, axis=-1, keepdims=True)
+    mean_dxhat /= d
+    mean_term = np.add.reduce(term, axis=-1, keepdims=True)
+    mean_term /= d
+    dxhat -= mean_dxhat
+    np.multiply(xhat, mean_term, out=term)
+    dxhat -= term
+    dxhat *= inv
+    np.multiply(g, xhat, out=term)
+    return dxhat, tensor._chunk_grad(Tensor(mod), (shift_at, g), (scale_at, term))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     x_shape=st.lists(st.integers(1, 5), min_size=2, max_size=3).map(tuple),
@@ -364,8 +394,12 @@ def test_modulated_norm_backward_keeps_the_bits_of_its_expression(x_shape, share
     x[(0,) * (len(x_shape) - 1)] = 3.0  # a zero-variance row
     mod = rng.normal(size=mod_shape)
     out = modulated_norm(Tensor(x, requires_grad=True), Tensor(mod, requires_grad=True), i)
-    for got, want in zip(out._backward(g), _modulated_norm_backward_expression(x, mod, i, g)):
-        assert _same_bits(got, want)
+    got = out._backward(g)
+    # the rule rebuilds xhat from x and the kept statistics; the rule that
+    # read the forward's xhat had these bits too
+    for oracle in (_modulated_norm_backward_expression, _saved_xhat_norm_backward):
+        for a, b in zip(got, oracle(x, mod, i, g)):
+            assert _same_bits(a, b), oracle.__name__
 
 
 @settings(max_examples=60, deadline=None)
@@ -397,6 +431,44 @@ def test_attention_backward_keeps_the_bits_of_its_expression(batch, t_q, t_k, he
         assert len(got) == len(want) == 3
         for name, a, b in zip("qkv", got, want):
             assert _same_bits(a, b), name
+
+
+def _mlp_chain(x, w1, b1, w2, b2):
+    """mlp's oracle: the three ops it fuses."""
+    return matmul(gelu(matmul(x, w1, b1)), w2, b2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lead=st.lists(st.integers(1, 3), min_size=0, max_size=2).map(tuple),
+    widths=st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 9), st.integers(1, 5)),
+    x_grad=st.booleans(),
+    scale=st.sampled_from([1e-3, 1.0, 30.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(lead=(), widths=(1, 3, 8, 2), x_grad=True, scale=1.0, seed=0)  # one row: matmul's one-row rule
+@example(lead=(1,), widths=(1, 3, 8, 2), x_grad=False, scale=1.0, seed=1)
+def test_mlp_keeps_the_bits_of_the_ops_it_fuses(lead, widths, x_grad, scale, seed):
+    # the output, taped and untaped, and all five gradients, compared on
+    # their int64 views; x without a gradient gets none
+    rng = np.random.default_rng(seed)
+    m, k, hidden, n = widths
+    shapes = (lead + (m, k), (k, hidden), (hidden,), (hidden, n), (n,))
+    arrays = [rng.normal(size=shape) * scale for shape in shapes]
+    weights = Tensor(rng.normal(size=lead + (m, n)))
+    results = []
+    for op in (mlp, _mlp_chain):
+        operands = [Tensor(a, requires_grad=x_grad if j == 0 else True) for j, a in enumerate(arrays)]
+        out = op(*operands)
+        with no_tape():
+            untaped = op(*operands).data
+        backward(reduce_mean(out * weights))
+        results.append([out.data, untaped] + [t.grad for t in operands])
+    for name, got, want in zip(("out", "untaped", "x", "w1", "b1", "w2", "b2"), *results):
+        if name == "x" and not x_grad:
+            assert got is None and want is None
+        else:
+            assert _same_bits(got, want), name
 
 
 def test_gather_and_scatter_rows_values():
@@ -536,6 +608,10 @@ def test_fused_op_shape_errors():
             gated_residual(x, Tensor(np.zeros((2, 1, width))), i, x)
     with pytest.raises(ShapeError):
         gated_residual(x, Tensor(np.zeros((2, 1, 12))), 0, Tensor(np.zeros((2, 1, 4))))
+    w1, b1, w2, b2 = (Tensor(np.zeros(s)) for s in ((4, 8), (8,), (8, 5), (5,)))
+    for args in ((x, w1, b1, Tensor(np.zeros((7, 5))), b2), (x, w1, Tensor(np.zeros(5)), w2, b2), (x, w2, b2, w1, b1)):
+        with pytest.raises(ShapeError):
+            mlp(*args)
 
 
 def test_modulated_sublayer_values():
@@ -753,6 +829,13 @@ def _attention_case(draw):
     return lambda: reduce_mean(attention(t["q"], t["k"], t["v"], heads, keep) * w), t
 
 
+def _mlp_case(draw):
+    lead, (m, k, hidden, n) = _dims(draw, 0, 2), _dims(draw, 4, 4)  # m = 1 takes the one-row rule
+    shapes = dict(x=lead + (m, k), w1=(k, hidden), b1=(hidden,), w2=(hidden, n), b2=(n,))
+    t, w = _weighted(draw, lead + (m, n), **shapes)
+    return lambda: reduce_mean(mlp(t["x"], t["w1"], t["b1"], t["w2"], t["b2"]) * w), t
+
+
 def _rows_case(op):
     def case(draw):
         (n,), rest = _dims(draw, 1, 1, hi=4), _dims(draw, 0, 2)
@@ -792,6 +875,7 @@ _GRADIENT_CASES = {
     "transpose": _transpose_case,
     "softmax": _unary_case(softmax, 1),
     "gelu": _unary_case(gelu, 0),
+    "mlp": _mlp_case,
     "modulated_norm": lambda draw: _modulated_case(draw, modulated_norm),
     "gated_residual": lambda draw: _modulated_case(draw, gated_residual),
     "attention": _attention_case,
@@ -903,6 +987,8 @@ def _model_op_calls(rng):
         ("gated_residual on itself", (x, mod), lambda a, m: gated_residual(a, m, 0, a)),
         ("softmax", (x,), softmax),
         ("gelu", (x,), gelu),
+        ("mlp", (x, w, bias, w.T.copy(), y[0, 0]), mlp),
+        ("mlp one row", (one, w, bias, w.T.copy(), y[0, 0]), mlp),
         ("attention", (x, y, y), lambda q, k, v: attention(q, k, v, 2)),
         ("attention masked", (x, kv, kv), lambda q, k, v: attention(q, k, v, 3, keep)),
         ("gather_rows", (x,), lambda a: gather_rows(a, [2, 0])),
