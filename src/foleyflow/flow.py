@@ -71,7 +71,7 @@ def cfm_loss(model, batch, rng: SeededRng) -> Tensor:
     order) and builds x_t; one model call on the batch's model.condition
     and the time_path of its times, computed in that order, then predicts
     every item, and the loss regresses the predictions onto x1 - x0. The
-    returned scalar stays on the tape for backward().
+    returned 0-d tensor stays on the tape for backward().
     """
     items = list(batch)
     if not items:

@@ -221,7 +221,7 @@ def kl_sigmoid(p_gen: ClassPosterior, p_ref: ClassPosterior) -> float:
     return float(kls.mean())
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot product of each row pair of two (n, d) arrays. Each is its own
     vector-vector product, with the bits of np.dot on that pair."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
@@ -236,13 +236,13 @@ def clip_style_score(emb_a: np.ndarray, emb_b: np.ndarray) -> np.ndarray:
     b = np.asarray(emb_b, dtype=np.float64)
     if a.ndim != 2 or a.shape != b.shape:
         raise ShapeError(f"embeddings must be two (n, d) arrays of one shape, got {a.shape} and {b.shape}")
-    norm_a, norm_b = np.sqrt(_row_dots(a, a)), np.sqrt(_row_dots(b, b))
+    norm_a, norm_b = np.sqrt(row_dots(a, a)), np.sqrt(row_dots(b, b))
     norms = norm_a * norm_b
     undefined = np.flatnonzero(~((0.0 < norms) & (norms < math.inf)))  # NaN is undefined
     if undefined.size:
         i = undefined[0]
         raise ContractError(f"cosine similarity undefined for embedding norms {float(norm_a[i])} and {float(norm_b[i])}")
-    cos = _row_dots(a, b) / norms
+    cos = row_dots(a, b) / norms
     cos = np.where(cos < 1.0, cos, 1.0)  # |cos| <= 1; round-off can overshoot for identical inputs
     return 100.0 * np.where(cos > 0.0, cos, 0.0)
 

@@ -120,20 +120,6 @@ def resample_video(video_feat, t_audio: int):
     return video_feat[idx]
 
 
-class Linear:
-    """Affine map on the last axis; rows of the input are the batch."""
-
-    def __init__(self, w: Tensor, b: Tensor):
-        self.w, self.b = w, b
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return matmul(x, self.w, self.b)
-
-
-def _linear(params: dict, name: str) -> Linear:
-    return Linear(params[name + ".w"], params[name + ".b"])
-
-
 def _attention_tags(cross_attention: bool) -> tuple:
     """A block's attention maps: self-attention, then any cross-attention."""
     return ("wq", "wk", "wv", "wo") + (("cq", "ck", "cv", "co") if cross_attention else ())
@@ -184,14 +170,14 @@ def _declare(cfg: ModelConfig):
             yield from affine(f"layers.{i}.mix_v", 2 * d, d, None)
 
 
-def cross_modal_mix(y_a: Tensor, y_v: Tensor, mix_a: Linear, mix_v: Linear | None) -> tuple:
+def cross_modal_mix(y_a: Tensor, y_v: Tensor, mix_a: tuple, mix_v: tuple | None) -> tuple:
     """Residual exchange between the towers.
 
     Both streams see the concatenation of both, through their own affine
-    map, added back onto themselves:
+    map, a (weight, bias) pair, added back onto themselves:
 
-        x_a = y_a + mix_a([y_a, y_v])
-        x_v = y_v + mix_v([y_a, y_v])
+        x_a = y_a + [y_a, y_v] @ w_a + b_a
+        x_v = y_v + [y_a, y_v] @ w_v + b_v
 
     mix_v is None in the last layer, whose video stream nothing reads,
     so it has none: y_v comes back as it went in.
@@ -199,18 +185,19 @@ def cross_modal_mix(y_a: Tensor, y_v: Tensor, mix_a: Linear, mix_v: Linear | Non
     if y_a.shape != y_v.shape:
         raise ShapeError(f"mixer streams must match: {y_a.shape} vs {y_v.shape}")
     joint = concat(y_a, y_v)
-    return y_a + mix_a(joint), y_v if mix_v is None else y_v + mix_v(joint)
+    return y_a + matmul(joint, *mix_a), y_v if mix_v is None else y_v + matmul(joint, *mix_v)
 
 
 class Block:
     """adaLN-zero block: pre-norm self-attention, optional cross-attention
-    over context tokens, then an MLP; every sublayer gated and residual."""
+    over context tokens, then an MLP; every sublayer gated and residual.
+    Each affine map is a (weight, bias) pair of the model's parameters."""
 
-    def __init__(self, params: dict, prefix: str, n_heads: int, cross_attention: bool):
+    def __init__(self, pairs: dict, prefix: str, n_heads: int, cross_attention: bool):
         self.n_heads = n_heads
         self.cross_attention = cross_attention
         for tag in ("adaln",) + _attention_tags(cross_attention) + ("fc1", "fc2"):
-            setattr(self, tag, _linear(params, f"{prefix}.{tag}"))
+            setattr(self, tag, pairs[f"{prefix}.{tag}"])
 
     def __call__(self, x: Tensor, mod: Tensor, context_kv: tuple = (), context_mask=None) -> Tensor:
         """x: (B, T, d) stream; mod: the block's TimePath entry, shift,
@@ -226,16 +213,18 @@ class Block:
         no context, run on the n states, and their rows are copied out
         to the B items for the cross-attention."""
         y = modulated_norm(x, mod, 0)
-        x = gated_residual(x, mod, 0, self.wo(attention(self.wq(y), self.wk(y), self.wv(y), self.n_heads)))
+        att = attention(matmul(y, *self.wq), matmul(y, *self.wk), matmul(y, *self.wv), self.n_heads)
+        x = gated_residual(x, mod, 0, matmul(att, *self.wo))
         last = 1  # the MLP sublayer's index
         if self.cross_attention:
-            q = self.cq(modulated_norm(x, mod, 1))
+            q = matmul(modulated_norm(x, mod, 1), *self.cq)
             if len(x.data) < len(context_mask):
                 items = np.arange(len(context_mask)) % len(x.data)
                 x, q = gather_rows(x, items), gather_rows(q, items)
-            x = gated_residual(x, mod, 1, self.co(attention(q, *context_kv, self.n_heads, context_mask)))
+            att = attention(q, *context_kv, self.n_heads, context_mask)
+            x = gated_residual(x, mod, 1, matmul(att, *self.co))
             last = 2
-        y = mlp(modulated_norm(x, mod, last), self.fc1.w, self.fc1.b, self.fc2.w, self.fc2.b)
+        y = mlp(modulated_norm(x, mod, last), *self.fc1, *self.fc2)
         return gated_residual(x, mod, last, y)
 
 
@@ -312,7 +301,8 @@ class TwoTowerModel:
 
     def _allocate(self, config: ModelConfig, shapes: dict) -> None:
         """Allocate flat, zero, for parameters of shapes (name -> shape, in
-        registry order), bind each to its view and build the layers."""
+        registry order), bind each to its view and each affine map to its
+        (weight, bias) pair."""
         self.config = config
         self.video_tower_invocations = 0
         # every parameter is a view of one vector, in registry order, so
@@ -326,15 +316,15 @@ class TwoTowerModel:
             p.data = self.flat[at].reshape(shape)
             start = at.stop
         self._params = params
-        self.audio_in, self.video_in = _linear(params, "audio_in"), _linear(params, "video_in")
-        self.text_proj, self.out_proj = _linear(params, "text_proj"), _linear(params, "out_proj")
-        self.time_mlp1, self.time_mlp2 = _linear(params, "time_mlp1"), _linear(params, "time_mlp2")
+        pairs = {name[:-2]: (w, params[name[:-2] + ".b"]) for name, w in params.items() if name.endswith(".w")}
+        self.audio_in, self.video_in, self.text_proj = pairs["audio_in"], pairs["video_in"], pairs["text_proj"]
+        self.out_proj, self.time_mlp1, self.time_mlp2 = pairs["out_proj"], pairs["time_mlp1"], pairs["time_mlp2"]
         self.audio_pos, self.video_pos, self.null_text = params["audio_pos"], params["video_pos"], params["null_text"]
         layers, heads = range(config.n_layers), config.n_heads
-        self.audio_blocks = [Block(params, f"layers.{i}.audio", heads, cross_attention=True) for i in layers]
-        self.video_blocks = [Block(params, f"layers.{i}.video", heads, cross_attention=False) for i in layers]
-        self.mix_a = [_linear(params, f"layers.{i}.mix_a") for i in layers]
-        self.mix_v = [_linear(params, f"layers.{i}.mix_v") for i in layers[:-1]]
+        self.audio_blocks = [Block(pairs, f"layers.{i}.audio", heads, cross_attention=True) for i in layers]
+        self.video_blocks = [Block(pairs, f"layers.{i}.video", heads, cross_attention=False) for i in layers]
+        self.mix_a = [pairs[f"layers.{i}.mix_a"] for i in layers]
+        self.mix_v = [pairs[f"layers.{i}.mix_v"] for i in layers[:-1]]
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -398,11 +388,10 @@ class TwoTowerModel:
         bits of the modulations of time k in any path.
         """
         feats = Tensor(timestep_features(times, self.config.d_model)[:, None, :])
-        mlp1, mlp2 = self.time_mlp1, self.time_mlp2
-        g = gelu(mlp(feats, mlp1.w, mlp1.b, mlp2.w, mlp2.b))
+        g = gelu(mlp(feats, *self.time_mlp1, *self.time_mlp2))
         return TimePath(
-            tuple(block.adaln(g) for block in self.audio_blocks),
-            tuple(block.adaln(g) for block in self.video_blocks),
+            tuple(matmul(g, *block.adaln) for block in self.audio_blocks),
+            tuple(matmul(g, *block.adaln) for block in self.video_blocks),
         )
 
     def _text_tokens(self, conds: list) -> tuple:
@@ -430,14 +419,14 @@ class TwoTowerModel:
             mask[b, : tokens.shape[0]] = True
             null[b, 0, 0] = float(uses_null)
         # the null token enters through the tape so its gradient flows
-        return self.text_proj(Tensor(const) + Tensor(null) * self.null_text), mask
+        return matmul(Tensor(const) + Tensor(null) * self.null_text, *self.text_proj), mask
 
     def condition(self, conds) -> Conditioning:
         """Check B >= 1 bundles and compute what a forward needs of them.
 
         That is every audio block's cross-attention keys and values of the
         text tokens, with their mask, and the video tower's input
-        video_in(frames) + video_pos once per distinct bundle object that
+        frames @ video_in + video_pos once per distinct bundle object that
         carries video, with each video item's row of it. A sampler
         conditions its batch once per trajectory, not per step.
         """
@@ -454,8 +443,8 @@ class TwoTowerModel:
             firsts = [video[video_rows.index(row)] for row in range(len(rows))]
             feats = [_feature_rows(conds[b].video_feat, "video_feat", cfg.d_video_feat, "d_video_feat") for b in firsts]
             frames = np.stack([resample_video(f, cfg.t_audio) for f in feats])
-            video_h = self.video_in(Tensor(frames)) + self.video_pos
-        text_kv = tuple((block.ck(text_h), block.cv(text_h)) for block in self.audio_blocks)
+            video_h = matmul(Tensor(frames), *self.video_in) + self.video_pos
+        text_kv = tuple((matmul(text_h, *block.ck), matmul(text_h, *block.cv)) for block in self.audio_blocks)
         return Conditioning(text_kv, text_mask, video, video_h, video_rows)
 
     def forward(self, x: Tensor, path: TimePath, conditioning: Conditioning) -> Tensor:
@@ -467,7 +456,7 @@ class TwoTowerModel:
         branches. path is a TimePath of B rows, one per item, or of one
         row, such as time_path(times)[k], that every item shares; n < B
         needs a one-row path. Under a one-row path, what depends on a state
-        and the time alone runs once per state: audio_in(x) + audio_pos,
+        and the time alone runs once per state: x @ audio_in + audio_pos,
         audio block 0's self-attention sublayer and its cross-attention
         query; and video block 0 runs once per distinct video input
         (condition). Their rows are then copied out to the items. Items
@@ -485,7 +474,7 @@ class TwoTowerModel:
                 f"dividing B = {items} items, and a path of one row, or of B rows with n = B; "
                 f"got x {x.shape}, {len(path)} path rows"
             )
-        h_a = self.audio_in(x) + self.audio_pos
+        h_a = matmul(x, *self.audio_in) + self.audio_pos
         video, h_v = conditioning.video, conditioning.video_h
 
         def video_items(h: Tensor) -> Tensor:  # a row per distinct video input -> a row per video item
@@ -505,7 +494,7 @@ class TwoTowerModel:
                 # items without video keep their audio stream through the mixers
                 h_a = scatter_rows(mixed_a, video, h_a)
         # the final video stream is dropped; only the audio stream is decoded
-        return self.out_proj(h_a)
+        return matmul(h_a, *self.out_proj)
 
     __call__ = forward
 

@@ -96,9 +96,13 @@ class ToyClip:
 def make_toy_clips(n_clips: int, t_audio: int, d_audio: int, d_video: int, d_text: int, seed: int) -> list[ToyClip]:
     """Build clips whose audio energy spikes where the video spikes.
 
-    Each clip gets two event frames; at each event the video features and
-    the audio latent both receive a spike of about 2 along a fixed global
-    direction, over a 0.05 noise floor, and the video has t_audio frames.
+    Each clip gets one or two event frames in [2, t_audio - 2): a first,
+    then, in up to 200 draws, a second at least 6 frames from it. A
+    second fits whatever the first when t_audio >= 16 and never when
+    t_audio <= 10, so every such short clip has one event. At each event
+    the video features and the audio latent both receive a spike of
+    about 2 along a fixed global direction, over a 0.05 noise floor, and
+    the video has t_audio frames.
     The video -> audio mapping is therefore the same for every clip while
     event times vary, which is what a conditional generator has to pick up.
     Each clip's text is two tokens.

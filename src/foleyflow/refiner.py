@@ -16,8 +16,8 @@ import numpy as np
 
 from . import flow
 from .errors import ContractError, DivergenceError, check_positive_int
-from .metrics import SHARED, PeakTrain, _row_dots, av_align, check_frame_rate, check_peak_frames, clip_style_score
-from .metrics import detect_peaks, energy_envelope, peak_trains
+from .metrics import SHARED, PeakTrain, av_align, check_frame_rate, check_peak_frames, clip_style_score
+from .metrics import detect_peaks, energy_envelope, peak_trains, row_dots
 from .model import ConditionBundle
 from .providers import pool
 from .rng import SeededRng, derive_seed, string_seed
@@ -86,7 +86,7 @@ def reward_context(cond: ConditionBundle, frames: int, frame_rate: float) -> Rew
     if video is not None:
         rows = video.shape[0]
         check_peak_frames(frames)
-        check_peak_frames(rows)
+        # detect_peaks checks the rows; fewer than 3 over 3+ frames cannot overflow the rate
         video_rate = rows / (frames / frame_rate)
         if video_rate == math.inf:
             raise ContractError(f"frame_rate {frame_rate!r} is too large: {rows} video rows over {frames} frames overflow")
@@ -94,7 +94,7 @@ def reward_context(cond: ConditionBundle, frames: int, frame_rate: float) -> Rew
     if video is not None or text is not None:
         field = "video_feat" if video is not None else "text_emb"
         anchor = SHARED.embed(getattr(cond, field))
-        anchor_norm = float(np.sqrt(_row_dots(anchor[None], anchor[None]))[0])
+        anchor_norm = float(np.sqrt(row_dots(anchor[None], anchor[None]))[0])
         if not math.isfinite(anchor_norm):
             raise ContractError(f"{field}'s shared-space embedding has non-finite norm {anchor_norm}")
     applies = {"temporal": video is not None, "semantic": anchor is not None, "smoothness": True}
@@ -129,7 +129,7 @@ def reward(candidates: np.ndarray, context: RewardContext) -> list:
 
     if context.anchor is not None:
         emb_c = SHARED.embed(stack)
-        norms = np.sqrt(_row_dots(emb_c, emb_c)) * context.anchor_norm  # clip_style_score's own norms
+        norms = np.sqrt(row_dots(emb_c, emb_c)) * context.anchor_norm  # clip_style_score's own norms
         scored = np.flatnonzero((0.0 < norms) & (norms < math.inf))
         anchors = np.broadcast_to(context.anchor, (scored.size, context.anchor.size))
         semantic = np.zeros(n)

@@ -5,7 +5,8 @@ needs, all in float64 so numerical tolerances stay tight. Graphs are
 dynamic and single-use: backward releases a graph as its sweep passes
 it, so a forward's buffers go as soon as the last gradient rule that
 reads them has run, and afterwards only the leaves hold gradients.
-An op never mutates its operands' buffers.
+An op never mutates its operands' buffers, and its output has the shape
+numpy gives its formula, 0-d included.
 A rule, forward or backward, writes its intermediates into fresh buffers
 of its own, with in-place ufuncs (out=, *=, +=), in the operation order
 of the formula it implements, so its output has that formula's bits; a
@@ -131,7 +132,8 @@ def no_tape():
 
 def _from_op(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
-    out.data = np.ascontiguousarray(data, dtype=np.float64)
+    # np.ascontiguousarray would make a 0-d result 1-D
+    out.data = np.asarray(data, np.float64, "C")
     out.requires_grad = _taping and any(p.requires_grad for p in parents)
     out.grad = None
     out._done = False
@@ -386,15 +388,14 @@ def _gelu_out(v: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _gelu_grad(v: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The gradient of v, given its _gelu_tanh t and the output gradient g:
     g * (0.5 (1 + t) + 0.5 v (1 - t t) dinner), dinner being
-    _GELU_C (1 + 3 0.044715 v v), in three buffers of g's shape (a 0-d v
-    has a 1-D output)."""
-    dinner = np.multiply(v, 3.0 * 0.044715, out=np.empty(g.shape))
+    _GELU_C (1 + 3 0.044715 v v), in three buffers like v."""
+    dinner = np.multiply(v, 3.0 * 0.044715, out=np.empty_like(v))
     dinner *= v
     dinner += 1.0
     dinner *= _GELU_C
-    one_minus_t2 = np.multiply(t, t, out=np.empty(g.shape))
+    one_minus_t2 = np.multiply(t, t, out=np.empty_like(v))
     np.subtract(1.0, one_minus_t2, out=one_minus_t2)
-    local = np.multiply(v, 0.5, out=np.empty(g.shape))
+    local = np.multiply(v, 0.5, out=np.empty_like(v))
     local *= one_minus_t2
     local *= dinner
     np.add(t, 1.0, out=one_minus_t2)  # now 1 + t
@@ -559,7 +560,7 @@ def reduce_mean(x: Tensor) -> Tensor:
     scale = 1.0 / x.size
 
     def bw(g):
-        return (np.full(x.shape, float(np.asarray(g).sum()) * scale, dtype=np.float64),)
+        return (np.full(x.shape, float(g) * scale, dtype=np.float64),)
 
     return _from_op(np.asarray(x.data.mean()), (x,), bw)
 

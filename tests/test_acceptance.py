@@ -17,7 +17,6 @@ from foleyflow import container, datapipe, flow, metrics, providers, training
 from foleyflow.cli import main as cli_main
 from foleyflow.model import (
     ConditionBundle,
-    Linear,
     ModelConfig,
     TwoTowerModel,
     cross_modal_mix,
@@ -184,8 +183,8 @@ def test_criterion_2_mixer():
     rng = SeededRng(1)
     d = 6
 
-    def mixer(w):  # a mixer of weight w and zero bias
-        return Linear(Tensor(w), Tensor(np.zeros(d)))
+    def mixer(w):  # the (weight, bias) pair of weight w and zero bias
+        return Tensor(w), Tensor(np.zeros(d))
 
     mix_a = mixer(rng.normal((2 * d, d)) * 0.02)
     mix_v = mixer(rng.normal((2 * d, d)) * 0.02)
@@ -193,8 +192,8 @@ def test_criterion_2_mixer():
     y_v = Tensor(rng.normal((5, d)))
     out_a, out_v = cross_modal_mix(y_a, y_v, mix_a, mix_v)
     joint = np.concatenate([y_a.data, y_v.data], axis=1)
-    want_a = y_a.data + joint @ mix_a.w.data + mix_a.b.data
-    want_v = y_v.data + joint @ mix_v.w.data + mix_v.b.data
+    want_a = y_a.data + joint @ mix_a[0].data + mix_a[1].data
+    want_v = y_v.data + joint @ mix_v[0].data + mix_v[1].data
     assert np.max(np.abs(out_a.data - want_a)) <= 1e-12
     assert np.max(np.abs(out_v.data - want_v)) <= 1e-12
 

@@ -118,6 +118,26 @@ def test_trailing_bytes_rejected(tmp_path):
         container.read_latents(padded)
 
 
+@pytest.mark.parametrize(
+    "body, needed, at",
+    [
+        (container.MAGIC + b"\x03\x00", 4, 4),  # inside the version, unsealed
+        (_HEAD + struct.pack("<I", 1) + b"\x05\x00", 4, 12),  # inside a record's name length
+        (_HEAD + struct.pack("<II", 1, 3) + b"ab", 11, 16),  # inside its name, dtype code and rank
+        (_HEAD + struct.pack("<II", 1, 1) + b"x" + struct.pack("<III", 0, 2, 5), 8, 25),  # inside its shape
+    ],
+)
+def test_a_file_that_ends_inside_a_field_names_the_bytes_it_lacks(tmp_path, body, needed, at):
+    path = str(tmp_path / "bad")
+    if len(body) < 8:
+        (tmp_path / "bad").write_bytes(body)
+    else:
+        _sealed(path, body)
+    with pytest.raises(FormatError) as info:
+        container.read_latents(path)
+    assert str(info.value) == f"{path}: truncated file (needed {needed} bytes at offset {at})"
+
+
 def test_implausible_name_length_rejected(tmp_path):
     path = str(tmp_path / "bad")
     _sealed(path, _HEAD + struct.pack("<I", 1) + struct.pack("<I", 2**31))  # one record, absurd name length

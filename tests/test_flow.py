@@ -215,6 +215,16 @@ def test_cfm_loss_rng_order_x0_then_t():
     assert abs(loss - np.mean((x1 - x0) ** 2)) <= 1e-12
 
 
+def test_cfm_loss_is_a_0d_tensor_and_backward_starts_there():
+    model = TwoTowerModel(STUB_CFG, seed=0)
+    x1 = SeededRng(4).normal((STUB_CFG.t_audio, STUB_CFG.d_audio_latent))
+    loss = cfm_loss(model, [(x1, ConditionBundle())], SeededRng(5))
+    assert loss.shape == () and loss.data.shape == ()
+    backward(loss)
+    assert all(p.grad is None or p.grad.shape == p.shape for p in model.parameters().values())
+    assert model.parameters()["out_proj.w"].grad is not None
+
+
 def test_a_training_step_frees_its_graph_as_backward_sweeps_it():
     # the default model, a batch of 8 text+video items, as in stage 3; the
     # byte counts repeat exactly from run to run

@@ -3,7 +3,8 @@
 model and flow build tape graphs, and training runs their reverse pass;
 every other module works on plain float64 arrays. The package __init__
 binds __version__ alone, so importing a module loads only what it
-imports. The synthetic embedding stand-ins are built once, in metrics,
+imports. No module takes another's private name. The synthetic
+embedding stand-ins are built once, in metrics,
 and every scorer reads them from there. Every output file is written
 through container.replacing, and only container renames a file into
 place, so a command's output set is committed in one place. No public
@@ -25,6 +26,53 @@ PACKAGE = Path(foleyflow.__file__).parent
 
 # module -> the tensor names it may import (None: any)
 ALLOWED = {"model": None, "flow": None, "training": {"backward"}}
+
+
+def _private_imports(tree: ast.Module) -> list:
+    """module.name of each private name a module takes from another
+    foleyflow module: imported by name, or read off an imported module."""
+    found, modules = [], {}  # modules: local name -> foleyflow module name
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.startswith("__")
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level == 1 or (node.module or "").startswith("foleyflow")):
+            source = (node.module or "").removeprefix("foleyflow").removeprefix(".")
+            if source:
+                found += [f"{source}.{a.name}" for a in node.names if private(a.name)]
+            else:  # from . import metrics
+                modules |= {a.asname or a.name: a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            prefixed = [a for a in node.names if a.asname and a.name.startswith("foleyflow.")]
+            modules |= {a.asname: a.name.removeprefix("foleyflow.") for a in prefixed}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            if private(node.attr):
+                found.append(f"{modules[node.value.id]}.{node.attr}")
+    return found
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a private name is free to change with its module; a shared rule is public
+    found = {path.stem: _private_imports(ast.parse(path.read_text(encoding="utf-8"))) for path in PACKAGE.glob("*.py")}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_private_import_probe_sees_every_form():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "from .metrics import _row_dots, SHARED\n"
+        "from foleyflow.container import _write as write\n"
+        "from . import tensor, model as m\n"
+        "from foleyflow import flow\n"
+        "import foleyflow.rng as r\n"
+        "import numpy as np\n"
+        "x = tensor._from_op, m._declare, r._mask, flow.sample, flow.__name__, self._params, np._core\n"
+    )
+    assert sorted(_private_imports(tree)) == [
+        "container._write", "metrics._row_dots", "model._declare", "rng._mask", "tensor._from_op"
+    ]
 
 
 def _tensor_imports(tree: ast.Module) -> list:

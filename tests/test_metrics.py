@@ -758,7 +758,7 @@ def test_stacked_products_keep_the_bits_of_one_row_products():
                 pooled = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
                 stacked = embedder.project(pooled)
                 emb = rng.normal(size=(n, embedder.dim))
-                dots, norms = metrics._row_dots(stacked, emb), np.sqrt(metrics._row_dots(stacked, stacked))
+                dots, norms = metrics.row_dots(stacked, emb), np.sqrt(metrics.row_dots(stacked, stacked))
                 for i in range(n):
                     assert np.array_equal(stacked[i], pooled[i] @ w), (k, embedder.provider_id, n, i)
                     assert dots[i] == np.dot(stacked[i], emb[i]), (embedder.dim, n, i)

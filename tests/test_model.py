@@ -17,7 +17,6 @@ from foleyflow import container, flow, tensor
 from foleyflow.errors import ConfigError, ContractError, FormatError, ShapeError
 from foleyflow.model import (
     ConditionBundle,
-    Linear,
     ModelConfig,
     TwoTowerModel,
     cross_modal_mix,
@@ -44,9 +43,9 @@ def _forward(model, x: Tensor, times, conds) -> Tensor:
     return model(x, model.time_path(times), conditioning)
 
 
-def _affine(w: np.ndarray) -> Linear:
-    """A Linear of weight w and zero bias, outside any model."""
-    return Linear(Tensor(w, requires_grad=True), Tensor(np.zeros(w.shape[1]), requires_grad=True))
+def _affine(w: np.ndarray) -> tuple:
+    """The (weight, bias) pair of weight w and zero bias, outside any model."""
+    return Tensor(w, requires_grad=True), Tensor(np.zeros(w.shape[1]), requires_grad=True)
 
 
 def _perturb(model, seed=0, scale=0.05):
@@ -184,14 +183,13 @@ def test_the_last_video_mixer_never_runs_and_takes_no_gradient(monkeypatch):
     cfg = replace(SMALL, n_layers=2)
     model = TwoTowerModel(cfg, seed=0)
     _perturb(model)
-    called = []
-    real_call = Linear.__call__
+    called = set()  # ids of the weights the model's products read
 
-    def spy(self, x):
-        called.append(self)
-        return real_call(self, x)
+    def spy(a, b, bias=None):
+        called.add(id(b))
+        return tensor.matmul(a, b, bias)
 
-    monkeypatch.setattr(Linear, "__call__", spy)
+    monkeypatch.setattr("foleyflow.model.matmul", spy)
     rng = SeededRng(30)
     batch = [(rng.normal((cfg.t_audio, cfg.d_audio_latent)), cond) for cond in _mixed_conds(rng, 4, cfg)]
     model.zero_grad()
@@ -200,7 +198,7 @@ def test_the_last_video_mixer_never_runs_and_takes_no_gradient(monkeypatch):
     assert [name for name in params if ".mix_v." in name] == ["layers.0.mix_v.w", "layers.0.mix_v.b"]
     assert all(params[f"layers.0.mix_v.{p}"].grad is not None for p in "wb")
     assert all(params[f"layers.1.mix_a.{p}"].grad is not None for p in "wb")
-    assert [any(m is mixer for m in called) for mixer in model.mix_v] == [True]
+    assert [id(w) in called for w, _ in model.mix_v] == [True]
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +209,8 @@ def test_fresh_model_is_projection_composition():
     model = TwoTowerModel(SMALL, seed=0)
     rng = SeededRng(3)
     x = rng.normal((1, SMALL.t_audio, SMALL.d_audio_latent))
-    expected = (x @ model.audio_in.w.data + model.audio_in.b.data) @ model.out_proj.w.data + model.out_proj.b.data
+    (w_in, b_in), (w_out, b_out) = model.audio_in, model.out_proj
+    expected = (x @ w_in.data + b_in.data) @ w_out.data + b_out.data
     for cond in (
         ConditionBundle(),
         _cond(SMALL, rng),
@@ -559,8 +558,8 @@ def test_a_guided_step_runs_branch_shared_rows_once(monkeypatch):
     4 copies; the later blocks see every item's rows."""
     cfg = ModelConfig()
     model = TwoTowerModel(cfg, seed=0)
-    watched = {id(model.audio_blocks[i].wq.w): f"audio {i}" for i in range(cfg.n_layers)}
-    watched |= {id(model.video_blocks[i].wq.w): f"video {i}" for i in range(cfg.n_layers)}
+    watched = {id(model.audio_blocks[i].wq[0]): f"audio {i}" for i in range(cfg.n_layers)}
+    watched |= {id(model.video_blocks[i].wq[0]): f"video {i}" for i in range(cfg.n_layers)}
     rows = collections.defaultdict(list)
 
     def counted(a, b, bias=None):

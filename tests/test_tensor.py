@@ -263,9 +263,10 @@ def test_forward_rules_keep_the_bits_of_their_expressions(batch, t_q, t_k, heads
     for name, a in (("matmul one row", x[:1, :1]), ("matmul rows", x)):
         expected[name] = (_biased_matmul_expression(a, w, bias), _both_ways(matmul, a, w, bias))
     for name, (want, (taped, untaped)) in expected.items():
-        # an op's output is at least 1-D
-        assert np.array_equal(taped, np.atleast_1d(want)), name
-        assert np.array_equal(untaped, np.atleast_1d(want)), name
+        # an op's output has its expression's shape, 0-d included
+        assert taped.shape == untaped.shape == np.shape(want), name
+        assert np.array_equal(taped, want), name
+        assert np.array_equal(untaped, want), name
 
 
 @settings(max_examples=60, deadline=None)
@@ -525,8 +526,11 @@ def test_add_broadcasts_row_vector():
 
 
 def test_incompatible_broadcast_raises():
-    with pytest.raises(ShapeError):
-        Tensor(np.zeros((3, 2))) + Tensor(np.zeros((2, 3)))
+    a, b = Tensor(np.zeros((3, 2))), Tensor(np.zeros((2, 3)))
+    for op in (add, sub, mul):
+        with pytest.raises(ShapeError) as info:
+            op(a, b)
+        assert str(info.value) == f"{op.__name__} operands do not broadcast: (3, 2) vs (2, 3)"
 
 
 def test_elementwise_dispatch():
@@ -637,6 +641,25 @@ def test_reductions():
     assert reduce_mean(x).item() == 2.5
     with pytest.raises(ContractError):
         x.item()
+
+
+def test_ops_on_0d_operands_return_0d_tensors():
+    # numpy's rank: a 0-d result stays 0-d, taped or not, and so do the gradients
+    x, y = Tensor(0.7, requires_grad=True), Tensor(-1.3, requires_grad=True)
+    cases = {
+        "add": (lambda: add(x, y), 0.7 + -1.3),
+        "sub": (lambda: sub(x, y), 0.7 - -1.3),
+        "mul": (lambda: mul(x, y), 0.7 * -1.3),
+        "gelu": (lambda: gelu(x) * y, _gelu_expression(np.float64(0.7)) * -1.3),
+        "reduce_mean": (lambda: reduce_mean(x) * y, 0.7 * -1.3),
+    }
+    for name, (op, want) in cases.items():
+        with no_tape():
+            untaped = op()
+        out = op()
+        assert out.shape == untaped.shape == () and out.data == untaped.data == want, name
+        check_gradients(op, {"x": x, "y": y})
+        assert x.grad.shape == y.grad.shape == (), name
 
 
 # ---------------------------------------------------------------------------
